@@ -2,7 +2,8 @@
 
 These reuse the games module's material payoffs as the single source of
 truth; the two utility transforms rescale them per player, and the quantal
-response solver finds a logit fixed point by damped iteration.
+response solver finds a logit fixed point by damped iteration.  numpy is
+imported by the solver itself, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-import numpy as np
 
 from .exact import Numeric, to_exact
 from .games import BudgetExceededError, NormalFormGame, Profile, SocialDilemma
@@ -125,6 +125,8 @@ class QreResult:
 
 def _logit_response(payoff_ops, sigmas, lam):
     """Best-response mixing: softmax of lam * EU against the others."""
+    import numpy as np
+
     response = []
     for i, op in enumerate(payoff_ops):
         eu = op(sigmas)
@@ -143,6 +145,8 @@ def logit_qre(game, lam: Numeric, *, damping: float = 0.5, tol: float = 1e-10,
     The residual is the sup-norm gap between the profile and its logit
     response; non-convergence within ``max_iter`` is reported, never hidden.
     """
+    import numpy as np
+
     game = _as_game(game)
     lam = float(lam)
     if lam < 0:

@@ -220,9 +220,12 @@ class CooperationScanner:
 
     Precomputes the payoff of every (strategy, cooperator count) pair once,
     scaled to a common integer denominator, so that scanning a grid of types
-    costs only integer arithmetic: binomial count weights as integers and
-    one cross-multiplied comparison at the end.  Everything stays exact and
-    the verdicts are identical to ``is_cooperation_rational``.
+    costs only integer arithmetic.  A verdict reads alpha and beta as
+    numerator and denominator, forms the binomial count weights as integers
+    (gamma = (1 - alpha) * beta as ((ad - an) * bn, ad * bd), unreduced) and
+    decides by one cross-multiplied comparison; ``Fraction``s are built only
+    for the expected utilities the report returns.  Everything stays exact
+    and the verdicts are identical to ``is_cooperation_rational``.
     """
 
     def __init__(self, d: SocialDilemma, i: int = 0):
@@ -253,22 +256,26 @@ class CooperationScanner:
             for s, row in dev_rows
         ]
 
-    def _weights(self, p: Fraction) -> tuple:
-        """Unnormalized binomial weights over cooperator counts: entry k is
-        C(n-1,k) * num^k * (den-num)^(n-1-k); the denominator is den^(n-1)."""
-        num, den = p.numerator, p.denominator
+    def _weights(self, num: int, den: int) -> tuple:
+        """Unnormalized binomial weights over cooperator counts for the
+        cooperation probability num/den (not necessarily in lowest terms):
+        entry k is C(n-1,k) * num^k * (den-num)^(n-1-k); the denominator is
+        den^(n-1)."""
         comp = den - num
         n = self.others
         return ([self.binom[k] * num ** k * comp ** (n - k) for k in range(n + 1)],
                 den ** n)
 
     def verdict(self, t: TranslucentType) -> RationalityReport:
-        w_path, den_path = self._weights(t.beta)
+        an, ad = t.alpha.numerator, t.alpha.denominator
+        bn, bd = t.beta.numerator, t.beta.denominator
+        w_path, den_path = self._weights(bn, bd)
         coop_int = 0
         for w, u in zip(w_path, self.coop_row):
             if w and u:
                 coop_int += w * u
-        w_dev, den_dev = self._weights((1 - t.alpha) * t.beta)
+        # deviation beliefs: others cooperate w.p. gamma = (1 - alpha) * beta
+        w_dev, den_dev = self._weights((ad - an) * bn, ad * bd)
         best_dev = None
         best_int = None
         for s, row in self.deviations:

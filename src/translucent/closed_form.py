@@ -15,6 +15,13 @@ alone, whether intended cooperation is a weak best response:
 where f(gamma, N) = sum_k C(N-1, k) (1-gamma)^k gamma^(N-1-k) / (k+1) is the
 expected reciprocal share of a price-floor tie.
 
+Every verdict is decided on integers.  alpha, beta and the game parameters
+are split into numerator and denominator, each inequality is held as
+(lhs_num, lhs_den, rhs_num, rhs_den) with positive denominators and decided
+by cross-multiplying; for bertrand, with gamma = gn/gd,
+f(gamma, N) = (gd^N - gn^N) / (N * gd^(N-1) * (gd - gn)).  ``Fraction``s are
+built only for the two sides a ``CooperationVerdict`` returns.
+
 Note on the traveler's dilemma branch: equating the cooperation payoff with
 the payoff of undercutting to H-1 gives b*(1-2a) <= 1 + a*(H-L-1); the often
 quoted cap (H-L-1)/(1-2a) is strictly looser and disagrees with brute-force
@@ -94,27 +101,53 @@ def cooperation_condition(kind: str, params: dict, alpha: Numeric,
     """
     a = _unit(alpha, "alpha")
     b_ = _unit(beta, "beta")
+    an, ad = a.numerator, a.denominator
+    bn, bd = b_.numerator, b_.denominator
+    # each condition is lhs >= rhs, held as (lhs_num, lhs_den, rhs_num, rhs_den)
     if kind == "pd":
         b, c = _params_pd(params)
-        conditions = [(a * b_ * b, c)]
+        conditions = [(an * bn * b.numerator, ad * bd * b.denominator,
+                       c.numerator, c.denominator)]
     elif kind == "td":
         l, h, bonus = _params_td(params)
-        conditions = [((h - l) * b_, bonus * (1 - a * b_))]
-        if a < Fraction(1, 2):
-            conditions.append((1 + a * (h - l - 1), bonus * (1 - 2 * a)))
+        sn, sd = bonus.numerator, bonus.denominator
+        conditions = [((h - l) * bn, bd, sn * (ad * bd - an * bn), sd * ad * bd)]
+        if 2 * an < ad:
+            conditions.append((ad + an * (h - l - 1), ad, sn * (ad - 2 * an),
+                               sd * ad))
     elif kind == "pgg":
         n, rho = _params_pgg(params, allow_rho_one=True)
-        conditions = [(a * b_ * rho * (n - 1), 1 - rho)]
+        rn, rd = rho.numerator, rho.denominator
+        conditions = [(an * bn * rn * (n - 1), ad * bd * rd, rd - rn, rd)]
     elif kind == "bertrand":
         n, l, h = _params_bertrand(params)
-        gamma = (1 - a) * b_
-        conditions = [(b_ ** (n - 1), f_gamma(gamma, n) * l * n / Fraction(h))]
+        # tie term f(gamma, N) * L * N / H with gamma = gn/gd: the N cancels,
+        # and f = 1 at gamma = 1
+        gn, gd = (ad - an) * bn, ad * bd
+        if gn == gd:
+            tie = (l * n, h)
+        else:
+            tie = (l * (gd ** n - gn ** n), h * gd ** (n - 1) * (gd - gn))
+        conditions = [(bn ** (n - 1), bd ** (n - 1), *tie)]
     else:
         raise ValueError(f"unknown dilemma kind {kind!r}")
 
-    rational = all(lhs >= rhs for lhs, rhs in conditions)
-    binding, threshold = min(conditions, key=lambda c: c[0] - c[1])
-    return CooperationVerdict(rational, binding, threshold)
+    rational = all(ln * rd >= rn * ld for ln, ld, rn, rd in conditions)
+    binding = conditions[0]
+    for cond in conditions[1:]:
+        if _margin_below(cond, binding):
+            binding = cond
+    ln, ld, rn, rd = binding
+    return CooperationVerdict(rational, Fraction(ln, ld), Fraction(rn, rd))
+
+
+def _margin_below(x: tuple, y: tuple) -> bool:
+    """Whether condition x has a strictly smaller lhs - rhs than y (all
+    denominators are positive)."""
+    xn, xd, xrn, xrd = x
+    yn, yd, yrn, yrd = y
+    return ((xn * xrd - xrn * xd) * (yd * yrd)
+            < (yn * yrd - yrn * yd) * (xd * xrd))
 
 
 def bertrand_lower_bound_check(beta: Numeric, l: int, h: int, n: int) -> bool:
@@ -122,17 +155,23 @@ def bertrand_lower_bound_check(beta: Numeric, l: int, h: int, n: int) -> bool:
     every alpha (f >= 1/N bounds the tie term from below)."""
     _params_bertrand({"n": n, "l": l, "h": h})
     b_ = _unit(beta, "beta")
-    return b_ ** (n - 1) < Fraction(l, h)
+    return b_.numerator ** (n - 1) * h < l * b_.denominator ** (n - 1)
 
 
 def bertrand_undercut_condition(params: dict, alpha: Numeric, beta: Numeric) -> bool:
     """True iff cooperating survives the undercut to H-1:
-    beta^(N-1) * H / N >= gamma^(N-1) * (H-1)."""
+    beta^(N-1) * H / N >= gamma^(N-1) * (H-1).
+
+    With gamma = (1 - alpha) * beta both sides carry beta^(N-1); dividing it
+    out leaves H * ad^(N-1) >= N * (H-1) * (ad - an)^(N-1) for alpha = an/ad.
+    At beta = 0 both sides are 0 and the guard holds.
+    """
     n, l, h = _params_bertrand(params)
     a = _unit(alpha, "alpha")
-    b_ = _unit(beta, "beta")
-    gamma = (1 - a) * b_
-    return b_ ** (n - 1) * Fraction(h, n) >= gamma ** (n - 1) * (h - 1)
+    if _unit(beta, "beta").numerator == 0:
+        return True
+    an, ad = a.numerator, a.denominator
+    return h * ad ** (n - 1) >= n * (h - 1) * (ad - an) ** (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +190,7 @@ def _check_unit_float(x: float, name: str) -> None:
 
 def _unit(x: Numeric, name: str) -> Fraction:
     v = to_exact(x)
-    if not 0 <= v <= 1:
+    if not 0 <= v.numerator <= v.denominator:
         raise ValueError(f"{name} must lie in [0, 1], got {v}")
     return v
 
@@ -179,8 +218,9 @@ def _params_pgg(params: dict, allow_rho_one: bool = False):
     n = int(params["n"])
     _check_players(n)
     rho = to_exact(params["rho"])
-    top_ok = rho <= 1 if allow_rho_one else rho < 1
-    if not (Fraction(1, n) < rho and top_ok):
+    rn, rd = rho.numerator, rho.denominator
+    top_ok = rn <= rd if allow_rho_one else rn < rd
+    if not (rd < n * rn and top_ok):
         raise ValueError(f"marginal return out of range for n={n}: {rho}")
     return n, rho
 

@@ -22,6 +22,10 @@ def to_exact(x: Numeric) -> Fraction:
     Ints and Fractions pass through, floats map to their exact binary value,
     and strings are parsed as decimal/rational literals ("0.05", "3/20").
     """
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, bool):
         raise TypeError("expected a number, got bool")
     if isinstance(x, Rational):

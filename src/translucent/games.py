@@ -55,6 +55,8 @@ class NormalFormGame:
     payoff_rule: Callable[[Profile, int], Fraction] = field(compare=False)
     symmetric: bool = False
     name: str = "custom"
+    # per player: strategy -> position in its strategy set
+    _index: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.num_players < 2:
@@ -69,6 +71,8 @@ class NormalFormGame:
                 raise ValueError(f"strategy set of player {i} is empty")
             if len(set(s)) != len(s):
                 raise ValueError(f"strategy set of player {i} has duplicates")
+        object.__setattr__(self, "_index", tuple(
+            {x: k for k, x in enumerate(s)} for s in self.strategy_sets))
 
     def payoff(self, profile: Profile, i: int) -> Fraction:
         self._check_profile(profile)
@@ -81,8 +85,8 @@ class NormalFormGame:
 
     def strategy_index(self, i: int, strategy: Strategy) -> int:
         try:
-            return self.strategy_sets[i].index(strategy)
-        except ValueError:
+            return self._index[i][strategy]
+        except (KeyError, TypeError):  # TypeError: unhashable, never a strategy
             raise ValueError(f"{strategy!r} is not a strategy of player {i}") from None
 
     def profile_count(self) -> int:
@@ -99,8 +103,12 @@ class NormalFormGame:
             raise ValueError(
                 f"profile has {len(profile)} entries for {self.num_players} players"
             )
-        for i, s in enumerate(profile):
-            if s not in self.strategy_sets[i]:
+        for i, (s, index) in enumerate(zip(profile, self._index)):
+            try:
+                known = s in index
+            except TypeError:  # unhashable: never a strategy
+                known = False
+            if not known:
                 raise ValueError(f"{s!r} is not a strategy of player {i}")
 
 

@@ -1,12 +1,16 @@
 """Tests for the social-preference transforms and the logit QRE solver."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import translucent
 from translucent.alt_models import (
     CharnessRabinParams,
     FehrSchmidtParams,
@@ -214,3 +218,16 @@ class TestLogitQre:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError, match="nonnegative"):
             logit_qre(make_prisoners_dilemma(4, 1), -1.0)
+
+
+def test_package_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(translucent.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, translucent, translucent.cli; "
+         "print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -185,6 +185,27 @@ class TestPayoffPlumbing:
         with pytest.raises(IndexError):
             payoff(d, ("C", "C"), 2)
 
+    def test_strategy_lookup(self):
+        d = make_travelers_dilemma(2, 9, 3)
+        assert d.game.strategy_index(0, 2) == 0
+        assert d.game.strategy_index(1, 9) == 7
+        assert d.game.strategy_index(1, F(5)) == 3  # equal values, same key
+        for bad in (10, "C", [2], None):
+            with pytest.raises(ValueError) as err:
+                d.game.strategy_index(1, bad)
+            assert str(err.value) == f"{bad!r} is not a strategy of player 1"
+            with pytest.raises(ValueError) as err:
+                d.game.payoff((2, bad), 0)
+            assert str(err.value) == f"{bad!r} is not a strategy of player 1"
+        with pytest.raises(IndexError):
+            d.game.strategy_index(2, 2)
+
+    def test_index_map_outside_equality(self):
+        a = make_prisoners_dilemma(4, 1).game
+        b = make_prisoners_dilemma(4, 1).game
+        assert a == b and "_index" not in repr(a)
+        assert a.strategy_index(1, "D") == 1
+
     def test_payoff_vs_counts_matches_rule(self):
         d = make_public_goods(3, F(1, 2), grid=4)
         # one cooperator among the others, representative profile

@@ -23,6 +23,14 @@ States, strategies and profiles are referenced by dense integer indices.
 Belief measures are stored sparsely per state (their supports are small in
 every structure built here); the closest-state map is stored as one dense
 column of state indices per (player, strategy).
+
+By PR2 a player's measure is constant on its own support, so the builders
+share one measure object among the states of a *belief cell*.  The validator
+gives every measure a cell id from its exact entries, decides NORM once per
+cell and PR2 by comparing cell ids; only measures in different cells are
+compared as dicts.  Expected utilities accumulate integer numerators over a
+running common denominator and build one ``Fraction`` at the end, and
+``is_rational_at`` evaluates each distinct opponent profile once per call.
 """
 
 from __future__ import annotations
@@ -31,14 +39,17 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Optional, Sequence
 
 from .exact import to_exact
 from .games import (BudgetExceededError, MixedProfile, NormalFormGame, Profile,
-                    SocialDilemma, Strategy)
+                    SocialDilemma, Strategy, minimize_payoff)
 
 NORM_TOL = Fraction(1, 10 ** 12)
 MISSING = -1
+_EXACT = (int, Fraction)
 
 
 class IncoherentProfileError(ValueError):
@@ -114,10 +125,28 @@ class CounterfactualStructure:
     def strat(self, omega: int) -> Profile:
         return self.states[omega]
 
+    @cached_property
+    def _strategy_maps(self) -> tuple:
+        """Per player: strategy -> index of its first occurrence."""
+        maps = []
+        for strats in self.strategy_sets:
+            index: dict = {}
+            for j, s in enumerate(strats):
+                index.setdefault(s, j)
+            maps.append(index)
+        return tuple(maps)
+
+    @cached_property
+    def _profile_ids(self) -> tuple:
+        """Per state: an id shared by the states that play the same profile
+        (such states differ only in ``aux``)."""
+        ids: dict = {}
+        return tuple([ids.setdefault(p, len(ids)) for p in self.states])
+
     def strategy_index(self, i: int, strategy: Strategy) -> int:
         try:
-            return self.strategy_sets[i].index(strategy)
-        except ValueError:
+            return self._strategy_maps[i][strategy]
+        except (KeyError, TypeError):  # TypeError: unhashable, never a strategy
             raise ValueError(f"{strategy!r} is not a strategy of player {i}") from None
 
     def closest(self, omega: int, i: int, strategy: Strategy) -> int:
@@ -142,44 +171,52 @@ def validate_structure(m: CounterfactualStructure) -> list:
     data, in deterministic (state, player, strategy) order."""
     violations = []
     n_states = m.num_states
+    states = m.states
+    players = range(m.num_players)
+    # equal codes <=> equal strategies, so the checks compare small ints
+    own_codes, set_codes = [], []
+    for i in players:
+        ids: dict = {}
+        set_codes.append([ids.setdefault(s, len(ids)) for s in m.strategy_sets[i]])
+        own_codes.append([ids.setdefault(p[i], len(ids)) for p in states])
+    columns = [[m.closest_columns[(i, j)] for j in range(len(m.strategy_sets[i]))]
+               for i in players]
 
     for omega in range(n_states):
-        profile = m.states[omega]
-        for i in range(m.num_players):
-            own = profile[i]
+        for i in players:
+            own, codes = own_codes[i][omega], own_codes[i]
             for j, s in enumerate(m.strategy_sets[i]):
-                target = m.closest_columns[(i, j)][omega]
+                target = columns[i][j][omega]
                 if not 0 <= target < n_states:
                     violations.append(Violation(
                         "CS1", omega, i, s,
                         "missing or out-of-range closest-state entry"))
                     continue
-                if m.states[target][i] != s:
+                if codes[target] != set_codes[i][j]:
                     violations.append(Violation(
                         "CS1", omega, i, s,
-                        f"closest state {target} plays {m.states[target][i]!r}"))
-                if s == own and target != omega:
+                        f"closest state {target} plays {states[target][i]!r}"))
+                if set_codes[i][j] == own and target != omega:
                     violations.append(Violation(
                         "CS2", omega, i, s,
                         f"keeping the current strategy moved the state to {target}"))
 
-    for i in range(m.num_players):
+    for i in players:
+        per_state = m.beliefs[i]
+        codes = own_codes[i]
+        cells, positives, norm = _belief_cells(per_state)
         for omega in range(n_states):
-            dist = m.beliefs[i][omega]
-            total = sum(dist.values(), Fraction(0))
-            if abs(total - 1) > NORM_TOL:
-                violations.append(Violation(
-                    "NORM", omega, i, detail=f"belief mass sums to {total}"))
-            own = m.states[omega][i]
-            for target, p in dist.items():
-                if p <= 0:
-                    continue
-                if m.states[target][i] != own:
+            dist = per_state[omega]
+            cell, own = cells[omega], codes[omega]
+            if norm[cell] is not None:
+                violations.append(Violation("NORM", omega, i, detail=norm[cell]))
+            for target in positives[id(dist)]:
+                if codes[target] != own:
                     violations.append(Violation(
                         "PR1", omega, i,
                         detail=f"positive mass on state {target} where the "
-                               f"player uses {m.states[target][i]!r}"))
-                if m.beliefs[i][target] != dist:
+                               f"player uses {states[target][i]!r}"))
+                if cells[target] != cell and per_state[target] != dist:
                     violations.append(Violation(
                         "PR2", omega, i,
                         detail=f"positive mass on state {target} with "
@@ -187,23 +224,76 @@ def validate_structure(m: CounterfactualStructure) -> list:
     return violations
 
 
+def _belief_cells(per_state: Sequence) -> tuple:
+    """Group one player's measures into belief cells.
+
+    Returns the cell id of every state, the positive-mass targets of every
+    measure object (by ``id``, in insertion order) and, per cell, the NORM
+    violation detail or None.  Measures with equal exact entries share a
+    cell; zero-mass entries count, as they do for dict equality.  A measure
+    with an inexact value gets a cell of its own.
+    """
+    cells, norm = [], []
+    positives: dict = {}
+    object_cell: dict = {}
+    entries_cell: dict = {}
+    for dist in per_state:
+        cell = object_cell.get(id(dist))
+        if cell is None:
+            key, positives[id(dist)] = _exact_entries(dist)
+            cell = entries_cell.get(key) if key is not None else None
+            if cell is None:
+                cell = len(norm)
+                if key is not None:
+                    entries_cell[key] = cell
+                total = sum(dist.values(), Fraction(0))
+                norm.append(f"belief mass sums to {total}"
+                            if abs(total - 1) > NORM_TOL else None)
+            object_cell[id(dist)] = cell
+        cells.append(cell)
+    return cells, positives, norm
+
+
+def _exact_entries(dist: dict) -> tuple:
+    """(sorted (target, numerator, denominator) entries or None, targets
+    with positive mass in insertion order)."""
+    entries, positive = [], []
+    for t, p in dist.items():
+        if not isinstance(p, _EXACT):
+            return None, [t for t, p in dist.items() if not p <= 0]
+        num = p.numerator
+        entries.append((t, num, p.denominator))
+        if num > 0:
+            positive.append(t)
+    try:
+        entries.sort()
+    except TypeError:  # targets that do not order: no shared cell
+        return None, positive
+    return tuple(entries), positive
+
+
 # ---------------------------------------------------------------------------
 # derived beliefs and expected utilities
+
+
+def _pushforward(column: tuple, sources: list, i: int, s_dev: Strategy) -> list:
+    """The closest state of every source under one switch."""
+    targets = [column[source] for source in sources]
+    if MISSING in targets:
+        raise ValueError(
+            f"closest-state entry missing for state "
+            f"{sources[targets.index(MISSING)]}, player {i}, strategy {s_dev!r}")
+    return targets
 
 
 def derived_beliefs(m: CounterfactualStructure, i: int, omega: int,
                     s_dev: Strategy) -> dict:
     """Pushforward of player i's beliefs at ``omega`` through the
     closest-state map under a switch to ``s_dev``; sums to 1."""
-    j = m.strategy_index(i, s_dev)
-    column = m.closest_columns[(i, j)]
+    column = m.closest_columns[(i, m.strategy_index(i, s_dev))]
+    dist = m.belief(i, omega)
     out: dict = {}
-    for source, p in m.belief(i, omega).items():
-        target = column[source]
-        if target == MISSING:
-            raise ValueError(
-                f"closest-state entry missing for state {source}, player {i}, "
-                f"strategy {s_dev!r}")
+    for target, p in zip(_pushforward(column, list(dist), i, s_dev), dist.values()):
         out[target] = out.get(target, Fraction(0)) + p
     return out
 
@@ -214,16 +304,65 @@ def _require_game(m: CounterfactualStructure) -> NormalFormGame:
     return m.game
 
 
+def _exact_weights(dist: dict) -> Optional[list]:
+    """(numerator, denominator) of every probability, or None when one is
+    not an int or a Fraction."""
+    weights = []
+    for p in dist.values():
+        if not isinstance(p, _EXACT):
+            return None
+        weights.append((p.numerator, p.denominator))
+    return weights
+
+
+def _expectation(m: CounterfactualStructure, game: NormalFormGame, i: int,
+                 s: Strategy, targets: list, weights: list, memo: dict) -> Fraction:
+    """Sum of p * u_i(s, the others' strategies at the target) over the
+    targets and their exact weights.
+
+    Integer numerators accumulate over a running common denominator, one
+    gcd per term, and one ``Fraction`` is built at the end.  Payoffs are
+    memoised in ``memo`` by profile id.
+    """
+    states, ids = m.states, m._profile_ids
+    num, den = 0, 1
+    for target, (pn, pd) in zip(targets, weights):
+        pid = ids[target]
+        u = memo.get(pid)
+        if u is None:
+            profile = list(states[target])
+            profile[i] = s
+            v = game.payoff(tuple(profile), i)
+            u = memo[pid] = (v.numerator, v.denominator)
+        pn, pd = pn * u[0], pd * u[1]
+        g = gcd(den, pd)
+        if g == pd:
+            num += pn * (den // pd)
+        else:
+            num = num * (pd // g) + pn * (den // g)
+            den *= pd // g
+    return Fraction(num, den)
+
+
+def _measure_expectation(m: CounterfactualStructure, game: NormalFormGame, i: int,
+                         s: Strategy, dist: dict):
+    """The same sum over one measure; a measure holding floats is summed in
+    plain arithmetic, in its own order, as it always was."""
+    weights = _exact_weights(dist)
+    if weights is not None:
+        return _expectation(m, game, i, s, list(dist), weights, {})
+    total = Fraction(0)
+    for target, p in dist.items():
+        profile = list(m.states[target])
+        profile[i] = s
+        total += p * game.payoff(tuple(profile), i)
+    return total
+
+
 def eu_at_state(m: CounterfactualStructure, i: int, omega: int) -> Fraction:
     """Expected utility of player i's current strategy at ``omega``."""
     game = _require_game(m)
-    own = m.states[omega][i]
-    total = Fraction(0)
-    for target, p in m.belief(i, omega).items():
-        profile = list(m.states[target])
-        profile[i] = own
-        total += p * game.payoff(tuple(profile), i)
-    return total
+    return _measure_expectation(m, game, i, m.states[omega][i], m.belief(i, omega))
 
 
 def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
@@ -231,21 +370,37 @@ def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
     """Expected utility at ``omega`` if player i switched to ``s_dev``,
     with beliefs pushed through the closest-state map."""
     game = _require_game(m)
-    total = Fraction(0)
-    for target, p in derived_beliefs(m, i, omega, s_dev).items():
-        profile = list(m.states[target])
-        profile[i] = s_dev
-        total += p * game.payoff(tuple(profile), i)
-    return total
+    return _measure_expectation(m, game, i, s_dev, derived_beliefs(m, i, omega, s_dev))
 
 
 def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtilityReport:
     """Rationality of player i at a state: the current strategy must match
-    or beat every switch (weak inequality)."""
-    eu = eu_at_state(m, i, omega)
-    switches = {}
-    for s in m.strategy_sets[i]:
-        switches[s] = eu_at_state_switch(m, i, omega, s)
+    or beat every switch (weak inequality).
+
+    Each switch pushes the belief entries through its column one by one,
+    which by linearity gives the pushforward's expectation exactly, and
+    each distinct profile's payoff is computed once per call.
+    """
+    game = _require_game(m)
+    own = m.states[omega][i]
+    dist = m.belief(i, omega)
+    weights = _exact_weights(dist)
+    if weights is None:  # float probabilities round as they always did
+        eu = _measure_expectation(m, game, i, own, dist)
+        switches = {s: _measure_expectation(m, game, i, s,
+                                            derived_beliefs(m, i, omega, s))
+                    for s in m.strategy_sets[i]}
+    else:
+        sources = list(dist)
+        memos: dict = {}  # strategy index -> {profile id: payoff}
+        eu = _expectation(m, game, i, own, sources, weights,
+                          memos.setdefault(m._strategy_maps[i].get(own), {}))
+        switches = {}
+        for s in m.strategy_sets[i]:
+            j = m.strategy_index(i, s)
+            targets = _pushforward(m.closest_columns[(i, j)], sources, i, s)
+            switches[s] = _expectation(m, game, i, s, targets, weights,
+                                       memos.setdefault(j, {}))
     rational = all(eu >= v for v in switches.values())
     return StateUtilityReport(eu, switches, rational)
 
@@ -341,27 +496,15 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
     index = {p: k for k, p in enumerate(states)}
     n = game.num_players
 
-    punish = {}
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        for s in game.strategy_sets[i]:
-            best_profile = None
-            best_value = None
-            for combo in itertools.product(*(game.strategy_sets[j] for j in others)):
-                profile = list(combo)
-                profile.insert(i, s)
-                u = game.payoff(tuple(profile), i)
-                if best_value is None or u < best_value:
-                    best_value = u
-                    best_profile = combo
-            punish[(i, s)] = (best_profile, best_value)
+    punish = {(i, s): minimize_payoff(game, i, s, budget)
+              for i in range(n) for s in game.strategy_sets[i]}
 
     if strict:
         for i in range(n):
             for s in sigma.support(i):
                 u = sigma.expected_payoff(i, s)
                 for s_dev in game.strategy_sets[i]:
-                    if u < punish[(i, s_dev)][1]:
+                    if u < punish[(i, s_dev)][0]:
                         raise IncoherentProfileError(i, s, s_dev)
 
     columns = {}
@@ -374,7 +517,7 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
                 if own == s_dev:
                     col.append(k)
                 elif own in support:
-                    joint = list(punish[(i, s_dev)][0])
+                    joint = list(punish[(i, s_dev)][1])
                     joint.insert(i, s_dev)
                     col.append(index[tuple(joint)])
                 else:
@@ -578,12 +721,37 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     }
 
 
+def _index(value, size: int, path: str, what: str) -> int:
+    k = int(value)
+    if not 0 <= k < size:
+        raise ValueError(f"{path}: {what} index {k} is out of range 0..{size - 1}")
+    return k
+
+
+def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:
+    """One belief measure of a document; each probability string is parsed
+    once per document (``parsed`` maps text to its ``Fraction``)."""
+    dist = {}
+    for t, p in raw.items():
+        t = _index(t, n_states, f"{path}.dist[{json.dumps(t)}]", "state")
+        if type(p) is str:
+            q = parsed.get(p)
+            if q is None:
+                q = parsed[p] = Fraction(p)
+        else:
+            q = Fraction(p)
+        dist[t] = q
+    return dist
+
+
 def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> CounterfactualStructure:
     """Parse a structure document (dict or JSON text).
 
     Missing closest-state entries other than the CS2-forced ones are kept as
-    holes that ``validate_structure`` reports; the validator is the linter
-    for this format.
+    holes that ``validate_structure`` reports, and so are closest-state
+    targets out of range (CS1); the validator is the linter for this format.
+    Every other player, state, strategy or belief-target index must lie in
+    range, or a ValueError names its JSON path.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -596,35 +764,69 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
         raise ValueError("one strategy list per player required")
     if game is not None:
         strategy_sets = game.strategy_sets
+    sizes = [len(strats) for strats in strategy_sets]
+    # per player: position -> position of the label's first occurrence
+    first = []
+    for i, strats in enumerate(strategy_sets):
+        index: dict = {}
+        for j, s in enumerate(strats):
+            try:
+                index.setdefault(s, j)
+            except TypeError:
+                raise ValueError(f"$.strategies[{i}][{j}]: strategy label "
+                                 f"{s!r} is not a string or a number") from None
+        first.append([index[s] for s in strats])
 
+    n_states = len(doc["states"])
     states = []
     aux = []
-    for entry in doc["states"]:
-        profile = tuple(strategy_sets[i][int(j)]
-                        for i, j in enumerate(entry["profile"]))
-        states.append(profile)
+    columns = {(i, j): [MISSING] * n_states
+               for i in range(n) for j in range(sizes[i])}
+    for k, entry in enumerate(doc["states"]):
+        raw = entry["profile"]
+        if len(raw) != n:
+            raise ValueError(f"$.states[{k}].profile: expected {n} entries, "
+                             f"got {len(raw)}")
+        profile = []
+        for i, j in enumerate(raw):
+            j = _index(j, sizes[i], f"$.states[{k}].profile[{i}]", "strategy")
+            profile.append(strategy_sets[i][j])
+            columns[(i, first[i][j])][k] = k
+        states.append(tuple(profile))
         aux.append(tuple(entry["aux"]) if entry.get("aux") is not None else None)
     states = tuple(states)
     has_aux = any(a is not None for a in aux)
 
-    columns = {}
-    for i in range(n):
-        for j in range(len(strategy_sets[i])):
-            columns[(i, j)] = [MISSING] * len(states)
-    for k, profile in enumerate(states):
-        for i in range(n):
-            own = strategy_sets[i].index(profile[i])
-            columns[(i, own)][k] = k
-    for entry in doc["closest"]:
-        omega, i, j = int(entry["state"]), int(entry["player"]), int(entry["strategy"])
+    for e, entry in enumerate(doc["closest"]):
+        path = f"$.closest[{e}]"
+        omega = _index(entry["state"], n_states, f"{path}.state", "state")
+        i = _index(entry["player"], n, f"{path}.player", "player")
+        j = _index(entry["strategy"], sizes[i], f"{path}.strategy", "strategy")
         columns[(i, j)][omega] = int(entry["target"])
     columns = {key: tuple(col) for key, col in columns.items()}
 
     beliefs = [[{} for _ in states] for _ in range(n)]
-    for entry in doc["beliefs"]:
-        i, omega = int(entry["player"]), int(entry["state"])
-        dist = {int(t): Fraction(p) for t, p in entry["dist"].items()}
-        beliefs[i][omega] = dist
+    parsed: dict = {}
+    # the measures of a belief cell repeat in the document: parse each
+    # distinct one once, and give every state a copy of its own
+    measures: dict = {}
+    for e, entry in enumerate(doc["beliefs"]):
+        path = f"$.beliefs[{e}]"
+        i = _index(entry["player"], n, f"{path}.player", "player")
+        omega = _index(entry["state"], n_states, f"{path}.state", "state")
+        raw = entry["dist"]
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}.dist: expected an object")
+        try:
+            key = tuple(raw.items())
+            dist = measures.get(key)
+        except TypeError:  # an unhashable value: no sharing
+            key = dist = None
+        if dist is None:
+            dist = _parse_dist(raw, n_states, path, parsed)
+            if key is not None:
+                measures[key] = dist
+        beliefs[i][omega] = dict(dist)
     beliefs = tuple(tuple(per_state) for per_state in beliefs)
 
     return CounterfactualStructure(strategy_sets, states, columns, beliefs,

@@ -59,7 +59,7 @@ def make_coherence_checker(game, budget: int = 10_000_000):
     game = _as_game(game)
     floors = []
     for i in range(game.num_players):
-        floors.append({s: minimize_payoff(game, i, s, budget)
+        floors.append({s: minimize_payoff(game, i, s, budget)[0]
                        for s in game.strategy_sets[i]})
 
     def check(sigma: MixedProfile) -> CoherenceReport:
@@ -95,34 +95,51 @@ class TeStructureReport:
 def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
                     omega_subset: Optional[Sequence] = None) -> TeStructureReport:
     """Check TE1-TE4 for the given states (default: all support-profile
-    states).  Violation tuples carry (state,) or (state, player)."""
+    states).  Violation tuples carry (state,) or (state, player).
+
+    TE2-TE4 depend on a state only through the player's measure and own
+    strategy, so each (player, measure object, own strategy) is judged once.
+    """
+    dists = sigma.distributions  # supports only: zero masses are dropped
+
+    def in_support(profile) -> bool:
+        return all(s in d for s, d in zip(profile, dists))
+
     if omega_subset is None:
-        omega_subset = [k for k in range(m.num_states)
-                        if sigma.joint_prob(m.states[k]) > 0]
+        omega_subset = [k for k, profile in enumerate(m.states)
+                        if in_support(profile)]
     omega_set = set(omega_subset)
     te1, te2, te3, te4 = [], [], [], []
     n = m.num_players
+    expected = []
+    for i in range(n):
+        mixture: dict = {}
+        for combo, p in sigma.others_support_profiles(i):
+            if p > 0:
+                mixture[combo] = mixture.get(combo, Fraction(0)) + p
+        expected.append(mixture)
+    verdicts: dict = {}
 
     for omega in omega_subset:
-        if sigma.joint_prob(m.states[omega]) == 0:
+        if not in_support(m.states[omega]):
             te1.append((omega,))
         for i in range(n):
             dist = m.belief(i, omega)
-            if any(t not in omega_set for t, p in dist.items() if p > 0):
-                te2.append((omega, i))
-            marginal: dict = {}
-            for t, p in dist.items():
-                others = tuple(s for j, s in enumerate(m.states[t]) if j != i)
-                marginal[others] = marginal.get(others, Fraction(0)) + p
-            expected: dict = {}
-            for combo, p in sigma.others_support_profiles(i):
-                if p > 0:
-                    expected[combo] = expected.get(combo, Fraction(0)) + p
-            marginal = {k: v for k, v in marginal.items() if v > 0}
-            if marginal != expected:
-                te3.append((omega, i))
-            if not cf.is_rational_at(m, i, omega).rational:
-                te4.append((omega, i))
+            key = (i, id(dist), m.states[omega][i])
+            verdict = verdicts.get(key)
+            if verdict is None:
+                outside = any(t not in omega_set for t, p in dist.items() if p > 0)
+                marginal: dict = {}
+                for t, p in dist.items():
+                    others = tuple(s for j, s in enumerate(m.states[t]) if j != i)
+                    marginal[others] = marginal.get(others, Fraction(0)) + p
+                marginal = {k: v for k, v in marginal.items() if v > 0}
+                verdict = verdicts[key] = (
+                    outside, marginal != expected[i],
+                    not cf.is_rational_at(m, i, omega).rational)
+            for found, violations in zip(verdict, (te2, te3, te4)):
+                if found:
+                    violations.append((omega, i))
 
     holds = not (te1 or te2 or te3 or te4)
     return TeStructureReport(holds, tuple(te1), tuple(te2), tuple(te3), tuple(te4))

@@ -317,8 +317,7 @@ class MixedProfile:
         for i, dist in enumerate(distributions):
             clean = {}
             for s, p in dist.items():
-                if s not in game.strategy_sets[i]:
-                    raise ValueError(f"{s!r} is not a strategy of player {i}")
+                game.strategy_index(i, s)  # ValueError unless a strategy of i
                 p = to_exact(p)
                 if p < 0:
                     raise ValueError(f"negative probability for player {i}")
@@ -366,8 +365,7 @@ class MixedProfile:
 
     def expected_payoff(self, i: int, strategy: Strategy) -> Fraction:
         """E[u_i(strategy, s_-i)] with s_-i drawn from the others' mixture."""
-        if strategy not in self.game.strategy_sets[i]:
-            raise ValueError(f"{strategy!r} is not a strategy of player {i}")
+        self.game.strategy_index(i, strategy)  # ValueError unless a strategy of i
         rule = self.game.payoff_rule  # support profiles are valid by construction
         total = Fraction(0)
         for combo, p in self.others_support_profiles(i):
@@ -490,11 +488,14 @@ def verify_social_dilemma(game, budget: int = 10_000_000) -> DilemmaReport:
 
 
 def minimize_payoff(game: NormalFormGame, i: int, strategy: Strategy,
-                    budget: int = 10_000_000) -> Fraction:
-    """min over the others' pure profiles of u_i(strategy, s_-i).
+                    budget: int = 10_000_000) -> tuple:
+    """min over the others' pure profiles of u_i(strategy, s_-i), as
+    ``(value, minimiser)``.  The minimiser lists the others' strategies in
+    player order and is the first one in strategy-set (lexicographic) order.
 
-    Symmetric games are reduced to multisets of the others' strategies;
-    otherwise the full product is enumerated against the budget.
+    Symmetric games are reduced to multisets of the others' strategies:
+    there the first minimiser is sorted, so it is the first multiset found.
+    Otherwise the full product is enumerated against the budget.
     """
     others = [j for j in range(game.num_players) if j != i]
     if game.symmetric:
@@ -512,14 +513,14 @@ def minimize_payoff(game: NormalFormGame, i: int, strategy: Strategy,
         if required > budget:
             raise BudgetExceededError(required, budget, "opponent profiles")
         combos = itertools.product(*(game.strategy_sets[j] for j in others))
-    best = None
+    best, argmin = None, None
     for combo in combos:
         profile = list(combo)
         profile.insert(i, strategy)
         u = game.payoff(tuple(profile), i)
         if best is None or u < best:
-            best = u
-    return best
+            best, argmin = u, combo
+    return best, argmin
 
 
 # ---------------------------------------------------------------------------

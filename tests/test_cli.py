@@ -328,6 +328,39 @@ class TestValidateStructure:
         assert code == 2
         assert "parse error" in err
 
+    def run_doc(self, tmp_path, capsys, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        return run(capsys, "validate-structure", str(path))
+
+    def test_belief_target_past_the_last_state(self, tmp_path, capsys):
+        doc = self.make_structure_doc()
+        doc["beliefs"][3]["dist"] = {"99": "1"}
+        code, out, err = self.run_doc(tmp_path, capsys, doc)
+        assert code == 2
+        assert out == ""
+        assert '$.beliefs[3].dist["99"]: state index 99 is out of range 0..3' in err
+
+    def test_negative_belief_target_is_not_the_last_state(self, tmp_path, capsys):
+        # "-1" would otherwise be read as state 3, which makes this document
+        # look clean: states 2 and 3 both play D for player 0
+        doc = self.make_structure_doc()
+        for k in (2, 3):
+            doc["beliefs"][k]["dist"] = {"2": "1/2", "-1": "1/2"}
+        code, out, err = self.run_doc(tmp_path, capsys, doc)
+        assert code == 2
+        assert out == ""
+        assert '$.beliefs[2].dist["-1"]: state index -1 is out of range 0..3' in err
+
+    @pytest.mark.parametrize("section", ["closest", "beliefs"])
+    def test_player_out_of_range(self, tmp_path, capsys, section):
+        doc = self.make_structure_doc()
+        doc[section][1]["player"] = 7
+        code, out, err = self.run_doc(tmp_path, capsys, doc)
+        assert code == 2
+        assert out == ""
+        assert f"$.{section}[1].player: player index 7 is out of range 0..1" in err
+
 
 class TestQreCommand:
     def test_uniform_at_lambda_zero(self, tmp_path, capsys):

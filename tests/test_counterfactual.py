@@ -322,6 +322,53 @@ class TestJsonFormat:
         violations = validate_structure(back)
         assert any("missing" in v.detail for v in violations)
 
+    def pd_doc(self):
+        d = make_prisoners_dilemma(4, 1)
+        sigma = MixedProfile.two_point(d, [F(1, 2), F(1, 2)])
+        return structure_to_json(build_coherent_structure(d, sigma))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["states"][2].update(profile=[0, 2]),
+         "$.states[2].profile[1]: strategy index 2 is out of range 0..1"),
+        (lambda doc: doc["states"][2].update(profile=[-1, 0]),
+         "$.states[2].profile[0]: strategy index -1 is out of range 0..1"),
+        (lambda doc: doc["states"][1].update(profile=[0]),
+         "$.states[1].profile: expected 2 entries, got 1"),
+        (lambda doc: doc["closest"][3].update(state=4),
+         "$.closest[3].state: state index 4 is out of range 0..3"),
+        (lambda doc: doc["closest"][3].update(player=-1),
+         "$.closest[3].player: player index -1 is out of range 0..1"),
+        (lambda doc: doc["closest"][3].update(strategy=5),
+         "$.closest[3].strategy: strategy index 5 is out of range 0..1"),
+        (lambda doc: doc["beliefs"][6].update(state=-2),
+         "$.beliefs[6].state: state index -2 is out of range 0..3"),
+        (lambda doc: doc["beliefs"][6]["dist"].update({"4": "0"}),
+         '$.beliefs[6].dist["4"]: state index 4 is out of range 0..3'),
+        (lambda doc: doc["beliefs"][5].update(dist=[1]),
+         "$.beliefs[5].dist: expected an object"),
+        (lambda doc: doc["strategies"][1].append(["E"]),
+         "$.strategies[1][2]: strategy label ['E'] is not a string or a number"),
+    ])
+    def test_out_of_range_indices_name_their_path(self, edit, message):
+        doc = self.pd_doc()
+        edit(doc)
+        with pytest.raises(ValueError) as exc:
+            structure_from_json(doc)
+        assert str(exc.value) == message
+
+    def test_out_of_range_closest_target_stays_a_cs1_violation(self):
+        doc = self.pd_doc()
+        doc["closest"][0]["target"] = 9
+        violations = validate_structure(structure_from_json(doc))
+        assert [v.axiom for v in violations] == ["CS1"]
+        assert "out-of-range" in violations[0].detail
+
+    def test_every_state_gets_its_own_measure(self):
+        m = structure_from_json(self.pd_doc())
+        k_dd, k_dc = state_of(m, ("D", "D")), state_of(m, ("D", "C"))
+        assert m.beliefs[0][k_dd] == m.beliefs[0][k_dc]
+        assert m.beliefs[0][k_dd] is not m.beliefs[0][k_dc]
+
     def test_malformed_document_rejected(self):
         with pytest.raises(ValueError, match="missing 'states'"):
             structure_from_json({"players": 2, "strategies": [["C"], ["C"]],

@@ -1,5 +1,6 @@
 """Tests for the game factories, payoff rules, and axiom verification."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -252,15 +253,38 @@ class TestVerification:
 class TestMinimizePayoff:
     def test_bertrand_floor(self):
         d = make_bertrand(3, 2, 6)
-        assert minimize_payoff(d.game, 0, 4) == 0
-        assert minimize_payoff(d.game, 0, 2) == F(2, 3)
+        assert minimize_payoff(d.game, 0, 4) == (0, (2, 2))
+        assert minimize_payoff(d.game, 0, 2)[0] == F(2, 3)
 
     def test_matches_full_enumeration(self):
         d = make_travelers_dilemma(2, 7, 3)
         game = d.game
         for s in game.strategy_sets[0]:
             brute = min(game.payoff((s, y), 0) for y in game.strategy_sets[1])
-            assert minimize_payoff(game, 0, s) == brute
+            assert minimize_payoff(game, 0, s)[0] == brute
+
+    @pytest.mark.parametrize("d", [
+        make_prisoners_dilemma(4, 1),
+        make_travelers_dilemma(2, 7, 3),
+        make_public_goods(3, F(3, 5), grid=2),
+        make_public_goods(4, F(2, 5), grid=1),
+        make_bertrand(2, 2, 6),
+        make_bertrand(3, 2, 5),
+    ], ids=lambda d: f"{d.kind}{d.num_players}")
+    def test_multiset_minimiser_is_smallest_product_minimiser(self, d):
+        game = d.game
+        assert game.symmetric
+        for i in range(game.num_players):
+            others = [j for j in range(game.num_players) if j != i]
+            for s in game.strategy_sets[i]:
+                best, first = None, None
+                for combo in itertools.product(*(game.strategy_sets[j] for j in others)):
+                    profile = list(combo)
+                    profile.insert(i, s)
+                    u = game.payoff(tuple(profile), i)
+                    if best is None or u < best:
+                        best, first = u, combo
+                assert minimize_payoff(game, i, s) == (best, first)
 
 
 class TestMixedProfile:

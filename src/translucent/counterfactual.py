@@ -31,6 +31,8 @@ cell and PR2 by comparing cell ids; only measures in different cells are
 compared as dicts.  Expected utilities accumulate integer numerators over a
 running common denominator and build one ``Fraction`` at the end, and
 ``is_rational_at`` evaluates each distinct opponent profile once per call.
+Both take every probability at its exact value (floats included, as
+``exact.to_exact`` converts them), so no verdict is decided by rounding.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .games import (BudgetExceededError, MixedProfile, NormalFormGame, Profile,
 
 NORM_TOL = Fraction(1, 10 ** 12)
 MISSING = -1
-_EXACT = (int, Fraction)
 
 
 class IncoherentProfileError(ValueError):
@@ -231,7 +232,7 @@ def _belief_cells(per_state: Sequence) -> tuple:
     measure object (by ``id``, in insertion order) and, per cell, the NORM
     violation detail or None.  Measures with equal exact entries share a
     cell; zero-mass entries count, as they do for dict equality.  A measure
-    with an inexact value gets a cell of its own.
+    whose targets do not sort gets a cell of its own.
     """
     cells, norm = [], []
     positives: dict = {}
@@ -240,13 +241,19 @@ def _belief_cells(per_state: Sequence) -> tuple:
     for dist in per_state:
         cell = object_cell.get(id(dist))
         if cell is None:
-            key, positives[id(dist)] = _exact_entries(dist)
-            cell = entries_cell.get(key) if key is not None else None
+            entries = [(t, q.numerator, q.denominator)
+                       for t, q in zip(dist, map(to_exact, dist.values()))]
+            positives[id(dist)] = [t for t, num, _ in entries if num > 0]
+            try:
+                key = tuple(sorted(entries))
+                cell = entries_cell.get(key)
+            except TypeError:  # targets that do not sort
+                key = None
             if cell is None:
                 cell = len(norm)
                 if key is not None:
                     entries_cell[key] = cell
-                total = sum(dist.values(), Fraction(0))
+                total = sum(map(to_exact, dist.values()), Fraction(0))
                 norm.append(f"belief mass sums to {total}"
                             if abs(total - 1) > NORM_TOL else None)
             object_cell[id(dist)] = cell
@@ -254,30 +261,14 @@ def _belief_cells(per_state: Sequence) -> tuple:
     return cells, positives, norm
 
 
-def _exact_entries(dist: dict) -> tuple:
-    """(sorted (target, numerator, denominator) entries or None, targets
-    with positive mass in insertion order)."""
-    entries, positive = [], []
-    for t, p in dist.items():
-        if not isinstance(p, _EXACT):
-            return None, [t for t, p in dist.items() if not p <= 0]
-        num = p.numerator
-        entries.append((t, num, p.denominator))
-        if num > 0:
-            positive.append(t)
-    try:
-        entries.sort()
-    except TypeError:  # targets that do not order: no shared cell
-        return None, positive
-    return tuple(entries), positive
-
-
 # ---------------------------------------------------------------------------
 # derived beliefs and expected utilities
 
 
-def _pushforward(column: tuple, sources: list, i: int, s_dev: Strategy) -> list:
-    """The closest state of every source under one switch."""
+def _pushforward(m: CounterfactualStructure, i: int, sources: list,
+                 s_dev: Strategy) -> list:
+    """The closest state of every source when player i switches to ``s_dev``."""
+    column = m.closest_columns[(i, m.strategy_index(i, s_dev))]
     targets = [column[source] for source in sources]
     if MISSING in targets:
         raise ValueError(
@@ -290,10 +281,9 @@ def derived_beliefs(m: CounterfactualStructure, i: int, omega: int,
                     s_dev: Strategy) -> dict:
     """Pushforward of player i's beliefs at ``omega`` through the
     closest-state map under a switch to ``s_dev``; sums to 1."""
-    column = m.closest_columns[(i, m.strategy_index(i, s_dev))]
     dist = m.belief(i, omega)
     out: dict = {}
-    for target, p in zip(_pushforward(column, list(dist), i, s_dev), dist.values()):
+    for target, p in zip(_pushforward(m, i, list(dist), s_dev), dist.values()):
         out[target] = out.get(target, Fraction(0)) + p
     return out
 
@@ -304,15 +294,9 @@ def _require_game(m: CounterfactualStructure) -> NormalFormGame:
     return m.game
 
 
-def _exact_weights(dist: dict) -> Optional[list]:
-    """(numerator, denominator) of every probability, or None when one is
-    not an int or a Fraction."""
-    weights = []
-    for p in dist.values():
-        if not isinstance(p, _EXACT):
-            return None
-        weights.append((p.numerator, p.denominator))
-    return weights
+def _weights(dist: dict) -> list:
+    """(numerator, denominator) of every probability, exact for floats."""
+    return [(q.numerator, q.denominator) for q in map(to_exact, dist.values())]
 
 
 def _expectation(m: CounterfactualStructure, game: NormalFormGame, i: int,
@@ -344,25 +328,12 @@ def _expectation(m: CounterfactualStructure, game: NormalFormGame, i: int,
     return Fraction(num, den)
 
 
-def _measure_expectation(m: CounterfactualStructure, game: NormalFormGame, i: int,
-                         s: Strategy, dist: dict):
-    """The same sum over one measure; a measure holding floats is summed in
-    plain arithmetic, in its own order, as it always was."""
-    weights = _exact_weights(dist)
-    if weights is not None:
-        return _expectation(m, game, i, s, list(dist), weights, {})
-    total = Fraction(0)
-    for target, p in dist.items():
-        profile = list(m.states[target])
-        profile[i] = s
-        total += p * game.payoff(tuple(profile), i)
-    return total
-
-
 def eu_at_state(m: CounterfactualStructure, i: int, omega: int) -> Fraction:
     """Expected utility of player i's current strategy at ``omega``."""
     game = _require_game(m)
-    return _measure_expectation(m, game, i, m.states[omega][i], m.belief(i, omega))
+    dist = m.belief(i, omega)
+    return _expectation(m, game, i, m.states[omega][i], list(dist),
+                        _weights(dist), {})
 
 
 def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
@@ -370,7 +341,9 @@ def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
     """Expected utility at ``omega`` if player i switched to ``s_dev``,
     with beliefs pushed through the closest-state map."""
     game = _require_game(m)
-    return _measure_expectation(m, game, i, s_dev, derived_beliefs(m, i, omega, s_dev))
+    dist = m.belief(i, omega)
+    targets = _pushforward(m, i, list(dist), s_dev)
+    return _expectation(m, game, i, s_dev, targets, _weights(dist), {})
 
 
 def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtilityReport:
@@ -384,23 +357,14 @@ def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtili
     game = _require_game(m)
     own = m.states[omega][i]
     dist = m.belief(i, omega)
-    weights = _exact_weights(dist)
-    if weights is None:  # float probabilities round as they always did
-        eu = _measure_expectation(m, game, i, own, dist)
-        switches = {s: _measure_expectation(m, game, i, s,
-                                            derived_beliefs(m, i, omega, s))
-                    for s in m.strategy_sets[i]}
-    else:
-        sources = list(dist)
-        memos: dict = {}  # strategy index -> {profile id: payoff}
-        eu = _expectation(m, game, i, own, sources, weights,
-                          memos.setdefault(m._strategy_maps[i].get(own), {}))
-        switches = {}
-        for s in m.strategy_sets[i]:
-            j = m.strategy_index(i, s)
-            targets = _pushforward(m.closest_columns[(i, j)], sources, i, s)
-            switches[s] = _expectation(m, game, i, s, targets, weights,
-                                       memos.setdefault(j, {}))
+    sources, weights = list(dist), _weights(dist)
+    memos: dict = {}  # strategy -> {profile id: payoff}
+    eu = _expectation(m, game, i, own, sources, weights, memos.setdefault(own, {}))
+    switches = {}
+    for s in m.strategy_sets[i]:
+        targets = _pushforward(m, i, sources, s)
+        switches[s] = _expectation(m, game, i, s, targets, weights,
+                                   memos.setdefault(s, {}))
     rational = all(eu >= v for v in switches.values())
     return StateUtilityReport(eu, switches, rational)
 
@@ -721,10 +685,14 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     }
 
 
+def _range_error(k: int, size: int, path: str, what: str) -> ValueError:
+    return ValueError(f"{path}: {what} index {k} is out of range 0..{size - 1}")
+
+
 def _index(value, size: int, path: str, what: str) -> int:
     k = int(value)
     if not 0 <= k < size:
-        raise ValueError(f"{path}: {what} index {k} is out of range 0..{size - 1}")
+        raise _range_error(k, size, path, what)
     return k
 
 
@@ -733,14 +701,16 @@ def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:
     once per document (``parsed`` maps text to its ``Fraction``)."""
     dist = {}
     for t, p in raw.items():
-        t = _index(t, n_states, f"{path}.dist[{json.dumps(t)}]", "state")
+        k = int(t)
+        if not 0 <= k < n_states:  # the path is formatted only on failure
+            raise _range_error(k, n_states, f"{path}.dist[{json.dumps(t)}]", "state")
         if type(p) is str:
             q = parsed.get(p)
             if q is None:
                 q = parsed[p] = Fraction(p)
         else:
             q = Fraction(p)
-        dist[t] = q
+        dist[k] = q
     return dist
 
 
@@ -807,9 +777,6 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
 
     beliefs = [[{} for _ in states] for _ in range(n)]
     parsed: dict = {}
-    # the measures of a belief cell repeat in the document: parse each
-    # distinct one once, and give every state a copy of its own
-    measures: dict = {}
     for e, entry in enumerate(doc["beliefs"]):
         path = f"$.beliefs[{e}]"
         i = _index(entry["player"], n, f"{path}.player", "player")
@@ -817,16 +784,7 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
         raw = entry["dist"]
         if not isinstance(raw, dict):
             raise ValueError(f"{path}.dist: expected an object")
-        try:
-            key = tuple(raw.items())
-            dist = measures.get(key)
-        except TypeError:  # an unhashable value: no sharing
-            key = dist = None
-        if dist is None:
-            dist = _parse_dist(raw, n_states, path, parsed)
-            if key is not None:
-                measures[key] = dist
-        beliefs[i][omega] = dict(dist)
+        beliefs[i][omega] = _parse_dist(raw, n_states, path, parsed)
     beliefs = tuple(tuple(per_state) for per_state in beliefs)
 
     return CounterfactualStructure(strategy_sets, states, columns, beliefs,

@@ -4,13 +4,15 @@ The library validates structures per belief cell and sums expected
 utilities on integers.  This module keeps the plain per-state forms, with
 dict equality for PR2, one ``Fraction`` product per belief entry and the
 ``joint_prob`` support test, so the tests can compare the fast code against
-them.  Nothing here is fast; it is meant to be obviously right.
+them.  Nothing here is fast; it is meant to be obviously right.  It sums
+probabilities as given, so the tests hand it measures whose floats are
+already converted to their exact values, as the library converts them.
 """
 
 from fractions import Fraction
 
 from translucent.counterfactual import (MISSING, NORM_TOL, StateUtilityReport,
-                                        Violation, derived_beliefs)
+                                        Violation)
 from translucent.equilibrium import TeStructureReport
 
 
@@ -61,6 +63,20 @@ def validate_structure(m) -> list:
                         detail=f"positive mass on state {target} with "
                                "different beliefs"))
     return violations
+
+
+def derived_beliefs(m, i: int, omega: int, s_dev) -> dict:
+    j = m.strategy_index(i, s_dev)
+    column = m.closest_columns[(i, j)]
+    out: dict = {}
+    for source, p in m.belief(i, omega).items():
+        target = column[source]
+        if target == MISSING:
+            raise ValueError(
+                f"closest-state entry missing for state {source}, player {i}, "
+                f"strategy {s_dev!r}")
+        out[target] = out.get(target, Fraction(0)) + p
+    return out
 
 
 def _require_game(m):

@@ -1,5 +1,6 @@
 """Tests for counterfactual structures, builders, and the JSON format."""
 
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -87,6 +88,15 @@ class TestValidator:
         violations = validate_structure(m)
         assert any(v.axiom == "NORM" for v in violations)
 
+    def test_float_mass_is_summed_exactly(self):
+        d = make_prisoners_dilemma(4, 1)
+        m = build_nash_structure(d, MixedProfile.pure(d.game, ("D", "D")))
+        k_dd = state_of(m, ("D", "D"))
+        m.beliefs[0][k_dd][k_dd] = 0.1  # the measure of every state playing D
+        violations = validate_structure(m)
+        assert violations and all(v.axiom == "NORM" for v in violations)
+        assert {v.detail for v in violations} == {f"belief mass sums to {F(0.1)}"}
+
     def test_planted_pr2_defect(self):
         d = make_prisoners_dilemma(4, 1)
         sigma = MixedProfile.two_point(d, [F(1, 2), F(1, 2)])
@@ -160,6 +170,20 @@ class TestStateUtilities:
         k = state_of(m, ("D", "D"))
         assert eu_at_state(m, 0, k) == 0
         assert eu_at_state(m, 0, state_of(m, ("C", "D"))) == -1
+
+    def test_float_probabilities_enter_at_their_exact_values(self):
+        game = matching_pennies()
+        sigma = MixedProfile(game, [{"H": F(1, 2), "T": F(1, 2)}] * 2)
+        m = build_nash_structure(game, sigma)
+        k_hh, k_ht = state_of(m, ("H", "H")), state_of(m, ("H", "T"))
+        per_state = list(m.beliefs[0])
+        per_state[k_hh] = {k_hh: 0.1, k_ht: 0.9}
+        m = dataclasses.replace(m, beliefs=(tuple(per_state), m.beliefs[1]))
+        exact = F(0.1) - F(0.9)
+        assert 0.1 - 0.9 != exact  # float arithmetic would round
+        assert eu_at_state(m, 0, k_hh) == exact
+        assert is_rational_at(m, 0, k_hh).eu == exact
+        assert eu_at_state_switch(m, 0, k_hh, "T") == -exact
 
 
 class TestNashStructure:

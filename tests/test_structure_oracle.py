@@ -5,7 +5,9 @@ integers, and ``te_in_structure`` judges each (player, measure, own
 strategy) once; ``structure_oracle`` keeps the plain per-state forms.
 Property tests compare the two on built and JSON-round-tripped typed and
 coherent structures, on single-axiom mutations of them, and on the
-criterion-3 pool profiles.
+criterion-3 pool profiles.  The library takes float probabilities at
+their exact values, so the oracle is run on the same structure with its
+measures converted by ``to_exact``.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ import structure_oracle as oracle
 from translucent.counterfactual import (
     build_coherent_structure,
     build_typed_dilemma_structure,
+    derived_beliefs,
     eu_at_state,
     eu_at_state_switch,
     is_rational_at,
@@ -27,6 +30,7 @@ from translucent.counterfactual import (
     validate_structure,
 )
 from translucent.equilibrium import te_in_structure
+from translucent.exact import to_exact
 from translucent.games import (
     MixedProfile,
     make_bertrand,
@@ -98,6 +102,13 @@ def with_belief(m, i, k, dist):
     return dataclasses.replace(m, beliefs=tuple(beliefs))
 
 
+def exact(m):
+    """``m`` with every probability converted by ``to_exact``."""
+    beliefs = tuple(tuple({t: to_exact(p) for t, p in dist.items()}
+                          for dist in per_state) for per_state in m.beliefs)
+    return dataclasses.replace(m, beliefs=beliefs)
+
+
 def mutate(draw, m, kind):
     n_states = m.num_states
     i = draw(st.integers(0, m.num_players - 1))
@@ -157,7 +168,7 @@ def mutated_structures(draw):
 @given(mutated_structures())
 def test_validator_matches_oracle_on_mutations(m):
     got = validate_structure(m)
-    want = oracle.validate_structure(m)
+    want = oracle.validate_structure(exact(m))
     assert got == want
     assert [str(v) for v in got] == [str(v) for v in want]
 
@@ -170,16 +181,20 @@ def test_validator_matches_oracle_on_clean_structures(case):
 
 
 def rationality_agrees(m, states):
+    m_exact = exact(m)
     for k in states:
         for i in range(m.num_players):
             got = outcome(is_rational_at, m, i, k)
-            assert got == outcome(oracle.is_rational_at, m, i, k)
+            assert got == outcome(oracle.is_rational_at, m_exact, i, k)
             if got[0] == "ok":
-                assert type(got[1].eu) is type(oracle.is_rational_at(m, i, k).eu)
-            assert outcome(eu_at_state, m, i, k) == outcome(oracle.eu_at_state, m, i, k)
+                assert type(got[1].eu) is F
+            assert (outcome(eu_at_state, m, i, k)
+                    == outcome(oracle.eu_at_state, m_exact, i, k))
             for s in m.strategy_sets[i]:
                 assert (outcome(eu_at_state_switch, m, i, k, s)
-                        == outcome(oracle.eu_at_state_switch, m, i, k, s))
+                        == outcome(oracle.eu_at_state_switch, m_exact, i, k, s))
+                assert (outcome(derived_beliefs, m, i, k, s)
+                        == outcome(oracle.derived_beliefs, m, i, k, s))
 
 
 @settings(max_examples=30, deadline=None)

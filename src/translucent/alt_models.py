@@ -13,11 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Numeric, to_exact
-from .games import BudgetExceededError, NormalFormGame, Profile, SocialDilemma
-
-
-def _as_game(game) -> NormalFormGame:
-    return game.game if isinstance(game, SocialDilemma) else game
+from .games import BudgetExceededError, Profile, as_game
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ def fehr_schmidt_utility(game, profile: Profile, i: int,
     """Material payoff minus envy and guilt penalties:
     u_i - a_i/(N-1) * sum_j max(u_j - u_i, 0) - b_i/(N-1) * sum_j max(u_i - u_j, 0).
     """
-    game = _as_game(game)
+    game = as_game(game)
     n = game.num_players
     if len(p.a_fs) != n:
         raise ValueError("parameter vectors do not match the player count")
@@ -87,7 +83,7 @@ def fehr_schmidt_utility(game, profile: Profile, i: int,
 def charness_rabin_utility(game, profile: Profile, i: int,
                            p: CharnessRabinParams) -> Fraction:
     """(1 - a_i) u_i + a_i * (d_i * min_j u_j + (1 - d_i) * sum_j u_j)."""
-    game = _as_game(game)
+    game = as_game(game)
     if len(p.a_cr) != game.num_players:
         raise ValueError("parameter vectors do not match the player count")
     payoffs = game.payoffs(profile)
@@ -147,7 +143,7 @@ def logit_qre(game, lam: Numeric, *, damping: float = 0.5, tol: float = 1e-10,
     """
     import numpy as np
 
-    game = _as_game(game)
+    game = as_game(game)
     lam = float(lam)
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")

@@ -14,15 +14,12 @@ these beliefs by evaluating every deviation strategy exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import to_exact
+from .exact import to_exact, to_unit
 from .games import SocialDilemma, Strategy
-
-SUBSET_ENUM_BUDGET = 4096  # largest 2^(n-1) we expand when cross-checking
 
 
 @dataclass(frozen=True)
@@ -33,12 +30,8 @@ class TranslucentType:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", to_exact(self.alpha))
-        object.__setattr__(self, "beta", to_exact(self.beta))
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        object.__setattr__(self, "alpha", to_unit(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", to_unit(self.beta, "beta"))
 
 
 @dataclass(frozen=True)
@@ -67,18 +60,6 @@ class OthersBehaviorModel:
     def num_others(self) -> int:
         return len(self.cooperate_probs)
 
-    def profile_distribution(self):
-        """Pairs (cooperation pattern, probability) over {C, D}^(n-1).
-
-        Patterns are tuples of booleans (True = cooperates), aligned with
-        ``cooperate_probs``.
-        """
-        for pattern in itertools.product((True, False), repeat=self.num_others):
-            p = Fraction(1)
-            for coop, q in zip(pattern, self.cooperate_probs):
-                p *= q if coop else 1 - q
-            yield pattern, p
-
     def count_distribution(self) -> tuple:
         """P(exactly k others cooperate) for k = 0..n-1, exact.
 
@@ -102,107 +83,54 @@ def on_path_beliefs(t: TranslucentType, n: int) -> OthersBehaviorModel:
     return OthersBehaviorModel((t.beta,) * (n - 1), "on_path")
 
 
-def deviation_mixture_distribution(t: TranslucentType, n: int) -> dict:
-    """The detection-set mixture over cooperation patterns, expanded.
-
-    Sums, over subsets J of the other players (the detectors, who defect for
-    sure), alpha^|J| (1-alpha)^(n-1-|J|) times the conditional distribution in
-    which players outside J cooperate independently with probability beta.
-    Exponential in n; used to cross-check the product short cut.
-    """
-    others = n - 1
-    dist: dict = {}
-    for detectors in itertools.product((False, True), repeat=others):
-        weight = Fraction(1)
-        for d in detectors:
-            weight *= t.alpha if d else 1 - t.alpha
-        if weight == 0:
-            continue
-        free = [j for j in range(others) if not detectors[j]]
-        for coop_free in itertools.product((True, False), repeat=len(free)):
-            p = weight
-            pattern = [False] * others
-            for j, coop in zip(free, coop_free):
-                p *= t.beta if coop else 1 - t.beta
-                pattern[j] = coop
-            if p:
-                key = tuple(pattern)
-                dist[key] = dist.get(key, Fraction(0)) + p
-    return dist
-
-
-def deviation_belief_mixture(t: TranslucentType, n: int,
-                             budget: int = SUBSET_ENUM_BUDGET) -> OthersBehaviorModel:
+def deviation_belief_mixture(t: TranslucentType, n: int) -> OthersBehaviorModel:
     """Post-deviation beliefs: others cooperate w.p. (1 - alpha) * beta.
 
-    When 2^(n-1) fits the budget, the detection-set mixture is expanded
-    explicitly and checked to coincide with the product model; beyond the
-    budget the product form is returned directly.
+    This is the detection-set mixture in closed form: each other player
+    detects independently w.p. alpha and then defects, and otherwise
+    cooperates w.p. beta.
     """
     if n < 2:
         raise ValueError("need at least 2 players")
     gamma = (1 - t.alpha) * t.beta
-    model = OthersBehaviorModel((gamma,) * (n - 1), "post_deviation")
-    if 2 ** (n - 1) <= budget:
-        mixture = deviation_mixture_distribution(t, n)
-        for pattern, p in model.profile_distribution():
-            if mixture.get(pattern, Fraction(0)) != p:
-                raise AssertionError(
-                    "detection-set mixture disagrees with the product model; "
-                    f"pattern {pattern}: {mixture.get(pattern)} vs {p}"
-                )
-    return model
+    return OthersBehaviorModel((gamma,) * (n - 1), "post_deviation")
 
 
 # ---------------------------------------------------------------------------
 # expected utilities and the rationality verdict
 
 
-def expected_utility(d: SocialDilemma, i: int, strategy: Strategy,
-                     model: OthersBehaviorModel, method: str = "auto") -> Fraction:
-    """E[u_i(strategy, s_-i)] with the others drawn from ``model``.
+def _require_symmetric(d: SocialDilemma) -> None:
+    if not d.game.symmetric:
+        raise ValueError("count aggregation needs a symmetric dilemma")
 
-    ``method`` "counts" aggregates over cooperator counts (valid for the
-    symmetric dilemmas), "enumerate" expands all cooperation patterns, and
-    "auto" picks counts for symmetric games.
-    """
+
+def expected_utility(d: SocialDilemma, i: int, strategy: Strategy,
+                     model: OthersBehaviorModel) -> Fraction:
+    """E[u_i(strategy, s_-i)] with the others drawn from ``model``,
+    aggregated over cooperator counts (symmetric dilemmas only)."""
+    _require_symmetric(d)
     if model.num_others != d.num_players - 1:
         raise ValueError("model size does not match the game")
-    if method == "auto":
-        method = "counts" if d.game.symmetric else "enumerate"
-    if method == "counts":
-        total = Fraction(0)
-        for k, p in enumerate(model.count_distribution()):
-            if p:
-                total += p * d.payoff_vs_counts(i, strategy, k)
-        return total
-    if method == "enumerate":
-        others = [j for j in range(d.num_players) if j != i]
-        total = Fraction(0)
-        for pattern, p in model.profile_distribution():
-            if not p:
-                continue
-            profile = [None] * d.num_players
-            profile[i] = strategy
-            for j, coop in zip(others, pattern):
-                profile[j] = d.cooperate_strategy(j) if coop else d.defect_strategy(j)
-            total += p * d.payoff(tuple(profile), i)
-        return total
-    raise ValueError(f"unknown method {method!r}")
+    total = Fraction(0)
+    for k, p in enumerate(model.count_distribution()):
+        if p:
+            total += p * d.payoff_vs_counts(i, strategy, k)
+    return total
 
 
-def expected_utility_cooperate(d: SocialDilemma, i: int, t: TranslucentType,
-                               method: str = "auto") -> Fraction:
+def expected_utility_cooperate(d: SocialDilemma, i: int,
+                               t: TranslucentType) -> Fraction:
     """Expected payoff of cooperating under on-path beliefs."""
     model = on_path_beliefs(t, d.num_players)
-    return expected_utility(d, i, d.cooperate_strategy(i), model, method)
+    return expected_utility(d, i, d.cooperate_strategy(i), model)
 
 
 def expected_utility_deviation(d: SocialDilemma, i: int, t: TranslucentType,
-                               s_dev: Strategy, method: str = "auto") -> Fraction:
+                               s_dev: Strategy) -> Fraction:
     """Expected payoff of playing ``s_dev`` under post-deviation beliefs."""
-    model = deviation_belief_mixture(t, d.num_players, budget=1)
-    return expected_utility(d, i, s_dev, model, method)
+    model = deviation_belief_mixture(t, d.num_players)
+    return expected_utility(d, i, s_dev, model)
 
 
 @dataclass(frozen=True)
@@ -224,15 +152,15 @@ class CooperationScanner:
     numerator and denominator, forms the binomial count weights as integers
     (gamma = (1 - alpha) * beta as ((ad - an) * bn, ad * bd), unreduced) and
     decides by one cross-multiplied comparison; ``Fraction``s are built only
-    for the expected utilities the report returns.  Everything stays exact
-    and the verdicts are identical to ``is_cooperation_rational``.
+    for the expected utilities the report returns.  Everything stays exact:
+    the expected utilities equal ``expected_utility`` under the on-path and
+    post-deviation beliefs.
     """
 
     def __init__(self, d: SocialDilemma, i: int = 0):
         from math import comb, lcm
 
-        if not d.game.symmetric:
-            raise ValueError("count aggregation needs a symmetric dilemma")
+        _require_symmetric(d)
         self.dilemma = d
         self.player = i
         self.others = d.num_players - 1
@@ -294,31 +222,16 @@ class CooperationScanner:
         return RationalityReport(rational, best_dev, eu_coop, eu_best)
 
 
-def is_cooperation_rational(d: SocialDilemma, i: int, t, *,
-                            method: str = "auto") -> RationalityReport:
+def is_cooperation_rational(d: SocialDilemma, i: int, t) -> RationalityReport:
     """Decide rationality of cooperation by checking every deviation.
 
     Cooperation is rational iff its on-path expected payoff is >= the
     post-deviation expected payoff of every alternative strategy (weak
     inequality; parameter boundaries count as rational).  The best deviation
-    reported is the first maximizer in strategy order.
+    reported is the first maximizer in strategy order.  This is the
+    ``CooperationScanner`` verdict; a non-symmetric dilemma raises
+    ValueError.
     """
     if not isinstance(t, TranslucentType):
         t = TranslucentType(*t)
-    if (method == "auto" and d.game.symmetric) or method == "counts":
-        return CooperationScanner(d, i).verdict(t)
-
-    coop = d.cooperate_strategy(i)
-    eu_coop = expected_utility_cooperate(d, i, t, method)
-    dev_model = deviation_belief_mixture(t, d.num_players, budget=1)
-    best_dev = None
-    best_eu = None
-    for s in d.game.strategy_sets[i]:
-        if s == coop:
-            continue
-        eu = expected_utility(d, i, s, dev_model, method)
-        if best_eu is None or eu > best_eu:
-            best_eu = eu
-            best_dev = s
-    rational = best_eu is None or eu_coop >= best_eu
-    return RationalityReport(rational, best_dev, eu_coop, best_eu)
+    return CooperationScanner(d, i).verdict(t)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import __version__
 from .alt_models import logit_qre
 from .beliefs import TranslucentType, is_cooperation_rational
-from .closed_form import cooperation_condition, f_gamma
+from .closed_form import cooperation_condition
 from .counterfactual import structure_from_json, validate_structure
 from .equilibrium import MixedProfile, is_coherent, te_condition, te_condition_typed
 from .exact import format_number, to_exact
@@ -38,6 +38,8 @@ PARAM_ORDER = {
     "bertrand": ("n", "l", "h"),
     "td": ("l", "h", "bonus"),
 }
+
+INTEGER_PARAMS = ("n", "l", "h")
 
 SWEEP_HEADER = "kind,param_snapshot,alpha,beta,rational,binding,threshold"
 
@@ -75,6 +77,15 @@ def _number(value, path: str):
         return to_exact(value)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: expected a number, got {value!r}") from exc
+
+
+def _integer(value, path: str) -> int:
+    """A number whose exact value is an integer (player counts, bounds,
+    grid steps, iteration caps)."""
+    f = _number(value, path)
+    if f.denominator != 1:
+        raise CliError(f"{path}: expected an integer")
+    return f.numerator
 
 
 def _grid(value, path: str) -> list:
@@ -133,15 +144,12 @@ def _params_from_config(cfg: dict, kind: str) -> dict:
         raise CliError(f"$.kind: unknown kind {kind!r}")
     params = {}
     for key in PARAM_ORDER[kind]:
-        params[key] = _number(_require(raw, key, "$.params"), f"$.params.{key}")
+        parse = _integer if key in INTEGER_PARAMS else _number
+        params[key] = parse(_require(raw, key, "$.params"), f"$.params.{key}")
     if kind == "pgg":
-        grid = cfg.get("grid", raw.get("grid", 100))
-        params["grid"] = int(grid)
-    for key in ("n", "l", "h"):
-        if key in params:
-            if to_exact(params[key]).denominator != 1:
-                raise CliError(f"$.params.{key}: expected an integer")
-            params[key] = int(to_exact(params[key]))
+        where = "$" if "grid" in cfg else "$.params"
+        params["grid"] = _integer(cfg.get("grid", raw.get("grid", 100)),
+                                  f"{where}.grid")
     return params
 
 
@@ -198,13 +206,18 @@ def _sweep_rows(kind: str, mode: str, cfg: dict):
     keys = PARAM_ORDER[kind]
     grids = []
     for key in keys:
-        grids.append(_grid(_require(raw_params, key, "$.params"),
-                           f"$.params.{key}"))
-    pgg_grid = int(cfg.get("grid", 100))
+        path = f"$.params.{key}"
+        values = _grid(_require(raw_params, key, "$.params"), path)
+        if key in INTEGER_PARAMS:
+            values = [_integer(v, path) for v in values]
+        grids.append(values)
+    if kind == "pgg":
+        pgg_grid = _integer(cfg.get("grid", 100), "$.grid")
 
     if mode == "qre":
         lam_grid = _grid(_require(cfg, "lambda"), "$.lambda")
         alphas, betas = lam_grid, [None]
+        max_iter = _integer(cfg.get("max_iter", 20_000), "$.max_iter")
     else:
         betas = _grid(_require(cfg, "beta"), "$.beta")
         if mode in ("cooperation", "te_typed"):
@@ -214,34 +227,15 @@ def _sweep_rows(kind: str, mode: str, cfg: dict):
 
     for combo in itertools.product(*grids):
         params = dict(zip(keys, combo))
-        for key in ("n", "l", "h"):
-            if key in params:
-                if to_exact(params[key]).denominator != 1:
-                    raise CliError(f"$.params.{key}: expected an integer")
-                params[key] = int(to_exact(params[key]))
         if kind == "pgg":
             params["grid"] = pgg_grid
-        n_players = int(params.get("n", 2))
+        n_players = params.get("n", 2)
         for alpha in alphas:
             for beta in betas:
                 try:
-                    if mode == "cooperation":
-                        verdict = cooperation_condition(kind, params, alpha, beta)
-                        row = (verdict.rational, verdict.binding_quantity,
-                               verdict.threshold)
-                    elif mode == "te":
-                        ok = te_condition(kind, params, [beta] * n_players)
-                        row = (ok, *_te_margin(kind, params, None, beta, n_players))
-                    elif mode == "te_typed":
-                        res = te_condition_typed(kind, params,
-                                                 [alpha] * n_players,
-                                                 [beta] * n_players)
-                        ok = (res.readings.get("n_minus_1")
-                              if res.holds is None else res.holds)
-                        row = (ok, *_te_margin(kind, params, alpha, beta, n_players))
-                    else:  # qre
+                    if mode == "qre":
                         d = make_dilemma(kind, params)
-                        res = logit_qre(d, alpha, max_iter=int(cfg.get("max_iter", 20_000)))
+                        res = logit_qre(d, alpha, max_iter=max_iter)
                         if not res.converged:
                             raise CliError(
                                 f"qre did not converge at lambda={alpha} "
@@ -250,32 +244,27 @@ def _sweep_rows(kind: str, mode: str, cfg: dict):
                         beta = to_exact(coop)
                         row = (to_exact(coop) <= Fraction(1, 2),
                                Fraction(1, 2), to_exact(coop))
+                    else:
+                        if mode == "te":
+                            ok = te_condition(kind, params, [beta] * n_players)
+                        elif mode == "te_typed":
+                            res = te_condition_typed(kind, params,
+                                                     [alpha] * n_players,
+                                                     [beta] * n_players)
+                            ok = (res.readings.get("n_minus_1")
+                                  if res.holds is None else res.holds)
+                        # te rows report the cooperation condition's margin,
+                        # read at full detection in the untyped mode
+                        verdict = cooperation_condition(
+                            kind, params, 1 if alpha is None else alpha, beta)
+                        if mode == "cooperation":
+                            ok = verdict.rational
+                        row = (ok, verdict.binding_quantity, verdict.threshold)
                 except CliError:
                     raise
                 except (ValueError, TypeError) as exc:
                     raise CliError(str(exc)) from exc
                 yield params, alpha, beta, row
-
-
-def _te_margin(kind, params, alpha, beta, n):
-    """Representative (binding, threshold) pair for homogeneous TE sweeps."""
-    beta = to_exact(beta)
-    a = to_exact(alpha) if alpha is not None else Fraction(1)
-    if kind == "pd":
-        return (a * beta * to_exact(params["b"]), to_exact(params["c"]))
-    if kind == "td":
-        hl = params["h"] - params["l"]
-        factor = 1 - a * beta if alpha is not None else 1 - beta
-        return (hl * beta, to_exact(params["bonus"]) * factor)
-    if kind == "pgg":
-        rho = to_exact(params["rho"])
-        return (a * rho * beta * (params["n"] - 1), 1 - rho)
-    gamma = (1 - a) * beta if alpha is not None else None
-    if gamma is None:
-        return (beta ** (params["n"] - 1), Fraction(params["l"], params["h"]))
-    return (beta ** (params["n"] - 1),
-            f_gamma(gamma, params["n"]) * params["l"] * params["n"]
-            / Fraction(params["h"]))
 
 
 def cmd_sweep(cfg: dict, budget: int) -> tuple:
@@ -471,7 +460,7 @@ def cmd_qre(cfg: dict, budget: int) -> tuple:
             d, lam,
             damping=float(cfg.get("damping", 0.5)),
             tol=float(cfg.get("tol", 1e-10)),
-            max_iter=int(cfg.get("max_iter", 20_000)),
+            max_iter=_integer(cfg.get("max_iter", 20_000), "$.max_iter"),
             budget=budget,
         )
     except BudgetExceededError as exc:

@@ -41,7 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from .exact import Numeric, to_exact
+
+from .exact import Numeric, to_unit
+from .games import KINDS, bertrand_params, pd_params, pgg_params, td_params
 
 _NEAR_ONE = 1 - 1e-9
 
@@ -67,7 +69,7 @@ def f_gamma_sum(gamma: Numeric, n: int):
         _check_unit_float(gamma, "gamma")
         return sum(comb(n - 1, k) * (1 - gamma) ** k * gamma ** (n - 1 - k) / (k + 1)
                    for k in range(n))
-    g = _unit(gamma, "gamma")
+    g = to_unit(gamma, "gamma")
     return sum((comb(n - 1, k) * (1 - g) ** k * g ** (n - 1 - k) * Fraction(1, k + 1)
                 for k in range(n)), Fraction(0))
 
@@ -85,7 +87,7 @@ def f_gamma(gamma: Numeric, n: int):
         if gamma < _NEAR_ONE:
             return (1 - gamma ** n) / (n * (1 - gamma))
         return f_gamma_sum(gamma, n)
-    g = _unit(gamma, "gamma")
+    g = to_unit(gamma, "gamma")
     if g == 1:
         return f_gamma_sum(g, n)
     return (1 - g ** n) / (n * (1 - g))
@@ -95,32 +97,33 @@ def cooperation_condition(kind: str, params: dict, alpha: Numeric,
                           beta: Numeric) -> CooperationVerdict:
     """Evaluate the game's closed-form cooperation condition at (alpha, beta).
 
-    Parameter domains match the game factories, except that the public-goods
-    marginal return may equal 1 here (cooperation is then rational for every
-    type, the limit case of the condition).
+    Parameter domains are the game factories' (``games.*_params``), except
+    that the public-goods marginal return may equal 1 here (cooperation is
+    then rational for every type, the limit case of the condition).
     """
-    a = _unit(alpha, "alpha")
-    b_ = _unit(beta, "beta")
+    a = to_unit(alpha, "alpha")
+    b_ = to_unit(beta, "beta")
     an, ad = a.numerator, a.denominator
     bn, bd = b_.numerator, b_.denominator
     # each condition is lhs >= rhs, held as (lhs_num, lhs_den, rhs_num, rhs_den)
     if kind == "pd":
-        b, c = _params_pd(params)
+        b, c = pd_params(params["b"], params["c"])
         conditions = [(an * bn * b.numerator, ad * bd * b.denominator,
                        c.numerator, c.denominator)]
     elif kind == "td":
-        l, h, bonus = _params_td(params)
+        l, h, bonus = td_params(params["l"], params["h"], params["bonus"])
         sn, sd = bonus.numerator, bonus.denominator
         conditions = [((h - l) * bn, bd, sn * (ad * bd - an * bn), sd * ad * bd)]
         if 2 * an < ad:
             conditions.append((ad + an * (h - l - 1), ad, sn * (ad - 2 * an),
                                sd * ad))
     elif kind == "pgg":
-        n, rho = _params_pgg(params, allow_rho_one=True)
+        n, rho, _ = pgg_params(params["n"], params["rho"],
+                               params.get("grid", 100), allow_rho_one=True)
         rn, rd = rho.numerator, rho.denominator
         conditions = [(an * bn * rn * (n - 1), ad * bd * rd, rd - rn, rd)]
     elif kind == "bertrand":
-        n, l, h = _params_bertrand(params)
+        n, l, h = bertrand_params(params["n"], params["l"], params["h"])
         # tie term f(gamma, N) * L * N / H with gamma = gn/gd: the N cancels,
         # and f = 1 at gamma = 1
         gn, gd = (ad - an) * bn, ad * bd
@@ -130,7 +133,7 @@ def cooperation_condition(kind: str, params: dict, alpha: Numeric,
             tie = (l * (gd ** n - gn ** n), h * gd ** (n - 1) * (gd - gn))
         conditions = [(bn ** (n - 1), bd ** (n - 1), *tie)]
     else:
-        raise ValueError(f"unknown dilemma kind {kind!r}")
+        raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
 
     rational = all(ln * rd >= rn * ld for ln, ld, rn, rd in conditions)
     binding = conditions[0]
@@ -153,8 +156,8 @@ def _margin_below(x: tuple, y: tuple) -> bool:
 def bertrand_lower_bound_check(beta: Numeric, l: int, h: int, n: int) -> bool:
     """True iff beta^(N-1) < L/H, which makes cooperation irrational for
     every alpha (f >= 1/N bounds the tie term from below)."""
-    _params_bertrand({"n": n, "l": l, "h": h})
-    b_ = _unit(beta, "beta")
+    n, l, h = bertrand_params(n, l, h)
+    b_ = to_unit(beta, "beta")
     return b_.numerator ** (n - 1) * h < l * b_.denominator ** (n - 1)
 
 
@@ -166,16 +169,16 @@ def bertrand_undercut_condition(params: dict, alpha: Numeric, beta: Numeric) -> 
     out leaves H * ad^(N-1) >= N * (H-1) * (ad - an)^(N-1) for alpha = an/ad.
     At beta = 0 both sides are 0 and the guard holds.
     """
-    n, l, h = _params_bertrand(params)
-    a = _unit(alpha, "alpha")
-    if _unit(beta, "beta").numerator == 0:
+    n, l, h = bertrand_params(params["n"], params["l"], params["h"])
+    a = to_unit(alpha, "alpha")
+    if to_unit(beta, "beta").numerator == 0:
         return True
     an, ad = a.numerator, a.denominator
     return h * ad ** (n - 1) >= n * (h - 1) * (ad - an) ** (n - 1)
 
 
 # ---------------------------------------------------------------------------
-# parameter validation (shared with the equilibrium-condition layer)
+# argument checks of the tie kernel
 
 
 def _check_players(n: int) -> None:
@@ -186,50 +189,3 @@ def _check_players(n: int) -> None:
 def _check_unit_float(x: float, name: str) -> None:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
-
-
-def _unit(x: Numeric, name: str) -> Fraction:
-    v = to_exact(x)
-    if not 0 <= v.numerator <= v.denominator:
-        raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    return v
-
-
-def _params_pd(params: dict):
-    b, c = to_exact(params["b"]), to_exact(params["c"])
-    if not c > 0:
-        raise ValueError(f"cost must be positive, got c={c}")
-    if not b > c:
-        raise ValueError(f"benefit must exceed cost, got b={b} <= c={c}")
-    return b, c
-
-
-def _params_td(params: dict):
-    l, h = int(params["l"]), int(params["h"])
-    bonus = to_exact(params["bonus"])
-    if not 0 < l < h:
-        raise ValueError(f"claim bounds must satisfy 0 < l < h, got l={l}, h={h}")
-    if not bonus > 0:
-        raise ValueError(f"bonus must be positive, got {bonus}")
-    return l, h, bonus
-
-
-def _params_pgg(params: dict, allow_rho_one: bool = False):
-    n = int(params["n"])
-    _check_players(n)
-    rho = to_exact(params["rho"])
-    rn, rd = rho.numerator, rho.denominator
-    top_ok = rn <= rd if allow_rho_one else rn < rd
-    if not (rd < n * rn and top_ok):
-        raise ValueError(f"marginal return out of range for n={n}: {rho}")
-    return n, rho
-
-
-def _params_bertrand(params: dict):
-    n, l, h = int(params["n"]), int(params["l"]), int(params["h"])
-    _check_players(n)
-    if l < 2:
-        raise ValueError(f"price floor must be at least 2, got {l}")
-    if not l < h:
-        raise ValueError(f"price floor {l} must be below reservation value {h}")
-    return n, l, h

@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 
 from .exact import to_exact
 from .games import (BudgetExceededError, MixedProfile, NormalFormGame, Profile,
-                    SocialDilemma, Strategy, minimize_payoff)
+                    SocialDilemma, Strategy, as_game, minimize_payoff)
 
 NORM_TOL = Fraction(1, 10 ** 12)
 MISSING = -1
@@ -373,10 +373,6 @@ def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtili
 # constructions
 
 
-def _as_game(game) -> NormalFormGame:
-    return game.game if isinstance(game, SocialDilemma) else game
-
-
 def _full_state_space(game: NormalFormGame, budget: int) -> tuple:
     count = game.profile_count()
     if count > budget:
@@ -394,7 +390,7 @@ def build_nash_structure(game, sigma: MixedProfile,
     Nash equilibria (every support strategy must attain the player's best
     payoff against the others' mixture).
     """
-    game = _as_game(game)
+    game = as_game(game)
     for i in range(game.num_players):
         payoffs = {s: sigma.expected_payoff(i, s) for s in game.strategy_sets[i]}
         best = max(payoffs.values())
@@ -455,7 +451,7 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
     structure is built anyway, which then simply fails rationality where
     coherence fails.
     """
-    game = _as_game(game)
+    game = as_game(game)
     states = _full_state_space(game, budget)
     index = {p: k for k, p in enumerate(states)}
     n = game.num_players

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .closed_form import (_params_bertrand, _params_pd, _params_pgg, _params_td,
-                          _unit)
-from .games import (BudgetExceededError, MixedProfile, NormalFormGame,
-                    SocialDilemma, minimize_payoff)
+from .exact import to_unit
+from .games import (KINDS, BudgetExceededError, MixedProfile, as_game,
+                    bertrand_params, minimize_payoff, pd_params, pgg_params,
+                    td_params)
 from . import counterfactual as cf
 
 __all__ = [
@@ -46,17 +46,13 @@ class CoherenceReport:
     witness: Optional[tuple] = None
 
 
-def _as_game(game) -> NormalFormGame:
-    return game.game if isinstance(game, SocialDilemma) else game
-
-
 def make_coherence_checker(game, budget: int = 10_000_000):
     """Precompute worst-case deviation payoffs once, then check profiles.
 
     Returns ``check(sigma) -> CoherenceReport``.  Useful when scanning many
     profiles of the same game; ``is_coherent`` is the one-shot form.
     """
-    game = _as_game(game)
+    game = as_game(game)
     floors = []
     for i in range(game.num_players):
         floors.append({s: minimize_payoff(game, i, s, budget)[0]
@@ -153,7 +149,7 @@ def is_translucent_equilibrium(game, sigma: MixedProfile, *,
     With ``check_structure`` the punishment structure is built as well and
     TE1-TE4 are verified on the support states; the two routes must agree.
     """
-    game = _as_game(game)
+    game = as_game(game)
     report = is_coherent(game, sigma, budget)
     if check_structure:
         m = cf.build_coherent_structure(game, sigma, strict=False,
@@ -173,30 +169,31 @@ def is_translucent_equilibrium(game, sigma: MixedProfile, *,
 def _unit_vector(values: Sequence, n: int, name: str) -> list:
     if len(values) != n:
         raise ValueError(f"expected {n} {name} values, got {len(values)}")
-    return [_unit(v, name) for v in values]
+    return [to_unit(v, name) for v in values]
 
 
 def te_condition(kind: str, params: dict, betas: Sequence) -> bool:
     """Untyped equilibrium condition for the two-point profile in which
     player i cooperates with probability beta_i (all-defect always passes)."""
     if kind == "pd":
-        b, c = _params_pd(params)
+        b, c = pd_params(params["b"], params["c"])
         bs = _unit_vector(betas, 2, "beta")
         return all(x == 0 for x in bs) or all(x * b >= c for x in bs)
     if kind == "td":
-        l, h, bonus = _params_td(params)
+        l, h, bonus = td_params(params["l"], params["h"], params["bonus"])
         bs = _unit_vector(betas, 2, "beta")
         return (all(x == 0 for x in bs)
                 or all((h - l) * x >= bonus * (1 - x) for x in bs))
     if kind == "pgg":
-        n, rho = _params_pgg(params, allow_rho_one=True)
+        n, rho, _ = pgg_params(params["n"], params["rho"],
+                               params.get("grid", 100), allow_rho_one=True)
         bs = _unit_vector(betas, n, "beta")
         if all(x == 0 for x in bs):
             return True
         total = sum(bs)
         return all(rho * (total - x) >= 1 - rho for x in bs)
     if kind == "bertrand":
-        n, l, h = _params_bertrand(params)
+        n, l, h = bertrand_params(params["n"], params["l"], params["h"])
         bs = _unit_vector(betas, n, "beta")
         if all(x == 0 for x in bs):
             return True
@@ -209,7 +206,7 @@ def te_condition(kind: str, params: dict, betas: Sequence) -> bool:
             if prod < ratio:
                 return False
         return True
-    raise ValueError(f"unknown dilemma kind {kind!r}")
+    raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
 
 
 @dataclass(frozen=True)
@@ -234,14 +231,14 @@ def te_condition_typed(kind: str, params: dict, alphas: Sequence,
     """Typed equilibrium condition: player i treats deviations as detected
     independently with probability alpha_i by each other player."""
     if kind == "pd":
-        b, c = _params_pd(params)
+        b, c = pd_params(params["b"], params["c"])
         als = _unit_vector(alphas, 2, "alpha")
         bs = _unit_vector(betas, 2, "beta")
         holds = (all(x == 0 for x in bs)
                  or all(als[i] * bs[1 - i] * b >= c for i in (0, 1)))
         return TypedTeResult(kind, holds, {"condition": holds})
     if kind == "td":
-        l, h, bonus = _params_td(params)
+        l, h, bonus = td_params(params["l"], params["h"], params["bonus"])
         als = _unit_vector(alphas, 2, "alpha")
         bs = _unit_vector(betas, 2, "beta")
         if all(x == 0 for x in bs):
@@ -255,7 +252,8 @@ def te_condition_typed(kind: str, params: dict, alphas: Sequence,
                 ok = False
         return TypedTeResult(kind, ok, {"condition": ok})
     if kind == "pgg":
-        n, rho = _params_pgg(params, allow_rho_one=True)
+        n, rho, _ = pgg_params(params["n"], params["rho"],
+                               params.get("grid", 100), allow_rho_one=True)
         als = _unit_vector(alphas, n, "alpha")
         bs = _unit_vector(betas, n, "beta")
         if all(x == 0 for x in bs):
@@ -270,7 +268,7 @@ def te_condition_typed(kind: str, params: dict, alphas: Sequence,
         return TypedTeResult(kind, None,
                              {"printed": printed, "n_minus_1": corrected})
     if kind == "bertrand":
-        n, l, h = _params_bertrand(params)
+        n, l, h = bertrand_params(params["n"], params["l"], params["h"])
         als = _unit_vector(alphas, n, "alpha")
         bs = _unit_vector(betas, n, "beta")
         if all(x == 0 for x in bs):
@@ -285,7 +283,7 @@ def te_condition_typed(kind: str, params: dict, alphas: Sequence,
             if prod < generalized_f(gammas, n) * l * n / Fraction(h):
                 ok = False
         return TypedTeResult(kind, ok, {"condition": ok})
-    raise ValueError(f"unknown dilemma kind {kind!r}")
+    raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
 
 
 def generalized_f(gammas: Sequence, n: int, budget: int = 2 ** 20) -> Fraction:
@@ -297,7 +295,7 @@ def generalized_f(gammas: Sequence, n: int, budget: int = 2 ** 20) -> Fraction:
     """
     if len(gammas) != n - 1:
         raise ValueError(f"expected {n - 1} gamma values, got {len(gammas)}")
-    gs = [_unit(g, "gamma") for g in gammas]
+    gs = [to_unit(g, "gamma") for g in gammas]
     if 2 ** (n - 1) > budget:
         raise BudgetExceededError(2 ** (n - 1), budget, "subsets")
     total = Fraction(0)

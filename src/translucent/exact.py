@@ -37,12 +37,27 @@ def to_exact(x: Numeric) -> Fraction:
     raise TypeError(f"expected a number, got {type(x).__name__}")
 
 
-def to_float(x: Numeric) -> float:
-    return float(to_exact(x))
+def to_integer(x: Numeric, name: str) -> int:
+    """``x`` as an int when its exact value is an integer; any other value
+    raises ValueError naming ``name``.  Plain ints pass straight through."""
+    if type(x) is int:
+        return x
+    try:
+        v = to_exact(x)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {x}")
+    return v.numerator
 
 
-def is_integral(x: Numeric) -> bool:
-    return to_exact(x).denominator == 1
+def to_unit(x: Numeric, name: str) -> Fraction:
+    """``x`` as a Fraction in [0, 1]; any other value raises ValueError
+    naming ``name``."""
+    v = to_exact(x)
+    if not 0 <= v.numerator <= v.denominator:
+        raise ValueError(f"{name} must lie in [0, 1], got {v}")
+    return v
 
 
 def format_number(x: Numeric) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from .exact import Numeric, to_exact
+from .exact import Numeric, to_exact, to_integer
 
 Strategy = Hashable
 Profile = tuple  # tuple[Strategy, ...]
@@ -159,11 +159,77 @@ class SocialDilemma:
         return self.game.payoff(tuple(profile), i)
 
 
+def as_game(game) -> NormalFormGame:
+    """The underlying game of a SocialDilemma; a NormalFormGame unchanged."""
+    return game.game if isinstance(game, SocialDilemma) else game
+
+
 def payoff(game, profile: Profile, i: int) -> Fraction:
     """Evaluate a payoff; accepts a NormalFormGame or a SocialDilemma."""
-    if isinstance(game, SocialDilemma):
-        game = game.game
-    return game.payoff(profile, i)
+    return as_game(game).payoff(profile, i)
+
+
+# ---------------------------------------------------------------------------
+# parameter domains: one check per kind, shared by the factories, the closed
+# forms and the equilibrium conditions.  Integer parameters accept any number
+# whose exact value is an integer; each check returns the exact values.
+
+
+def pd_params(b: Numeric, c: Numeric) -> tuple:
+    b, c = to_exact(b), to_exact(c)
+    if not c > 0:
+        raise ValueError(f"cost must be positive, got c={c}")
+    if not b > c:
+        raise ValueError(f"benefit must exceed cost, got b={b} <= c={c}")
+    return b, c
+
+
+def pgg_params(n: int, rho: Numeric, grid: int = 100,
+               allow_rho_one: bool = False) -> tuple:
+    """``allow_rho_one`` admits rho = 1, where the closed forms hold for
+    every type although the welfare profile is no longer unique."""
+    n = to_integer(n, "n")
+    if n < 2:
+        raise ValueError("public goods game needs n >= 2 players")
+    rho = to_exact(rho)
+    rn, rd = rho.numerator, rho.denominator
+    if allow_rho_one:
+        if not rd < n * rn <= n * rd:
+            raise ValueError(f"marginal return must lie in (1/{n}, 1], got {rho}")
+    elif not rd < n * rn < n * rd:
+        raise ValueError(
+            f"marginal return must lie strictly between 1/{n} and 1, got {rho}; "
+            "at the endpoints the Nash/welfare profiles are not unique"
+        )
+    grid = to_integer(grid, "grid")
+    if grid < 1:
+        raise ValueError("grid must have at least one step")
+    return n, rho, grid
+
+
+def bertrand_params(n: int, l: int, h: int) -> tuple:
+    n = to_integer(n, "n")
+    if n < 2:
+        raise ValueError("bertrand competition needs n >= 2 players")
+    l, h = to_integer(l, "l"), to_integer(h, "h")
+    if l < 2:
+        raise ValueError(
+            f"price floor must be at least 2, got {l}: with a floor of 0 or 1 "
+            "the pure Nash equilibrium is not unique"
+        )
+    if not l < h:
+        raise ValueError(f"price floor {l} must be below reservation value {h}")
+    return n, l, h
+
+
+def td_params(l: int, h: int, bonus: Numeric) -> tuple:
+    l, h = to_integer(l, "l"), to_integer(h, "h")
+    if not 0 < l < h:
+        raise ValueError(f"claim bounds must satisfy 0 < l < h, got l={l}, h={h}")
+    bonus = to_exact(bonus)
+    if not bonus > 0:
+        raise ValueError(f"bonus must be positive, got {bonus}")
+    return l, h, bonus
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +238,7 @@ def payoff(game, profile: Profile, i: int) -> Fraction:
 
 def make_prisoners_dilemma(b: Numeric, c: Numeric) -> SocialDilemma:
     """Two players pay a cost c > 0 to grant the other a benefit b > c."""
-    b, c = to_exact(b), to_exact(c)
-    if not c > 0:
-        raise ValueError(f"cost must be positive, got c={c}")
-    if not b > c:
-        raise ValueError(f"benefit must exceed cost, got b={b} <= c={c}")
+    b, c = pd_params(b, c)
 
     def rule(profile, i):
         u = Fraction(0)
@@ -200,16 +262,7 @@ def make_public_goods(n: int, rho: Numeric, grid: int = 100) -> SocialDilemma:
     u_i = 1 - x_i + rho * sum(x).  The default grid of 100 steps is whole
     cents on a one-dollar endowment.
     """
-    if n < 2:
-        raise ValueError("public goods game needs n >= 2 players")
-    rho = to_exact(rho)
-    if not (Fraction(1, n) < rho < 1):
-        raise ValueError(
-            f"marginal return must lie strictly between 1/{n} and 1, got {rho}; "
-            "at the endpoints the Nash/welfare profiles are not unique"
-        )
-    if grid < 1:
-        raise ValueError("grid must have at least one step")
+    n, rho, grid = pgg_params(n, rho, grid)
     levels = tuple(Fraction(k, grid) for k in range(grid + 1))
 
     def rule(profile, i):
@@ -226,17 +279,7 @@ def make_bertrand(n: int, l: int, h: int) -> SocialDilemma:
 
     Ties split the sale price equally among the tied firms.
     """
-    if n < 2:
-        raise ValueError("bertrand competition needs n >= 2 players")
-    if not (isinstance(l, int) and isinstance(h, int)):
-        raise TypeError("price floor and reservation value must be integers")
-    if l < 2:
-        raise ValueError(
-            f"price floor must be at least 2, got {l}: with a floor of 0 or 1 "
-            "the pure Nash equilibrium is not unique"
-        )
-    if not l < h:
-        raise ValueError(f"price floor {l} must be below reservation value {h}")
+    n, l, h = bertrand_params(n, l, h)
     prices = tuple(range(l, h + 1))
 
     def rule(profile, i):
@@ -258,13 +301,7 @@ def make_travelers_dilemma(l: int, h: int, bonus: Numeric) -> SocialDilemma:
     Any bonus > 0 is accepted; note that for bonus <= 1 the high-claim pair
     is also a Nash equilibrium, so the social-dilemma axioms need bonus > 1.
     """
-    if not (isinstance(l, int) and isinstance(h, int)):
-        raise TypeError("claim bounds must be integers")
-    if not 0 < l < h:
-        raise ValueError(f"claim bounds must satisfy 0 < l < h, got l={l}, h={h}")
-    bonus = to_exact(bonus)
-    if not bonus > 0:
-        raise ValueError(f"bonus must be positive, got {bonus}")
+    l, h, bonus = td_params(l, h, bonus)
     claims = tuple(range(l, h + 1))
 
     def rule(profile, i):
@@ -282,11 +319,10 @@ def make_travelers_dilemma(l: int, h: int, bonus: Numeric) -> SocialDilemma:
 
 _FACTORIES = {
     "pd": lambda params: make_prisoners_dilemma(params["b"], params["c"]),
-    "pgg": lambda params: make_public_goods(int(params["n"]), params["rho"],
-                                            int(params.get("grid", 100))),
-    "bertrand": lambda params: make_bertrand(int(params["n"]), int(params["l"]),
-                                             int(params["h"])),
-    "td": lambda params: make_travelers_dilemma(int(params["l"]), int(params["h"]),
+    "pgg": lambda params: make_public_goods(params["n"], params["rho"],
+                                            params.get("grid", 100)),
+    "bertrand": lambda params: make_bertrand(params["n"], params["l"], params["h"]),
+    "td": lambda params: make_travelers_dilemma(params["l"], params["h"],
                                                 params["bonus"]),
 }
 
@@ -459,8 +495,7 @@ def verify_social_dilemma(game, budget: int = 10_000_000) -> DilemmaReport:
     Reports uniqueness of both and whether the welfare profile strictly
     improves every player's payoff over the Nash profile.
     """
-    if isinstance(game, SocialDilemma):
-        game = game.game
+    game = as_game(game)
     _check_budget(game, budget)
     nash = tuple(enumerate_pure_nash(game, budget))
 

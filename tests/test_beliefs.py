@@ -4,10 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import beliefs_oracle as oracle
 from translucent.beliefs import (
     TranslucentType,
     deviation_belief_mixture,
-    deviation_mixture_distribution,
     expected_utility,
     expected_utility_cooperate,
     expected_utility_deviation,
@@ -15,6 +15,8 @@ from translucent.beliefs import (
     on_path_beliefs,
 )
 from translucent.games import (
+    NormalFormGame,
+    SocialDilemma,
     make_bertrand,
     make_prisoners_dilemma,
     make_public_goods,
@@ -45,19 +47,19 @@ class TestTranslucentType:
 class TestOnPathBeliefs:
     def test_point_mass_at_beta_one(self):
         model = on_path_beliefs(TranslucentType(F(1, 2), 1), 3)
-        dist = dict(model.profile_distribution())
+        dist = dict(oracle.profile_distribution(model))
         assert dist[(True, True)] == 1
         assert sum(1 for p in dist.values() if p > 0) == 1
 
     def test_symmetric_half(self):
         model = on_path_beliefs(TranslucentType(0, F(1, 2)), 3)
-        for _, p in model.profile_distribution():
+        for _, p in oracle.profile_distribution(model):
             assert p == F(1, 4)
 
     def test_binomial_weights(self):
         model = on_path_beliefs(TranslucentType(0, F(3, 10)), 4)
         # a fixed pattern with two cooperators among three others
-        dist = dict(model.profile_distribution())
+        dist = dict(oracle.profile_distribution(model))
         assert dist[(True, True, False)] == F(3, 10) ** 2 * F(7, 10)
         counts = model.count_distribution()
         assert counts[2] == 3 * F(3, 10) ** 2 * F(7, 10)
@@ -78,10 +80,12 @@ class TestDeviationMixture:
         t = TranslucentType(F(1, 2), F(4, 5))
         model = deviation_belief_mixture(t, 3)
         assert model.cooperate_probs == (F(2, 5), F(2, 5))
-        mixture = deviation_mixture_distribution(t, 3)
+        mixture = oracle.deviation_mixture_distribution(t, 3)
         assert len(mixture) == 4
-        for pattern, p in model.profile_distribution():
+        for pattern, p in oracle.profile_distribution(model):
             assert mixture[pattern] == p
+        # the oracle's self-checking form expands the mixture and agrees
+        assert oracle.deviation_belief_mixture(t, 3) == model
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_mixture_product_equivalence(self, n):
@@ -100,8 +104,8 @@ class TestDeviationMixture:
 
     @staticmethod
     def _assert_equivalence(t, n):
-        mixture = deviation_mixture_distribution(t, n)
-        product = dict(deviation_belief_mixture(t, n).profile_distribution())
+        mixture = oracle.deviation_mixture_distribution(t, n)
+        product = dict(oracle.profile_distribution(deviation_belief_mixture(t, n)))
         for pattern, p in product.items():
             assert mixture.get(pattern, F(0)) == p
         assert sum(mixture.values()) == 1
@@ -144,8 +148,8 @@ class TestExpectedUtilities:
                 t = TranslucentType(alpha, beta)
                 model = deviation_belief_mixture(t, d.num_players)
                 s = d.defect_strategy(0)
-                assert (expected_utility(d, 0, s, model, "counts")
-                        == expected_utility(d, 0, s, model, "enumerate"))
+                assert (expected_utility(d, 0, s, model)
+                        == oracle.expected_utility(d, 0, s, model))
 
     @pytest.mark.parametrize("n", list(range(2, 11)))
     def test_counts_equal_enumeration_many_players(self, n):
@@ -153,8 +157,8 @@ class TestExpectedUtilities:
         t = TranslucentType(F(1, 3), F(2, 3))
         model = on_path_beliefs(t, n)
         for s in d.game.strategy_sets[0]:
-            assert (expected_utility(d, 0, s, model, "counts")
-                    == expected_utility(d, 0, s, model, "enumerate"))
+            assert (expected_utility(d, 0, s, model)
+                    == oracle.expected_utility(d, 0, s, model))
 
     @pytest.mark.parametrize("d", small_dilemmas(), ids=lambda d: d.kind)
     def test_cooperation_payoff_nondecreasing_in_beta(self, d):
@@ -224,7 +228,7 @@ class TestRationalityVerdicts:
             t = TranslucentType(F(rng.randrange(0, 8), 7),
                                 F(rng.randrange(0, 8), 7))
             fast = scanner.verdict(t)
-            slow = is_cooperation_rational(d, 0, t, method="enumerate")
+            slow = oracle.is_cooperation_rational(d, 0, t)
             assert fast.rational == slow.rational
             assert fast.eu_cooperate == slow.eu_cooperate
             assert fast.eu_best_deviation == slow.eu_best_deviation
@@ -245,3 +249,34 @@ class TestRationalityVerdicts:
                     expected_utility(d, 0, l, dev_model),
                     expected_utility(d, 0, h - 1, dev_model),
                 )
+
+
+class TestSymmetricOnly:
+    """The engine aggregates over cooperator counts, which is only right
+    when payoffs depend on the multiset of the others' strategies."""
+
+    @staticmethod
+    def asymmetric_pd():
+        # player 1's benefit from player 0 is doubled: payoffs depend on who
+        # cooperates, not only on how many
+        def rule(profile, i):
+            gain = (4 if i == 0 else 8) if profile[1 - i] == "C" else 0
+            return F(gain - (1 if profile[i] == "C" else 0))
+
+        game = NormalFormGame(2, (("C", "D"), ("C", "D")), rule, name="apd")
+        return SocialDilemma(game, "pd", {}, ("D", "D"), ("C", "C"))
+
+    def test_engine_rejects_non_symmetric_dilemma(self):
+        d = self.asymmetric_pd()
+        t = TranslucentType(F(1, 2), F(1, 2))
+        with pytest.raises(ValueError, match="symmetric"):
+            is_cooperation_rational(d, 0, t)
+        with pytest.raises(ValueError, match="symmetric"):
+            expected_utility_cooperate(d, 1, t)
+        with pytest.raises(ValueError, match="symmetric"):
+            expected_utility(d, 0, "D", on_path_beliefs(t, 2))
+
+    def test_oracle_still_evaluates_it(self):
+        d = self.asymmetric_pd()
+        t = TranslucentType(F(1, 2), F(1, 2))
+        assert oracle.is_cooperation_rational(d, 1, t).eu_cooperate == 3

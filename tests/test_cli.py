@@ -401,3 +401,96 @@ class TestDeterminism:
             code2, out2, _ = run(capsys, command, "--config", cfg)
             assert (code1, out1) == (code2, out2), command
             assert code1 == 0
+
+
+class TestTeSweepMargins:
+    """te and te_typed rows take their margin from the cooperation condition
+    (full detection for the untyped mode), so on every row with beta > 0 the
+    verdict is exactly binding >= threshold."""
+
+    CONFIGS = {
+        "pd": {"params": {"b": [2, 4, 7.5], "c": [1, 1.5]}},
+        "td": {"params": {"l": 2, "h": [3, 5, 13, 29], "bonus": [1, 2, 5, 8, 9]}},
+        "pgg": {"params": {"n": [2, 3, 5], "rho": [0.55, 0.8, 1]}, "grid": 2},
+        "bertrand": {"params": {"n": [2, 3, 4], "l": 2, "h": [3, 6, 13]}},
+    }
+
+    @pytest.mark.parametrize("mode", ["te", "te_typed"])
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_verdict_is_binding_at_least_threshold(self, tmp_path, capsys,
+                                                   kind, mode):
+        grid = {"start": 0, "stop": 1, "step": 0.05}
+        cfg = write_config(tmp_path, "s.json", {
+            "kind": kind, "mode": mode, "alpha": grid, "beta": grid,
+            **self.CONFIGS[kind]})
+        code, out, _ = run(capsys, "sweep", "--config", cfg)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        checked = 0
+        for row in rows:
+            beta, rational, binding, threshold = row[3:]
+            if F(beta) > 0:
+                assert (rational == "true") == (F(binding) >= F(threshold)), row
+                checked += 1
+        assert checked > 0
+
+    def test_td_typed_row_reports_the_undercut_margin(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.json", {
+            "kind": "td", "mode": "te_typed",
+            "params": {"l": 2, "h": 13, "bonus": 8},
+            "alpha": [0.25], "beta": [0.9]})
+        _, out, _ = run(capsys, "sweep", "--config", cfg)
+        # (h-l)*beta = 9.9 >= 8*(1 - 0.225) = 6.2 passes, but the undercut
+        # to h-1 binds: 1 + alpha*(h-l-1) = 3.5 < 8*(1 - 2*alpha) = 4
+        assert out.split("\n")[1] == "td,l=2;h=13;bonus=8,0.25,0.9,false,3.5,4"
+
+
+class TestIntegerInputs:
+    """Integer inputs are parsed once and a bad one exits 2 naming its path."""
+
+    PGG = {"kind": "pgg", "params": {"n": 3, "rho": 0.6}}
+
+    @pytest.mark.parametrize("value", [2.7, "x", [2]])
+    @pytest.mark.parametrize("command,extra", [
+        ("equilibrium", {"betas": [0.9, 0.9, 0.9]}),
+        ("sweep", {"mode": "te", "beta": [0.5]}),
+        ("check", {"alpha": 0.5, "beta": 0.5}),
+        ("population", {"population": {"types": [
+            {"alpha": 0.5, "beta": 0.5, "weight": 1}]}}),
+    ])
+    def test_grid(self, tmp_path, capsys, command, extra, value):
+        cfg = write_config(tmp_path, "c.json", {**self.PGG, **extra,
+                                                "grid": value})
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: $.grid: expected")
+
+    @pytest.mark.parametrize("command,extra", [
+        ("qre", {"lambda": 1}),
+        ("sweep", {"mode": "qre", "lambda": [1]}),
+    ])
+    def test_max_iter(self, tmp_path, capsys, command, extra):
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "pd", "params": {"b": 4, "c": 1}, "max_iter": 2.7, **extra})
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == "error: $.max_iter: expected an integer\n"
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_params(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "bertrand", "params": {"n": 2.9, "l": 2, "h": 10},
+            "alpha": 0.5, "beta": 0.5})
+        code, _, err = run(capsys, command, "--config", cfg)
+        assert code == 2
+        assert err == "error: $.params.n: expected an integer\n"
+
+    def test_integral_values_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            **self.PGG, "params": {"n": 3.0, "rho": 0.6}, "grid": 2.0,
+            "betas": [0.9, 0.9, 0.9]})
+        code, out, _ = run(capsys, "equilibrium", "--config", cfg)
+        assert code == 0
+        assert json.loads(out)["params"] == {"n": 3, "rho": 0.6, "grid": 2}

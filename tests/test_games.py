@@ -1,10 +1,15 @@
-"""Tests for the game factories, payoff rules, and axiom verification."""
+"""Tests for the game factories, parameter domains, payoff rules, and axiom
+verification."""
 
 import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from translucent.closed_form import cooperation_condition
+from translucent.equilibrium import te_condition
 from translucent.games import (
     BudgetExceededError,
     MixedProfile,
@@ -333,3 +338,102 @@ class TestJsonRoundtrip:
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing 'params'"):
             dilemma_from_json('{"kind": "pd"}')
+
+
+class TestParameterDomains:
+    """One domain check per kind: integer parameters accept any number whose
+    exact value is an integer, and the closed forms and equilibrium
+    conditions reject exactly what the factories reject."""
+
+    @pytest.mark.parametrize("kind,params,name", [
+        ("bertrand", {"n": 2.9, "l": 2, "h": 10}, "n"),
+        ("bertrand", {"n": 2, "l": 2.5, "h": 10}, "l"),
+        ("bertrand", {"n": 2, "l": 2, "h": F(21, 2)}, "h"),
+        ("pgg", {"n": 2.9, "rho": F(3, 4)}, "n"),
+        ("pgg", {"n": 3, "rho": F(3, 4), "grid": 2.7}, "grid"),
+        ("td", {"l": 2.5, "h": 10, "bonus": 2}, "l"),
+        ("td", {"l": 2.7, "h": 10, "bonus": 2}, "l"),
+        ("td", {"l": 2, "h": "10.5", "bonus": 2}, "h"),
+    ])
+    def test_non_integral_values_rejected(self, kind, params, name):
+        message = f"{name} must be an integer"
+        with pytest.raises(ValueError, match=message):
+            make_dilemma(kind, params)
+        with pytest.raises(ValueError, match=message):
+            cooperation_condition(kind, params, F(1, 2), F(1, 2))
+        with pytest.raises(ValueError, match=message):
+            te_condition(kind, params, [F(1, 2)] * int(params.get("n", 2)))
+
+    def test_integral_values_accepted(self):
+        d = make_dilemma("bertrand", {"n": F(6, 2), "l": 2.0, "h": "10"})
+        assert d.params == {"n": 3, "l": 2, "h": 10}
+        assert type(d.params["n"]) is int
+        assert d.game.strategy_sets[0] == tuple(range(2, 11))
+        assert make_bertrand(F(3), F(2), F(10)) == d
+        g = make_public_goods(F(3), F(1, 2), grid=F(4))
+        assert g.params["grid"] == 4 and len(g.game.strategy_sets[0]) == 5
+        t = make_travelers_dilemma(F(2), 10.0, 2)
+        assert t.nash_profile == (2, 2) and t.welfare_profile == (10, 10)
+        v = cooperation_condition("td", {"l": F(2), "h": 10.0, "bonus": 2},
+                                  F(1, 2), F(1, 2))
+        assert v == cooperation_condition("td", {"l": 2, "h": 10, "bonus": 2},
+                                          F(1, 2), F(1, 2))
+
+    def test_closed_forms_admit_rho_one_and_say_so(self):
+        assert cooperation_condition("pgg", {"n": 3, "rho": 1}, 0, 0).rational
+        with pytest.raises(ValueError, match="strictly between"):
+            make_dilemma("pgg", {"n": 3, "rho": 1})
+        with pytest.raises(ValueError, match=r"must lie in \(1/3, 1\], got 1/3"):
+            cooperation_condition("pgg", {"n": 3, "rho": F(1, 3)}, 0, 0)
+
+
+# values a parameter might be given: mostly small integers, then integral
+# and non-integral fractions and floats, numeric strings and garbage
+int_values = st.one_of(
+    st.integers(min_value=-1, max_value=12),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=12).map(F),
+    st.fractions(min_value=-1, max_value=12, max_denominator=4),
+    st.sampled_from([2.0, 2.5, 3.0, 2.9, "3", "5/2", "x", True, None]),
+)
+real_values = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=6),
+    st.integers(min_value=-1, max_value=9),
+    st.sampled_from([0.75, 1.0, 1e-3, "3/4", "x", None]),
+)
+DOMAIN_KEYS = {"pd": ("b", "c"), "td": ("l", "h", "bonus"),
+               "pgg": ("n", "rho", "grid"), "bertrand": ("n", "l", "h")}
+REAL_KEYS = ("b", "c", "bonus", "rho")
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(DOMAIN_KEYS)), st.data())
+def test_factories_and_closed_forms_share_one_domain(kind, data):
+    params = {k: data.draw(real_values if k in REAL_KEYS else int_values,
+                           label=k)
+              for k in DOMAIN_KEYS[kind]}
+    built = _outcome(lambda: make_dilemma(kind, params))
+    closed = _outcome(lambda: cooperation_condition(kind, params, F(1, 3), F(2, 3)))
+    if kind == "pgg" and built is not None and "strictly between" in built[1]:
+        # the one intended difference: the closed forms admit rho = 1, and
+        # their message states that interval
+        n, rho = int(params["n"]), F(params["rho"])
+        if rho == 1:  # the rest of the domain still applies
+            inside = {**params, "rho": F(n + 1, 2 * n)}
+            assert closed == _outcome(lambda: make_dilemma(kind, inside))
+        else:
+            assert closed == (ValueError, f"marginal return must lie in "
+                                          f"(1/{n}, 1], got {rho}")
+        return
+    assert closed == built
+    if closed is None:  # the equilibrium conditions accept the same values
+        n = int(F(params.get("n", 2)))
+        assert _outcome(lambda: te_condition(kind, params, [F(1, 2)] * n)) is None

@@ -12,12 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beliefs_oracle
 import closed_form_oracle as oracle
-from translucent.beliefs import (
-    CooperationScanner,
-    TranslucentType,
-    is_cooperation_rational,
-)
+from translucent.beliefs import CooperationScanner, TranslucentType
 from translucent.closed_form import (
     bertrand_lower_bound_check,
     bertrand_undercut_condition,
@@ -205,7 +202,7 @@ class TestScannerAgainstEnumeration:
         t = TranslucentType(alpha, beta)
         for d in small_dilemmas():
             assert (CooperationScanner(d).verdict(t)
-                    == is_cooperation_rational(d, 0, t, method="enumerate"))
+                    == beliefs_oracle.is_cooperation_rational(d, 0, t))
 
     @pytest.mark.parametrize("alpha", [F(0), F(1, 2), F(1)])
     @pytest.mark.parametrize("beta", [F(0), F(1, 3), F(1)])
@@ -213,4 +210,4 @@ class TestScannerAgainstEnumeration:
         t = TranslucentType(alpha, beta)
         for d in small_dilemmas():
             assert (CooperationScanner(d).verdict(t)
-                    == is_cooperation_rational(d, 0, t, method="enumerate"))
+                    == beliefs_oracle.is_cooperation_rational(d, 0, t))

@@ -147,10 +147,18 @@ def _params_from_config(cfg: dict, kind: str) -> dict:
         parse = _integer if key in INTEGER_PARAMS else _number
         params[key] = parse(_require(raw, key, "$.params"), f"$.params.{key}")
     if kind == "pgg":
-        where = "$" if "grid" in cfg else "$.params"
-        params["grid"] = _integer(cfg.get("grid", raw.get("grid", 100)),
-                                  f"{where}.grid")
+        params["grid"] = _pgg_grid(cfg, raw)
     return params
+
+
+def _pgg_grid(cfg: dict, raw: dict) -> int:
+    """The public-goods contribution grid: the top-level ``grid``, else
+    ``params.grid`` (``raw``), else 100."""
+    where = "$" if "grid" in cfg else "$.params"
+    grid = _integer(cfg.get("grid", raw.get("grid", 100)), f"{where}.grid")
+    if grid < 1:
+        raise CliError(f"{where}.grid: grid must have at least one step")
+    return grid
 
 
 def _snapshot(kind: str, params: dict) -> str:
@@ -212,7 +220,7 @@ def _sweep_rows(kind: str, mode: str, cfg: dict):
             values = [_integer(v, path) for v in values]
         grids.append(values)
     if kind == "pgg":
-        pgg_grid = _integer(cfg.get("grid", 100), "$.grid")
+        pgg_grid = _pgg_grid(cfg, raw_params)
 
     if mode == "qre":
         lam_grid = _grid(_require(cfg, "lambda"), "$.lambda")

@@ -29,10 +29,11 @@ share one measure object among the states of a *belief cell*.  The validator
 gives every measure a cell id from its exact entries, decides NORM once per
 cell and PR2 by comparing cell ids; only measures in different cells are
 compared as dicts.  Expected utilities accumulate integer numerators over a
-running common denominator and build one ``Fraction`` at the end, and
-``is_rational_at`` evaluates each distinct opponent profile once per call.
-Both take every probability at its exact value (floats included, as
-``exact.to_exact`` converts them), so no verdict is decided by rounding.
+running common denominator and build one ``Fraction`` at the end; payoffs
+are memoised per structure, not per call, so each (player, strategy,
+profile) payoff is computed once.  Every probability is taken at its exact
+value (floats included, as ``exact.to_exact`` converts them), so no verdict
+is decided by rounding.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from .exact import to_exact
@@ -143,6 +144,14 @@ class CounterfactualStructure:
         (such states differ only in ``aux``)."""
         ids: dict = {}
         return tuple([ids.setdefault(p, len(ids)) for p in self.states])
+
+    @cached_property
+    def _payoffs(self) -> dict:
+        """(player, strategy) -> {profile id: (numerator, denominator) of
+        the player's payoff for that strategy against the others at the
+        profile}, filled by the expectations.  It depends only on ``states``
+        and ``game``, which do not change."""
+        return {}
 
     def strategy_index(self, i: int, strategy: Strategy) -> int:
         try:
@@ -300,15 +309,16 @@ def _weights(dist: dict) -> list:
 
 
 def _expectation(m: CounterfactualStructure, game: NormalFormGame, i: int,
-                 s: Strategy, targets: list, weights: list, memo: dict) -> Fraction:
+                 s: Strategy, targets: list, weights: list) -> Fraction:
     """Sum of p * u_i(s, the others' strategies at the target) over the
     targets and their exact weights.
 
     Integer numerators accumulate over a running common denominator, one
     gcd per term, and one ``Fraction`` is built at the end.  Payoffs are
-    memoised in ``memo`` by profile id.
+    memoised per structure, by profile id.
     """
     states, ids = m.states, m._profile_ids
+    memo = m._payoffs.setdefault((i, s), {})
     num, den = 0, 1
     for target, (pn, pd) in zip(targets, weights):
         pid = ids[target]
@@ -333,7 +343,7 @@ def eu_at_state(m: CounterfactualStructure, i: int, omega: int) -> Fraction:
     game = _require_game(m)
     dist = m.belief(i, omega)
     return _expectation(m, game, i, m.states[omega][i], list(dist),
-                        _weights(dist), {})
+                        _weights(dist))
 
 
 def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
@@ -343,7 +353,7 @@ def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
     game = _require_game(m)
     dist = m.belief(i, omega)
     targets = _pushforward(m, i, list(dist), s_dev)
-    return _expectation(m, game, i, s_dev, targets, _weights(dist), {})
+    return _expectation(m, game, i, s_dev, targets, _weights(dist))
 
 
 def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtilityReport:
@@ -351,20 +361,16 @@ def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtili
     or beat every switch (weak inequality).
 
     Each switch pushes the belief entries through its column one by one,
-    which by linearity gives the pushforward's expectation exactly, and
-    each distinct profile's payoff is computed once per call.
+    which by linearity gives the pushforward's expectation exactly.
     """
     game = _require_game(m)
-    own = m.states[omega][i]
     dist = m.belief(i, omega)
     sources, weights = list(dist), _weights(dist)
-    memos: dict = {}  # strategy -> {profile id: payoff}
-    eu = _expectation(m, game, i, own, sources, weights, memos.setdefault(own, {}))
+    eu = _expectation(m, game, i, m.states[omega][i], sources, weights)
     switches = {}
     for s in m.strategy_sets[i]:
         targets = _pushforward(m, i, sources, s)
-        switches[s] = _expectation(m, game, i, s, targets, weights,
-                                   memos.setdefault(s, {}))
+        switches[s] = _expectation(m, game, i, s, targets, weights)
     rational = all(eu >= v for v in switches.values())
     return StateUtilityReport(eu, switches, rational)
 
@@ -378,6 +384,22 @@ def _full_state_space(game: NormalFormGame, budget: int) -> tuple:
     if count > budget:
         raise BudgetExceededError(count, budget, "states")
     return tuple(game.profiles())
+
+
+def _mixed_radix(game: NormalFormGame) -> tuple:
+    """Index arithmetic on ``_full_state_space``, the product in order:
+    state k plays strategy (k // stride_i) % size_i of player i, so a switch
+    by i from strategy j to j' lands on k + (j' - j) * stride_i.  Returns
+    the strides and ``offset(i, combo)``, the index of the state where the
+    others play ``combo`` (in player order) and i plays strategy 0."""
+    sets = game.strategy_sets
+    strides = [prod(map(len, sets[i + 1:])) for i in range(len(sets))]
+
+    def offset(i: int, combo) -> int:
+        others = [o for o in range(len(sets)) if o != i]
+        return sum(strides[o] * game.strategy_index(o, s)
+                   for o, s in zip(others, combo))
+    return strides, offset
 
 
 def build_nash_structure(game, sigma: MixedProfile,
@@ -402,38 +424,16 @@ def build_nash_structure(game, sigma: MixedProfile,
                     f"from {s!r} to {better!r}")
 
     states = _full_state_space(game, budget)
-    index = {p: k for k, p in enumerate(states)}
-
-    columns = {}
-    for i in range(game.num_players):
-        for j, s in enumerate(game.strategy_sets[i]):
-            col = []
-            for profile in states:
-                moved = list(profile)
-                moved[i] = s
-                col.append(index[tuple(moved)])
-            columns[(i, j)] = tuple(col)
-
-    others_mixtures = []
-    for i in range(game.num_players):
-        pairs = list(sigma.others_support_profiles(i))
-        others_mixtures.append(pairs)
-
-    beliefs = []
-    for i in range(game.num_players):
-        per_state = []
-        cache: dict = {}
-        for profile in states:
-            own = profile[i]
-            if own not in cache:
-                dist = {}
-                for combo, p in others_mixtures[i]:
-                    joint = list(combo)
-                    joint.insert(i, own)
-                    dist[index[tuple(joint)]] = p
-                cache[own] = dist
-            per_state.append(cache[own])
-        beliefs.append(tuple(per_state))
+    strides, offset = _mixed_radix(game)
+    columns, beliefs = {}, []
+    for i, stride in enumerate(strides):
+        size = len(game.strategy_sets[i])
+        own = [k // stride % size for k in range(len(states))]
+        for j in range(size):
+            columns[(i, j)] = tuple([k + (j - o) * stride for k, o in enumerate(own)])
+        pairs = [(offset(i, combo), p) for combo, p in sigma.others_support_profiles(i)]
+        measures = [{o * stride + off: p for off, p in pairs} for o in range(size)]
+        beliefs.append(tuple([measures[o] for o in own]))
 
     return CounterfactualStructure(game.strategy_sets, states, columns,
                                    tuple(beliefs), aux=None, game=game)
@@ -453,59 +453,34 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
     """
     game = as_game(game)
     states = _full_state_space(game, budget)
-    index = {p: k for k, p in enumerate(states)}
+    strides, offset = _mixed_radix(game)
     n = game.num_players
 
-    punish = {(i, s): minimize_payoff(game, i, s, budget)
-              for i in range(n) for s in game.strategy_sets[i]}
+    punish = [[minimize_payoff(game, i, s, budget) for s in game.strategy_sets[i]]
+              for i in range(n)]
 
     if strict:
         for i in range(n):
             for s in sigma.support(i):
                 u = sigma.expected_payoff(i, s)
-                for s_dev in game.strategy_sets[i]:
-                    if u < punish[(i, s_dev)][0]:
+                for j, s_dev in enumerate(game.strategy_sets[i]):
+                    if u < punish[i][j][0]:
                         raise IncoherentProfileError(i, s, s_dev)
 
-    columns = {}
-    for i in range(n):
-        support = set(sigma.support(i))
-        for j, s_dev in enumerate(game.strategy_sets[i]):
-            col = []
-            for k, profile in enumerate(states):
-                own = profile[i]
-                if own == s_dev:
-                    col.append(k)
-                elif own in support:
-                    joint = list(punish[(i, s_dev)][1])
-                    joint.insert(i, s_dev)
-                    col.append(index[tuple(joint)])
-                else:
-                    moved = list(profile)
-                    moved[i] = s_dev
-                    col.append(index[tuple(moved)])
-            columns[(i, j)] = tuple(col)
-
-    beliefs = []
-    for i in range(n):
-        support = set(sigma.support(i))
-        pairs = list(sigma.others_support_profiles(i))
-        cache: dict = {}
-        per_state = []
-        for k, profile in enumerate(states):
-            own = profile[i]
-            if own in support:
-                if own not in cache:
-                    dist = {}
-                    for combo, p in pairs:
-                        joint = list(combo)
-                        joint.insert(i, own)
-                        dist[index[tuple(joint)]] = p
-                    cache[own] = dist
-                per_state.append(cache[own])
-            else:
-                per_state.append({k: Fraction(1)})
-        beliefs.append(tuple(per_state))
+    columns, beliefs = {}, []
+    for i, stride in enumerate(strides):
+        size = len(game.strategy_sets[i])
+        own = [k // stride % size for k in range(len(states))]
+        support = {game.strategy_index(i, s) for s in sigma.support(i)}
+        for j in range(size):
+            punished = j * stride + offset(i, punish[i][j][1])
+            columns[(i, j)] = tuple([
+                k if o == j else punished if o in support else k + (j - o) * stride
+                for k, o in enumerate(own)])
+        pairs = [(offset(i, combo), p) for combo, p in sigma.others_support_profiles(i)]
+        measures = {o: {o * stride + off: p for off, p in pairs} for o in support}
+        beliefs.append(tuple([measures[o] if o in support else {k: Fraction(1)}
+                              for k, o in enumerate(own)]))
 
     return CounterfactualStructure(game.strategy_sets, states, columns,
                                    tuple(beliefs), aux=None, game=game)
@@ -542,79 +517,50 @@ def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Seq
     if count > budget:
         raise BudgetExceededError(count, budget, "states")
 
+    # state = profile index * 2^n + bit-vector index (product order)
     bit_space = tuple(itertools.product((0, 1), repeat=n))
-    states = []
-    aux = []
-    index = {}
-    for profile in game.profiles():
-        for bits in bit_space:
-            index[(profile, bits)] = len(states)
-            states.append(profile)
-            aux.append(bits)
-    states = tuple(states)
-    aux = tuple(aux)
+    nb = len(bit_space)
+    states = tuple(profile for profile in game.profiles() for _ in bit_space)
+    aux = bit_space * game.profile_count()
+    strides, offset = _mixed_radix(game)
+    places = [nb >> (j + 1) for j in range(n)]
+    own = [[k // nb // stride % len(game.strategy_sets[i]) for k in range(count)]
+           for i, stride in enumerate(strides)]
+    defect = [game.strategy_index(j, d.defect_strategy(j)) for j in range(n)]
 
     columns = {}
-    for i in range(n):
-        defect = d.defect_strategy(i)
-        for j, s_dev in enumerate(game.strategy_sets[i]):
-            col = []
-            for k in range(len(states)):
-                profile, bits = states[k], aux[k]
-                if profile[i] == s_dev:
-                    col.append(k)
-                    continue
-                moved = list(profile)
-                moved[i] = s_dev
-                for other in range(n):
-                    if other != i and bits[other]:
-                        moved[other] = d.defect_strategy(other)
-                col.append(index[(tuple(moved), bits)])
-            columns[(i, j)] = tuple(col)
+    for i, stride in enumerate(strides):
+        # the profile shift from the others whose bit sends them to defect
+        shifts = [sum((defect[o] - own[o][k]) * strides[o]
+                      for o in range(n) if o != i and bits[o])
+                  for k, bits in enumerate(aux)]
+        for j in range(len(game.strategy_sets[i])):
+            columns[(i, j)] = tuple([
+                k if o == j else k + ((j - o) * stride + shift) * nb
+                for k, (o, shift) in enumerate(zip(own[i], shifts))])
 
     beliefs = []
-    for i in range(n):
+    for i, stride in enumerate(strides):
         others = [j for j in range(n) if j != i]
-        cache: dict = {}
-        per_state = []
-        for k in range(len(states)):
-            profile, bits = states[k], aux[k]
-            key = (profile[i], bits[i])
-            if key not in cache:
-                dist = {}
-                strategy_choices = []
-                for j in others:
-                    strategy_choices.append((
-                        (d.cooperate_strategy(j), betas[j]),
-                        (d.defect_strategy(j), 1 - betas[j]),
-                    ))
-                for picks in itertools.product(*strategy_choices):
-                    p_strat = Fraction(1)
-                    chosen = {}
-                    for j, (s, p) in zip(others, picks):
-                        p_strat *= p
-                        chosen[j] = s
-                    if p_strat == 0:
-                        continue
-                    for other_bits in itertools.product((0, 1), repeat=len(others)):
-                        p = p_strat
-                        for bit in other_bits:
-                            p *= alphas[i] if bit else 1 - alphas[i]
-                        if p == 0:
-                            continue
-                        target_profile = list(profile)
-                        target_bits = list(bits)
-                        for j, s in chosen.items():
-                            target_profile[j] = s
-                        for j, bit in zip(others, other_bits):
-                            target_bits[j] = bit
-                        target_profile[i] = profile[i]
-                        target_bits[i] = bits[i]
-                        target = index[(tuple(target_profile), tuple(target_bits))]
-                        dist[target] = dist.get(target, Fraction(0)) + p
-                cache[key] = dist
-            per_state.append(cache[key])
-        beliefs.append(tuple(per_state))
+        entries: dict = {}  # offset from (own strategy 0, own bit 0) -> mass
+        choices = [((d.cooperate_strategy(j), betas[j]),
+                    (d.defect_strategy(j), 1 - betas[j])) for j in others]
+        for picks in itertools.product(*choices):
+            p_strat = prod((p for _, p in picks), start=Fraction(1))
+            if p_strat == 0:
+                continue
+            base = offset(i, [s for s, _ in picks]) * nb
+            for other_bits in itertools.product((0, 1), repeat=len(others)):
+                p = p_strat * prod(alphas[i] if bit else 1 - alphas[i]
+                                   for bit in other_bits)
+                if p != 0:
+                    target = base + sum(places[j] * bit
+                                        for j, bit in zip(others, other_bits))
+                    entries[target] = entries.get(target, 0) + p
+        # one measure per (own strategy, own bit), keyed by its state offset
+        keys = [o * stride * nb + bits[i] * places[i] for o, bits in zip(own[i], aux)]
+        measures = {key: {key + t: p for t, p in entries.items()} for key in set(keys)}
+        beliefs.append(tuple([measures[key] for key in keys]))
 
     return CounterfactualStructure(game.strategy_sets, states, columns,
                                    tuple(beliefs), aux=aux, game=game)
@@ -668,9 +614,15 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
 
     beliefs_doc = []
     for i in range(m.num_players):
+        formatted: dict = {}  # measure object id -> its dist, formatted once
         for omega in range(m.num_states):
-            dist = {str(t): str(p) for t, p in sorted(m.beliefs[i][omega].items())}
-            beliefs_doc.append({"player": i, "state": omega, "dist": dist})
+            dist = m.beliefs[i][omega]
+            if id(dist) in formatted:  # a copy: no two entries alias
+                text = dict(formatted[id(dist)])
+            else:
+                text = formatted[id(dist)] = {
+                    str(t): str(p) for t, p in sorted(dist.items())}
+            beliefs_doc.append({"player": i, "state": omega, "dist": text})
 
     return {
         "players": m.num_players,

@@ -57,6 +57,8 @@ class NormalFormGame:
     name: str = "custom"
     # per player: strategy -> position in its strategy set
     _index: tuple = field(init=False, repr=False, compare=False, hash=False)
+    # (player, strategy position) -> minimize_payoff's (value, minimiser)
+    _minima: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.num_players < 2:
@@ -73,6 +75,7 @@ class NormalFormGame:
                 raise ValueError(f"strategy set of player {i} has duplicates")
         object.__setattr__(self, "_index", tuple(
             {x: k for k, x in enumerate(s)} for s in self.strategy_sets))
+        object.__setattr__(self, "_minima", {})
 
     def payoff(self, profile: Profile, i: int) -> Fraction:
         self._check_profile(profile)
@@ -530,7 +533,8 @@ def minimize_payoff(game: NormalFormGame, i: int, strategy: Strategy,
 
     Symmetric games are reduced to multisets of the others' strategies:
     there the first minimiser is sorted, so it is the first multiset found.
-    Otherwise the full product is enumerated against the budget.
+    Otherwise the full product is enumerated against the budget.  Each
+    search runs once per game; the budget is checked on every call.
     """
     others = [j for j in range(game.num_players) if j != i]
     if game.symmetric:
@@ -548,14 +552,13 @@ def minimize_payoff(game: NormalFormGame, i: int, strategy: Strategy,
         if required > budget:
             raise BudgetExceededError(required, budget, "opponent profiles")
         combos = itertools.product(*(game.strategy_sets[j] for j in others))
-    best, argmin = None, None
-    for combo in combos:
-        profile = list(combo)
-        profile.insert(i, strategy)
-        u = game.payoff(tuple(profile), i)
-        if best is None or u < best:
-            best, argmin = u, combo
-    return best, argmin
+    key = (i, game.strategy_index(i, strategy))
+    if key not in game._minima:
+        def u(combo):
+            return game.payoff((*combo[:i], strategy, *combo[i:]), i)
+        argmin = min(combos, key=u)  # the first of equal minima
+        game._minima[key] = u(argmin), argmin
+    return game._minima[key]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reference oracle for the structure checks.
+"""Reference oracle for the structure layer.
 
 The library validates structures per belief cell and sums expected
 utilities on integers.  This module keeps the plain per-state forms, with
@@ -7,13 +7,27 @@ dict equality for PR2, one ``Fraction`` product per belief entry and the
 them.  Nothing here is fast; it is meant to be obviously right.  It sums
 probabilities as given, so the tests hand it measures whose floats are
 already converted to their exact values, as the library converts them.
+
+The builders find states by mixed-radix index arithmetic, share one
+punishment search per game and format each measure object's JSON once;
+the constructions below look every moved, punished and believed profile
+up by hashing its strategy tuple, rerun every punishment search (with the
+unmemoised ``minimize_payoff`` below) and format every belief entry anew.
 """
 
+import itertools
 from fractions import Fraction
+from typing import Sequence
 
-from translucent.counterfactual import (MISSING, NORM_TOL, StateUtilityReport,
-                                        Violation)
+from translucent.counterfactual import (MISSING, NORM_TOL,
+                                        CounterfactualStructure,
+                                        IncoherentProfileError,
+                                        StateUtilityReport, Violation)
 from translucent.equilibrium import TeStructureReport
+from translucent.exact import to_exact
+from translucent.games import (BudgetExceededError, MixedProfile,
+                               NormalFormGame, SocialDilemma, Strategy,
+                               as_game)
 
 
 def validate_structure(m) -> list:
@@ -147,3 +161,338 @@ def te_in_structure(m, sigma, omega_subset=None) -> TeStructureReport:
 
     holds = not (te1 or te2 or te3 or te4)
     return TeStructureReport(holds, tuple(te1), tuple(te2), tuple(te3), tuple(te4))
+
+
+# ---------------------------------------------------------------------------
+# constructions, serialisation and the punishment search, by profile lookup
+
+
+def minimize_payoff(game: NormalFormGame, i: int, strategy: Strategy,
+                    budget: int = 10_000_000) -> tuple:
+    """min over the others' pure profiles of u_i(strategy, s_-i), as
+    ``(value, minimiser)``.  The minimiser lists the others' strategies in
+    player order and is the first one in strategy-set (lexicographic) order.
+
+    Symmetric games are reduced to multisets of the others' strategies:
+    there the first minimiser is sorted, so it is the first multiset found.
+    Otherwise the full product is enumerated against the budget.
+    """
+    others = [j for j in range(game.num_players) if j != i]
+    if game.symmetric:
+        from math import comb
+
+        pool = game.strategy_sets[others[0]] if others else ()
+        required = comb(len(pool) + len(others) - 1, len(others))
+        if required > budget:
+            raise BudgetExceededError(required, budget, "opponent multisets")
+        combos = itertools.combinations_with_replacement(pool, len(others))
+    else:
+        required = 1
+        for j in others:
+            required *= len(game.strategy_sets[j])
+        if required > budget:
+            raise BudgetExceededError(required, budget, "opponent profiles")
+        combos = itertools.product(*(game.strategy_sets[j] for j in others))
+    best, argmin = None, None
+    for combo in combos:
+        profile = list(combo)
+        profile.insert(i, strategy)
+        u = game.payoff(tuple(profile), i)
+        if best is None or u < best:
+            best, argmin = u, combo
+    return best, argmin
+
+
+def _full_state_space(game: NormalFormGame, budget: int) -> tuple:
+    count = game.profile_count()
+    if count > budget:
+        raise BudgetExceededError(count, budget, "states")
+    return tuple(game.profiles())
+
+
+def build_nash_structure(game, sigma: MixedProfile,
+                         budget: int = 100_000) -> CounterfactualStructure:
+    """The opaque structure witnessing a Nash equilibrium.
+
+    States are all pure profiles; a switch moves only the switching player's
+    coordinate, and beliefs at a state are the equilibrium mixture of the
+    others given one's own current strategy.  Rejects profiles that are not
+    Nash equilibria (every support strategy must attain the player's best
+    payoff against the others' mixture).
+    """
+    game = as_game(game)
+    for i in range(game.num_players):
+        payoffs = {s: sigma.expected_payoff(i, s) for s in game.strategy_sets[i]}
+        best = max(payoffs.values())
+        for s in sigma.support(i):
+            if payoffs[s] != best:
+                better = next(t for t, v in payoffs.items() if v == best)
+                raise ValueError(
+                    f"not a Nash equilibrium: player {i} gains by switching "
+                    f"from {s!r} to {better!r}")
+
+    states = _full_state_space(game, budget)
+    index = {p: k for k, p in enumerate(states)}
+
+    columns = {}
+    for i in range(game.num_players):
+        for j, s in enumerate(game.strategy_sets[i]):
+            col = []
+            for profile in states:
+                moved = list(profile)
+                moved[i] = s
+                col.append(index[tuple(moved)])
+            columns[(i, j)] = tuple(col)
+
+    others_mixtures = []
+    for i in range(game.num_players):
+        pairs = list(sigma.others_support_profiles(i))
+        others_mixtures.append(pairs)
+
+    beliefs = []
+    for i in range(game.num_players):
+        per_state = []
+        cache: dict = {}
+        for profile in states:
+            own = profile[i]
+            if own not in cache:
+                dist = {}
+                for combo, p in others_mixtures[i]:
+                    joint = list(combo)
+                    joint.insert(i, own)
+                    dist[index[tuple(joint)]] = p
+                cache[own] = dist
+            per_state.append(cache[own])
+        beliefs.append(tuple(per_state))
+
+    return CounterfactualStructure(game.strategy_sets, states, columns,
+                                   tuple(beliefs), aux=None, game=game)
+
+
+def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
+                             budget: int = 100_000) -> CounterfactualStructure:
+    """The punishment structure witnessing a coherent profile.
+
+    On the support, a switch routes to the deviation paired with the worst
+    opponent reply for that deviation (the lexicographically smallest
+    minimizer, for determinism); off the support the map is opaque.  With
+    ``strict`` the construction fails on incoherent profiles, naming the
+    witnessing (player, support strategy, deviation); without it the same
+    structure is built anyway, which then simply fails rationality where
+    coherence fails.
+    """
+    game = as_game(game)
+    states = _full_state_space(game, budget)
+    index = {p: k for k, p in enumerate(states)}
+    n = game.num_players
+
+    punish = {(i, s): minimize_payoff(game, i, s, budget)
+              for i in range(n) for s in game.strategy_sets[i]}
+
+    if strict:
+        for i in range(n):
+            for s in sigma.support(i):
+                u = sigma.expected_payoff(i, s)
+                for s_dev in game.strategy_sets[i]:
+                    if u < punish[(i, s_dev)][0]:
+                        raise IncoherentProfileError(i, s, s_dev)
+
+    columns = {}
+    for i in range(n):
+        support = set(sigma.support(i))
+        for j, s_dev in enumerate(game.strategy_sets[i]):
+            col = []
+            for k, profile in enumerate(states):
+                own = profile[i]
+                if own == s_dev:
+                    col.append(k)
+                elif own in support:
+                    joint = list(punish[(i, s_dev)][1])
+                    joint.insert(i, s_dev)
+                    col.append(index[tuple(joint)])
+                else:
+                    moved = list(profile)
+                    moved[i] = s_dev
+                    col.append(index[tuple(moved)])
+            columns[(i, j)] = tuple(col)
+
+    beliefs = []
+    for i in range(n):
+        support = set(sigma.support(i))
+        pairs = list(sigma.others_support_profiles(i))
+        cache: dict = {}
+        per_state = []
+        for k, profile in enumerate(states):
+            own = profile[i]
+            if own in support:
+                if own not in cache:
+                    dist = {}
+                    for combo, p in pairs:
+                        joint = list(combo)
+                        joint.insert(i, own)
+                        dist[index[tuple(joint)]] = p
+                    cache[own] = dist
+                per_state.append(cache[own])
+            else:
+                per_state.append({k: Fraction(1)})
+        beliefs.append(tuple(per_state))
+
+    return CounterfactualStructure(game.strategy_sets, states, columns,
+                                   tuple(beliefs), aux=None, game=game)
+
+
+def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Sequence,
+                                  budget: int = 100_000) -> CounterfactualStructure:
+    """Detection-bit structure for a dilemma with per-player types.
+
+    States pair every pure profile with a detection-bit vector; a switch by
+    player i sends each other player j to their defect component when j's bit
+    is set and leaves them in place otherwise.  Player i's beliefs keep their
+    own strategy and bit, draw each other player's strategy from the
+    cooperate/defect mixture with probability beta_j, and set each other
+    player's bit independently with probability alpha_i.
+
+    For the 2-player prisoner's dilemma this is exactly the 16-state machine
+    used by the typed equilibrium analysis; for other dilemmas and player
+    counts it is this library's generalization of that machine (used to
+    cross-check the belief-model engine), not a construction with external
+    standing.
+    """
+    n = d.num_players
+    if len(alphas) != n or len(betas) != n:
+        raise ValueError("one alpha and one beta per player required")
+    alphas = [to_exact(a) for a in alphas]
+    betas = [to_exact(b) for b in betas]
+    for v in (*alphas, *betas):
+        if not 0 <= v <= 1:
+            raise ValueError(f"type parameters must lie in [0, 1], got {v}")
+
+    game = d.game
+    count = game.profile_count() * 2 ** n
+    if count > budget:
+        raise BudgetExceededError(count, budget, "states")
+
+    bit_space = tuple(itertools.product((0, 1), repeat=n))
+    states = []
+    aux = []
+    index = {}
+    for profile in game.profiles():
+        for bits in bit_space:
+            index[(profile, bits)] = len(states)
+            states.append(profile)
+            aux.append(bits)
+    states = tuple(states)
+    aux = tuple(aux)
+
+    columns = {}
+    for i in range(n):
+        defect = d.defect_strategy(i)
+        for j, s_dev in enumerate(game.strategy_sets[i]):
+            col = []
+            for k in range(len(states)):
+                profile, bits = states[k], aux[k]
+                if profile[i] == s_dev:
+                    col.append(k)
+                    continue
+                moved = list(profile)
+                moved[i] = s_dev
+                for other in range(n):
+                    if other != i and bits[other]:
+                        moved[other] = d.defect_strategy(other)
+                col.append(index[(tuple(moved), bits)])
+            columns[(i, j)] = tuple(col)
+
+    beliefs = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        cache: dict = {}
+        per_state = []
+        for k in range(len(states)):
+            profile, bits = states[k], aux[k]
+            key = (profile[i], bits[i])
+            if key not in cache:
+                dist = {}
+                strategy_choices = []
+                for j in others:
+                    strategy_choices.append((
+                        (d.cooperate_strategy(j), betas[j]),
+                        (d.defect_strategy(j), 1 - betas[j]),
+                    ))
+                for picks in itertools.product(*strategy_choices):
+                    p_strat = Fraction(1)
+                    chosen = {}
+                    for j, (s, p) in zip(others, picks):
+                        p_strat *= p
+                        chosen[j] = s
+                    if p_strat == 0:
+                        continue
+                    for other_bits in itertools.product((0, 1), repeat=len(others)):
+                        p = p_strat
+                        for bit in other_bits:
+                            p *= alphas[i] if bit else 1 - alphas[i]
+                        if p == 0:
+                            continue
+                        target_profile = list(profile)
+                        target_bits = list(bits)
+                        for j, s in chosen.items():
+                            target_profile[j] = s
+                        for j, bit in zip(others, other_bits):
+                            target_bits[j] = bit
+                        target_profile[i] = profile[i]
+                        target_bits[i] = bits[i]
+                        target = index[(tuple(target_profile), tuple(target_bits))]
+                        dist[target] = dist.get(target, Fraction(0)) + p
+                cache[key] = dist
+            per_state.append(cache[key])
+        beliefs.append(tuple(per_state))
+
+    return CounterfactualStructure(game.strategy_sets, states, columns,
+                                   tuple(beliefs), aux=aux, game=game)
+
+
+def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict:
+    """Serialize a structure.
+
+    Strategy labels become display strings, profiles become index lists, and
+    probabilities are written as exact fraction strings.  Closest-state
+    entries forced by CS2 (switching to the current strategy) are omitted.
+    """
+    entries = m.num_states * sum(len(s) for s in m.strategy_sets)
+    if entries > budget:
+        raise BudgetExceededError(entries, budget, "closest-state entries")
+
+    strategy_index = [
+        {s: j for j, s in enumerate(strats)} for strats in m.strategy_sets
+    ]
+    states_doc = []
+    for k in range(m.num_states):
+        profile = [strategy_index[i][s] for i, s in enumerate(m.states[k])]
+        entry = {"profile": profile}
+        entry["aux"] = list(m.aux[k]) if m.aux is not None else None
+        states_doc.append(entry)
+
+    closest_doc = []
+    for omega in range(m.num_states):
+        for i in range(m.num_players):
+            own = strategy_index[i][m.states[omega][i]]
+            for j in range(len(m.strategy_sets[i])):
+                if j == own:
+                    continue
+                closest_doc.append({
+                    "state": omega, "player": i, "strategy": j,
+                    "target": m.closest_columns[(i, j)][omega],
+                })
+
+    beliefs_doc = []
+    for i in range(m.num_players):
+        for omega in range(m.num_states):
+            dist = {str(t): str(p) for t, p in sorted(m.beliefs[i][omega].items())}
+            beliefs_doc.append({"player": i, "state": omega, "dist": dist})
+
+    return {
+        "players": m.num_players,
+        "strategies": [[str(s) for s in strats] for strats in m.strategy_sets],
+        "states": states_doc,
+        "closest": closest_doc,
+        "beliefs": beliefs_doc,
+    }

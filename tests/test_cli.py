@@ -494,3 +494,48 @@ class TestIntegerInputs:
         code, out, _ = run(capsys, "equilibrium", "--config", cfg)
         assert code == 0
         assert json.loads(out)["params"] == {"n": 3, "rho": 0.6, "grid": 2}
+
+
+class TestPggGrid:
+    """Every command reads the public-goods grid from the top-level ``grid``,
+    else from ``params.grid``, and a grid below one step exits 2 naming the
+    key it came from."""
+
+    QRE = {"kind": "pgg", "mode": "qre", "params": {"n": 2, "rho": 0.75},
+           "lambda": [1]}
+
+    @pytest.mark.parametrize("top_level", [True, False])
+    def test_sweep_reads_either_grid(self, tmp_path, capsys, top_level):
+        if top_level:
+            payload = {**self.QRE, "grid": 2}
+        else:
+            payload = {**self.QRE, "params": {**self.QRE["params"], "grid": 2}}
+        cfg = write_config(tmp_path, "c.json", payload)
+        code, out, _ = run(capsys, "sweep", "--config", cfg)
+        assert code == 0
+        # 3 contribution levels; the default 101 give 0.00871
+        assert out.split("\n")[1] == (
+            "pgg,n=2;rho=0.75,1,0.29263948459,true,0.5,0.29263948459")
+
+    @pytest.mark.parametrize("top_level", [True, False])
+    @pytest.mark.parametrize("command,extra", [
+        ("equilibrium", {"betas": [0.9, 0.9, 0.9]}),
+        ("sweep", {"mode": "te", "beta": [0.5]}),
+        ("check", {"alpha": 0.5, "beta": 0.5}),
+        ("population", {"population": {"types": [
+            {"alpha": 0.5, "beta": 0.5, "weight": 1}]}}),
+        ("qre", {"lambda": 1}),
+    ])
+    def test_grid_below_one_names_its_path(self, tmp_path, capsys, command,
+                                           extra, top_level):
+        params = {"n": 3, "rho": 0.6}
+        if top_level:
+            payload = {"kind": "pgg", "params": params, "grid": -3, **extra}
+        else:
+            payload = {"kind": "pgg", "params": {**params, "grid": 0}, **extra}
+        cfg = write_config(tmp_path, "c.json", payload)
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == 2
+        assert out == ""
+        where = "$" if top_level else "$.params"
+        assert err == f"error: {where}.grid: grid must have at least one step\n"

@@ -175,6 +175,11 @@ def cmd_check(cfg: dict, budget: int) -> tuple:
     params = _params_from_config(cfg, kind)
     alpha = _number(_require(cfg, "alpha"), "$.alpha")
     beta = _number(_require(cfg, "beta"), "$.beta")
+    own = {"pd": 2, "pgg": params.get("grid", 0) + 1}.get(kind)
+    size = (own or params["h"] - params["l"] + 1) * params.get("n", 2)
+    if size > budget:
+        raise CliError(f"$.params: the engine's payoff table needs {size} entries "
+                       f"(own strategies x players), exceeding budget {budget}")
     try:
         d = make_dilemma(kind, params)
         t = TranslucentType(alpha, beta)

@@ -30,10 +30,10 @@ gives every measure a cell id from its exact entries, decides NORM once per
 cell and PR2 by comparing cell ids; only measures in different cells are
 compared as dicts.  Expected utilities accumulate integer numerators over a
 running common denominator and build one ``Fraction`` at the end; payoffs
-are memoised per structure, not per call, so each (player, strategy,
-profile) payoff is computed once.  Every probability is taken at its exact
-value (floats included, as ``exact.to_exact`` converts them), so no verdict
-is decided by rounding.
+come from the game's table, keyed by profile index, so each (player,
+profile) payoff is computed once per game.  Every probability is taken at
+its exact value (floats included, as ``exact.to_exact`` converts them), so
+no verdict is decided by rounding.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact import to_exact
@@ -52,6 +53,7 @@ from .games import (BudgetExceededError, MixedProfile, NormalFormGame, Profile,
 
 NORM_TOL = Fraction(1, 10 ** 12)
 MISSING = -1
+_SURE = Fraction(1)  # the measure of every off-support state, one object
 
 
 class IncoherentProfileError(ValueError):
@@ -139,19 +141,20 @@ class CounterfactualStructure:
         return tuple(maps)
 
     @cached_property
-    def _profile_ids(self) -> tuple:
-        """Per state: an id shared by the states that play the same profile
-        (such states differ only in ``aux``)."""
-        ids: dict = {}
-        return tuple([ids.setdefault(p, len(ids)) for p in self.states])
-
-    @cached_property
-    def _payoffs(self) -> dict:
-        """(player, strategy) -> {profile id: (numerator, denominator) of
-        the player's payoff for that strategy against the others at the
-        profile}, filled by the expectations.  It depends only on ``states``
-        and ``game``, which do not change."""
-        return {}
+    def _profile_index(self) -> tuple:
+        """``(positions, others)`` per player: each state's strategy position
+        in the game, and the others' part of its profile's index in the
+        game's payoff table, flat[t] - pos_i(t) * stride_i; None off the game."""
+        game = _require_game(self)
+        n = game.num_players
+        positions = tuple(
+            tuple([index.get(p[i]) if len(p) == n else None for p in self.states])
+            for i, index in enumerate(game._index))
+        flat = [None if None in pos else sum(map(mul, pos, game._strides))
+                for pos in zip(*positions)]
+        return positions, tuple(
+            tuple([None if k is None else k - x * stride for k, x in zip(flat, column)])
+            for column, stride in zip(positions, game._strides))
 
     def strategy_index(self, i: int, strategy: Strategy) -> int:
         try:
@@ -313,29 +316,21 @@ def _expectation(m: CounterfactualStructure, game: NormalFormGame, i: int,
     """Sum of p * u_i(s, the others' strategies at the target) over the
     targets and their exact weights.
 
-    Integer numerators accumulate over a running common denominator, one
-    gcd per term, and one ``Fraction`` is built at the end.  Payoffs are
-    memoised per structure, by profile id.
+    Each payoff is the game's table entry at the others' part of the
+    target's profile index plus ``s``'s position times i's stride.
     """
-    states, ids = m.states, m._profile_ids
-    memo = m._payoffs.setdefault((i, s), {})
-    num, den = 0, 1
-    for target, (pn, pd) in zip(targets, weights):
-        pid = ids[target]
-        u = memo.get(pid)
-        if u is None:
-            profile = list(states[target])
+    others = m._profile_index[1][i]
+    try:
+        base = game._index[i][s] * game._strides[i]
+        keys = [others[t] + base for t in targets]
+    except (KeyError, TypeError):  # s or a target off the game: payoff() raises
+        total = Fraction(0)
+        for target, (pn, pd) in zip(targets, weights):
+            profile = list(m.states[target])
             profile[i] = s
-            v = game.payoff(tuple(profile), i)
-            u = memo[pid] = (v.numerator, v.denominator)
-        pn, pd = pn * u[0], pd * u[1]
-        g = gcd(den, pd)
-        if g == pd:
-            num += pn * (den // pd)
-        else:
-            num = num * (pd // g) + pn * (den // g)
-            den *= pd // g
-    return Fraction(num, den)
+            total += Fraction(pn, pd) * game.payoff(tuple(profile), i)
+        return total
+    return game._expect(i, keys, weights)
 
 
 def eu_at_state(m: CounterfactualStructure, i: int, omega: int) -> Fraction:
@@ -386,20 +381,18 @@ def _full_state_space(game: NormalFormGame, budget: int) -> tuple:
     return tuple(game.profiles())
 
 
-def _mixed_radix(game: NormalFormGame) -> tuple:
-    """Index arithmetic on ``_full_state_space``, the product in order:
-    state k plays strategy (k // stride_i) % size_i of player i, so a switch
-    by i from strategy j to j' lands on k + (j' - j) * stride_i.  Returns
-    the strides and ``offset(i, combo)``, the index of the state where the
-    others play ``combo`` (in player order) and i plays strategy 0."""
-    sets = game.strategy_sets
-    strides = [prod(map(len, sets[i + 1:])) for i in range(len(sets))]
+def _offset(game: NormalFormGame, i: int, combo) -> int:
+    """The index in ``_full_state_space`` (the game's profiles in order) of
+    the state where the others play ``combo`` and i plays strategy 0."""
+    others = [o for o in range(game.num_players) if o != i]
+    return sum(game._strides[o] * game.strategy_index(o, s)
+               for o, s in zip(others, combo))
 
-    def offset(i: int, combo) -> int:
-        others = [o for o in range(len(sets)) if o != i]
-        return sum(strides[o] * game.strategy_index(o, s)
-                   for o, s in zip(others, combo))
-    return strides, offset
+
+def _others_pairs(sigma: MixedProfile, i: int) -> list:
+    """(profile-index offset, probability) of each of the others' combos."""
+    _, offsets, weights, den = sigma._kernels[i]
+    return [(o, Fraction(w, den)) for o, w in zip(offsets, weights)]
 
 
 def build_nash_structure(game, sigma: MixedProfile,
@@ -424,14 +417,13 @@ def build_nash_structure(game, sigma: MixedProfile,
                     f"from {s!r} to {better!r}")
 
     states = _full_state_space(game, budget)
-    strides, offset = _mixed_radix(game)
     columns, beliefs = {}, []
-    for i, stride in enumerate(strides):
+    for i, stride in enumerate(game._strides):
         size = len(game.strategy_sets[i])
         own = [k // stride % size for k in range(len(states))]
         for j in range(size):
             columns[(i, j)] = tuple([k + (j - o) * stride for k, o in enumerate(own)])
-        pairs = [(offset(i, combo), p) for combo, p in sigma.others_support_profiles(i)]
+        pairs = _others_pairs(sigma, i)
         measures = [{o * stride + off: p for off, p in pairs} for o in range(size)]
         beliefs.append(tuple([measures[o] for o in own]))
 
@@ -453,8 +445,7 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
     """
     game = as_game(game)
     states = _full_state_space(game, budget)
-    strides, offset = _mixed_radix(game)
-    n = game.num_players
+    strides, n = game._strides, game.num_players
 
     punish = [[minimize_payoff(game, i, s, budget) for s in game.strategy_sets[i]]
               for i in range(n)]
@@ -473,13 +464,13 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
         own = [k // stride % size for k in range(len(states))]
         support = {game.strategy_index(i, s) for s in sigma.support(i)}
         for j in range(size):
-            punished = j * stride + offset(i, punish[i][j][1])
+            punished = j * stride + _offset(game, i, punish[i][j][1])
             columns[(i, j)] = tuple([
                 k if o == j else punished if o in support else k + (j - o) * stride
                 for k, o in enumerate(own)])
-        pairs = [(offset(i, combo), p) for combo, p in sigma.others_support_profiles(i)]
+        pairs = _others_pairs(sigma, i)
         measures = {o: {o * stride + off: p for off, p in pairs} for o in support}
-        beliefs.append(tuple([measures[o] if o in support else {k: Fraction(1)}
+        beliefs.append(tuple([measures[o] if o in support else {k: _SURE}
                               for k, o in enumerate(own)]))
 
     return CounterfactualStructure(game.strategy_sets, states, columns,
@@ -522,7 +513,7 @@ def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Seq
     nb = len(bit_space)
     states = tuple(profile for profile in game.profiles() for _ in bit_space)
     aux = bit_space * game.profile_count()
-    strides, offset = _mixed_radix(game)
+    strides = game._strides
     places = [nb >> (j + 1) for j in range(n)]
     own = [[k // nb // stride % len(game.strategy_sets[i]) for k in range(count)]
            for i, stride in enumerate(strides)]
@@ -549,7 +540,7 @@ def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Seq
             p_strat = prod((p for _, p in picks), start=Fraction(1))
             if p_strat == 0:
                 continue
-            base = offset(i, [s for s, _ in picks]) * nb
+            base = _offset(game, i, [s for s, _ in picks]) * nb
             for other_bits in itertools.product((0, 1), repeat=len(others)):
                 p = p_strat * prod(alphas[i] if bit else 1 - alphas[i]
                                    for bit in other_bits)
@@ -613,6 +604,7 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
                 })
 
     beliefs_doc = []
+    texts: dict = {}  # probability object id -> text; ``m`` keeps each alive
     for i in range(m.num_players):
         formatted: dict = {}  # measure object id -> its dist, formatted once
         for omega in range(m.num_states):
@@ -621,7 +613,8 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
                 text = dict(formatted[id(dist)])
             else:
                 text = formatted[id(dist)] = {
-                    str(t): str(p) for t, p in sorted(dist.items())}
+                    str(t): texts.get(id(p)) or texts.setdefault(id(p), str(p))
+                    for t, p in sorted(dist.items())}
             beliefs_doc.append({"player": i, "state": omega, "dist": text})
 
     return {

@@ -60,10 +60,8 @@ def make_coherence_checker(game, budget: int = 10_000_000):
 
     def check(sigma: MixedProfile) -> CoherenceReport:
         for i in range(game.num_players):
-            support_payoffs = {s: sigma.expected_payoff(i, s)
-                               for s in sigma.support(i)}
             for s_i in sigma.support(i):
-                u = support_payoffs[s_i]
+                u = sigma.expected_payoff(i, s_i)
                 for s_dev in game.strategy_sets[i]:
                     if u < floors[i][s_dev]:
                         return CoherenceReport(False, (i, s_i, s_dev))
@@ -95,40 +93,33 @@ def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
 
     TE2-TE4 depend on a state only through the player's measure and own
     strategy, so each (player, measure object, own strategy) is judged once.
+    States are read by their positions in the game, so no strategy is hashed.
     """
-    dists = sigma.distributions  # supports only: zero masses are dropped
-
-    def in_support(profile) -> bool:
-        return all(s in d for s, d in zip(profile, dists))
-
+    positions, others = m._profile_index
+    supports = [{sigma.game._index[i][s] for s in d}  # zero masses are dropped
+                for i, d in enumerate(sigma.distributions)]
+    inside = tuple(all(x in s for x, s in zip(pos, supports)) for pos in zip(*positions))
     if omega_subset is None:
-        omega_subset = [k for k, profile in enumerate(m.states)
-                        if in_support(profile)]
+        omega_subset = [k for k, yes in enumerate(inside) if yes]
     omega_set = set(omega_subset)
     te1, te2, te3, te4 = [], [], [], []
     n = m.num_players
-    expected = []
-    for i in range(n):
-        mixture: dict = {}
-        for combo, p in sigma.others_support_profiles(i):
-            if p > 0:
-                mixture[combo] = mixture.get(combo, Fraction(0)) + p
-        expected.append(mixture)
+    expected = [dict(cf._others_pairs(sigma, i)) for i in range(n)]
     verdicts: dict = {}
 
     for omega in omega_subset:
-        if not in_support(m.states[omega]):
+        if not inside[omega]:
             te1.append((omega,))
         for i in range(n):
             dist = m.belief(i, omega)
-            key = (i, id(dist), m.states[omega][i])
+            key = (i, id(dist), positions[i][omega])
             verdict = verdicts.get(key)
             if verdict is None:
                 outside = any(t not in omega_set for t, p in dist.items() if p > 0)
-                marginal: dict = {}
+                marginal: dict = {}  # keyed by the others' offset, as expected
                 for t, p in dist.items():
-                    others = tuple(s for j, s in enumerate(m.states[t]) if j != i)
-                    marginal[others] = marginal.get(others, Fraction(0)) + p
+                    k = others[i][t]
+                    marginal[k] = marginal[k] + p if k in marginal else p
                 marginal = {k: v for k, v in marginal.items() if v > 0}
                 verdict = verdicts[key] = (
                     outside, marginal != expected[i],

@@ -16,6 +16,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm, prod
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .exact import Numeric, to_exact, to_integer
@@ -57,6 +59,10 @@ class NormalFormGame:
     name: str = "custom"
     # per player: strategy -> position in its strategy set
     _index: tuple = field(init=False, repr=False, compare=False, hash=False)
+    # per player: profile index k plays position (k // stride) % size
+    _strides: tuple = field(init=False, repr=False, compare=False, hash=False)
+    # per player: profile index -> (numerator, denominator) of its payoff
+    _table: tuple = field(init=False, repr=False, compare=False, hash=False)
     # (player, strategy position) -> minimize_payoff's (value, minimiser)
     _minima: dict = field(init=False, repr=False, compare=False, hash=False)
 
@@ -75,6 +81,9 @@ class NormalFormGame:
                 raise ValueError(f"strategy set of player {i} has duplicates")
         object.__setattr__(self, "_index", tuple(
             {x: k for k, x in enumerate(s)} for s in self.strategy_sets))
+        object.__setattr__(self, "_strides", tuple(
+            prod(map(len, self.strategy_sets[i + 1:])) for i in range(self.num_players)))
+        object.__setattr__(self, "_table", tuple({} for _ in self.strategy_sets))
         object.__setattr__(self, "_minima", {})
 
     def payoff(self, profile: Profile, i: int) -> Fraction:
@@ -100,6 +109,30 @@ class NormalFormGame:
 
     def profiles(self) -> Iterator[Profile]:
         return itertools.product(*self.strategy_sets)
+
+    def _expect(self, i: int, keys, weights) -> Fraction:
+        """Exact sum of weight * player i's payoff at each profile index, with
+        (numerator, denominator) weights: integers over a running common
+        denominator, one gcd per term and one ``Fraction`` at the end."""
+        row, num, den = self._table[i], 0, 1
+        for k, (wn, wd) in zip(keys, weights):
+            un, ud = row.get(k) or self._exact_payoff(i, k)
+            pn, pd = wn * un, wd * ud
+            g = gcd(den, pd)
+            if g == pd:
+                num += pn * (den // pd)
+            else:
+                num = num * (pd // g) + pn * (den // g)
+                den *= pd // g
+        return Fraction(num, den)
+
+    def _exact_payoff(self, i: int, k: int) -> tuple:
+        """Player i's payoff at profile index k as (numerator, denominator),
+        computed by the rule and stored in the table; callers look there first."""
+        sets = zip(self.strategy_sets, self._strides)
+        v = to_exact(self.payoff_rule(tuple(s[k // st % len(s)] for s, st in sets), i))
+        u = self._table[i][k] = (v.numerator, v.denominator)
+        return u
 
     def _check_profile(self, profile: Sequence) -> None:
         if len(profile) != self.num_players:
@@ -392,44 +425,41 @@ class MixedProfile:
         return tuple(s for s in self.game.strategy_sets[i]
                      if s in self.distributions[i])
 
+    @cached_property
+    def _kernels(self) -> list:
+        """Per player i, the others' joint support in product order as
+        ``(combos, offsets, weights, den)``; a combo's offset is its part of
+        the profile index, and its probability is weight / den."""
+        game, kernels = self.game, []
+        for i in range(game.num_players):
+            rows, den = [((), 0, 1)], 1  # (combo, offset, weight)
+            for j, dist in enumerate(self.distributions):
+                if j == i:
+                    continue
+                d_j = lcm(*(p.denominator for p in dist.values()))
+                stride, index = game._strides[j], game._index[j]
+                entries = sorted((index[s] * stride, s, p.numerator * d_j // p.denominator)
+                                 for s, p in dist.items())  # by position
+                rows = [(c + (s,), o + x, w * v)
+                        for c, o, w in rows for x, s, v in entries]
+                den *= d_j
+            kernels.append((*zip(*rows), den))
+        return kernels
+
     def others_support_profiles(self, i: int) -> Iterator[tuple]:
         """Pairs (s_minus_i, probability) over the others' joint support."""
-        others = [j for j in range(self.game.num_players) if j != i]
-        supports = [self.support(j) for j in others]
-        for combo in itertools.product(*supports):
-            p = Fraction(1)
-            for j, s in zip(others, combo):
-                p *= self.prob(j, s)
-            yield combo, p
+        combos, _, weights, den = self._kernels[i]
+        for combo, w in zip(combos, weights):
+            yield combo, Fraction(w, den)
 
     def expected_payoff(self, i: int, strategy: Strategy) -> Fraction:
-        """E[u_i(strategy, s_-i)] with s_-i drawn from the others' mixture."""
-        self.game.strategy_index(i, strategy)  # ValueError unless a strategy of i
-        rule = self.game.payoff_rule  # support profiles are valid by construction
-        total = Fraction(0)
-        for combo, p in self.others_support_profiles(i):
-            profile = list(combo)
-            profile.insert(i, strategy)
-            total += p * to_exact(rule(tuple(profile), i))
-        return total
-
-    def is_pure(self) -> bool:
-        return all(len(d) == 1 for d in self.distributions)
-
-    def pure_profile(self) -> Profile:
-        if not self.is_pure():
-            raise ValueError("profile is mixed")
-        return tuple(next(iter(d)) for d in self.distributions)
-
-    def support_profiles(self) -> Iterator[Profile]:
-        return itertools.product(*(self.support(i)
-                                   for i in range(self.game.num_players)))
-
-    def joint_prob(self, profile: Profile) -> Fraction:
-        p = Fraction(1)
-        for i, s in enumerate(profile):
-            p *= self.prob(i, s)
-        return p
+        """E[u_i(strategy, s_-i)] with s_-i drawn from the others' mixture:
+        the integer weights dotted with the game's payoff table."""
+        game = self.game
+        base = game.strategy_index(i, strategy) * game._strides[i]
+        _, offsets, weights, den = self._kernels[i]
+        return game._expect(i, [base + o for o in offsets],
+                            zip(weights, itertools.repeat(den)))
 
     def __repr__(self):
         parts = []

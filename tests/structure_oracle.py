@@ -13,6 +13,12 @@ punishment search per game and format each measure object's JSON once;
 the constructions below look every moved, punished and believed profile
 up by hashing its strategy tuple, rerun every punishment search (with the
 unmemoised ``minimize_payoff`` below) and format every belief entry anew.
+
+``MixedProfile`` forms the others' mixture once per player on integers and
+reads payoffs from the game's table; ``others_support_profiles``,
+``expected_payoff`` and ``joint_prob`` below are the former methods, one
+``Fraction`` product per combo and one payoff-rule call per term, taking
+the profile as their first argument.
 """
 
 import itertools
@@ -28,6 +34,36 @@ from translucent.exact import to_exact
 from translucent.games import (BudgetExceededError, MixedProfile,
                                NormalFormGame, SocialDilemma, Strategy,
                                as_game)
+
+
+def others_support_profiles(self, i: int):
+    """Pairs (s_minus_i, probability) over the others' joint support."""
+    others = [j for j in range(self.game.num_players) if j != i]
+    supports = [self.support(j) for j in others]
+    for combo in itertools.product(*supports):
+        p = Fraction(1)
+        for j, s in zip(others, combo):
+            p *= self.prob(j, s)
+        yield combo, p
+
+
+def expected_payoff(self, i: int, strategy) -> Fraction:
+    """E[u_i(strategy, s_-i)] with s_-i drawn from the others' mixture."""
+    self.game.strategy_index(i, strategy)  # ValueError unless a strategy of i
+    rule = self.game.payoff_rule  # support profiles are valid by construction
+    total = Fraction(0)
+    for combo, p in others_support_profiles(self, i):
+        profile = list(combo)
+        profile.insert(i, strategy)
+        total += p * to_exact(rule(tuple(profile), i))
+    return total
+
+
+def joint_prob(self, profile) -> Fraction:
+    p = Fraction(1)
+    for i, s in enumerate(profile):
+        p *= self.prob(i, s)
+    return p
 
 
 def validate_structure(m) -> list:
@@ -133,13 +169,13 @@ def te_in_structure(m, sigma, omega_subset=None) -> TeStructureReport:
     """TE1-TE4 state by state, with per-state rationality from this module."""
     if omega_subset is None:
         omega_subset = [k for k in range(m.num_states)
-                        if sigma.joint_prob(m.states[k]) > 0]
+                        if joint_prob(sigma, m.states[k]) > 0]
     omega_set = set(omega_subset)
     te1, te2, te3, te4 = [], [], [], []
     n = m.num_players
 
     for omega in omega_subset:
-        if sigma.joint_prob(m.states[omega]) == 0:
+        if joint_prob(sigma, m.states[omega]) == 0:
             te1.append((omega,))
         for i in range(n):
             dist = m.belief(i, omega)
@@ -150,7 +186,7 @@ def te_in_structure(m, sigma, omega_subset=None) -> TeStructureReport:
                 others = tuple(s for j, s in enumerate(m.states[t]) if j != i)
                 marginal[others] = marginal.get(others, Fraction(0)) + p
             expected: dict = {}
-            for combo, p in sigma.others_support_profiles(i):
+            for combo, p in others_support_profiles(sigma, i):
                 if p > 0:
                     expected[combo] = expected.get(combo, Fraction(0)) + p
             marginal = {k: v for k, v in marginal.items() if v > 0}
@@ -222,7 +258,7 @@ def build_nash_structure(game, sigma: MixedProfile,
     """
     game = as_game(game)
     for i in range(game.num_players):
-        payoffs = {s: sigma.expected_payoff(i, s) for s in game.strategy_sets[i]}
+        payoffs = {s: expected_payoff(sigma, i, s) for s in game.strategy_sets[i]}
         best = max(payoffs.values())
         for s in sigma.support(i):
             if payoffs[s] != best:
@@ -246,7 +282,7 @@ def build_nash_structure(game, sigma: MixedProfile,
 
     others_mixtures = []
     for i in range(game.num_players):
-        pairs = list(sigma.others_support_profiles(i))
+        pairs = list(others_support_profiles(sigma, i))
         others_mixtures.append(pairs)
 
     beliefs = []
@@ -292,7 +328,7 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
     if strict:
         for i in range(n):
             for s in sigma.support(i):
-                u = sigma.expected_payoff(i, s)
+                u = expected_payoff(sigma, i, s)
                 for s_dev in game.strategy_sets[i]:
                     if u < punish[(i, s_dev)][0]:
                         raise IncoherentProfileError(i, s, s_dev)
@@ -319,7 +355,7 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
     beliefs = []
     for i in range(n):
         support = set(sigma.support(i))
-        pairs = list(sigma.others_support_profiles(i))
+        pairs = list(others_support_profiles(sigma, i))
         cache: dict = {}
         per_state = []
         for k, profile in enumerate(states):

@@ -77,6 +77,39 @@ class TestCheck:
         assert code == 2
         assert "benefit" in err
 
+    def test_budget_refuses_before_building(self, tmp_path, capsys):
+        import time
+
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "td", "params": {"l": 2, "h": 128000, "bonus": 3},
+            "alpha": 0.5, "beta": 0.5})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--config", cfg, "--budget", "10")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == ("error: $.params: the engine's payoff table needs 255998 "
+                       "entries (own strategies x players), exceeding budget 10\n")
+
+    @pytest.mark.parametrize("kind,params,grid,size", [
+        ("pd", {"b": 4, "c": 1}, None, 4),
+        ("pgg", {"n": 4, "rho": 0.5}, 10, 44),
+        ("bertrand", {"n": 3, "l": 2, "h": 9}, None, 24),
+        ("td", {"l": 2, "h": 20, "bonus": 3}, None, 38),
+    ])
+    def test_budget_counts_own_strategies_times_players(self, tmp_path, capsys,
+                                                        kind, params, grid, size):
+        doc = {"kind": kind, "params": params, "alpha": 0.5, "beta": 0.5}
+        if grid is not None:
+            doc["grid"] = grid
+        cfg = write_config(tmp_path, "c.json", doc)
+        code, _, _ = run(capsys, "check", "--config", cfg, "--budget", str(size))
+        assert code == 0
+        code, _, err = run(capsys, "check", "--config", cfg, "--budget", str(size - 1))
+        assert code == 2
+        assert err.startswith("error: $.params: ")
+        assert f"needs {size} entries" in err
+
 
 class TestSweep:
     def pd_sweep_config(self, tmp_path, **extra):

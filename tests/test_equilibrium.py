@@ -239,6 +239,45 @@ class TestTypedCondition:
                 single = cooperation_condition("bertrand", params, a, b)
                 assert res.holds == single.rational, (a, b)
 
+    @pytest.mark.parametrize("n,l,h,gap", [
+        (2, 2, 8, {(a, b) for a in (0, F(1, 4)) for b in (F(1, 2), F(3, 4), 1)}),
+        (2, 2, 12, {(a, b) for a in (0, F(1, 4)) for b in QUARTERS[1:]}),
+        (3, 2, 6, {(0, 1), (F(1, 4), 1)}),
+    ])
+    def test_bertrand_gap_is_the_undercut_guard(self, n, l, h, gap):
+        """Pinned discrepancy: the typed bertrand condition checks only the
+        tie kernel, so with uniform types it accepts cooperation that the
+        detection-bit structure rejects.  Every such point fails the
+        heterogeneous undercut guard, and the condition conjoined with the
+        guard equals the structure at all 20 points."""
+        def guard(alphas, betas):
+            for i in range(n):
+                on_path = deviate = F(1)
+                for j in range(n):
+                    if j != i:
+                        on_path *= betas[j]
+                        deviate *= (1 - alphas[i]) * betas[j]
+                if on_path * h / n < deviate * (h - 1):
+                    return False
+            return True
+
+        d = make_bertrand(n, l, h)
+        disagreements = set()
+        for a in QUARTERS:
+            for b in QUARTERS[1:]:
+                alphas, betas = [a] * n, [b] * n
+                m = build_typed_dilemma_structure(d, alphas, betas)
+                structure = all(is_rational_at(m, i, k).rational
+                                for i in range(n) for k in range(m.num_states)
+                                if m.states[k][i] == h)
+                res = te_condition_typed("bertrand", {"n": n, "l": l, "h": h},
+                                         alphas, betas)
+                if res.holds != structure:
+                    assert res.holds and not guard(alphas, betas), (a, b)
+                    disagreements.add((a, b))
+                assert (res.holds and guard(alphas, betas)) == structure, (a, b)
+        assert disagreements == gap
+
 
 class TestGeneralizedF:
     def test_collapses_to_homogeneous_kernel(self):

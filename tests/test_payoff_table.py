@@ -1,0 +1,214 @@
+"""The others' mixture kernel and the game's payoff table against their
+``Fraction`` oracles.
+
+``MixedProfile`` forms the others' joint support once per player, on
+integer weights over one common denominator, and ``expected_payoff`` and
+the structure expectations read payoffs from one table per game, keyed by
+profile index.  ``structure_oracle`` keeps the former
+``others_support_profiles``, ``expected_payoff`` and ``joint_prob``.  The
+comparisons run on general mixtures (supports of one to four strategies,
+in any order, with zero masses) over symmetric games and a non-symmetric
+custom game whose players have 2, 3 and 2 strategies; the error paths are
+compared with the oracle's exception type and text.
+"""
+
+import dataclasses
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import structure_oracle as oracle
+from test_structure_builders import CUSTOM, custom_game
+from test_structure_oracle import outcome
+from translucent import counterfactual as cf
+from translucent.counterfactual import MISSING, build_coherent_structure, is_rational_at
+from translucent.equilibrium import (CoherenceReport, make_coherence_checker,
+                                     te_in_structure)
+from translucent.exact import to_exact
+from translucent.games import (
+    MixedProfile,
+    NormalFormGame,
+    make_bertrand,
+    make_prisoners_dilemma,
+    make_public_goods,
+    make_travelers_dilemma,
+)
+
+GAMES = [
+    make_prisoners_dilemma(4, 1).game,
+    make_travelers_dilemma(2, 7, 3).game,
+    make_public_goods(3, F(3, 5), grid=2).game,
+    make_public_goods(4, F(2, 5), grid=1).game,
+    make_bertrand(3, 2, 5).game,
+    CUSTOM,
+]
+# one game for every example of the table-sharing test, so its table fills
+# up across profiles and examples
+SHARED = custom_game()
+
+
+@st.composite
+def mixtures(draw, game):
+    """A mixed profile on ``game``: per player a support of one to four
+    strategies in drawn order, integer weights, and zero-mass entries."""
+    dists = []
+    for strats in game.strategy_sets:
+        k = draw(st.integers(1, min(4, len(strats))))
+        support = draw(st.lists(st.sampled_from(strats), min_size=k, max_size=k,
+                                unique=True))
+        weights = draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+        dist = {s: F(0) for s in draw(st.lists(st.sampled_from(strats), max_size=2))}
+        dist.update({s: F(w, sum(weights)) for s, w in zip(support, weights)})
+        dists.append(dist)
+    return MixedProfile(game, dists)
+
+
+def assert_matches_oracle(sigma):
+    game = sigma.game
+    for i, strats in enumerate(game.strategy_sets):
+        assert (list(sigma.others_support_profiles(i))
+                == list(oracle.others_support_profiles(sigma, i)))
+        for s in strats:
+            assert sigma.expected_payoff(i, s) == oracle.expected_payoff(sigma, i, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(GAMES), st.data())
+def test_kernel_and_expected_payoff_match_oracle(game, data):
+    assert_matches_oracle(data.draw(mixtures(game)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_table_is_shared_across_profiles(data):
+    for _ in range(8):
+        assert_matches_oracle(data.draw(mixtures(SHARED)))
+    profiles = list(SHARED.profiles())
+    for i, row in enumerate(SHARED._table):
+        assert len(row) <= SHARED.profile_count()
+        for k, (num, den) in row.items():
+            assert F(num, den) == SHARED.payoff(profiles[k], i)
+
+
+def oracle_coherence(game, sigma):
+    """The coherence verdict from the oracle's punishment search and
+    expected payoffs."""
+    for i, strats in enumerate(game.strategy_sets):
+        for s_i in sigma.support(i):
+            u = oracle.expected_payoff(sigma, i, s_i)
+            for s_dev in strats:
+                if u < oracle.minimize_payoff(game, i, s_dev)[0]:
+                    return CoherenceReport(False, (i, s_i, s_dev))
+    return CoherenceReport(True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GAMES), st.data())
+def test_coherence_structures_and_te_match_oracle(game, data):
+    sigma = data.draw(mixtures(game))
+    assert (make_coherence_checker(game)(sigma)
+            == oracle_coherence(game, sigma))
+    assert (outcome(build_coherent_structure, game, sigma)
+            == outcome(oracle.build_coherent_structure, game, sigma))
+    m = build_coherent_structure(game, sigma, strict=False)
+    want = oracle.build_coherent_structure(game, sigma, strict=False)
+    assert m.closest_columns == want.closest_columns
+    assert m.beliefs == want.beliefs
+    assert te_in_structure(m, sigma) == oracle.te_in_structure(m, sigma)
+
+
+def scaled(game):
+    """The same strategy sets with another payoff rule."""
+    def rule(profile, i):
+        return 2 - 3 * to_exact(game.payoff_rule(profile, i)) + i
+    return NormalFormGame(game.num_players, game.strategy_sets, rule)
+
+
+def assert_rationality_matches_oracle(m):
+    for i in range(m.num_players):
+        for k in range(m.num_states):
+            assert outcome(is_rational_at, m, i, k) == outcome(oracle.is_rational_at, m, i, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GAMES), st.data())
+def test_rationality_after_replace_reads_the_new_fields(game, data):
+    m = build_coherent_structure(game, data.draw(mixtures(game)), strict=False)
+    assert_rationality_matches_oracle(m)  # fills m's cached index
+    assert_rationality_matches_oracle(dataclasses.replace(m, game=scaled(game)))
+    assert_rationality_matches_oracle(
+        dataclasses.replace(m, states=tuple(reversed(m.states))))
+    assert_rationality_matches_oracle(m)
+
+
+# ---------------------------------------------------------------------------
+# error paths, with the oracle's exception type and text
+
+
+def pd_structure():
+    d = make_prisoners_dilemma(4, 1)
+    sigma = MixedProfile(d.game, [{"C": F(1, 3), "D": F(2, 3)}] * 2)
+    return build_coherent_structure(d, sigma, strict=False), sigma
+
+
+def every_utility(m, lib=cf):
+    """Every utility entry point of ``lib`` (the library or the oracle) at
+    every (player, state, strategy), as outcomes."""
+    out = []
+    for i in range(m.num_players):
+        for k in range(m.num_states):
+            out.append(outcome(lib.is_rational_at, m, i, k))
+            out.append(outcome(lib.eu_at_state, m, i, k))
+            for s in m.strategy_sets[i]:
+                out.append(outcome(lib.eu_at_state_switch, m, i, k, s))
+    return out
+
+
+def test_structure_without_game():
+    m, sigma = pd_structure()
+    m = dataclasses.replace(m, game=None)
+    got = every_utility(m)
+    assert got == every_utility(m, oracle)
+    assert set(got) == {("raised", ValueError,
+                         "structure has no attached game; utilities need one")}
+    assert (outcome(te_in_structure, m, sigma)
+            == outcome(oracle.te_in_structure, m, sigma)
+            == got[0])
+
+
+@pytest.mark.parametrize("bad", [("C", "X"), ("X", "D"), ("X", "Y"), ("C",),
+                                 ("C", "D", "C")])
+def test_state_off_the_game(bad):
+    m, _ = pd_structure()
+    states = list(m.states)
+    states[1] = bad  # believed in by player 0 at states 0 and 1
+    m = dataclasses.replace(m, states=tuple(states))
+    got = every_utility(m)
+    assert got == every_utility(m, oracle)
+    assert any(r[0] == "raised" for r in got)
+    assert any(r[0] == "ok" for r in got)
+
+
+def test_missing_closest_entry():
+    m, _ = pd_structure()
+    columns = dict(m.closest_columns)
+    column = list(columns[(0, 1)])
+    column[0] = MISSING
+    columns[(0, 1)] = tuple(column)
+    m = dataclasses.replace(m, closest_columns=columns)
+    got = every_utility(m)
+    assert got == every_utility(m, oracle)
+    assert ("raised", ValueError, "closest-state entry missing for state 0, "
+            "player 0, strategy 'D'") in got
+
+
+@pytest.mark.parametrize("strategy", ["Z", "x", F(1, 2), None, []])
+def test_expected_payoff_of_a_non_strategy(strategy):
+    sigma = MixedProfile(CUSTOM, [{"a": F(1, 2), "b": F(1, 2)}, {F(1, 2): 1},
+                                  {"x": F(1, 3), "y": F(2, 3)}])
+    got = outcome(sigma.expected_payoff, 0, strategy)
+    assert got == outcome(oracle.expected_payoff, sigma, 0, strategy)
+    assert got == ("raised", ValueError,
+                   f"{strategy!r} is not a strategy of player 0")

@@ -3,7 +3,7 @@ against their profile-lookup oracles.
 
 The builders find states by mixed-radix index arithmetic, ``minimize_payoff``
 memoises one search per (player, strategy) on the game, ``is_rational_at``
-memoises payoffs per structure and ``structure_to_json`` formats each
+reads payoffs from the game's table and ``structure_to_json`` formats each
 measure object once; ``structure_oracle`` keeps the forms that hash every
 profile, rerun every search and format every entry.  The comparisons cover
 the criterion-3 pool, the typed games and a non-symmetric custom game whose

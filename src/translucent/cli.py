@@ -22,6 +22,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import prod
 
 from . import __version__
 from .alt_models import logit_qre
@@ -88,9 +89,23 @@ def _integer(value, path: str) -> int:
     return f.numerator
 
 
-def _grid(value, path: str) -> list:
+class _Range:
+    """An exact ``{start, stop, step}`` grid, sized before any value is
+    built: floor((stop - start) / step) + 1 values, iterated on demand."""
+
+    def __init__(self, start, step, size: int):
+        self.start, self.step, self.size = start, step, size
+
+    def __iter__(self):
+        v = self.start
+        for _ in range(self.size):
+            yield v
+            v += self.step
+
+
+def _grid(value, path: str):
     """A grid is a list of numbers or a {start, stop, step} range (stop
-    inclusive up to exact arithmetic)."""
+    inclusive up to exact arithmetic); a range comes back as a ``_Range``."""
     if isinstance(value, list):
         if not value:
             raise CliError(f"{path}: grid list is empty")
@@ -106,13 +121,31 @@ def _grid(value, path: str) -> list:
             raise CliError(f"{path}.step: step must be positive")
         if stop < start:
             raise CliError(f"{path}: stop is below start")
-        out = []
-        v = start
-        while v <= stop:
-            out.append(v)
-            v += step
-        return out
+        return _Range(start, step, (stop - start) // step + 1)
     return [_number(value, path)]
+
+
+def _integers(grid, path: str):
+    """A grid from ``_grid`` whose values must all be integers."""
+    if isinstance(grid, _Range):
+        if grid.start.denominator != 1 or (
+                grid.size > 1 and grid.step.denominator != 1):
+            raise CliError(f"{path}: expected an integer")
+        return _Range(grid.start.numerator, grid.step.numerator, grid.size)
+    return [_integer(v, path) for v in grid]
+
+
+def _check_grid_budget(grids: dict, what: str, budget: int) -> None:
+    """Refuse, before any grid is built, when the product of the grids'
+    sizes (``grids`` maps each JSON path to its grid) exceeds ``budget``;
+    the message starts with the path of the largest grid."""
+    sizes = {path: grid.size if isinstance(grid, _Range) else len(grid)
+             for path, grid in grids.items()}
+    total = prod(sizes.values())
+    if total > budget:
+        path = max(sizes, key=sizes.get)
+        raise CliError(f"{path}: {sizes[path]} values make {total} {what}, "
+                       f"exceeding budget {budget}")
 
 
 def _jsonable(value):
@@ -210,33 +243,36 @@ def cmd_check(cfg: dict, budget: int) -> tuple:
     return _dump_report(report), 0
 
 
-def _sweep_rows(kind: str, mode: str, cfg: dict):
+def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
     """Yield (param_dict, alpha, beta, rational, binding, threshold) in
-    lexicographic grid order."""
+    lexicographic grid order, once the row count is within ``budget``."""
     raw_params = _require(cfg, "params")
     if not isinstance(raw_params, dict):
         raise CliError("$.params: expected an object")
     keys = PARAM_ORDER[kind]
-    grids = []
+    grids, sized = [], {}  # sized: JSON path -> grid, for the budget
     for key in keys:
         path = f"$.params.{key}"
         values = _grid(_require(raw_params, key, "$.params"), path)
         if key in INTEGER_PARAMS:
-            values = [_integer(v, path) for v in values]
+            values = _integers(values, path)
         grids.append(values)
+        sized[path] = values
     if kind == "pgg":
         pgg_grid = _pgg_grid(cfg, raw_params)
 
     if mode == "qre":
-        lam_grid = _grid(_require(cfg, "lambda"), "$.lambda")
-        alphas, betas = lam_grid, [None]
+        alphas = sized["$.lambda"] = _grid(_require(cfg, "lambda"), "$.lambda")
+        betas = [None]
         max_iter = _integer(cfg.get("max_iter", 20_000), "$.max_iter")
     else:
-        betas = _grid(_require(cfg, "beta"), "$.beta")
+        betas = sized["$.beta"] = _grid(_require(cfg, "beta"), "$.beta")
         if mode in ("cooperation", "te_typed"):
-            alphas = _grid(_require(cfg, "alpha"), "$.alpha")
+            alphas = sized["$.alpha"] = _grid(_require(cfg, "alpha"), "$.alpha")
         else:
             alphas = [None]
+    _check_grid_budget(sized, "sweep rows", budget)
+    alphas, betas = list(alphas), list(betas)
 
     for combo in itertools.product(*grids):
         params = dict(zip(keys, combo))
@@ -291,12 +327,8 @@ def cmd_sweep(cfg: dict, budget: int) -> tuple:
     rows = []
     out = io.StringIO()
     out.write(SWEEP_HEADER + "\n")
-    count = 0
     for params, alpha, beta, (rational, binding, threshold) in \
-            _sweep_rows(kind, mode, cfg):
-        count += 1
-        if count > budget:
-            raise CliError(f"sweep exceeds budget of {budget} rows")
+            _sweep_rows(kind, mode, cfg, budget):
         snapshot = _snapshot(kind, params)
         out.write(",".join([
             kind, snapshot,
@@ -411,6 +443,9 @@ def cmd_population(cfg: dict, budget: int) -> tuple:
                        "$.population.grid.alpha")
         betas = _grid(_require(grid, "beta", "$.population.grid"),
                       "$.population.grid.beta")
+        _check_grid_budget({"$.population.grid.alpha": alphas,
+                            "$.population.grid.beta": betas}, "types", budget)
+        alphas, betas = list(alphas), list(betas)
         w = Fraction(1, len(alphas) * len(betas))
         types = [(a, b, w) for a in alphas for b in betas]
     else:

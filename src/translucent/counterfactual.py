@@ -25,15 +25,16 @@ every structure built here); the closest-state map is stored as one dense
 column of state indices per (player, strategy).
 
 By PR2 a player's measure is constant on its own support, so the builders
-share one measure object among the states of a *belief cell*.  The validator
-gives every measure a cell id from its exact entries, decides NORM once per
-cell and PR2 by comparing cell ids; only measures in different cells are
-compared as dicts.  Expected utilities accumulate integer numerators over a
-running common denominator and build one ``Fraction`` at the end; payoffs
-come from the game's table, keyed by profile index, so each (player,
-profile) payoff is computed once per game.  Every probability is taken at
-its exact value (floats included, as ``exact.to_exact`` converts them), so
-no verdict is decided by rounding.
+share one measure object among the states of a *belief cell*, and the JSON
+parser shares one among the entries with equal ``dist`` objects.  The
+validator gives every measure a cell id from its exact entries, decides NORM
+once per cell and PR2 by comparing cell ids; only measures in different
+cells are compared as dicts.  Expected utilities accumulate integer
+numerators over a running common denominator and build one ``Fraction`` at
+the end; payoffs come from the game's table, keyed by profile index, so each
+(player, profile) payoff is computed once per game.  Every probability is
+taken at its exact value (floats included, as ``exact.to_exact`` converts
+them), so no verdict is decided by rounding.
 """
 
 from __future__ import annotations
@@ -152,9 +153,7 @@ class CounterfactualStructure:
             for i, index in enumerate(game._index))
         flat = [None if None in pos else sum(map(mul, pos, game._strides))
                 for pos in zip(*positions)]
-        return positions, tuple(
-            tuple([None if k is None else k - x * stride for k, x in zip(flat, column)])
-            for column, stride in zip(positions, game._strides))
+        return _profile_columns(positions, flat, game._strides)
 
     def strategy_index(self, i: int, strategy: Strategy) -> int:
         try:
@@ -173,6 +172,26 @@ class CounterfactualStructure:
 
     def belief(self, i: int, omega: int) -> dict:
         return self.beliefs[i][omega]
+
+
+def _profile_columns(positions: tuple, flat: Sequence, strides: tuple) -> tuple:
+    """``_profile_index`` from each state's strategy positions and profile
+    index (None for a state off the game)."""
+    return positions, tuple(
+        tuple([None if k is None else k - x * stride for k, x in zip(flat, column)])
+        for column, stride in zip(positions, strides))
+
+
+def _built(game: NormalFormGame, states: tuple, columns: dict, beliefs: list,
+           positions: list, flat: Sequence, aux=None) -> CounterfactualStructure:
+    """A builder's structure, handed the strategy positions the builder
+    computed, so ``_profile_index`` hashes no strategy.  A copy made by
+    ``dataclasses.replace`` or parsed from JSON computes its own."""
+    m = CounterfactualStructure(game.strategy_sets, states, columns,
+                                tuple(beliefs), aux=aux, game=game)
+    m.__dict__["_profile_index"] = _profile_columns(  # the cached_property's slot
+        tuple(map(tuple, positions)), flat, game._strides)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +436,18 @@ def build_nash_structure(game, sigma: MixedProfile,
                     f"from {s!r} to {better!r}")
 
     states = _full_state_space(game, budget)
-    columns, beliefs = {}, []
+    columns, beliefs, positions = {}, [], []
     for i, stride in enumerate(game._strides):
         size = len(game.strategy_sets[i])
         own = [k // stride % size for k in range(len(states))]
+        positions.append(own)
         for j in range(size):
             columns[(i, j)] = tuple([k + (j - o) * stride for k, o in enumerate(own)])
         pairs = _others_pairs(sigma, i)
         measures = [{o * stride + off: p for off, p in pairs} for o in range(size)]
         beliefs.append(tuple([measures[o] for o in own]))
 
-    return CounterfactualStructure(game.strategy_sets, states, columns,
-                                   tuple(beliefs), aux=None, game=game)
+    return _built(game, states, columns, beliefs, positions, range(len(states)))
 
 
 def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
@@ -458,10 +477,11 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
                     if u < punish[i][j][0]:
                         raise IncoherentProfileError(i, s, s_dev)
 
-    columns, beliefs = {}, []
+    columns, beliefs, positions = {}, [], []
     for i, stride in enumerate(strides):
         size = len(game.strategy_sets[i])
         own = [k // stride % size for k in range(len(states))]
+        positions.append(own)
         support = {game.strategy_index(i, s) for s in sigma.support(i)}
         for j in range(size):
             punished = j * stride + _offset(game, i, punish[i][j][1])
@@ -473,8 +493,7 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
         beliefs.append(tuple([measures[o] if o in support else {k: _SURE}
                               for k, o in enumerate(own)]))
 
-    return CounterfactualStructure(game.strategy_sets, states, columns,
-                                   tuple(beliefs), aux=None, game=game)
+    return _built(game, states, columns, beliefs, positions, range(len(states)))
 
 
 def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Sequence,
@@ -553,8 +572,8 @@ def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Seq
         measures = {key: {key + t: p for t, p in entries.items()} for key in set(keys)}
         beliefs.append(tuple([measures[key] for key in keys]))
 
-    return CounterfactualStructure(game.strategy_sets, states, columns,
-                                   tuple(beliefs), aux=aux, game=game)
+    return _built(game, states, columns, beliefs, own,
+                  [k // nb for k in range(count)], aux=aux)
 
 
 def build_typed_pd_structure(alpha_1, alpha_2, beta_1, beta_2, b, c) -> CounterfactualStructure:
@@ -630,10 +649,12 @@ def _range_error(k: int, size: int, path: str, what: str) -> ValueError:
     return ValueError(f"{path}: {what} index {k} is out of range 0..{size - 1}")
 
 
-def _index(value, size: int, path: str, what: str) -> int:
+def _index(value, size: int, what: str, path: str, *args) -> int:
+    """``value`` as an index below ``size``; the error names the JSON path
+    ``path.format(*args)``, which is formatted only on failure."""
     k = int(value)
     if not 0 <= k < size:
-        raise _range_error(k, size, path, what)
+        raise _range_error(k, size, path.format(*args), what)
     return k
 
 
@@ -663,6 +684,13 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
     targets out of range (CS1); the validator is the linter for this format.
     Every other player, state, strategy or belief-target index must lie in
     range, or a ValueError names its JSON path.
+
+    Belief entries whose ``dist`` objects are equal (the same items in the
+    same order) share one parsed measure object, as a built structure shares
+    one per belief cell; so the validator, ``structure_to_json`` and
+    ``te_in_structure`` do their per-measure work once per distinct
+    ``dist``.  An in-place edit of a parsed measure therefore changes it at
+    every state that shares it.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -700,7 +728,7 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
                              f"got {len(raw)}")
         profile = []
         for i, j in enumerate(raw):
-            j = _index(j, sizes[i], f"$.states[{k}].profile[{i}]", "strategy")
+            j = _index(j, sizes[i], "strategy", "$.states[{}].profile[{}]", k, i)
             profile.append(strategy_sets[i][j])
             columns[(i, first[i][j])][k] = k
         states.append(tuple(profile))
@@ -709,23 +737,31 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
     has_aux = any(a is not None for a in aux)
 
     for e, entry in enumerate(doc["closest"]):
-        path = f"$.closest[{e}]"
-        omega = _index(entry["state"], n_states, f"{path}.state", "state")
-        i = _index(entry["player"], n, f"{path}.player", "player")
-        j = _index(entry["strategy"], sizes[i], f"{path}.strategy", "strategy")
+        omega = _index(entry["state"], n_states, "state", "$.closest[{}].state", e)
+        i = _index(entry["player"], n, "player", "$.closest[{}].player", e)
+        j = _index(entry["strategy"], sizes[i], "strategy", "$.closest[{}].strategy", e)
         columns[(i, j)][omega] = int(entry["target"])
     columns = {key: tuple(col) for key, col in columns.items()}
 
     beliefs = [[{} for _ in states] for _ in range(n)]
     parsed: dict = {}
+    measures: dict = {}  # the items of a raw dist -> its parsed measure
     for e, entry in enumerate(doc["beliefs"]):
-        path = f"$.beliefs[{e}]"
-        i = _index(entry["player"], n, f"{path}.player", "player")
-        omega = _index(entry["state"], n_states, f"{path}.state", "state")
+        i = _index(entry["player"], n, "player", "$.beliefs[{}].player", e)
+        omega = _index(entry["state"], n_states, "state", "$.beliefs[{}].state", e)
         raw = entry["dist"]
         if not isinstance(raw, dict):
-            raise ValueError(f"{path}.dist: expected an object")
-        beliefs[i][omega] = _parse_dist(raw, n_states, path, parsed)
+            raise ValueError(f"$.beliefs[{e}].dist: expected an object")
+        try:
+            key = tuple(raw.items())
+            dist = measures.get(key)
+        except TypeError:  # an unhashable value: parsed on its own
+            key = dist = None
+        if dist is None:
+            dist = _parse_dist(raw, n_states, f"$.beliefs[{e}]", parsed)
+            if key is not None:
+                measures[key] = dist
+        beliefs[i][omega] = dist
     beliefs = tuple(tuple(per_state) for per_state in beliefs)
 
     return CounterfactualStructure(strategy_sets, states, columns, beliefs,

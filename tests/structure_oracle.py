@@ -13,6 +13,10 @@ punishment search per game and format each measure object's JSON once;
 the constructions below look every moved, punished and believed profile
 up by hashing its strategy tuple, rerun every punishment search (with the
 unmemoised ``minimize_payoff`` below) and format every belief entry anew.
+The library's parser gives entries with equal ``dist`` objects one shared
+measure and formats an index's JSON path only when the index is out of
+range; ``structure_from_json`` below parses every entry into a dict of its
+own and formats every path.
 
 ``MixedProfile`` forms the others' mixture once per player on integers and
 reads payoffs from the game's table; ``others_support_profiles``,
@@ -22,8 +26,9 @@ the profile as their first argument.
 """
 
 import itertools
+import json
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from translucent.counterfactual import (MISSING, NORM_TOL,
                                         CounterfactualStructure,
@@ -532,3 +537,113 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
         "closest": closest_doc,
         "beliefs": beliefs_doc,
     }
+
+
+# ---------------------------------------------------------------------------
+# parsing, one measure dict per belief entry
+
+
+def _range_error(k: int, size: int, path: str, what: str) -> ValueError:
+    return ValueError(f"{path}: {what} index {k} is out of range 0..{size - 1}")
+
+
+def _index(value, size: int, path: str, what: str) -> int:
+    k = int(value)
+    if not 0 <= k < size:
+        raise _range_error(k, size, path, what)
+    return k
+
+
+def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:
+    """One belief measure of a document; each probability string is parsed
+    once per document (``parsed`` maps text to its ``Fraction``)."""
+    dist = {}
+    for t, p in raw.items():
+        k = int(t)
+        if not 0 <= k < n_states:  # the path is formatted only on failure
+            raise _range_error(k, n_states, f"{path}.dist[{json.dumps(t)}]", "state")
+        if type(p) is str:
+            q = parsed.get(p)
+            if q is None:
+                q = parsed[p] = Fraction(p)
+        else:
+            q = Fraction(p)
+        dist[k] = q
+    return dist
+
+
+def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> CounterfactualStructure:
+    """Parse a structure document (dict or JSON text).
+
+    Missing closest-state entries other than the CS2-forced ones are kept as
+    holes that ``validate_structure`` reports, and so are closest-state
+    targets out of range (CS1); the validator is the linter for this format.
+    Every other player, state, strategy or belief-target index must lie in
+    range, or a ValueError names its JSON path.
+    """
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    for key in ("players", "strategies", "states", "closest", "beliefs"):
+        if key not in doc:
+            raise ValueError(f"structure document is missing {key!r}")
+    n = int(doc["players"])
+    strategy_sets = tuple(tuple(s) for s in doc["strategies"])
+    if len(strategy_sets) != n:
+        raise ValueError("one strategy list per player required")
+    if game is not None:
+        strategy_sets = game.strategy_sets
+    sizes = [len(strats) for strats in strategy_sets]
+    # per player: position -> position of the label's first occurrence
+    first = []
+    for i, strats in enumerate(strategy_sets):
+        index: dict = {}
+        for j, s in enumerate(strats):
+            try:
+                index.setdefault(s, j)
+            except TypeError:
+                raise ValueError(f"$.strategies[{i}][{j}]: strategy label "
+                                 f"{s!r} is not a string or a number") from None
+        first.append([index[s] for s in strats])
+
+    n_states = len(doc["states"])
+    states = []
+    aux = []
+    columns = {(i, j): [MISSING] * n_states
+               for i in range(n) for j in range(sizes[i])}
+    for k, entry in enumerate(doc["states"]):
+        raw = entry["profile"]
+        if len(raw) != n:
+            raise ValueError(f"$.states[{k}].profile: expected {n} entries, "
+                             f"got {len(raw)}")
+        profile = []
+        for i, j in enumerate(raw):
+            j = _index(j, sizes[i], f"$.states[{k}].profile[{i}]", "strategy")
+            profile.append(strategy_sets[i][j])
+            columns[(i, first[i][j])][k] = k
+        states.append(tuple(profile))
+        aux.append(tuple(entry["aux"]) if entry.get("aux") is not None else None)
+    states = tuple(states)
+    has_aux = any(a is not None for a in aux)
+
+    for e, entry in enumerate(doc["closest"]):
+        path = f"$.closest[{e}]"
+        omega = _index(entry["state"], n_states, f"{path}.state", "state")
+        i = _index(entry["player"], n, f"{path}.player", "player")
+        j = _index(entry["strategy"], sizes[i], f"{path}.strategy", "strategy")
+        columns[(i, j)][omega] = int(entry["target"])
+    columns = {key: tuple(col) for key, col in columns.items()}
+
+    beliefs = [[{} for _ in states] for _ in range(n)]
+    parsed: dict = {}
+    for e, entry in enumerate(doc["beliefs"]):
+        path = f"$.beliefs[{e}]"
+        i = _index(entry["player"], n, f"{path}.player", "player")
+        omega = _index(entry["state"], n_states, f"{path}.state", "state")
+        raw = entry["dist"]
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}.dist: expected an object")
+        beliefs[i][omega] = _parse_dist(raw, n_states, path, parsed)
+    beliefs = tuple(tuple(per_state) for per_state in beliefs)
+
+    return CounterfactualStructure(strategy_sets, states, columns, beliefs,
+                                   aux=tuple(aux) if has_aux else None, game=game)

@@ -244,6 +244,70 @@ class TestSweep:
         assert F(rows[0][3]) == F(1, 2)  # uniform at lambda = 0
 
 
+class TestGridBudget:
+    """``--budget`` bounds a sweep's rows and a population grid's types
+    before any grid value is built; the refusal names the largest grid."""
+
+    HUGE = {"start": 0, "stop": 1, "step": 1e-7}  # 10^7 + 1 exact points
+
+    @pytest.mark.parametrize("command,payload,message", [
+        ("sweep", {"alpha": HUGE, "beta": 0.5},
+         "$.alpha: 10000001 values make 10000001 sweep rows, exceeding budget 10"),
+        ("population", {"population": {"grid": {"alpha": HUGE, "beta": [0.5, 1]}}},
+         "$.population.grid.alpha: 10000001 values make 20000002 types, "
+         "exceeding budget 10"),
+    ])
+    def test_huge_range_refuses_before_building(self, tmp_path, capsys, command,
+                                                payload, message):
+        import time
+
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "pd", "params": {"b": 4, "c": 1}, **payload})
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--config", cfg, "--budget", "10")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    QUARTERS = {"start": 0, "stop": 1, "step": 0.25}  # 5 points
+
+    @pytest.mark.parametrize("command,payload,size", [
+        ("sweep", {"params": {"b": [2, 4], "c": 1}, "alpha": QUARTERS,
+                   "beta": [0.5, 1]}, 20),
+        ("population", {"params": {"b": 4, "c": 1}, "population": {
+            "grid": {"alpha": QUARTERS, "beta": [0.5, 1]}}}, 10),
+    ])
+    def test_budget_is_the_exact_count(self, tmp_path, capsys, command,
+                                       payload, size):
+        cfg = write_config(tmp_path, "c.json", {"kind": "pd", **payload})
+        code, out, _ = run(capsys, command, "--config", cfg, "--budget", str(size))
+        assert code == 0
+        if command == "sweep":
+            assert len(out.split()) == 1 + size
+        code, _, err = run(capsys, command, "--config", cfg,
+                           "--budget", str(size - 1))
+        assert code == 2
+        assert err.startswith("error: $.")
+        assert f"values make {size} " in err
+
+    @pytest.mark.parametrize("n,ok", [
+        ({"start": 2, "stop": 4, "step": 1}, True),
+        ({"start": 2, "stop": 2, "step": 0.5}, True),  # one value: 2
+        ({"start": 2, "stop": 3, "step": 0.5}, False),
+        ({"start": 2.5, "stop": 4, "step": 1}, False),
+    ])
+    def test_integer_range(self, tmp_path, capsys, n, ok):
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "bertrand", "params": {"n": n, "l": 2, "h": 10},
+            "alpha": 0.5, "beta": 0.5})
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        if ok:
+            assert code == 0
+            assert [row.split(",")[1] for row in out.split()[1:]] == [
+                f"n={k};l=2;h=10" for k in range(2, n["stop"] + 1)]
+        else:
+            assert (code, err) == (2, "error: $.params.n: expected an integer\n")
+
+
 class TestEquilibriumCommand:
     def test_pd_all_verdicts_true(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "e.json", {

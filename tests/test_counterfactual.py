@@ -100,14 +100,17 @@ class TestValidator:
     def test_planted_pr2_defect(self):
         d = make_prisoners_dilemma(4, 1)
         sigma = MixedProfile.two_point(d, [F(1, 2), F(1, 2)])
-        # the JSON roundtrip gives every state its own belief dict to tamper with
-        m = structure_from_json(
-            structure_to_json(build_coherent_structure(d, sigma)), game=d.game)
+        doc = structure_to_json(build_coherent_structure(d, sigma))
+        m = structure_from_json(doc, game=d.game)
         k_dd = state_of(m, ("D", "D"))
         k_dc = state_of(m, ("D", "C"))
-        # same own strategy, different beliefs at a state the measure supports
-        m.beliefs[0][k_dc].clear()
-        m.beliefs[0][k_dc][k_dc] = F(1)
+        # same own strategy, different beliefs at a state the measure supports;
+        # parsed entries with equal dists share one measure, so the defect is
+        # planted in the document, at this one entry
+        entry = next(e for e in doc["beliefs"]
+                     if e["player"] == 0 and e["state"] == k_dc)
+        entry["dist"] = {str(k_dc): "1"}
+        m = structure_from_json(doc, game=d.game)
         violations = validate_structure(m)
         assert any(v.axiom == "PR2" and v.state == k_dd for v in violations)
 
@@ -387,11 +390,13 @@ class TestJsonFormat:
         assert [v.axiom for v in violations] == ["CS1"]
         assert "out-of-range" in violations[0].detail
 
-    def test_every_state_gets_its_own_measure(self):
+    def test_equal_dists_share_one_measure(self):
+        # as in a built structure, so an in-place edit changes the whole cell
         m = structure_from_json(self.pd_doc())
         k_dd, k_dc = state_of(m, ("D", "D")), state_of(m, ("D", "C"))
-        assert m.beliefs[0][k_dd] == m.beliefs[0][k_dc]
-        assert m.beliefs[0][k_dd] is not m.beliefs[0][k_dc]
+        assert m.beliefs[0][k_dd] is m.beliefs[0][k_dc]
+        k_cc = state_of(m, ("C", "C"))
+        assert m.beliefs[0][k_cc] is not m.beliefs[0][k_dd]
 
     def test_malformed_document_rejected(self):
         with pytest.raises(ValueError, match="missing 'states'"):

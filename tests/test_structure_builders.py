@@ -1,9 +1,10 @@
 """The structure builders, the punishment search and the JSON writer
 against their profile-lookup oracles.
 
-The builders find states by mixed-radix index arithmetic, ``minimize_payoff``
-memoises one search per (player, strategy) on the game, ``is_rational_at``
-reads payoffs from the game's table and ``structure_to_json`` formats each
+The builders find states by mixed-radix index arithmetic and hand each
+state's strategy positions to the structure, ``minimize_payoff`` memoises
+one search per (player, strategy) on the game, ``is_rational_at`` reads
+payoffs from the game's table and ``structure_to_json`` formats each
 measure object once; ``structure_oracle`` keeps the forms that hash every
 profile, rerun every search and format every entry.  The comparisons cover
 the criterion-3 pool, the typed games and a non-symmetric custom game whose
@@ -80,6 +81,9 @@ def assert_same_structure(got, want):
     assert list(got.closest_columns) == list(want.closest_columns)
     assert got.closest_columns == want.closest_columns
     assert got.game is want.game
+    # the builder hands over its strategy positions; the oracle's structure
+    # computes them by hashing every state's strategies
+    assert got._profile_index == want._profile_index
     assert len(got.beliefs) == len(want.beliefs)
     for mine, theirs in zip(got.beliefs, want.beliefs):
         # key insertion order included: PR1/PR2 report in that order
@@ -282,8 +286,12 @@ def test_payoff_memo_follows_replace_and_in_place_edits():
     # same strategies, other payoffs: a new structure with a memo of its own
     other = make_public_goods(3, F(1, 2), grid=2).game
     rational_everywhere(dataclasses.replace(m, game=other))
-    # states reversed: each state now plays another profile
-    rational_everywhere(dataclasses.replace(m, states=m.states[::-1]))
+    # states reversed: each state now plays another profile, and the copy
+    # computes its own positions instead of keeping the builder's
+    reversed_states = dataclasses.replace(m, states=m.states[::-1])
+    assert reversed_states._profile_index[0] == tuple(
+        column[::-1] for column in m._profile_index[0])
+    rational_everywhere(reversed_states)
     # shift mass inside one shared measure object, so its whole cell changes
     dist = m.beliefs[0][0]
     first, last = list(dist)[0], list(dist)[-1]

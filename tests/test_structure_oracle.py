@@ -5,7 +5,10 @@ integers, and ``te_in_structure`` judges each (player, measure, own
 strategy) once; ``structure_oracle`` keeps the plain per-state forms.
 Property tests compare the two on built and JSON-round-tripped typed and
 coherent structures, on single-axiom mutations of them, and on the
-criterion-3 pool profiles.  The library takes float probabilities at
+criterion-3 pool profiles.  The parser, which shares one measure object
+among entries with equal ``dist`` objects, is compared with the per-entry
+parser on built, mutated and hand-edited documents, malformed ones
+included.  The library takes float probabilities at
 their exact values, so the oracle is run on the same structure with its
 measures converted by ``to_exact``.
 """
@@ -249,3 +252,147 @@ def test_switch_routed_onto_a_supported_state():
                                                 (0, 0): tuple(column)})
     assert is_rational_at(m, 0, k) == oracle.is_rational_at(m, 0, k)
     assert eu_at_state_switch(m, 0, k, "C") == oracle.eu_at_state_switch(m, 0, k, "C")
+
+
+# ---------------------------------------------------------------------------
+# parsing: shared measures against the per-entry parser
+
+
+EDITS = ("respell", "reorder", "copy", "number", "zero_mass", "drop",
+         "overwrite")
+MALFORMED = ("target", "nondict", "unhashable", "bad_text", "closest",
+             "profile", "player")
+
+
+def edit_document(draw, doc, kind):
+    """Apply one hand edit to ``doc`` in place."""
+    beliefs = doc["beliefs"]
+    n_states = len(doc["states"])
+    e = draw(st.integers(0, len(beliefs) - 1))
+    dist = beliefs[e]["dist"]
+    items = list(dist.items())
+    t, p = draw(st.sampled_from(items))
+    if kind == "respell":  # an equal value in another spelling
+        q = F(p)
+        dist[t] = draw(st.sampled_from(
+            [f"{2 * q.numerator}/{2 * q.denominator}", f" {p} "]))
+    elif kind == "reorder":
+        beliefs[e]["dist"] = dict(reversed(items))
+    elif kind == "copy":  # another entry's measure, as the same or a new object
+        other = beliefs[draw(st.integers(0, len(beliefs) - 1))]["dist"]
+        beliefs[e]["dist"] = draw(st.sampled_from([other, dict(other)]))
+    elif kind == "number":
+        q = F(p)
+        dist[t] = int(q) if q.denominator == 1 else float(q)
+    elif kind == "zero_mass":
+        dist[str(draw(st.integers(0, n_states - 1)))] = "0"
+    elif kind == "drop":  # that state keeps an empty measure
+        del beliefs[e]
+    elif kind == "overwrite":  # a later entry for the same (player, state)
+        other = beliefs[draw(st.integers(0, len(beliefs) - 1))]["dist"]
+        beliefs.append({**beliefs[e], "dist": dict(other)})
+    elif kind == "target":
+        dist[str(draw(st.sampled_from([-1, n_states, n_states + 7])))] = "0"
+    elif kind == "nondict":
+        beliefs[e]["dist"] = items
+    elif kind == "unhashable":
+        dist[t] = [p]
+    elif kind == "bad_text":
+        dist[t] = "x"
+    elif kind == "closest":
+        entry = draw(st.sampled_from(doc["closest"]))
+        entry[draw(st.sampled_from(["state", "player", "strategy"]))] = n_states + 1
+    elif kind == "profile":
+        entry = doc["states"][draw(st.integers(0, n_states - 1))]
+        entry["profile"] = [-1] + entry["profile"][1:]
+    else:  # player
+        beliefs[e]["player"] = len(doc["strategies"])
+
+
+@st.composite
+def documents(draw, malformed=False):
+    """A built or mutated structure's document, with hand edits (the last
+    one malformed, if asked), and the game to parse it with (or None)."""
+    if draw(st.booleans()):
+        m, _ = draw(structures())
+    else:
+        m = draw(mutated_structures())
+    doc = json.loads(json.dumps(structure_to_json(m)))
+    kinds = draw(st.lists(st.sampled_from(EDITS), max_size=3))
+    if malformed:
+        kinds.append(draw(st.sampled_from(MALFORMED)))
+    for kind in kinds:
+        edit_document(draw, doc, kind)
+    return doc, draw(st.sampled_from([None, m.game]))
+
+
+def classes(values, same):
+    """The index of each value's first equal (under ``same``) value."""
+    firsts, out = [], []
+    for v in values:
+        out.append(next((k for k, w in firsts if same(v, w)), len(out)))
+        if out[-1] == len(out) - 1:
+            firsts.append((out[-1], v))
+    return out
+
+
+def raw_measures(doc, m):
+    """The raw ``dist`` each (player, state) ends up with, or None."""
+    raw = {}
+    for entry in doc["beliefs"]:
+        raw[(int(entry["player"]), int(entry["state"]))] = entry["dist"]
+    return [raw.get((i, k)) for i in range(m.num_players)
+            for k in range(m.num_states)]
+
+
+def raw_equal(a, b):
+    return a is not None and b is not None and list(a.items()) == list(b.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents())
+def test_parser_matches_oracle_and_shares_equal_dists(case):
+    doc, game = case
+    got = structure_from_json(doc, game)
+    want = oracle.structure_from_json(doc, game)
+    assert got.strategy_sets == want.strategy_sets
+    assert got.states == want.states and got.aux == want.aux
+    assert got.closest_columns == want.closest_columns
+    assert got.beliefs == want.beliefs
+    measures = [dist for per_state in got.beliefs for dist in per_state]
+    assert (classes(measures, lambda a, b: a is b)
+            == classes(raw_measures(doc, got), raw_equal))
+    got_violations = validate_structure(got)
+    assert got_violations == validate_structure(want)
+    assert [str(v) for v in got_violations] == [
+        str(v) for v in validate_structure(want)]
+    text = json.dumps(structure_to_json(got))
+    assert text == json.dumps(structure_to_json(want))
+    assert text == json.dumps(oracle.structure_to_json(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents(malformed=True))
+def test_parser_raises_as_the_oracle(case):
+    doc, game = case
+    got = outcome(structure_from_json, doc, game)
+    want = outcome(oracle.structure_from_json, doc, game)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got[1:] == want[1:]
+
+
+def test_bad_target_in_a_shared_dist_names_the_first_entry():
+    d = TYPED[2]  # 3-player public goods: 64 states, 8 measures a player
+    m = build_typed_dilemma_structure(d, [F(1, 2)] * 3, [F(3, 4)] * 3)
+    doc = structure_to_json(m)
+    shared = doc["beliefs"][5]["dist"]
+    bad = {**shared, str(m.num_states): "0"}
+    hits = [e for e, entry in enumerate(doc["beliefs"]) if entry["dist"] == shared]
+    assert len(hits) > 4 and hits[0] <= 5
+    for e in hits:
+        doc["beliefs"][e]["dist"] = dict(bad)
+    message = (f'$.beliefs[{hits[0]}].dist["{m.num_states}"]: state index '
+               f'{m.num_states} is out of range 0..{m.num_states - 1}')
+    for parse in (structure_from_json, oracle.structure_from_json):
+        assert outcome(parse, doc) == ("raised", ValueError, message)

@@ -22,7 +22,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 from . import __version__
 from .alt_models import logit_qre
@@ -194,6 +194,29 @@ def _pgg_grid(cfg: dict, raw: dict) -> int:
     return grid
 
 
+def _strategy_count(cfg: dict, kind: str, params: dict) -> tuple:
+    """Each player's strategy count in the game ``make_dilemma`` builds, and
+    the JSON path that sets it (the public-goods grid, else ``$.params``)."""
+    if kind == "pd":
+        return 2, "$.params"
+    if kind == "pgg":
+        where = ("$.grid" if "grid" in cfg else
+                 "$.params.grid" if "grid" in cfg["params"] else "$.params")
+        return params["grid"] + 1, where
+    return params["h"] - params["l"] + 1, "$.params"
+
+
+def _per_player(values, path: str, n: int) -> list:
+    """A config list holding one number per player (a player count below 2
+    is left to the game's own check)."""
+    if not isinstance(values, list):
+        raise CliError(f"{path}: expected a list of numbers")
+    if n >= 2 and len(values) != n:
+        raise CliError(f"{path}: expected one value per player ({n}), "
+                       f"got {len(values)}")
+    return [_number(v, f"{path}[{k}]") for k, v in enumerate(values)]
+
+
 def _snapshot(kind: str, params: dict) -> str:
     keys = PARAM_ORDER[kind]
     return ";".join(f"{k}={format_number(params[k])}" for k in keys)
@@ -208,8 +231,8 @@ def cmd_check(cfg: dict, budget: int) -> tuple:
     params = _params_from_config(cfg, kind)
     alpha = _number(_require(cfg, "alpha"), "$.alpha")
     beta = _number(_require(cfg, "beta"), "$.beta")
-    own = {"pd": 2, "pgg": params.get("grid", 0) + 1}.get(kind)
-    size = (own or params["h"] - params["l"] + 1) * params.get("n", 2)
+    own, _ = _strategy_count(cfg, kind, params)
+    size = own * params.get("n", 2)
     if size > budget:
         raise CliError(f"$.params: the engine's payoff table needs {size} entries "
                        f"(own strategies x players), exceeding budget {budget}")
@@ -376,15 +399,18 @@ def _spot_check(kind: str, rows: list) -> list:
 def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
     kind = _require(cfg, "kind")
     params = _params_from_config(cfg, kind)
-    betas = _require(cfg, "betas")
-    if not isinstance(betas, list):
-        raise CliError("$.betas: expected a list of numbers")
-    betas = [_number(v, f"$.betas[{k}]") for k, v in enumerate(betas)]
+    n = params.get("n", 2)
+    betas = _per_player(_require(cfg, "betas"), "$.betas", n)
     alphas = cfg.get("alphas")
     if alphas is not None:
-        if not isinstance(alphas, list):
-            raise CliError("$.alphas: expected a list of numbers")
-        alphas = [_number(v, f"$.alphas[{k}]") for k, v in enumerate(alphas)]
+        alphas = _per_player(alphas, "$.alphas", n)
+    # the opponent multisets minimize_payoff searches: C(own + n - 2, k) >= 2^k
+    own, where = _strategy_count(cfg, kind, params)
+    k = min(own, n) - 1
+    if k > 0 and (k >= budget.bit_length() or comb(own + n - 2, k) > budget):
+        raise CliError(f"{where}: {own} strategies for each of {n} players make "
+                       f"C({own + n - 2}, {n - 1}) opponent multisets, "
+                       f"exceeding budget {budget}")
     try:
         d = make_dilemma(kind, params)
         sigma = MixedProfile.two_point(d, betas)
@@ -392,8 +418,6 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
         coherence = is_coherent(d, sigma, budget)
         typed = (te_condition_typed(kind, params, alphas, betas)
                  if alphas is not None else None)
-    except BudgetExceededError as exc:
-        raise CliError(str(exc)) from exc
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc
     report = {
@@ -502,17 +526,19 @@ def cmd_qre(cfg: dict, budget: int) -> tuple:
     kind = _require(cfg, "kind")
     params = _params_from_config(cfg, kind)
     lam = _number(_require(cfg, "lambda"), "$.lambda")
+    damping = float(_number(cfg.get("damping", 0.5), "$.damping"))
+    tol = float(_number(cfg.get("tol", 1e-10), "$.tol"))
+    max_iter = _integer(cfg.get("max_iter", 20_000), "$.max_iter")
+    # the profiles logit_qre tabulates, own^n >= 2^n
+    own, where = _strategy_count(cfg, kind, params)
+    n = params.get("n", 2)
+    if min(own, n) > 1 and (n >= budget.bit_length() or own ** n > budget):
+        raise CliError(f"{where}: {own} strategies for each of {n} players make "
+                       f"{own}^{n} profiles, exceeding budget {budget}")
     try:
         d = make_dilemma(kind, params)
-        res = logit_qre(
-            d, lam,
-            damping=float(cfg.get("damping", 0.5)),
-            tol=float(cfg.get("tol", 1e-10)),
-            max_iter=_integer(cfg.get("max_iter", 20_000), "$.max_iter"),
-            budget=budget,
-        )
-    except BudgetExceededError as exc:
-        raise CliError(str(exc)) from exc
+        res = logit_qre(d, lam, damping=damping, tol=tol, max_iter=max_iter,
+                        budget=budget)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc
     report = {

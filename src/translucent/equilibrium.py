@@ -5,7 +5,8 @@ weakly survives every deviation against some opponent reply: for each player
 i, support strategy s_i and deviation s', there is an opponent profile under
 which s' pays no more than s_i pays against the profile mixture.  Coherence
 characterizes exactly the profiles witnessed by some counterfactual
-structure in which all support states satisfy TE1-TE4:
+structure in which all support states satisfy TE1-TE4, which
+``te_in_structure`` judges once per belief cell, on strategy positions:
 
 * TE1: the state plays a support profile;
 * TE2: everyone's belief support stays inside the witness set;
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from .beliefs import OthersBehaviorModel
@@ -57,18 +58,17 @@ def make_coherence_checker(game, budget: int = 10_000_000):
     profiles of the same game; ``is_coherent`` is the one-shot form.
     """
     game = as_game(game)
-    floors = []
-    for i in range(game.num_players):
-        floors.append({s: minimize_payoff(game, i, s, budget)[0]
-                       for s in game.strategy_sets[i]})
+    floors = [[minimize_payoff(game, i, s, budget)[0] for s in strats]
+              for i, strats in enumerate(game.strategy_sets)]
+    tops = [max(row) for row in floors]
 
     def check(sigma: MixedProfile) -> CoherenceReport:
-        for i in range(game.num_players):
+        for i, (row, top) in enumerate(zip(floors, tops)):
             for s_i in sigma.support(i):
                 u = sigma.expected_payoff(i, s_i)
-                for s_dev in game.strategy_sets[i]:
-                    if u < floors[i][s_dev]:
-                        return CoherenceReport(False, (i, s_i, s_dev))
+                if u < top:  # some deviation's floor beats u: the first one
+                    j = next(j for j, floor in enumerate(row) if u < floor)
+                    return CoherenceReport(False, (i, s_i, game.strategy_sets[i][j]))
         return CoherenceReport(True)
 
     return check
@@ -96,38 +96,53 @@ def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
     states).  Violation tuples carry (state,) or (state, player).
 
     TE2-TE4 depend on a state only through the player's measure and own
-    strategy, so each (player, measure object, own strategy) is judged once.
-    States are read by their positions in the game, so no strategy is hashed.
+    strategy, so each belief cell (player, measure object, own strategy) is
+    judged once.  States are read by their positions in the game, so no
+    strategy is hashed; every probability is taken at its exact value.
     """
     positions, others = m._profile_index
     supports = [{sigma.game._index[i][s] for s in d}  # zero masses are dropped
                 for i, d in enumerate(sigma.distributions)]
-    inside = tuple(all(x in s for x, s in zip(pos, supports)) for pos in zip(*positions))
+    inside = tuple(map(all, zip(*[[x in s for x in c] for c, s in zip(positions, supports)])))
     if omega_subset is None:
         omega_subset = [k for k, yes in enumerate(inside) if yes]
     omega_set = set(omega_subset)
     te1, te2, te3, te4 = [], [], [], []
-    n = m.num_players
-    expected = [dict(cf._others_pairs(sigma, i)) for i in range(n)]
-    verdicts: dict = {}
+    # the others' mixture, keyed by the others' offset, in lowest terms
+    expected = [{o: (w // gcd(w, den), den // gcd(w, den)) for o, w in zip(offsets, ws)}
+                for _, offsets, ws, den in sigma._kernels]
+    verdicts, plans = {}, {}  # plans: player -> (switch plan, no switch can raise)
 
     for omega in omega_subset:
         if not inside[omega]:
             te1.append((omega,))
-        for i in range(n):
+        for i, (column, rest) in enumerate(zip(positions, others)):
             dist = m.belief(i, omega)
-            key = (i, id(dist), positions[i][omega])
+            key = (i, id(dist), column[omega])
             verdict = verdicts.get(key)
             if verdict is None:
-                outside = any(t not in omega_set for t, p in dist.items() if p > 0)
-                marginal: dict = {}  # keyed by the others' offset, as expected
-                for t, p in dist.items():
-                    k = others[i][t]
-                    marginal[k] = marginal[k] + p if k in marginal else p
-                marginal = {k: v for k, v in marginal.items() if v > 0}
+                sources, weights = list(dist), cf._weights(dist)
+                marginal: dict = {}  # the others' offset -> mass, in lowest terms
+                for t, (pn, pd) in zip(sources, weights):
+                    a, b = marginal.get(rest[t], (0, 1))
+                    a, b = a * pd + pn * b, b * pd
+                    marginal[rest[t]] = a // gcd(a, b), b // gcd(a, b)
+                en, ed = eu = cf._expectation(m, m.game, i, m.states[omega][i],
+                                              column[omega], sources, weights)
+                if i not in plans:  # a switch raises only on a hole, a target out
+                    # of range or a strategy or state off the game; else stop early
+                    plan, size = cf._switch_plan(m, i), m.num_states
+                    plans[i] = plan, None not in rest and all(
+                        pos is not None and len(c) == size and 0 <= min(c) and max(c) < size
+                        for _, c, pos in plan)
+                plan, may_stop = plans[i]
+                pays = (vn * ed > en * vd for _, (vn, vd) in cf._switch_values(
+                    m, m.game, i, omega, eu, sources, weights, plan))
                 verdict = verdicts[key] = (
-                    outside, marginal != expected[i],
-                    not cf.is_rational_at(m, i, omega).rational)
+                    any(pn > 0 and t not in omega_set
+                        for t, (pn, _) in zip(sources, weights)),
+                    {k: v for k, v in marginal.items() if v[0] > 0} != expected[i],
+                    any(pays) if may_stop else any(list(pays)))
             for found, violations in zip(verdict, (te2, te3, te4)):
                 if found:
                     violations.append((omega, i))
@@ -253,5 +268,5 @@ def generalized_f(gammas: Sequence, n: int) -> Fraction:
     if len(gammas) != n - 1:
         raise ValueError(f"expected {n - 1} gamma values, got {len(gammas)}")
     gs = [to_unit(g, "gamma") for g in gammas]
-    dist = OthersBehaviorModel(gs, "post_deviation").count_distribution()
+    dist = OthersBehaviorModel(gs).count_distribution()
     return sum((p / (n - k) for k, p in enumerate(dist)), Fraction(0))

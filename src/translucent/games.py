@@ -110,10 +110,10 @@ class NormalFormGame:
     def profiles(self) -> Iterator[Profile]:
         return itertools.product(*self.strategy_sets)
 
-    def _expect(self, i: int, keys, weights) -> Fraction:
+    def _expect(self, i: int, keys, weights) -> tuple:
         """Exact sum of weight * player i's payoff at each profile index, with
         (numerator, denominator) weights: integers over a running common
-        denominator, one gcd per term and one ``Fraction`` at the end."""
+        denominator, one gcd per term; returns (numerator, denominator > 0)."""
         row, num, den = self._table[i], 0, 1
         for k, (wn, wd) in zip(keys, weights):
             un, ud = row.get(k) or self._exact_payoff(i, k)
@@ -124,7 +124,7 @@ class NormalFormGame:
             else:
                 num = num * (pd // g) + pn * (den // g)
                 den *= pd // g
-        return Fraction(num, den)
+        return num, den
 
     def _exact_payoff(self, i: int, k: int) -> tuple:
         """Player i's payoff at profile index k as (numerator, denominator),
@@ -133,6 +133,25 @@ class NormalFormGame:
         v = to_exact(self.payoff_rule(tuple(s[k // st % len(s)] for s, st in sets), i))
         u = self._table[i][k] = (v.numerator, v.denominator)
         return u
+
+    @cached_property
+    def _layout(self) -> tuple:
+        """``(profiles, own, others, punished)``, once per game: per player i
+        and profile index k, i's strategy position ``own[i][k]`` and the
+        others' part ``others[i][k]`` = k - own * stride; ``punished[i][j]``
+        is ``minimize_payoff``'s floor for position j and the profile index
+        where j meets the minimiser.  Callers budget the profile count first."""
+        profiles = tuple(self.profiles())
+        own, others, punished = [], [], []
+        for i, (strats, stride) in enumerate(zip(self.strategy_sets, self._strides)):
+            own.append(tuple([k // stride % len(strats) for k in range(len(profiles))]))
+            others.append(tuple([k - o * stride for k, o in enumerate(own[i])]))
+            rest = [o for o in range(self.num_players) if o != i]
+            minima = [minimize_payoff(self, i, s, len(profiles)) for s in strats]
+            punished.append(tuple((floor, j * stride + sum(
+                self._index[o][s] * self._strides[o] for o, s in zip(rest, combo)))
+                for j, (floor, combo) in enumerate(minima)))
+        return profiles, tuple(own), tuple(others), tuple(punished)
 
     def _check_profile(self, profile: Sequence) -> None:
         if len(profile) != self.num_players:
@@ -458,8 +477,8 @@ class MixedProfile:
         game = self.game
         base = game.strategy_index(i, strategy) * game._strides[i]
         _, offsets, weights, den = self._kernels[i]
-        return game._expect(i, [base + o for o in offsets],
-                            zip(weights, itertools.repeat(den)))
+        return Fraction(*game._expect(i, [base + o for o in offsets],
+                                      zip(weights, itertools.repeat(den))))
 
     def __repr__(self):
         parts = []
@@ -489,10 +508,10 @@ class DilemmaReport:
                 and self.dominance_ok)
 
 
-def _check_budget(game: NormalFormGame, budget: int) -> None:
+def _check_budget(game: NormalFormGame, budget: int, what: str = "profiles") -> None:
     required = game.profile_count()
     if required > budget:
-        raise BudgetExceededError(required, budget)
+        raise BudgetExceededError(required, budget, what)
 
 
 def enumerate_pure_nash(game: NormalFormGame, budget: int = 10_000_000) -> list:

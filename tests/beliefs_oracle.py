@@ -75,7 +75,7 @@ def deviation_belief_mixture(t: TranslucentType, n: int,
     if n < 2:
         raise ValueError("need at least 2 players")
     gamma = (1 - t.alpha) * t.beta
-    model = OthersBehaviorModel((gamma,) * (n - 1), "post_deviation")
+    model = OthersBehaviorModel((gamma,) * (n - 1))
     if 2 ** (n - 1) <= budget:
         mixture = deviation_mixture_distribution(t, n)
         for pattern, p in profile_distribution(model):

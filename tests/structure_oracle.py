@@ -8,8 +8,9 @@ them.  Nothing here is fast; it is meant to be obviously right.  It sums
 probabilities as given, so the tests hand it measures whose floats are
 already converted to their exact values, as the library converts them.
 
-The builders find states by mixed-radix index arithmetic, share one
-punishment search per game and format each measure object's JSON once;
+The builders read one layout per game (profiles, strategy positions,
+punished states), share one punishment search per game and format each
+measure object's JSON once;
 the constructions below look every moved, punished and believed profile
 up by hashing its strategy tuple, rerun every punishment search (with the
 unmemoised ``minimize_payoff`` below) and format every belief entry anew.

@@ -275,6 +275,8 @@ class TestGridBudget:
                    "beta": [0.5, 1]}, 20),
         ("population", {"params": {"b": 4, "c": 1}, "population": {
             "grid": {"alpha": QUARTERS, "beta": [0.5, 1]}}}, 10),
+        ("population", {"params": {"b": 4, "c": 1}, "population": {
+            "types": [{"alpha": 0.5, "beta": 0.5, "weight": 1}]}}, 1),
     ])
     def test_budget_is_the_exact_count(self, tmp_path, capsys, command,
                                        payload, size):
@@ -288,6 +290,14 @@ class TestGridBudget:
         assert code == 2
         assert err.startswith("error: $.")
         assert f"values make {size} " in err
+
+    def test_types_are_counted_before_any_is_read(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "pd", "params": {"b": 4, "c": 1},
+            "population": {"types": ["not a type"] * 3}})
+        assert run(capsys, "population", "--config", cfg, "--budget", "2") == (
+            2, "", "error: $.population.types: 3 values make 3 types, "
+                   "exceeding budget 2\n")
 
     @pytest.mark.parametrize("n,ok", [
         ({"start": 2, "stop": 4, "step": 1}, True),
@@ -384,6 +394,15 @@ class TestNamedPaths:
          "$.alphas: expected one value per player (3), got 2"),
         ("equilibrium", {**PD, "betas": [0.5]},
          "$.betas: expected one value per player (2), got 1"),
+        ("qre", {**PD, "lambda": -1}, "$.lambda: lambda must be nonnegative, got -1"),
+        ("qre", {**PD, "lambda": 1, "damping": 2},
+         "$.damping: damping must lie in (0, 1], got 2"),
+        ("qre", {**PD, "lambda": 1, "damping": 0},
+         "$.damping: damping must lie in (0, 1], got 0"),
+        ("sweep", {**PD, "mode": "qre", "lambda": [1, -1]},
+         "$.lambda[1]: lambda must be nonnegative, got -1"),
+        ("sweep", {**PD, "mode": "qre", "lambda": -0.5},
+         "$.lambda: lambda must be nonnegative, got -1/2"),
     ])
     def test_bad_value_names_its_path(self, tmp_path, capsys, command, payload,
                                       message):

@@ -1,14 +1,16 @@
 """The structure builders, the punishment search and the JSON writer
 against their profile-lookup oracles.
 
-The builders find states by mixed-radix index arithmetic and hand each
-state's strategy positions to the structure, ``minimize_payoff`` memoises
-one search per (player, strategy) on the game, ``is_rational_at`` reads
-payoffs from the game's table and ``structure_to_json`` formats each
-measure object once; ``structure_oracle`` keeps the forms that hash every
-profile, rerun every search and format every entry.  The comparisons cover
-the criterion-3 pool, the typed games and a non-symmetric custom game whose
-players have strategy sets of different sizes.
+The Nash and coherence builders read one layout per game (profiles,
+strategy positions, punished states) and hand the positions to the
+structure, ``minimize_payoff`` memoises one search per (player, strategy)
+on the game, ``is_rational_at`` reads payoffs from the game's table and
+``structure_to_json`` formats each measure object once; ``structure_oracle``
+keeps the forms that hash every profile, rerun every search and format
+every entry.  The comparisons cover the criterion-3 pool, the typed games
+and a non-symmetric custom game whose players have strategy sets of
+different sizes; builds on one game must check the budget on every call
+and share nothing that a test may edit in place.
 """
 
 import dataclasses
@@ -251,6 +253,48 @@ def test_player_out_of_range_is_an_index_error():
     # as payoff() and strategy_index() raise for a player out of range
     with pytest.raises(IndexError):
         minimize_payoff(custom_game(), 3, "a")
+
+
+@pytest.mark.parametrize("game", fresh_games(), ids=lambda g: g.name)
+def test_budget_is_checked_on_a_layout_hit(game):
+    first = tuple(strats[0] for strats in game.strategy_sets)
+    sigma = MixedProfile.pure(game, first)
+    build_coherent_structure(game, sigma, strict=False)
+    assert "_layout" in vars(game)
+    budget = game.profile_count() - 1
+    for strict in (True, False):
+        got = outcome(lambda: build_coherent_structure(
+            game, sigma, strict=strict, budget=budget))
+        assert got[:2] == ("raised", BudgetExceededError)
+        assert got == outcome(lambda: oracle.build_coherent_structure(
+            game, sigma, strict=strict, budget=budget))
+    for profile in enumerate_pure_nash(game):
+        nash = MixedProfile.pure(game, profile)
+        got = outcome(lambda: build_nash_structure(game, nash, budget=budget))
+        assert got[:2] == ("raised", BudgetExceededError)
+        assert got == outcome(lambda: oracle.build_nash_structure(
+            game, nash, budget=budget))
+
+
+@pytest.mark.parametrize("game", fresh_games(), ids=lambda g: g.name)
+def test_in_place_edits_stay_in_their_structure(game):
+    """Builds on one game share the layout's tuples and nothing mutable."""
+    nash = MixedProfile.pure(game, enumerate_pure_nash(game)[0])
+    mixed = MixedProfile(game, [{strats[0]: F(1, 2), strats[-1]: F(1, 2)}
+                                for strats in game.strategy_sets])
+    for build, sigma in ((build_nash_structure, nash),
+                         (build_coherent_structure, mixed)):
+        kwargs = {} if build is build_nash_structure else {"strict": False}
+        edited = build(game, sigma, **kwargs)
+        kept = build(game, sigma, **kwargs)
+        for per_state in edited.beliefs:
+            for dist in per_state:
+                dist[0] = F(7)
+        for key in edited.closest_columns:
+            edited.closest_columns[key] = ()
+        oracle_build = getattr(oracle, build.__name__)
+        assert_same_structure(kept, oracle_build(game, sigma, **kwargs))
+        assert_same_structure(build(game, sigma, **kwargs), kept)
 
 
 def test_coherent_builds_share_one_search():

@@ -5,10 +5,11 @@ integers, and ``te_in_structure`` judges each (player, measure, own
 strategy) once; ``structure_oracle`` keeps the plain per-state forms.
 Property tests compare the two on built and JSON-round-tripped typed and
 coherent structures, on single-axiom mutations of them, and on the
-criterion-3 pool profiles.  The parser, which shares one measure object
-among entries with equal ``dist`` objects, is compared with the per-entry
-parser on built, mutated and hand-edited documents, malformed ones
-included.  The library takes float probabilities at
+criterion-3 pool profiles; TE1-TE4 also on structures whose states leave
+the game or whose strategy lists are not in the game's order.  The parser,
+which shares one measure object among entries with equal ``dist`` objects,
+is compared with the per-entry parser on built, mutated and hand-edited
+documents, malformed ones included.  The library takes float probabilities at
 their exact values, so the oracle is run on the same structure with its
 measures converted by ``to_exact``.
 """
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import structure_oracle as oracle
 from translucent.counterfactual import (
+    MISSING,
     build_coherent_structure,
     build_typed_dilemma_structure,
     derived_beliefs,
@@ -160,11 +162,18 @@ def mutate(draw, m, kind):
 
 
 @st.composite
-def mutated_structures(draw):
-    m, _ = draw(structures())
+def mutated_cases(draw):
+    """A structure from ``structures()`` after one to three mutations, with
+    its two-point profile."""
+    m, sigma = draw(structures())
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
         m = mutate(draw, m, kind)
-    return m
+    return m, sigma
+
+
+@st.composite
+def mutated_structures(draw):
+    return draw(mutated_cases())[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -236,6 +245,73 @@ def test_te_in_structure_matches_oracle_on_pool_profiles(d, data):
 def test_te_in_structure_matches_oracle_on_typed_and_coherent(case):
     m, sigma = case
     assert te_in_structure(m, sigma) == oracle.te_in_structure(m, sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_cases(), st.data())
+def test_te_in_structure_matches_oracle_on_mutations(case, data):
+    # a hole or an out-of-range target raises in the oracle, so the library
+    # may stop at a paying switch only where no later switch could raise
+    m, sigma = case
+    subset = data.draw(st.lists(st.integers(0, m.num_states - 1),
+                                max_size=6, unique=True))
+    m_exact = exact(m)
+    for args in ((), (subset,)):
+        assert (outcome(te_in_structure, m, sigma, *args)
+                == outcome(oracle.te_in_structure, m_exact, sigma, *args))
+
+
+def te_and_rationality_agree(m, sigma, subsets):
+    for subset in subsets:
+        assert (outcome(te_in_structure, m, sigma, subset)
+                == outcome(oracle.te_in_structure, m, sigma, subset))
+    rationality_agrees(m, range(m.num_states))
+
+
+def test_te_in_structure_on_states_off_the_game():
+    d = make_prisoners_dilemma(4, 1)
+    sigma = MixedProfile.two_point(d, [F(1, 2), F(1, 4)])
+    m = build_coherent_structure(d, sigma, strict=False)
+    k = m.states.index(("C", "C"))
+    off = dataclasses.replace(
+        m, states=m.states[:k] + (("X", "C"),) + m.states[k + 1:])
+    # player 1's beliefs at an own C reach ("X", "C") and raise; at an own D
+    # they do not, and player 0's expectation there takes the payoff path
+    # for states off the game, with their own strategy put back in place
+    own_d = [t for t, p in enumerate(m.states) if p[1] == "D"]
+    te_and_rationality_agree(off, sigma, [None, own_d, [k], own_d + [k]])
+    assert te_in_structure(off, sigma, own_d).te1 == ()
+    assert outcome(te_in_structure, off, sigma)[:2] == ("raised", ValueError)
+
+
+def test_te_in_structure_on_strategy_lists_out_of_game_order():
+    # player 1 cooperates rarely, so at player 0's cooperating states the
+    # first switch in the flipped list, to D, pays more
+    d = make_prisoners_dilemma(4, 1)
+    sigma = MixedProfile.two_point(d, [F(1, 2), F(1, 8)])
+    m = build_coherent_structure(d, sigma, strict=False)
+    flipped = dataclasses.replace(
+        m, strategy_sets=(("D", "C"), ("D", "C")),
+        closest_columns={(i, 1 - j): column
+                         for (i, j), column in m.closest_columns.items()})
+    report = te_in_structure(flipped, sigma)
+    assert report == te_in_structure(m, sigma) and report.te4
+    te_and_rationality_agree(flipped, sigma, [None, [0, 1, 2]])
+    # a later switch that raises in the oracle: to a strategy the game does
+    # not have, or through a hole in the own strategy's column
+    cooperating = [k for k, p in enumerate(m.states) if p[0] == "C"]
+    holed = list(flipped.closest_columns[(0, 1)])
+    holed[cooperating[0]] = MISSING
+    for bad in (
+            dataclasses.replace(
+                flipped, strategy_sets=(("D", "C", "Z"), ("D", "C")),
+                closest_columns={**flipped.closest_columns,
+                                 (0, 2): flipped.closest_columns[(0, 0)]}),
+            dataclasses.replace(
+                flipped, closest_columns={**flipped.closest_columns,
+                                          (0, 1): tuple(holed)})):
+        te_and_rationality_agree(bad, sigma, [None, cooperating])
+        assert outcome(te_in_structure, bad, sigma)[:2] == ("raised", ValueError)
 
 
 def test_switch_routed_onto_a_supported_state():

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, gcd, lcm
 from typing import Optional
 
 from .exact import to_exact, to_unit
@@ -143,18 +144,22 @@ class CooperationScanner:
 
     Precomputes the payoff of every (strategy, cooperator count) pair once,
     scaled to a common integer denominator, so that scanning a grid of types
-    costs only integer arithmetic.  A verdict reads alpha and beta as
-    numerator and denominator, forms the binomial count weights as integers
-    (gamma = (1 - alpha) * beta as ((ad - an) * bn, ad * bd), unreduced) and
-    decides by one cross-multiplied comparison; ``Fraction``s are built only
-    for the expected utilities the report returns.  Everything stays exact:
-    the expected utilities equal ``expected_utility`` under the on-path and
-    post-deviation beliefs.
+    costs only integer arithmetic.  The on-path half of a verdict depends on
+    beta alone and the post-deviation half on gamma = (1 - alpha) * beta
+    alone, so the scanner memoises each half: ``_on_path`` maps beta's
+    (numerator, denominator) to the cooperation payoff, and ``_deviation``
+    maps gamma in lowest terms to the best deviation, found by the first
+    strict maximum in strategy order (every row is scanned, ties included).
+    A verdict is then two lookups and one cross-multiplied comparison.  The
+    memo holds at most one entry per distinct beta and one per distinct
+    gamma asked, and lives and dies with the scanner.  Everything stays
+    exact: the expected utilities equal ``expected_utility`` under the
+    on-path and post-deviation beliefs.
     """
 
     def __init__(self, d: SocialDilemma, i: int = 0):
-        from math import comb, lcm
-
+        if not 0 <= i < d.num_players:
+            raise IndexError(f"player index {i} out of range 0..{d.num_players - 1}")
         _require_symmetric(d)
         self.dilemma = d
         self.player = i
@@ -178,6 +183,8 @@ class CooperationScanner:
             (s, tuple((k, int(u * scale)) for k, u in enumerate(row) if u))
             for s, row in dev_rows
         ]
+        self._on_path = {}
+        self._deviation = {}
 
     def _weights(self, num: int, den: int) -> tuple:
         """Unnormalized binomial weights over cooperator counts for the
@@ -189,16 +196,21 @@ class CooperationScanner:
         return ([self.binom[k] * num ** k * comp ** (n - k) for k in range(n + 1)],
                 den ** n)
 
-    def verdict(self, t: TranslucentType) -> RationalityReport:
-        an, ad = t.alpha.numerator, t.alpha.denominator
-        bn, bd = t.beta.numerator, t.beta.denominator
+    def _path_entry(self, bn: int, bd: int) -> tuple:
+        """(cooperation numerator, its weight denominator, eu_cooperate) when
+        the others cooperate w.p. bn/bd."""
         w_path, den_path = self._weights(bn, bd)
         coop_int = 0
         for w, u in zip(w_path, self.coop_row):
             if w and u:
                 coop_int += w * u
-        # deviation beliefs: others cooperate w.p. gamma = (1 - alpha) * beta
-        w_dev, den_dev = self._weights((ad - an) * bn, ad * bd)
+        return coop_int, den_path, Fraction(coop_int, den_path * self.scale)
+
+    def _deviation_entry(self, gn: int, gd: int) -> tuple:
+        """(best numerator, its weight denominator, first maximizer, eu of the
+        best deviation) when the others cooperate w.p. gn/gd; the numerator
+        and maximizer are None when there is no deviation."""
+        w_dev, den_dev = self._weights(gn, gd)
         best_dev = None
         best_int = None
         for s, row in self.deviations:
@@ -208,12 +220,29 @@ class CooperationScanner:
             if best_int is None or eu > best_int:
                 best_int = eu
                 best_dev = s
-        eu_coop = Fraction(coop_int, den_path * self.scale)
+        eu_best = (None if best_int is None
+                   else Fraction(best_int, den_dev * self.scale))
+        return best_int, den_dev, best_dev, eu_best
+
+    def verdict(self, t: TranslucentType) -> RationalityReport:
+        an, ad = t.alpha.numerator, t.alpha.denominator
+        bn, bd = t.beta.numerator, t.beta.denominator
+        path = self._on_path.get((bn, bd))
+        if path is None:
+            path = self._on_path[bn, bd] = self._path_entry(bn, bd)
+        # deviation beliefs: others cooperate w.p. gamma = (1 - alpha) * beta
+        gn, gd = (ad - an) * bn, ad * bd
+        g = gcd(gn, gd)
+        gamma = (gn // g, gd // g)
+        dev = self._deviation.get(gamma)
+        if dev is None:
+            dev = self._deviation[gamma] = self._deviation_entry(*gamma)
+        coop_int, den_path, eu_coop = path
+        best_int, den_dev, best_dev, eu_best = dev
         if best_int is None:
             return RationalityReport(True, None, eu_coop, None)
         # coop_int/(den_path * scale) >= best_int/(den_dev * scale)
         rational = coop_int * den_dev >= best_int * den_path
-        eu_best = Fraction(best_int, den_dev * self.scale)
         return RationalityReport(rational, best_dev, eu_coop, eu_best)
 
 
@@ -223,9 +252,10 @@ def is_cooperation_rational(d: SocialDilemma, i: int, t) -> RationalityReport:
     Cooperation is rational iff its on-path expected payoff is >= the
     post-deviation expected payoff of every alternative strategy (weak
     inequality; parameter boundaries count as rational).  The best deviation
-    reported is the first maximizer in strategy order.  This is the
-    ``CooperationScanner`` verdict; a non-symmetric dilemma raises
-    ValueError.
+    reported is the first maximizer in strategy order.  This is the verdict
+    of a fresh ``CooperationScanner``, so nothing is memoised across calls;
+    a non-symmetric dilemma raises ValueError and a player index outside
+    0..n-1 raises IndexError.
     """
     if not isinstance(t, TranslucentType):
         t = TranslucentType(*t)

@@ -55,16 +55,29 @@ class CliError(Exception):
 # config plumbing
 
 
+def _finite_only(path: str):
+    """A ``parse_constant`` hook for the file ``path``: Python's json reads
+    NaN, Infinity and -Infinity, which no exact quantity can be."""
+    def refuse(name: str):
+        raise CliError(f"{path}: the JSON constant {name} is not allowed; "
+                       "every number must be finite")
+    return refuse
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=Fraction)
+            cfg = json.load(fh, parse_float=Fraction,
+                            parse_constant=_finite_only(path))
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise CliError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _require(cfg: dict, key: str, path: str = "$"):
@@ -75,9 +88,13 @@ def _require(cfg: dict, key: str, path: str = "$"):
 
 def _number(value, path: str):
     try:
-        return to_exact(value)
+        f = to_exact(value)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: expected a number, got {value!r}") from exc
+    if abs(f) > sys.float_info.max:  # reports print numbers as floats
+        raise CliError(f"{path}: expected a number of magnitude at most "
+                       f"{sys.float_info.max:.12g}")
+    return f
 
 
 def _integer(value, path: str) -> int:
@@ -175,12 +192,16 @@ def _dump_report(report: dict) -> str:
     return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
+def _check_kind(kind) -> None:
+    if not isinstance(kind, str) or kind not in PARAM_ORDER:
+        raise CliError(f"$.kind: unknown kind {kind!r}")
+
+
 def _params_from_config(cfg: dict, kind: str) -> dict:
     raw = _require(cfg, "params")
     if not isinstance(raw, dict):
         raise CliError("$.params: expected an object")
-    if kind not in PARAM_ORDER:
-        raise CliError(f"$.kind: unknown kind {kind!r}")
+    _check_kind(kind)
     params = {}
     for key in PARAM_ORDER[kind]:
         parse = _integer if key in INTEGER_PARAMS else _number
@@ -212,6 +233,37 @@ def _strategy_count(cfg: dict, kind: str, params: dict) -> tuple:
     return params["h"] - params["l"] + 1, "$.params"
 
 
+def _check_engine_size(cfg: dict, kind: str, params: dict, budget: int) -> None:
+    """Refuse a game whose engine payoff table, own strategies x players,
+    exceeds ``budget`` (``check`` and the sweep's spot check)."""
+    own, _ = _strategy_count(cfg, kind, params)
+    size = own * params.get("n", 2)
+    if size > budget:
+        raise CliError(f"$.params: the engine's payoff table needs {size} entries "
+                       f"(own strategies x players), exceeding budget {budget}")
+
+
+def _check_profile_count(cfg: dict, kind: str, params: dict, budget: int) -> None:
+    """Refuse a game whose own^n profiles, which ``logit_qre`` tabulates,
+    exceed ``budget`` (own^n >= 2^n, so n is compared first)."""
+    own, where = _strategy_count(cfg, kind, params)
+    n = params.get("n", 2)
+    if min(own, n) > 1 and (n >= budget.bit_length() or own ** n > budget):
+        raise CliError(f"{where}: {own} strategies for each of {n} players make "
+                       f"{own}^{n} profiles, exceeding budget {budget}")
+
+
+def _check_players(n: int, path: str, budget: int, te: bool = False) -> None:
+    """Refuse a player count above ``budget`` (the bertrand closed form
+    raises numbers to the n-th power), or, for a te row, which judges each
+    player by a count distribution over the others, n^3 above ``budget``."""
+    if te and n ** 3 > budget:
+        raise CliError(f"{path}: {n} players make {n ** 3} te terms per row "
+                       f"(n^3), exceeding budget {budget}")
+    if n > budget:
+        raise CliError(f"{path}: {n} players exceed budget {budget}")
+
+
 def _per_player(values, path: str, n: int) -> list:
     """A config list holding one number per player (a player count below 2
     is left to the game's own check)."""
@@ -237,11 +289,7 @@ def cmd_check(cfg: dict, budget: int) -> tuple:
     params = _params_from_config(cfg, kind)
     alpha = _number(_require(cfg, "alpha"), "$.alpha")
     beta = _number(_require(cfg, "beta"), "$.beta")
-    own, _ = _strategy_count(cfg, kind, params)
-    size = own * params.get("n", 2)
-    if size > budget:
-        raise CliError(f"$.params: the engine's payoff table needs {size} entries "
-                       f"(own strategies x players), exceeding budget {budget}")
+    _check_engine_size(cfg, kind, params, budget)
     try:
         d = make_dilemma(kind, params)
         t = TranslucentType(alpha, beta)
@@ -304,6 +352,9 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
     alphas, betas = list(alphas), list(betas)
     for k, lam in enumerate(alphas if mode == "qre" else []):  # before any row
         _check_lambda(lam, f"$.lambda[{k}]" if isinstance(cfg["lambda"], list) else "$.lambda")
+    if "n" in keys and mode != "qre":  # qre rows count profiles instead
+        for n in grids[keys.index("n")]:
+            _check_players(n, "$.params.n", budget, te=mode != "cooperation")
 
     for combo in itertools.product(*grids):
         params = dict(zip(keys, combo))
@@ -314,8 +365,9 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
             for beta in betas:
                 try:
                     if mode == "qre":
+                        _check_profile_count(cfg, kind, params, budget)
                         d = make_dilemma(kind, params)
-                        res = logit_qre(d, alpha, max_iter=max_iter)
+                        res = logit_qre(d, alpha, max_iter=max_iter, budget=budget)
                         if not res.converged:
                             raise CliError(
                                 f"qre did not converge at lambda={alpha} "
@@ -349,8 +401,7 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
 
 def cmd_sweep(cfg: dict, budget: int) -> tuple:
     kind = _require(cfg, "kind")
-    if kind not in PARAM_ORDER:
-        raise CliError(f"$.kind: unknown kind {kind!r}")
+    _check_kind(kind)
     mode = cfg.get("mode", "cooperation")
     if mode not in ("cooperation", "te", "te_typed", "qre"):
         raise CliError(f"$.mode: unknown mode {mode!r}")
@@ -373,7 +424,7 @@ def cmd_sweep(cfg: dict, budget: int) -> tuple:
 
     exit_code = 0
     if cfg.get("spot_check") and mode == "cooperation":
-        mismatches = _spot_check(kind, rows)
+        mismatches = _spot_check(cfg, kind, rows, budget)
         if mismatches:
             for params, alpha, beta, rational, engine_verdict in mismatches:
                 print(f"spot-check mismatch: {_snapshot(kind, params)} "
@@ -384,9 +435,10 @@ def cmd_sweep(cfg: dict, budget: int) -> tuple:
     return out.getvalue(), exit_code
 
 
-def _spot_check(kind: str, rows: list) -> list:
+def _spot_check(cfg: dict, kind: str, rows: list, budget: int) -> list:
     """Re-verify a deterministic 1% sample of sweep rows with the generic
-    engine; returns the disagreeing rows."""
+    engine, each game sized against ``budget`` first; returns the
+    disagreeing rows."""
     rng = random.Random(0)
     sample_size = max(1, len(rows) // 100)
     sample = rng.sample(range(len(rows)), sample_size)
@@ -396,7 +448,12 @@ def _spot_check(kind: str, rows: list) -> list:
         params, alpha, beta, rational = rows[idx]
         key = tuple(sorted(params.items()))
         if key not in games:
-            games[key] = make_dilemma(kind, params)
+            _check_engine_size(cfg, kind, params, budget)
+            try:  # the closed form admits pgg's rho = 1, the game does not
+                games[key] = make_dilemma(kind, params)
+            except (ValueError, TypeError) as exc:
+                raise CliError(f"$.spot_check: {_snapshot(kind, params)}: "
+                               f"{exc}") from exc
         d = games[key]
         verdict = is_cooperation_rational(d, 0, TranslucentType(alpha, beta))
         if verdict.rational != rational:
@@ -449,6 +506,8 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
 def cmd_population(cfg: dict, budget: int) -> tuple:
     kind = _require(cfg, "kind")
     params = _params_from_config(cfg, kind)
+    if "n" in params:
+        _check_players(params["n"], "$.params.n", budget)
     spec = _require(cfg, "population")
     if not isinstance(spec, dict):
         raise CliError("$.population: expected an object")
@@ -515,7 +574,7 @@ def cmd_validate_structure(path: str) -> tuple:
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_finite_only(path))
     except json.JSONDecodeError as exc:
         raise CliError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
@@ -536,16 +595,11 @@ def cmd_qre(cfg: dict, budget: int) -> tuple:
     params = _params_from_config(cfg, kind)
     lam = _check_lambda(_number(_require(cfg, "lambda"), "$.lambda"), "$.lambda")
     damping = _number(cfg.get("damping", 0.5), "$.damping")
-    if not 0 < damping <= 1:
+    if not 0 < damping <= 1 or not float(damping):  # nor below every float
         raise CliError(f"$.damping: damping must lie in (0, 1], got {damping}")
     tol = float(_number(cfg.get("tol", 1e-10), "$.tol"))
     max_iter = _integer(cfg.get("max_iter", 20_000), "$.max_iter")
-    # the profiles logit_qre tabulates, own^n >= 2^n
-    own, where = _strategy_count(cfg, kind, params)
-    n = params.get("n", 2)
-    if min(own, n) > 1 and (n >= budget.bit_length() or own ** n > budget):
-        raise CliError(f"{where}: {own} strategies for each of {n} players make "
-                       f"{own}^{n} profiles, exceeding budget {budget}")
+    _check_profile_count(cfg, kind, params, budget)
     try:
         d = make_dilemma(kind, params)
         res = logit_qre(d, lam, damping=float(damping), tol=tol, max_iter=max_iter,

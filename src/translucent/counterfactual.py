@@ -669,7 +669,11 @@ def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:
             if q is None:
                 q = parsed[p] = Fraction(p)
         else:
-            q = Fraction(p)
+            try:
+                q = Fraction(p)
+            except (OverflowError, ValueError):  # inf or nan
+                raise ValueError(f"{path}.dist[{json.dumps(t)}]: expected a "
+                                 f"finite number, got {p!r}") from None
         dist[k] = q
     return dist
 

@@ -2,10 +2,13 @@
 
 from fractions import Fraction as F
 
+import re
+
 import pytest
 
 import beliefs_oracle as oracle
 from translucent.beliefs import (
+    CooperationScanner,
     TranslucentType,
     deviation_belief_mixture,
     expected_utility,
@@ -213,8 +216,6 @@ class TestRationalityVerdicts:
         # per-pattern enumeration on random games and types
         import random
 
-        from translucent.beliefs import CooperationScanner
-
         rng = random.Random(11)
         dilemmas = [
             make_prisoners_dilemma(F(7, 2), F(3, 2)),
@@ -249,6 +250,22 @@ class TestRationalityVerdicts:
                     expected_utility(d, 0, l, dev_model),
                     expected_utility(d, 0, h - 1, dev_model),
                 )
+
+
+class TestPlayerIndex:
+    @pytest.mark.parametrize("i", [3, -1])
+    def test_index_outside_the_game_is_named(self, i):
+        d = make_public_goods(3, F(1, 2), grid=2)
+        message = re.escape(f"player index {i} out of range 0..2")
+        with pytest.raises(IndexError, match=message):
+            CooperationScanner(d, i)
+        with pytest.raises(IndexError, match=message):
+            is_cooperation_rational(d, i, (F(1, 2), F(1, 2)))
+
+    def test_index_is_checked_before_symmetry(self):
+        d = TestSymmetricOnly.asymmetric_pd()
+        with pytest.raises(IndexError, match="player index 2 out of range 0..1"):
+            CooperationScanner(d, 2)
 
 
 class TestSymmetricOnly:

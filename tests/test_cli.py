@@ -365,13 +365,15 @@ class TestStrategyBudget:
         ("bertrand", {"n": 3, "l": 2, "h": 5}, 64, 10),
         ("td", {"l": 2, "h": 5, "bonus": 2}, 16, 4),
     ])
-    @pytest.mark.parametrize("command", ["qre", "equilibrium"])
+    @pytest.mark.parametrize("command", ["qre", "equilibrium", "sweep"])
     def test_budget_is_the_engine_count(self, tmp_path, capsys, command, kind,
                                         params, profiles, multisets):
+        # a qre sweep counts each game's profiles as qre does
         n = params.get("n", 2)
         cfg = write_config(tmp_path, "c.json", {
-            "kind": kind, "params": params, "lambda": 1, "betas": [0.5] * n})
-        size = profiles if command == "qre" else multisets
+            "kind": kind, "params": params, "lambda": 1, "betas": [0.5] * n,
+            "mode": "qre"})
+        size = multisets if command == "equilibrium" else profiles
         code, _, _ = run(capsys, command, "--config", cfg, "--budget", str(size))
         assert code == 0
         code, out, err = run(capsys, command, "--config", cfg,
@@ -403,6 +405,15 @@ class TestNamedPaths:
          "$.lambda[1]: lambda must be nonnegative, got -1"),
         ("sweep", {**PD, "mode": "qre", "lambda": -0.5},
          "$.lambda: lambda must be nonnegative, got -1/2"),
+        ("check", {"kind": "pd", "params": {"b": 10 ** 400, "c": 1},
+                   "alpha": 0.5, "beta": 0.5},
+         "$.params.b: expected a number of magnitude at most 1.79769313486e+308"),
+        ("qre", {**PD, "lambda": -10 ** 400},
+         "$.lambda: expected a number of magnitude at most 1.79769313486e+308"),
+        ("qre", {**PD, "lambda": 1, "tol": 10 ** 400},
+         "$.tol: expected a number of magnitude at most 1.79769313486e+308"),
+        ("check", {**PD, "kind": ["pd"], "alpha": 0.5, "beta": 0.5},
+         "$.kind: unknown kind ['pd']"),
     ])
     def test_bad_value_names_its_path(self, tmp_path, capsys, command, payload,
                                       message):
@@ -425,6 +436,108 @@ class TestNamedPaths:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestNonFiniteConstants:
+    """Python's json reads NaN, Infinity and -Infinity; no config or
+    structure document may hold them."""
+
+    CONFIGS = {
+        "check": '{"kind": "pd", "params": {"b": %s, "c": 1}, '
+                 '"alpha": 0.5, "beta": 0.5}',
+        "sweep": '{"kind": "pd", "params": {"b": 4, "c": 1}, '
+                 '"alpha": [0.5], "beta": {"start": 0, "stop": %s, "step": 0.5}}',
+        "equilibrium": '{"kind": "pd", "params": {"b": 4, "c": 1}, '
+                       '"betas": [0.5, %s]}',
+        "population": '{"kind": "pd", "params": {"b": 4, "c": 1}, "population": '
+                      '{"types": [{"alpha": 0.5, "beta": 0.5, "weight": %s}]}}',
+        "qre": '{"kind": "pd", "params": {"b": 4, "c": 1}, "lambda": %s}',
+    }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+    def test_config_constant_exits_2(self, tmp_path, capsys, command, constant):
+        path = tmp_path / "c.json"
+        path.write_text(self.CONFIGS[command] % constant)
+        assert run(capsys, command, "--config", str(path)) == (
+            2, "", f"error: {path}: the JSON constant {constant} is not allowed; "
+                   "every number must be finite\n")
+
+    def test_structure_constant_exits_2(self, tmp_path, capsys):
+        doc = TestValidateStructure().make_structure_doc()
+        doc["beliefs"][3]["dist"] = {"3": float("inf")}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate-structure", str(path)) == (
+            2, "", f"error: {path}: the JSON constant Infinity is not allowed; "
+                   "every number must be finite\n")
+
+
+class TestFuzzFindings:
+    """Inputs the in-process fuzzer (tests/test_cli_fuzz.py) turned up: each
+    once escaped as a traceback or ran unbounded on a small config."""
+
+    BERTRAND = {"kind": "bertrand", "params": {"n": 4, "l": 2, "h": 6}}
+
+    def run_raw(self, tmp_path, capsys, command, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        return run(capsys, command, "--config", str(path))
+
+    @pytest.mark.parametrize("mode", ["te", "te_typed"])
+    def test_te_rows_count_n_cubed(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, "c.json", {
+            **self.BERTRAND, "mode": mode, "alpha": [0.5], "beta": [0.5]})
+        code, out, _ = run(capsys, "sweep", "--config", cfg, "--budget", "64")
+        assert code == 0 and len(out.split()) == 2
+        assert run(capsys, "sweep", "--config", cfg, "--budget", "63") == (
+            2, "", "error: $.params.n: 4 players make 64 te terms per row "
+                   "(n^3), exceeding budget 63\n")
+
+    @pytest.mark.parametrize("command,extra", [
+        ("population", {"population": {"types": [
+            {"alpha": 0.5, "beta": 0.5, "weight": 1}]}}),
+        ("sweep", {"alpha": 0.5, "beta": 0.5}),
+    ])
+    def test_huge_player_count_refuses_at_once(self, tmp_path, capsys, command,
+                                               extra):
+        # the bertrand closed form would raise numbers to the 10^30-th power
+        n = 10 ** 30
+        cfg = write_config(tmp_path, "c.json", {
+            **self.BERTRAND, "params": {"n": n, "l": 2, "h": 6}, **extra})
+        assert run(capsys, command, "--config", cfg, "--budget", "64") == (
+            2, "", f"error: $.params.n: {n} players exceed budget 64\n")
+
+    def test_spot_check_sizes_the_engine(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "td", "params": {"l": 2, "h": 40, "bonus": 2},
+            "alpha": [0.5], "beta": [0.5], "spot_check": True})
+        assert run(capsys, "sweep", "--config", cfg, "--budget", "64") == (
+            2, "", "error: $.params: the engine's payoff table needs 78 entries "
+                   "(own strategies x players), exceeding budget 64\n")
+
+    def test_spot_check_of_a_game_the_engine_cannot_build(self, tmp_path, capsys):
+        # the closed form admits rho = 1, the game factory does not
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "pgg", "params": {"n": 2, "rho": 1}, "grid": 1,
+            "alpha": 0, "beta": 0, "spot_check": True})
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: $.spot_check: n=2;rho=1: marginal return")
+
+    def test_damping_below_every_float(self, tmp_path, capsys):
+        code, out, err = self.run_raw(
+            tmp_path, capsys, "qre",
+            '{"kind": "pd", "params": {"b": 4, "c": 1}, "lambda": 1, '
+            '"damping": 1e-400}')
+        assert (code, out) == (2, "")
+        assert err.startswith("error: $.damping: damping must lie in (0, 1], got 1/")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"kind"', "7"])
+    def test_config_must_be_an_object(self, tmp_path, capsys, text):
+        code, out, err = self.run_raw(tmp_path, capsys, "check", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "expected a JSON object, got " in err
 
 
 class TestEquilibriumCommand:

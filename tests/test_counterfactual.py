@@ -383,6 +383,17 @@ class TestJsonFormat:
             structure_from_json(doc)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("mass,shown", [
+        (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan")])
+    def test_non_finite_mass_names_its_path(self, mass, shown):
+        # Python's json reads Infinity, -Infinity and NaN as these floats
+        doc = self.pd_doc()
+        doc["beliefs"][6]["dist"]["1"] = mass
+        with pytest.raises(ValueError) as exc:
+            structure_from_json(json.dumps(doc))
+        assert str(exc.value) == (
+            f'$.beliefs[6].dist["1"]: expected a finite number, got {shown}')
+
     def test_out_of_range_closest_target_stays_a_cs1_violation(self):
         doc = self.pd_doc()
         doc["closest"][0]["target"] = 9

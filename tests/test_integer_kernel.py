@@ -211,3 +211,52 @@ class TestScannerAgainstEnumeration:
         for d in small_dilemmas():
             assert (CooperationScanner(d).verdict(t)
                     == beliefs_oracle.is_cooperation_rational(d, 0, t))
+
+
+edge_units = st.one_of(st.sampled_from([F(0), F(1)]), units)
+
+
+@st.composite
+def type_sequences(draw):
+    """Types in a random order: the edges alpha or beta in {0, 1} and, after
+    some types, a partner with the same gamma = (1 - alpha) * beta but
+    another beta, e.g. (1/2, 2/5) and (3/5, 1/2) for gamma = 1/5."""
+    types = []
+    for alpha, beta in draw(st.lists(st.tuples(edge_units, edge_units),
+                                     min_size=1, max_size=12)):
+        types.append((alpha, beta))
+        if draw(st.booleans()):
+            gamma = (1 - alpha) * beta
+            beta2 = draw(edge_units)
+            if beta2 == 0 or beta2 < gamma:
+                beta2 = F(1)
+            types.append((1 - gamma / beta2, beta2))
+    return [TranslucentType(a, b) for a, b in draw(st.permutations(types))]
+
+
+class TestScannerMemo:
+    """One long-lived scanner memoises each distinct beta and each distinct
+    gamma; its reports must not depend on what it was asked before."""
+
+    DILEMMAS = small_dilemmas()
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(range(len(DILEMMAS))), type_sequences())
+    def test_long_lived_scanner_equals_oracle(self, which, types):
+        d = self.DILEMMAS[which]
+        scanner = CooperationScanner(d)
+        expected = {t: beliefs_oracle.is_cooperation_rational(d, 0, t)
+                    for t in types}
+        for t in types + types[::-1]:  # cold, then warm in the other order
+            assert scanner.verdict(t) == expected[t]
+        # one entry per distinct beta and one per distinct gamma in lowest terms
+        assert len(scanner._on_path) == len({t.beta for t in types})
+        assert len(scanner._deviation) == len(
+            {(1 - t.alpha) * t.beta for t in types})
+
+    def test_equal_gammas_share_one_entry(self):
+        scanner = CooperationScanner(make_travelers_dilemma(2, 7, 3))
+        first = scanner.verdict(TranslucentType(F(1, 2), F(2, 5)))
+        second = scanner.verdict(TranslucentType(F(3, 5), F(1, 2)))
+        assert list(scanner._deviation) == [(1, 5)]
+        assert first.eu_best_deviation is second.eu_best_deviation

@@ -27,7 +27,7 @@ from math import comb, prod
 from . import __version__
 from .alt_models import logit_qre
 from .beliefs import TranslucentType, is_cooperation_rational
-from .closed_form import cooperation_condition
+from .closed_form import checked_params, cooperation_condition
 from .counterfactual import structure_from_json, validate_structure
 from .equilibrium import MixedProfile, is_coherent, te_condition, te_condition_typed
 from .exact import format_number, to_exact
@@ -94,6 +94,14 @@ def _number(value, path: str):
     if abs(f) > sys.float_info.max:  # reports print numbers as floats
         raise CliError(f"{path}: expected a number of magnitude at most "
                        f"{sys.float_info.max:.12g}")
+    return f
+
+
+def _unit(value, path: str, name: str) -> Fraction:
+    """A probability (``alpha``, ``beta``): a number in [0, 1]."""
+    f = _number(value, path)
+    if not 0 <= f <= 1:
+        raise CliError(f"{path}: {name} must lie in [0, 1], got {f}")
     return f
 
 
@@ -208,7 +216,26 @@ def _params_from_config(cfg: dict, kind: str) -> dict:
         params[key] = parse(_require(raw, key, "$.params"), f"$.params.{key}")
     if kind == "pgg":
         params["grid"] = _pgg_grid(cfg, raw)
+    _check_domain(kind, params)
     return params
+
+
+def _check_domain(kind: str, params: dict) -> None:
+    """The closed forms' parameter domains (``games.*_params``; the
+    public-goods one admits rho = 1), a violation naming ``$.params``."""
+    try:
+        checked_params(kind, params)
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"$.params: {exc}") from exc
+
+
+def _build(kind: str, params: dict):
+    """``make_dilemma``, a violation naming ``$.params`` (the game refuses
+    the public-goods rho = 1 that the closed forms admit)."""
+    try:
+        return make_dilemma(kind, params)
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"$.params: {exc}") from exc
 
 
 def _pgg_grid(cfg: dict, raw: dict) -> int:
@@ -264,15 +291,14 @@ def _check_players(n: int, path: str, budget: int, te: bool = False) -> None:
         raise CliError(f"{path}: {n} players exceed budget {budget}")
 
 
-def _per_player(values, path: str, n: int) -> list:
-    """A config list holding one number per player (a player count below 2
-    is left to the game's own check)."""
+def _per_player(values, path: str, n: int, name: str) -> list:
+    """A config list holding one probability ``name`` per player."""
     if not isinstance(values, list):
         raise CliError(f"{path}: expected a list of numbers")
-    if n >= 2 and len(values) != n:
+    if len(values) != n:
         raise CliError(f"{path}: expected one value per player ({n}), "
                        f"got {len(values)}")
-    return [_number(v, f"{path}[{k}]") for k, v in enumerate(values)]
+    return [_unit(v, f"{path}[{k}]", name) for k, v in enumerate(values)]
 
 
 def _snapshot(kind: str, params: dict) -> str:
@@ -287,11 +313,11 @@ def _snapshot(kind: str, params: dict) -> str:
 def cmd_check(cfg: dict, budget: int) -> tuple:
     kind = _require(cfg, "kind")
     params = _params_from_config(cfg, kind)
-    alpha = _number(_require(cfg, "alpha"), "$.alpha")
-    beta = _number(_require(cfg, "beta"), "$.beta")
+    alpha = _unit(_require(cfg, "alpha"), "$.alpha", "alpha")
+    beta = _unit(_require(cfg, "beta"), "$.beta", "beta")
     _check_engine_size(cfg, kind, params, budget)
+    d = _build(kind, params)
     try:
-        d = make_dilemma(kind, params)
         t = TranslucentType(alpha, beta)
         closed = cooperation_condition(kind, params, alpha, beta)
         engine = is_cooperation_rational(d, 0, t)
@@ -352,6 +378,10 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
     alphas, betas = list(alphas), list(betas)
     for k, lam in enumerate(alphas if mode == "qre" else []):  # before any row
         _check_lambda(lam, f"$.lambda[{k}]" if isinstance(cfg["lambda"], list) else "$.lambda")
+    if mode != "qre":
+        betas = [_unit(b, "$.beta", "beta") for b in betas]
+        if alphas != [None]:
+            alphas = [_unit(a, "$.alpha", "alpha") for a in alphas]
     if "n" in keys and mode != "qre":  # qre rows count profiles instead
         for n in grids[keys.index("n")]:
             _check_players(n, "$.params.n", budget, te=mode != "cooperation")
@@ -360,13 +390,14 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
         params = dict(zip(keys, combo))
         if kind == "pgg":
             params["grid"] = pgg_grid
+        _check_domain(kind, params)
         n_players = params.get("n", 2)
         for alpha in alphas:
             for beta in betas:
                 try:
                     if mode == "qre":
                         _check_profile_count(cfg, kind, params, budget)
-                        d = make_dilemma(kind, params)
+                        d = _build(kind, params)
                         res = logit_qre(d, alpha, max_iter=max_iter, budget=budget)
                         if not res.converged:
                             raise CliError(
@@ -465,10 +496,10 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
     kind = _require(cfg, "kind")
     params = _params_from_config(cfg, kind)
     n = params.get("n", 2)
-    betas = _per_player(_require(cfg, "betas"), "$.betas", n)
+    betas = _per_player(_require(cfg, "betas"), "$.betas", n, "beta")
     alphas = cfg.get("alphas")
     if alphas is not None:
-        alphas = _per_player(alphas, "$.alphas", n)
+        alphas = _per_player(alphas, "$.alphas", n, "alpha")
     # the opponent multisets minimize_payoff searches: C(own + n - 2, k) >= 2^k
     own, where = _strategy_count(cfg, kind, params)
     k = min(own, n) - 1
@@ -476,8 +507,8 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
         raise CliError(f"{where}: {own} strategies for each of {n} players make "
                        f"C({own + n - 2}, {n - 1}) opponent multisets, "
                        f"exceeding budget {budget}")
+    d = _build(kind, params)
     try:
-        d = make_dilemma(kind, params)
         sigma = MixedProfile.two_point(d, betas)
         untyped = te_condition(kind, params, betas)
         coherence = is_coherent(d, sigma, budget)
@@ -523,8 +554,8 @@ def cmd_population(cfg: dict, budget: int) -> tuple:
             if not isinstance(entry, dict):
                 raise CliError(f"{path}: expected an object")
             types.append((
-                _number(_require(entry, "alpha", path), f"{path}.alpha"),
-                _number(_require(entry, "beta", path), f"{path}.beta"),
+                _unit(_require(entry, "alpha", path), f"{path}.alpha", "alpha"),
+                _unit(_require(entry, "beta", path), f"{path}.beta", "beta"),
                 _number(_require(entry, "weight", path), f"{path}.weight"),
             ))
     elif "grid" in spec:
@@ -537,7 +568,8 @@ def cmd_population(cfg: dict, budget: int) -> tuple:
                       "$.population.grid.beta")
         _check_grid_budget({"$.population.grid.alpha": alphas,
                             "$.population.grid.beta": betas}, "types", budget)
-        alphas, betas = list(alphas), list(betas)
+        alphas = [_unit(a, "$.population.grid.alpha", "alpha") for a in alphas]
+        betas = [_unit(b, "$.population.grid.beta", "beta") for b in betas]
         w = Fraction(1, len(alphas) * len(betas))
         types = [(a, b, w) for a in alphas for b in betas]
     else:
@@ -600,8 +632,8 @@ def cmd_qre(cfg: dict, budget: int) -> tuple:
     tol = float(_number(cfg.get("tol", 1e-10), "$.tol"))
     max_iter = _integer(cfg.get("max_iter", 20_000), "$.max_iter")
     _check_profile_count(cfg, kind, params, budget)
+    d = _build(kind, params)
     try:
-        d = make_dilemma(kind, params)
         res = logit_qre(d, lam, damping=float(damping), tol=tol, max_iter=max_iter,
                         budget=budget)
     except (ValueError, TypeError) as exc:

@@ -20,7 +20,11 @@ are split into numerator and denominator, each inequality is held as
 (lhs_num, lhs_den, rhs_num, rhs_den) with positive denominators and decided
 by cross-multiplying; for bertrand, with gamma = gn/gd,
 f(gamma, N) = (gd^N - gn^N) / (N * gd^(N-1) * (gd - gn)).  ``Fraction``s are
-built only for the two sides a ``CooperationVerdict`` returns.
+built only for the two sides a ``CooperationVerdict`` returns.  Each game's
+conditions are stated once, in the unchecked integer core
+``condition_terms``; ``cooperation_condition`` checks alpha, beta and the
+parameters (``checked_params``) and wraps it, and the two-point equilibrium
+conditions check once per call and read the core once per player.
 
 Note on the traveler's dilemma branch: equating the cooperation payoff with
 the payoff of undercutting to H-1 gives b*(1-2a) <= 1 + a*(H-L-1); the often
@@ -103,45 +107,65 @@ def cooperation_condition(kind: str, params: dict, alpha: Numeric,
     """
     a = to_unit(alpha, "alpha")
     b_ = to_unit(beta, "beta")
-    an, ad = a.numerator, a.denominator
-    bn, bd = b_.numerator, b_.denominator
-    # each condition is lhs >= rhs, held as (lhs_num, lhs_den, rhs_num, rhs_den)
+    binding, *rest = condition_terms(kind, checked_params(kind, params),
+                                     a.numerator, a.denominator,
+                                     b_.numerator, b_.denominator)
+    ln, ld, rn, rd = binding
+    rational = ln * rd >= rn * ld
+    for cond in rest:  # td's undercut-by-one condition
+        xn, xd, xrn, xrd = cond
+        rational = rational and xn * xrd >= xrn * xd
+        if _margin_below(cond, binding):
+            ln, ld, rn, rd = binding = cond
+    return CooperationVerdict(rational, Fraction(ln, ld), Fraction(rn, rd))
+
+
+def checked_params(kind: str, params: dict) -> tuple:
+    """The game's parameters through its ``games.*_params`` check (the
+    public-goods one admitting rho = 1), as ``condition_terms`` reads them."""
     if kind == "pd":
-        b, c = pd_params(params["b"], params["c"])
-        conditions = [(an * bn * b.numerator, ad * bd * b.denominator,
-                       c.numerator, c.denominator)]
-    elif kind == "td":
-        l, h, bonus = td_params(params["l"], params["h"], params["bonus"])
+        return pd_params(params["b"], params["c"])
+    if kind == "td":
+        return td_params(params["l"], params["h"], params["bonus"])
+    if kind == "pgg":
+        return pgg_params(params["n"], params["rho"], params.get("grid", 100),
+                          allow_rho_one=True)
+    if kind == "bertrand":
+        return bertrand_params(params["n"], params["l"], params["h"])
+    raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
+
+
+def condition_terms(kind: str, checked: tuple, an: int, ad: int, bn: int,
+                    bd: int) -> list:
+    """The integer core: each of the game's conditions lhs >= rhs at
+    alpha = an/ad and beta = bn/bd (denominators positive), held as
+    (lhs_num, lhs_den, rhs_num, rhs_den); ``checked`` comes from
+    ``checked_params``, so nothing is checked here."""
+    if kind == "pd":
+        b, c = checked
+        return [(an * bn * b.numerator, ad * bd * b.denominator,
+                 c.numerator, c.denominator)]
+    if kind == "td":
+        l, h, bonus = checked
         sn, sd = bonus.numerator, bonus.denominator
         conditions = [((h - l) * bn, bd, sn * (ad * bd - an * bn), sd * ad * bd)]
         if 2 * an < ad:
             conditions.append((ad + an * (h - l - 1), ad, sn * (ad - 2 * an),
                                sd * ad))
-    elif kind == "pgg":
-        n, rho, _ = pgg_params(params["n"], params["rho"],
-                               params.get("grid", 100), allow_rho_one=True)
+        return conditions
+    if kind == "pgg":
+        n, rho, _ = checked
         rn, rd = rho.numerator, rho.denominator
-        conditions = [(an * bn * rn * (n - 1), ad * bd * rd, rd - rn, rd)]
-    elif kind == "bertrand":
-        n, l, h = bertrand_params(params["n"], params["l"], params["h"])
-        # tie term f(gamma, N) * L * N / H with gamma = gn/gd: the N cancels,
-        # and f = 1 at gamma = 1
-        gn, gd = (ad - an) * bn, ad * bd
-        if gn == gd:
-            tie = (l * n, h)
-        else:
-            tie = (l * (gd ** n - gn ** n), h * gd ** (n - 1) * (gd - gn))
-        conditions = [(bn ** (n - 1), bd ** (n - 1), *tie)]
+        return [(an * bn * rn * (n - 1), ad * bd * rd, rd - rn, rd)]
+    n, l, h = checked  # bertrand
+    # tie term f(gamma, N) * L * N / H with gamma = gn/gd: the N cancels,
+    # and f = 1 at gamma = 1
+    gn, gd = (ad - an) * bn, ad * bd
+    if gn == gd:
+        tie = (l * n, h)
     else:
-        raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
-
-    rational = all(ln * rd >= rn * ld for ln, ld, rn, rd in conditions)
-    binding = conditions[0]
-    for cond in conditions[1:]:
-        if _margin_below(cond, binding):
-            binding = cond
-    ln, ld, rn, rd = binding
-    return CooperationVerdict(rational, Fraction(ln, ld), Fraction(rn, rd))
+        tie = (l * (gd ** n - gn ** n), h * gd ** (n - 1) * (gd - gn))
+    return [(bn ** (n - 1), bd ** (n - 1), *tie)]
 
 
 def _margin_below(x: tuple, y: tuple) -> bool:

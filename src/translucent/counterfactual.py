@@ -31,13 +31,24 @@ validator gives every measure a cell id from its exact entries, decides NORM
 once per cell and PR2 by comparing cell ids; only measures in different
 cells are compared as dicts.  The Nash and punishment builders read one
 layout per game (profiles, strategy positions, punished states), memoised
-like its payoff table, and build only the support-dependent columns and
-fresh measures.  Expected utilities work on strategy positions and sum
-integer numerators over a running common denominator; payoffs come from the
-game's table, keyed by profile index, so each (player, profile) payoff is
-computed once per game.  Every probability is taken at its exact value
-(floats included, as ``exact.to_exact`` converts them), so no verdict is
-decided by rounding.
+like its payoff table.  The punishment builder also keeps the columns that
+depend on the support on the game, one tuple per switch for each (player,
+support positions), filled on first use and holding at most
+``_SUPPORTS_KEPT`` supports per player (the oldest goes first): structures
+share those tuples, and each gets a ``closest_columns`` dict and measures
+of its own.
+
+Each player's switch plan (every switch's strategy, column and game
+position) and whether any switch can raise are kept on the structure: a
+builder hands them over, and ``_switch_plan`` reads them once for any other
+structure and again whenever a ``closest_columns`` key no longer holds the
+column object they were read from.  Expected utilities work on strategy
+positions: a measure's exact probabilities become integer weights over one
+denominator, dotted with the game's integer payoff row, where each payoff
+is an integer over the player's common scale, computed once per game, on
+first use.  Every probability is taken at its exact value (floats
+included, as ``exact.to_exact`` converts them), so no verdict is decided by
+rounding.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -58,6 +69,10 @@ from .games import (BudgetExceededError, MixedProfile, NormalFormGame, Profile,
 NORM_TOL = Fraction(1, 10 ** 12)
 MISSING = -1
 _SURE = Fraction(1)  # the measure of every off-support state, one object
+# supports whose punishment columns a game keeps, per player: a two-point
+# sweep uses three ({C}, {D}, {C, D}); past the bound the oldest is dropped,
+# so the kept columns stay within a few structures' worth
+_SUPPORTS_KEPT = 4
 
 
 class IncoherentProfileError(ValueError):
@@ -161,6 +176,11 @@ class CounterfactualStructure:
                    for rest in (pos[:i] + pos[i + 1:] for pos in zip(*positions))])
             for i in range(n))
 
+    @cached_property
+    def _plans(self) -> dict:
+        """Player -> ``_switch_plan``'s entry, filled on first use."""
+        return {}
+
     def strategy_index(self, i: int, strategy: Strategy) -> int:
         try:
             return self._strategy_maps[i][strategy]
@@ -183,10 +203,16 @@ class CounterfactualStructure:
 def _built(game: NormalFormGame, states: tuple, columns: dict, beliefs: list,
            profile_index: tuple, aux=None) -> CounterfactualStructure:
     """A builder's structure, handed its ``_profile_index`` so no strategy is
-    hashed (a copy by ``dataclasses.replace`` or from JSON computes its own)."""
+    hashed (a copy by ``dataclasses.replace`` or from JSON computes its own),
+    and its switch plans: every column of a builder is complete and in
+    range, and every strategy is the game's, so no switch can raise."""
     m = CounterfactualStructure(game.strategy_sets, states, columns,
                                 tuple(beliefs), aux=aux, game=game)
     m.__dict__["_profile_index"] = profile_index  # the cached_property's slot
+    m.__dict__["_plans"] = {
+        i: ([(s, columns[(i, j)], j) for j, s in enumerate(strats)], True,
+            [(i, j) for j in range(len(strats))])
+        for i, strats in enumerate(game.strategy_sets)}
     return m
 
 
@@ -326,40 +352,59 @@ def _require_game(m: CounterfactualStructure) -> NormalFormGame:
     return m.game
 
 
-def _weights(dist: dict) -> list:
-    """(numerator, denominator) of every probability, exact for floats."""
-    return [(q.numerator, q.denominator) for q in map(to_exact, dist.values())]
+def _weights(dist: dict) -> tuple:
+    """The exact probabilities of ``dist`` (floats included) as integer
+    weights over their least common denominator: ``(weights, den)``."""
+    qs = list(map(to_exact, dist.values()))
+    den = lcm(*[q.denominator for q in qs])
+    return [q.numerator * (den // q.denominator) for q in qs], den
 
 
 def _expectation(m: CounterfactualStructure, game: NormalFormGame, i: int, s: Strategy,
-                 pos: Optional[int], targets: list, weights: list) -> tuple:
+                 pos: Optional[int], targets: list, weights: list, den: int) -> tuple:
     """Sum of p * u_i(s, the others' strategies at the target) over the
-    targets and their exact weights, as (numerator, denominator): the game's
-    table entry at the others' part of each target's profile index plus
-    ``s``'s game position ``pos`` (None off the game) times i's stride."""
+    targets and their integer weights over ``den``, as (numerator,
+    denominator): the weights dotted with the game's integer payoff row at
+    the others' part of each target's profile index plus ``s``'s game
+    position ``pos`` (None off the game) times i's stride."""
     others = m._profile_index[1][i]
     try:
         base = pos * game._strides[i]
         keys = [others[t] + base for t in targets]
     except TypeError:  # s or a target off the game: payoff() raises
         total = Fraction(0)
-        for target, (pn, pd) in zip(targets, weights):
+        for target, w in zip(targets, weights):
             profile = list(m.states[target])
             profile[i] = s
-            total += Fraction(pn, pd) * game.payoff(tuple(profile), i)
+            total += Fraction(w, den) * game.payoff(tuple(profile), i)
         return total.numerator, total.denominator
-    return game._expect(i, keys, weights)
+    num, scale = game._dot(i, keys, weights)
+    return num, den * scale
 
 
-def _switch_plan(m: CounterfactualStructure, i: int) -> list:
-    """Player i's switches in list order, each strategy hashed once:
-    ``(strategy, closest-state column, game position or None)``."""
-    index = m.game._index[i]
-    return [(s, _column(m, i, s), index.get(s)) for s in m.strategy_sets[i]]
+def _switch_plan(m: CounterfactualStructure, i: int) -> tuple:
+    """Player i's switches in list order, each strategy hashed once, as
+    ``(strategy, closest-state column, game position or None)``, and whether
+    no switch can raise (a switch raises only on a hole, a target out of
+    range or a strategy or state off the game), so a scan may stop at the
+    first paying switch.  Both are kept on the structure, with the
+    ``closest_columns`` keys they were read from, while every key still holds
+    the same column object."""
+    entry = m._plans.get(i)
+    if entry is None or any(m.closest_columns.get(key) is not column
+                            for key, (_, column, _) in zip(entry[2], entry[0])):
+        strats, index, size = m.strategy_sets[i], m.game._index[i], m.num_states
+        keys = [(i, m.strategy_index(i, s)) for s in strats]
+        plan = [(s, m.closest_columns[key], index.get(s)) for s, key in zip(strats, keys)]
+        may_stop = None not in m._profile_index[1][i] and all(
+            pos is not None and len(c) == size and 0 <= min(c) and max(c) < size
+            for _, c, pos in plan)
+        entry = m._plans[i] = plan, may_stop, keys
+    return entry[0], entry[1]
 
 
 def _switch_values(m: CounterfactualStructure, game: NormalFormGame, i: int, omega: int,
-                   eu: tuple, sources: list, weights: list, plan: list):
+                   eu: tuple, sources: list, weights: list, den: int, plan: list):
     """Yield ``(strategy, (numerator, denominator))`` for each switch of
     ``plan`` at ``omega``, the sources pushed through its column one by one
     (by linearity, the pushforward's expectation).  A switch to omega's own
@@ -370,7 +415,7 @@ def _switch_values(m: CounterfactualStructure, game: NormalFormGame, i: int, ome
         if pos is not None and pos == own and targets == sources:
             yield s, eu
         else:
-            yield s, _expectation(m, game, i, s, pos, targets, weights)
+            yield s, _expectation(m, game, i, s, pos, targets, weights, den)
 
 
 def eu_at_state(m: CounterfactualStructure, i: int, omega: int) -> Fraction:
@@ -378,7 +423,7 @@ def eu_at_state(m: CounterfactualStructure, i: int, omega: int) -> Fraction:
     game = _require_game(m)
     dist = m.belief(i, omega)
     return Fraction(*_expectation(m, game, i, m.states[omega][i], m._profile_index[0][i][omega],
-                                  list(dist), _weights(dist)))
+                                  list(dist), *_weights(dist)))
 
 
 def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
@@ -389,7 +434,7 @@ def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
     dist = m.belief(i, omega)
     targets = _pushforward(_column(m, i, s_dev), i, list(dist), s_dev)
     return Fraction(*_expectation(m, game, i, s_dev, game._index[i].get(s_dev),
-                                  targets, _weights(dist)))
+                                  targets, *_weights(dist)))
 
 
 def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtilityReport:
@@ -397,11 +442,11 @@ def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtili
     or beat every switch (weak inequality)."""
     game = _require_game(m)
     dist = m.belief(i, omega)
-    sources, weights = list(dist), _weights(dist)
+    sources, (weights, den) = list(dist), _weights(dist)
     eu = _expectation(m, game, i, m.states[omega][i], m._profile_index[0][i][omega],
-                      sources, weights)
+                      sources, weights, den)
     switches = {s: Fraction(*v) for s, v in _switch_values(
-        m, game, i, omega, eu, sources, weights, _switch_plan(m, i))}
+        m, game, i, omega, eu, sources, weights, den, _switch_plan(m, i)[0])}
     eu = Fraction(*eu)
     return StateUtilityReport(eu, switches, all(eu >= v for v in switches.values()))
 
@@ -476,14 +521,22 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
                         raise IncoherentProfileError(i, s, s_dev)
 
     # only the columns and measures depend on the support; the layout's
-    # tuples are shared, and every structure gets dicts of its own
+    # tuples and the columns of each (player, support) are shared, and every
+    # structure gets dicts of its own
     columns, beliefs = {}, []
     for i, stride in enumerate(game._strides):
         support = {game.strategy_index(i, s) for s in sigma.distributions[i]}
-        for j, (_, target) in enumerate(punished[i]):
-            moved, base = support - {j}, j * stride
-            columns[(i, j)] = tuple([target if o in moved else x + base
-                                     for o, x in zip(own[i], others[i])])
+        key = (i, tuple(sorted(support)))
+        kept = game._support_columns
+        shared = kept.get(key)
+        if shared is None:
+            if len(kept) >= _SUPPORTS_KEPT * game.num_players:
+                del kept[next(iter(kept))]
+            shared = kept[key] = tuple(
+                tuple([target if o != j and o in support else x + j * stride
+                       for o, x in zip(own[i], others[i])])
+                for j, (_, target) in enumerate(punished[i]))
+        columns.update(((i, j), column) for j, column in enumerate(shared))
         pairs = _others_pairs(sigma, i)
         measures = {o: {o * stride + off: p for off, p in pairs} for o in support}
         beliefs.append(tuple([measures[o] if o in support else {k: _SURE}

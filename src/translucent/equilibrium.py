@@ -6,7 +6,9 @@ i, support strategy s_i and deviation s', there is an opponent profile under
 which s' pays no more than s_i pays against the profile mixture.  Coherence
 characterizes exactly the profiles witnessed by some counterfactual
 structure in which all support states satisfy TE1-TE4, which
-``te_in_structure`` judges once per belief cell, on strategy positions:
+``te_in_structure`` judges once per belief cell, on strategy positions and
+integer weights over one denominator, with each player's switch plan read
+from the structure (see ``counterfactual``):
 
 * TE1: the state plays a support profile;
 * TE2: everyone's belief support stays inside the witness set;
@@ -17,23 +19,24 @@ The per-game closed-form conditions (two-point cooperate/defect mixtures)
 come in typed form, where player i believes a deviation is detected by each
 other player independently with probability alpha_i, and untyped form,
 where deviations meet worst-case replies: untyped = typed at full detection
-(every alpha_i = 1).  Both read each player's inequality from
-``closed_form.cooperation_condition``, and bertrand's tie kernel from the
-Poisson-binomial ``OthersBehaviorModel.count_distribution``.
+(every alpha_i = 1).  Both check the parameters once per call; pd, td and
+the (N-1) public-goods reading then call the integer core that
+``closed_form.cooperation_condition`` wraps, ``condition_terms``, once per
+player, and bertrand reads its tie kernel from the Poisson-binomial
+``OthersBehaviorModel.count_distribution``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 from typing import Optional, Sequence
 
 from .beliefs import OthersBehaviorModel
-from .closed_form import cooperation_condition
+from .closed_form import checked_params, condition_terms
 from .exact import to_unit
-from .games import (KINDS, MixedProfile, as_game, bertrand_params,
-                    minimize_payoff, pd_params, pgg_params, td_params)
+from .games import MixedProfile, as_game, minimize_payoff
 from . import counterfactual as cf
 
 __all__ = [
@@ -64,11 +67,12 @@ def make_coherence_checker(game, budget: int = 10_000_000):
 
     def check(sigma: MixedProfile) -> CoherenceReport:
         for i, (row, top) in enumerate(zip(floors, tops)):
-            for s_i in sigma.support(i):
-                u = sigma.expected_payoff(i, s_i)
+            for pos, _, _ in sigma._entries[i][0]:  # the support, by position
+                u = Fraction(*sigma._payoff_at(i, pos))
                 if u < top:  # some deviation's floor beats u: the first one
                     j = next(j for j, floor in enumerate(row) if u < floor)
-                    return CoherenceReport(False, (i, s_i, game.strategy_sets[i][j]))
+                    return CoherenceReport(False, (i, sigma.game.strategy_sets[i][pos],
+                                                   game.strategy_sets[i][j]))
         return CoherenceReport(True)
 
     return check
@@ -97,58 +101,64 @@ def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
 
     TE2-TE4 depend on a state only through the player's measure and own
     strategy, so each belief cell (player, measure object, own strategy) is
-    judged once.  States are read by their positions in the game, so no
-    strategy is hashed; every probability is taken at its exact value.
+    judged once, on the measure's exact probabilities as integer weights
+    over one denominator.  States are read by their positions in the game,
+    so no strategy is hashed, and each player's switch plan is kept on the
+    structure (``counterfactual._switch_plan``).
     """
     positions, others = m._profile_index
-    supports = [{sigma.game._index[i][s] for s in d}  # zero masses are dropped
-                for i, d in enumerate(sigma.distributions)]
+    supports = [{pos for pos, _, _ in entries} for entries, _ in sigma._entries]
     inside = tuple(map(all, zip(*[[x in s for x in c] for c, s in zip(positions, supports)])))
     if omega_subset is None:
         omega_subset = [k for k, yes in enumerate(inside) if yes]
     omega_set = set(omega_subset)
     te1, te2, te3, te4 = [], [], [], []
-    # the others' mixture, keyed by the others' offset, in lowest terms
-    expected = [{o: (w // gcd(w, den), den // gcd(w, den)) for o, w in zip(offsets, ws)}
-                for _, offsets, ws, den in sigma._kernels]
-    verdicts, plans = {}, {}  # plans: player -> (switch plan, no switch can raise)
+    # the others' mixture: the others' offset -> integer weight, over den
+    expected = [(dict(zip(offsets, ws)), den) for _, offsets, ws, den in sigma._kernels]
+    verdicts, plans = {}, {}
+    players = list(enumerate(zip(positions, m.beliefs)))
 
     for omega in omega_subset:
         if not inside[omega]:
             te1.append((omega,))
-        for i, (column, rest) in enumerate(zip(positions, others)):
-            dist = m.belief(i, omega)
+        for i, (column, per_state) in players:
+            dist = per_state[omega]
             key = (i, id(dist), column[omega])
             verdict = verdicts.get(key)
             if verdict is None:
-                sources, weights = list(dist), cf._weights(dist)
-                marginal: dict = {}  # the others' offset -> mass, in lowest terms
-                for t, (pn, pd) in zip(sources, weights):
-                    a, b = marginal.get(rest[t], (0, 1))
-                    a, b = a * pd + pn * b, b * pd
-                    marginal[rest[t]] = a // gcd(a, b), b // gcd(a, b)
-                en, ed = eu = cf._expectation(m, m.game, i, m.states[omega][i],
-                                              column[omega], sources, weights)
-                if i not in plans:  # a switch raises only on a hole, a target out
-                    # of range or a strategy or state off the game; else stop early
-                    plan, size = cf._switch_plan(m, i), m.num_states
-                    plans[i] = plan, None not in rest and all(
-                        pos is not None and len(c) == size and 0 <= min(c) and max(c) < size
-                        for _, c, pos in plan)
-                plan, may_stop = plans[i]
-                pays = (vn * ed > en * vd for _, (vn, vd) in cf._switch_values(
-                    m, m.game, i, omega, eu, sources, weights, plan))
-                verdict = verdicts[key] = (
-                    any(pn > 0 and t not in omega_set
-                        for t, (pn, _) in zip(sources, weights)),
-                    {k: v for k, v in marginal.items() if v[0] > 0} != expected[i],
-                    any(pays) if may_stop else any(list(pays)))
-            for found, violations in zip(verdict, (te2, te3, te4)):
-                if found:
-                    violations.append((omega, i))
+                verdict = verdicts[key] = _judge_cell(
+                    m, i, omega, dist, others[i], expected[i], omega_set, plans)
+            if True in verdict:
+                for found, violations in zip(verdict, (te2, te3, te4)):
+                    if found:
+                        violations.append((omega, i))
 
     holds = not (te1 or te2 or te3 or te4)
     return TeStructureReport(holds, tuple(te1), tuple(te2), tuple(te3), tuple(te4))
+
+
+def _judge_cell(m: cf.CounterfactualStructure, i: int, omega: int, dist: dict,
+                rest: tuple, expected: tuple, omega_set: set, plans: dict) -> tuple:
+    """TE2, TE3 and TE4 violations of player i's cell at ``omega``, whose
+    measure is ``dist`` and whose states' others' offsets are ``rest``;
+    ``plans`` keeps each player's switch plan for the call."""
+    sources, (weights, den) = list(dist), cf._weights(dist)
+    marginal: dict = {}  # the others' offset -> weight over den
+    for t, w in zip(sources, weights):
+        marginal[rest[t]] = marginal.get(rest[t], 0) + w
+    marginal = {o: w for o, w in marginal.items() if w > 0}
+    mixture, mixture_den = expected
+    en, ed = eu = cf._expectation(m, m.game, i, m.states[omega][i],
+                                  m._profile_index[0][i][omega], sources, weights, den)
+    if i not in plans:
+        plans[i] = cf._switch_plan(m, i)
+    plan, may_stop = plans[i]
+    pays = (vn * ed > en * vd for _, (vn, vd) in cf._switch_values(
+        m, m.game, i, omega, eu, sources, weights, den, plan))
+    return (any(w > 0 and t not in omega_set for t, w in zip(sources, weights)),
+            marginal.keys() != mixture.keys() or any(
+                w * mixture_den != mixture[o] * den for o, w in marginal.items()),
+            any(pays) if may_stop else any(list(pays)))
 
 
 def is_translucent_equilibrium(game, sigma: MixedProfile, *,
@@ -220,28 +230,19 @@ def _two_point(kind: str, params: dict, betas: Sequence,
                alphas_for) -> TypedTeResult:
     """Both conditions' one body; ``alphas_for(n)`` gives the alpha vector
     once the player count is known.  Player i is judged against the others'
-    mean cooperation: by ``cooperation_condition`` for pd, td and the (N-1)
-    public-goods reading, and by the product of the others' betas against
-    the heterogeneous tie kernel for bertrand."""
+    mean cooperation: by the integer core ``condition_terms`` of
+    ``cooperation_condition`` for pd, td and the (N-1) public-goods reading,
+    with the parameters checked once per call, and by the product of the
+    others' betas against the heterogeneous tie kernel for bertrand."""
     # parameters are checked before the vectors, so a bad one is reported first
-    if kind == "pd":
-        pd_params(params["b"], params["c"])
-        n = 2
-    elif kind == "td":
-        td_params(params["l"], params["h"], params["bonus"])
-        n = 2
-    elif kind == "pgg":
-        n, rho, _ = pgg_params(params["n"], params["rho"],
-                               params.get("grid", 100), allow_rho_one=True)
-    elif kind == "bertrand":
-        n, l, h = bertrand_params(params["n"], params["l"], params["h"])
-    else:
-        raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
+    checked = checked_params(kind, params)
+    n = checked[0] if kind in ("pgg", "bertrand") else 2
     als = alphas_for(n)
     bs = _unit_vector(betas, n, "beta")
     defect = all(x == 0 for x in bs)
     means = [(sum(bs) - x) / (n - 1) for x in bs]
     if kind == "bertrand":
+        _, l, h = checked
         # every player is judged (a list, not a generator), as the former
         # loop did: cheaper sweep rows fit more passes into cli_cold's fixed
         # run time, and past 100 samples its tail switches from p50 to p90
@@ -250,9 +251,12 @@ def _two_point(kind: str, params: dict, betas: Sequence,
                 [(1 - a) * x for x in bs[:i] + bs[i + 1:]], n) * l * n / h
             for i, a in enumerate(als)])
     else:
-        holds = defect or all(cooperation_condition(kind, params, a, m).rational
-                              for a, m in zip(als, means))
+        holds = defect or all(
+            all(ln * rd >= rn * ld for ln, ld, rn, rd in condition_terms(
+                kind, checked, a.numerator, a.denominator, m.numerator, m.denominator))
+            for a, m in zip(als, means))
     if kind == "pgg":
+        rho = checked[1]
         printed = defect or all(a * rho * m >= 1 - rho for a, m in zip(als, means))
         return TypedTeResult(kind, None, {"printed": printed, "n_minus_1": holds})
     return TypedTeResult(kind, holds, {"condition": holds})

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .exact import Numeric, to_exact, to_integer
@@ -61,10 +62,15 @@ class NormalFormGame:
     _index: tuple = field(init=False, repr=False, compare=False, hash=False)
     # per player: profile index k plays position (k // stride) % size
     _strides: tuple = field(init=False, repr=False, compare=False, hash=False)
-    # per player: profile index -> (numerator, denominator) of its payoff
+    # per player: profile index -> its payoff times the player's scale
     _table: tuple = field(init=False, repr=False, compare=False, hash=False)
+    # per player: the common denominator of its table's entries, a list
+    _scales: list = field(init=False, repr=False, compare=False, hash=False)
     # (player, strategy position) -> minimize_payoff's (value, minimiser)
     _minima: dict = field(init=False, repr=False, compare=False, hash=False)
+    # (player, support positions) -> the punishment structure's columns,
+    # filled and bounded by ``counterfactual.build_coherent_structure``
+    _support_columns: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.num_players < 2:
@@ -84,7 +90,9 @@ class NormalFormGame:
         object.__setattr__(self, "_strides", tuple(
             prod(map(len, self.strategy_sets[i + 1:])) for i in range(self.num_players)))
         object.__setattr__(self, "_table", tuple({} for _ in self.strategy_sets))
+        object.__setattr__(self, "_scales", [1] * self.num_players)
         object.__setattr__(self, "_minima", {})
+        object.__setattr__(self, "_support_columns", {})
 
     def payoff(self, profile: Profile, i: int) -> Fraction:
         self._check_profile(profile)
@@ -110,29 +118,34 @@ class NormalFormGame:
     def profiles(self) -> Iterator[Profile]:
         return itertools.product(*self.strategy_sets)
 
-    def _expect(self, i: int, keys, weights) -> tuple:
-        """Exact sum of weight * player i's payoff at each profile index, with
-        (numerator, denominator) weights: integers over a running common
-        denominator, one gcd per term; returns (numerator, denominator > 0)."""
-        row, num, den = self._table[i], 0, 1
-        for k, (wn, wd) in zip(keys, weights):
-            un, ud = row.get(k) or self._exact_payoff(i, k)
-            pn, pd = wn * un, wd * ud
-            g = gcd(den, pd)
-            if g == pd:
-                num += pn * (den // pd)
-            else:
-                num = num * (pd // g) + pn * (den // g)
-                den *= pd // g
-        return num, den
+    def _dot(self, i: int, keys: Sequence, weights: Sequence) -> tuple:
+        """Sum of w * player i's payoff at each profile index of ``keys``, for
+        integer weights ``w``, as ``(numerator, scale)``: the sum is
+        numerator / scale.  Payoffs come from the table, where each one is
+        an integer over the player's common scale; missing ones are computed
+        by the rule first, so the scale read with the sum fits every term."""
+        row = self._table[i]
+        try:
+            return sum(map(mul, weights, map(row.__getitem__, keys))), self._scales[i]
+        except KeyError:
+            for k in keys:
+                if k not in row:
+                    self._fill(i, k)
+            return sum(map(mul, weights, map(row.__getitem__, keys))), self._scales[i]
 
-    def _exact_payoff(self, i: int, k: int) -> tuple:
-        """Player i's payoff at profile index k as (numerator, denominator),
-        computed by the rule and stored in the table; callers look there first."""
+    def _fill(self, i: int, k: int) -> None:
+        """Compute player i's payoff at profile index k by the rule and store
+        it in the table, raising the player's scale (and every stored entry
+        with it) to a multiple of the payoff's denominator if needed."""
         sets = zip(self.strategy_sets, self._strides)
         v = to_exact(self.payoff_rule(tuple(s[k // st % len(s)] for s, st in sets), i))
-        u = self._table[i][k] = (v.numerator, v.denominator)
-        return u
+        row, scale = self._table[i], self._scales[i]
+        if scale % v.denominator:
+            factor = v.denominator // gcd(scale, v.denominator)
+            for key in row:
+                row[key] *= factor
+            scale = self._scales[i] = scale * factor
+        row[k] = v.numerator * (scale // v.denominator)
 
     @cached_property
     def _layout(self) -> tuple:
@@ -397,6 +410,8 @@ class MixedProfile:
 
     Distributions are stored as (strategy, probability) pairs with exact
     probabilities; zero-probability strategies are dropped from the support.
+    Each player's support is also read once into integer entries over one
+    denominator (``_entries``), from which the others' mixtures are formed.
     Instances are immutable by convention.
     """
 
@@ -425,43 +440,83 @@ class MixedProfile:
 
     @classmethod
     def two_point(cls, dilemma: SocialDilemma, betas: Sequence[Numeric]) -> "MixedProfile":
-        """Each player cooperates with probability beta_i, else defects."""
+        """Each player cooperates with probability beta_i, else defects.
+
+        Built directly, with the checks of building the two-point dicts and
+        then ``__init__``, in their order: per player beta in [0, 1] and both
+        strategies hashable, then per player both strategies in the game and
+        the masses summing to 1, which they do not when a hand-built dilemma
+        cooperates and defects alike and beta > 0.  Zero masses are dropped;
+        the integer entries are bn and bd - bn over bd for beta = bn/bd."""
         if len(betas) != dilemma.num_players:
             raise ValueError("one beta per player required")
-        dists = []
+        game, players = dilemma.game, []
         for i, beta in enumerate(betas):
             beta = to_exact(beta)
-            if not 0 <= beta <= 1:
+            if not 0 <= beta.numerator <= beta.denominator:
                 raise ValueError(f"beta of player {i} must lie in [0, 1]")
-            dists.append({dilemma.cooperate_strategy(i): beta,
-                          dilemma.defect_strategy(i): 1 - beta})
-        return cls(dilemma.game, dists)
+            c, d = dilemma.cooperate_strategy(i), dilemma.defect_strategy(i)
+            index = game._index[i]
+            players.append((beta, c, d, index.get(c), index.get(d)))
+        dists, entries = [], []
+        for i, (beta, c, d, pc, pd) in enumerate(players):
+            for s, pos in ((c, pc), (d, pd)):
+                if pos is None:
+                    game.strategy_index(i, s)  # raises: not a strategy of i
+            bn, bd = beta.numerator, beta.denominator
+            if pc == pd:  # the masses collapse onto c: 1 - beta
+                if bn:
+                    raise ValueError(f"distribution of player {i} does not sum to 1")
+                dists.append({c: Fraction(1)})
+                entries.append(([(pc, c, 1)], 1))
+                continue
+            dist, row = {}, []
+            if bn:
+                dist[c] = beta
+                row.append((pc, c, bn))
+            if bn < bd:
+                dist[d] = Fraction(bd - bn, bd)
+                row.append((pd, d, bd - bn))
+            dists.append(dist)
+            entries.append((row if pc < pd else row[::-1], bd))
+        sigma = cls.__new__(cls)
+        sigma.game, sigma.distributions = game, tuple(dists)
+        sigma._entries = tuple(entries)  # the cached_property's slot
+        return sigma
 
     def prob(self, i: int, strategy: Strategy) -> Fraction:
         return self.distributions[i].get(strategy, Fraction(0))
 
     def support(self, i: int) -> tuple:
-        return tuple(s for s in self.game.strategy_sets[i]
-                     if s in self.distributions[i])
+        strats = self.game.strategy_sets[i]
+        return tuple(strats[pos] for pos, _, _ in self._entries[i][0])
+
+    @cached_property
+    def _entries(self) -> tuple:
+        """Per player, ``(entries, den)``: the support as (game position,
+        strategy, weight) sorted by position, each probability weight / den
+        over the least common denominator, computed once per player."""
+        entries = []
+        for index, dist in zip(self.game._index, self.distributions):
+            den = lcm(*(p.denominator for p in dist.values()))
+            entries.append((sorted((index[s], s, p.numerator * (den // p.denominator))
+                                   for s, p in dist.items()), den))
+        return tuple(entries)
 
     @cached_property
     def _kernels(self) -> list:
         """Per player i, the others' joint support in product order as
         ``(combos, offsets, weights, den)``; a combo's offset is its part of
         the profile index, and its probability is weight / den."""
-        game, kernels = self.game, []
-        for i in range(game.num_players):
+        strides, kernels = self.game._strides, []
+        for i in range(self.game.num_players):
             rows, den = [((), 0, 1)], 1  # (combo, offset, weight)
-            for j, dist in enumerate(self.distributions):
-                if j == i:
-                    continue
-                d_j = lcm(*(p.denominator for p in dist.values()))
-                stride, index = game._strides[j], game._index[j]
-                entries = sorted((index[s] * stride, s, p.numerator * d_j // p.denominator)
-                                 for s, p in dist.items())  # by position
-                rows = [(c + (s,), o + x, w * v)
-                        for c, o, w in rows for x, s, v in entries]
-                den *= d_j
+            for j, (entries, d_j) in enumerate(self._entries):
+                if j != i:
+                    stride = strides[j]
+                    rows = [(c + (s,), o + pos * stride, w * v)
+                            for c, o, w in rows for pos, s, v in entries]
+                    den *= d_j
             kernels.append((*zip(*rows), den))
         return kernels
 
@@ -474,11 +529,16 @@ class MixedProfile:
     def expected_payoff(self, i: int, strategy: Strategy) -> Fraction:
         """E[u_i(strategy, s_-i)] with s_-i drawn from the others' mixture:
         the integer weights dotted with the game's payoff table."""
+        return Fraction(*self._payoff_at(i, self.game.strategy_index(i, strategy)))
+
+    def _payoff_at(self, i: int, pos: int) -> tuple:
+        """``expected_payoff`` of player i's strategy at game position
+        ``pos``, as (numerator, denominator)."""
         game = self.game
-        base = game.strategy_index(i, strategy) * game._strides[i]
+        base = pos * game._strides[i]
         _, offsets, weights, den = self._kernels[i]
-        return Fraction(*game._expect(i, [base + o for o in offsets],
-                                      zip(weights, itertools.repeat(den))))
+        num, scale = game._dot(i, [base + o for o in offsets], weights)
+        return num, den * scale
 
     def __repr__(self):
         parts = []

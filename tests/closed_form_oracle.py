@@ -9,13 +9,17 @@ meant to be obviously right.
 The equilibrium section keeps the two-point equilibrium conditions as they
 were before they were read from ``cooperation_condition``: each game's
 inequality written out per condition, and the heterogeneous tie kernel as
-its defining sum over the 2^(N-1) subsets of the others.
+its defining sum over the 2^(N-1) subsets of the others.  It also keeps the
+pd, td and public-goods body that read them from ``cooperation_condition``,
+player by player (``two_point_by_verdicts``); the library now checks the
+parameters once and calls the integer core ``condition_terms`` per player.
 """
 
 import itertools
 from fractions import Fraction
 from typing import Sequence
 
+from translucent.closed_form import cooperation_condition as library_condition
 from translucent.equilibrium import TypedTeResult
 from translucent.exact import to_exact, to_unit
 from translucent.games import (KINDS, BudgetExceededError, bertrand_params,
@@ -184,6 +188,34 @@ def te_condition_typed(kind: str, params: dict, alphas: Sequence,
                 ok = False
         return TypedTeResult(kind, ok, {"condition": ok})
     raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
+
+
+def two_point_by_verdicts(kind: str, params: dict, betas: Sequence,
+                          alphas_for) -> TypedTeResult:
+    """pd, td and public goods: parameters checked, then player i judged by
+    ``cooperation_condition(kind, params, alpha_i, mean_i).rational`` with
+    mean_i the others' mean beta; ``alphas_for(n)`` gives the alphas."""
+    if kind == "pd":
+        pd_params(params["b"], params["c"])
+        n = 2
+    elif kind == "td":
+        td_params(params["l"], params["h"], params["bonus"])
+        n = 2
+    elif kind == "pgg":
+        n, rho, _ = pgg_params(params["n"], params["rho"],
+                               params.get("grid", 100), allow_rho_one=True)
+    else:
+        raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
+    als = alphas_for(n)
+    bs = _unit_vector(betas, n, "beta")
+    defect = all(x == 0 for x in bs)
+    means = [(sum(bs) - x) / (n - 1) for x in bs]
+    holds = defect or all(library_condition(kind, params, a, m).rational
+                          for a, m in zip(als, means))
+    if kind == "pgg":
+        printed = defect or all(a * rho * m >= 1 - rho for a, m in zip(als, means))
+        return TypedTeResult(kind, None, {"printed": printed, "n_minus_1": holds})
+    return TypedTeResult(kind, holds, {"condition": holds})
 
 
 def generalized_f(gammas: Sequence, n: int, budget: int = 2 ** 20) -> Fraction:

@@ -23,12 +23,17 @@ own and formats every path.
 reads payoffs from the game's table; ``others_support_profiles``,
 ``expected_payoff`` and ``joint_prob`` below are the former methods, one
 ``Fraction`` product per combo and one payoff-rule call per term, taking
-the profile as their first argument.
+the profile as their first argument.  ``MixedProfile.two_point`` builds its
+dicts and integer entries directly, and ``_kernels`` reads each player's
+entries once; ``two_point`` and ``kernels`` below are the former route,
+the two-point dicts through ``MixedProfile.__init__`` and the others' joint
+support rebuilt for every player from the distributions.
 """
 
 import itertools
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from translucent.counterfactual import (MISSING, NORM_TOL,
@@ -70,6 +75,40 @@ def joint_prob(self, profile) -> Fraction:
     for i, s in enumerate(profile):
         p *= self.prob(i, s)
     return p
+
+
+def two_point(dilemma: SocialDilemma, betas: Sequence) -> MixedProfile:
+    """Each player cooperates with probability beta_i, else defects."""
+    if len(betas) != dilemma.num_players:
+        raise ValueError("one beta per player required")
+    dists = []
+    for i, beta in enumerate(betas):
+        beta = to_exact(beta)
+        if not 0 <= beta <= 1:
+            raise ValueError(f"beta of player {i} must lie in [0, 1]")
+        dists.append({dilemma.cooperate_strategy(i): beta,
+                      dilemma.defect_strategy(i): 1 - beta})
+    return MixedProfile(dilemma.game, dists)
+
+
+def kernels(self) -> list:
+    """Per player i, the others' joint support in product order as
+    ``(combos, offsets, weights, den)``."""
+    game, kernels = self.game, []
+    for i in range(game.num_players):
+        rows, den = [((), 0, 1)], 1  # (combo, offset, weight)
+        for j, dist in enumerate(self.distributions):
+            if j == i:
+                continue
+            d_j = lcm(*(p.denominator for p in dist.values()))
+            stride, index = game._strides[j], game._index[j]
+            entries = sorted((index[s] * stride, s, p.numerator * d_j // p.denominator)
+                             for s, p in dist.items())  # by position
+            rows = [(c + (s,), o + x, w * v)
+                    for c, o, w in rows for x, s, v in entries]
+            den *= d_j
+        kernels.append((*zip(*rows), den))
+    return kernels
 
 
 def validate_structure(m) -> list:

@@ -421,11 +421,53 @@ class TestNamedPaths:
         code, out, err = run(capsys, command, "--config", cfg)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command,payload,message", [
+        ("check", {"kind": "pgg", "params": {"n": 1, "rho": 0.6},
+                   "alpha": 0.5, "beta": 0.5},
+         "$.params: public goods game needs n >= 2 players"),
+        ("population", {"kind": "pd", "params": {"b": 1, "c": 1},
+                        "population": {"types": [{"alpha": 1, "beta": 1,
+                                                  "weight": 1}]}},
+         "$.params: benefit must exceed cost, got b=1 <= c=1"),
+        ("qre", {"kind": "td", "params": {"l": 3, "h": 3, "bonus": 2},
+                 "lambda": 1},
+         "$.params: claim bounds must satisfy 0 < l < h, got l=3, h=3"),
+        ("sweep", {"kind": "bertrand", "mode": "te",
+                   "params": {"n": 2, "l": [2, 1], "h": 5}, "beta": 0.5},
+         "$.params: price floor must be at least 2, got 1: with a floor of 0 "
+         "or 1 the pure Nash equilibrium is not unique"),
+        # the closed forms admit rho = 1, the game does not
+        ("equilibrium", {"kind": "pgg", "params": {"n": 2, "rho": 1},
+                         "betas": [1, 1]},
+         "$.params: marginal return must lie strictly between 1/2 and 1, "
+         "got 1; at the endpoints the Nash/welfare profiles are not unique"),
+        ("check", {**PD, "alpha": 2, "beta": 0.5},
+         "$.alpha: alpha must lie in [0, 1], got 2"),
+        ("equilibrium", {**PD, "betas": [0.5, 1.5]},
+         "$.betas[1]: beta must lie in [0, 1], got 3/2"),
+        ("equilibrium", {**PD, "betas": [0.5, 0.5], "alphas": [-1, 0]},
+         "$.alphas[0]: alpha must lie in [0, 1], got -1"),
+        ("population", {**PD, "population": {"types": [
+            {"alpha": 1, "beta": 1, "weight": 0.5},
+            {"alpha": 1, "beta": 2, "weight": 0.5}]}},
+         "$.population.types[1].beta: beta must lie in [0, 1], got 2"),
+        ("population", {**PD, "population": {"grid": {
+            "alpha": [0, 3], "beta": 1}}},
+         "$.population.grid.alpha: alpha must lie in [0, 1], got 3"),
+        ("sweep", {**PD, "alpha": 1, "beta": {"start": 0, "stop": 2, "step": 1}},
+         "$.beta: beta must lie in [0, 1], got 2"),
+    ])
+    def test_domain_error_names_its_path(self, tmp_path, capsys, command,
+                                         payload, message):
+        cfg = write_config(tmp_path, "c.json", payload)
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_player_count_is_checked_before_the_lists(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "kind": "pgg", "params": {"n": 1, "rho": 0.6}, "betas": [0.5, 0.5]})
         assert run(capsys, "equilibrium", "--config", cfg) == (
-            2, "", "error: public goods game needs n >= 2 players\n")
+            2, "", "error: $.params: public goods game needs n >= 2 players\n")
 
     def test_damping_and_tol_take_any_number(self, tmp_path, capsys):
         outs = []

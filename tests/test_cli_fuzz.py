@@ -6,7 +6,9 @@ type, out of its domain, one of the JSON constants NaN, Infinity and
 -Infinity, a number past the float range, or a missing key.  Budgets stay
 at or below 64 and iteration caps at or below 200, so every run is small.
 Every run must exit 0, 1 or 2 without an uncaught exception, and a second
-run of the same config must print the same stdout.
+run of the same config must print the same stdout.  Every exit-2 message
+names where the input went wrong: a JSON path (``$...``) or the config
+file itself; no message is exempt.
 """
 
 import contextlib
@@ -164,5 +166,6 @@ def test_every_run_exits_cleanly_and_deterministically(case, budget):
         assert code in (0, 1, 2), (code, err)
         event(f"{command} exit {code}")
         if code == 2:
-            assert out == "" and err.startswith("error: "), err
+            assert out == "", out
+            assert err.startswith(("error: $", f"error: {path}")), err
         assert run_in_process(argv) == (code, out, err)

@@ -14,6 +14,7 @@ import time
 from fractions import Fraction as F
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ import closed_form_oracle as oracle
 from translucent.closed_form import f_gamma
 from translucent.equilibrium import (generalized_f, te_condition,
                                      te_condition_typed)
-from translucent.games import KINDS
+from translucent.games import KINDS, pd_params, pgg_params, td_params
 
 PROPERTY = settings(max_examples=400, deadline=None)
 KERNEL = settings(max_examples=200, deadline=None)  # the oracle is 2^(N-1)
@@ -110,9 +111,9 @@ PARAMS = {
 
 
 @st.composite
-def cases(draw):
+def cases(draw, kinds=KINDS + ("other",)):
     """(kind, params, alphas, betas), valid or not."""
-    kind = draw(st.sampled_from(KINDS + ("other",)))
+    kind = draw(st.sampled_from(kinds))
     params = dict(draw(PARAMS[kind]))
     if draw(st.integers(0, 19)) == 0:
         del params[draw(st.sampled_from(sorted(params)))]
@@ -146,6 +147,56 @@ class TestConditionsMatchOracle:
             holds = (result.readings["n_minus_1"] if result.holds is None
                      else result.holds)
             assert untyped[1] == holds
+
+
+def untyped_by_verdicts(kind, params, betas):
+    result = oracle.two_point_by_verdicts(kind, params, betas, lambda n: [1] * n)
+    return result.readings["n_minus_1"] if result.holds is None else result.holds
+
+
+def typed_by_verdicts(kind, params, alphas, betas):
+    return oracle.two_point_by_verdicts(
+        kind, params, betas, lambda n: oracle._unit_vector(alphas, n, "alpha"))
+
+
+class TestCoreMatchesVerdictBody:
+    """pd, td and public goods check the parameters once and call the
+    integer core per player; the former body called
+    ``cooperation_condition`` per player."""
+
+    @PROPERTY
+    @given(cases(("pd", "td", "pgg")))
+    def test_untyped(self, case):
+        kind, params, _, betas = case
+        assert (outcome(te_condition, kind, params, betas)
+                == outcome(untyped_by_verdicts, kind, params, betas))
+
+    @PROPERTY
+    @given(cases(("pd", "td", "pgg")))
+    def test_typed(self, case):
+        kind, params, alphas, betas = case
+        assert (outcome(te_condition_typed, kind, params, alphas, betas)
+                == outcome(typed_by_verdicts, kind, params, alphas, betas))
+
+    @pytest.mark.parametrize("kind,params,check", [
+        ("pd", {"b": 1, "c": 1}, lambda: pd_params(1, 1)),
+        ("td", {"l": 3, "h": 3, "bonus": 2}, lambda: td_params(3, 3, 2)),
+        ("pgg", {"n": 1, "rho": F(3, 5)}, lambda: pgg_params(1, F(3, 5))),
+        ("pgg", {"n": 3, "rho": F(1, 3)},
+         lambda: pgg_params(3, F(1, 3), allow_rho_one=True)),
+    ])
+    @pytest.mark.parametrize("alphas,betas", [
+        ([F(1, 2)] * 2, [F(3, 2), F(1, 2)]),
+        ([2, 0], [F(1, 2)] * 2),
+        ([F(1, 2)], [F(1, 2)] * 5),
+        (["x", None], [None, True]),
+    ])
+    def test_bad_parameter_is_reported_before_bad_vectors(self, kind, params,
+                                                         check, alphas, betas):
+        want = outcome(check)
+        assert want[0] == "raises"
+        assert outcome(te_condition, kind, params, betas) == want
+        assert outcome(te_condition_typed, kind, params, alphas, betas) == want
 
 
 class TestGeneralizedFMatchesSubsetSum:

@@ -30,6 +30,7 @@ from translucent.exact import to_exact
 from translucent.games import (
     MixedProfile,
     NormalFormGame,
+    SocialDilemma,
     make_bertrand,
     make_prisoners_dilemma,
     make_public_goods,
@@ -86,10 +87,10 @@ def test_table_is_shared_across_profiles(data):
     for _ in range(8):
         assert_matches_oracle(data.draw(mixtures(SHARED)))
     profiles = list(SHARED.profiles())
-    for i, row in enumerate(SHARED._table):
+    for i, (row, scale) in enumerate(zip(SHARED._table, SHARED._scales)):
         assert len(row) <= SHARED.profile_count()
-        for k, (num, den) in row.items():
-            assert F(num, den) == SHARED.payoff(profiles[k], i)
+        for k, num in row.items():
+            assert F(num, scale) == SHARED.payoff(profiles[k], i)
 
 
 def oracle_coherence(game, sigma):
@@ -212,3 +213,70 @@ def test_expected_payoff_of_a_non_strategy(strategy):
     assert got == outcome(oracle.expected_payoff, sigma, 0, strategy)
     assert got == ("raised", ValueError,
                    f"{strategy!r} is not a strategy of player 0")
+
+
+# ---------------------------------------------------------------------------
+# two_point and the kernels against the former __init__ route
+
+# hand-built dilemmas on the custom game: a profile off the game, player 0
+# cooperating and defecting alike, an unhashable strategy, a short profile
+OFF_GAME = [
+    SocialDilemma(CUSTOM, "custom", {}, ("b", F(0), "y"), ("a", F(7), "x")),
+    SocialDilemma(CUSTOM, "custom", {}, ("b", F(0), "z"), ("a", F(1), "x")),
+    SocialDilemma(CUSTOM, "custom", {}, ("a", F(0), "y"), ("a", F(1), "x")),
+    SocialDilemma(CUSTOM, "custom", {}, ("b", F(0), "y"), (["a"], F(1), "x")),
+    SocialDilemma(CUSTOM, "custom", {}, ("b", F(0), "y"), ("a", F(1))),
+]
+DILEMMAS = [
+    make_prisoners_dilemma(4, 1),
+    make_travelers_dilemma(2, 7, 3),
+    make_public_goods(3, F(3, 5), grid=2),
+    make_public_goods(4, F(2, 5), grid=1),
+    make_bertrand(3, 2, 5),
+    # cooperating at a lower position than defecting
+    SocialDilemma(CUSTOM, "custom", {}, ("b", F(1), "y"), ("a", F(0), "x")),
+] + OFF_GAME
+BETAS = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.sampled_from([0, 1, F(0), F(1), 0.5, 0.1, 1.0, 0.0, "1/3"]),
+    st.floats(0, 1),
+    st.sampled_from([F(-1, 3), F(4, 3), 1.5, None, "x", True]),
+)
+
+
+def items(sigma):
+    """Every distribution's items in dict order, with the types."""
+    return [[(s, type(s), p, type(p)) for s, p in d.items()]
+            for d in sigma.distributions]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DILEMMAS), st.data())
+def test_two_point_matches_the_init_route(d, data):
+    n = d.num_players
+    size = n if data.draw(st.integers(0, 9)) else n + data.draw(st.sampled_from([-1, 1]))
+    betas = data.draw(st.lists(BETAS, min_size=size, max_size=size))
+    got = outcome(MixedProfile.two_point, d, betas)
+    want = outcome(oracle.two_point, d, betas)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got == want
+        return
+    sigma, former = got[1], want[1]
+    assert items(sigma) == items(former)
+    assert sigma._kernels == oracle.kernels(former)
+    assert former._kernels == oracle.kernels(former)
+    for i, strats in enumerate(d.game.strategy_sets):
+        assert sigma.support(i) == former.support(i) == tuple(
+            s for s in strats if s in former.distributions[i])
+        for s in strats:
+            assert sigma.expected_payoff(i, s) == oracle.expected_payoff(former, i, s)
+
+
+@pytest.mark.parametrize("d", OFF_GAME[:2] + OFF_GAME[3:],
+                         ids=["welfare", "nash", "unhashable", "short"])
+def test_two_point_off_the_game_still_raises(d):
+    for betas in ([F(1, 2)] * 3, [0] * 3, [1] * 3):
+        got = outcome(MixedProfile.two_point, d, betas)
+        assert got[0] == "raised"
+        assert got == outcome(oracle.two_point, d, betas)

@@ -24,7 +24,9 @@ from hypothesis import strategies as st
 
 import structure_oracle as oracle
 from test_structure_oracle import POOL, TYPED, exact, levels, outcome
+from translucent import counterfactual
 from translucent.counterfactual import (
+    MISSING,
     build_coherent_structure,
     build_nash_structure,
     build_typed_dilemma_structure,
@@ -32,6 +34,7 @@ from translucent.counterfactual import (
     structure_from_json,
     structure_to_json,
 )
+from translucent.equilibrium import te_in_structure
 from translucent.games import (
     BudgetExceededError,
     MixedProfile,
@@ -295,6 +298,80 @@ def test_in_place_edits_stay_in_their_structure(game):
         oracle_build = getattr(oracle, build.__name__)
         assert_same_structure(kept, oracle_build(game, sigma, **kwargs))
         assert_same_structure(build(game, sigma, **kwargs), kept)
+
+
+def test_column_cache_across_alternating_supports():
+    """Coherent builds on one game share each (player, support)'s columns,
+    filled on first use; every build equals the oracle's, keeps a
+    ``closest_columns`` dict and measures of its own, and an in-place edit
+    of one build's columns leaves the next build unchanged."""
+    game = custom_game()
+    sigmas = [
+        MixedProfile(game, [{"a": F(1, 2), "b": F(1, 2)}, {F(0): F(1)},
+                            {"x": F(1, 3), "y": F(2, 3)}]),
+        MixedProfile(game, [{"b": F(1)}, {F(1, 2): F(1, 4), F(1): F(3, 4)},
+                            {"y": F(1)}]),
+        MixedProfile(game, [{"a": F(1, 5), "b": F(4, 5)}, {F(0): F(1, 3), F(1): F(2, 3)},
+                            {"x": F(1)}]),
+    ]
+    assert game._support_columns == {}
+    first = {}  # support index -> (structure, its columns before the edit)
+    for k in (0, 1, 0, 2, 1, 2, 0):
+        sigma = sigmas[k]
+        m = build_coherent_structure(game, sigma, strict=False)
+        assert_same_structure(m, oracle.build_coherent_structure(
+            game, sigma, strict=False))
+        columns = dict(m.closest_columns)
+        if k in first:
+            earlier, earlier_columns = first[k]
+            assert m.closest_columns is not earlier.closest_columns
+            assert all(columns[key] is earlier_columns[key] for key in columns)
+            assert all(x is not y for mine, theirs in zip(m.beliefs, earlier.beliefs)
+                       for x, y in zip(mine, theirs))
+        else:
+            first[k] = m, columns
+        for key in m.closest_columns:
+            m.closest_columns[key] = ()
+    # distinct supports: two of player 0's ({a, b} twice), three of 1's and 2's
+    assert len(game._support_columns) == 8
+
+
+def test_column_cache_keeps_a_bounded_number_of_supports():
+    """Every nonempty support of every player, round robin, twice: 13
+    (player, support) keys against room for four supports per player, so
+    the oldest columns are dropped and built again, equal to the oracle's."""
+    game = custom_game()
+    subsets = [[sub for k in range(1, len(strats) + 1)
+                for sub in itertools.combinations(strats, k)]
+               for strats in game.strategy_sets]
+    bound = counterfactual._SUPPORTS_KEPT * game.num_players
+    assert sum(map(len, subsets)) > bound
+    for r in range(2 * max(map(len, subsets))):
+        sigma = MixedProfile(game, [{s: F(1, len(sub)) for s in sub}
+                                    for sub in (subs[r % len(subs)] for subs in subsets)])
+        assert_same_structure(
+            build_coherent_structure(game, sigma, strict=False),
+            oracle.build_coherent_structure(game, sigma, strict=False))
+        assert len(game._support_columns) <= bound
+
+
+def test_switch_plans_follow_in_place_column_edits():
+    """A judged structure keeps its switch plans, but a column replaced in
+    ``closest_columns`` afterwards is read anew."""
+    d = POOL[4]  # bertrand (2, 2, 6)
+    sigma = MixedProfile.two_point(d, [F(1, 2), F(3, 4)])
+    m = build_coherent_structure(d, sigma, strict=False)
+    assert te_in_structure(m, sigma) == oracle.te_in_structure(m, sigma)
+    state = next(k for k, p in enumerate(m.states) if p == (6, 6))
+    column = list(m.closest_columns[(0, 0)])
+    column[state] = MISSING
+    m.closest_columns[(0, 0)] = tuple(column)
+    got = outcome(te_in_structure, m, sigma)
+    assert got[0] == "raised"
+    assert got == outcome(oracle.te_in_structure, m, sigma)
+    for k in range(m.num_states):
+        assert (outcome(is_rational_at, m, 0, k)
+                == outcome(oracle.is_rational_at, m, 0, k))
 
 
 def test_coherent_builds_share_one_search():

@@ -49,6 +49,14 @@ is an integer over the player's common scale, computed once per game, on
 first use.  Every probability is taken at its exact value (floats
 included, as ``exact.to_exact`` converts them), so no verdict is decided by
 rounding.
+
+``is_rational_at`` depends on the state only through its belief cell: the
+player, the measure object and the player's own game position.  The
+structure keeps one report per cell and hands it out again only while the
+measure holds the very ``(target, probability)`` objects it was judged on,
+in the same order (an in-place edit misses), the player's switch plan is
+the same object (a replaced ``closest_columns`` entry misses) and the own
+position is on the game; every call gets an ``eu_switch`` dict of its own.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from operator import mul
+from operator import is_, mul
 from typing import Optional, Sequence
 
 from .exact import to_exact
@@ -181,6 +189,13 @@ class CounterfactualStructure:
         """Player -> ``_switch_plan``'s entry, filled on first use."""
         return {}
 
+    @cached_property
+    def _reports(self) -> dict:
+        """``is_rational_at``'s memo: (player, id(measure), own position) ->
+        (measure, its targets, its probabilities, switch plan, eu,
+        eu_switch, verdict), filled on first use."""
+        return {}
+
     def strategy_index(self, i: int, strategy: Strategy) -> int:
         try:
             return self._strategy_maps[i][strategy]
@@ -236,82 +251,110 @@ def validate_structure(m: CounterfactualStructure) -> list:
     columns = [[m.closest_columns[(i, j)] for j in range(len(m.strategy_sets[i]))]
                for i in players]
 
-    for omega in range(n_states):
-        for i in players:
-            own, codes = own_codes[i][omega], own_codes[i]
-            for j, s in enumerate(m.strategy_sets[i]):
-                target = columns[i][j][omega]
-                if not 0 <= target < n_states:
-                    violations.append(Violation(
-                        "CS1", omega, i, s,
-                        "missing or out-of-range closest-state entry"))
+    # CS1 and CS2 column by column; only a column that fails is walked state
+    # by state, and its violations are merged back into state order
+    found = []  # (state, player, strategy position, violation)
+    for i in players:
+        codes = own_codes[i]
+        playing: dict = {}  # own code -> the states that play it
+        for k, code in enumerate(codes):
+            playing.setdefault(code, []).append(k)
+        for j, column in enumerate(columns[i]):
+            code = set_codes[i][j]
+            fixed = playing.get(code, [])
+            try:
+                if (len(column) == n_states and min(column, default=0) >= 0
+                        and max(column, default=0) < n_states
+                        and set(map(codes.__getitem__, column)) <= {code}
+                        and list(map(column.__getitem__, fixed)) == fixed):
                     continue
-                if codes[target] != set_codes[i][j]:
-                    violations.append(Violation(
+            except TypeError:  # a target that is not an index: walked below
+                pass
+            s = m.strategy_sets[i][j]
+            for omega in range(n_states):
+                target = column[omega]
+                if not 0 <= target < n_states:
+                    found.append((omega, i, j, Violation(
                         "CS1", omega, i, s,
-                        f"closest state {target} plays {states[target][i]!r}"))
-                if set_codes[i][j] == own and target != omega:
-                    violations.append(Violation(
+                        "missing or out-of-range closest-state entry")))
+                    continue
+                if codes[target] != code:
+                    found.append((omega, i, j, Violation(
+                        "CS1", omega, i, s,
+                        f"closest state {target} plays {states[target][i]!r}")))
+                if code == codes[omega] and target != omega:
+                    found.append((omega, i, j, Violation(
                         "CS2", omega, i, s,
-                        f"keeping the current strategy moved the state to {target}"))
+                        f"keeping the current strategy moved the state to {target}")))
+    found.sort(key=lambda entry: entry[:3])  # stable: CS1 before CS2
+    violations.extend(entry[3] for entry in found)
 
     for i in players:
-        per_state = m.beliefs[i]
+        per_state = list(map(m.beliefs[i].__getitem__, range(n_states)))
         codes = own_codes[i]
-        cells, positives, norm = _belief_cells(per_state)
-        for omega in range(n_states):
-            dist = per_state[omega]
-            cell, own = cells[omega], codes[omega]
-            if norm[cell] is not None:
-                violations.append(Violation("NORM", omega, i, detail=norm[cell]))
-            for target in positives[id(dist)]:
+        measure_ids = list(map(id, per_state))
+        cells, positives, norm = _belief_cells(per_state, measure_ids)
+        # PR1 and PR2 depend on a state only through its measure object and
+        # own code: decide them once per (id(measure), own code), from one
+        # state that has it
+        judged: dict = {}
+        for key, k in dict(zip(zip(measure_ids, codes), range(n_states))).items():
+            dist, own, cell = per_state[k], codes[k], cells[k]
+            findings = judged[key] = []
+            for target in positives[key[0]]:
                 if codes[target] != own:
-                    violations.append(Violation(
-                        "PR1", omega, i,
-                        detail=f"positive mass on state {target} where the "
+                    findings.append((
+                        "PR1", f"positive mass on state {target} where the "
                                f"player uses {states[target][i]!r}"))
                 if cells[target] != cell and per_state[target] != dist:
-                    violations.append(Violation(
-                        "PR2", omega, i,
-                        detail=f"positive mass on state {target} with "
+                    findings.append((
+                        "PR2", f"positive mass on state {target} with "
                                "different beliefs"))
+        if not any(judged.values()) and norm.count(None) == len(norm):
+            continue
+        for omega, (key, cell) in enumerate(zip(zip(measure_ids, codes), cells)):
+            if norm[cell] is not None:
+                violations.append(Violation("NORM", omega, i, detail=norm[cell]))
+            violations.extend(Violation(axiom, omega, i, detail=detail)
+                              for axiom, detail in judged[key])
     return violations
 
 
-def _belief_cells(per_state: Sequence) -> tuple:
-    """Group one player's measures into belief cells.
+def _belief_cells(per_state: Sequence, ids: list) -> tuple:
+    """Group one player's measures, whose ``id``s are ``ids``, into belief
+    cells.
 
     Returns the cell id of every state, the positive-mass targets of every
     measure object (by ``id``, in insertion order) and, per cell, the NORM
     violation detail or None.  Measures with equal exact entries share a
     cell; zero-mass entries count, as they do for dict equality.  A measure
-    whose targets do not sort gets a cell of its own.
+    whose targets do not sort gets a cell of its own.  NORM is decided on
+    integers over the entries' common denominator.
     """
-    cells, norm = [], []
+    norm = []
     positives: dict = {}
     object_cell: dict = {}
     entries_cell: dict = {}
-    for dist in per_state:
-        cell = object_cell.get(id(dist))
+    for key, dist in dict(zip(ids, per_state)).items():
+        entries = [(t, q.numerator, q.denominator)
+                   for t, q in zip(dist, map(to_exact, dist.values()))]
+        positives[key] = [t for t, num, _ in entries if num > 0]
+        try:
+            sorted_entries = tuple(sorted(entries))
+            cell = entries_cell.get(sorted_entries)
+        except TypeError:  # targets that do not sort
+            cell = sorted_entries = None
         if cell is None:
-            entries = [(t, q.numerator, q.denominator)
-                       for t, q in zip(dist, map(to_exact, dist.values()))]
-            positives[id(dist)] = [t for t, num, _ in entries if num > 0]
-            try:
-                key = tuple(sorted(entries))
-                cell = entries_cell.get(key)
-            except TypeError:  # targets that do not sort
-                key = None
-            if cell is None:
-                cell = len(norm)
-                if key is not None:
-                    entries_cell[key] = cell
-                total = sum(map(to_exact, dist.values()), Fraction(0))
-                norm.append(f"belief mass sums to {total}"
-                            if abs(total - 1) > NORM_TOL else None)
-            object_cell[id(dist)] = cell
-        cells.append(cell)
-    return cells, positives, norm
+            cell = len(norm)
+            if sorted_entries is not None:
+                entries_cell[sorted_entries] = cell
+            den = lcm(*[d for _, _, d in entries])
+            num = sum(n * (den // d) for _, n, d in entries)
+            norm.append(f"belief mass sums to {Fraction(num, den)}"
+                        if abs(num - den) * NORM_TOL.denominator
+                        > den * NORM_TOL.numerator else None)
+        object_cell[key] = cell
+    return list(map(object_cell.__getitem__, ids)), positives, norm
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +482,34 @@ def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
 
 def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtilityReport:
     """Rationality of player i at a state: the current strategy must match
-    or beat every switch (weak inequality)."""
-    game = _require_game(m)
-    dist = m.belief(i, omega)
+    or beat every switch (weak inequality).
+
+    Judged once per belief cell (player, measure object, own position on the
+    game): a later state of the cell reuses the report while the measure's
+    items and the switch plan are the very objects judged, and gets a fresh
+    report with an ``eu_switch`` dict of its own."""
+    pos = m._profile_index[0][i][omega]  # without a game, the first to raise
+    dist = m.beliefs[i][omega]
+    key = (i, id(dist), pos)  # the cell keeps ``dist`` alive, so its id
+    cell = m._reports.get(key)
+    if cell is not None:
+        _, targets, probabilities, plan, eu, switches, rational = cell
+        if (len(dist) == len(targets) and all(map(is_, dist, targets))
+                and all(map(is_, dist.values(), probabilities))
+                and _switch_plan(m, i)[0] is plan):
+            return StateUtilityReport(eu, switches.copy(), rational)
+    game = m.game
     sources, (weights, den) = list(dist), _weights(dist)
-    eu = _expectation(m, game, i, m.states[omega][i], m._profile_index[0][i][omega],
-                      sources, weights, den)
+    eu = _expectation(m, game, i, m.states[omega][i], pos, sources, weights, den)
+    plan = _switch_plan(m, i)[0]
     switches = {s: Fraction(*v) for s, v in _switch_values(
-        m, game, i, omega, eu, sources, weights, den, _switch_plan(m, i)[0])}
+        m, game, i, omega, eu, sources, weights, den, plan)}
     eu = Fraction(*eu)
-    return StateUtilityReport(eu, switches, all(eu >= v for v in switches.values()))
+    rational = all(eu >= v for v in switches.values())
+    if pos is not None:  # a state off the game belongs to no cell
+        m._reports[key] = (dist, tuple(sources), tuple(dist.values()), plan,
+                           eu, switches.copy(), rational)
+    return StateUtilityReport(eu, switches, rational)
 
 
 # ---------------------------------------------------------------------------
@@ -654,24 +715,22 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     strategy_index = [
         {s: j for j, s in enumerate(strats)} for strats in m.strategy_sets
     ]
-    states_doc = []
-    for k in range(m.num_states):
-        profile = [strategy_index[i][s] for i, s in enumerate(m.states[k])]
-        entry = {"profile": profile}
-        entry["aux"] = list(m.aux[k]) if m.aux is not None else None
-        states_doc.append(entry)
+    # each state's strategy positions, which its closest entries skip
+    positions = [[strategy_index[i][s] for i, s in enumerate(profile)]
+                 for profile in m.states]
+    states_doc = [{"profile": profile, "aux": None} for profile in positions]
+    if m.aux is not None:
+        for k, entry in enumerate(states_doc):
+            entry["aux"] = list(m.aux[k])
 
-    closest_doc = []
-    for omega in range(m.num_states):
-        for i in range(m.num_players):
-            own = strategy_index[i][m.states[omega][i]]
-            for j in range(len(m.strategy_sets[i])):
-                if j == own:
-                    continue
-                closest_doc.append({
-                    "state": omega, "player": i, "strategy": j,
-                    "target": m.closest_columns[(i, j)][omega],
-                })
+    # per player and own position: the other strategies' (position, column)
+    switches = []
+    for i, strats in enumerate(m.strategy_sets):
+        columns = [(j, m.closest_columns[(i, j)]) for j in range(len(strats))]
+        switches.append([columns[:own] + columns[own + 1:] for own in range(len(strats))])
+    closest_doc = [{"state": omega, "player": i, "strategy": j, "target": column[omega]}
+                   for omega, profile in enumerate(positions)
+                   for i, away in enumerate(switches) for j, column in away[profile[i]]]
 
     beliefs_doc = []
     texts: dict = {}  # probability object id -> text; ``m`` keeps each alive
@@ -700,33 +759,75 @@ def _range_error(k: int, size: int, path: str, what: str) -> ValueError:
     return ValueError(f"{path}: {what} index {k} is out of range 0..{size - 1}")
 
 
-def _index(value, size: int, what: str, path: str, *args) -> int:
-    """``value`` as an index below ``size``; the error names the JSON path
-    ``path.format(*args)``, which is formatted only on failure."""
-    k = int(value)
-    if not 0 <= k < size:
-        raise _range_error(k, size, path.format(*args), what)
-    return k
+def _field(entry, key: str, path: str, *args):
+    """``entry[key]``; unless ``entry`` is an object with that key, a
+    ValueError names the JSON path ``path.format(*args)``, which is
+    formatted only on failure."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path.format(*args)}: expected an object")
+    if key not in entry:
+        raise ValueError(f"{path.format(*args)}.{key}: required key is missing")
+    return entry[key]
+
+
+def _index(value, size: Optional[int], what: str, path: str, *args) -> int:
+    """``value`` if it is a JSON integer (not a bool, a float or a string)
+    below ``size`` (any integer if ``size`` is None); the error names the
+    JSON path ``path.format(*args)``, which is formatted only on failure."""
+    if type(value) is not int:
+        raise ValueError(f"{path.format(*args)}: expected an integer index, "
+                         f"got {value!r}")
+    if size is not None and not 0 <= value < size:
+        raise _range_error(value, size, path.format(*args), what)
+    return value
+
+
+def _closest_entry(entry, e: int, n_states: int, n: int, sizes: list) -> tuple:
+    """``(state, player, strategy, target)`` of ``$.closest[e]``, checked
+    field by field, so the first bad one raises a ValueError naming it."""
+    path = f"$.closest[{e}]"
+    omega = _index(_field(entry, "state", path), n_states, "state", path + ".state")
+    i = _index(_field(entry, "player", path), n, "player", path + ".player")
+    j = _index(_field(entry, "strategy", path), sizes[i], "strategy", path + ".strategy")
+    return omega, i, j, _index(_field(entry, "target", path), None, "state", path + ".target")
+
+
+def _belief_entry(entry, e: int, n: int, n_states: int) -> tuple:
+    """``(player, state, dist)`` of ``$.beliefs[e]``, checked field by
+    field, so the first bad one raises a ValueError naming it."""
+    path = f"$.beliefs[{e}]"
+    i = _index(_field(entry, "player", path), n, "player", path + ".player")
+    omega = _index(_field(entry, "state", path), n_states, "state", path + ".state")
+    return i, omega, _field(entry, "dist", path)
+
+
+def _probability(p, path: str, t) -> Fraction:
+    try:
+        return Fraction(p)
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):  # inf, nan, "x"
+        raise ValueError(f"{path}.dist[{json.dumps(t)}]: expected a finite "
+                         f"number, got {p!r}") from None
 
 
 def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:
     """One belief measure of a document; each probability string is parsed
-    once per document (``parsed`` maps text to its ``Fraction``)."""
+    once per document (``parsed`` maps text to its ``Fraction``).  Targets
+    are strings read by ``int()``."""
     dist = {}
     for t, p in raw.items():
-        k = int(t)
+        try:
+            k = int(t)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}.dist[{json.dumps(t)}]: expected an "
+                             f"integer index, got {t!r}") from None
         if not 0 <= k < n_states:  # the path is formatted only on failure
             raise _range_error(k, n_states, f"{path}.dist[{json.dumps(t)}]", "state")
         if type(p) is str:
             q = parsed.get(p)
             if q is None:
-                q = parsed[p] = Fraction(p)
+                q = parsed[p] = _probability(p, path, t)
         else:
-            try:
-                q = Fraction(p)
-            except (OverflowError, ValueError):  # inf or nan
-                raise ValueError(f"{path}.dist[{json.dumps(t)}]: expected a "
-                                 f"finite number, got {p!r}") from None
+            q = _probability(p, path, t)
         dist[k] = q
     return dist
 
@@ -737,8 +838,11 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
     Missing closest-state entries other than the CS2-forced ones are kept as
     holes that ``validate_structure`` reports, and so are closest-state
     targets out of range (CS1); the validator is the linter for this format.
-    Every other player, state, strategy or belief-target index must lie in
-    range, or a ValueError names its JSON path.
+    Every player, state, strategy and closest-state target index must be a
+    JSON integer (not a bool, a float or a string), and every player, state,
+    strategy or belief-target index must lie in range; a missing key, a
+    wrong index or an unreadable probability raises a ValueError that names
+    its JSON path.
 
     Belief entries whose ``dist`` objects are equal (the same items in the
     same order) share one parsed measure object, as a built structure shares
@@ -749,13 +853,25 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"$: expected an object, got {type(doc).__name__}")
     for key in ("players", "strategies", "states", "closest", "beliefs"):
         if key not in doc:
-            raise ValueError(f"structure document is missing {key!r}")
-    n = int(doc["players"])
-    strategy_sets = tuple(tuple(s) for s in doc["strategies"])
+            raise ValueError(f"$: structure document is missing {key!r}")
+        if key != "players" and not isinstance(doc[key], (list, tuple)):
+            raise ValueError(f"$.{key}: expected a list")
+    n = doc["players"]
+    if type(n) is not int:
+        raise ValueError(f"$.players: expected an integer, got {n!r}")
+    strategy_sets = []
+    for i, strats in enumerate(doc["strategies"]):
+        if not isinstance(strats, (list, tuple)):
+            raise ValueError(f"$.strategies[{i}]: expected a list of strategy labels")
+        strategy_sets.append(tuple(strats))
+    strategy_sets = tuple(strategy_sets)
     if len(strategy_sets) != n:
-        raise ValueError("one strategy list per player required")
+        raise ValueError(f"$.strategies: one strategy list per player required, "
+                         f"got {len(strategy_sets)} for {n} players")
     if game is not None:
         strategy_sets = game.strategy_sets
     sizes = [len(strats) for strats in strategy_sets]
@@ -774,10 +890,12 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
     n_states = len(doc["states"])
     states = []
     aux = []
-    columns = {(i, j): [MISSING] * n_states
-               for i in range(n) for j in range(sizes[i])}
+    # per player, per strategy position: its column of closest states
+    columns = [[[MISSING] * n_states for _ in range(sizes[i])] for i in range(n)]
     for k, entry in enumerate(doc["states"]):
-        raw = entry["profile"]
+        raw = _field(entry, "profile", "$.states[{}]", k)
+        if not isinstance(raw, (list, tuple)):
+            raise ValueError(f"$.states[{k}].profile: expected a list")
         if len(raw) != n:
             raise ValueError(f"$.states[{k}].profile: expected {n} entries, "
                              f"got {len(raw)}")
@@ -785,30 +903,50 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
         for i, j in enumerate(raw):
             j = _index(j, sizes[i], "strategy", "$.states[{}].profile[{}]", k, i)
             profile.append(strategy_sets[i][j])
-            columns[(i, first[i][j])][k] = k
+            columns[i][first[i][j]][k] = k
         states.append(tuple(profile))
-        aux.append(tuple(entry["aux"]) if entry.get("aux") is not None else None)
+        extra = entry.get("aux")
+        try:
+            aux.append(tuple(extra) if extra is not None else None)
+        except TypeError:
+            raise ValueError(f"$.states[{k}].aux: expected a list or null") from None
     states = tuple(states)
     has_aux = any(a is not None for a in aux)
 
+    # the common entry is checked inline: JSON integers, none negative, and
+    # each one inside its list (an IndexError past the end); any other goes
+    # through the field-by-field check, which names what is wrong
     for e, entry in enumerate(doc["closest"]):
-        omega = _index(entry["state"], n_states, "state", "$.closest[{}].state", e)
-        i = _index(entry["player"], n, "player", "$.closest[{}].player", e)
-        j = _index(entry["strategy"], sizes[i], "strategy", "$.closest[{}].strategy", e)
-        columns[(i, j)][omega] = int(entry["target"])
-    columns = {key: tuple(col) for key, col in columns.items()}
+        try:
+            omega, i, j, target = (entry["state"], entry["player"],
+                                   entry["strategy"], entry["target"])
+            if (type(omega) is type(i) is type(j) is type(target) is int
+                    and omega >= 0 and i >= 0 and j >= 0):
+                columns[i][j][omega] = target
+                continue
+        except (KeyError, TypeError, IndexError):
+            pass
+        omega, i, j, target = _closest_entry(entry, e, n_states, n, sizes)
+        columns[i][j][omega] = target
+    columns = {(i, j): tuple(column) for i, per_player in enumerate(columns)
+               for j, column in enumerate(per_player)}
 
     beliefs = [[{} for _ in states] for _ in range(n)]
     parsed: dict = {}
-    measures: dict = {}  # the items of a raw dist -> its parsed measure
+    measures: dict = {}  # a raw dist's targets and values, in order -> its measure
     for e, entry in enumerate(doc["beliefs"]):
-        i = _index(entry["player"], n, "player", "$.beliefs[{}].player", e)
-        omega = _index(entry["state"], n_states, "state", "$.beliefs[{}].state", e)
-        raw = entry["dist"]
+        try:  # inline, as for the closest entries
+            i, omega, raw = entry["player"], entry["state"], entry["dist"]
+            checked = (type(i) is type(omega) is int
+                       and 0 <= i < n and 0 <= omega < n_states)
+        except (KeyError, TypeError):
+            checked = False
+        if not checked:
+            i, omega, raw = _belief_entry(entry, e, n, n_states)
         if not isinstance(raw, dict):
             raise ValueError(f"$.beliefs[{e}].dist: expected an object")
         try:
-            key = tuple(raw.items())
+            key = (tuple(raw), tuple(raw.values()))
             dist = measures.get(key)
         except TypeError:  # an unhashable value: parsed on its own
             key = dist = None

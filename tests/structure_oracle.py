@@ -15,9 +15,11 @@ the constructions below look every moved, punished and believed profile
 up by hashing its strategy tuple, rerun every punishment search (with the
 unmemoised ``minimize_payoff`` below) and format every belief entry anew.
 The library's parser gives entries with equal ``dist`` objects one shared
-measure and formats an index's JSON path only when the index is out of
-range; ``structure_from_json`` below parses every entry into a dict of its
-own and formats every path.
+measure, checks the common closest and belief entry inline and formats an
+index's JSON path only when something is wrong; ``structure_from_json``
+below parses every entry into a dict of its own, checks every field of
+every entry in order (present, a JSON integer, in range) and formats every
+path.
 
 ``MixedProfile`` forms the others' mixture once per player on integers and
 reads payoffs from the game's table; ``others_support_profiles``,
@@ -587,28 +589,37 @@ def _range_error(k: int, size: int, path: str, what: str) -> ValueError:
     return ValueError(f"{path}: {what} index {k} is out of range 0..{size - 1}")
 
 
-def _index(value, size: int, path: str, what: str) -> int:
-    k = int(value)
-    if not 0 <= k < size:
-        raise _range_error(k, size, path, what)
-    return k
+def _field(entry, key: str, path: str):
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: expected an object")
+    if key not in entry:
+        raise ValueError(f"{path}.{key}: required key is missing")
+    return entry[key]
 
 
-def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:
-    """One belief measure of a document; each probability string is parsed
-    once per document (``parsed`` maps text to its ``Fraction``)."""
+def _index(value, size: Optional[int], path: str, what: str) -> int:
+    """A JSON integer (no bool, float or string) below ``size``, if given."""
+    if type(value) is not int:
+        raise ValueError(f"{path}: expected an integer index, got {value!r}")
+    if size is not None and not 0 <= value < size:
+        raise _range_error(value, size, path, what)
+    return value
+
+
+def _parse_dist(raw: dict, n_states: int, path: str) -> dict:
     dist = {}
     for t, p in raw.items():
-        k = int(t)
-        if not 0 <= k < n_states:  # the path is formatted only on failure
-            raise _range_error(k, n_states, f"{path}.dist[{json.dumps(t)}]", "state")
-        if type(p) is str:
-            q = parsed.get(p)
-            if q is None:
-                q = parsed[p] = Fraction(p)
-        else:
-            q = Fraction(p)
-        dist[k] = q
+        where = f"{path}.dist[{json.dumps(t)}]"
+        try:
+            k = int(t)
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: expected an integer index, got {t!r}") from None
+        if not 0 <= k < n_states:
+            raise _range_error(k, n_states, where, "state")
+        try:
+            dist[k] = Fraction(p)
+        except (OverflowError, TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"{where}: expected a finite number, got {p!r}") from None
     return dist
 
 
@@ -618,18 +629,31 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
     Missing closest-state entries other than the CS2-forced ones are kept as
     holes that ``validate_structure`` reports, and so are closest-state
     targets out of range (CS1); the validator is the linter for this format.
-    Every other player, state, strategy or belief-target index must lie in
-    range, or a ValueError names its JSON path.
+    Every index must be a JSON integer, every other player, state, strategy
+    or belief-target index must lie in range, and every key must be there,
+    or a ValueError names its JSON path.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"$: expected an object, got {type(doc).__name__}")
     for key in ("players", "strategies", "states", "closest", "beliefs"):
         if key not in doc:
-            raise ValueError(f"structure document is missing {key!r}")
-    n = int(doc["players"])
-    strategy_sets = tuple(tuple(s) for s in doc["strategies"])
+            raise ValueError(f"$: structure document is missing {key!r}")
+        if key != "players" and not isinstance(doc[key], (list, tuple)):
+            raise ValueError(f"$.{key}: expected a list")
+    n = doc["players"]
+    if type(n) is not int:
+        raise ValueError(f"$.players: expected an integer, got {n!r}")
+    strategy_sets = []
+    for i, strats in enumerate(doc["strategies"]):
+        if not isinstance(strats, (list, tuple)):
+            raise ValueError(f"$.strategies[{i}]: expected a list of strategy labels")
+        strategy_sets.append(tuple(strats))
+    strategy_sets = tuple(strategy_sets)
     if len(strategy_sets) != n:
-        raise ValueError("one strategy list per player required")
+        raise ValueError(f"$.strategies: one strategy list per player required, "
+                         f"got {len(strategy_sets)} for {n} players")
     if game is not None:
         strategy_sets = game.strategy_sets
     sizes = [len(strats) for strats in strategy_sets]
@@ -651,38 +675,46 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
     columns = {(i, j): [MISSING] * n_states
                for i in range(n) for j in range(sizes[i])}
     for k, entry in enumerate(doc["states"]):
-        raw = entry["profile"]
+        path = f"$.states[{k}]"
+        raw = _field(entry, "profile", path)
+        if not isinstance(raw, (list, tuple)):
+            raise ValueError(f"{path}.profile: expected a list")
         if len(raw) != n:
-            raise ValueError(f"$.states[{k}].profile: expected {n} entries, "
+            raise ValueError(f"{path}.profile: expected {n} entries, "
                              f"got {len(raw)}")
         profile = []
         for i, j in enumerate(raw):
-            j = _index(j, sizes[i], f"$.states[{k}].profile[{i}]", "strategy")
+            j = _index(j, sizes[i], f"{path}.profile[{i}]", "strategy")
             profile.append(strategy_sets[i][j])
             columns[(i, first[i][j])][k] = k
         states.append(tuple(profile))
-        aux.append(tuple(entry["aux"]) if entry.get("aux") is not None else None)
+        extra = entry.get("aux")
+        try:
+            aux.append(tuple(extra) if extra is not None else None)
+        except TypeError:
+            raise ValueError(f"{path}.aux: expected a list or null") from None
     states = tuple(states)
     has_aux = any(a is not None for a in aux)
 
     for e, entry in enumerate(doc["closest"]):
         path = f"$.closest[{e}]"
-        omega = _index(entry["state"], n_states, f"{path}.state", "state")
-        i = _index(entry["player"], n, f"{path}.player", "player")
-        j = _index(entry["strategy"], sizes[i], f"{path}.strategy", "strategy")
-        columns[(i, j)][omega] = int(entry["target"])
+        omega = _index(_field(entry, "state", path), n_states, f"{path}.state", "state")
+        i = _index(_field(entry, "player", path), n, f"{path}.player", "player")
+        j = _index(_field(entry, "strategy", path), sizes[i], f"{path}.strategy",
+                   "strategy")
+        columns[(i, j)][omega] = _index(_field(entry, "target", path), None,
+                                        f"{path}.target", "state")
     columns = {key: tuple(col) for key, col in columns.items()}
 
     beliefs = [[{} for _ in states] for _ in range(n)]
-    parsed: dict = {}
     for e, entry in enumerate(doc["beliefs"]):
         path = f"$.beliefs[{e}]"
-        i = _index(entry["player"], n, f"{path}.player", "player")
-        omega = _index(entry["state"], n_states, f"{path}.state", "state")
-        raw = entry["dist"]
+        i = _index(_field(entry, "player", path), n, f"{path}.player", "player")
+        omega = _index(_field(entry, "state", path), n_states, f"{path}.state", "state")
+        raw = _field(entry, "dist", path)
         if not isinstance(raw, dict):
             raise ValueError(f"{path}.dist: expected an object")
-        beliefs[i][omega] = _parse_dist(raw, n_states, path, parsed)
+        beliefs[i][omega] = _parse_dist(raw, n_states, path)
     beliefs = tuple(tuple(per_state) for per_state in beliefs)
 
     return CounterfactualStructure(strategy_sets, states, columns, beliefs,

@@ -732,6 +732,23 @@ class TestValidateStructure:
         assert out == ""
         assert f"$.{section}[1].player: player index 7 is out of range 0..1" in err
 
+    def test_fractional_player_is_not_player_0(self, tmp_path, capsys):
+        # int() read 0.5 as 0, and the document linted clean
+        doc = self.make_structure_doc()
+        doc["closest"][4]["player"] = 0.5
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate-structure", str(path)) == (
+            2, "", f"error: {path}: malformed structure document: "
+                   "$.closest[4].player: expected an integer index, got 0.5\n")
+
+    def test_missing_key_names_its_path(self, tmp_path, capsys):
+        doc = self.make_structure_doc()
+        del doc["closest"][4]["state"]
+        code, out, err = self.run_doc(tmp_path, capsys, doc)
+        assert (code, out) == (2, "")
+        assert err.endswith("$.closest[4].state: required key is missing\n")
+
 
 class TestQreCommand:
     def test_uniform_at_lambda_zero(self, tmp_path, capsys):

@@ -9,6 +9,13 @@ Every run must exit 0, 1 or 2 without an uncaught exception, and a second
 run of the same config must print the same stdout.  Every exit-2 message
 names where the input went wrong: a JSON path (``$...``) or the config
 file itself; no message is exempt.
+
+``validate-structure`` is fuzzed the same way on the documents of built
+typed and coherent structures, each with one edit of the kinds the parser's
+oracle tests use (re-spelt, reordered, copied, dropped or overwritten
+measures, and malformed ones: out-of-range, non-integer and missing
+indices, unreadable probabilities and dist keys).  An exit-2 message for a
+document that parses as JSON names the file and a ``$`` path.
 """
 
 import contextlib
@@ -20,7 +27,9 @@ import tempfile
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import test_structure_oracle as structure_tests
 from translucent.cli import main
+from translucent.counterfactual import structure_to_json
 
 UNITS = [0, 1, 0.5, 0.25, 0.75, 0.9, "1/3"]
 
@@ -168,4 +177,44 @@ def test_every_run_exits_cleanly_and_deterministically(case, budget):
         if code == 2:
             assert out == "", out
             assert err.startswith(("error: $", f"error: {path}")), err
+        assert run_in_process(argv) == (code, out, err)
+
+
+def parses(text: str) -> bool:
+    """Whether ``text`` is JSON without the constants NaN and +-Infinity."""
+    def refuse(name):
+        raise ValueError(name)
+    try:
+        json.loads(text, parse_constant=refuse)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def structure_documents(draw):
+    m, _ = draw(structure_tests.structures())
+    doc = json.loads(json.dumps(structure_to_json(m)))
+    kind = draw(st.sampled_from(structure_tests.EDITS + structure_tests.MALFORMED))
+    event(f"edit {kind}")
+    structure_tests.edit_document(draw, doc, kind)
+    return json.dumps(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(structure_documents())
+def test_validate_structure_exits_cleanly_and_deterministically(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = ["validate-structure", path]
+        code, out, err = run_in_process(argv)
+        assert code in (0, 1, 2), (code, err)
+        event(f"validate-structure exit {code}")
+        if code == 2:
+            assert out == "", out
+            assert err.startswith(f"error: {path}: "), err
+            if parses(text):
+                assert ": $" in err, err
         assert run_in_process(argv) == (code, out, err)

@@ -383,6 +383,48 @@ class TestJsonFormat:
             structure_from_json(doc)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("edit,message", [
+        # int() read 0.5 as player 0, 2.7 as 2 and true as 1
+        (lambda doc: doc["closest"][4].update(player=0.5),
+         "$.closest[4].player: expected an integer index, got 0.5"),
+        (lambda doc: doc["closest"][4].update(state=2.7),
+         "$.closest[4].state: expected an integer index, got 2.7"),
+        (lambda doc: doc["closest"][4].update(strategy=True),
+         "$.closest[4].strategy: expected an integer index, got True"),
+        (lambda doc: doc["closest"][4].update(target=1.5),
+         "$.closest[4].target: expected an integer index, got 1.5"),
+        (lambda doc: doc["closest"][4].update(player="x"),
+         "$.closest[4].player: expected an integer index, got 'x'"),
+        (lambda doc: doc["closest"][4].update(target=float("nan")),
+         "$.closest[4].target: expected an integer index, got nan"),
+        (lambda doc: doc["closest"][4].pop("state"),
+         "$.closest[4].state: required key is missing"),
+        (lambda doc: doc["closest"].__setitem__(4, [0, 0, 1, 2]),
+         "$.closest[4]: expected an object"),
+        (lambda doc: doc["states"][2].update(profile=[0, 1.0]),
+         "$.states[2].profile[1]: expected an integer index, got 1.0"),
+        (lambda doc: doc["states"][2].pop("profile"),
+         "$.states[2].profile: required key is missing"),
+        (lambda doc: doc["beliefs"][6].update(state=False),
+         "$.beliefs[6].state: expected an integer index, got False"),
+        (lambda doc: doc["beliefs"][6].pop("dist"),
+         "$.beliefs[6].dist: required key is missing"),
+        (lambda doc: doc["beliefs"][6]["dist"].update({"0.5": "0"}),
+         '$.beliefs[6].dist["0.5"]: expected an integer index, got \'0.5\''),
+        (lambda doc: doc["beliefs"][6]["dist"].update({"1": "x"}),
+         '$.beliefs[6].dist["1"]: expected a finite number, got \'x\''),
+        (lambda doc: doc["beliefs"][6]["dist"].update({"1": "1/0"}),
+         '$.beliefs[6].dist["1"]: expected a finite number, got \'1/0\''),
+        (lambda doc: doc.update(players=2.0),
+         "$.players: expected an integer, got 2.0"),
+    ])
+    def test_non_integer_indices_and_missing_keys_name_their_path(self, edit, message):
+        doc = self.pd_doc()
+        edit(doc)
+        with pytest.raises(ValueError) as exc:
+            structure_from_json(doc)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("mass,shown", [
         (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan")])
     def test_non_finite_mass_names_its_path(self, mass, shown):

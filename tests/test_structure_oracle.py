@@ -6,10 +6,15 @@ strategy) once; ``structure_oracle`` keeps the plain per-state forms.
 Property tests compare the two on built and JSON-round-tripped typed and
 coherent structures, on single-axiom mutations of them, and on the
 criterion-3 pool profiles; TE1-TE4 also on structures whose states leave
-the game or whose strategy lists are not in the game's order.  The parser,
+the game or whose strategy lists are not in the game's order.
+``is_rational_at`` keeps one report per belief cell, so every state is
+judged twice, and again after an in-place edit of a judged measure, after a
+replaced closest-state column and after a caller changed a returned
+``eu_switch``.  The parser,
 which shares one measure object among entries with equal ``dist`` objects,
 is compared with the per-entry parser on built, mutated and hand-edited
-documents, malformed ones included.  The library takes float probabilities at
+documents, malformed ones included (indices out of range, not JSON
+integers or missing, unreadable probabilities and dist keys).  The library takes float probabilities at
 their exact values, so the oracle is run on the same structure with its
 measures converted by ``to_exact``.
 """
@@ -192,14 +197,26 @@ def test_validator_matches_oracle_on_clean_structures(case):
     assert validate_structure(m) == oracle.validate_structure(m) == []
 
 
+def judged_as_the_oracle(m, m_exact, i, states):
+    """Judge player i at every state twice, the second time (while nothing
+    changed) from the per-cell memo, against the oracle on ``m_exact``; a
+    caller's edit of a returned ``eu_switch`` must not reach the next call."""
+    for k in states:
+        want = outcome(oracle.is_rational_at, m_exact, i, k)
+        for _ in range(2):
+            got = outcome(is_rational_at, m, i, k)
+            assert got == want
+            if got[0] == "ok":
+                assert type(got[1].eu) is F
+                got[1].eu_switch.clear()
+                got[1].eu_switch["not a strategy"] = F(-1)
+
+
 def rationality_agrees(m, states):
     m_exact = exact(m)
     for k in states:
         for i in range(m.num_players):
-            got = outcome(is_rational_at, m, i, k)
-            assert got == outcome(oracle.is_rational_at, m_exact, i, k)
-            if got[0] == "ok":
-                assert type(got[1].eu) is F
+            judged_as_the_oracle(m, m_exact, i, [k])
             assert (outcome(eu_at_state, m, i, k)
                     == outcome(oracle.eu_at_state, m_exact, i, k))
             for s in m.strategy_sets[i]:
@@ -207,6 +224,21 @@ def rationality_agrees(m, states):
                         == outcome(oracle.eu_at_state_switch, m_exact, i, k, s))
                 assert (outcome(derived_beliefs, m, i, k, s)
                         == outcome(oracle.derived_beliefs, m, i, k, s))
+    # after the cells are memoised: an in-place edit of a judged measure,
+    # then a replaced closest-state column, each undone afterwards
+    dist = m.beliefs[0][states[0]]
+    if dist:
+        t = next(iter(dist))
+        p = dist[t]
+        dist[t] = p + F(1, 3)
+        judged_as_the_oracle(m, exact(m), 0,
+                             [k for k in states if m.beliefs[0][k] is dist])
+        dist[t] = p
+    column = m.closest_columns[(0, 0)]
+    # the mirror state: every player's strategy (and bit) position reversed
+    m.closest_columns[(0, 0)] = tuple(range(m.num_states - 1, -1, -1))
+    judged_as_the_oracle(m, exact(m), 0, states)
+    m.closest_columns[(0, 0)] = column
 
 
 @settings(max_examples=30, deadline=None)
@@ -337,7 +369,11 @@ def test_switch_routed_onto_a_supported_state():
 EDITS = ("respell", "reorder", "copy", "number", "zero_mass", "drop",
          "overwrite")
 MALFORMED = ("target", "nondict", "unhashable", "bad_text", "closest",
-             "profile", "player")
+             "profile", "player", "non_integer", "missing_key", "dist_key",
+             "zero_denominator")
+# what a non-integer index may be read as: int() took 0.5 for 0, 2.7 for 2
+# and True for 1
+NON_INTEGERS = [0.5, 2.7, 1.0, True, False, "x", "1", None, float("nan"), [0]]
 
 
 def edit_document(draw, doc, kind):
@@ -381,8 +417,25 @@ def edit_document(draw, doc, kind):
     elif kind == "profile":
         entry = doc["states"][draw(st.integers(0, n_states - 1))]
         entry["profile"] = [-1] + entry["profile"][1:]
-    else:  # player
+    elif kind == "player":
         beliefs[e]["player"] = len(doc["strategies"])
+    elif kind in ("non_integer", "missing_key"):
+        closest = draw(st.sampled_from(doc["closest"]))
+        state = doc["states"][draw(st.integers(0, n_states - 1))]
+        places = ([(closest, key) for key in ("state", "player", "strategy", "target")]
+                  + [(beliefs[e], "player"), (beliefs[e], "state")])
+        if kind == "non_integer":
+            entry, key = draw(st.sampled_from(
+                places + [(state["profile"], i) for i in range(len(state["profile"]))]))
+            entry[key] = draw(st.sampled_from(NON_INTEGERS))
+        else:
+            entry, key = draw(st.sampled_from(
+                places + [(beliefs[e], "dist"), (state, "profile")]))
+            del entry[key]
+    elif kind == "dist_key":
+        dist[draw(st.sampled_from(["0.5", "x", "", "1e1"]))] = p
+    else:  # zero_denominator
+        dist[t] = "1/0"
 
 
 @st.composite

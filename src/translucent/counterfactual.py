@@ -586,7 +586,7 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
     # structure gets dicts of its own
     columns, beliefs = {}, []
     for i, stride in enumerate(game._strides):
-        support = {game.strategy_index(i, s) for s in sigma.distributions[i]}
+        support = {pos for pos, _, _ in sigma._entries[i][0]}
         key = (i, tuple(sorted(support)))
         kept = game._support_columns
         shared = kept.get(key)
@@ -803,10 +803,12 @@ def _belief_entry(entry, e: int, n: int, n_states: int) -> tuple:
 
 def _probability(p, path: str, t) -> Fraction:
     try:
-        return Fraction(p)
+        if not isinstance(p, bool):  # Fraction(True) is 1
+            return Fraction(p)
     except (OverflowError, TypeError, ValueError, ZeroDivisionError):  # inf, nan, "x"
-        raise ValueError(f"{path}.dist[{json.dumps(t)}]: expected a finite "
-                         f"number, got {p!r}") from None
+        pass
+    raise ValueError(f"{path}.dist[{json.dumps(t)}]: expected a finite "
+                     f"number, got {p!r}")
 
 
 def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:

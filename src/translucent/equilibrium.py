@@ -22,15 +22,19 @@ where deviations meet worst-case replies: untyped = typed at full detection
 (every alpha_i = 1).  Both check the parameters once per call; pd, td and
 the (N-1) public-goods reading then call the integer core that
 ``closed_form.cooperation_condition`` wraps, ``condition_terms``, once per
-player, and bertrand reads its tie kernel from the Poisson-binomial
-``OthersBehaviorModel.count_distribution``.
+player, on the others' mean held as integers, total - x_i over den * (N - 1)
+with den the betas' common denominator, and the printed public-goods
+reading cross-multiplies the same integers.  Bertrand reads its tie kernel
+from the Poisson-binomial ``OthersBehaviorModel.count_distribution`` of the
+nonzero gammas: a gamma of 0 never cooperates, so untyped bertrand
+convolves nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .beliefs import OthersBehaviorModel
@@ -63,13 +67,14 @@ def make_coherence_checker(game, budget: int = 10_000_000):
     game = as_game(game)
     floors = [[minimize_payoff(game, i, s, budget)[0] for s in strats]
               for i, strats in enumerate(game.strategy_sets)]
-    tops = [max(row) for row in floors]
+    tops = [(top.numerator, top.denominator) for top in map(max, floors)]
 
     def check(sigma: MixedProfile) -> CoherenceReport:
-        for i, (row, top) in enumerate(zip(floors, tops)):
+        for i, (row, (tn, td)) in enumerate(zip(floors, tops)):
             for pos, _, _ in sigma._entries[i][0]:  # the support, by position
-                u = Fraction(*sigma._payoff_at(i, pos))
-                if u < top:  # some deviation's floor beats u: the first one
+                num, den = sigma._payoff_at(i, pos)
+                if num * td < tn * den:  # some deviation's floor beats u: the first one
+                    u = Fraction(num, den)
                     j = next(j for j, floor in enumerate(row) if u < floor)
                     return CoherenceReport(False, (i, sigma.game.strategy_sets[i][pos],
                                                    game.strategy_sets[i][j]))
@@ -107,14 +112,16 @@ def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
     structure (``counterfactual._switch_plan``).
     """
     positions, others = m._profile_index
-    supports = [{pos for pos, _, _ in entries} for entries, _ in sigma._entries]
-    inside = tuple(map(all, zip(*[[x in s for x in c] for c, s in zip(positions, supports)])))
+    # the others' mixture: the others' offset -> integer weight, over den
+    expected = [(dict(zip(offsets, ws)), den) for _, offsets, ws, den in sigma._kernels]
+    # TE1: player 0 plays a support strategy and the others' offset is one of
+    # the mixture's, which holds iff every player plays a support strategy
+    support, mixture = {pos for pos, _, _ in sigma._entries[0][0]}, expected[0][0]
+    inside = [p in support and o in mixture for p, o in zip(positions[0], others[0])]
     if omega_subset is None:
         omega_subset = [k for k, yes in enumerate(inside) if yes]
     omega_set = set(omega_subset)
     te1, te2, te3, te4 = [], [], [], []
-    # the others' mixture: the others' offset -> integer weight, over den
-    expected = [(dict(zip(offsets, ws)), den) for _, offsets, ws, den in sigma._kernels]
     verdicts, plans = {}, {}
     players = list(enumerate(zip(positions, m.beliefs)))
 
@@ -240,7 +247,6 @@ def _two_point(kind: str, params: dict, betas: Sequence,
     als = alphas_for(n)
     bs = _unit_vector(betas, n, "beta")
     defect = all(x == 0 for x in bs)
-    means = [(sum(bs) - x) / (n - 1) for x in bs]
     if kind == "bertrand":
         _, l, h = checked
         # every player is judged (a list, not a generator), as the former
@@ -250,14 +256,19 @@ def _two_point(kind: str, params: dict, betas: Sequence,
             prod(bs[:i] + bs[i + 1:]) >= generalized_f(
                 [(1 - a) * x for x in bs[:i] + bs[i + 1:]], n) * l * n / h
             for i, a in enumerate(als)])
-    else:
-        holds = defect or all(
-            all(ln * rd >= rn * ld for ln, ld, rn, rd in condition_terms(
-                kind, checked, a.numerator, a.denominator, m.numerator, m.denominator))
-            for a, m in zip(als, means))
+        return TypedTeResult(kind, holds, {"condition": holds})
+    # the others' mean of player i is (total - x_i) / (den * (n - 1)), unreduced
+    den = lcm(*(x.denominator for x in bs))
+    xs = [x.numerator * (den // x.denominator) for x in bs]
+    total, md = sum(xs), den * (n - 1)
+    holds = defect or all(
+        all(ln * rd >= rn * ld for ln, ld, rn, rd in condition_terms(
+            kind, checked, a.numerator, a.denominator, total - x, md))
+        for a, x in zip(als, xs))
     if kind == "pgg":
-        rho = checked[1]
-        printed = defect or all(a * rho * m >= 1 - rho for a, m in zip(als, means))
+        rn, rd = checked[1].numerator, checked[1].denominator
+        printed = defect or all(a.numerator * rn * (total - x)
+                                >= (rd - rn) * a.denominator * md for a, x in zip(als, xs))
         return TypedTeResult(kind, None, {"printed": printed, "n_minus_1": holds})
     return TypedTeResult(kind, holds, {"condition": holds})
 
@@ -272,5 +283,6 @@ def generalized_f(gammas: Sequence, n: int) -> Fraction:
     if len(gammas) != n - 1:
         raise ValueError(f"expected {n - 1} gamma values, got {len(gammas)}")
     gs = [to_unit(g, "gamma") for g in gammas]
-    dist = OthersBehaviorModel(gs).count_distribution()
+    # a gamma of 0 never cooperates, so leaving it out keeps C's law
+    dist = OthersBehaviorModel([g for g in gs if g]).count_distribution()
     return sum((p / (n - k) for k, p in enumerate(dist)), Fraction(0))

@@ -29,7 +29,10 @@ the profile as their first argument.  ``MixedProfile.two_point`` builds its
 dicts and integer entries directly, and ``_kernels`` reads each player's
 entries once; ``two_point`` and ``kernels`` below are the former route,
 the two-point dicts through ``MixedProfile.__init__`` and the others' joint
-support rebuilt for every player from the distributions.
+support rebuilt for every player from the distributions.  The coherence
+checker compares integer payoffs with precomputed floors; ``coherence``
+below compares each support strategy's ``expected_payoff`` with a fresh
+``minimize_payoff`` for every deviation.
 """
 
 import itertools
@@ -42,7 +45,7 @@ from translucent.counterfactual import (MISSING, NORM_TOL,
                                         CounterfactualStructure,
                                         IncoherentProfileError,
                                         StateUtilityReport, Violation)
-from translucent.equilibrium import TeStructureReport
+from translucent.equilibrium import CoherenceReport, TeStructureReport
 from translucent.exact import to_exact
 from translucent.games import (BudgetExceededError, MixedProfile,
                                NormalFormGame, SocialDilemma, Strategy,
@@ -284,6 +287,20 @@ def minimize_payoff(game: NormalFormGame, i: int, strategy: Strategy,
         if best is None or u < best:
             best, argmin = u, combo
     return best, argmin
+
+
+def coherence(game: NormalFormGame, sigma: MixedProfile) -> CoherenceReport:
+    """The first failure in (player, support position, deviation) order:
+    a support strategy whose expected payoff falls below a deviation's
+    punishment floor."""
+    for i, strats in enumerate(game.strategy_sets):
+        for s in strats:
+            if sigma.prob(i, s) > 0:
+                u = expected_payoff(sigma, i, s)
+                for s_dev in strats:
+                    if u < minimize_payoff(game, i, s_dev)[0]:
+                        return CoherenceReport(False, (i, s, s_dev))
+    return CoherenceReport(True)
 
 
 def _full_state_space(game: NormalFormGame, budget: int) -> tuple:
@@ -616,6 +633,8 @@ def _parse_dist(raw: dict, n_states: int, path: str) -> dict:
             raise ValueError(f"{where}: expected an integer index, got {t!r}") from None
         if not 0 <= k < n_states:
             raise _range_error(k, n_states, where, "state")
+        if isinstance(p, bool):  # Fraction(True) is 1
+            raise ValueError(f"{where}: expected a finite number, got {p!r}")
         try:
             dist[k] = Fraction(p)
         except (OverflowError, TypeError, ValueError, ZeroDivisionError):

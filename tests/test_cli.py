@@ -742,6 +742,18 @@ class TestValidateStructure:
             2, "", f"error: {path}: malformed structure document: "
                    "$.closest[4].player: expected an integer index, got 0.5\n")
 
+    @pytest.mark.parametrize("mass", [True, False])
+    def test_bool_probability_names_its_path(self, tmp_path, capsys, mass):
+        # read as 1, player 0's {"3": true} at state 3 linted clean
+        doc = self.make_structure_doc()
+        k = next(k for k, entry in enumerate(doc["beliefs"])
+                 if (entry["player"], entry["state"]) == (0, 3))
+        doc["beliefs"][k]["dist"] = {"3": mass}
+        code, out, err = self.run_doc(tmp_path, capsys, doc)
+        assert (code, out) == (2, "")
+        assert err.endswith(f'$.beliefs[{k}].dist["3"]: expected a finite '
+                            f"number, got {mass}\n")
+
     def test_missing_key_names_its_path(self, tmp_path, capsys):
         doc = self.make_structure_doc()
         del doc["closest"][4]["state"]

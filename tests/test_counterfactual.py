@@ -415,6 +415,11 @@ class TestJsonFormat:
          '$.beliefs[6].dist["1"]: expected a finite number, got \'x\''),
         (lambda doc: doc["beliefs"][6]["dist"].update({"1": "1/0"}),
          '$.beliefs[6].dist["1"]: expected a finite number, got \'1/0\''),
+        # Fraction(True) is 1 and Fraction(False) is 0
+        (lambda doc: doc["beliefs"][6]["dist"].update({"1": True}),
+         '$.beliefs[6].dist["1"]: expected a finite number, got True'),
+        (lambda doc: doc["beliefs"][6]["dist"].update({"1": False}),
+         '$.beliefs[6].dist["1"]: expected a finite number, got False'),
         (lambda doc: doc.update(players=2.0),
          "$.players: expected an integer, got 2.0"),
     ])

@@ -7,7 +7,9 @@ E[1 / (N - C)] over the Poisson-binomial count C of the others who still
 cooperate.  ``closed_form_oracle`` keeps the per-game inequalities written
 out and the kernel as its sum over the 2^(N-1) subsets of the others.
 Property tests compare verdicts, whole ``TypedTeResult``s, and the exception
-type and text on malformed input.
+type and text on malformed input; the kernel also on gammas of 0 and 1 among
+interior ones, and both public-goods readings on betas with coprime
+denominators.
 """
 
 import time
@@ -149,6 +151,24 @@ class TestConditionsMatchOracle:
             assert untyped[1] == holds
 
 
+class TestPublicGoodsReadingsOnCoprimeDenominators:
+    """Both public-goods readings cross-multiply the others' mean held as
+    an integer over the betas' common denominator times (N - 1)."""
+
+    @PROPERTY
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.builds(lambda rho: {"n": n, "rho": rho}, pgg_rho(n, True)),
+        st.lists(units, min_size=n, max_size=n),
+        st.lists(st.sampled_from([F(1, 3), F(2, 7), F(5, 8), 1, 0]),
+                 min_size=n, max_size=n))))
+    def test_readings(self, case):
+        params, alphas, betas = case
+        assert (te_condition_typed("pgg", params, alphas, betas)
+                == oracle.te_condition_typed("pgg", params, alphas, betas))
+        assert (te_condition("pgg", params, betas)
+                == oracle.te_condition("pgg", params, betas))
+
+
 def untyped_by_verdicts(kind, params, betas):
     result = oracle.two_point_by_verdicts(kind, params, betas, lambda n: [1] * n)
     return result.readings["n_minus_1"] if result.holds is None else result.holds
@@ -205,6 +225,21 @@ class TestGeneralizedFMatchesSubsetSum:
         lambda n: st.tuples(st.just(n), st.lists(units, min_size=n - 1,
                                                  max_size=n - 1))))
     def test_values(self, case):
+        n, gammas = case
+        assert generalized_f(gammas, n) == oracle.generalized_f(gammas, n)
+
+    @pytest.mark.parametrize("gammas", [[0, F(1, 3), 0], [1, 0, F(2, 5)],
+                                        [0, 0, 0], [1, 1, 0], [0, F(1, 2)]])
+    def test_zeros_and_ones_among_interior_gammas(self, gammas):
+        # a gamma of 0 is left out of the convolution
+        n = len(gammas) + 1
+        assert generalized_f(gammas, n) == oracle.generalized_f(gammas, n)
+
+    @KERNEL
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.one_of(st.sampled_from([0, 1, F(0), F(1)]), units),
+        min_size=n - 1, max_size=n - 1))))
+    def test_values_with_zeros_and_ones(self, case):
         n, gammas = case
         assert generalized_f(gammas, n) == oracle.generalized_f(gammas, n)
 

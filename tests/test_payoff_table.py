@@ -24,8 +24,7 @@ from test_structure_builders import CUSTOM, custom_game
 from test_structure_oracle import outcome
 from translucent import counterfactual as cf
 from translucent.counterfactual import MISSING, build_coherent_structure, is_rational_at
-from translucent.equilibrium import (CoherenceReport, make_coherence_checker,
-                                     te_in_structure)
+from translucent.equilibrium import make_coherence_checker, te_in_structure
 from translucent.exact import to_exact
 from translucent.games import (
     MixedProfile,
@@ -93,24 +92,12 @@ def test_table_is_shared_across_profiles(data):
             assert F(num, scale) == SHARED.payoff(profiles[k], i)
 
 
-def oracle_coherence(game, sigma):
-    """The coherence verdict from the oracle's punishment search and
-    expected payoffs."""
-    for i, strats in enumerate(game.strategy_sets):
-        for s_i in sigma.support(i):
-            u = oracle.expected_payoff(sigma, i, s_i)
-            for s_dev in strats:
-                if u < oracle.minimize_payoff(game, i, s_dev)[0]:
-                    return CoherenceReport(False, (i, s_i, s_dev))
-    return CoherenceReport(True)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(GAMES), st.data())
 def test_coherence_structures_and_te_match_oracle(game, data):
     sigma = data.draw(mixtures(game))
     assert (make_coherence_checker(game)(sigma)
-            == oracle_coherence(game, sigma))
+            == oracle.coherence(game, sigma))
     assert (outcome(build_coherent_structure, game, sigma)
             == outcome(oracle.build_coherent_structure, game, sigma))
     m = build_coherent_structure(game, sigma, strict=False)

@@ -21,8 +21,10 @@ measures converted by ``to_exact``.
 
 import dataclasses
 import json
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +41,7 @@ from translucent.counterfactual import (
     structure_to_json,
     validate_structure,
 )
-from translucent.equilibrium import te_in_structure
+from translucent.equilibrium import make_coherence_checker, te_in_structure
 from translucent.exact import to_exact
 from translucent.games import (
     MixedProfile,
@@ -362,6 +364,51 @@ def test_switch_routed_onto_a_supported_state():
     assert eu_at_state_switch(m, 0, k, "C") == oracle.eu_at_state_switch(m, 0, k, "C")
 
 
+@pytest.mark.parametrize("d", [make_public_goods(3, F(3, 5), grid=2),
+                               make_bertrand(3, 2, 5)], ids=["pgg", "bertrand"])
+def test_te1_on_subsets_mixing_support_off_support_and_off_game_states(d):
+    # TE1 reads player 0's position and the others' offset in the mixture,
+    # so a state off the support or off the game through any one player
+    # must still be a violation
+    sigma = MixedProfile.two_point(d, [F(1, 2), F(1), F(3, 8)])
+    m = build_coherent_structure(d, sigma, strict=False)
+    flags = [[sigma.prob(j, s) > 0 for j, s in enumerate(p)] for p in m.states]
+    support = [k for k, f in enumerate(flags) if all(f)]
+    # neither a measure nor a switch from the support reaches these states,
+    # so putting them off the game leaves every support cell as it was
+    reached = {column[k] for column in m.closest_columns.values() for k in support}
+    off = [next(k for k, f in enumerate(flags)
+                if f.count(False) == 1 and not f[j] and k not in reached)
+           for j in range(3)]
+    states = list(m.states)
+    for j in (0, 1):
+        states[off[j]] = tuple("X" if i == j else s for i, s in enumerate(states[off[j]]))
+    off_game = dataclasses.replace(m, states=tuple(states))
+    mixed = support[:2] + [off[2]] + support[2:] + [off[0], off[1]]
+    report = te_in_structure(m, sigma, mixed)
+    assert report.te1 == ((off[2],), (off[0],), (off[1],))
+    assert report == oracle.te_in_structure(m, sigma, mixed)
+    # the default subset leaves the off-game states out; judging one raises
+    for subset in (None, support + [off[2]], mixed, [off[1]] + support, [off[0]]):
+        assert (outcome(te_in_structure, off_game, sigma, subset)
+                == outcome(oracle.te_in_structure, off_game, sigma, subset))
+    assert outcome(te_in_structure, off_game, sigma)[0] == "ok"
+
+
+def test_coherence_checker_matches_oracle_on_pool_profiles():
+    rng = random.Random(31)
+    seen = []
+    for d in POOL:
+        check = make_coherence_checker(d)
+        for _ in range(40):
+            betas = [rng.choice(LEVELS) for _ in range(d.num_players)]
+            report = check(MixedProfile.two_point(d, betas))
+            assert report == oracle.coherence(d.game, oracle.two_point(d, betas)), (
+                d.kind, betas)
+            seen.append(report.coherent)
+    assert seen.count(False) >= 40 and seen.count(True) >= 40
+
+
 # ---------------------------------------------------------------------------
 # parsing: shared measures against the per-entry parser
 
@@ -370,7 +417,7 @@ EDITS = ("respell", "reorder", "copy", "number", "zero_mass", "drop",
          "overwrite")
 MALFORMED = ("target", "nondict", "unhashable", "bad_text", "closest",
              "profile", "player", "non_integer", "missing_key", "dist_key",
-             "zero_denominator")
+             "zero_denominator", "bool_mass")
 # what a non-integer index may be read as: int() took 0.5 for 0, 2.7 for 2
 # and True for 1
 NON_INTEGERS = [0.5, 2.7, 1.0, True, False, "x", "1", None, float("nan"), [0]]
@@ -434,6 +481,8 @@ def edit_document(draw, doc, kind):
             del entry[key]
     elif kind == "dist_key":
         dist[draw(st.sampled_from(["0.5", "x", "", "1e1"]))] = p
+    elif kind == "bool_mass":  # Fraction(True) would read it as 1
+        dist[t] = draw(st.booleans())
     else:  # zero_denominator
         dist[t] = "1/0"
 

@@ -2,7 +2,7 @@
 
 Subcommands: ``check``, ``sweep``, ``equilibrium``, ``population``,
 ``validate-structure``, ``qre``.  Every command is driven by a single JSON
-config (numbers are parsed as exact decimals), prints its report to stdout,
+config (read by ``exact.load_json``), prints its report to stdout,
 and optionally copies it to ``--out``.  Outputs are byte-deterministic:
 floats carry 12 significant digits with a ``.`` separator, JSON keys are
 sorted, and sweep rows come out in lexicographic grid order no matter how
@@ -10,7 +10,7 @@ the grid is evaluated.
 
 Exit codes: 0 on success, 1 when the command's domain check fails (structure
 violations, an unconverged fixed point, spot-check mismatches), 2 on input
-errors.
+errors (an ``exact.InputError`` among them).
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .beliefs import TranslucentType, is_cooperation_rational
 from .closed_form import checked_params, cooperation_condition
 from .counterfactual import structure_from_json, validate_structure
 from .equilibrium import MixedProfile, is_coherent, te_condition, te_condition_typed
-from .exact import format_number, to_exact
+from .exact import (InputError, field, format_number, integer, load_json, number,
+                    plain, to_exact, unit)
 from .games import BudgetExceededError, make_dilemma
 
 PARAM_ORDER = {
@@ -55,63 +56,14 @@ class CliError(Exception):
 # config plumbing
 
 
-def _finite_only(path: str):
-    """A ``parse_constant`` hook for the file ``path``: Python's json reads
-    NaN, Infinity and -Infinity, which no exact quantity can be."""
-    def refuse(name: str):
-        raise CliError(f"{path}: the JSON constant {name} is not allowed; "
-                       "every number must be finite")
-    return refuse
-
-
-def _load_config(path: str) -> dict:
+def _load(path: str, what: str = ""):
+    """The JSON in the file ``path`` (``what`` names it in a read error)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_float=Fraction,
-                            parse_constant=_finite_only(path))
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
-    if not isinstance(cfg, dict):
-        raise CliError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
-    return cfg
-
-
-def _require(cfg: dict, key: str, path: str = "$"):
-    if key not in cfg:
-        raise CliError(f"{path}.{key}: required key is missing")
-    return cfg[key]
-
-
-def _number(value, path: str):
-    try:
-        f = to_exact(value)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: expected a number, got {value!r}") from exc
-    if abs(f) > sys.float_info.max:  # reports print numbers as floats
-        raise CliError(f"{path}: expected a number of magnitude at most "
-                       f"{sys.float_info.max:.12g}")
-    return f
-
-
-def _unit(value, path: str, name: str) -> Fraction:
-    """A probability (``alpha``, ``beta``): a number in [0, 1]."""
-    f = _number(value, path)
-    if not 0 <= f <= 1:
-        raise CliError(f"{path}: {name} must lie in [0, 1], got {f}")
-    return f
-
-
-def _integer(value, path: str) -> int:
-    """A number whose exact value is an integer (player counts, bounds,
-    grid steps, iteration caps)."""
-    f = _number(value, path)
-    if f.denominator != 1:
-        raise CliError(f"{path}: expected an integer")
-    return f.numerator
+            text = fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise CliError(f"cannot read {what}{path}: {exc}") from exc
+    return load_json(text, path)
 
 
 class _Range:
@@ -134,30 +86,24 @@ def _grid(value, path: str):
     if isinstance(value, list):
         if not value:
             raise CliError(f"{path}: grid list is empty")
-        return [_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
+        return [number(v, f"{path}[{k}]") for k, v in enumerate(value)]
     if isinstance(value, dict):
-        for key in ("start", "stop", "step"):
-            if key not in value:
-                raise CliError(f"{path}.{key}: required range key is missing")
-        start = _number(value["start"], f"{path}.start")
-        stop = _number(value["stop"], f"{path}.stop")
-        step = _number(value["step"], f"{path}.step")
+        start, stop, step = (number(field(value, key, path), f"{path}.{key}")
+                             for key in ("start", "stop", "step"))
         if step <= 0:
             raise CliError(f"{path}.step: step must be positive")
         if stop < start:
             raise CliError(f"{path}: stop is below start")
         return _Range(start, step, (stop - start) // step + 1)
-    return [_number(value, path)]
+    return [number(value, path)]
 
 
 def _integers(grid, path: str):
     """A grid from ``_grid`` whose values must all be integers."""
-    if isinstance(grid, _Range):
-        if grid.start.denominator != 1 or (
-                grid.size > 1 and grid.step.denominator != 1):
-            raise CliError(f"{path}: expected an integer")
-        return _Range(grid.start.numerator, grid.step.numerator, grid.size)
-    return [_integer(v, path) for v in grid]
+    if isinstance(grid, _Range):  # one value: the step is never taken
+        step = integer(grid.step, path) if grid.size > 1 else 0
+        return _Range(integer(grid.start, path), step, grid.size)
+    return [integer(v, path) for v in grid]
 
 
 def _check_lambda(lam: Fraction, path: str) -> Fraction:
@@ -202,38 +148,28 @@ def _dump_report(report: dict) -> str:
 
 def _check_kind(kind) -> None:
     if not isinstance(kind, str) or kind not in PARAM_ORDER:
-        raise CliError(f"$.kind: unknown kind {kind!r}")
+        raise CliError(f"$.kind: unknown kind {plain(kind)!r}")
 
 
 def _params_from_config(cfg: dict, kind: str) -> dict:
-    raw = _require(cfg, "params")
-    if not isinstance(raw, dict):
-        raise CliError("$.params: expected an object")
+    raw = field(cfg, "params", "$")
     _check_kind(kind)
     params = {}
     for key in PARAM_ORDER[kind]:
-        parse = _integer if key in INTEGER_PARAMS else _number
-        params[key] = parse(_require(raw, key, "$.params"), f"$.params.{key}")
+        read = integer if key in INTEGER_PARAMS else number
+        params[key] = read(field(raw, key, "$.params"), f"$.params.{key}")
     if kind == "pgg":
         params["grid"] = _pgg_grid(cfg, raw)
-    _check_domain(kind, params)
+    _on_params(checked_params, kind, params)
     return params
 
 
-def _check_domain(kind: str, params: dict) -> None:
-    """The closed forms' parameter domains (``games.*_params``; the
-    public-goods one admits rho = 1), a violation naming ``$.params``."""
+def _on_params(call, kind: str, params: dict):
+    """``call(kind, params)``, a ValueError or TypeError naming ``$.params``:
+    ``checked_params`` holds the closed forms' domains (the public-goods one
+    admits rho = 1), ``make_dilemma`` the game's (which refuses it)."""
     try:
-        checked_params(kind, params)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"$.params: {exc}") from exc
-
-
-def _build(kind: str, params: dict):
-    """``make_dilemma``, a violation naming ``$.params`` (the game refuses
-    the public-goods rho = 1 that the closed forms admit)."""
-    try:
-        return make_dilemma(kind, params)
+        return call(kind, params)
     except (ValueError, TypeError) as exc:
         raise CliError(f"$.params: {exc}") from exc
 
@@ -242,7 +178,7 @@ def _pgg_grid(cfg: dict, raw: dict) -> int:
     """The public-goods contribution grid: the top-level ``grid``, else
     ``params.grid`` (``raw``), else 100."""
     where = "$" if "grid" in cfg else "$.params"
-    grid = _integer(cfg.get("grid", raw.get("grid", 100)), f"{where}.grid")
+    grid = integer(cfg.get("grid", raw.get("grid", 100)), f"{where}.grid")
     if grid < 1:
         raise CliError(f"{where}.grid: grid must have at least one step")
     return grid
@@ -298,7 +234,7 @@ def _per_player(values, path: str, n: int, name: str) -> list:
     if len(values) != n:
         raise CliError(f"{path}: expected one value per player ({n}), "
                        f"got {len(values)}")
-    return [_unit(v, f"{path}[{k}]", name) for k, v in enumerate(values)]
+    return [unit(v, name, f"{path}[{k}]") for k, v in enumerate(values)]
 
 
 def _snapshot(kind: str, params: dict) -> str:
@@ -311,12 +247,12 @@ def _snapshot(kind: str, params: dict) -> str:
 
 
 def cmd_check(cfg: dict, budget: int) -> tuple:
-    kind = _require(cfg, "kind")
+    kind = field(cfg, "kind", "$")
     params = _params_from_config(cfg, kind)
-    alpha = _unit(_require(cfg, "alpha"), "$.alpha", "alpha")
-    beta = _unit(_require(cfg, "beta"), "$.beta", "beta")
+    alpha = unit(field(cfg, "alpha", "$"), "alpha", "$.alpha")
+    beta = unit(field(cfg, "beta", "$"), "beta", "$.beta")
     _check_engine_size(cfg, kind, params, budget)
-    d = _build(kind, params)
+    d = _on_params(make_dilemma, kind, params)
     try:
         t = TranslucentType(alpha, beta)
         closed = cooperation_condition(kind, params, alpha, beta)
@@ -349,14 +285,12 @@ def cmd_check(cfg: dict, budget: int) -> tuple:
 def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
     """Yield (param_dict, alpha, beta, rational, binding, threshold) in
     lexicographic grid order, once the row count is within ``budget``."""
-    raw_params = _require(cfg, "params")
-    if not isinstance(raw_params, dict):
-        raise CliError("$.params: expected an object")
+    raw_params = field(cfg, "params", "$")
     keys = PARAM_ORDER[kind]
     grids, sized = [], {}  # sized: JSON path -> grid, for the budget
     for key in keys:
         path = f"$.params.{key}"
-        values = _grid(_require(raw_params, key, "$.params"), path)
+        values = _grid(field(raw_params, key, "$.params"), path)
         if key in INTEGER_PARAMS:
             values = _integers(values, path)
         grids.append(values)
@@ -365,13 +299,13 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
         pgg_grid = _pgg_grid(cfg, raw_params)
 
     if mode == "qre":
-        alphas = sized["$.lambda"] = _grid(_require(cfg, "lambda"), "$.lambda")
+        alphas = sized["$.lambda"] = _grid(field(cfg, "lambda", "$"), "$.lambda")
         betas = [None]
-        max_iter = _integer(cfg.get("max_iter", 20_000), "$.max_iter")
+        max_iter = integer(cfg.get("max_iter", 20_000), "$.max_iter")
     else:
-        betas = sized["$.beta"] = _grid(_require(cfg, "beta"), "$.beta")
+        betas = sized["$.beta"] = _grid(field(cfg, "beta", "$"), "$.beta")
         if mode in ("cooperation", "te_typed"):
-            alphas = sized["$.alpha"] = _grid(_require(cfg, "alpha"), "$.alpha")
+            alphas = sized["$.alpha"] = _grid(field(cfg, "alpha", "$"), "$.alpha")
         else:
             alphas = [None]
     _check_grid_budget(sized, "sweep rows", budget)
@@ -379,9 +313,9 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
     for k, lam in enumerate(alphas if mode == "qre" else []):  # before any row
         _check_lambda(lam, f"$.lambda[{k}]" if isinstance(cfg["lambda"], list) else "$.lambda")
     if mode != "qre":
-        betas = [_unit(b, "$.beta", "beta") for b in betas]
+        betas = [unit(b, "beta", "$.beta") for b in betas]
         if alphas != [None]:
-            alphas = [_unit(a, "$.alpha", "alpha") for a in alphas]
+            alphas = [unit(a, "alpha", "$.alpha") for a in alphas]
     if "n" in keys and mode != "qre":  # qre rows count profiles instead
         for n in grids[keys.index("n")]:
             _check_players(n, "$.params.n", budget, te=mode != "cooperation")
@@ -390,14 +324,14 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
         params = dict(zip(keys, combo))
         if kind == "pgg":
             params["grid"] = pgg_grid
-        _check_domain(kind, params)
+        _on_params(checked_params, kind, params)
         n_players = params.get("n", 2)
         for alpha in alphas:
             for beta in betas:
                 try:
                     if mode == "qre":
                         _check_profile_count(cfg, kind, params, budget)
-                        d = _build(kind, params)
+                        d = _on_params(make_dilemma, kind, params)
                         res = logit_qre(d, alpha, max_iter=max_iter, budget=budget)
                         if not res.converged:
                             raise CliError(
@@ -431,11 +365,11 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
 
 
 def cmd_sweep(cfg: dict, budget: int) -> tuple:
-    kind = _require(cfg, "kind")
+    kind = field(cfg, "kind", "$")
     _check_kind(kind)
     mode = cfg.get("mode", "cooperation")
     if mode not in ("cooperation", "te", "te_typed", "qre"):
-        raise CliError(f"$.mode: unknown mode {mode!r}")
+        raise CliError(f"$.mode: unknown mode {plain(mode)!r}")
 
     rows = []
     out = io.StringIO()
@@ -493,10 +427,10 @@ def _spot_check(cfg: dict, kind: str, rows: list, budget: int) -> list:
 
 
 def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
-    kind = _require(cfg, "kind")
+    kind = field(cfg, "kind", "$")
     params = _params_from_config(cfg, kind)
     n = params.get("n", 2)
-    betas = _per_player(_require(cfg, "betas"), "$.betas", n, "beta")
+    betas = _per_player(field(cfg, "betas", "$"), "$.betas", n, "beta")
     alphas = cfg.get("alphas")
     if alphas is not None:
         alphas = _per_player(alphas, "$.alphas", n, "alpha")
@@ -507,7 +441,7 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
         raise CliError(f"{where}: {own} strategies for each of {n} players make "
                        f"C({own + n - 2}, {n - 1}) opponent multisets, "
                        f"exceeding budget {budget}")
-    d = _build(kind, params)
+    d = _on_params(make_dilemma, kind, params)
     try:
         sigma = MixedProfile.two_point(d, betas)
         untyped = te_condition(kind, params, betas)
@@ -535,45 +469,39 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
 
 
 def cmd_population(cfg: dict, budget: int) -> tuple:
-    kind = _require(cfg, "kind")
+    kind = field(cfg, "kind", "$")
     params = _params_from_config(cfg, kind)
     if "n" in params:
         _check_players(params["n"], "$.params.n", budget)
-    spec = _require(cfg, "population")
-    if not isinstance(spec, dict):
-        raise CliError("$.population: expected an object")
+    spec = field(cfg, "population", "$")
 
-    types = []
-    if "types" in spec:
-        raw = spec["types"]
-        if not isinstance(raw, list) or not raw:
-            raise CliError("$.population.types: expected a nonempty list")
-        _check_grid_budget({"$.population.types": raw}, "types", budget)
-        for k, entry in enumerate(raw):
-            path = f"$.population.types[{k}]"
-            if not isinstance(entry, dict):
-                raise CliError(f"{path}: expected an object")
-            types.append((
-                _unit(_require(entry, "alpha", path), f"{path}.alpha", "alpha"),
-                _unit(_require(entry, "beta", path), f"{path}.beta", "beta"),
-                _number(_require(entry, "weight", path), f"{path}.weight"),
-            ))
-    elif "grid" in spec:
+    if isinstance(spec, dict) and "types" not in spec:
+        if "grid" not in spec:
+            raise CliError("$.population: expected either 'types' or 'grid'")
         grid = spec["grid"]
-        if not isinstance(grid, dict):
-            raise CliError("$.population.grid: expected an object")
-        alphas = _grid(_require(grid, "alpha", "$.population.grid"),
+        alphas = _grid(field(grid, "alpha", "$.population.grid"),
                        "$.population.grid.alpha")
-        betas = _grid(_require(grid, "beta", "$.population.grid"),
+        betas = _grid(field(grid, "beta", "$.population.grid"),
                       "$.population.grid.beta")
         _check_grid_budget({"$.population.grid.alpha": alphas,
                             "$.population.grid.beta": betas}, "types", budget)
-        alphas = [_unit(a, "$.population.grid.alpha", "alpha") for a in alphas]
-        betas = [_unit(b, "$.population.grid.beta", "beta") for b in betas]
+        alphas = [unit(a, "alpha", "$.population.grid.alpha") for a in alphas]
+        betas = [unit(b, "beta", "$.population.grid.beta") for b in betas]
         w = Fraction(1, len(alphas) * len(betas))
         types = [(a, b, w) for a in alphas for b in betas]
     else:
-        raise CliError("$.population: expected either 'types' or 'grid'")
+        raw = field(spec, "types", "$.population")
+        if not isinstance(raw, list) or not raw:
+            raise CliError("$.population.types: expected a nonempty list")
+        _check_grid_budget({"$.population.types": raw}, "types", budget)
+        types = []
+        for k, entry in enumerate(raw):
+            path = f"$.population.types[{k}]"
+            types.append((
+                unit(field(entry, "alpha", path), "alpha", path + ".alpha"),
+                unit(field(entry, "beta", path), "beta", path + ".beta"),
+                number(field(entry, "weight", path), path + ".weight"),
+            ))
 
     total = sum((w for _, _, w in types), Fraction(0))
     if abs(total - 1) > Fraction(1, 10 ** 9):
@@ -599,20 +527,12 @@ def cmd_population(cfg: dict, budget: int) -> tuple:
     return _dump_report(report), 0
 
 
-def cmd_validate_structure(path: str) -> tuple:
+def cmd_validate_structure(path: str, budget: int) -> tuple:
+    doc = _load(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text, parse_constant=_finite_only(path))
-    except json.JSONDecodeError as exc:
-        raise CliError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
-    try:
-        m = structure_from_json(doc)
+        m = structure_from_json(doc, budget=budget)
+    except BudgetExceededError as exc:
+        raise CliError(f"{path}: $.states: {exc}") from exc
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise CliError(f"{path}: malformed structure document: {exc}") from exc
     violations = validate_structure(m)
@@ -623,16 +543,16 @@ def cmd_validate_structure(path: str) -> tuple:
 
 
 def cmd_qre(cfg: dict, budget: int) -> tuple:
-    kind = _require(cfg, "kind")
+    kind = field(cfg, "kind", "$")
     params = _params_from_config(cfg, kind)
-    lam = _check_lambda(_number(_require(cfg, "lambda"), "$.lambda"), "$.lambda")
-    damping = _number(cfg.get("damping", 0.5), "$.damping")
+    lam = _check_lambda(number(field(cfg, "lambda", "$"), "$.lambda"), "$.lambda")
+    damping = number(cfg.get("damping", 0.5), "$.damping")
     if not 0 < damping <= 1 or not float(damping):  # nor below every float
         raise CliError(f"$.damping: damping must lie in (0, 1], got {damping}")
-    tol = float(_number(cfg.get("tol", 1e-10), "$.tol"))
-    max_iter = _integer(cfg.get("max_iter", 20_000), "$.max_iter")
+    tol = float(number(cfg.get("tol", 1e-10), "$.tol"))
+    max_iter = integer(cfg.get("max_iter", 20_000), "$.max_iter")
     _check_profile_count(cfg, kind, params, budget)
-    d = _build(kind, params)
+    d = _on_params(make_dilemma, kind, params)
     try:
         res = logit_qre(d, lam, damping=float(damping), tol=tol, max_iter=max_iter,
                         budget=budget)
@@ -687,9 +607,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "validate-structure":
-            output, code = cmd_validate_structure(args.file)
+            output, code = cmd_validate_structure(args.file, args.budget)
         else:
-            cfg = _load_config(args.config)
+            cfg = _load(args.config, "config ")
+            if not isinstance(cfg, dict):
+                raise CliError(f"{args.config}: expected a JSON object, "
+                               f"got {type(plain(cfg)).__name__}")
             handler = {
                 "check": cmd_check,
                 "sweep": cmd_sweep,
@@ -701,7 +624,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except BudgetExceededError as exc:
+    except (InputError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,14 +63,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+import dataclasses
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 from operator import is_, mul
 from typing import Optional, Sequence
 
-from .exact import to_exact
+from .exact import InputError, field, index, load_json, plain, probability, to_exact
 from .games import (BudgetExceededError, MixedProfile, NormalFormGame, Profile,
                     SocialDilemma, Strategy, _check_budget, as_game)
 
@@ -95,7 +95,7 @@ class IncoherentProfileError(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Violation:
     """One structure-axiom failure, as data."""
 
@@ -116,7 +116,7 @@ class Violation:
         return ", ".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class StateUtilityReport:
     """Expected utilities at a state, and the rationality verdict there."""
 
@@ -125,7 +125,7 @@ class StateUtilityReport:
     rational: bool
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CounterfactualStructure:
     """Immutable finite counterfactual structure.
 
@@ -140,10 +140,10 @@ class CounterfactualStructure:
 
     strategy_sets: tuple
     states: tuple
-    closest_columns: dict = field(compare=False)
-    beliefs: tuple = field(compare=False)
+    closest_columns: dict = dataclasses.field(compare=False)
+    beliefs: tuple = dataclasses.field(compare=False)
     aux: Optional[tuple] = None
-    game: Optional[NormalFormGame] = field(default=None, compare=False)
+    game: Optional[NormalFormGame] = dataclasses.field(default=None, compare=False)
 
     @property
     def num_states(self) -> int:
@@ -755,60 +755,23 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     }
 
 
-def _range_error(k: int, size: int, path: str, what: str) -> ValueError:
-    return ValueError(f"{path}: {what} index {k} is out of range 0..{size - 1}")
-
-
-def _field(entry, key: str, path: str, *args):
-    """``entry[key]``; unless ``entry`` is an object with that key, a
-    ValueError names the JSON path ``path.format(*args)``, which is
-    formatted only on failure."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"{path.format(*args)}: expected an object")
-    if key not in entry:
-        raise ValueError(f"{path.format(*args)}.{key}: required key is missing")
-    return entry[key]
-
-
-def _index(value, size: Optional[int], what: str, path: str, *args) -> int:
-    """``value`` if it is a JSON integer (not a bool, a float or a string)
-    below ``size`` (any integer if ``size`` is None); the error names the
-    JSON path ``path.format(*args)``, which is formatted only on failure."""
-    if type(value) is not int:
-        raise ValueError(f"{path.format(*args)}: expected an integer index, "
-                         f"got {value!r}")
-    if size is not None and not 0 <= value < size:
-        raise _range_error(value, size, path.format(*args), what)
-    return value
-
-
 def _closest_entry(entry, e: int, n_states: int, n: int, sizes: list) -> tuple:
     """``(state, player, strategy, target)`` of ``$.closest[e]``, checked
     field by field, so the first bad one raises a ValueError naming it."""
     path = f"$.closest[{e}]"
-    omega = _index(_field(entry, "state", path), n_states, "state", path + ".state")
-    i = _index(_field(entry, "player", path), n, "player", path + ".player")
-    j = _index(_field(entry, "strategy", path), sizes[i], "strategy", path + ".strategy")
-    return omega, i, j, _index(_field(entry, "target", path), None, "state", path + ".target")
+    omega = index(field(entry, "state", path), n_states, "state", path + ".state")
+    i = index(field(entry, "player", path), n, "player", path + ".player")
+    j = index(field(entry, "strategy", path), sizes[i], "strategy", path + ".strategy")
+    return omega, i, j, index(field(entry, "target", path), None, "state", path + ".target")
 
 
 def _belief_entry(entry, e: int, n: int, n_states: int) -> tuple:
     """``(player, state, dist)`` of ``$.beliefs[e]``, checked field by
     field, so the first bad one raises a ValueError naming it."""
     path = f"$.beliefs[{e}]"
-    i = _index(_field(entry, "player", path), n, "player", path + ".player")
-    omega = _index(_field(entry, "state", path), n_states, "state", path + ".state")
-    return i, omega, _field(entry, "dist", path)
-
-
-def _probability(p, path: str, t) -> Fraction:
-    try:
-        if not isinstance(p, bool):  # Fraction(True) is 1
-            return Fraction(p)
-    except (OverflowError, TypeError, ValueError, ZeroDivisionError):  # inf, nan, "x"
-        pass
-    raise ValueError(f"{path}.dist[{json.dumps(t)}]: expected a finite "
-                     f"number, got {p!r}")
+    i = index(field(entry, "player", path), n, "player", path + ".player")
+    omega = index(field(entry, "state", path), n_states, "state", path + ".state")
+    return i, omega, field(entry, "dist", path)
 
 
 def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:
@@ -820,31 +783,32 @@ def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:
         try:
             k = int(t)
         except (TypeError, ValueError):
-            raise ValueError(f"{path}.dist[{json.dumps(t)}]: expected an "
-                             f"integer index, got {t!r}") from None
-        if not 0 <= k < n_states:  # the path is formatted only on failure
-            raise _range_error(k, n_states, f"{path}.dist[{json.dumps(t)}]", "state")
+            k = t
+        if type(k) is not int or not 0 <= k < n_states:  # raises, naming the path
+            index(k, n_states, "state", "{}.dist[{}]", path, json.dumps(t))
         if type(p) is str:
             q = parsed.get(p)
             if q is None:
-                q = parsed[p] = _probability(p, path, t)
+                q = parsed[p] = probability(p, "{}.dist[{}]", path, json.dumps(t))
         else:
-            q = _probability(p, path, t)
+            q = probability(p, "{}.dist[{}]", path, json.dumps(t))
         dist[k] = q
     return dist
 
 
-def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> CounterfactualStructure:
-    """Parse a structure document (dict or JSON text).
+def structure_from_json(doc, game: Optional[NormalFormGame] = None,
+                        budget: int = 200_000) -> CounterfactualStructure:
+    """Parse a structure document (dict, or text read by ``exact.load_json``).
 
     Missing closest-state entries other than the CS2-forced ones are kept as
     holes that ``validate_structure`` reports, and so are closest-state
     targets out of range (CS1); the validator is the linter for this format.
     Every player, state, strategy and closest-state target index must be a
-    JSON integer (not a bool, a float or a string), and every player, state,
+    JSON integer (not a bool, a decimal or a string), and every player, state,
     strategy or belief-target index must lie in range; a missing key, a
-    wrong index or an unreadable probability raises a ValueError that names
-    its JSON path.
+    wrong index or an unreadable probability raises an ``InputError`` that
+    names its JSON path; over ``budget`` closest-state entries (states x
+    strategies) raise ``BudgetExceededError`` before any is allocated.
 
     Belief entries whose ``dist`` objects are equal (the same items in the
     same order) share one parsed measure object, as a built structure shares
@@ -854,64 +818,66 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
     every state that shares it.
     """
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        doc = load_json(doc)
     if not isinstance(doc, dict):
-        raise ValueError(f"$: expected an object, got {type(doc).__name__}")
+        raise InputError(f"$: expected an object, got {type(plain(doc)).__name__}")
     for key in ("players", "strategies", "states", "closest", "beliefs"):
         if key not in doc:
-            raise ValueError(f"$: structure document is missing {key!r}")
+            raise InputError(f"$: structure document is missing {key!r}")
         if key != "players" and not isinstance(doc[key], (list, tuple)):
-            raise ValueError(f"$.{key}: expected a list")
+            raise InputError(f"$.{key}: expected a list")
     n = doc["players"]
     if type(n) is not int:
-        raise ValueError(f"$.players: expected an integer, got {n!r}")
+        raise InputError(f"$.players: expected an integer, got {plain(n)!r}")
     strategy_sets = []
     for i, strats in enumerate(doc["strategies"]):
         if not isinstance(strats, (list, tuple)):
-            raise ValueError(f"$.strategies[{i}]: expected a list of strategy labels")
-        strategy_sets.append(tuple(strats))
+            raise InputError(f"$.strategies[{i}]: expected a list of strategy labels")
+        strategy_sets.append(tuple(map(plain, strats)))
     strategy_sets = tuple(strategy_sets)
     if len(strategy_sets) != n:
-        raise ValueError(f"$.strategies: one strategy list per player required, "
+        raise InputError(f"$.strategies: one strategy list per player required, "
                          f"got {len(strategy_sets)} for {n} players")
     if game is not None:
         strategy_sets = game.strategy_sets
     sizes = [len(strats) for strats in strategy_sets]
+    n_states = len(doc["states"])
+    if n_states * sum(sizes) > budget:
+        raise BudgetExceededError(n_states * sum(sizes), budget, "closest-state entries")
     # per player: position -> position of the label's first occurrence
     first = []
     for i, strats in enumerate(strategy_sets):
-        index: dict = {}
+        seen: dict = {}
         for j, s in enumerate(strats):
             try:
-                index.setdefault(s, j)
+                seen.setdefault(s, j)
             except TypeError:
-                raise ValueError(f"$.strategies[{i}][{j}]: strategy label "
+                raise InputError(f"$.strategies[{i}][{j}]: strategy label "
                                  f"{s!r} is not a string or a number") from None
-        first.append([index[s] for s in strats])
+        first.append([seen[s] for s in strats])
 
-    n_states = len(doc["states"])
     states = []
     aux = []
     # per player, per strategy position: its column of closest states
     columns = [[[MISSING] * n_states for _ in range(sizes[i])] for i in range(n)]
     for k, entry in enumerate(doc["states"]):
-        raw = _field(entry, "profile", "$.states[{}]", k)
+        raw = field(entry, "profile", "$.states[{}]", k)
         if not isinstance(raw, (list, tuple)):
-            raise ValueError(f"$.states[{k}].profile: expected a list")
+            raise InputError(f"$.states[{k}].profile: expected a list")
         if len(raw) != n:
-            raise ValueError(f"$.states[{k}].profile: expected {n} entries, "
+            raise InputError(f"$.states[{k}].profile: expected {n} entries, "
                              f"got {len(raw)}")
         profile = []
         for i, j in enumerate(raw):
-            j = _index(j, sizes[i], "strategy", "$.states[{}].profile[{}]", k, i)
+            j = index(j, sizes[i], "strategy", "$.states[{}].profile[{}]", k, i)
             profile.append(strategy_sets[i][j])
             columns[i][first[i][j]][k] = k
         states.append(tuple(profile))
         extra = entry.get("aux")
         try:
-            aux.append(tuple(extra) if extra is not None else None)
+            aux.append(tuple(map(plain, extra)) if extra is not None else None)
         except TypeError:
-            raise ValueError(f"$.states[{k}].aux: expected a list or null") from None
+            raise InputError(f"$.states[{k}].aux: expected a list or null") from None
     states = tuple(states)
     has_aux = any(a is not None for a in aux)
 
@@ -946,7 +912,7 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
         if not checked:
             i, omega, raw = _belief_entry(entry, e, n, n_states)
         if not isinstance(raw, dict):
-            raise ValueError(f"$.beliefs[{e}].dist: expected an object")
+            raise InputError(f"$.beliefs[{e}].dist: expected an object")
         try:
             key = (tuple(raw), tuple(raw.values()))
             dist = measures.get(key)

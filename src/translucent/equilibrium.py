@@ -102,7 +102,8 @@ class TeStructureReport:
 def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
                     omega_subset: Optional[Sequence] = None) -> TeStructureReport:
     """Check TE1-TE4 for the given states (default: all support-profile
-    states).  Violation tuples carry (state,) or (state, player).
+    states); a given state off the game (some strategy is not the game's)
+    fails TE1 alone.  Violation tuples carry (state,) or (state, player).
 
     TE2-TE4 depend on a state only through the player's measure and own
     strategy, so each belief cell (player, measure object, own strategy) is
@@ -128,6 +129,8 @@ def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
     for omega in omega_subset:
         if not inside[omega]:
             te1.append((omega,))
+            if None in [column[omega] for column in positions]:
+                continue  # off the game: TE1 alone
         for i, (column, per_state) in players:
             dist = per_state[omega]
             key = (i, id(dist), column[omega])

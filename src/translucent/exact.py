@@ -1,26 +1,32 @@
-"""Exact-arithmetic helpers.
+"""Exact arithmetic and the input grammar.
 
-All comparisons that decide a game-theoretic verdict (best responses,
-equilibrium membership, social-dilemma axioms) run on ``fractions.Fraction``.
-Floats are converted to their exact binary value on the way in, so a verdict
-is never decided by rounding; floats appear again only at the presentation
-layer (CSV/JSON output, QRE solving).
+Verdicts are decided on ``fractions.Fraction``: floats enter at their exact
+binary value and reappear only in output and in the QRE solver.  All JSON
+text goes through ``load_json``, which reads a decimal as its exact
+``Decimal`` literal (``0.1`` is 1/10) and refuses NaN and +-Infinity by
+name.  Each reader below takes a parsed value and its JSON path, a
+``str.format`` template formatted with ``args`` only on failure, and raises
+``InputError`` naming it.  Labels and annotations keep plain-parse floats.
 """
 
 from __future__ import annotations
 
+import json
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
-from typing import Union
+from typing import Optional, Union
 
-Numeric = Union[int, float, Fraction, str]
+Numeric = Union[int, float, Fraction, Decimal, str]
 
 
 def to_exact(x: Numeric) -> Fraction:
     """Convert a number to an exact Fraction.
 
     Ints and Fractions pass through, floats map to their exact binary value,
-    and strings are parsed as decimal/rational literals ("0.05", "3/20").
+    Decimals to their exact decimal value, and strings are parsed as
+    decimal/rational literals ("0.05", "3/20").
     """
     if type(x) is Fraction:
         return x
@@ -28,11 +34,7 @@ def to_exact(x: Numeric) -> Fraction:
         return Fraction(x)
     if isinstance(x, bool):
         raise TypeError("expected a number, got bool")
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (float, str, Decimal, Rational)):
         return Fraction(x)
     raise TypeError(f"expected a number, got {type(x).__name__}")
 
@@ -66,3 +68,108 @@ def format_number(x: Numeric) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{float(f):.12g}"
+
+
+# ---------------------------------------------------------------------------
+# the input grammar
+
+
+class InputError(ValueError):
+    """An input the grammar refuses; the message starts with its file or path."""
+
+
+def load_json(text: str, source: str = "$"):
+    """Parse JSON ``text``, decimals as exact ``Decimal`` literals; a parse
+    error, NaN, +-Infinity or a number needing over 4300 digits (Python's
+    int literal limit) raises InputError naming ``source`` (a file, or $)."""
+    def refuse(name: str):
+        raise InputError(f"{source}: the JSON constant {name} is not allowed; "
+                         "every number must be finite")
+
+    def decimal(literal: str) -> Decimal:
+        d = Decimal(literal)
+        _, digits, exponent = d.as_tuple()
+        if len(digits) + abs(exponent) > 4300:  # the exact value's digits, at most
+            raise InputError(f"{source}: the number {literal} needs more than "
+                             "4300 digits")
+        return d
+    try:
+        return json.loads(text, parse_float=decimal, parse_constant=refuse)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{source}: parse error at line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}") from exc
+    except InputError:
+        raise
+    except ValueError as exc:  # int() refuses a literal past Python's limit
+        raise InputError(f"{source}: an integer needs more than 4300 digits") from exc
+
+
+def plain(value):
+    """``value`` with every ``Decimal`` in it, in lists and objects too, as
+    the float Python's json module reads for the same literal."""
+    if type(value) is Decimal:
+        return float(value)
+    if type(value) is list:
+        return [plain(v) for v in value]
+    if type(value) is dict:
+        return {k: plain(v) for k, v in value.items()}
+    return value
+
+
+def field(obj, key: str, path: str, *args):
+    """``obj[key]``, where ``obj`` must be the JSON object at ``path``."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{path.format(*args)}: expected an object")
+    if key not in obj:
+        raise InputError(f"{path.format(*args)}.{key}: required key is missing")
+    return obj[key]
+
+
+def _exact(value, what: str, path: str, args: tuple) -> Fraction:
+    try:
+        return to_exact(value)
+    except (ArithmeticError, TypeError, ValueError):
+        raise InputError(f"{path.format(*args)}: expected {what}, "
+                         f"got {plain(value)!r}") from None
+
+
+def number(value, path: str, *args) -> Fraction:
+    """A number within the float range, since reports print numbers as
+    floats: an int, a decimal, or a string such as ``"1/3"``."""
+    v = _exact(value, "a number", path, args)
+    if abs(v) > sys.float_info.max:
+        raise InputError(f"{path.format(*args)}: expected a number of magnitude "
+                         f"at most {sys.float_info.max:.12g}")
+    return v
+
+
+def unit(value, name: str, path: str, *args) -> Fraction:
+    """A number in [0, 1], the probability ``name`` (``alpha``, ``beta``)."""
+    v = number(value, path, *args)
+    if not 0 <= v <= 1:
+        raise InputError(f"{path.format(*args)}: {name} must lie in [0, 1], got {v}")
+    return v
+
+
+def integer(value, path: str, *args) -> int:
+    """A number whose exact value is an integer: ``3``, ``3.0`` or ``"3"``."""
+    v = number(value, path, *args)
+    if v.denominator != 1:
+        raise InputError(f"{path.format(*args)}: expected an integer")
+    return v.numerator
+
+
+def index(value, size: Optional[int], what: str, path: str, *args) -> int:
+    """A JSON integer (no bool, decimal or string) below ``size``, if any."""
+    if type(value) is not int:
+        raise InputError(f"{path.format(*args)}: expected an integer index, "
+                         f"got {plain(value)!r}")
+    if size is not None and not 0 <= value < size:
+        raise InputError(f"{path.format(*args)}: {what} index {value} is out of "
+                         f"range 0..{size - 1}")
+    return value
+
+
+def probability(value, path: str, *args) -> Fraction:
+    """A finite number of any magnitude (not a bool), as an exact Fraction."""
+    return _exact(value, "a finite number", path, args)

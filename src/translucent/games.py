@@ -13,7 +13,6 @@ profile budget.  All payoffs are exact Fractions.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +20,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from .exact import Numeric, to_exact, to_integer
+from .exact import Numeric, load_json, to_exact, to_integer
 
 Strategy = Hashable
 Profile = tuple  # tuple[Strategy, ...]
@@ -689,7 +688,7 @@ def dilemma_to_json(d: SocialDilemma) -> dict:
 
 def dilemma_from_json(doc) -> SocialDilemma:
     if isinstance(doc, str):
-        doc = json.loads(doc, parse_float=Fraction)
+        doc = load_json(doc)
     if not isinstance(doc, dict):
         raise ValueError("game description must be a JSON object")
     for key in ("kind", "params"):

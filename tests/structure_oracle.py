@@ -19,7 +19,10 @@ measure, checks the common closest and belief entry inline and formats an
 index's JSON path only when something is wrong; ``structure_from_json``
 below parses every entry into a dict of its own, checks every field of
 every entry in order (present, a JSON integer, in range) and formats every
-path.
+path.  It reads JSON text with a ``json.loads`` call of its own under the
+library's grammar (decimals as exact ``Decimal`` literals, NaN and the
+infinities refused, labels and annotations as floats), and shares only the
+error class ``InputError`` with the library's reader.
 
 ``MixedProfile`` forms the others' mixture once per player on integers and
 reads payoffs from the game's table; ``others_support_profiles``,
@@ -37,6 +40,7 @@ below compares each support strategy's ``expected_payoff`` with a fresh
 
 import itertools
 import json
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -46,7 +50,7 @@ from translucent.counterfactual import (MISSING, NORM_TOL,
                                         IncoherentProfileError,
                                         StateUtilityReport, Violation)
 from translucent.equilibrium import CoherenceReport, TeStructureReport
-from translucent.exact import to_exact
+from translucent.exact import InputError, to_exact
 from translucent.games import (BudgetExceededError, MixedProfile,
                                NormalFormGame, SocialDilemma, Strategy,
                                as_game)
@@ -216,7 +220,8 @@ def is_rational_at(m, i: int, omega: int) -> StateUtilityReport:
 
 
 def te_in_structure(m, sigma, omega_subset=None) -> TeStructureReport:
-    """TE1-TE4 state by state, with per-state rationality from this module."""
+    """TE1-TE4 state by state, with per-state rationality from this module;
+    a given state off the game violates TE1 and is not judged further."""
     if omega_subset is None:
         omega_subset = [k for k in range(m.num_states)
                         if joint_prob(sigma, m.states[k]) > 0]
@@ -227,6 +232,10 @@ def te_in_structure(m, sigma, omega_subset=None) -> TeStructureReport:
     for omega in omega_subset:
         if joint_prob(sigma, m.states[omega]) == 0:
             te1.append((omega,))
+            profile, game = m.states[omega], _require_game(m)
+            if len(profile) != game.num_players or any(
+                    s not in strats for s, strats in zip(profile, game.strategy_sets)):
+                continue  # off the game: TE1 alone
         for i in range(n):
             dist = m.belief(i, omega)
             if any(t not in omega_set for t, p in dist.items() if p > 0):
@@ -602,22 +611,46 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
 # parsing, one measure dict per belief entry
 
 
-def _range_error(k: int, size: int, path: str, what: str) -> ValueError:
-    return ValueError(f"{path}: {what} index {k} is out of range 0..{size - 1}")
+def _range_error(k: int, size: int, path: str, what: str) -> InputError:
+    return InputError(f"{path}: {what} index {k} is out of range 0..{size - 1}")
 
 
 def _field(entry, key: str, path: str):
     if not isinstance(entry, dict):
-        raise ValueError(f"{path}: expected an object")
+        raise InputError(f"{path}: expected an object")
     if key not in entry:
-        raise ValueError(f"{path}.{key}: required key is missing")
+        raise InputError(f"{path}.{key}: required key is missing")
     return entry[key]
 
 
+def _as_read(value):
+    """``value`` with every Decimal, in lists and objects too, as a float:
+    what plain ``json.loads`` reads for labels, annotations and messages."""
+    if isinstance(value, Decimal):
+        return float(value)
+    if isinstance(value, list):
+        return [_as_read(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _as_read(v) for k, v in value.items()}
+    return value
+
+
+def _loads(text: str):
+    """JSON text with decimals as exact Decimals and no NaN or Infinity."""
+    def refuse(name):
+        raise InputError(f"$: the JSON constant {name} is not allowed; "
+                         "every number must be finite")
+    try:
+        return json.loads(text, parse_float=Decimal, parse_constant=refuse)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"$: parse error at line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}") from exc
+
+
 def _index(value, size: Optional[int], path: str, what: str) -> int:
-    """A JSON integer (no bool, float or string) below ``size``, if given."""
+    """A JSON integer (no bool, decimal or string) below ``size``, if given."""
     if type(value) is not int:
-        raise ValueError(f"{path}: expected an integer index, got {value!r}")
+        raise InputError(f"{path}: expected an integer index, got {_as_read(value)!r}")
     if size is not None and not 0 <= value < size:
         raise _range_error(value, size, path, what)
     return value
@@ -630,15 +663,16 @@ def _parse_dist(raw: dict, n_states: int, path: str) -> dict:
         try:
             k = int(t)
         except (TypeError, ValueError):
-            raise ValueError(f"{where}: expected an integer index, got {t!r}") from None
+            raise InputError(f"{where}: expected an integer index, got {t!r}") from None
         if not 0 <= k < n_states:
             raise _range_error(k, n_states, where, "state")
         if isinstance(p, bool):  # Fraction(True) is 1
-            raise ValueError(f"{where}: expected a finite number, got {p!r}")
+            raise InputError(f"{where}: expected a finite number, got {p!r}")
         try:
             dist[k] = Fraction(p)
         except (OverflowError, TypeError, ValueError, ZeroDivisionError):
-            raise ValueError(f"{where}: expected a finite number, got {p!r}") from None
+            raise InputError(f"{where}: expected a finite number, "
+                             f"got {_as_read(p)!r}") from None
     return dist
 
 
@@ -650,28 +684,28 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
     targets out of range (CS1); the validator is the linter for this format.
     Every index must be a JSON integer, every other player, state, strategy
     or belief-target index must lie in range, and every key must be there,
-    or a ValueError names its JSON path.
+    or an InputError names its JSON path.
     """
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        doc = _loads(doc)
     if not isinstance(doc, dict):
-        raise ValueError(f"$: expected an object, got {type(doc).__name__}")
+        raise InputError(f"$: expected an object, got {type(_as_read(doc)).__name__}")
     for key in ("players", "strategies", "states", "closest", "beliefs"):
         if key not in doc:
-            raise ValueError(f"$: structure document is missing {key!r}")
+            raise InputError(f"$: structure document is missing {key!r}")
         if key != "players" and not isinstance(doc[key], (list, tuple)):
-            raise ValueError(f"$.{key}: expected a list")
+            raise InputError(f"$.{key}: expected a list")
     n = doc["players"]
     if type(n) is not int:
-        raise ValueError(f"$.players: expected an integer, got {n!r}")
+        raise InputError(f"$.players: expected an integer, got {_as_read(n)!r}")
     strategy_sets = []
     for i, strats in enumerate(doc["strategies"]):
         if not isinstance(strats, (list, tuple)):
-            raise ValueError(f"$.strategies[{i}]: expected a list of strategy labels")
-        strategy_sets.append(tuple(strats))
+            raise InputError(f"$.strategies[{i}]: expected a list of strategy labels")
+        strategy_sets.append(tuple(_as_read(s) for s in strats))
     strategy_sets = tuple(strategy_sets)
     if len(strategy_sets) != n:
-        raise ValueError(f"$.strategies: one strategy list per player required, "
+        raise InputError(f"$.strategies: one strategy list per player required, "
                          f"got {len(strategy_sets)} for {n} players")
     if game is not None:
         strategy_sets = game.strategy_sets
@@ -684,7 +718,7 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
             try:
                 index.setdefault(s, j)
             except TypeError:
-                raise ValueError(f"$.strategies[{i}][{j}]: strategy label "
+                raise InputError(f"$.strategies[{i}][{j}]: strategy label "
                                  f"{s!r} is not a string or a number") from None
         first.append([index[s] for s in strats])
 
@@ -697,9 +731,9 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
         path = f"$.states[{k}]"
         raw = _field(entry, "profile", path)
         if not isinstance(raw, (list, tuple)):
-            raise ValueError(f"{path}.profile: expected a list")
+            raise InputError(f"{path}.profile: expected a list")
         if len(raw) != n:
-            raise ValueError(f"{path}.profile: expected {n} entries, "
+            raise InputError(f"{path}.profile: expected {n} entries, "
                              f"got {len(raw)}")
         profile = []
         for i, j in enumerate(raw):
@@ -709,9 +743,9 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
         states.append(tuple(profile))
         extra = entry.get("aux")
         try:
-            aux.append(tuple(extra) if extra is not None else None)
+            aux.append(tuple(map(_as_read, extra)) if extra is not None else None)
         except TypeError:
-            raise ValueError(f"{path}.aux: expected a list or null") from None
+            raise InputError(f"{path}.aux: expected a list or null") from None
     states = tuple(states)
     has_aux = any(a is not None for a in aux)
 
@@ -732,7 +766,7 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
         omega = _index(_field(entry, "state", path), n_states, f"{path}.state", "state")
         raw = _field(entry, "dist", path)
         if not isinstance(raw, dict):
-            raise ValueError(f"{path}.dist: expected an object")
+            raise InputError(f"{path}.dist: expected an object")
         beliefs[i][omega] = _parse_dist(raw, n_states, path)
     beliefs = tuple(tuple(per_state) for per_state in beliefs)
 

@@ -422,6 +422,22 @@ class TestNamedPaths:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command,payload,message", [
+        # a range key reads like every other required key
+        ("sweep", {**PD, "alpha": 1, "beta": {"start": 0, "stop": 1}},
+         "$.beta.step: required key is missing"),
+        ("population", {**PD, "population": {"grid": {
+            "alpha": {"stop": 1, "step": 1}, "beta": 1}}},
+         "$.population.grid.alpha.start: required key is missing"),
+        # a decimal in a message reads as written
+        ("check", {**PD, "kind": 0.5, "alpha": 0.5, "beta": 0.5},
+         "$.kind: unknown kind 0.5"),
+        ("qre", {**PD, "lambda": [0.5]}, "$.lambda: expected a number, got [0.5]"),
+    ])
+    def test_reader_messages(self, tmp_path, capsys, command, payload, message):
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert run(capsys, command, "--config", cfg) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command,payload,message", [
         ("check", {"kind": "pgg", "params": {"n": 1, "rho": 0.6},
                    "alpha": 0.5, "beta": 0.5},
          "$.params: public goods game needs n >= 2 players"),
@@ -574,6 +590,36 @@ class TestFuzzFindings:
             '"damping": 1e-400}')
         assert (code, out) == (2, "")
         assert err.startswith("error: $.damping: damping must lie in (0, 1], got 1/")
+
+    @pytest.mark.parametrize("token,message", [
+        # Fraction(Decimal("1e-10000000")) alone takes seconds
+        ("1e-4300", "the number 1e-4300 needs more than 4300 digits"),
+        ("1.5e4300", "the number 1.5e4300 needs more than 4300 digits"),
+        ("1" * 4301, "an integer needs more than 4300 digits"),  # was a traceback
+    ])
+    def test_number_past_4300_digits_exits_2(self, tmp_path, capsys, token, message):
+        path = tmp_path / "c.json"
+        code, out, err = self.run_raw(
+            tmp_path, capsys, "qre",
+            '{"kind": "pd", "params": {"b": 4, "c": 1}, "lambda": %s}' % token)
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    def test_exponents_up_to_4300_digits_read_exactly(self, tmp_path, capsys):
+        code, out, err = self.run_raw(
+            tmp_path, capsys, "qre",
+            '{"kind": "pd", "params": {"b": 4, "c": 1}, "lambda": 1, '
+            '"damping": 1e-4299}')
+        assert (code, out, err) == (2, "", "error: $.damping: damping must lie "
+                                    "in (0, 1], got 1/1" + "0" * 4299 + "\n")
+
+    @pytest.mark.parametrize("argv", [["check", "--config"], ["validate-structure"]])
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, argv):
+        # the decoding error escaped as a traceback
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"kind": "pd\xff"}')
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read ") and "byte 0xff" in err
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"kind"', "7"])
     def test_config_must_be_an_object(self, tmp_path, capsys, text):
@@ -760,6 +806,48 @@ class TestValidateStructure:
         code, out, err = self.run_doc(tmp_path, capsys, doc)
         assert (code, out) == (2, "")
         assert err.endswith("$.closest[4].state: required key is missing\n")
+
+    def test_decimal_index_reads_as_written(self, tmp_path, capsys):
+        doc = self.make_structure_doc()
+        doc["states"][2]["profile"] = [0, 1.0]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate-structure", str(path)) == (
+            2, "", f"error: {path}: malformed structure document: "
+                   "$.states[2].profile[1]: expected an integer index, got 1.0\n")
+
+    def test_decimal_measures_are_exact(self, tmp_path, capsys):
+        # read at their binary values, 0.1 + 0.2 would sum to
+        # 5404319552844595/18014398509481984
+        doc = self.make_structure_doc()
+        k = next(k for k, entry in enumerate(doc["beliefs"])
+                 if (entry["player"], entry["state"]) == (0, 3))
+        doc["beliefs"][k]["dist"] = {"2": 0.1, "3": 0.2}
+        code, out, _ = self.run_doc(tmp_path, capsys, doc)
+        assert code == 1
+        assert "NORM violated at state 3, player 0, belief mass sums to 3/10\n" in out
+
+    def test_numeric_labels_print_as_before(self, tmp_path, capsys):
+        from test_counterfactual import LABELLED
+
+        path = tmp_path / "m.json"
+        path.write_text(LABELLED)
+        assert run(capsys, "validate-structure", str(path)) == (1, (
+            "CS1 violated at state 0, player 0, strategy 1.0, closest state 0 "
+            "plays 0.5\n"
+            "PR1 violated at state 0, player 0, positive mass on state 1 where "
+            "the player uses 1.0\n"
+            "PR2 violated at state 0, player 0, positive mass on state 1 with "
+            "different beliefs\n"), "")
+
+    def test_budget_counts_closest_state_entries(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(self.make_structure_doc()))  # 4 x (2 + 2)
+        code, out, _ = run(capsys, "validate-structure", str(path), "--budget", "16")
+        assert code == 0 and "no violations" in out
+        assert run(capsys, "validate-structure", str(path), "--budget", "15") == (
+            2, "", f"error: {path}: $.states: enumeration requires 16 "
+                   "closest-state entries, exceeding budget 15\n")
 
 
 class TestQreCommand:

@@ -25,7 +25,9 @@ from translucent.counterfactual import (
     structure_to_json,
     validate_structure,
 )
+from translucent.exact import InputError
 from translucent.games import (
+    BudgetExceededError,
     MixedProfile,
     NormalFormGame,
     make_bertrand,
@@ -433,11 +435,12 @@ class TestJsonFormat:
     @pytest.mark.parametrize("mass,shown", [
         (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan")])
     def test_non_finite_mass_names_its_path(self, mass, shown):
-        # Python's json reads Infinity, -Infinity and NaN as these floats
+        # a document given as Python values may hold these floats; as text
+        # the reader refuses the constants (see TestGrammar)
         doc = self.pd_doc()
         doc["beliefs"][6]["dist"]["1"] = mass
         with pytest.raises(ValueError) as exc:
-            structure_from_json(json.dumps(doc))
+            structure_from_json(doc)
         assert str(exc.value) == (
             f'$.beliefs[6].dist["1"]: expected a finite number, got {shown}')
 
@@ -460,3 +463,114 @@ class TestJsonFormat:
         with pytest.raises(ValueError, match="missing 'states'"):
             structure_from_json({"players": 2, "strategies": [["C"], ["C"]],
                                  "closest": [], "beliefs": []})
+
+
+# a one-player document with numeric strategy labels and aux entries, the
+# beliefs at state 0 as decimals; CS1, PR1 and PR2 fail at state 0
+LABELLED = """{"players": 1, "strategies": [[0.5, 1.0, 1e2]],
+ "states": [{"profile": [0], "aux": [0.25, 1e2]},
+            {"profile": [1], "aux": [-0.0, [2.5]]},
+            {"profile": [2], "aux": ["x", 3]}],
+ "closest": [{"state": 0, "player": 0, "strategy": 1, "target": 0},
+             {"state": 0, "player": 0, "strategy": 2, "target": 2},
+             {"state": 1, "player": 0, "strategy": 0, "target": 0},
+             {"state": 1, "player": 0, "strategy": 2, "target": 2},
+             {"state": 2, "player": 0, "strategy": 0, "target": 0},
+             {"state": 2, "player": 0, "strategy": 1, "target": 1}],
+ "beliefs": [{"player": 0, "state": 0, "dist": {"0": 0.1, "1": 0.9}},
+             {"player": 0, "state": 1, "dist": {"1": 1}},
+             {"player": 0, "state": 2, "dist": {"2": "1"}}]}"""
+
+
+class TestGrammar:
+    """Structure text is read by ``exact.load_json``: a decimal probability
+    is its exact literal, NaN and the infinities are refused by name, and
+    strategy labels and aux entries keep the floats plain json reads."""
+
+    def decimal_doc(self):
+        """The PD punishment structure at betas 1/10, its measures written
+        as the decimals 0.1 and 0.9."""
+        d = make_prisoners_dilemma(4, 1)
+        m = build_coherent_structure(d, MixedProfile.two_point(d, [F(1, 10)] * 2),
+                                     strict=False)
+        text = json.dumps(structure_to_json(m))
+        assert '"1/10"' in text and '"9/10"' in text
+        return m, text.replace('"1/10"', "0.1").replace('"9/10"', "0.9")
+
+    def test_decimal_probabilities_are_exact(self):
+        m, text = self.decimal_doc()
+        back = structure_from_json(text)
+        assert back.beliefs == m.beliefs
+        assert {q for per_state in back.beliefs for dist in per_state
+                for q in dist.values()} == {F(1, 10), F(9, 10)}
+        assert validate_structure(back) == []
+        # read at their binary values, 0.1 + 0.9 is 1 + 2^-55
+        binary = structure_from_json(json.loads(text))
+        assert sum(binary.beliefs[0][0].values()) == 1 + F(1, 2 ** 55)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["closest"][4].update(player=0.5),
+         "$.closest[4].player: expected an integer index, got 0.5"),
+        (lambda doc: doc["states"][2].update(profile=[0, 1.0]),
+         "$.states[2].profile[1]: expected an integer index, got 1.0"),
+        (lambda doc: doc["beliefs"][6].update(state=1e2),
+         "$.beliefs[6].state: expected an integer index, got 100.0"),
+        (lambda doc: doc.update(players=2.0),
+         "$.players: expected an integer, got 2.0"),
+        (lambda doc: doc["beliefs"][6]["dist"].update({"1": [0.5]}),
+         '$.beliefs[6].dist["1"]: expected a finite number, got [0.5]'),
+    ])
+    def test_decimal_index_in_text_reads_as_written(self, edit, message):
+        doc = TestJsonFormat().pd_doc()
+        edit(doc)
+        with pytest.raises(InputError) as exc:
+            structure_from_json(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_numeric_labels_and_aux_keep_their_floats(self):
+        m = structure_from_json(LABELLED)
+        assert m.strategy_sets == ((0.5, 1.0, 100.0),)
+        assert all(type(s) is float for s in m.strategy_sets[0])
+        assert m.aux == ((0.25, 100.0), (-0.0, [2.5]), ("x", 3))
+        assert m.beliefs[0][0] == {0: F(1, 10), 1: F(9, 10)}
+        assert [str(v) for v in validate_structure(m)] == [
+            "CS1 violated at state 0, player 0, strategy 1.0, closest state 0 "
+            "plays 0.5",
+            "PR1 violated at state 0, player 0, positive mass on state 1 where "
+            "the player uses 1.0",
+            "PR2 violated at state 0, player 0, positive mass on state 1 with "
+            "different beliefs"]
+        doc = structure_to_json(m)
+        assert doc["strategies"] == [["0.5", "1.0", "100.0"]]
+        assert [entry["aux"] for entry in doc["states"]] == [
+            [0.25, 100.0], [-0.0, [2.5]], ["x", 3]]
+        assert json.dumps(doc["states"][1]) == '{"profile": [1], "aux": [-0.0, [2.5]]}'
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_constants_are_refused_by_name(self, constant):
+        text = TestJsonFormat().pd_doc()
+        text = json.dumps(text).replace('"1/2"', constant, 1)
+        with pytest.raises(InputError) as exc:
+            structure_from_json(text)
+        assert str(exc.value) == (f"$: the JSON constant {constant} is not "
+                                  "allowed; every number must be finite")
+
+    def test_number_past_4300_digits_is_refused(self):
+        # read as a float it was 0.0; exactly, 10^10000000 digits to build
+        text = json.dumps(TestJsonFormat().pd_doc()).replace('"1/2"', "1e-10000000", 1)
+        with pytest.raises(InputError) as exc:
+            structure_from_json(text)
+        assert str(exc.value) == "$: the number 1e-10000000 needs more than 4300 digits"
+
+    def test_parse_error_names_line_and_column(self):
+        with pytest.raises(InputError) as exc:
+            structure_from_json('{"players": 2,\n "states": [}')
+        assert str(exc.value).startswith("$: parse error at line 2, column 13: ")
+
+    def test_budget_counts_closest_state_entries_before_parsing(self):
+        doc = TestJsonFormat().pd_doc()  # 4 states x (2 + 2) strategies
+        assert structure_from_json(doc, budget=16).num_states == 4
+        with pytest.raises(BudgetExceededError) as exc:
+            structure_from_json(json.dumps(doc), budget=15)
+        assert str(exc.value) == ("enumeration requires 16 closest-state "
+                                  "entries, exceeding budget 15")

@@ -339,6 +339,18 @@ class TestJsonRoundtrip:
         with pytest.raises(ValueError, match="missing 'params'"):
             dilemma_from_json('{"kind": "pd"}')
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_constants_refused_by_name(self, constant):
+        # Infinity used to reach to_exact and raise OverflowError
+        with pytest.raises(ValueError) as exc:
+            dilemma_from_json('{"kind": "pd", "params": {"b": %s, "c": 1}}' % constant)
+        assert str(exc.value) == (f"$: the JSON constant {constant} is not "
+                                  "allowed; every number must be finite")
+
+    def test_decimals_read_exactly(self):
+        d = dilemma_from_json('{"kind": "pd", "params": {"b": 0.3, "c": 0.1}}')
+        assert (d.params["b"], d.params["c"]) == (F(3, 10), F(1, 10))
+
 
 class TestParameterDomains:
     """One domain check per kind: integer parameters accept any number whose

@@ -19,7 +19,9 @@ their exact values, so the oracle is run on the same structure with its
 measures converted by ``to_exact``.
 """
 
+import ast
 import dataclasses
+import inspect
 import json
 import random
 from fractions import Fraction as F
@@ -41,8 +43,9 @@ from translucent.counterfactual import (
     structure_to_json,
     validate_structure,
 )
-from translucent.equilibrium import make_coherence_checker, te_in_structure
-from translucent.exact import to_exact
+from translucent.equilibrium import (TeStructureReport, make_coherence_checker,
+                                    te_in_structure)
+from translucent.exact import InputError, to_exact
 from translucent.games import (
     MixedProfile,
     make_bertrand,
@@ -388,11 +391,18 @@ def test_te1_on_subsets_mixing_support_off_support_and_off_game_states(d):
     report = te_in_structure(m, sigma, mixed)
     assert report.te1 == ((off[2],), (off[0],), (off[1],))
     assert report == oracle.te_in_structure(m, sigma, mixed)
-    # the default subset leaves the off-game states out; judging one raises
+    # a listed state off the game violates TE1 and is judged for nothing
+    # else; every other state keeps its verdicts
     for subset in (None, support + [off[2]], mixed, [off[1]] + support, [off[0]]):
-        assert (outcome(te_in_structure, off_game, sigma, subset)
-                == outcome(oracle.te_in_structure, off_game, sigma, subset))
-    assert outcome(te_in_structure, off_game, sigma)[0] == "ok"
+        got = outcome(te_in_structure, off_game, sigma, subset)
+        assert got == outcome(oracle.te_in_structure, off_game, sigma, subset)
+        assert got[0] == "ok"
+    gone = {off[0], off[1]}
+    assert te_in_structure(off_game, sigma, mixed) == dataclasses.replace(
+        report, **{name: tuple(v for v in getattr(report, name) if v[0] not in gone)
+                   for name in ("te2", "te3", "te4")})
+    assert te_in_structure(off_game, sigma, [off[0]]) == (
+        TeStructureReport(False, ((off[0],),), (), (), ()))
 
 
 def test_coherence_checker_matches_oracle_on_pool_profiles():
@@ -573,4 +583,29 @@ def test_bad_target_in_a_shared_dist_names_the_first_entry():
     message = (f'$.beliefs[{hits[0]}].dist["{m.num_states}"]: state index '
                f'{m.num_states} is out of range 0..{m.num_states - 1}')
     for parse in (structure_from_json, oracle.structure_from_json):
-        assert outcome(parse, doc) == ("raised", ValueError, message)
+        assert outcome(parse, doc) == ("raised", InputError, message)
+
+
+def test_oracle_reads_text_with_a_reader_of_its_own():
+    # the oracle takes the error class from the library, never its reader
+    imported = {alias.name for node in ast.walk(ast.parse(inspect.getsource(oracle)))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"load_json", "plain", "field", "index", "probability",
+                           "structure_from_json"}
+    from test_counterfactual import LABELLED
+
+    d = make_prisoners_dilemma(4, 1)
+    m = build_coherent_structure(d, MixedProfile.two_point(d, [F(3, 10)] * 2),
+                                 strict=False)
+    decimals = json.dumps(structure_to_json(m)).replace(
+        '"3/10"', "0.3").replace('"7/10"', "0.7")
+    for text in (LABELLED, decimals):
+        got, want = structure_from_json(text), oracle.structure_from_json(text)
+        assert (got.strategy_sets, got.states, got.aux) == (
+            want.strategy_sets, want.states, want.aux)
+        assert (got.closest_columns, got.beliefs) == (want.closest_columns, want.beliefs)
+    assert structure_from_json(decimals).beliefs == m.beliefs
+    for text in ('{"players": NaN}', '{"players": -Infinity}', '{"players": 2,'):
+        got = outcome(structure_from_json, text)
+        assert got[:2] == ("raised", InputError)
+        assert got == outcome(oracle.structure_from_json, text)

@@ -27,28 +27,26 @@ column of state indices per (player, strategy).
 By PR2 a player's measure is constant on its own support, so the builders
 share one measure object among the states of a *belief cell*, and the JSON
 parser shares one among the entries with equal ``dist`` objects.  The
-validator gives every measure a cell id from its exact entries, decides NORM
-once per cell and PR2 by comparing cell ids; only measures in different
-cells are compared as dicts.  The Nash and punishment builders read one
-layout per game (profiles, strategy positions, punished states), memoised
-like its payoff table.  The punishment builder also keeps the columns that
-depend on the support on the game, one tuple per switch for each (player,
-support positions), filled on first use and holding at most
-``_SUPPORTS_KEPT`` supports per player (the oldest goes first): structures
-share those tuples, and each gets a ``closest_columns`` dict and measures
-of its own.
+validator decides NORM once per measure object, and PR2 compares two
+measures as dicts only when they are distinct objects.  The Nash and
+punishment builders read one layout per game (profiles, strategy positions,
+punished states), memoised like its payoff table.  The punishment builder
+also keeps the columns that depend on the support on the game, one tuple
+per switch for each (player, support positions), filled on first use and
+holding at most ``_SUPPORTS_KEPT`` supports per player (the oldest goes
+first): structures share those tuples, and each gets a ``closest_columns``
+dict and measures of its own.
 
 Each player's switch plan (every switch's strategy, column and game
-position) and whether any switch can raise are kept on the structure: a
-builder hands them over, and ``_switch_plan`` reads them once for any other
-structure and again whenever a ``closest_columns`` key no longer holds the
-column object they were read from.  Expected utilities work on strategy
-positions: a measure's exact probabilities become integer weights over one
-denominator, dotted with the game's integer payoff row, where each payoff
-is an integer over the player's common scale, computed once per game, on
-first use.  Every probability is taken at its exact value (floats
-included, as ``exact.to_exact`` converts them), so no verdict is decided by
-rounding.
+position) is kept on the structure: a builder hands it over, and
+``_switch_plan`` reads it once for any other structure and again whenever a
+``closest_columns`` key no longer holds the column object it was read from.
+Expected utilities work on strategy positions: a measure's exact
+probabilities become integer weights over one denominator, dotted with the
+game's integer payoff row, where each payoff is an integer over the
+player's common scale, computed once per game, on first use.  Every
+probability is taken at its exact value (floats included, as
+``exact.to_exact`` converts them), so no verdict is decided by rounding.
 
 ``is_rational_at`` depends on the state only through its belief cell: the
 player, the measure object and the player's own game position.  The
@@ -219,13 +217,12 @@ def _built(game: NormalFormGame, states: tuple, columns: dict, beliefs: list,
            profile_index: tuple, aux=None) -> CounterfactualStructure:
     """A builder's structure, handed its ``_profile_index`` so no strategy is
     hashed (a copy by ``dataclasses.replace`` or from JSON computes its own),
-    and its switch plans: every column of a builder is complete and in
-    range, and every strategy is the game's, so no switch can raise."""
+    and its switch plans, every strategy at its own game position."""
     m = CounterfactualStructure(game.strategy_sets, states, columns,
                                 tuple(beliefs), aux=aux, game=game)
     m.__dict__["_profile_index"] = profile_index  # the cached_property's slot
     m.__dict__["_plans"] = {
-        i: ([(s, columns[(i, j)], j) for j, s in enumerate(strats)], True,
+        i: ([(s, columns[(i, j)], j) for j, s in enumerate(strats)],
             [(i, j) for j in range(len(strats))])
         for i, strats in enumerate(game.strategy_sets)}
     return m
@@ -251,25 +248,12 @@ def validate_structure(m: CounterfactualStructure) -> list:
     columns = [[m.closest_columns[(i, j)] for j in range(len(m.strategy_sets[i]))]
                for i in players]
 
-    # CS1 and CS2 column by column; only a column that fails is walked state
-    # by state, and its violations are merged back into state order
+    # CS1 and CS2 column by column, merged back into state order
     found = []  # (state, player, strategy position, violation)
     for i in players:
         codes = own_codes[i]
-        playing: dict = {}  # own code -> the states that play it
-        for k, code in enumerate(codes):
-            playing.setdefault(code, []).append(k)
         for j, column in enumerate(columns[i]):
             code = set_codes[i][j]
-            fixed = playing.get(code, [])
-            try:
-                if (len(column) == n_states and min(column, default=0) >= 0
-                        and max(column, default=0) < n_states
-                        and set(map(codes.__getitem__, column)) <= {code}
-                        and list(map(column.__getitem__, fixed)) == fixed):
-                    continue
-            except TypeError:  # a target that is not an index: walked below
-                pass
             s = m.strategy_sets[i][j]
             for omega in range(n_states):
                 target = column[omega]
@@ -293,68 +277,42 @@ def validate_structure(m: CounterfactualStructure) -> list:
         per_state = list(map(m.beliefs[i].__getitem__, range(n_states)))
         codes = own_codes[i]
         measure_ids = list(map(id, per_state))
-        cells, positives, norm = _belief_cells(per_state, measure_ids)
+        # per measure object: its positive-mass targets and its NORM detail
+        # (None when it sums to 1), decided on integers over one denominator
+        measures: dict = {}
+        for key, dist in dict(zip(measure_ids, per_state)).items():
+            weights, den = _weights(dist)
+            mass = sum(weights)
+            measures[key] = ([t for t, w in zip(dist, weights) if w > 0],
+                             f"belief mass sums to {Fraction(mass, den)}"
+                             if abs(mass - den) * NORM_TOL.denominator
+                             > den * NORM_TOL.numerator else None)
         # PR1 and PR2 depend on a state only through its measure object and
         # own code: decide them once per (id(measure), own code), from one
         # state that has it
         judged: dict = {}
         for key, k in dict(zip(zip(measure_ids, codes), range(n_states))).items():
-            dist, own, cell = per_state[k], codes[k], cells[k]
+            dist, own = per_state[k], codes[k]
             findings = judged[key] = []
-            for target in positives[key[0]]:
+            for target in measures[key[0]][0]:
                 if codes[target] != own:
                     findings.append((
                         "PR1", f"positive mass on state {target} where the "
                                f"player uses {states[target][i]!r}"))
-                if cells[target] != cell and per_state[target] != dist:
+                if per_state[target] is not dist and per_state[target] != dist:
                     findings.append((
                         "PR2", f"positive mass on state {target} with "
                                "different beliefs"))
-        if not any(judged.values()) and norm.count(None) == len(norm):
+        if not any(judged.values()) and all(
+                norm is None for _, norm in measures.values()):
             continue
-        for omega, (key, cell) in enumerate(zip(zip(measure_ids, codes), cells)):
-            if norm[cell] is not None:
-                violations.append(Violation("NORM", omega, i, detail=norm[cell]))
+        for omega, key in enumerate(zip(measure_ids, codes)):
+            norm = measures[key[0]][1]
+            if norm is not None:
+                violations.append(Violation("NORM", omega, i, detail=norm))
             violations.extend(Violation(axiom, omega, i, detail=detail)
                               for axiom, detail in judged[key])
     return violations
-
-
-def _belief_cells(per_state: Sequence, ids: list) -> tuple:
-    """Group one player's measures, whose ``id``s are ``ids``, into belief
-    cells.
-
-    Returns the cell id of every state, the positive-mass targets of every
-    measure object (by ``id``, in insertion order) and, per cell, the NORM
-    violation detail or None.  Measures with equal exact entries share a
-    cell; zero-mass entries count, as they do for dict equality.  A measure
-    whose targets do not sort gets a cell of its own.  NORM is decided on
-    integers over the entries' common denominator.
-    """
-    norm = []
-    positives: dict = {}
-    object_cell: dict = {}
-    entries_cell: dict = {}
-    for key, dist in dict(zip(ids, per_state)).items():
-        entries = [(t, q.numerator, q.denominator)
-                   for t, q in zip(dist, map(to_exact, dist.values()))]
-        positives[key] = [t for t, num, _ in entries if num > 0]
-        try:
-            sorted_entries = tuple(sorted(entries))
-            cell = entries_cell.get(sorted_entries)
-        except TypeError:  # targets that do not sort
-            cell = sorted_entries = None
-        if cell is None:
-            cell = len(norm)
-            if sorted_entries is not None:
-                entries_cell[sorted_entries] = cell
-            den = lcm(*[d for _, _, d in entries])
-            num = sum(n * (den // d) for _, n, d in entries)
-            norm.append(f"belief mass sums to {Fraction(num, den)}"
-                        if abs(num - den) * NORM_TOL.denominator
-                        > den * NORM_TOL.numerator else None)
-        object_cell[key] = cell
-    return list(map(object_cell.__getitem__, ids)), positives, norm
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +383,19 @@ def _expectation(m: CounterfactualStructure, game: NormalFormGame, i: int, s: St
     return num, den * scale
 
 
-def _switch_plan(m: CounterfactualStructure, i: int) -> tuple:
+def _switch_plan(m: CounterfactualStructure, i: int) -> list:
     """Player i's switches in list order, each strategy hashed once, as
-    ``(strategy, closest-state column, game position or None)``, and whether
-    no switch can raise (a switch raises only on a hole, a target out of
-    range or a strategy or state off the game), so a scan may stop at the
-    first paying switch.  Both are kept on the structure, with the
-    ``closest_columns`` keys they were read from, while every key still holds
-    the same column object."""
+    ``(strategy, closest-state column, game position or None)``.  The plan
+    is kept on the structure, with the ``closest_columns`` keys it was read
+    from, while every key still holds the same column object."""
     entry = m._plans.get(i)
     if entry is None or any(m.closest_columns.get(key) is not column
-                            for key, (_, column, _) in zip(entry[2], entry[0])):
-        strats, index, size = m.strategy_sets[i], m.game._index[i], m.num_states
+                            for key, (_, column, _) in zip(entry[1], entry[0])):
+        strats, index = m.strategy_sets[i], m.game._index[i]
         keys = [(i, m.strategy_index(i, s)) for s in strats]
-        plan = [(s, m.closest_columns[key], index.get(s)) for s, key in zip(strats, keys)]
-        may_stop = None not in m._profile_index[1][i] and all(
-            pos is not None and len(c) == size and 0 <= min(c) and max(c) < size
-            for _, c, pos in plan)
-        entry = m._plans[i] = plan, may_stop, keys
-    return entry[0], entry[1]
+        entry = m._plans[i] = ([(s, m.closest_columns[key], index.get(s))
+                                for s, key in zip(strats, keys)], keys)
+    return entry[0]
 
 
 def _switch_values(m: CounterfactualStructure, game: NormalFormGame, i: int, omega: int,
@@ -496,12 +448,12 @@ def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtili
         _, targets, probabilities, plan, eu, switches, rational = cell
         if (len(dist) == len(targets) and all(map(is_, dist, targets))
                 and all(map(is_, dist.values(), probabilities))
-                and _switch_plan(m, i)[0] is plan):
+                and _switch_plan(m, i) is plan):
             return StateUtilityReport(eu, switches.copy(), rational)
     game = m.game
     sources, (weights, den) = list(dist), _weights(dist)
     eu = _expectation(m, game, i, m.states[omega][i], pos, sources, weights, den)
-    plan = _switch_plan(m, i)[0]
+    plan = _switch_plan(m, i)
     switches = {s: Fraction(*v) for s, v in _switch_values(
         m, game, i, omega, eu, sources, weights, den, plan)}
     eu = Fraction(*eu)
@@ -721,7 +673,8 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     states_doc = [{"profile": profile, "aux": None} for profile in positions]
     if m.aux is not None:
         for k, entry in enumerate(states_doc):
-            entry["aux"] = list(m.aux[k])
+            if m.aux[k] is not None:
+                entry["aux"] = list(m.aux[k])
 
     # per player and own position: the other strategies' (position, column)
     switches = []
@@ -733,7 +686,6 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
                    for i, away in enumerate(switches) for j, column in away[profile[i]]]
 
     beliefs_doc = []
-    texts: dict = {}  # probability object id -> text; ``m`` keeps each alive
     for i in range(m.num_players):
         formatted: dict = {}  # measure object id -> its dist, formatted once
         for omega in range(m.num_states):
@@ -742,8 +694,7 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
                 text = dict(formatted[id(dist)])
             else:
                 text = formatted[id(dist)] = {
-                    str(t): texts.get(id(p)) or texts.setdefault(id(p), str(p))
-                    for t, p in sorted(dist.items())}
+                    str(t): str(p) for t, p in sorted(dist.items())}
             beliefs_doc.append({"player": i, "state": omega, "dist": text})
 
     return {

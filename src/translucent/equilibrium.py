@@ -162,13 +162,13 @@ def _judge_cell(m: cf.CounterfactualStructure, i: int, omega: int, dist: dict,
                                   m._profile_index[0][i][omega], sources, weights, den)
     if i not in plans:
         plans[i] = cf._switch_plan(m, i)
-    plan, may_stop = plans[i]
-    pays = (vn * ed > en * vd for _, (vn, vd) in cf._switch_values(
-        m, m.game, i, omega, eu, sources, weights, den, plan))
+    # every switch is evaluated, as in is_rational_at: one that raises does
+    # so even after one that pays
     return (any(w > 0 and t not in omega_set for t, w in zip(sources, weights)),
             marginal.keys() != mixture.keys() or any(
                 w * mixture_den != mixture[o] * den for o, w in marginal.items()),
-            any(pays) if may_stop else any(list(pays)))
+            any([vn * ed > en * vd for _, (vn, vd) in cf._switch_values(
+                m, m.game, i, omega, eu, sources, weights, den, plans[i])]))
 
 
 def is_translucent_equilibrium(game, sigma: MixedProfile, *,

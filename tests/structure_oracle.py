@@ -577,7 +577,8 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     for k in range(m.num_states):
         profile = [strategy_index[i][s] for i, s in enumerate(m.states[k])]
         entry = {"profile": profile}
-        entry["aux"] = list(m.aux[k]) if m.aux is not None else None
+        extra = m.aux[k] if m.aux is not None else None
+        entry["aux"] = list(extra) if extra is not None else None
         states_doc.append(entry)
 
     closest_doc = []

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closed_form_oracle as oracle
-from translucent.closed_form import f_gamma
+from translucent.closed_form import checked_params, cooperation_condition, f_gamma
 from translucent.equilibrium import (generalized_f, te_condition,
                                      te_condition_typed)
 from translucent.games import KINDS, pd_params, pgg_params, td_params
@@ -149,6 +149,26 @@ class TestConditionsMatchOracle:
             holds = (result.readings["n_minus_1"] if result.holds is None
                      else result.holds)
             assert untyped[1] == holds
+
+
+class TestSymmetricRowsAreTheCooperationCondition:
+    """At equal alphas and betas the two-point conditions reduce to
+    ``cooperation_condition`` (all-defect always passes), the untyped one at
+    alpha = 1; pgg compares its (N-1) reading.  Pinned, not used:
+    ``_sweep_rows`` still calls both conditions."""
+
+    @PROPERTY
+    @given(st.sampled_from(KINDS).flatmap(lambda kind: st.tuples(
+        st.just(kind), PARAMS[kind].filter(lambda params: outcome(
+            checked_params, kind, params)[0] == "returns"))), units, units)
+    def test_identity(self, case, a, b):
+        kind, params = case
+        n = params["n"] if kind in ("pgg", "bertrand") else 2
+        typed = te_condition_typed(kind, params, [a] * n, [b] * n)
+        holds = typed.readings["n_minus_1"] if kind == "pgg" else typed.holds
+        for alpha, got in ((a, holds), (1, te_condition(kind, params, [b] * n))):
+            assert got == (cooperation_condition(kind, params, alpha, b).rational
+                           or b == 0)
 
 
 class TestPublicGoodsReadingsOnCoprimeDenominators:

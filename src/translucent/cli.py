@@ -357,8 +357,6 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
                         if mode == "cooperation":
                             ok = verdict.rational
                         row = (ok, verdict.binding_quantity, verdict.threshold)
-                except CliError:
-                    raise
                 except (ValueError, TypeError) as exc:
                     raise CliError(str(exc)) from exc
                 yield params, alpha, beta, row
@@ -441,6 +439,13 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
         raise CliError(f"{where}: {own} strategies for each of {n} players make "
                        f"C({own + n - 2}, {n - 1}) opponent multisets, "
                        f"exceeding budget {budget}")
+    # coherence weighs, per player, the others' joint support: 2 profiles per
+    # other player who mixes (0 < beta < 1), so the largest is 2^e
+    mixing = sum(0 < b < 1 for b in betas)
+    e = mixing - (mixing == n)
+    if e >= budget.bit_length() or 2 ** e > budget:
+        raise CliError(f"$.betas: {mixing} of {n} players mix, making 2^{e} joint "
+                       f"opponent profiles per player, exceeding budget {budget}")
     d = _on_params(make_dilemma, kind, params)
     try:
         sigma = MixedProfile.two_point(d, betas)

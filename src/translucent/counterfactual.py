@@ -64,11 +64,12 @@ import json
 import dataclasses
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 from operator import is_, mul
 from typing import Optional, Sequence
 
-from .exact import InputError, field, index, load_json, plain, probability, to_exact
+from .exact import (InputError, common_denominator, field, index, load_json, plain,
+                    probability, to_exact)
 from .games import (BudgetExceededError, MixedProfile, NormalFormGame, Profile,
                     SocialDilemma, Strategy, _check_budget, as_game)
 
@@ -281,7 +282,7 @@ def validate_structure(m: CounterfactualStructure) -> list:
         # (None when it sums to 1), decided on integers over one denominator
         measures: dict = {}
         for key, dist in dict(zip(measure_ids, per_state)).items():
-            weights, den = _weights(dist)
+            weights, den = common_denominator(dist.values())
             mass = sum(weights)
             measures[key] = ([t for t, w in zip(dist, weights) if w > 0],
                              f"belief mass sums to {Fraction(mass, den)}"
@@ -353,14 +354,6 @@ def _require_game(m: CounterfactualStructure) -> NormalFormGame:
     return m.game
 
 
-def _weights(dist: dict) -> tuple:
-    """The exact probabilities of ``dist`` (floats included) as integer
-    weights over their least common denominator: ``(weights, den)``."""
-    qs = list(map(to_exact, dist.values()))
-    den = lcm(*[q.denominator for q in qs])
-    return [q.numerator * (den // q.denominator) for q in qs], den
-
-
 def _expectation(m: CounterfactualStructure, game: NormalFormGame, i: int, s: Strategy,
                  pos: Optional[int], targets: list, weights: list, den: int) -> tuple:
     """Sum of p * u_i(s, the others' strategies at the target) over the
@@ -418,7 +411,7 @@ def eu_at_state(m: CounterfactualStructure, i: int, omega: int) -> Fraction:
     game = _require_game(m)
     dist = m.belief(i, omega)
     return Fraction(*_expectation(m, game, i, m.states[omega][i], m._profile_index[0][i][omega],
-                                  list(dist), *_weights(dist)))
+                                  list(dist), *common_denominator(dist.values())))
 
 
 def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
@@ -429,7 +422,7 @@ def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
     dist = m.belief(i, omega)
     targets = _pushforward(_column(m, i, s_dev), i, list(dist), s_dev)
     return Fraction(*_expectation(m, game, i, s_dev, game._index[i].get(s_dev),
-                                  targets, *_weights(dist)))
+                                  targets, *common_denominator(dist.values())))
 
 
 def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtilityReport:
@@ -451,7 +444,7 @@ def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtili
                 and _switch_plan(m, i) is plan):
             return StateUtilityReport(eu, switches.copy(), rational)
     game = m.game
-    sources, (weights, den) = list(dist), _weights(dist)
+    sources, (weights, den) = list(dist), common_denominator(dist.values())
     eu = _expectation(m, game, i, m.states[omega][i], pos, sources, weights, den)
     plan = _switch_plan(m, i)
     switches = {s: Fraction(*v) for s, v in _switch_values(
@@ -470,7 +463,7 @@ def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtili
 
 def _others_pairs(sigma: MixedProfile, i: int) -> list:
     """(profile-index offset, probability) of each of the others' combos."""
-    _, offsets, weights, den = sigma._kernels[i]
+    offsets, weights, den = sigma._kernels[i]
     return [(o, Fraction(w, den)) for o, w in zip(offsets, weights)]
 
 

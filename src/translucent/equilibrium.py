@@ -34,12 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Optional, Sequence
 
 from .beliefs import OthersBehaviorModel
 from .closed_form import checked_params, condition_terms
-from .exact import to_unit
+from .exact import common_denominator, to_unit
 from .games import MixedProfile, as_game, minimize_payoff
 from . import counterfactual as cf
 
@@ -114,7 +114,7 @@ def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
     """
     positions, others = m._profile_index
     # the others' mixture: the others' offset -> integer weight, over den
-    expected = [(dict(zip(offsets, ws)), den) for _, offsets, ws, den in sigma._kernels]
+    expected = [(dict(zip(offsets, ws)), den) for offsets, ws, den in sigma._kernels]
     # TE1: player 0 plays a support strategy and the others' offset is one of
     # the mixture's, which holds iff every player plays a support strategy
     support, mixture = {pos for pos, _, _ in sigma._entries[0][0]}, expected[0][0]
@@ -152,7 +152,7 @@ def _judge_cell(m: cf.CounterfactualStructure, i: int, omega: int, dist: dict,
     """TE2, TE3 and TE4 violations of player i's cell at ``omega``, whose
     measure is ``dist`` and whose states' others' offsets are ``rest``;
     ``plans`` keeps each player's switch plan for the call."""
-    sources, (weights, den) = list(dist), cf._weights(dist)
+    sources, (weights, den) = list(dist), common_denominator(dist.values())
     marginal: dict = {}  # the others' offset -> weight over den
     for t, w in zip(sources, weights):
         marginal[rest[t]] = marginal.get(rest[t], 0) + w
@@ -261,8 +261,7 @@ def _two_point(kind: str, params: dict, betas: Sequence,
             for i, a in enumerate(als)])
         return TypedTeResult(kind, holds, {"condition": holds})
     # the others' mean of player i is (total - x_i) / (den * (n - 1)), unreduced
-    den = lcm(*(x.denominator for x in bs))
-    xs = [x.numerator * (den // x.denominator) for x in bs]
+    xs, den = common_denominator(bs)
     total, md = sum(xs), den * (n - 1)
     holds = defect or all(
         all(ln * rd >= rn * ld for ln, ld, rn, rd in condition_terms(

@@ -15,6 +15,7 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from typing import Optional, Union
 
@@ -60,6 +61,14 @@ def to_unit(x: Numeric, name: str) -> Fraction:
     if not 0 <= v.numerator <= v.denominator:
         raise ValueError(f"{name} must lie in [0, 1], got {v}")
     return v
+
+
+def common_denominator(values) -> tuple:
+    """The exact values of ``values`` (floats included) as integer
+    numerators over their least common denominator: ``(numerators, den)``."""
+    qs = list(map(to_exact, values))
+    den = lcm(*[q.denominator for q in qs])
+    return [q.numerator * (den // q.denominator) for q in qs], den
 
 
 def format_number(x: Numeric) -> str:

@@ -16,11 +16,11 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from .exact import Numeric, load_json, to_exact, to_integer
+from .exact import Numeric, common_denominator, load_json, to_exact, to_integer
 
 Strategy = Hashable
 Profile = tuple  # tuple[Strategy, ...]
@@ -407,31 +407,33 @@ def make_dilemma(kind: str, params: dict) -> SocialDilemma:
 class MixedProfile:
     """Per-player probability distribution over that player's strategies.
 
-    Distributions are stored as (strategy, probability) pairs with exact
-    probabilities; zero-probability strategies are dropped from the support.
-    Each player's support is also read once into integer entries over one
-    denominator (``_entries``), from which the others' mixtures are formed.
+    Each player's support is stored once, as integer entries over one
+    denominator (``_entries``): (game position, strategy, weight) sorted by
+    position, each probability weight / den; zero-probability strategies are
+    dropped.  ``distributions`` (strategy -> exact probability, in
+    strategy-set order) and the others' mixtures are derived from them.
     Instances are immutable by convention.
     """
 
     def __init__(self, game: NormalFormGame, distributions: Sequence[dict]):
         if len(distributions) != game.num_players:
             raise ValueError("one distribution per player required")
-        self.game = game
-        dists = []
+        entries = []
         for i, dist in enumerate(distributions):
-            clean = {}
+            support = []  # (game position, strategy, probability)
             for s, p in dist.items():
-                game.strategy_index(i, s)  # ValueError unless a strategy of i
+                pos = game.strategy_index(i, s)  # ValueError unless a strategy of i
                 p = to_exact(p)
                 if p < 0:
                     raise ValueError(f"negative probability for player {i}")
                 if p > 0:
-                    clean[s] = p
-            if sum(clean.values()) != 1:
+                    support.append((pos, s, p))
+            weights, den = common_denominator(p for _, _, p in support)
+            if sum(weights) != den:
                 raise ValueError(f"distribution of player {i} does not sum to 1")
-            dists.append(clean)
-        self.distributions = tuple(dists)
+            support = sorted((pos, s, w) for (pos, s, _), w in zip(support, weights))
+            entries.append((support, den))
+        self.game, self._entries = game, tuple(entries)
 
     @classmethod
     def pure(cls, game: NormalFormGame, profile: Profile) -> "MixedProfile":
@@ -457,7 +459,7 @@ class MixedProfile:
             c, d = dilemma.cooperate_strategy(i), dilemma.defect_strategy(i)
             index = game._index[i]
             players.append((beta, c, d, index.get(c), index.get(d)))
-        dists, entries = [], []
+        entries = []
         for i, (beta, c, d, pc, pd) in enumerate(players):
             for s, pos in ((c, pc), (d, pd)):
                 if pos is None:
@@ -466,22 +468,24 @@ class MixedProfile:
             if pc == pd:  # the masses collapse onto c: 1 - beta
                 if bn:
                     raise ValueError(f"distribution of player {i} does not sum to 1")
-                dists.append({c: Fraction(1)})
                 entries.append(([(pc, c, 1)], 1))
                 continue
-            dist, row = {}, []
+            row = []
             if bn:
-                dist[c] = beta
                 row.append((pc, c, bn))
             if bn < bd:
-                dist[d] = Fraction(bd - bn, bd)
                 row.append((pd, d, bd - bn))
-            dists.append(dist)
             entries.append((row if pc < pd else row[::-1], bd))
         sigma = cls.__new__(cls)
-        sigma.game, sigma.distributions = game, tuple(dists)
-        sigma._entries = tuple(entries)  # the cached_property's slot
+        sigma.game, sigma._entries = game, tuple(entries)
         return sigma
+
+    @cached_property
+    def distributions(self) -> tuple:
+        """Per player, strategy -> exact probability over the support, in
+        strategy-set order."""
+        return tuple({s: Fraction(w, den) for _, s, w in entries}
+                     for entries, den in self._entries)
 
     def prob(self, i: int, strategy: Strategy) -> Fraction:
         return self.distributions[i].get(strategy, Fraction(0))
@@ -491,39 +495,21 @@ class MixedProfile:
         return tuple(strats[pos] for pos, _, _ in self._entries[i][0])
 
     @cached_property
-    def _entries(self) -> tuple:
-        """Per player, ``(entries, den)``: the support as (game position,
-        strategy, weight) sorted by position, each probability weight / den
-        over the least common denominator, computed once per player."""
-        entries = []
-        for index, dist in zip(self.game._index, self.distributions):
-            den = lcm(*(p.denominator for p in dist.values()))
-            entries.append((sorted((index[s], s, p.numerator * (den // p.denominator))
-                                   for s, p in dist.items()), den))
-        return tuple(entries)
-
-    @cached_property
     def _kernels(self) -> list:
         """Per player i, the others' joint support in product order as
-        ``(combos, offsets, weights, den)``; a combo's offset is its part of
-        the profile index, and its probability is weight / den."""
+        ``(offsets, weights, den)``; a combo's offset is its part of the
+        profile index, and its probability is weight / den."""
         strides, kernels = self.game._strides, []
         for i in range(self.game.num_players):
-            rows, den = [((), 0, 1)], 1  # (combo, offset, weight)
+            rows, den = [(0, 1)], 1  # (offset, weight)
             for j, (entries, d_j) in enumerate(self._entries):
                 if j != i:
                     stride = strides[j]
-                    rows = [(c + (s,), o + pos * stride, w * v)
-                            for c, o, w in rows for pos, s, v in entries]
+                    rows = [(o + pos * stride, w * v)
+                            for o, w in rows for pos, _, v in entries]
                     den *= d_j
             kernels.append((*zip(*rows), den))
         return kernels
-
-    def others_support_profiles(self, i: int) -> Iterator[tuple]:
-        """Pairs (s_minus_i, probability) over the others' joint support."""
-        combos, _, weights, den = self._kernels[i]
-        for combo, w in zip(combos, weights):
-            yield combo, Fraction(w, den)
 
     def expected_payoff(self, i: int, strategy: Strategy) -> Fraction:
         """E[u_i(strategy, s_-i)] with s_-i drawn from the others' mixture:
@@ -535,7 +521,7 @@ class MixedProfile:
         ``pos``, as (numerator, denominator)."""
         game = self.game
         base = pos * game._strides[i]
-        _, offsets, weights, den = self._kernels[i]
+        offsets, weights, den = self._kernels[i]
         num, scale = game._dot(i, [base + o for o in offsets], weights)
         return num, den * scale
 
@@ -607,7 +593,6 @@ def verify_social_dilemma(game, budget: int = 10_000_000) -> DilemmaReport:
     improves every player's payoff over the Nash profile.
     """
     game = as_game(game)
-    _check_budget(game, budget)
     nash = tuple(enumerate_pure_nash(game, budget))
 
     rule = game.payoff_rule
@@ -679,7 +664,7 @@ def dilemma_to_json(d: SocialDilemma) -> dict:
         if key == "grid":
             continue
         f = to_exact(value)
-        params[key] = f.numerator if f.denominator == 1 else float(f)
+        params[key] = f.numerator if f.denominator == 1 else str(f)
     doc = {"kind": d.kind, "params": params}
     if d.kind == "pgg":
         doc["grid"] = d.params["grid"]

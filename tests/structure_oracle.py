@@ -29,8 +29,8 @@ reads payoffs from the game's table; ``others_support_profiles``,
 ``expected_payoff`` and ``joint_prob`` below are the former methods, one
 ``Fraction`` product per combo and one payoff-rule call per term, taking
 the profile as their first argument.  ``MixedProfile.two_point`` builds its
-dicts and integer entries directly, and ``_kernels`` reads each player's
-entries once; ``two_point`` and ``kernels`` below are the former route,
+integer entries directly, and ``_kernels`` reads each player's entries
+once; ``two_point`` and ``kernels`` below are the former route,
 the two-point dicts through ``MixedProfile.__init__`` and the others' joint
 support rebuilt for every player from the distributions.  The coherence
 checker compares integer payoffs with precomputed floors; ``coherence``

@@ -382,6 +382,40 @@ class TestStrategyBudget:
         assert err.startswith("error: $.params")
         assert err.endswith(f"exceeding budget {size - 1}\n")
 
+    def test_many_mixing_players_refuse_before_building(self, tmp_path, capsys):
+        import time
+
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "pgg", "params": {"n": 30, "rho": 0.5}, "grid": 1,
+            "betas": ["1/2"] * 30})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "equilibrium", "--config", cfg)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (
+            2, "", "error: $.betas: 30 of 30 players mix, making 2^29 joint "
+                   "opponent profiles per player, exceeding budget 10000000\n")
+
+    @pytest.mark.parametrize("betas,mixing,profiles", [
+        (["1/2"] * 5, 5, 16),                 # each player: the 4 others
+        (["1/2"] * 4 + [1], 4, 16),           # the pure player: the 4 mixers
+        (["1/2"] * 3 + [0, 1], 3, 8),
+    ])
+    def test_budget_is_the_largest_joint_support(self, tmp_path, capsys, betas,
+                                                 mixing, profiles):
+        # 5 opponent multisets, so the joint support is what binds
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "pgg", "params": {"n": 5, "rho": 0.5}, "grid": 1,
+            "betas": betas})
+        code, _, _ = run(capsys, "equilibrium", "--config", cfg,
+                         "--budget", str(profiles))
+        assert code == 0
+        code, out, err = run(capsys, "equilibrium", "--config", cfg,
+                             "--budget", str(profiles - 1))
+        assert (code, out, err) == (
+            2, "", f"error: $.betas: {mixing} of 5 players mix, making "
+                   f"2^{profiles.bit_length() - 1} joint opponent profiles per "
+                   f"player, exceeding budget {profiles - 1}\n")
+
 
 class TestNamedPaths:
     PD = {"kind": "pd", "params": {"b": 4, "c": 1}}

@@ -318,6 +318,8 @@ class TestJsonRoundtrip:
     @pytest.mark.parametrize("kind,params", [
         ("pd", {"b": 4, "c": 1}),
         ("pgg", {"n": 3, "rho": F(1, 2), "grid": 10}),
+        ("pgg", {"n": 4, "rho": F(1, 3), "grid": 10}),
+        ("pd", {"b": F(10, 3), "c": F(1, 3)}),
         ("bertrand", {"n": 2, "l": 2, "h": 50}),
         ("td", {"l": 2, "h": 100, "bonus": 10}),
     ])
@@ -327,6 +329,7 @@ class TestJsonRoundtrip:
         assert doc["kind"] == kind
         back = dilemma_from_json(doc)
         assert back.kind == d.kind
+        assert back.params == d.params
         assert back.nash_profile == d.nash_profile
         assert back.game.strategy_sets == d.game.strategy_sets
 

@@ -1,12 +1,13 @@
 """The others' mixture kernel and the game's payoff table against their
 ``Fraction`` oracles.
 
-``MixedProfile`` forms the others' joint support once per player, on
-integer weights over one common denominator, and ``expected_payoff`` and
-the structure expectations read payoffs from one table per game, keyed by
-profile index.  ``structure_oracle`` keeps the former
-``others_support_profiles``, ``expected_payoff`` and ``joint_prob``.  The
-comparisons run on general mixtures (supports of one to four strategies,
+``MixedProfile`` forms the others' joint support once per player, as
+profile-index offsets and integer weights over one common denominator, and
+``expected_payoff`` and the structure expectations read payoffs from one
+table per game, keyed by profile index.  ``structure_oracle`` keeps the
+former ``others_support_profiles``, ``expected_payoff`` and ``joint_prob``,
+and ``kernels``, which rebuilds the joint support from the distributions.
+The comparisons run on general mixtures (supports of one to four strategies,
 in any order, with zero masses) over symmetric games and a non-symmetric
 custom game whose players have 2, 3 and 2 strategies; the error paths are
 compared with the oracle's exception type and text.
@@ -67,9 +68,8 @@ def mixtures(draw, game):
 
 def assert_matches_oracle(sigma):
     game = sigma.game
+    assert sigma._kernels == [k[1:] for k in oracle.kernels(sigma)]
     for i, strats in enumerate(game.strategy_sets):
-        assert (list(sigma.others_support_profiles(i))
-                == list(oracle.others_support_profiles(sigma, i)))
         for s in strats:
             assert sigma.expected_payoff(i, s) == oracle.expected_payoff(sigma, i, s)
 
@@ -78,6 +78,19 @@ def assert_matches_oracle(sigma):
 @given(st.sampled_from(GAMES), st.data())
 def test_kernel_and_expected_payoff_match_oracle(game, data):
     assert_matches_oracle(data.draw(mixtures(game)))
+
+
+def test_distributions_follow_the_strategy_sets():
+    dists = [{"b": F(2, 3), "a": F(1, 3)}, {F(1, 2): 1},
+             {"y": F(3, 4), "x": F(1, 4)}]
+    sigma = MixedProfile(CUSTOM, dists)
+    assert [list(d.items()) for d in sigma.distributions] == [
+        [(s, d[s]) for s in strats if s in d]
+        for d, strats in zip(dists, CUSTOM.strategy_sets)]
+    assert sigma.distributions == tuple(dists)  # equal values
+    assert [sigma.support(i) for i in range(3)] == [("a", "b"), (F(1, 2),), ("x", "y")]
+    assert repr(sigma) == ("MixedProfile([{'a': 1/3, 'b': 2/3}, {Fraction(1, 2): 1}, "
+                           "{'x': 1/4, 'y': 3/4}])")
 
 
 @settings(max_examples=30, deadline=None)
@@ -251,8 +264,8 @@ def test_two_point_matches_the_init_route(d, data):
         return
     sigma, former = got[1], want[1]
     assert items(sigma) == items(former)
-    assert sigma._kernels == oracle.kernels(former)
-    assert former._kernels == oracle.kernels(former)
+    assert sigma._kernels == [k[1:] for k in oracle.kernels(former)]
+    assert former._kernels == [k[1:] for k in oracle.kernels(former)]
     for i, strats in enumerate(d.game.strategy_sets):
         assert sigma.support(i) == former.support(i) == tuple(
             s for s in strats if s in former.distributions[i])

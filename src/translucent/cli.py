@@ -439,13 +439,16 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
         raise CliError(f"{where}: {own} strategies for each of {n} players make "
                        f"C({own + n - 2}, {n - 1}) opponent multisets, "
                        f"exceeding budget {budget}")
-    # coherence weighs, per player, the others' joint support: 2 profiles per
-    # other player who mixes (0 < beta < 1), so the largest is 2^e
+    # coherence weighs every player's joint support of the others: 2 profiles
+    # per other player who mixes (0 < beta < 1), so (2n - m) * 2^(m - 1) rows
+    # for m mixers, at most n * 2^e; the exponent is compared first
     mixing = sum(0 < b < 1 for b in betas)
     e = mixing - (mixing == n)
-    if e >= budget.bit_length() or 2 ** e > budget:
-        raise CliError(f"$.betas: {mixing} of {n} players mix, making 2^{e} joint "
-                       f"opponent profiles per player, exceeding budget {budget}")
+    rows = (2 * n - mixing) << mixing >> 1 if e < budget.bit_length() else None
+    if rows is None or rows > budget:
+        raise CliError(f"$.betas: {mixing} of {n} players mix, making "
+                       f"{rows or f'{2 * n - mixing} x 2^{mixing - 1}'} joint opponent "
+                       f"profiles over all players, exceeding budget {budget}")
     d = _on_params(make_dilemma, kind, params)
     try:
         sigma = MixedProfile.two_point(d, betas)

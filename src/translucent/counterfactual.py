@@ -31,11 +31,11 @@ validator decides NORM once per measure object, and PR2 compares two
 measures as dicts only when they are distinct objects.  The Nash and
 punishment builders read one layout per game (profiles, strategy positions,
 punished states), memoised like its payoff table.  The punishment builder
-also keeps the columns that depend on the support on the game, one tuple
-per switch for each (player, support positions), filled on first use and
-holding at most ``_SUPPORTS_KEPT`` supports per player (the oldest goes
-first): structures share those tuples, and each gets a ``closest_columns``
-dict and measures of its own.
+also keeps the columns that depend on the support on the game, as the
+switch plan (below) of each (player, support positions), filled on first
+use and holding at most ``_SUPPORTS_KEPT`` supports per player (the oldest
+goes first): structures share those tuples, and each gets a
+``closest_columns`` dict and measures of its own.
 
 Each player's switch plan (every switch's strategy, column and game
 position) is kept on the structure: a builder hands it over, and
@@ -65,7 +65,7 @@ import dataclasses
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from operator import is_, mul
+from operator import getitem, is_, itemgetter, mul
 from typing import Optional, Sequence
 
 from .exact import (InputError, common_denominator, field, index, load_json, plain,
@@ -215,14 +215,15 @@ class CounterfactualStructure:
 
 
 def _built(game: NormalFormGame, states: tuple, columns: dict, beliefs: list,
-           profile_index: tuple, aux=None) -> CounterfactualStructure:
+           profile_index: tuple, aux=None, plans=None) -> CounterfactualStructure:
     """A builder's structure, handed its ``_profile_index`` so no strategy is
     hashed (a copy by ``dataclasses.replace`` or from JSON computes its own),
-    and its switch plans, every strategy at its own game position."""
+    and its switch plans (``plans``, else read from ``columns``), every
+    strategy at its own game position."""
     m = CounterfactualStructure(game.strategy_sets, states, columns,
                                 tuple(beliefs), aux=aux, game=game)
     m.__dict__["_profile_index"] = profile_index  # the cached_property's slot
-    m.__dict__["_plans"] = {
+    m.__dict__["_plans"] = plans or {
         i: ([(s, columns[(i, j)], j) for j, s in enumerate(strats)],
             [(i, j) for j in range(len(strats))])
         for i, strats in enumerate(game.strategy_sets)}
@@ -256,8 +257,7 @@ def validate_structure(m: CounterfactualStructure) -> list:
         for j, column in enumerate(columns[i]):
             code = set_codes[i][j]
             s = m.strategy_sets[i][j]
-            for omega in range(n_states):
-                target = column[omega]
+            for omega, target in enumerate(column):
                 if not 0 <= target < n_states:
                     found.append((omega, i, j, Violation(
                         "CS1", omega, i, s,
@@ -527,9 +527,9 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
                         raise IncoherentProfileError(i, s, s_dev)
 
     # only the columns and measures depend on the support; the layout's
-    # tuples and the columns of each (player, support) are shared, and every
-    # structure gets dicts of its own
-    columns, beliefs = {}, []
+    # tuples and each (player, support)'s switch plan (its columns) are
+    # shared, and every structure gets dicts of its own
+    columns, beliefs, plans = {}, [], {}
     for i, stride in enumerate(game._strides):
         support = {pos for pos, _, _ in sigma._entries[i][0]}
         key = (i, tuple(sorted(support)))
@@ -538,17 +538,19 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
         if shared is None:
             if len(kept) >= _SUPPORTS_KEPT * game.num_players:
                 del kept[next(iter(kept))]
-            shared = kept[key] = tuple(
-                tuple([target if o != j and o in support else x + j * stride
-                       for o, x in zip(own[i], others[i])])
-                for j, (_, target) in enumerate(punished[i]))
-        columns.update(((i, j), column) for j, column in enumerate(shared))
+            plan = tuple((s, tuple([target if o != j and o in support else x + j * stride
+                                    for o, x in zip(own[i], others[i])]), j)
+                         for j, (s, (_, target)) in enumerate(zip(game.strategy_sets[i],
+                                                                  punished[i])))
+            shared = kept[key] = (plan, tuple((i, j) for j in range(len(plan))))
+        plans[i] = shared  # the switch plan and its closest_columns keys
+        columns.update(zip(shared[1], (column for _, column, _ in shared[0])))
         pairs = _others_pairs(sigma, i)
-        measures = {o: {o * stride + off: p for off, p in pairs} for o in support}
-        beliefs.append(tuple([measures[o] if o in support else {k: _SURE}
-                              for k, o in enumerate(own[i])]))
+        measures = [{o * stride + off: p for off, p in pairs} if o in support else None
+                    for o in range(len(game.strategy_sets[i]))]
+        beliefs.append(tuple([measures[o] or {k: _SURE} for k, o in enumerate(own[i])]))
 
-    return _built(game, states, columns, beliefs, (own, others))
+    return _built(game, states, columns, beliefs, (own, others), plans=plans)
 
 
 def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Sequence,
@@ -593,20 +595,26 @@ def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Seq
            for i, stride in enumerate(strides)]
     defect = [game.strategy_index(j, d.defect_strategy(j)) for j in range(n)]
 
+    # per player o and state: o's profile shift when its bit sends it to defect
+    moves = [[(defect[o] - x) * strides[o] if bits[o] else 0 for x, bits in zip(own[o], aux)]
+             for o in range(n)]
     columns = {}
     for i, stride in enumerate(strides):
-        # the profile shift from the others whose bit sends them to defect
-        shifts = [sum((defect[o] - own[o][k]) * strides[o]
-                      for o in range(n) if o != i and bits[o])
-                  for k, bits in enumerate(aux)]
+        # the state each switch of i starts from: the others' shifts, i at position 0
+        moved = [k + (sum(shifts) - o * stride) * nb for k, o, shifts in zip(
+            range(count), own[i], zip(*moves[:i], *moves[i + 1:]))]
         for j in range(len(game.strategy_sets[i])):
-            columns[(i, j)] = tuple([
-                k if o == j else k + ((j - o) * stride + shift) * nb
-                for k, (o, shift) in enumerate(zip(own[i], shifts))])
+            step = j * stride * nb
+            columns[(i, j)] = tuple([k if o == j else x + step
+                                     for k, o, x in zip(range(count), own[i], moved)])
 
     beliefs = []
     for i, stride in enumerate(strides):
         others = [j for j in range(n) if j != i]
+        # the others' bits: (state offset, mass), each set with probability alpha_i
+        bit_terms = [(sum(map(mul, places[:i] + places[i + 1:], bits)),
+                      prod(alphas[i] if bit else 1 - alphas[i] for bit in bits))
+                     for bits in itertools.product((0, 1), repeat=n - 1)]
         entries: dict = {}  # offset from (own strategy 0, own bit 0) -> mass
         choices = [((d.cooperate_strategy(j), betas[j]),
                     (d.defect_strategy(j), 1 - betas[j])) for j in others]
@@ -616,13 +624,10 @@ def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Seq
                 continue
             base = nb * sum(strides[o] * game.strategy_index(o, s)
                             for o, (s, _) in zip(others, picks))
-            for other_bits in itertools.product((0, 1), repeat=len(others)):
-                p = p_strat * prod(alphas[i] if bit else 1 - alphas[i]
-                                   for bit in other_bits)
-                if p != 0:
-                    target = base + sum(places[j] * bit
-                                        for j, bit in zip(others, other_bits))
-                    entries[target] = entries.get(target, 0) + p
+            for offset, q in bit_terms:
+                if q != 0:
+                    target, p = base + offset, p_strat * q
+                    entries[target] = entries[target] + p if target in entries else p
         # one measure per (own strategy, own bit), keyed by its state offset
         keys = [o * stride * nb + bits[i] * places[i] for o, bits in zip(own[i], aux)]
         measures = {key: {key + t: p for t, p in entries.items()} for key in set(keys)}
@@ -657,12 +662,15 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     if entries > budget:
         raise BudgetExceededError(entries, budget, "closest-state entries")
 
-    strategy_index = [
-        {s: j for j, s in enumerate(strats)} for strats in m.strategy_sets
-    ]
-    # each state's strategy positions, which its closest entries skip
-    positions = [[strategy_index[i][s] for i, s in enumerate(profile)]
-                 for profile in m.states]
+    # each state's strategy positions, which its closest entries skip: the
+    # game's, on the game's strategy sets, unless a state is off the game
+    game = m.game
+    if (game is not None and m.strategy_sets is game.strategy_sets
+            and not any(None in column for column in m._profile_index[0])):
+        positions = list(map(list, zip(*m._profile_index[0])))
+    else:
+        index = [{s: j for j, s in enumerate(strats)} for strats in m.strategy_sets]
+        positions = [[index[i][s] for i, s in enumerate(profile)] for profile in m.states]
     states_doc = [{"profile": profile, "aux": None} for profile in positions]
     if m.aux is not None:
         for k, entry in enumerate(states_doc):
@@ -681,14 +689,12 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     beliefs_doc = []
     for i in range(m.num_players):
         formatted: dict = {}  # measure object id -> its dist, formatted once
-        for omega in range(m.num_states):
-            dist = m.beliefs[i][omega]
-            if id(dist) in formatted:  # a copy: no two entries alias
-                text = dict(formatted[id(dist)])
-            else:
-                text = formatted[id(dist)] = {
-                    str(t): str(p) for t, p in sorted(dist.items())}
-            beliefs_doc.append({"player": i, "state": omega, "dist": text})
+        for omega, dist in enumerate(m.beliefs[i]):
+            text = formatted.get(id(dist))
+            if text is None:
+                text = formatted[id(dist)] = {str(t): str(p) for t, p in sorted(dist.items())}
+            # a copy: no two entries alias
+            beliefs_doc.append({"player": i, "state": omega, "dist": dict(text)})
 
     return {
         "players": m.num_players,
@@ -697,6 +703,9 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
         "closest": closest_doc,
         "beliefs": beliefs_doc,
     }
+
+
+_CLOSEST_FIELDS = itemgetter("state", "player", "strategy", "target")
 
 
 def _closest_entry(entry, e: int, n_states: int, n: int, sizes: list) -> tuple:
@@ -811,12 +820,11 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None,
         if len(raw) != n:
             raise InputError(f"$.states[{k}].profile: expected {n} entries, "
                              f"got {len(raw)}")
-        profile = []
         for i, j in enumerate(raw):
-            j = index(j, sizes[i], "strategy", "$.states[{}].profile[{}]", k, i)
-            profile.append(strategy_sets[i][j])
+            if type(j) is not int or not 0 <= j < sizes[i]:  # raises, naming the path
+                index(j, sizes[i], "strategy", "$.states[{}].profile[{}]", k, i)
             columns[i][first[i][j]][k] = k
-        states.append(tuple(profile))
+        states.append(tuple(map(getitem, strategy_sets, raw)))
         extra = entry.get("aux")
         try:
             aux.append(tuple(map(plain, extra)) if extra is not None else None)
@@ -825,21 +833,19 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None,
     states = tuple(states)
     has_aux = any(a is not None for a in aux)
 
-    # the common entry is checked inline: JSON integers, none negative, and
-    # each one inside its list (an IndexError past the end); any other goes
-    # through the field-by-field check, which names what is wrong
-    for e, entry in enumerate(doc["closest"]):
-        try:
-            omega, i, j, target = (entry["state"], entry["player"],
-                                   entry["strategy"], entry["target"])
-            if (type(omega) is type(i) is type(j) is type(target) is int
+    # the entries are read inline: JSON integers, none negative, and each one
+    # inside its list (an IndexError past the end); at the first other one,
+    # the field-by-field check reads them again and names what is wrong
+    try:
+        for omega, i, j, target in map(_CLOSEST_FIELDS, doc["closest"]):
+            if not (type(omega) is type(i) is type(j) is type(target) is int
                     and omega >= 0 and i >= 0 and j >= 0):
-                columns[i][j][omega] = target
-                continue
-        except (KeyError, TypeError, IndexError):
-            pass
-        omega, i, j, target = _closest_entry(entry, e, n_states, n, sizes)
-        columns[i][j][omega] = target
+                raise TypeError
+            columns[i][j][omega] = target
+    except (KeyError, TypeError, IndexError):
+        for e, entry in enumerate(doc["closest"]):
+            omega, i, j, target = _closest_entry(entry, e, n_states, n, sizes)
+            columns[i][j][omega] = target
     columns = {(i, j): tuple(column) for i, per_player in enumerate(columns)
                for j, column in enumerate(per_player)}
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import prod
 from typing import Optional, Sequence
 
@@ -120,7 +121,7 @@ def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
     support, mixture = {pos for pos, _, _ in sigma._entries[0][0]}, expected[0][0]
     inside = [p in support and o in mixture for p, o in zip(positions[0], others[0])]
     if omega_subset is None:
-        omega_subset = [k for k, yes in enumerate(inside) if yes]
+        omega_subset = list(compress(range(len(inside)), inside))
     omega_set = set(omega_subset)
     te1, te2, te3, te4 = [], [], [], []
     verdicts, plans = {}, {}
@@ -151,12 +152,14 @@ def _judge_cell(m: cf.CounterfactualStructure, i: int, omega: int, dist: dict,
                 rest: tuple, expected: tuple, omega_set: set, plans: dict) -> tuple:
     """TE2, TE3 and TE4 violations of player i's cell at ``omega``, whose
     measure is ``dist`` and whose states' others' offsets are ``rest``;
-    ``plans`` keeps each player's switch plan for the call."""
+    ``plans`` keeps each player's switch plan for the call.  One pass over
+    the measure's sources gives the others' marginal and TE2."""
     sources, (weights, den) = list(dist), common_denominator(dist.values())
-    marginal: dict = {}  # the others' offset -> weight over den
+    marginal, outside = {}, False  # the others' offset -> weight over den
     for t, w in zip(sources, weights):
         marginal[rest[t]] = marginal.get(rest[t], 0) + w
-    marginal = {o: w for o, w in marginal.items() if w > 0}
+        if w > 0 and t not in omega_set:
+            outside = True
     mixture, mixture_den = expected
     en, ed = eu = cf._expectation(m, m.game, i, m.states[omega][i],
                                   m._profile_index[0][i][omega], sources, weights, den)
@@ -164,9 +167,9 @@ def _judge_cell(m: cf.CounterfactualStructure, i: int, omega: int, dist: dict,
         plans[i] = cf._switch_plan(m, i)
     # every switch is evaluated, as in is_rational_at: one that raises does
     # so even after one that pays
-    return (any(w > 0 and t not in omega_set for t, w in zip(sources, weights)),
-            marginal.keys() != mixture.keys() or any(
-                w * mixture_den != mixture[o] * den for o, w in marginal.items()),
+    return (outside,
+            {o: w * mixture_den for o, w in marginal.items() if w > 0}
+            != {o: w * den for o, w in mixture.items()},
             any([vn * ed > en * vd for _, (vn, vd) in cf._switch_values(
                 m, m.game, i, omega, eu, sources, weights, den, plans[i])]))
 
@@ -249,7 +252,7 @@ def _two_point(kind: str, params: dict, betas: Sequence,
     n = checked[0] if kind in ("pgg", "bertrand") else 2
     als = alphas_for(n)
     bs = _unit_vector(betas, n, "beta")
-    defect = all(x == 0 for x in bs)
+    defect = not any(x.numerator for x in bs)
     if kind == "bertrand":
         _, l, h = checked
         # every player is judged (a list, not a generator), as the former

@@ -66,9 +66,9 @@ def to_unit(x: Numeric, name: str) -> Fraction:
 def common_denominator(values) -> tuple:
     """The exact values of ``values`` (floats included) as integer
     numerators over their least common denominator: ``(numerators, den)``."""
-    qs = list(map(to_exact, values))
-    den = lcm(*[q.denominator for q in qs])
-    return [q.numerator * (den // q.denominator) for q in qs], den
+    pairs = [to_exact(q).as_integer_ratio() for q in values]
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
 
 
 def format_number(x: Numeric) -> str:

@@ -7,7 +7,8 @@ the welfare profile, "defect" the Nash component.
 
 Payoffs are computed by rule, never by materialized matrices, so price/claim
 ranges and contribution grids can be large; exhaustive checks take an explicit
-profile budget.  All payoffs are exact Fractions.
+profile budget and read the game's integer payoff table, filled by the rule
+where needed.  All payoffs are exact Fractions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
@@ -67,8 +68,9 @@ class NormalFormGame:
     _scales: list = field(init=False, repr=False, compare=False, hash=False)
     # (player, strategy position) -> minimize_payoff's (value, minimiser)
     _minima: dict = field(init=False, repr=False, compare=False, hash=False)
-    # (player, support positions) -> the punishment structure's columns,
-    # filled and bounded by ``counterfactual.build_coherent_structure``
+    # (player, support positions) -> the punishment structure's switch plan
+    # and its column keys, filled and bounded by
+    # ``counterfactual.build_coherent_structure``
     _support_columns: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -109,10 +111,7 @@ class NormalFormGame:
             raise ValueError(f"{strategy!r} is not a strategy of player {i}") from None
 
     def profile_count(self) -> int:
-        n = 1
-        for s in self.strategy_sets:
-            n *= len(s)
-        return n
+        return prod(map(len, self.strategy_sets))
 
     def profiles(self) -> Iterator[Profile]:
         return itertools.product(*self.strategy_sets)
@@ -136,8 +135,7 @@ class NormalFormGame:
         """Compute player i's payoff at profile index k by the rule and store
         it in the table, raising the player's scale (and every stored entry
         with it) to a multiple of the payoff's denominator if needed."""
-        sets = zip(self.strategy_sets, self._strides)
-        v = to_exact(self.payoff_rule(tuple(s[k // st % len(s)] for s, st in sets), i))
+        v = to_exact(self.payoff_rule(self._profile_at(k), i))
         row, scale = self._table[i], self._scales[i]
         if scale % v.denominator:
             factor = v.denominator // gcd(scale, v.denominator)
@@ -145,6 +143,21 @@ class NormalFormGame:
                 row[key] *= factor
             scale = self._scales[i] = scale * factor
         row[k] = v.numerator * (scale // v.denominator)
+
+    def _profile_at(self, k: int) -> Profile:
+        """The profile at profile index ``k``."""
+        return tuple(s[k // st % len(s)] for s, st in zip(self.strategy_sets, self._strides))
+
+    def _rows(self) -> list:
+        """Every player's payoffs at all profile indices, as integers over
+        the player's scale: the table, its missing entries filled by the
+        rule (one call per player and profile).  Callers budget first."""
+        count = self.profile_count()
+        for i, row in enumerate(self._table):
+            for k in range(count):
+                if k not in row:
+                    self._fill(i, k)
+        return [list(map(row.__getitem__, range(count))) for row in self._table]
 
     @cached_property
     def _layout(self) -> tuple:
@@ -244,9 +257,9 @@ def payoff(game, profile: Profile, i: int) -> Fraction:
 
 def pd_params(b: Numeric, c: Numeric) -> tuple:
     b, c = to_exact(b), to_exact(c)
-    if not c > 0:
+    if not c.numerator > 0:
         raise ValueError(f"cost must be positive, got c={c}")
-    if not b > c:
+    if not b.numerator * c.denominator > c.numerator * b.denominator:
         raise ValueError(f"benefit must exceed cost, got b={b} <= c={c}")
     return b, c
 
@@ -294,7 +307,7 @@ def td_params(l: int, h: int, bonus: Numeric) -> tuple:
     if not 0 < l < h:
         raise ValueError(f"claim bounds must satisfy 0 < l < h, got l={l}, h={h}")
     bonus = to_exact(bonus)
-    if not bonus > 0:
+    if not bonus.numerator > 0:
         raise ValueError(f"bonus must be positive, got {bonus}")
     return l, h, bonus
 
@@ -560,62 +573,55 @@ def _check_budget(game: NormalFormGame, budget: int, what: str = "profiles") -> 
 
 
 def enumerate_pure_nash(game: NormalFormGame, budget: int = 10_000_000) -> list:
-    """All pure Nash equilibria, by exhaustive unilateral-deviation checks."""
+    """All pure Nash equilibria in profile order, read from the game's
+    integer payoff table, which stays on the game (see
+    ``verify_social_dilemma``)."""
     _check_budget(game, budget)
-    result = []
-    for profile in game.profiles():
-        if _is_pure_nash(game, profile):
-            result.append(profile)
-    return result
+    return [game._profile_at(k) for k in _nash_indices(game, game._rows())]
 
 
-def _is_pure_nash(game: NormalFormGame, profile: Profile) -> bool:
-    # internal loop over generated profiles: call the rule directly, the
-    # per-call validation of payoff() would dominate large enumerations
-    rule = game.payoff_rule
-    for i in range(game.num_players):
-        base = rule(profile, i)
-        mutable = list(profile)
-        for s in game.strategy_sets[i]:
-            if s == profile[i]:
-                continue
-            mutable[i] = s
-            if rule(tuple(mutable), i) > base:
-                return False
-        mutable[i] = profile[i]
-    return True
+def _nash_indices(game: NormalFormGame, rows: list) -> list:
+    """The profile indices where no player gains by a unilateral switch:
+    each player's payoffs along their own strategies (a stride apart) are
+    compared with the line's best."""
+    stable = [True] * len(rows[0])
+    for row, strats, stride in zip(rows, game.strategy_sets, game._strides):
+        block = len(strats) * stride
+        for start in range(0, len(row), block):
+            for k in range(start, start + stride):  # k: the player at position 0
+                line = row[k:k + block:stride]
+                top = max(line)
+                for j, v in enumerate(line):
+                    if v < top:
+                        stable[k + j * stride] = False
+    return [k for k, yes in enumerate(stable) if yes]
 
 
 def verify_social_dilemma(game, budget: int = 10_000_000) -> DilemmaReport:
     """Exhaustively find pure Nash profiles and welfare maximizers.
 
     Reports uniqueness of both and whether the welfare profile strictly
-    improves every player's payoff over the Nash profile.
+    improves every player's payoff over the Nash profile.  Everything is
+    read from the game's integer payoff table, filled by the rule where
+    needed; the table stays on the game, players x profiles integers under
+    the profile budget.  Welfare compares each profile's payoff sum over the
+    lcm of the players' scales; profile tuples are made only for the
+    reported profiles.
     """
     game = as_game(game)
-    nash = tuple(enumerate_pure_nash(game, budget))
-
-    rule = game.payoff_rule
-    best_welfare = None
-    maximizers = []
-    for profile in game.profiles():
-        w = sum(rule(profile, i) for i in range(game.num_players))
-        if best_welfare is None or w > best_welfare:
-            best_welfare = w
-            maximizers = [profile]
-        elif w == best_welfare:
-            maximizers.append(profile)
-    maximizers = tuple(maximizers)
-
-    unique_nash = nash[0] if len(nash) == 1 else None
-    unique_welfare = maximizers[0] if len(maximizers) == 1 else None
-    dominance_ok = False
-    if unique_nash is not None and unique_welfare is not None:
-        dominance_ok = all(
-            game.payoff(unique_welfare, i) > game.payoff(unique_nash, i)
-            for i in range(game.num_players)
-        )
-    return DilemmaReport(nash, maximizers, unique_nash, unique_welfare, dominance_ok)
+    _check_budget(game, budget)
+    rows = game._rows()
+    nash = _nash_indices(game, rows)
+    scale = lcm(*game._scales)
+    factors = [scale // s for s in game._scales]
+    welfare = [sum(map(mul, factors, payoffs)) for payoffs in zip(*rows)]
+    top = max(welfare)
+    best = [k for k, w in enumerate(welfare) if w == top]
+    dominance_ok = (len(nash) == len(best) == 1
+                    and all(row[best[0]] > row[nash[0]] for row in rows))
+    nash, best = (tuple(map(game._profile_at, ks)) for ks in (nash, best))
+    return DilemmaReport(nash, best, nash[0] if len(nash) == 1 else None,
+                         best[0] if len(best) == 1 else None, dominance_ok)
 
 
 def minimize_payoff(game: NormalFormGame, i: int, strategy: Strategy,
@@ -639,9 +645,7 @@ def minimize_payoff(game: NormalFormGame, i: int, strategy: Strategy,
             raise BudgetExceededError(required, budget, "opponent multisets")
         combos = itertools.combinations_with_replacement(pool, len(others))
     else:
-        required = 1
-        for j in others:
-            required *= len(game.strategy_sets[j])
+        required = prod(len(game.strategy_sets[j]) for j in others)
         if required > budget:
             raise BudgetExceededError(required, budget, "opponent profiles")
         combos = itertools.product(*(game.strategy_sets[j] for j in others))

@@ -368,10 +368,12 @@ class TestStrategyBudget:
     @pytest.mark.parametrize("command", ["qre", "equilibrium", "sweep"])
     def test_budget_is_the_engine_count(self, tmp_path, capsys, command, kind,
                                         params, profiles, multisets):
-        # a qre sweep counts each game's profiles as qre does
+        # a qre sweep counts each game's profiles as qre does; every player
+        # plays pure, so equilibrium's joint supports (n rows) stay below
+        # the multisets
         n = params.get("n", 2)
         cfg = write_config(tmp_path, "c.json", {
-            "kind": kind, "params": params, "lambda": 1, "betas": [0.5] * n,
+            "kind": kind, "params": params, "lambda": 1, "betas": [1] * n,
             "mode": "qre"})
         size = multisets if command == "equilibrium" else profiles
         code, _, _ = run(capsys, command, "--config", cfg, "--budget", str(size))
@@ -392,13 +394,13 @@ class TestStrategyBudget:
         code, out, err = run(capsys, "equilibrium", "--config", cfg)
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (
-            2, "", "error: $.betas: 30 of 30 players mix, making 2^29 joint "
-                   "opponent profiles per player, exceeding budget 10000000\n")
+            2, "", "error: $.betas: 30 of 30 players mix, making 30 x 2^29 joint "
+                   "opponent profiles over all players, exceeding budget 10000000\n")
 
     @pytest.mark.parametrize("betas,mixing,profiles", [
-        (["1/2"] * 5, 5, 16),                 # each player: the 4 others
-        (["1/2"] * 4 + [1], 4, 16),           # the pure player: the 4 mixers
-        (["1/2"] * 3 + [0, 1], 3, 8),
+        (["1/2"] * 5, 5, 80),                 # each player: the 4 others, 16
+        (["1/2"] * 4 + [1], 4, 48),           # 4 mixers see 8, the pure one 16
+        (["1/2"] * 3 + [0, 1], 3, 28),        # 3 mixers see 4, 2 pure ones 8
     ])
     def test_budget_is_the_largest_joint_support(self, tmp_path, capsys, betas,
                                                  mixing, profiles):
@@ -412,9 +414,9 @@ class TestStrategyBudget:
         code, out, err = run(capsys, "equilibrium", "--config", cfg,
                              "--budget", str(profiles - 1))
         assert (code, out, err) == (
-            2, "", f"error: $.betas: {mixing} of 5 players mix, making "
-                   f"2^{profiles.bit_length() - 1} joint opponent profiles per "
-                   f"player, exceeding budget {profiles - 1}\n")
+            2, "", f"error: $.betas: {mixing} of 5 players mix, making {profiles} "
+                   f"joint opponent profiles over all players, exceeding budget "
+                   f"{profiles - 1}\n")
 
 
 class TestNamedPaths:

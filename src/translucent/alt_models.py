@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isinf, prod
 
 from .exact import Numeric, to_exact
 from .games import BudgetExceededError, Profile, as_game
@@ -120,17 +121,49 @@ class QreResult:
 
 
 def _logit_response(payoff_ops, sigmas, lam):
-    """Best-response mixing: softmax of lam * EU against the others."""
+    """Best-response mixing: softmax of lam * EU against the others.  Where
+    lam * EU would overflow, the best EU is subtracted before scaling, which
+    leaves the softmax unchanged."""
     import numpy as np
 
     response = []
     for i, op in enumerate(payoff_ops):
         eu = op(sigmas)
-        z = lam * eu
+        z = lam * (eu - eu.max()) if isinf(lam * float(np.abs(eu).max())) else lam * eu
         z -= z.max()
         w = np.exp(z)
         response.append(w / w.sum())
     return response
+
+
+def _payoff_tables(game) -> list:
+    """Per player, the dense payoff table as floats: own strategies x the
+    others' profiles in product order, C-contiguous.  A symmetric game's
+    table is the same for every player and is built once, from one exact
+    payoff per (own strategy, others' multiset) in the game's memo; each
+    entry is the float of that payoff, as ``float(game.payoff(...))``."""
+    import numpy as np
+
+    n, sizes = game.num_players, [len(s) for s in game.strategy_sets]
+    if game.symmetric:
+        columns = [tuple(sorted(c)) for c in itertools.product(range(sizes[0]), repeat=n - 1)]
+        multisets = {m: k for k, m in enumerate(dict.fromkeys(columns))}
+        values, scale = game._multiset_payoffs(
+            [(a, m) for a in range(sizes[0]) for m in multisets])
+        distinct = np.array([v / scale for v in values]).reshape(sizes[0], len(multisets))
+        return [np.ascontiguousarray(distinct[:, [multisets[m] for m in columns]])] * n
+    tables = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        table = np.empty((sizes[i], prod(sizes) // sizes[i]))
+        for a, s in enumerate(game.strategy_sets[i]):
+            for b, combo in enumerate(itertools.product(
+                    *(game.strategy_sets[j] for j in others))):
+                profile = list(combo)
+                profile.insert(i, s)
+                table[a, b] = float(game.payoff(tuple(profile), i))
+        tables.append(table)
+    return tables
 
 
 def logit_qre(game, lam: Numeric, *, damping: float = 0.5, tol: float = 1e-10,
@@ -151,25 +184,16 @@ def logit_qre(game, lam: Numeric, *, damping: float = 0.5, tol: float = 1e-10,
         raise ValueError("damping must lie in (0, 1]")
     n = game.num_players
     sizes = [len(s) for s in game.strategy_sets]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = prod(sizes)
     if total > budget:
         raise BudgetExceededError(total, budget, "profile evaluations")
 
     # Dense payoff tensor per player, flattened over the others' profiles.
     payoff_ops = []
-    for i in range(n):
+    for i, table in enumerate(_payoff_tables(game)):
         others = [j for j in range(n) if j != i]
-        table = np.empty((sizes[i], int(total // sizes[i])))
-        for a, s in enumerate(game.strategy_sets[i]):
-            for b, combo in enumerate(itertools.product(
-                    *(game.strategy_sets[j] for j in others))):
-                profile = list(combo)
-                profile.insert(i, s)
-                table[a, b] = float(game.payoff(tuple(profile), i))
 
-        def op(sigmas, i=i, others=others, table=table):
+        def op(sigmas, others=others, table=table):
             weights = np.ones(1)
             for j in others:
                 weights = np.kron(weights, sigmas[j])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Optional
 
 from .exact import to_exact, to_unit
@@ -142,14 +142,15 @@ class RationalityReport:
 class CooperationScanner:
     """Reusable cooperation-rationality engine for one symmetric dilemma.
 
-    Precomputes the payoff of every (strategy, cooperator count) pair once,
-    scaled to a common integer denominator, so that scanning a grid of types
-    costs only integer arithmetic.  The on-path half of a verdict depends on
-    beta alone and the post-deviation half on gamma = (1 - alpha) * beta
-    alone, so the scanner memoises each half: ``_on_path`` maps beta's
-    (numerator, denominator) to the cooperation payoff, and ``_deviation``
-    maps gamma in lowest terms to the best deviation, found by the first
-    strict maximum in strategy order (every row is scanned, ties included).
+    Reads the payoff of every (strategy, cooperator count) pair once, from
+    the game's multiset memo as integers over one scale, so that scanning a
+    grid of types costs only integer arithmetic.  The on-path half of a
+    verdict depends on beta alone and the post-deviation half on gamma =
+    (1 - alpha) * beta alone, so the scanner memoises each half:
+    ``_on_path`` maps beta's (numerator, denominator) to the cooperation
+    payoff, and ``_deviation`` maps gamma in lowest terms to the best
+    deviation, found by the first strict maximum in strategy order (every
+    row is scanned, ties included).
     A verdict is then two lookups and one cross-multiplied comparison.  The
     memo holds at most one entry per distinct beta and one per distinct
     gamma asked, and lives and dies with the scanner.  Everything stays
@@ -165,23 +166,19 @@ class CooperationScanner:
         self.player = i
         self.others = d.num_players - 1
         self.binom = [comb(self.others, k) for k in range(self.others + 1)]
-        coop = d.cooperate_strategy(i)
-        coop_row = [d.payoff_vs_counts(i, coop, k)
-                    for k in range(self.others + 1)]
-        dev_rows = []
-        for s in d.game.strategy_sets[i]:
-            if s == coop:
-                continue
-            dev_rows.append((s, [d.payoff_vs_counts(i, s, k)
-                                 for k in range(self.others + 1)]))
-        scale = lcm(*(u.denominator for _, row in dev_rows for u in row),
-                    *(u.denominator for u in coop_row))
-        self.scale = scale
-        self.coop_row = [int(u * scale) for u in coop_row]
+        # every (strategy, count) row of payoff_vs_counts, read from the
+        # game's multiset memo in one call, as integers over its scale
+        game, strats = d.game, d.game.strategy_sets[i]
+        coop = game.strategy_index(i, d.cooperate_strategy(i))
+        counts = [d._count_multiset(i, k) for k in range(self.others + 1)]
+        values, self.scale = game._multiset_payoffs(
+            [(pos, m) for pos in range(len(strats)) for m in counts])
+        rows = [values[k:k + len(counts)] for k in range(0, len(values), len(counts))]
+        self.coop_row = rows[coop]
         # sparse integer rows: (count, scaled payoff) with zeros dropped
         self.deviations = [
-            (s, tuple((k, int(u * scale)) for k, u in enumerate(row) if u))
-            for s, row in dev_rows
+            (s, tuple((k, u) for k, u in enumerate(row) if u))
+            for pos, (s, row) in enumerate(zip(strats, rows)) if pos != coop
         ]
         self._on_path = {}
         self._deviation = {}

@@ -326,12 +326,13 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
             params["grid"] = pgg_grid
         _on_params(checked_params, kind, params)
         n_players = params.get("n", 2)
+        if mode == "qre":  # one game per combination: every lambda reuses its memo
+            _check_profile_count(cfg, kind, params, budget)
+            d = _on_params(make_dilemma, kind, params)
         for alpha in alphas:
             for beta in betas:
                 try:
                     if mode == "qre":
-                        _check_profile_count(cfg, kind, params, budget)
-                        d = _on_params(make_dilemma, kind, params)
                         res = logit_qre(d, alpha, max_iter=max_iter, budget=budget)
                         if not res.converged:
                             raise CliError(
@@ -432,23 +433,22 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
     alphas = cfg.get("alphas")
     if alphas is not None:
         alphas = _per_player(alphas, "$.alphas", n, "alpha")
-    # the opponent multisets minimize_payoff searches: C(own + n - 2, k) >= 2^k
+    # the floor search: for each own strategy, minimize_payoff's opponent
+    # multisets, own * C(own + n - 2, k) >= 2^k payoffs
     own, where = _strategy_count(cfg, kind, params)
     k = min(own, n) - 1
-    if k > 0 and (k >= budget.bit_length() or comb(own + n - 2, k) > budget):
+    if k > 0 and (k >= budget.bit_length() or own * comb(own + n - 2, k) > budget):
         raise CliError(f"{where}: {own} strategies for each of {n} players make "
-                       f"C({own + n - 2}, {n - 1}) opponent multisets, "
+                       f"{own} x C({own + n - 2}, {n - 1}) floor payoffs, "
                        f"exceeding budget {budget}")
-    # coherence weighs every player's joint support of the others: 2 profiles
-    # per other player who mixes (0 < beta < 1), so (2n - m) * 2^(m - 1) rows
-    # for m mixers, at most n * 2^e; the exponent is compared first
+    # coherence reads, per player, the law of the others' multiset: one term
+    # per count of the mixing others (0 < beta < 1), built over the n - 1
+    # others, so (n - 1) * (n + m(n - 1)) term updates for m mixing players
     mixing = sum(0 < b < 1 for b in betas)
-    e = mixing - (mixing == n)
-    rows = (2 * n - mixing) << mixing >> 1 if e < budget.bit_length() else None
-    if rows is None or rows > budget:
-        raise CliError(f"$.betas: {mixing} of {n} players mix, making "
-                       f"{rows or f'{2 * n - mixing} x 2^{mixing - 1}'} joint opponent "
-                       f"profiles over all players, exceeding budget {budget}")
+    terms = (n - 1) * (n + mixing * (n - 1))
+    if terms > budget:
+        raise CliError(f"$.betas: {mixing} of {n} players mix, making {terms} "
+                       f"multiset-law terms over all players, exceeding budget {budget}")
     d = _on_params(make_dilemma, kind, params)
     try:
         sigma = MixedProfile.two_point(d, betas)

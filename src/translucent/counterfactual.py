@@ -234,6 +234,17 @@ def _built(game: NormalFormGame, states: tuple, columns: dict, beliefs: list,
 # axiom validation
 
 
+def _game_positions(m: CounterfactualStructure) -> Optional[tuple]:
+    """Per player, each state's strategy position in the game, read from
+    ``_profile_index`` when the structure uses its game's strategy sets and
+    no state is off the game; otherwise None."""
+    game = m.game
+    if (game is not None and m.strategy_sets is game.strategy_sets
+            and not any(None in column for column in m._profile_index[0])):
+        return m._profile_index[0]
+    return None
+
+
 def validate_structure(m: CounterfactualStructure) -> list:
     """Check CS1, CS2, PR1, PR2 and normalization; violations come back as
     data, in deterministic (state, player, strategy) order."""
@@ -241,12 +252,17 @@ def validate_structure(m: CounterfactualStructure) -> list:
     n_states = m.num_states
     states = m.states
     players = range(m.num_players)
-    # equal codes <=> equal strategies, so the checks compare small ints
-    own_codes, set_codes = [], []
-    for i in players:
-        ids: dict = {}
-        set_codes.append([ids.setdefault(s, len(ids)) for s in m.strategy_sets[i]])
-        own_codes.append([ids.setdefault(p[i], len(ids)) for p in states])
+    # equal codes <=> equal strategies, so the checks compare small ints:
+    # the game positions where they are known, else codes by hashing
+    own_codes, set_codes = _game_positions(m), []
+    if own_codes is not None:
+        set_codes = [range(len(strats)) for strats in m.strategy_sets]
+    else:
+        own_codes = []
+        for i in players:
+            ids: dict = {}
+            set_codes.append([ids.setdefault(s, len(ids)) for s in m.strategy_sets[i]])
+            own_codes.append([ids.setdefault(p[i], len(ids)) for p in states])
     columns = [[m.closest_columns[(i, j)] for j in range(len(m.strategy_sets[i]))]
                for i in players]
 
@@ -662,12 +678,10 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     if entries > budget:
         raise BudgetExceededError(entries, budget, "closest-state entries")
 
-    # each state's strategy positions, which its closest entries skip: the
-    # game's, on the game's strategy sets, unless a state is off the game
-    game = m.game
-    if (game is not None and m.strategy_sets is game.strategy_sets
-            and not any(None in column for column in m._profile_index[0])):
-        positions = list(map(list, zip(*m._profile_index[0])))
+    # each state's strategy positions, which its closest entries skip
+    columns = _game_positions(m)
+    if columns is not None:
+        positions = list(map(list, zip(*columns)))
     else:
         index = [{s: j for j, s in enumerate(strats)} for strats in m.strategy_sets]
         positions = [[index[i][s] for i, s in enumerate(profile)] for profile in m.states]

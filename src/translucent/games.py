@@ -8,7 +8,9 @@ the welfare profile, "defect" the Nash component.
 Payoffs are computed by rule, never by materialized matrices, so price/claim
 ranges and contribution grids can be large; exhaustive checks take an explicit
 profile budget and read the game's integer payoff table, filled by the rule
-where needed.  All payoffs are exact Fractions.
+where needed.  A symmetric game also keeps one payoff per (own strategy,
+others' multiset), which coherence, the QRE tensor and the cooperation
+scanner read.  All payoffs are exact Fractions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
@@ -50,7 +52,8 @@ class NormalFormGame:
     ``payoff_rule(profile, i)`` must be total over the product of the
     strategy sets and return an exact number.  ``symmetric`` marks games
     whose payoff depends only on own strategy and the multiset of others'
-    strategies; the engines use it to aggregate over counts.
+    strategies, over one strategy set shared by every player; the engines
+    use it to aggregate over multisets and counts.
     """
 
     num_players: int
@@ -64,9 +67,14 @@ class NormalFormGame:
     _strides: tuple = field(init=False, repr=False, compare=False, hash=False)
     # per player: profile index -> its payoff times the player's scale
     _table: tuple = field(init=False, repr=False, compare=False, hash=False)
-    # per player: the common denominator of its table's entries, a list
+    # per player: the common denominator of its table's entries, then that
+    # of the multiset memo's, a list
     _scales: list = field(init=False, repr=False, compare=False, hash=False)
-    # (player, strategy position) -> minimize_payoff's (value, minimiser)
+    # symmetric games: (own position, sorted positions of the others) -> the
+    # payoff times the last scale
+    _multisets: dict = field(init=False, repr=False, compare=False, hash=False)
+    # (player, strategy position) -> minimize_payoff's (value, minimiser);
+    # player None in a symmetric game, whose players share their floors
     _minima: dict = field(init=False, repr=False, compare=False, hash=False)
     # (player, support positions) -> the punishment structure's switch plan
     # and its column keys, filled and bounded by
@@ -86,12 +94,15 @@ class NormalFormGame:
                 raise ValueError(f"strategy set of player {i} is empty")
             if len(set(s)) != len(s):
                 raise ValueError(f"strategy set of player {i} has duplicates")
+        if self.symmetric and any(s != self.strategy_sets[0] for s in self.strategy_sets):
+            raise ValueError("a symmetric game needs one strategy set for every player")
         object.__setattr__(self, "_index", tuple(
             {x: k for k, x in enumerate(s)} for s in self.strategy_sets))
         object.__setattr__(self, "_strides", tuple(
             prod(map(len, self.strategy_sets[i + 1:])) for i in range(self.num_players)))
         object.__setattr__(self, "_table", tuple({} for _ in self.strategy_sets))
-        object.__setattr__(self, "_scales", [1] * self.num_players)
+        object.__setattr__(self, "_scales", [1] * (self.num_players + 1))
+        object.__setattr__(self, "_multisets", {})
         object.__setattr__(self, "_minima", {})
         object.__setattr__(self, "_support_columns", {})
 
@@ -133,16 +144,38 @@ class NormalFormGame:
 
     def _fill(self, i: int, k: int) -> None:
         """Compute player i's payoff at profile index k by the rule and store
-        it in the table, raising the player's scale (and every stored entry
-        with it) to a multiple of the payoff's denominator if needed."""
-        v = to_exact(self.payoff_rule(self._profile_at(k), i))
-        row, scale = self._table[i], self._scales[i]
+        it in the table (``_put``)."""
+        self._put(self._table[i], i, k, self.payoff_rule(self._profile_at(k), i))
+
+    def _put(self, row: dict, slot: int, key, value) -> None:
+        """Store ``value`` in ``row`` at ``key`` as an integer over
+        ``_scales[slot]``, raising that scale (and every stored entry with
+        it) to a multiple of the value's denominator if needed."""
+        v = to_exact(value)
+        scale = self._scales[slot]
         if scale % v.denominator:
             factor = v.denominator // gcd(scale, v.denominator)
-            for key in row:
-                row[key] *= factor
-            scale = self._scales[i] = scale * factor
-        row[k] = v.numerator * (scale // v.denominator)
+            for stored in row:
+                row[stored] *= factor
+            scale = self._scales[slot] = scale * factor
+        row[key] = v.numerator * (scale // v.denominator)
+
+    def _multiset_payoffs(self, keys: Sequence) -> tuple:
+        """A symmetric game's payoffs at ``keys``, each (own position, sorted
+        positions of the others), as (integers over one scale, the scale).
+        They come from one memo per game; a missing entry costs one rule
+        call, for player 0 with the others in sorted order."""
+        memo = self._multisets
+        try:
+            return list(map(memo.__getitem__, keys)), self._scales[-1]
+        except KeyError:
+            strats = self.strategy_sets[0]
+            for key in keys:
+                if key not in memo:
+                    own, rest = key
+                    self._put(memo, -1, key, self.payoff_rule(
+                        (strats[own], *map(strats.__getitem__, rest)), 0))
+            return list(map(memo.__getitem__, keys)), self._scales[-1]
 
     def _profile_at(self, k: int) -> Profile:
         """The profile at profile index ``k``."""
@@ -215,28 +248,43 @@ class SocialDilemma:
     def payoff(self, profile: Profile, i: int) -> Fraction:
         return self.game.payoff(profile, i)
 
+    @cached_property
+    def _positions(self) -> list:
+        """Per player, the game positions of the cooperate and defect
+        strategies (None off the game), hashed once per dilemma."""
+        return [(index.get(c), index.get(d)) for index, c, d
+                in zip(self.game._index, self.welfare_profile, self.nash_profile)]
+
+    def _count_multiset(self, i: int, k: int) -> tuple:
+        """The sorted positions of i's others when the first k of them in
+        player order cooperate and the rest defect."""
+        game, positions, others = self.game, self._positions, []
+        for placed, j in enumerate(j for j in range(self.num_players) if j != i):
+            defect = placed >= k
+            pos = positions[j][defect]
+            if pos is None:  # off the game: raises, naming it
+                pos = game.strategy_index(
+                    j, self.defect_strategy(j) if defect else self.cooperate_strategy(j))
+            others.append(pos)
+        return tuple(sorted(others))
+
     def payoff_vs_counts(self, i: int, strategy: Strategy, k_cooperating: int) -> Fraction:
         """Payoff of ``i`` playing ``strategy`` when exactly ``k_cooperating``
         of the other players cooperate and the rest defect.
 
-        Only meaningful for symmetric dilemmas; the profile is materialized
-        and fed through the ordinary payoff rule so there is a single source
-        of truth for payoffs.
+        Symmetric dilemmas only: the first ``k_cooperating`` others in
+        player order cooperate, and the payoff is read from the game's
+        multiset memo, so each (strategy, count) costs at most one rule call
+        per game.
         """
-        n = self.num_players
+        n, game = self.num_players, self.game
         if not 0 <= k_cooperating <= n - 1:
             raise ValueError(f"cooperator count {k_cooperating} out of range")
-        profile = []
-        placed = 0
-        for j in range(n):
-            if j == i:
-                profile.append(strategy)
-            elif placed < k_cooperating:
-                profile.append(self.cooperate_strategy(j))
-                placed += 1
-            else:
-                profile.append(self.defect_strategy(j))
-        return self.game.payoff(tuple(profile), i)
+        if not game.symmetric:
+            raise ValueError("count aggregation needs a symmetric dilemma")
+        key = (game.strategy_index(i, strategy), self._count_multiset(i, k_cooperating))
+        (value,), scale = game._multiset_payoffs([key])
+        return Fraction(value, scale)
 
 
 def as_game(game) -> NormalFormGame:
@@ -529,10 +577,21 @@ class MixedProfile:
         the integer weights dotted with the game's payoff table."""
         return Fraction(*self._payoff_at(i, self.game.strategy_index(i, strategy)))
 
+    @cached_property
+    def _laws(self) -> list:
+        """Per player of a symmetric game, ``_multiset_law``."""
+        return [_multiset_law(self._entries, i) for i in range(self.game.num_players)]
+
     def _payoff_at(self, i: int, pos: int) -> tuple:
         """``expected_payoff`` of player i's strategy at game position
-        ``pos``, as (numerator, denominator)."""
+        ``pos``, as (numerator, denominator): in a symmetric game the law of
+        the others' multiset dotted with the game's multiset memo, else the
+        others' joint support dotted with the payoff table."""
         game = self.game
+        if game.symmetric:
+            multisets, weights, den = self._laws[i]
+            values, scale = game._multiset_payoffs([(pos, m) for m in multisets])
+            return sum(map(mul, weights, values)), den * scale
         base = pos * game._strides[i]
         offsets, weights, den = self._kernels[i]
         num, scale = game._dot(i, [base + o for o in offsets], weights)
@@ -543,6 +602,33 @@ class MixedProfile:
         for d in self.distributions:
             parts.append("{" + ", ".join(f"{s!r}: {p}" for s, p in d.items()) + "}")
         return f"MixedProfile([{', '.join(parts)}])"
+
+
+def _multiset_law(entries: tuple, i: int) -> tuple:
+    """The law of player i's others' multiset of positions under independent
+    play, from a profile's ``_entries``, as ``(multisets, weights, den)``:
+    each multiset a sorted tuple of positions, its probability weight / den.
+    It is a convolution over the others who mix, in player order, and the
+    pure players' positions are added to every multiset after it; for a
+    two-point profile the multiset is the cooperator count and its law the
+    Poisson-binomial, at most N terms and O(N²) term updates."""
+    pure, law, den = [], {(): 1}, 1
+    for j, (support, d_j) in enumerate(entries):
+        if j == i:
+            continue
+        if len(support) == 1:  # weight d_j over d_j
+            pure.append(support[0][0])
+            continue
+        grown = {}
+        for key, w in law.items():
+            for pos, _, v in support:
+                key_pos = (key + (pos,) if not key or key[-1] <= pos
+                           else tuple(sorted((*key, pos))))
+                grown[key_pos] = grown.get(key_pos, 0) + w * v
+        law, den = grown, den * d_j
+    if pure:
+        law = {tuple(sorted(pure + list(key))): w for key, w in law.items()}
+    return tuple(law), tuple(law.values()), den
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +698,9 @@ def verify_social_dilemma(game, budget: int = 10_000_000) -> DilemmaReport:
     _check_budget(game, budget)
     rows = game._rows()
     nash = _nash_indices(game, rows)
-    scale = lcm(*game._scales)
-    factors = [scale // s for s in game._scales]
+    scales = game._scales[:game.num_players]
+    scale = lcm(*scales)
+    factors = [scale // s for s in scales]
     welfare = [sum(map(mul, factors, payoffs)) for payoffs in zip(*rows)]
     top = max(welfare)
     best = [k for k, w in enumerate(welfare) if w == top]
@@ -631,28 +718,31 @@ def minimize_payoff(game: NormalFormGame, i: int, strategy: Strategy,
     player order and is the first one in strategy-set (lexicographic) order.
 
     Symmetric games are reduced to multisets of the others' strategies:
-    there the first minimiser is sorted, so it is the first multiset found.
-    Otherwise the full product is enumerated against the budget.  Each
-    search runs once per game; the budget is checked on every call.
+    there the first minimiser is sorted, so it is the first multiset found,
+    and every player shares each strategy's floor.  Otherwise the full
+    product is enumerated against the budget.  Each search runs once per
+    game; the budget is checked on every call.
     """
     others = [j for j in range(game.num_players) if j != i]
     if game.symmetric:
-        from math import comb
-
-        pool = game.strategy_sets[others[0]] if others else ()
+        pool = game.strategy_sets[0]
         required = comb(len(pool) + len(others) - 1, len(others))
         if required > budget:
             raise BudgetExceededError(required, budget, "opponent multisets")
         combos = itertools.combinations_with_replacement(pool, len(others))
+
+        def u(combo):  # player 0 stands for every player
+            return to_exact(game.payoff_rule((strategy, *combo), 0))
     else:
         required = prod(len(game.strategy_sets[j]) for j in others)
         if required > budget:
             raise BudgetExceededError(required, budget, "opponent profiles")
         combos = itertools.product(*(game.strategy_sets[j] for j in others))
-    key = (i, game.strategy_index(i, strategy))
-    if key not in game._minima:
+
         def u(combo):
             return game.payoff((*combo[:i], strategy, *combo[i:]), i)
+    key = (None if game.symmetric else i, game.strategy_index(i, strategy))
+    if key not in game._minima:
         argmin = min(combos, key=u)  # the first of equal minima
         game._minima[key] = u(argmin), argmin
     return game._minima[key]

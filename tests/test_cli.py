@@ -321,7 +321,7 @@ class TestGridBudget:
 class TestStrategyBudget:
     """``qre`` and ``equilibrium`` compare their engine's count with
     ``--budget`` before the game is built: own^n profiles for the QRE payoff
-    tensor, C(own + n - 2, n - 1) opponent multisets for coherence.  The
+    tensor, own x C(own + n - 2, n - 1) floor payoffs for coherence.  The
     refusal names the key that sets each player's strategy count."""
 
     HUGE = 10 ** 7  # contribution levels
@@ -329,7 +329,7 @@ class TestStrategyBudget:
     @pytest.mark.parametrize("top_level", [True, False])
     @pytest.mark.parametrize("command,extra,count", [
         ("qre", {"lambda": 1}, "10000001^3 profiles"),
-        ("equilibrium", {"betas": [0.5] * 3}, "C(10000002, 2) opponent multisets"),
+        ("equilibrium", {"betas": [0.5] * 3}, "10000001 x C(10000002, 2) floor payoffs"),
     ])
     def test_huge_pgg_grid_refuses_before_building(self, tmp_path, capsys,
                                                    command, extra, count,
@@ -359,23 +359,24 @@ class TestStrategyBudget:
             2, "", "error: $.params: 11 strategies for each of 200 players "
                    "make 11^200 profiles, exceeding budget 10\n")
 
-    @pytest.mark.parametrize("kind,params,profiles,multisets", [
-        ("pd", {"b": 4, "c": 1}, 4, 2),
-        ("pgg", {"n": 3, "rho": 0.6, "grid": 2}, 27, 6),
-        ("bertrand", {"n": 3, "l": 2, "h": 5}, 64, 10),
-        ("td", {"l": 2, "h": 5, "bonus": 2}, 16, 4),
+    @pytest.mark.parametrize("kind,params,profiles,floors", [
+        ("pd", {"b": 4, "c": 1}, 4, 4),                       # 2 x C(2, 1)
+        ("pgg", {"n": 3, "rho": 0.6, "grid": 2}, 27, 18),     # 3 x C(4, 2)
+        ("bertrand", {"n": 3, "l": 2, "h": 5}, 64, 40),       # 4 x C(5, 2)
+        ("td", {"l": 2, "h": 5, "bonus": 2}, 16, 16),         # 4 x C(4, 1)
     ])
     @pytest.mark.parametrize("command", ["qre", "equilibrium", "sweep"])
     def test_budget_is_the_engine_count(self, tmp_path, capsys, command, kind,
-                                        params, profiles, multisets):
-        # a qre sweep counts each game's profiles as qre does; every player
-        # plays pure, so equilibrium's joint supports (n rows) stay below
-        # the multisets
+                                        params, profiles, floors):
+        # a qre sweep counts each game's profiles as qre does; equilibrium
+        # counts the floor search, every own strategy against each opponent
+        # multiset; every player plays pure, so the multiset laws (n - 1
+        # terms per player) stay below the floors
         n = params.get("n", 2)
         cfg = write_config(tmp_path, "c.json", {
             "kind": kind, "params": params, "lambda": 1, "betas": [1] * n,
             "mode": "qre"})
-        size = multisets if command == "equilibrium" else profiles
+        size = floors if command == "equilibrium" else profiles
         code, _, _ = run(capsys, command, "--config", cfg, "--budget", str(size))
         assert code == 0
         code, out, err = run(capsys, command, "--config", cfg,
@@ -384,7 +385,9 @@ class TestStrategyBudget:
         assert err.startswith("error: $.params")
         assert err.endswith(f"exceeding budget {size - 1}\n")
 
-    def test_many_mixing_players_refuse_before_building(self, tmp_path, capsys):
+    def test_many_mixing_players_finish(self, tmp_path, capsys):
+        # coherence reads each player's multiset law (at most n terms), not
+        # the 2^29 joint support of the others
         import time
 
         cfg = write_config(tmp_path, "c.json", {
@@ -393,30 +396,78 @@ class TestStrategyBudget:
         start = time.perf_counter()
         code, out, err = run(capsys, "equilibrium", "--config", cfg)
         assert time.perf_counter() - start < 1
-        assert (code, out, err) == (
-            2, "", "error: $.betas: 30 of 30 players mix, making 30 x 2^29 joint "
-                   "opponent profiles over all players, exceeding budget 10000000\n")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["agreement"] is True
+        assert report["coherent"] is report["te_condition"]
 
-    @pytest.mark.parametrize("betas,mixing,profiles", [
-        (["1/2"] * 5, 5, 80),                 # each player: the 4 others, 16
-        (["1/2"] * 4 + [1], 4, 48),           # 4 mixers see 8, the pure one 16
-        (["1/2"] * 3 + [0, 1], 3, 28),        # 3 mixers see 4, 2 pure ones 8
+    def test_many_pure_players_finish(self, tmp_path, capsys):
+        # every player shares each strategy's floor: two searches of 500
+        # multisets, not one per player
+        import time
+
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "pgg", "params": {"n": 500, "rho": 0.5}, "grid": 1,
+            "betas": [1] * 500})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "equilibrium", "--config", cfg)
+        elapsed = time.perf_counter() - start
+        if code == 2:
+            assert elapsed < 1 and err.startswith("error: $.")
+        else:
+            assert elapsed < 5
+            assert (code, err) == (0, "")
+            assert json.loads(out)["agreement"] is True
+
+    @pytest.mark.parametrize("betas,mixing,terms", [
+        (["1/2"] * 5, 5, 100),                # 4 * (5 + 5 * 4)
+        (["1/2"] * 4 + [1], 4, 84),           # 4 * (5 + 4 * 4)
+        (["1/2"] * 3 + [0, 1], 3, 68),        # 4 * (5 + 3 * 4)
+        ([0, 1, 1, 0, 1], 0, 20),             # 4 * 5: one term per player
     ])
-    def test_budget_is_the_largest_joint_support(self, tmp_path, capsys, betas,
-                                                 mixing, profiles):
-        # 5 opponent multisets, so the joint support is what binds
+    def test_budget_is_the_multiset_law_count(self, tmp_path, capsys, betas,
+                                              mixing, terms):
+        # 2 x 5 floor payoffs, so the multiset laws are what binds
         cfg = write_config(tmp_path, "c.json", {
             "kind": "pgg", "params": {"n": 5, "rho": 0.5}, "grid": 1,
             "betas": betas})
         code, _, _ = run(capsys, "equilibrium", "--config", cfg,
-                         "--budget", str(profiles))
+                         "--budget", str(terms))
         assert code == 0
         code, out, err = run(capsys, "equilibrium", "--config", cfg,
-                             "--budget", str(profiles - 1))
+                             "--budget", str(terms - 1))
         assert (code, out, err) == (
-            2, "", f"error: $.betas: {mixing} of 5 players mix, making {profiles} "
-                   f"joint opponent profiles over all players, exceeding budget "
-                   f"{profiles - 1}\n")
+            2, "", f"error: $.betas: {mixing} of 5 players mix, making {terms} "
+                   f"multiset-law terms over all players, exceeding budget "
+                   f"{terms - 1}\n")
+
+    def test_large_grid_refuses_the_floor_search(self, tmp_path, capsys):
+        # 101 own strategies, each against C(103, 3) = 176,851 opponent
+        # multisets: 17.9M floor payoffs, refused before the game is built
+        import time
+
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "pgg", "params": {"n": 4, "rho": 0.5}, "grid": 100,
+            "betas": ["1/2"] * 4})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "equilibrium", "--config", cfg)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (
+            2, "", "error: $.grid: 101 strategies for each of 4 players make "
+                   "101 x C(103, 3) floor payoffs, exceeding budget 10000000\n")
+
+    def test_many_mixing_players_refuse_before_building(self, tmp_path, capsys):
+        import time
+
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "pgg", "params": {"n": 500, "rho": 0.5}, "grid": 1,
+            "betas": ["1/2"] * 500})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "equilibrium", "--config", cfg)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (
+            2, "", "error: $.betas: 500 of 500 players mix, making 124750000 "
+                   "multiset-law terms over all players, exceeding budget 10000000\n")
 
 
 class TestNamedPaths:
@@ -903,6 +954,29 @@ class TestQreCommand:
         code, out, _ = run(capsys, "qre", "--config", cfg)
         assert code == 1
         assert json.loads(out)["converged"] is False
+
+    @pytest.mark.parametrize("lam", [1e200, 1e308])
+    def test_huge_lambda_is_the_best_response(self, tmp_path, capsys, lam):
+        # lambda * EU overflows a float at 1e308: the response subtracts the
+        # best EU first, so it converges to defection as it does at 1e200
+        cfg = write_config(tmp_path, "q.json", {
+            "kind": "pd", "params": {"b": 4, "c": 1}, "lambda": lam})
+        code, out, err = run(capsys, "qre", "--config", cfg)
+        report = json.loads(out)
+        assert (code, err) == (0, "")
+        assert report["converged"] is True
+        assert report["profile"] == [{"C": "0", "D": "1"}] * 2
+        assert report["residual"] != "nan"
+
+    def test_huge_lambda_in_a_sweep(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.json", {
+            "kind": "pd", "mode": "qre", "params": {"b": 4, "c": 1},
+            "lambda": [1e200, 1e308]})
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [(F(r[2]), r[3], r[4]) for r in rows] == [
+            (F(10) ** 200, "0", "true"), (F(10) ** 308, "0", "true")]
 
 
 class TestDeterminism:

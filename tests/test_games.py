@@ -216,6 +216,12 @@ class TestPayoffPlumbing:
         d = make_public_goods(3, F(1, 2), grid=4)
         # one cooperator among the others, representative profile
         assert d.payoff_vs_counts(1, F(1, 2), 1) == d.payoff((F(1), F(1, 2), F(0)), 1)
+        # read from the multiset memo: own position 2 against positions 0 and 4
+        assert list(d.game._multisets) == [(2, (0, 4))]
+        asymmetric = NormalFormGame(3, d.game.strategy_sets, d.game.payoff_rule)
+        with pytest.raises(ValueError, match="symmetric"):
+            type(d)(asymmetric, "pgg", d.params, d.nash_profile,
+                    d.welfare_profile).payoff_vs_counts(1, F(1, 2), 1)
 
 
 class TestVerification:

@@ -6,7 +6,8 @@ rule where it is still empty (one call per player and profile) and compare
 integers.  The comparisons run on the four factories, on small
 non-symmetric games whose ``Fraction`` payoffs have mixed denominators (so
 a row is rescaled while it is filled) and on games whose table the
-coherence check has already filled in part.
+coherence check, or on symmetric games the structural TE check (coherence
+reads their multiset memo instead), has already filled in part.
 """
 
 import itertools
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 import games_oracle as oracle
 from test_games import bertrand_game_with_floor
-from translucent.equilibrium import make_coherence_checker
+from translucent.counterfactual import build_coherent_structure
+from translucent.equilibrium import make_coherence_checker, te_in_structure
 from translucent.games import (
     MixedProfile,
     NormalFormGame,
@@ -99,9 +101,10 @@ def assert_matches_oracle(game):
 @settings(max_examples=150, deadline=None)
 @given(games(), st.booleans(), st.data())
 def test_table_path_matches_the_rule_oracle(game, filled, data):
-    if filled:  # coherence fills the table at the profile's support first
+    if filled:  # the table is filled at the profile's support first
         sigma = data.draw(mixtures(game))
         make_coherence_checker(game)(sigma)
+        te_in_structure(build_coherent_structure(game, sigma, strict=False), sigma)
         assert 0 < len(game._table[0]) <= game.profile_count()
     assert_matches_oracle(game)
     assert_matches_oracle(game)  # again, on the full table

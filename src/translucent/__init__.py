@@ -32,12 +32,7 @@ from .beliefs import (  # noqa: F401
     OthersBehaviorModel,
     RationalityReport,
     TranslucentType,
-    deviation_belief_mixture,
-    expected_utility,
-    expected_utility_cooperate,
-    expected_utility_deviation,
     is_cooperation_rational,
-    on_path_beliefs,
 )
 from .closed_form import (  # noqa: F401
     CooperationVerdict,

@@ -72,61 +72,8 @@ class OthersBehaviorModel:
         return tuple(dist)
 
 
-def on_path_beliefs(t: TranslucentType, n: int) -> OthersBehaviorModel:
-    """Beliefs of an undisturbed cooperator: others cooperate w.p. beta."""
-    if n < 2:
-        raise ValueError("need at least 2 players")
-    return OthersBehaviorModel((t.beta,) * (n - 1))
-
-
-def deviation_belief_mixture(t: TranslucentType, n: int) -> OthersBehaviorModel:
-    """Post-deviation beliefs: others cooperate w.p. (1 - alpha) * beta.
-
-    This is the detection-set mixture in closed form: each other player
-    detects independently w.p. alpha and then defects, and otherwise
-    cooperates w.p. beta.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 players")
-    gamma = (1 - t.alpha) * t.beta
-    return OthersBehaviorModel((gamma,) * (n - 1))
-
-
 # ---------------------------------------------------------------------------
-# expected utilities and the rationality verdict
-
-
-def _require_symmetric(d: SocialDilemma) -> None:
-    if not d.game.symmetric:
-        raise ValueError("count aggregation needs a symmetric dilemma")
-
-
-def expected_utility(d: SocialDilemma, i: int, strategy: Strategy,
-                     model: OthersBehaviorModel) -> Fraction:
-    """E[u_i(strategy, s_-i)] with the others drawn from ``model``,
-    aggregated over cooperator counts (symmetric dilemmas only)."""
-    _require_symmetric(d)
-    if model.num_others != d.num_players - 1:
-        raise ValueError("model size does not match the game")
-    total = Fraction(0)
-    for k, p in enumerate(model.count_distribution()):
-        if p:
-            total += p * d.payoff_vs_counts(i, strategy, k)
-    return total
-
-
-def expected_utility_cooperate(d: SocialDilemma, i: int,
-                               t: TranslucentType) -> Fraction:
-    """Expected payoff of cooperating under on-path beliefs."""
-    model = on_path_beliefs(t, d.num_players)
-    return expected_utility(d, i, d.cooperate_strategy(i), model)
-
-
-def expected_utility_deviation(d: SocialDilemma, i: int, t: TranslucentType,
-                               s_dev: Strategy) -> Fraction:
-    """Expected payoff of playing ``s_dev`` under post-deviation beliefs."""
-    model = deviation_belief_mixture(t, d.num_players)
-    return expected_utility(d, i, s_dev, model)
+# the rationality verdict
 
 
 @dataclass(frozen=True)
@@ -154,22 +101,26 @@ class CooperationScanner:
     A verdict is then two lookups and one cross-multiplied comparison.  The
     memo holds at most one entry per distinct beta and one per distinct
     gamma asked, and lives and dies with the scanner.  Everything stays
-    exact: the expected utilities equal ``expected_utility`` under the
-    on-path and post-deviation beliefs.
+    exact: the expected utilities equal the count and pattern forms of
+    tests/beliefs_oracle.py under the on-path and post-deviation beliefs.
+    A strategy of the dilemma that is off the game raises ``_positions``'s
+    ValueError before the symmetry check.
     """
 
     def __init__(self, d: SocialDilemma, i: int = 0):
         if not 0 <= i < d.num_players:
             raise IndexError(f"player index {i} out of range 0..{d.num_players - 1}")
-        _require_symmetric(d)
+        coop = d._positions[i][0]  # ValueError: a strategy off the game
+        if not d.game.symmetric:
+            raise ValueError("count aggregation needs a symmetric dilemma")
         self.dilemma = d
         self.player = i
         self.others = d.num_players - 1
         self.binom = [comb(self.others, k) for k in range(self.others + 1)]
-        # every (strategy, count) row of payoff_vs_counts, read from the
-        # game's multiset memo in one call, as integers over its scale
+        # every (strategy, cooperator count) row, read from the game's
+        # multiset memo in one call, as integers over its scale (the
+        # payoffs by counts of tests/beliefs_oracle.py)
         game, strats = d.game, d.game.strategy_sets[i]
-        coop = game.strategy_index(i, d.cooperate_strategy(i))
         counts = [d._count_multiset(i, k) for k in range(self.others + 1)]
         values, self.scale = game._multiset_payoffs(
             [(pos, m) for pos in range(len(strats)) for m in counts])

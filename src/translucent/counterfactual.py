@@ -1,10 +1,9 @@
 """Finite counterfactual structures: states, beliefs, and closest-state maps.
 
-A structure is a tuple (states, strat, closest, beliefs) over a finite game:
-``strat`` assigns a pure strategy profile to every state, ``closest`` says
-which state would result if a player switched strategies, and ``beliefs``
-gives each player a probability measure over states at every state.  The
-axioms checked by the validator:
+A structure over a finite game gives every state a pure strategy profile
+(``states``), says which state would result if a player switched strategies
+(``closest``), and gives each player a probability measure over states at
+every state (``beliefs``).  The axioms checked by the validator:
 
 * CS1: the closest state under a switch actually plays the switched strategy;
 * CS2: switching to one's current strategy leaves the state unchanged;
@@ -70,8 +69,8 @@ from typing import Optional, Sequence
 
 from .exact import (InputError, common_denominator, field, index, load_json, plain,
                     probability, to_exact)
-from .games import (BudgetExceededError, MixedProfile, NormalFormGame, Profile,
-                    SocialDilemma, Strategy, _check_budget, as_game)
+from .games import (BudgetExceededError, MixedProfile, NormalFormGame, SocialDilemma,
+                    Strategy, _check_budget, as_game)
 
 NORM_TOL = Fraction(1, 10 ** 12)
 MISSING = -1
@@ -151,9 +150,6 @@ class CounterfactualStructure:
     @property
     def num_players(self) -> int:
         return len(self.strategy_sets)
-
-    def strat(self, omega: int) -> Profile:
-        return self.states[omega]
 
     @cached_property
     def _strategy_maps(self) -> tuple:

@@ -251,40 +251,20 @@ class SocialDilemma:
     @cached_property
     def _positions(self) -> list:
         """Per player, the game positions of the cooperate and defect
-        strategies (None off the game), hashed once per dilemma."""
-        return [(index.get(c), index.get(d)) for index, c, d
-                in zip(self.game._index, self.welfare_profile, self.nash_profile)]
+        strategies, hashed once per dilemma.  This is the one lookup of
+        them: the first strategy that is off the game or unhashable, in
+        player order and cooperate first, raises ``strategy_index``'s
+        ValueError (a profile shorter than the game, IndexError), so every
+        reader fails on it the same way before it reads anything else."""
+        index = self.game.strategy_index
+        return [(index(i, self.cooperate_strategy(i)), index(i, self.defect_strategy(i)))
+                for i in range(self.num_players)]
 
     def _count_multiset(self, i: int, k: int) -> tuple:
         """The sorted positions of i's others when the first k of them in
         player order cooperate and the rest defect."""
-        game, positions, others = self.game, self._positions, []
-        for placed, j in enumerate(j for j in range(self.num_players) if j != i):
-            defect = placed >= k
-            pos = positions[j][defect]
-            if pos is None:  # off the game: raises, naming it
-                pos = game.strategy_index(
-                    j, self.defect_strategy(j) if defect else self.cooperate_strategy(j))
-            others.append(pos)
-        return tuple(sorted(others))
-
-    def payoff_vs_counts(self, i: int, strategy: Strategy, k_cooperating: int) -> Fraction:
-        """Payoff of ``i`` playing ``strategy`` when exactly ``k_cooperating``
-        of the other players cooperate and the rest defect.
-
-        Symmetric dilemmas only: the first ``k_cooperating`` others in
-        player order cooperate, and the payoff is read from the game's
-        multiset memo, so each (strategy, count) costs at most one rule call
-        per game.
-        """
-        n, game = self.num_players, self.game
-        if not 0 <= k_cooperating <= n - 1:
-            raise ValueError(f"cooperator count {k_cooperating} out of range")
-        if not game.symmetric:
-            raise ValueError("count aggregation needs a symmetric dilemma")
-        key = (game.strategy_index(i, strategy), self._count_multiset(i, k_cooperating))
-        (value,), scale = game._multiset_payoffs([key])
-        return Fraction(value, scale)
+        others = [pair for j, pair in enumerate(self._positions) if j != i]
+        return tuple(sorted([c for c, _ in others[:k]] + [d for _, d in others[k:]]))
 
 
 def as_game(game) -> NormalFormGame:
@@ -392,9 +372,14 @@ def make_public_goods(n: int, rho: Numeric, grid: int = 100) -> SocialDilemma:
     """
     n, rho, grid = pgg_params(n, rho, grid)
     levels = tuple(Fraction(k, grid) for k in range(grid + 1))
+    rn, rd = rho.numerator, rho.denominator
 
     def rule(profile, i):
-        return 1 - profile[i] + rho * sum(profile)
+        # on the levels' grid numerators k (x = a / b = k / grid), so a call
+        # builds one Fraction instead of adding n of them; as_integer_ratio
+        # also reads an int or a float equal to a level
+        ks = [a * (grid // b) for a, b in [x.as_integer_ratio() for x in profile]]
+        return Fraction((grid - ks[i]) * rd + rn * sum(ks), grid * rd)
 
     game = NormalFormGame(n, (levels,) * n, rule, symmetric=True, name="pgg")
     return SocialDilemma(game, "pgg", {"n": n, "rho": rho, "grid": grid},
@@ -505,26 +490,24 @@ class MixedProfile:
         """Each player cooperates with probability beta_i, else defects.
 
         Built directly, with the checks of building the two-point dicts and
-        then ``__init__``, in their order: per player beta in [0, 1] and both
-        strategies hashable, then per player both strategies in the game and
-        the masses summing to 1, which they do not when a hand-built dilemma
-        cooperates and defects alike and beta > 0.  Zero masses are dropped;
-        the integer entries are bn and bd - bn over bd for beta = bn/bd."""
+        then ``__init__``: first the dilemma's ``_positions`` (a strategy
+        off the game raises there, whatever the betas), then per player beta
+        in [0, 1], then per player the masses summing to 1, which they do
+        not when a hand-built dilemma cooperates and defects alike and
+        beta > 0.  Zero masses are dropped; the integer entries are bn and
+        bd - bn over bd for beta = bn/bd."""
+        positions = dilemma._positions
         if len(betas) != dilemma.num_players:
             raise ValueError("one beta per player required")
-        game, players = dilemma.game, []
+        exact = []
         for i, beta in enumerate(betas):
             beta = to_exact(beta)
             if not 0 <= beta.numerator <= beta.denominator:
                 raise ValueError(f"beta of player {i} must lie in [0, 1]")
-            c, d = dilemma.cooperate_strategy(i), dilemma.defect_strategy(i)
-            index = game._index[i]
-            players.append((beta, c, d, index.get(c), index.get(d)))
+            exact.append(beta)
         entries = []
-        for i, (beta, c, d, pc, pd) in enumerate(players):
-            for s, pos in ((c, pc), (d, pd)):
-                if pos is None:
-                    game.strategy_index(i, s)  # raises: not a strategy of i
+        for i, (beta, (pc, pd)) in enumerate(zip(exact, positions)):
+            c, d = dilemma.cooperate_strategy(i), dilemma.defect_strategy(i)
             bn, bd = beta.numerator, beta.denominator
             if pc == pd:  # the masses collapse onto c: 1 - beta
                 if bn:
@@ -538,7 +521,7 @@ class MixedProfile:
                 row.append((pd, d, bd - bn))
             entries.append((row if pc < pd else row[::-1], bd))
         sigma = cls.__new__(cls)
-        sigma.game, sigma._entries = game, tuple(entries)
+        sigma.game, sigma._entries = dilemma.game, tuple(entries)
         return sigma
 
     @cached_property

@@ -1,12 +1,16 @@
 """Reference oracle for the belief model and the rationality engine.
 
-The library aggregates the other players over cooperator counts with the
-product (independent) model of post-deviation beliefs.  This module keeps
-the pattern-by-pattern forms the library used to carry: the full
+``CooperationScanner`` is the library's one expected-utility engine: it
+aggregates the other players over cooperator counts with the product
+(independent) model of post-deviation beliefs, on integer rows.  This module
+keeps the forms it is checked against.  The count forms: the on-path and
+post-deviation belief models, ``payoff_vs_counts`` (one representative
+profile per cooperator count) and expected utilities summed over counts
+(symmetric dilemmas only).  The pattern-by-pattern forms: the full
 distribution over cooperation patterns, the detection-set mixture expanded
 subset by subset, expected utilities summed pattern by pattern, and the
-rationality loop over every deviation on top of them.  They are exponential
-in the player count and meant to be obviously right, not fast.
+rationality loop over every deviation on top of them.  The pattern forms are
+exponential in the player count and meant to be obviously right, not fast.
 """
 
 import itertools
@@ -16,10 +20,16 @@ from translucent.beliefs import (
     OthersBehaviorModel,
     RationalityReport,
     TranslucentType,
-    on_path_beliefs,
 )
 
 SUBSET_ENUM_BUDGET = 4096  # largest 2^(n-1) we expand when cross-checking
+
+
+def on_path_beliefs(t: TranslucentType, n: int) -> OthersBehaviorModel:
+    """Beliefs of an undisturbed cooperator: others cooperate w.p. beta."""
+    if n < 2:
+        raise ValueError("need at least 2 players")
+    return OthersBehaviorModel((t.beta,) * (n - 1))
 
 
 def profile_distribution(model: OthersBehaviorModel):
@@ -68,9 +78,12 @@ def deviation_belief_mixture(t: TranslucentType, n: int,
                              budget: int = SUBSET_ENUM_BUDGET) -> OthersBehaviorModel:
     """Post-deviation beliefs: others cooperate w.p. (1 - alpha) * beta.
 
-    When 2^(n-1) fits the budget, the detection-set mixture is expanded
-    explicitly and checked to coincide with the product model; beyond the
-    budget the product form is returned directly.
+    This is the detection-set mixture in closed form: each other player
+    detects independently w.p. alpha and then defects, and otherwise
+    cooperates w.p. beta.  When 2^(n-1) fits the budget, the mixture is
+    expanded explicitly and checked to coincide with the product model;
+    beyond the budget (``budget=1`` for every n >= 2) the product form is
+    returned directly.
     """
     if n < 2:
         raise ValueError("need at least 2 players")
@@ -102,6 +115,54 @@ def expected_utility(d, i: int, strategy, model: OthersBehaviorModel) -> Fractio
             profile[j] = d.cooperate_strategy(j) if coop else d.defect_strategy(j)
         total += p * d.payoff(tuple(profile), i)
     return total
+
+
+def _require_symmetric(d) -> None:
+    if not d.game.symmetric:
+        raise ValueError("count aggregation needs a symmetric dilemma")
+
+
+def payoff_vs_counts(d, i: int, strategy, k_cooperating: int) -> Fraction:
+    """Payoff of ``i`` playing ``strategy`` when exactly ``k_cooperating``
+    of the other players cooperate and the rest defect: the first
+    ``k_cooperating`` others in player order cooperate.  Symmetric dilemmas
+    only, where every such profile pays the same."""
+    n = d.num_players
+    if not 0 <= k_cooperating <= n - 1:
+        raise ValueError(f"cooperator count {k_cooperating} out of range")
+    _require_symmetric(d)
+    profile = [None] * n
+    profile[i] = strategy
+    for placed, j in enumerate(j for j in range(n) if j != i):
+        profile[j] = d.cooperate_strategy(j) if placed < k_cooperating else d.defect_strategy(j)
+    return d.payoff(tuple(profile), i)
+
+
+def expected_utility_by_counts(d, i: int, strategy,
+                               model: OthersBehaviorModel) -> Fraction:
+    """E[u_i(strategy, s_-i)] with the others drawn from ``model``,
+    aggregated over cooperator counts (symmetric dilemmas only)."""
+    _require_symmetric(d)
+    if model.num_others != d.num_players - 1:
+        raise ValueError("model size does not match the game")
+    total = Fraction(0)
+    for k, p in enumerate(model.count_distribution()):
+        if p:
+            total += p * payoff_vs_counts(d, i, strategy, k)
+    return total
+
+
+def expected_utility_cooperate(d, i: int, t: TranslucentType) -> Fraction:
+    """Expected payoff of cooperating under on-path beliefs, by counts."""
+    model = on_path_beliefs(t, d.num_players)
+    return expected_utility_by_counts(d, i, d.cooperate_strategy(i), model)
+
+
+def expected_utility_deviation(d, i: int, t: TranslucentType, s_dev) -> Fraction:
+    """Expected payoff of playing ``s_dev`` under post-deviation beliefs,
+    by counts."""
+    model = deviation_belief_mixture(t, d.num_players, budget=1)
+    return expected_utility_by_counts(d, i, s_dev, model)
 
 
 def is_cooperation_rational(d, i: int, t) -> RationalityReport:

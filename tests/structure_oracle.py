@@ -87,7 +87,13 @@ def joint_prob(self, profile) -> Fraction:
 
 
 def two_point(dilemma: SocialDilemma, betas: Sequence) -> MixedProfile:
-    """Each player cooperates with probability beta_i, else defects."""
+    """Each player cooperates with probability beta_i, else defects: every
+    player's cooperate and defect strategies are looked up in the game
+    first (player order, cooperate first), then the two-point dicts go
+    through ``MixedProfile.__init__``."""
+    for i in range(dilemma.num_players):
+        for s in (dilemma.cooperate_strategy(i), dilemma.defect_strategy(i)):
+            dilemma.game.strategy_index(i, s)  # ValueError unless a strategy of i
     if len(betas) != dilemma.num_players:
         raise ValueError("one beta per player required")
     dists = []

@@ -1,22 +1,29 @@
 """Tests for the belief model and the brute-force rationality engine."""
 
-from fractions import Fraction as F
-
+import ast
+import importlib
+import pathlib
+import pkgutil
 import re
+from fractions import Fraction as F
 
 import pytest
 
 import beliefs_oracle as oracle
+import translucent
+from beliefs_oracle import (
+    expected_utility_by_counts,
+    expected_utility_cooperate,
+    expected_utility_deviation,
+    on_path_beliefs,
+)
+from translucent import equilibrium
 from translucent.beliefs import (
     CooperationScanner,
     TranslucentType,
-    deviation_belief_mixture,
-    expected_utility,
-    expected_utility_cooperate,
-    expected_utility_deviation,
     is_cooperation_rational,
-    on_path_beliefs,
 )
+from translucent.counterfactual import CounterfactualStructure
 from translucent.games import (
     NormalFormGame,
     SocialDilemma,
@@ -27,6 +34,11 @@ from translucent.games import (
 )
 
 UNIT_GRID = [F(k, 4) for k in range(5)]
+
+
+def product_model(t, n):
+    """Post-deviation beliefs in product form, the mixture left unexpanded."""
+    return oracle.deviation_belief_mixture(t, n, budget=1)
 
 
 def small_dilemmas():
@@ -71,17 +83,17 @@ class TestOnPathBeliefs:
 
 class TestDeviationMixture:
     def test_full_detection(self):
-        model = deviation_belief_mixture(TranslucentType(1, F(7, 10)), 2)
+        model = product_model(TranslucentType(1, F(7, 10)), 2)
         assert model.cooperate_probs == (0,)
 
     def test_opacity_matches_on_path(self):
         t = TranslucentType(0, F(1, 2))
-        assert (deviation_belief_mixture(t, 2).cooperate_probs
+        assert (product_model(t, 2).cooperate_probs
                 == on_path_beliefs(t, 2).cooperate_probs)
 
     def test_subset_sum_matches_product(self):
         t = TranslucentType(F(1, 2), F(4, 5))
-        model = deviation_belief_mixture(t, 3)
+        model = product_model(t, 3)
         assert model.cooperate_probs == (F(2, 5), F(2, 5))
         mixture = oracle.deviation_mixture_distribution(t, 3)
         assert len(mixture) == 4
@@ -108,7 +120,7 @@ class TestDeviationMixture:
     @staticmethod
     def _assert_equivalence(t, n):
         mixture = oracle.deviation_mixture_distribution(t, n)
-        product = dict(oracle.profile_distribution(deviation_belief_mixture(t, n)))
+        product = dict(oracle.profile_distribution(product_model(t, n)))
         for pattern, p in product.items():
             assert mixture.get(pattern, F(0)) == p
         assert sum(mixture.values()) == 1
@@ -146,13 +158,28 @@ class TestExpectedUtilities:
 
     @pytest.mark.parametrize("d", small_dilemmas(), ids=lambda d: d.kind)
     def test_counts_equal_enumeration(self, d):
+        # the count form against the pattern form, on-path and after a
+        # deviation, for every strategy
         for alpha in UNIT_GRID:
             for beta in UNIT_GRID:
                 t = TranslucentType(alpha, beta)
-                model = deviation_belief_mixture(t, d.num_players)
-                s = d.defect_strategy(0)
-                assert (expected_utility(d, 0, s, model)
-                        == oracle.expected_utility(d, 0, s, model))
+                for model in (on_path_beliefs(t, d.num_players),
+                              product_model(t, d.num_players)):
+                    for s in d.game.strategy_sets[0]:
+                        assert (expected_utility_by_counts(d, 0, s, model)
+                                == oracle.expected_utility(d, 0, s, model))
+
+    @pytest.mark.parametrize("d", small_dilemmas(), ids=lambda d: d.kind)
+    def test_scanner_rows_are_payoff_vs_counts(self, d):
+        scanner = CooperationScanner(d)
+        rows = dict(scanner.deviations)
+        for s in d.game.strategy_sets[0]:
+            want = [oracle.payoff_vs_counts(d, 0, s, k) * scanner.scale
+                    for k in range(d.num_players)]
+            if s == d.cooperate_strategy(0):
+                assert want == list(scanner.coop_row)
+            else:
+                assert [(k, u) for k, u in enumerate(want) if u] == list(rows[s])
 
     @pytest.mark.parametrize("n", list(range(2, 11)))
     def test_counts_equal_enumeration_many_players(self, n):
@@ -160,7 +187,7 @@ class TestExpectedUtilities:
         t = TranslucentType(F(1, 3), F(2, 3))
         model = on_path_beliefs(t, n)
         for s in d.game.strategy_sets[0]:
-            assert (expected_utility(d, 0, s, model)
+            assert (expected_utility_by_counts(d, 0, s, model)
                     == oracle.expected_utility(d, 0, s, model))
 
     @pytest.mark.parametrize("d", small_dilemmas(), ids=lambda d: d.kind)
@@ -204,9 +231,9 @@ class TestRationalityVerdicts:
         for beta in UNIT_GRID:
             t = TranslucentType(0, beta)
             model = on_path_beliefs(t, d.num_players)
-            eu_coop = expected_utility(d, 0, d.cooperate_strategy(0), model)
+            eu_coop = expected_utility_by_counts(d, 0, d.cooperate_strategy(0), model)
             standard = all(
-                eu_coop >= expected_utility(d, 0, s, model)
+                eu_coop >= expected_utility_by_counts(d, 0, s, model)
                 for s in d.game.strategy_sets[0]
             )
             assert is_cooperation_rational(d, 0, t).rational == standard
@@ -241,14 +268,14 @@ class TestRationalityVerdicts:
         for alpha in UNIT_GRID:
             for beta in UNIT_GRID:
                 report = is_cooperation_rational(d, 0, TranslucentType(alpha, beta))
-                dev_model = deviation_belief_mixture(TranslucentType(alpha, beta), 2)
+                dev_model = product_model(TranslucentType(alpha, beta), 2)
                 best = report.eu_best_deviation
-                by_hand = max(expected_utility(d, 0, x, dev_model)
+                by_hand = max(expected_utility_by_counts(d, 0, x, dev_model)
                               for x in range(l, h))
                 assert best == by_hand
                 assert best in (
-                    expected_utility(d, 0, l, dev_model),
-                    expected_utility(d, 0, h - 1, dev_model),
+                    expected_utility_by_counts(d, 0, l, dev_model),
+                    expected_utility_by_counts(d, 0, h - 1, dev_model),
                 )
 
 
@@ -291,9 +318,40 @@ class TestSymmetricOnly:
         with pytest.raises(ValueError, match="symmetric"):
             expected_utility_cooperate(d, 1, t)
         with pytest.raises(ValueError, match="symmetric"):
-            expected_utility(d, 0, "D", on_path_beliefs(t, 2))
+            expected_utility_by_counts(d, 0, "D", on_path_beliefs(t, 2))
 
     def test_oracle_still_evaluates_it(self):
         d = self.asymmetric_pd()
         t = TranslucentType(F(1, 2), F(1, 2))
         assert oracle.is_cooperation_rational(d, 1, t).eu_cooperate == 3
+
+
+class TestExports:
+    """The package's names resolve, and the count-form helpers that moved to
+    beliefs_oracle are gone from the library."""
+
+    REMOVED = ("on_path_beliefs", "deviation_belief_mixture", "expected_utility",
+               "expected_utility_cooperate", "expected_utility_deviation")
+
+    def test_every_export_resolves(self):
+        tree = ast.parse(pathlib.Path(translucent.__file__).read_text(encoding="utf-8"))
+        names = [alias.asname or alias.name for node in tree.body
+                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+        assert "CooperationScanner" in names and "te_condition" in names
+        for name in names:
+            assert getattr(translucent, name).__module__.startswith("translucent.")
+        for name in equilibrium.__all__:
+            assert getattr(equilibrium, name) is not None
+
+    def test_removed_names_are_gone(self):
+        modules = [translucent] + [importlib.import_module(f"translucent.{info.name}")
+                                   for info in pkgutil.iter_modules(translucent.__path__)]
+        assert {m.__name__ for m in modules} >= {"translucent.beliefs", "translucent.cli"}
+        for module in modules:
+            for name in self.REMOVED:
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+        for name in self.REMOVED:
+            with pytest.raises(ImportError):
+                exec(f"from translucent import {name}", {})
+        assert not hasattr(SocialDilemma, "payoff_vs_counts")
+        assert not hasattr(CounterfactualStructure, "strat")

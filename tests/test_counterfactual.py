@@ -6,11 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from translucent.beliefs import (
-    TranslucentType,
-    expected_utility_cooperate,
-    expected_utility_deviation,
-)
+from beliefs_oracle import expected_utility_cooperate, expected_utility_deviation
+from translucent.beliefs import TranslucentType
 from translucent.counterfactual import (
     IncoherentProfileError,
     build_coherent_structure,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beliefs_oracle
 from translucent.closed_form import cooperation_condition
 from translucent.equilibrium import te_condition
 from translucent.games import (
@@ -75,6 +76,24 @@ class TestPublicGoods:
     def test_half_contribution(self):
         d = make_public_goods(2, F(6, 10))
         assert d.payoff((F(1, 2), F(1)), 0) == F(14, 10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 12), st.data())
+    def test_rule_is_the_fraction_formula(self, n, grid, data):
+        # the rule sums the levels' grid numerators; the formula in Fractions,
+        # also on ints and floats equal to a level, which payoff() admits
+        rho = data.draw(st.fractions(F(1, n), 1, max_denominator=24)
+                        .filter(lambda r: F(1, n) < r < 1), label="rho")
+        d = make_public_goods(n, rho, grid=grid)
+        levels = d.game.strategy_sets[0]
+        equal = (0, 1) + tuple(float(x) for x in levels if F(float(x)) == x)
+        profile = tuple(data.draw(st.lists(st.sampled_from(levels + equal),
+                                           min_size=n, max_size=n), label="profile"))
+        for i in range(n):
+            got = d.game.payoff_rule(profile, i)
+            assert type(got) is F
+            assert got == 1 - F(profile[i]) + rho * sum(map(F, profile))
+            assert d.payoff(profile, i) == got
 
     def test_grid(self):
         d = make_public_goods(2, F(6, 10), grid=10)
@@ -215,13 +234,20 @@ class TestPayoffPlumbing:
     def test_payoff_vs_counts_matches_rule(self):
         d = make_public_goods(3, F(1, 2), grid=4)
         # one cooperator among the others, representative profile
-        assert d.payoff_vs_counts(1, F(1, 2), 1) == d.payoff((F(1), F(1, 2), F(0)), 1)
-        # read from the multiset memo: own position 2 against positions 0 and 4
+        want = d.payoff((F(1), F(1, 2), F(0)), 1)
+        assert beliefs_oracle.payoff_vs_counts(d, 1, F(1, 2), 1) == want
+        # the library reads it from the multiset memo: own position 2
+        # against positions 0 and 4
+        assert d._count_multiset(1, 1) == (0, 4)
+        assert list(d.game._multisets) == []
+        (value,), scale = d.game._multiset_payoffs([(2, (0, 4))])
+        assert F(value, scale) == want
         assert list(d.game._multisets) == [(2, (0, 4))]
         asymmetric = NormalFormGame(3, d.game.strategy_sets, d.game.payoff_rule)
         with pytest.raises(ValueError, match="symmetric"):
-            type(d)(asymmetric, "pgg", d.params, d.nash_profile,
-                    d.welfare_profile).payoff_vs_counts(1, F(1, 2), 1)
+            beliefs_oracle.payoff_vs_counts(
+                type(d)(asymmetric, "pgg", d.params, d.nash_profile, d.welfare_profile),
+                1, F(1, 2), 1)
 
 
 class TestVerification:

@@ -24,6 +24,7 @@ import structure_oracle as oracle
 from test_structure_builders import CUSTOM, custom_game
 from test_structure_oracle import outcome
 from translucent import counterfactual as cf
+from translucent.beliefs import CooperationScanner
 from translucent.counterfactual import MISSING, build_coherent_structure, is_rational_at
 from translucent.equilibrium import make_coherence_checker, te_in_structure
 from translucent.exact import to_exact
@@ -250,6 +251,12 @@ def items(sigma):
             for d in sigma.distributions]
 
 
+def positions_error(d):
+    """``_positions``' error on a hand-built dilemma, or None."""
+    got = outcome(lambda: d._positions)
+    return None if got[0] == "ok" else got
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(DILEMMAS), st.data())
 def test_two_point_matches_the_init_route(d, data):
@@ -261,6 +268,8 @@ def test_two_point_matches_the_init_route(d, data):
     assert got[0] == want[0]
     if got[0] == "raised":
         assert got == want
+        # a strategy off the game is reported whatever the betas are
+        assert positions_error(d) in (None, got)
         return
     sigma, former = got[1], want[1]
     assert items(sigma) == items(former)
@@ -273,10 +282,38 @@ def test_two_point_matches_the_init_route(d, data):
             assert sigma.expected_payoff(i, s) == oracle.expected_payoff(former, i, s)
 
 
-@pytest.mark.parametrize("d", OFF_GAME[:2] + OFF_GAME[3:],
-                         ids=["welfare", "nash", "unhashable", "short"])
-def test_two_point_off_the_game_still_raises(d):
-    for betas in ([F(1, 2)] * 3, [0] * 3, [1] * 3):
-        got = outcome(MixedProfile.two_point, d, betas)
-        assert got[0] == "raised"
-        assert got == outcome(oracle.two_point, d, betas)
+# the hand-built dilemmas with a strategy off the game (the second profile
+# short of a player's strategy in the last), and the error each raises
+OFF_GAME_ERRORS = {
+    "welfare": (OFF_GAME[0], ("raised", ValueError,
+                              "Fraction(7, 1) is not a strategy of player 1")),
+    "nash": (OFF_GAME[1], ("raised", ValueError, "'z' is not a strategy of player 2")),
+    "unhashable": (OFF_GAME[3], ("raised", ValueError,
+                                 "['a'] is not a strategy of player 0")),
+    "short": (OFF_GAME[4], ("raised", IndexError, "tuple index out of range")),
+}
+ANY_BETAS = ([F(1, 2)] * 3, [0] * 3, [1] * 3, [F(4, 3)] * 3, ["x"] * 3,
+             [None, 0, 0], [F(1, 2)] * 2, [])
+
+
+@pytest.mark.parametrize("name", OFF_GAME_ERRORS)
+def test_two_point_off_the_game_still_raises(name):
+    d, error = OFF_GAME_ERRORS[name]
+    assert positions_error(d) == error
+    for betas in ANY_BETAS:
+        assert outcome(MixedProfile.two_point, d, betas) == error
+        assert outcome(oracle.two_point, d, betas) == error
+
+
+@pytest.mark.parametrize("name", OFF_GAME_ERRORS)
+def test_off_the_game_raises_one_error_everywhere(name):
+    """``two_point`` with any betas, the scanner for every player and every
+    count multiset raise ``_positions``' error, before anything else."""
+    d, error = OFF_GAME_ERRORS[name]
+    n = d.num_players
+    for betas in ANY_BETAS:
+        assert outcome(MixedProfile.two_point, d, betas) == error
+    for i in range(n):
+        assert outcome(CooperationScanner, d, i) == error
+        for k in range(n):
+            assert outcome(d._count_multiset, i, k) == error

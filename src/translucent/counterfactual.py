@@ -40,12 +40,18 @@ Each player's switch plan (every switch's strategy, column and game
 position) is kept on the structure: a builder hands it over, and
 ``_switch_plan`` reads it once for any other structure and again whenever a
 ``closest_columns`` key no longer holds the column object it was read from.
-Expected utilities work on strategy positions: a measure's exact
-probabilities become integer weights over one denominator, dotted with the
-game's integer payoff row, where each payoff is an integer over the
-player's common scale, computed once per game, on first use.  Every
-probability is taken at its exact value (floats included, as
-``exact.to_exact`` converts them), so no verdict is decided by rounding.
+A belief cell is judged in one pass over its measure's sources
+(``_cell_values``): the exact probabilities (floats at their exact value,
+as ``exact.to_exact`` converts them, so no verdict is decided by rounding)
+become integer weights over one denominator, and the on-path value and each
+switch's are the weights times the player's integer payoff row at each
+target, the sources themselves or their entries in the switch's column.
+Every payoff is an integer over the player's scale, filled by the rule on
+first use, so all the values come back as numerators over one denominator,
+the measure's times that scale, and TE4 and ``is_rational_at`` compare
+numerators.  The first error raised is the on-path value's, then each
+switch's in plan order; within a switch, a missing closest-state entry comes
+before a strategy or target off the game (``game.payoff``'s error).
 
 ``is_rational_at`` depends on the state only through its belief cell: the
 player, the measure object and the player's own game position.  The
@@ -332,30 +338,16 @@ def validate_structure(m: CounterfactualStructure) -> list:
 # derived beliefs and expected utilities
 
 
-def _column(m: CounterfactualStructure, i: int, s_dev: Strategy) -> tuple:
-    """The closest-state column of player i's switch to ``s_dev``."""
-    return m.closest_columns[(i, m.strategy_index(i, s_dev))]
-
-
-def _pushforward(column: tuple, i: int, sources: list, s_dev: Strategy) -> list:
-    """The closest state of every source when player i switches to ``s_dev``,
-    whose column is ``column``."""
-    targets = [column[source] for source in sources]
-    if MISSING in targets:
-        raise ValueError(
-            f"closest-state entry missing for state "
-            f"{sources[targets.index(MISSING)]}, player {i}, strategy {s_dev!r}")
-    return targets
-
-
 def derived_beliefs(m: CounterfactualStructure, i: int, omega: int,
                     s_dev: Strategy) -> dict:
     """Pushforward of player i's beliefs at ``omega`` through the
     closest-state map under a switch to ``s_dev``; sums to 1."""
-    dist = m.belief(i, omega)
+    dist, column = m.belief(i, omega), m.closest_columns[(i, m.strategy_index(i, s_dev))]
     out: dict = {}
-    for target, p in zip(_pushforward(_column(m, i, s_dev), i, list(dist), s_dev),
-                         dist.values()):
+    for source, p in dist.items():
+        target = column[source]
+        if target == MISSING:
+            m.closest(source, i, s_dev)  # raises, naming the entry
         out[target] = out.get(target, Fraction(0)) + p
     return out
 
@@ -364,28 +356,6 @@ def _require_game(m: CounterfactualStructure) -> NormalFormGame:
     if m.game is None:
         raise ValueError("structure has no attached game; utilities need one")
     return m.game
-
-
-def _expectation(m: CounterfactualStructure, game: NormalFormGame, i: int, s: Strategy,
-                 pos: Optional[int], targets: list, weights: list, den: int) -> tuple:
-    """Sum of p * u_i(s, the others' strategies at the target) over the
-    targets and their integer weights over ``den``, as (numerator,
-    denominator): the weights dotted with the game's integer payoff row at
-    the others' part of each target's profile index plus ``s``'s game
-    position ``pos`` (None off the game) times i's stride."""
-    others = m._profile_index[1][i]
-    try:
-        base = pos * game._strides[i]
-        keys = [others[t] + base for t in targets]
-    except TypeError:  # s or a target off the game: payoff() raises
-        total = Fraction(0)
-        for target, w in zip(targets, weights):
-            profile = list(m.states[target])
-            profile[i] = s
-            total += Fraction(w, den) * game.payoff(tuple(profile), i)
-        return total.numerator, total.denominator
-    num, scale = game._dot(i, keys, weights)
-    return num, den * scale
 
 
 def _switch_plan(m: CounterfactualStructure, i: int) -> list:
@@ -403,38 +373,74 @@ def _switch_plan(m: CounterfactualStructure, i: int) -> list:
     return entry[0]
 
 
-def _switch_values(m: CounterfactualStructure, game: NormalFormGame, i: int, omega: int,
-                   eu: tuple, sources: list, weights: list, den: int, plan: list):
-    """Yield ``(strategy, (numerator, denominator))`` for each switch of
-    ``plan`` at ``omega``, the sources pushed through its column one by one
-    (by linearity, the pushforward's expectation).  A switch to omega's own
-    position whose column fixes every source is worth ``eu``."""
-    own = m._profile_index[0][i][omega]
-    for s, column, pos in plan:
-        targets = _pushforward(column, i, sources, s)
-        if pos is not None and pos == own and targets == sources:
-            yield s, eu
-        else:
-            yield s, _expectation(m, game, i, s, pos, targets, weights, den)
+def _cell_values(m: CounterfactualStructure, i: int, omega: int, sources: list,
+                 weights: list, den: int, plan, on_path: bool = True) -> tuple:
+    """Player i's values at ``omega`` under the measure of ``sources`` with
+    integer ``weights`` over ``den`` (module docstring): the on-path
+    numerator (None without ``on_path``), one per switch of ``plan``, and
+    their denominator.  A switch to omega's own position whose column fixes
+    every source is worth the on-path value.  A pass that meets anything
+    amiss walks the cell in the same order, raising its first error or
+    filling all its table misses, so the next pass goes through."""
+    game = m.game
+    positions, others = m._profile_index
+    own, others = positions[i][omega], others[i]
+    if own is None and on_path:  # a profile of another length: its strategy's position
+        own = game._index[i].get(m.states[omega][i])
+    row, stride = game._table[i], game._strides[i]
+    while True:
+        scale = game._scales[i]
+        try:
+            eu = None
+            if on_path:
+                eu, base = 0, own and own * stride  # None: the first source raises
+                for t, w in zip(sources, weights):
+                    eu += w * row[others[t] + base]
+            values = []
+            for s, column, pos in plan:
+                targets = [column[t] for t in sources]
+                if pos == own and eu is not None and targets == sources:
+                    values.append(eu)
+                    continue
+                if MISSING in targets:
+                    break
+                num, base = 0, pos and pos * stride
+                for t, w in zip(targets, weights):
+                    num += w * row[others[t] + base]
+                values.append(num)
+            else:
+                return eu, values, den * scale
+        except (TypeError, LookupError):  # a position off the game, a table miss
+            pass
+        for s, column, pos in ([(m.states[omega][i], None, own)] if on_path else []) + [*plan]:
+            for t in sources if column is None else derived_beliefs(m, i, omega, s):
+                k = None if pos is None else others[t]
+                if k is None:  # s or the target off the game: payoff() raises
+                    profile = list(m.states[t])
+                    profile[i] = s
+                    game.payoff(tuple(profile), i)
+                k += pos * stride
+                if k not in row:
+                    game._fill(i, k)
 
 
 def eu_at_state(m: CounterfactualStructure, i: int, omega: int) -> Fraction:
     """Expected utility of player i's current strategy at ``omega``."""
-    game = _require_game(m)
     dist = m.belief(i, omega)
-    return Fraction(*_expectation(m, game, i, m.states[omega][i], m._profile_index[0][i][omega],
-                                  list(dist), *common_denominator(dist.values())))
+    eu, _, den = _cell_values(m, i, omega, list(dist), *common_denominator(dist.values()), ())
+    return Fraction(eu, den)
 
 
 def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
                        s_dev: Strategy) -> Fraction:
     """Expected utility at ``omega`` if player i switched to ``s_dev``,
     with beliefs pushed through the closest-state map."""
-    game = _require_game(m)
+    _require_game(m)
     dist = m.belief(i, omega)
-    targets = _pushforward(_column(m, i, s_dev), i, list(dist), s_dev)
-    return Fraction(*_expectation(m, game, i, s_dev, game._index[i].get(s_dev),
-                                  targets, *common_denominator(dist.values())))
+    _, column, pos = _switch_plan(m, i)[m.strategy_index(i, s_dev)]
+    _, (value,), den = _cell_values(m, i, omega, list(dist), *common_denominator(dist.values()),
+                                    [(s_dev, column, pos)], on_path=False)
+    return Fraction(value, den)
 
 
 def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtilityReport:
@@ -455,14 +461,12 @@ def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtili
                 and all(map(is_, dist.values(), probabilities))
                 and _switch_plan(m, i) is plan):
             return StateUtilityReport(eu, switches.copy(), rational)
-    game = m.game
-    sources, (weights, den) = list(dist), common_denominator(dist.values())
-    eu = _expectation(m, game, i, m.states[omega][i], pos, sources, weights, den)
-    plan = _switch_plan(m, i)
-    switches = {s: Fraction(*v) for s, v in _switch_values(
-        m, game, i, omega, eu, sources, weights, den, plan)}
-    eu = Fraction(*eu)
-    rational = all(eu >= v for v in switches.values())
+    sources, plan = list(dist), _switch_plan(m, i)
+    eu, values, den = _cell_values(m, i, omega, sources, *common_denominator(dist.values()),
+                                   plan)
+    rational = max(values, default=eu) <= eu
+    eu = Fraction(eu, den)
+    switches = {s: Fraction(v, den) for (s, _, _), v in zip(plan, values)}
     if pos is not None:  # a state off the game belongs to no cell
         m._reports[key] = (dist, tuple(sources), tuple(dist.values()), plan,
                            eu, switches.copy(), rational)

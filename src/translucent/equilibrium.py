@@ -6,9 +6,8 @@ i, support strategy s_i and deviation s', there is an opponent profile under
 which s' pays no more than s_i pays against the profile mixture.  Coherence
 characterizes exactly the profiles witnessed by some counterfactual
 structure in which all support states satisfy TE1-TE4, which
-``te_in_structure`` judges once per belief cell, on strategy positions and
-integer weights over one denominator, with each player's switch plan read
-from the structure (see ``counterfactual``):
+``te_in_structure`` judges once per belief cell, in the one integer pass
+of ``counterfactual._cell_values``:
 
 * TE1: the state plays a support profile;
 * TE2: everyone's belief support stays inside the witness set;
@@ -108,10 +107,7 @@ def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
 
     TE2-TE4 depend on a state only through the player's measure and own
     strategy, so each belief cell (player, measure object, own strategy) is
-    judged once, on the measure's exact probabilities as integer weights
-    over one denominator.  States are read by their positions in the game,
-    so no strategy is hashed, and each player's switch plan is kept on the
-    structure (``counterfactual._switch_plan``).
+    judged once, on game positions, so no strategy is hashed.
     """
     positions, others = m._profile_index
     # the others' mixture: the others' offset -> integer weight, over den
@@ -152,8 +148,8 @@ def _judge_cell(m: cf.CounterfactualStructure, i: int, omega: int, dist: dict,
                 rest: tuple, expected: tuple, omega_set: set, plans: dict) -> tuple:
     """TE2, TE3 and TE4 violations of player i's cell at ``omega``, whose
     measure is ``dist`` and whose states' others' offsets are ``rest``;
-    ``plans`` keeps each player's switch plan for the call.  One pass over
-    the measure's sources gives the others' marginal and TE2."""
+    ``plans`` keeps each player's switch plan for the call.  TE4: no switch
+    numerator above the on-path one, over their one denominator."""
     sources, (weights, den) = list(dist), common_denominator(dist.values())
     marginal, outside = {}, False  # the others' offset -> weight over den
     for t, w in zip(sources, weights):
@@ -161,17 +157,13 @@ def _judge_cell(m: cf.CounterfactualStructure, i: int, omega: int, dist: dict,
         if w > 0 and t not in omega_set:
             outside = True
     mixture, mixture_den = expected
-    en, ed = eu = cf._expectation(m, m.game, i, m.states[omega][i],
-                                  m._profile_index[0][i][omega], sources, weights, den)
     if i not in plans:
         plans[i] = cf._switch_plan(m, i)
-    # every switch is evaluated, as in is_rational_at: one that raises does
-    # so even after one that pays
+    eu, values, _ = cf._cell_values(m, i, omega, sources, weights, den, plans[i])
     return (outside,
             {o: w * mixture_den for o, w in marginal.items() if w > 0}
             != {o: w * den for o, w in mixture.items()},
-            any([vn * ed > en * vd for _, (vn, vd) in cf._switch_values(
-                m, m.game, i, omega, eu, sources, weights, den, plans[i])]))
+            max(values, default=eu) > eu)
 
 
 def is_translucent_equilibrium(game, sigma: MixedProfile, *,

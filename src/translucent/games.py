@@ -235,6 +235,12 @@ class SocialDilemma:
     nash_profile: Profile
     welfare_profile: Profile
 
+    def __post_init__(self):
+        for name, profile in (("Nash", self.nash_profile), ("welfare", self.welfare_profile)):
+            if len(profile) != self.game.num_players:
+                raise ValueError(f"{name} profile {profile!r} has length {len(profile)} "
+                                 f"for {self.game.num_players} players")
+
     @property
     def num_players(self) -> int:
         return self.game.num_players
@@ -254,8 +260,8 @@ class SocialDilemma:
         strategies, hashed once per dilemma.  This is the one lookup of
         them: the first strategy that is off the game or unhashable, in
         player order and cooperate first, raises ``strategy_index``'s
-        ValueError (a profile shorter than the game, IndexError), so every
-        reader fails on it the same way before it reads anything else."""
+        ValueError, so every reader fails on it the same way before it reads
+        anything else."""
         index = self.game.strategy_index
         return [(index(i, self.cooperate_strategy(i)), index(i, self.defect_strategy(i)))
                 for i in range(self.num_players)]

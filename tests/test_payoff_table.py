@@ -194,16 +194,62 @@ def test_state_off_the_game(bad):
 
 
 def test_missing_closest_entry():
-    m, _ = pd_structure()
-    columns = dict(m.closest_columns)
+    intact, _ = pd_structure()
+    columns = dict(intact.closest_columns)
     column = list(columns[(0, 1)])
     column[0] = MISSING
     columns[(0, 1)] = tuple(column)
-    m = dataclasses.replace(m, closest_columns=columns)
-    got = every_utility(m)
-    assert got == every_utility(m, oracle)
-    assert ("raised", ValueError, "closest-state entry missing for state 0, "
-            "player 0, strategy 'D'") in got
+    m = dataclasses.replace(intact, closest_columns=columns)
+    for _ in range(2):  # with the game's payoff table filling up, then full
+        got = every_utility(m)
+        assert got == every_utility(m, oracle)
+        assert ("raised", ValueError, "closest-state entry missing for state 0, "
+                "player 0, strategy 'D'") in got
+        every_utility(intact)
+
+
+# player 0's cell at state 0 believes in states 0 and 1; its switches are
+# 'C' (column (0, 0)) then 'D' (column (0, 1)); state 3 is moved off the
+# game, and each case edits the two columns at the cell's sources
+MISSING_AND_OFF_GAME = {
+    "missing, then off the game": (
+        {(0, 0): {0: MISSING}, (0, 1): {0: 3, 1: 3}},
+        "closest-state entry missing for state 0, player 0, strategy 'C'"),
+    "off the game, then missing": (
+        {(0, 0): {0: 3}, (0, 1): {1: MISSING}},
+        "'X' is not a strategy of player 1"),
+    "one switch, off the game at the first source": (
+        {(0, 1): {0: 3, 1: MISSING}},
+        "closest-state entry missing for state 1, player 0, strategy 'D'"),
+}
+
+
+@pytest.mark.parametrize("name", MISSING_AND_OFF_GAME)
+def test_first_error_of_a_cell(name):
+    """A missing closest-state entry and a target off the game in one cell:
+    the switches raise in plan order, and inside one switch the missing
+    entry comes first, as in the oracle."""
+    edits, first = MISSING_AND_OFF_GAME[name]
+    intact, sigma = pd_structure()
+    columns = dict(intact.closest_columns)
+    for key, entries in edits.items():
+        column = list(columns[key])
+        for source, target in entries.items():
+            column[source] = target
+        columns[key] = tuple(column)
+    states = list(intact.states)
+    states[3] = ("D", "X")
+    m = dataclasses.replace(intact, states=tuple(states), closest_columns=columns)
+    for _ in range(2):  # with the game's payoff table empty, then full
+        got = [outcome(is_rational_at, m, 0, 0), outcome(te_in_structure, m, sigma)]
+        assert got == [outcome(oracle.is_rational_at, m, 0, 0),
+                       outcome(oracle.te_in_structure, m, sigma)]
+        assert got == [("raised", ValueError, first)] * 2
+        for s in m.strategy_sets[0]:
+            assert (outcome(cf.eu_at_state_switch, m, 0, 0, s)
+                    == outcome(oracle.eu_at_state_switch, m, 0, 0, s))
+        assert every_utility(m) == every_utility(m, oracle)
+        every_utility(intact)
 
 
 @pytest.mark.parametrize("strategy", ["Z", "x", F(1, 2), None, []])
@@ -220,13 +266,12 @@ def test_expected_payoff_of_a_non_strategy(strategy):
 # two_point and the kernels against the former __init__ route
 
 # hand-built dilemmas on the custom game: a profile off the game, player 0
-# cooperating and defecting alike, an unhashable strategy, a short profile
+# cooperating and defecting alike, an unhashable strategy
 OFF_GAME = [
     SocialDilemma(CUSTOM, "custom", {}, ("b", F(0), "y"), ("a", F(7), "x")),
     SocialDilemma(CUSTOM, "custom", {}, ("b", F(0), "z"), ("a", F(1), "x")),
     SocialDilemma(CUSTOM, "custom", {}, ("a", F(0), "y"), ("a", F(1), "x")),
     SocialDilemma(CUSTOM, "custom", {}, ("b", F(0), "y"), (["a"], F(1), "x")),
-    SocialDilemma(CUSTOM, "custom", {}, ("b", F(0), "y"), ("a", F(1))),
 ]
 DILEMMAS = [
     make_prisoners_dilemma(4, 1),
@@ -282,18 +327,32 @@ def test_two_point_matches_the_init_route(d, data):
             assert sigma.expected_payoff(i, s) == oracle.expected_payoff(former, i, s)
 
 
-# the hand-built dilemmas with a strategy off the game (the second profile
-# short of a player's strategy in the last), and the error each raises
+# the hand-built dilemmas with a strategy off the game, and the error each
+# raises
 OFF_GAME_ERRORS = {
     "welfare": (OFF_GAME[0], ("raised", ValueError,
                               "Fraction(7, 1) is not a strategy of player 1")),
     "nash": (OFF_GAME[1], ("raised", ValueError, "'z' is not a strategy of player 2")),
     "unhashable": (OFF_GAME[3], ("raised", ValueError,
                                  "['a'] is not a strategy of player 0")),
-    "short": (OFF_GAME[4], ("raised", IndexError, "tuple index out of range")),
 }
 ANY_BETAS = ([F(1, 2)] * 3, [0] * 3, [1] * 3, [F(4, 3)] * 3, ["x"] * 3,
              [None, 0, 0], [F(1, 2)] * 2, [])
+
+
+@pytest.mark.parametrize("nash, welfare, error", [
+    (("b", F(0), "y"), ("a", F(1)),
+     "welfare profile ('a', Fraction(1, 1)) has length 2 for 3 players"),
+    (("b",), ("a", F(1), "x"), "Nash profile ('b',) has length 1 for 3 players"),
+    (("b", F(0), "y", "y"), ("a",),
+     "Nash profile ('b', Fraction(0, 1), 'y', 'y') has length 4 for 3 players"),
+])
+def test_profile_of_another_length_is_refused(nash, welfare, error):
+    """A Nash or welfare profile must name one strategy per player, or the
+    dilemma is not built (the first reader would fail on a bare index)."""
+    with pytest.raises(ValueError) as raised:
+        SocialDilemma(CUSTOM, "custom", {}, nash, welfare)
+    assert str(raised.value) == error
 
 
 @pytest.mark.parametrize("name", OFF_GAME_ERRORS)

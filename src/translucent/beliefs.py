@@ -9,7 +9,8 @@ detection sets collapses to independent cooperation with probability
 (1 - alpha) * beta.
 
 The engine below decides whether cooperating is a weak best response against
-these beliefs by evaluating every deviation strategy exactly.
+these beliefs and every deviation strategy, exactly; it scans only the
+deviations that can be the first best one.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from operator import ge
 from typing import Optional
 
 from .exact import to_exact, to_unit
@@ -86,6 +88,32 @@ class RationalityReport:
     eu_best_deviation: Optional[Fraction]
 
 
+def _undominated(rows: list, positions: list) -> list:
+    """The positions (ascending) of the rows at ``positions`` (ascending)
+    that can be the first maximizer of sum_k w_k * row[k], for weights that
+    are all positive or that sit on k = 0 or k = -1 alone: the undominated
+    rows, each first copy only, and the first best of columns 0 and -1 (see
+    ``CooperationScanner``).  One pass in decreasing lexicographic order
+    (Kung, Luccio & Preparata 1975): only an earlier row can dominate a
+    later one, and the stable sort puts a copy after its first occurrence,
+    so the frontier only grows.
+    """
+    frontier, kept = [], []
+    for pos in sorted(positions, key=rows.__getitem__, reverse=True):
+        row = rows[pos]
+        for other in frontier:
+            if all(map(ge, other, row)):
+                break
+        else:
+            frontier.append(row)
+            kept.append(pos)
+    if positions:
+        for k in (0, -1):
+            column = [rows[pos][k] for pos in positions]
+            kept.append(positions[column.index(max(column))])
+    return sorted(set(kept))
+
+
 class CooperationScanner:
     """Reusable cooperation-rationality engine for one symmetric dilemma.
 
@@ -96,8 +124,15 @@ class CooperationScanner:
     (1 - alpha) * beta alone, so the scanner memoises each half:
     ``_on_path`` maps beta's (numerator, denominator) to the cooperation
     payoff, and ``_deviation`` maps gamma in lowest terms to the best
-    deviation, found by the first strict maximum in strategy order (every
-    row is scanned, ties included).
+    deviation, found by the first strict maximum in strategy order.
+    ``rows`` holds every strategy's row; ``deviations`` keeps only the rows
+    that can be that maximizer (``_undominated``).  A row another deviation
+    matches or beats at every count and beats at one, or an identical
+    later row, is dropped, but the first best at count 0 and at count N-1
+    stays.  For gamma strictly inside (0, 1) every count's weight is
+    positive, so a dropped row is strictly below the row that beats it or
+    tied with its earlier copy; at gamma 0 or 1 one count carries all the
+    weight.  The first maximizer is thus the one a scan of every row finds.
     A verdict is then two lookups and one cross-multiplied comparison.  The
     memo holds at most one entry per distinct beta and one per distinct
     gamma asked, and lives and dies with the scanner.  Everything stays
@@ -124,12 +159,15 @@ class CooperationScanner:
         counts = [d._count_multiset(i, k) for k in range(self.others + 1)]
         values, self.scale = game._multiset_payoffs(
             [(pos, m) for pos in range(len(strats)) for m in counts])
-        rows = [values[k:k + len(counts)] for k in range(0, len(values), len(counts))]
-        self.coop_row = rows[coop]
-        # sparse integer rows: (count, scaled payoff) with zeros dropped
+        self.rows = [values[k:k + len(counts)]
+                     for k in range(0, len(values), len(counts))]
+        self.coop_row = self.rows[coop]
+        # the deviation rows that can be the first maximizer, as sparse
+        # integer rows: (count, scaled payoff) with zeros dropped
+        alternatives = [pos for pos in range(len(strats)) if pos != coop]
         self.deviations = [
-            (s, tuple((k, u) for k, u in enumerate(row) if u))
-            for pos, (s, row) in enumerate(zip(strats, rows)) if pos != coop
+            (strats[pos], tuple((k, u) for k, u in enumerate(self.rows[pos]) if u))
+            for pos in _undominated(self.rows, alternatives)
         ]
         self._on_path = {}
         self._deviation = {}

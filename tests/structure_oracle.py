@@ -80,6 +80,10 @@ def expected_payoff(self, i: int, strategy) -> Fraction:
 
 
 def joint_prob(self, profile) -> Fraction:
+    """The profile's probability; a profile whose length is not the player
+    count is off the game and has probability 0."""
+    if len(profile) != self.game.num_players:
+        return Fraction(0)
     p = Fraction(1)
     for i, s in enumerate(profile):
         p *= self.prob(i, s)

@@ -171,15 +171,18 @@ class TestExpectedUtilities:
 
     @pytest.mark.parametrize("d", small_dilemmas(), ids=lambda d: d.kind)
     def test_scanner_rows_are_payoff_vs_counts(self, d):
+        # every strategy's dense row, the cooperation row among them; the
+        # deviations the scanner keeps are their sparse forms
         scanner = CooperationScanner(d)
-        rows = dict(scanner.deviations)
-        for s in d.game.strategy_sets[0]:
-            want = [oracle.payoff_vs_counts(d, 0, s, k) * scanner.scale
-                    for k in range(d.num_players)]
-            if s == d.cooperate_strategy(0):
-                assert want == list(scanner.coop_row)
-            else:
-                assert [(k, u) for k, u in enumerate(want) if u] == list(rows[s])
+        strategies = d.game.strategy_sets[0]
+        assert len(scanner.rows) == len(strategies)
+        for s, row in zip(strategies, scanner.rows):
+            assert row == [oracle.payoff_vs_counts(d, 0, s, k) * scanner.scale
+                           for k in range(d.num_players)]
+        assert scanner.coop_row is scanner.rows[strategies.index(d.cooperate_strategy(0))]
+        for s, sparse in scanner.deviations:
+            row = scanner.rows[strategies.index(s)]
+            assert list(sparse) == [(k, u) for k, u in enumerate(row) if u]
 
     @pytest.mark.parametrize("n", list(range(2, 11)))
     def test_counts_equal_enumeration_many_players(self, n):

@@ -21,7 +21,10 @@ from translucent.closed_form import (
     cooperation_condition,
 )
 from translucent.games import (
+    NormalFormGame,
+    SocialDilemma,
     make_bertrand,
+    make_dilemma,
     make_prisoners_dilemma,
     make_public_goods,
     make_travelers_dilemma,
@@ -260,3 +263,99 @@ class TestScannerMemo:
         second = scanner.verdict(TranslucentType(F(3, 5), F(1, 2)))
         assert list(scanner._deviation) == [(1, 5)]
         assert first.eu_best_deviation is second.eu_best_deviation
+
+
+@st.composite
+def row_tables(draw):
+    """Payoff rows (one per strategy, one entry per cooperator count k) of a
+    custom symmetric game, built so that the pruning rule meets every case:
+    random small rows (ties everywhere), a copy of an earlier row, a row
+    dominated only by a later one, and a dominated row that is the first
+    best at k = 0, then one that is the first best at k = N-1."""
+    n = draw(st.integers(2, 5))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    rows.append(list(draw(st.sampled_from(rows))))
+    base, k = draw(row), draw(st.integers(0, n - 1))
+    rows += [base, base[:k] + [base[k] + 1] + base[k + 1:]]
+    for k, other in ((0, -1), (-1, 0)):
+        tie = draw(row)
+        tie[k] = max(r[k] for r in rows) + 1
+        tie[other] = min(r[other] for r in rows) - 1
+        better = list(tie)
+        better[other] += 1
+        rows += [tie, better]
+    coop = draw(st.integers(0, len(rows)))
+    rows.insert(coop, draw(row))
+    defect = draw(st.sampled_from([p for p in range(len(rows)) if p != coop]))
+    return n, rows, coop, defect
+
+
+def table_dilemma(n, rows, coop, defect):
+    """A symmetric game whose payoff depends on the own strategy and on how
+    many others play the cooperate strategy."""
+    strategies = tuple(range(len(rows)))
+
+    def rule(profile, i):
+        k = sum(1 for j, s in enumerate(profile) if j != i and s == coop)
+        return F(rows[profile[i]][k])
+
+    game = NormalFormGame(n, (strategies,) * n, rule, name="table", symmetric=True)
+    return SocialDilemma(game, "table", {}, (defect,) * n, (coop,) * n)
+
+
+def library_dilemmas():
+    return st.one_of(
+        st.builds(lambda p: make_dilemma("pd", p), pd_params()),
+        st.builds(lambda p: make_dilemma("td", p), td_params()),
+        st.builds(lambda p, g: make_dilemma("pgg", {**p, "grid": g}),
+                  pgg_params().filter(lambda p: p["rho"] < 1), st.integers(1, 10)),
+        st.builds(lambda p: make_dilemma("bertrand", p), bertrand_params()),
+    )
+
+
+class TestDominancePruning:
+    """The scanner keeps only the deviation rows that can be the first
+    maximizer: a row goes when another matches or beats it at every count
+    and beats it at one, or is an identical earlier row, unless it is the
+    first best at k = 0 or at k = N-1."""
+
+    @staticmethod
+    def check(d, types):
+        scanner = CooperationScanner(d)
+        strategies = d.game.strategy_sets[0]
+        rows = scanner.rows
+        coop = strategies.index(d.cooperate_strategy(0))
+        devs = [p for p in range(len(rows)) if p != coop]
+        kept = [strategies.index(s) for s, _ in scanner.deviations]
+        assert kept == sorted(kept)
+
+        def beaten(p):
+            return any(all(a >= b for a, b in zip(rows[q], rows[p]))
+                       and (rows[q] != rows[p] or q < p) for q in devs if q != p)
+
+        firsts = {max(devs, key=lambda p: rows[p][k]) for k in (0, -1) if devs}
+        assert firsts <= set(kept)
+        # exactly the undominated rows and the first bests at k = 0, N-1
+        assert set(kept) == {p for p in devs if not beaten(p)} | firsts
+        for t in types:  # the oracle scans every deviation
+            assert scanner.verdict(t) == beliefs_oracle.is_cooperation_rational(d, 0, t)
+
+    CORNERS = [TranslucentType(a, b) for a, b in ((0, 0), (0, 1), (1, 1), (F(1, 2), 1))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_tables(), st.lists(st.tuples(edge_units, edge_units), max_size=6))
+    def test_custom_tables(self, table, pairs):
+        self.check(table_dilemma(*table),
+                   self.CORNERS + [TranslucentType(a, b) for a, b in pairs])
+
+    @settings(max_examples=80, deadline=None)
+    @given(library_dilemmas(), st.lists(st.tuples(edge_units, edge_units), max_size=4))
+    def test_library_dilemmas(self, d, pairs):
+        self.check(d, self.CORNERS + [TranslucentType(a, b) for a, b in pairs])
+
+    def test_no_deviation(self):
+        # one strategy: nothing to prune, and cooperation is a best response
+        d = table_dilemma(3, [[1, 2, 3]], 0, 0)
+        assert CooperationScanner(d).deviations == []
+        self.check(d, self.CORNERS)

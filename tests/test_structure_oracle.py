@@ -371,12 +371,13 @@ def test_switch_routed_onto_a_supported_state():
     assert eu_at_state_switch(m, 0, k, "C") == oracle.eu_at_state_switch(m, 0, k, "C")
 
 
-@pytest.mark.parametrize("d", [make_public_goods(3, F(3, 5), grid=2),
-                               make_bertrand(3, 2, 5)], ids=["pgg", "bertrand"])
-def test_te1_on_subsets_mixing_support_off_support_and_off_game_states(d):
+@pytest.mark.parametrize("make", [lambda: make_public_goods(3, F(3, 5), grid=2),
+                                  lambda: make_bertrand(3, 2, 5)], ids=["pgg", "bertrand"])
+def test_te1_on_subsets_mixing_support_off_support_and_off_game_states(make):
     # TE1 reads player 0's position and the others' offset in the mixture,
     # so a state off the support or off the game through any one player
     # must still be a violation
+    d = make()
     sigma = MixedProfile.two_point(d, [F(1, 2), F(1), F(3, 8)])
     m = build_coherent_structure(d, sigma, strict=False)
     flags = [[sigma.prob(j, s) > 0 for j, s in enumerate(p)] for p in m.states]
@@ -387,17 +388,33 @@ def test_te1_on_subsets_mixing_support_off_support_and_off_game_states(d):
     off = [next(k for k, f in enumerate(flags)
                 if f.count(False) == 1 and not f[j] and k not in reached)
            for j in range(3)]
+    mixed = support[:2] + [off[2]] + support[2:] + [off[0], off[1]]
+    subsets = (None, support + [off[2]], mixed, [off[1]] + support, [off[0]])
+    # a state one player short (whose players all play support strategies)
+    # and one a player too long are off the game as well
+    states = list(m.states)
+    states[off[0]] = states[support[0]][:2]
+    states[off[1]] = states[support[0]] + states[support[0]][:1]
+    short_long = dataclasses.replace(m, states=tuple(states))
+    assert not any(d.game._table)
+    for _ in range(2):  # with the game's payoff table empty, then full
+        for subset in subsets:
+            got = outcome(te_in_structure, short_long, sigma, subset)
+            assert got == outcome(oracle.te_in_structure, short_long, sigma, subset)
+            assert got[0] == "ok"
+        assert te_in_structure(short_long, sigma, [off[0], off[1]]) == (
+            TeStructureReport(False, ((off[0],), (off[1],)), (), (), ()))
+    assert any(d.game._table)
     states = list(m.states)
     for j in (0, 1):
         states[off[j]] = tuple("X" if i == j else s for i, s in enumerate(states[off[j]]))
     off_game = dataclasses.replace(m, states=tuple(states))
-    mixed = support[:2] + [off[2]] + support[2:] + [off[0], off[1]]
     report = te_in_structure(m, sigma, mixed)
     assert report.te1 == ((off[2],), (off[0],), (off[1],))
     assert report == oracle.te_in_structure(m, sigma, mixed)
     # a listed state off the game violates TE1 and is judged for nothing
     # else; every other state keeps its verdicts
-    for subset in (None, support + [off[2]], mixed, [off[1]] + support, [off[0]]):
+    for subset in subsets:
         got = outcome(te_in_structure, off_game, sigma, subset)
         assert got == outcome(oracle.te_in_structure, off_game, sigma, subset)
         assert got[0] == "ok"

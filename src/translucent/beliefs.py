@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from operator import ge
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import to_exact, to_unit
 from .games import SocialDilemma, Strategy
@@ -78,8 +78,7 @@ class OthersBehaviorModel:
 # the rationality verdict
 
 
-@dataclass(frozen=True)
-class RationalityReport:
+class RationalityReport(NamedTuple):
     """Verdict on whether intended cooperation is a weak best response."""
 
     rational: bool

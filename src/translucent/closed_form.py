@@ -42,9 +42,9 @@ region is monotone in N and L/H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .exact import Numeric, to_unit
 from .games import KINDS, bertrand_params, pd_params, pgg_params, td_params
@@ -52,8 +52,7 @@ from .games import KINDS, bertrand_params, pd_params, pgg_params, td_params
 _NEAR_ONE = 1 - 1e-9
 
 
-@dataclass(frozen=True)
-class CooperationVerdict:
+class CooperationVerdict(NamedTuple):
     """Outcome of a closed-form cooperation test.
 
     ``rational`` holds iff ``binding_quantity >= threshold``; the two numbers

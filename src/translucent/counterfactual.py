@@ -71,7 +71,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import getitem, is_, itemgetter, mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import (InputError, common_denominator, field, index, load_json, plain,
                     probability, to_exact)
@@ -99,8 +99,7 @@ class IncoherentProfileError(ValueError):
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One structure-axiom failure, as data."""
 
     axiom: str
@@ -120,8 +119,7 @@ class Violation:
         return ", ".join(parts)
 
 
-@dataclasses.dataclass(frozen=True)
-class StateUtilityReport:
+class StateUtilityReport(NamedTuple):
     """Expected utilities at a state, and the rationality verdict there."""
 
     eu: Fraction
@@ -227,7 +225,8 @@ def _built(game: NormalFormGame, states: tuple, columns: dict, beliefs: list,
     m.__dict__["_profile_index"] = profile_index  # the cached_property's slot
     m.__dict__["_plans"] = plans or {
         i: ([(s, columns[(i, j)], j) for j, s in enumerate(strats)],
-            [(i, j) for j in range(len(strats))])
+            [(i, j) for j in range(len(strats))],
+            [columns[(i, j)] for j in range(len(strats))])
         for i, strats in enumerate(game.strategy_sets)}
     return m
 
@@ -361,15 +360,15 @@ def _require_game(m: CounterfactualStructure) -> NormalFormGame:
 def _switch_plan(m: CounterfactualStructure, i: int) -> list:
     """Player i's switches in list order, each strategy hashed once, as
     ``(strategy, closest-state column, game position or None)``.  The plan
-    is kept on the structure, with the ``closest_columns`` keys it was read
-    from, while every key still holds the same column object."""
+    is kept on the structure, with the ``closest_columns`` keys and columns
+    it was read from, while every key still holds the same column object."""
     entry = m._plans.get(i)
-    if entry is None or any(m.closest_columns.get(key) is not column
-                            for key, (_, column, _) in zip(entry[1], entry[0])):
+    if entry is None or not all(map(is_, map(m.closest_columns.get, entry[1]), entry[2])):
         strats, index = m.strategy_sets[i], m.game._index[i]
         keys = [(i, m.strategy_index(i, s)) for s in strats]
-        entry = m._plans[i] = ([(s, m.closest_columns[key], index.get(s))
-                                for s, key in zip(strats, keys)], keys)
+        columns = [m.closest_columns[key] for key in keys]
+        entry = m._plans[i] = ([(s, column, index.get(s))
+                                for s, column in zip(strats, columns)], keys, columns)
     return entry[0]
 
 
@@ -558,9 +557,10 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
                                     for o, x in zip(own[i], others[i])]), j)
                          for j, (s, (_, target)) in enumerate(zip(game.strategy_sets[i],
                                                                   punished[i])))
-            shared = kept[key] = (plan, tuple((i, j) for j in range(len(plan))))
-        plans[i] = shared  # the switch plan and its closest_columns keys
-        columns.update(zip(shared[1], (column for _, column, _ in shared[0])))
+            shared = kept[key] = (plan, tuple((i, j) for j in range(len(plan))),
+                                  tuple(column for _, column, _ in plan))
+        plans[i] = shared  # the switch plan, its closest_columns keys and columns
+        columns.update(zip(shared[1], shared[2]))
         pairs = _others_pairs(sigma, i)
         measures = [{o * stride + off: p for off, p in pairs} if o in support else None
                     for o in range(len(game.strategy_sets[i]))]

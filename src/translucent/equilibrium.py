@@ -31,11 +31,10 @@ convolves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .beliefs import OthersBehaviorModel
 from .closed_form import checked_params, condition_terms
@@ -50,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(NamedTuple):
     """Coherence verdict with the first failing (player, strategy, deviation)."""
 
     coherent: bool
@@ -88,8 +86,7 @@ def is_coherent(game, sigma: MixedProfile, budget: int = 10_000_000) -> Coherenc
     return make_coherence_checker(game, budget)(sigma)
 
 
-@dataclass(frozen=True)
-class TeStructureReport:
+class TeStructureReport(NamedTuple):
     """TE1-TE4 verdicts for a candidate witness set inside a structure."""
 
     holds: bool
@@ -197,8 +194,7 @@ def _unit_vector(values: Sequence, n: int, name: str) -> list:
     return [to_unit(v, name) for v in values]
 
 
-@dataclass(frozen=True)
-class TypedTeResult:
+class TypedTeResult(NamedTuple):
     """Typed equilibrium verdicts.
 
     ``readings`` holds every evaluated form of the condition.  For the

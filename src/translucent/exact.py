@@ -20,6 +20,8 @@ from numbers import Rational
 from typing import Optional, Union
 
 Numeric = Union[int, float, Fraction, Decimal, str]
+# the largest magnitude a float rounds to 0 (2**-1075, a tie, goes to even)
+_TINY = Decimal(2) ** -1075
 
 
 def to_exact(x: Numeric) -> Fraction:
@@ -144,11 +146,15 @@ def _exact(value, what: str, path: str, args: tuple) -> Fraction:
 
 def number(value, path: str, *args) -> Fraction:
     """A number within the float range, since reports print numbers as
-    floats: an int, a decimal, or a string such as ``"1/3"``."""
+    floats: an int, a decimal, or a string such as ``"1/3"``.  A nonzero
+    number that would print as 0 is refused too."""
     v = _exact(value, "a number", path, args)
     if abs(v) > sys.float_info.max:
         raise InputError(f"{path.format(*args)}: expected a number of magnitude "
                          f"at most {sys.float_info.max:.12g}")
+    if v and not float(v):
+        raise InputError(f"{path.format(*args)}: expected 0 or a number of magnitude "
+                         f"above {_TINY:.12g}")
     return v
 
 

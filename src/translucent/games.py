@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm, prod
 from operator import mul
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from .exact import Numeric, common_denominator, load_json, to_exact, to_integer
 
@@ -624,8 +624,7 @@ def _multiset_law(entries: tuple, i: int) -> tuple:
 # exhaustive verification
 
 
-@dataclass(frozen=True)
-class DilemmaReport:
+class DilemmaReport(NamedTuple):
     """Result of exhaustively checking the social-dilemma axioms."""
 
     nash_equilibria: tuple

@@ -499,6 +499,14 @@ class TestNamedPaths:
          "$.lambda: expected a number of magnitude at most 1.79769313486e+308"),
         ("qre", {**PD, "lambda": 1, "tol": 10 ** 400},
          "$.tol: expected a number of magnitude at most 1.79769313486e+308"),
+        # a nonzero number whose float is 0.0 would print as 0
+        ("check", {"kind": "pd", "params": {"b": "1e-400", "c": 1},
+                   "alpha": 0.5, "beta": 0.5},
+         "$.params.b: expected 0 or a number of magnitude above 2.47032822921e-324"),
+        ("check", {**PD, "alpha": "-1e-400", "beta": 0.5},
+         "$.alpha: expected 0 or a number of magnitude above 2.47032822921e-324"),
+        ("qre", {**PD, "lambda": "1e-400"},
+         "$.lambda: expected 0 or a number of magnitude above 2.47032822921e-324"),
         ("check", {**PD, "kind": ["pd"], "alpha": 0.5, "beta": 0.5},
          "$.kind: unknown kind ['pd']"),
     ])
@@ -507,6 +515,27 @@ class TestNamedPaths:
         cfg = write_config(tmp_path, "c.json", payload)
         code, out, err = run(capsys, command, "--config", cfg)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ('"params": {"b": 1e-400, "c": 1e-401}, "alpha": 0.5',
+         "$.params.b: expected 0 or a number of magnitude above 2.47032822921e-324"),
+        ('"params": {"b": 4, "c": 1}, "alpha": 1e-400',
+         "$.alpha: expected 0 or a number of magnitude above 2.47032822921e-324"),
+        ('"params": {"b": 4, "c": 1}, "alpha": -0.0', None),
+        ('"params": {"b": 4, "c": 1}, "alpha": 0', None),
+        ('"params": {"b": 4e-323, "c": 5e-324}, "alpha": 5e-324', None),
+    ])
+    def test_numbers_that_print_as_zero(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.json"
+        path.write_text('{"kind": "pd", %s, "beta": 0.5}' % text)
+        code, out, err = run(capsys, "check", "--config", str(path))
+        if message is not None:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        else:
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert 0 < report["params"]["b"] and 0 < report["params"]["c"]
+            assert report["alpha"] == float(json.loads("{%s}" % text)["alpha"])
 
     @pytest.mark.parametrize("command,payload,message", [
         # a range key reads like every other required key
@@ -675,8 +704,8 @@ class TestFuzzFindings:
             tmp_path, capsys, "qre",
             '{"kind": "pd", "params": {"b": 4, "c": 1}, "lambda": 1, '
             '"damping": 1e-400}')
-        assert (code, out) == (2, "")
-        assert err.startswith("error: $.damping: damping must lie in (0, 1], got 1/")
+        assert (code, out, err) == (2, "", "error: $.damping: expected 0 or a number "
+                                    "of magnitude above 2.47032822921e-324\n")
 
     @pytest.mark.parametrize("token,message", [
         # Fraction(Decimal("1e-10000000")) alone takes seconds
@@ -691,13 +720,19 @@ class TestFuzzFindings:
             '{"kind": "pd", "params": {"b": 4, "c": 1}, "lambda": %s}' % token)
         assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
-    def test_exponents_up_to_4300_digits_read_exactly(self, tmp_path, capsys):
+    @pytest.mark.parametrize("token,message", [
+        # exactly 10^-4299: nonzero, so not 0, but its float is 0.0
+        ("1e-4299", "expected 0 or a number of magnitude above 2.47032822921e-324"),
+        # 4,299 digits and exponent digits in all: exactly 3/2
+        ("15" + "0" * 2148 + "e-2149", "damping must lie in (0, 1], got 3/2"),
+    ])
+    def test_exponents_up_to_4300_digits_read_exactly(self, tmp_path, capsys, token,
+                                                      message):
         code, out, err = self.run_raw(
             tmp_path, capsys, "qre",
             '{"kind": "pd", "params": {"b": 4, "c": 1}, "lambda": 1, '
-            '"damping": 1e-4299}')
-        assert (code, out, err) == (2, "", "error: $.damping: damping must lie "
-                                    "in (0, 1], got 1/1" + "0" * 4299 + "\n")
+            '"damping": %s}' % token)
+        assert (code, out, err) == (2, "", f"error: $.damping: {message}\n")
 
     @pytest.mark.parametrize("argv", [["check", "--config"], ["validate-structure"]])
     def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, argv):

@@ -374,6 +374,37 @@ def test_switch_plans_follow_in_place_column_edits():
                 == outcome(oracle.is_rational_at, m, 0, k))
 
 
+@pytest.mark.parametrize("build", ["coherent", "typed", "parsed"])
+def test_switch_plan_rereads_an_equal_replaced_column(build):
+    """A cached report is handed out again only while each closest_columns
+    key holds the very column object its plan was read from: an equal but
+    distinct tuple misses and is read anew, and a deleted key raises."""
+    d = POOL[4]  # bertrand (2, 2, 6)
+    sigma = MixedProfile.two_point(d, [F(1, 2), F(3, 4)])
+    if build == "typed":
+        m = build_typed_dilemma_structure(d, [F(1, 2)] * 2, [F(1, 2), F(3, 4)])
+    else:
+        m = build_coherent_structure(d, sigma, strict=False)
+        if build == "parsed":
+            m = structure_from_json(structure_to_json(m), game=d.game)
+    first = is_rational_at(m, 0, 0)
+    plan = counterfactual._switch_plan(m, 0)
+    assert is_rational_at(m, 0, 0) == first
+    assert counterfactual._switch_plan(m, 0) is plan  # a hit keeps the plan
+    key = (0, 0)
+    column = tuple(list(m.closest_columns[key]))
+    assert column == m.closest_columns[key] and column is not m.closest_columns[key]
+    m.closest_columns[key] = column
+    assert is_rational_at(m, 0, 0) == first
+    reread = counterfactual._switch_plan(m, 0)
+    assert reread is not plan and reread[0][1] is column
+    cell = next(cell for (i, _, _), cell in m._reports.items() if i == 0)
+    assert cell[3] is reread  # the memo holds the re-read plan
+    del m.closest_columns[key]
+    with pytest.raises(KeyError):
+        is_rational_at(m, 0, 0)
+
+
 def test_coherent_builds_share_one_search():
     game = custom_game()
     sigma = MixedProfile(game, [{"a": F(1)}, {F(0): F(1)}, {"x": F(1)}])

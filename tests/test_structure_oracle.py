@@ -419,9 +419,9 @@ def test_te1_on_subsets_mixing_support_off_support_and_off_game_states(make):
         assert got == outcome(oracle.te_in_structure, off_game, sigma, subset)
         assert got[0] == "ok"
     gone = {off[0], off[1]}
-    assert te_in_structure(off_game, sigma, mixed) == dataclasses.replace(
-        report, **{name: tuple(v for v in getattr(report, name) if v[0] not in gone)
-                   for name in ("te2", "te3", "te4")})
+    assert te_in_structure(off_game, sigma, mixed) == report._replace(
+        **{name: tuple(v for v in getattr(report, name) if v[0] not in gone)
+           for name in ("te2", "te3", "te4")})
     assert te_in_structure(off_game, sigma, [off[0]]) == (
         TeStructureReport(False, ((off[0],),), (), (), ()))
 

@@ -210,8 +210,8 @@ class CooperationScanner:
         return best_int, den_dev, best_dev, eu_best
 
     def verdict(self, t: TranslucentType) -> RationalityReport:
-        an, ad = t.alpha.numerator, t.alpha.denominator
-        bn, bd = t.beta.numerator, t.beta.denominator
+        an, ad = t.alpha.as_integer_ratio()
+        bn, bd = t.beta.as_integer_ratio()
         path = self._on_path.get((bn, bd))
         if path is None:
             path = self._on_path[bn, bd] = self._path_entry(bn, bd)

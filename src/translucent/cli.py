@@ -127,14 +127,16 @@ def _check_grid_budget(grids: dict, what: str, budget: int) -> None:
 
 def _jsonable(value):
     """Normalize report values: exact integers stay ints, every other number
-    is rounded to 12 significant digits."""
+    is rounded to 12 significant digits, and a nonzero one whose float is 0
+    becomes its exact fraction string."""
     if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
         return value
     if isinstance(value, (Fraction, float)):
         f = to_exact(value)
         if f.denominator == 1:
             return f.numerator
-        return float(f"{float(f):.12g}")
+        x = float(f)
+        return float(f"{x:.12g}") if x else str(f)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -214,6 +216,18 @@ def _check_profile_count(cfg: dict, kind: str, params: dict, budget: int) -> Non
     if min(own, n) > 1 and (n >= budget.bit_length() or own ** n > budget):
         raise CliError(f"{where}: {own} strategies for each of {n} players make "
                        f"{own}^{n} profiles, exceeding budget {budget}")
+
+
+def _max_iter(cfg: dict, budget: int) -> int:
+    """The QRE solver's iteration cap: a given ``$.max_iter`` is refused
+    above ``budget`` before anything is built; the default, 20,000, is not
+    an input, so a small budget still bounds only the game."""
+    if "max_iter" not in cfg:
+        return 20_000
+    max_iter = integer(cfg["max_iter"], "$.max_iter")
+    if max_iter > budget:
+        raise CliError(f"$.max_iter: {max_iter} iterations exceed budget {budget}")
+    return max_iter
 
 
 def _check_players(n: int, path: str, budget: int, te: bool = False) -> None:
@@ -301,7 +315,7 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
     if mode == "qre":
         alphas = sized["$.lambda"] = _grid(field(cfg, "lambda", "$"), "$.lambda")
         betas = [None]
-        max_iter = integer(cfg.get("max_iter", 20_000), "$.max_iter")
+        max_iter = _max_iter(cfg, budget)
     else:
         betas = sized["$.beta"] = _grid(field(cfg, "beta", "$"), "$.beta")
         if mode in ("cooperation", "te_typed"):
@@ -558,7 +572,7 @@ def cmd_qre(cfg: dict, budget: int) -> tuple:
     if not 0 < damping <= 1 or not float(damping):  # nor below every float
         raise CliError(f"$.damping: damping must lie in (0, 1], got {damping}")
     tol = float(number(cfg.get("tol", 1e-10), "$.tol"))
-    max_iter = integer(cfg.get("max_iter", 20_000), "$.max_iter")
+    max_iter = _max_iter(cfg, budget)
     _check_profile_count(cfg, kind, params, budget)
     d = _on_params(make_dilemma, kind, params)
     try:

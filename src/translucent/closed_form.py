@@ -16,9 +16,11 @@ where f(gamma, N) = sum_k C(N-1, k) (1-gamma)^k gamma^(N-1-k) / (k+1) is the
 expected reciprocal share of a price-floor tie.
 
 Every verdict is decided on integers.  alpha, beta and the game parameters
-are split into numerator and denominator, each inequality is held as
-(lhs_num, lhs_den, rhs_num, rhs_den) with positive denominators and decided
-by cross-multiplying; for bertrand, with gamma = gn/gd,
+are each split once into numerator and denominator (one ``as_integer_ratio``
+call per value), each inequality is held as (lhs_num, lhs_den, rhs_num,
+rhs_den) with positive denominators and decided by cross-multiplying, and
+td's binding condition, the one with the strictly smaller lhs - rhs, is
+picked inline from the same products; for bertrand, with gamma = gn/gd,
 f(gamma, N) = (gd^N - gn^N) / (N * gd^(N-1) * (gd - gn)).  ``Fraction``s are
 built only for the two sides a ``CooperationVerdict`` returns.  Each game's
 conditions are stated once, in the unchecked integer core
@@ -104,18 +106,20 @@ def cooperation_condition(kind: str, params: dict, alpha: Numeric,
     that the public-goods marginal return may equal 1 here (cooperation is
     then rational for every type, the limit case of the condition).
     """
-    a = to_unit(alpha, "alpha")
-    b_ = to_unit(beta, "beta")
-    binding, *rest = condition_terms(kind, checked_params(kind, params),
-                                     a.numerator, a.denominator,
-                                     b_.numerator, b_.denominator)
-    ln, ld, rn, rd = binding
-    rational = ln * rd >= rn * ld
-    for cond in rest:  # td's undercut-by-one condition
-        xn, xd, xrn, xrd = cond
-        rational = rational and xn * xrd >= xrn * xd
-        if _margin_below(cond, binding):
-            ln, ld, rn, rd = binding = cond
+    an, ad = to_unit(alpha, "alpha").as_integer_ratio()
+    bn, bd = to_unit(beta, "beta").as_integer_ratio()
+    terms = condition_terms(kind, checked_params(kind, params), an, ad, bn, bd)
+    ln, ld, rn, rd = terms[0]
+    margin = ln * rd - rn * ld  # lhs - rhs over ld * rd
+    rational = margin >= 0
+    if len(terms) > 1:
+        # td's undercut-by-one condition; it binds when its margin is
+        # strictly smaller (all denominators are positive)
+        xn, xd, xrn, xrd = terms[1]
+        x_margin = xn * xrd - xrn * xd
+        rational = rational and x_margin >= 0
+        if x_margin * (ld * rd) < margin * (xd * xrd):
+            ln, ld, rn, rd = xn, xd, xrn, xrd
     return CooperationVerdict(rational, Fraction(ln, ld), Fraction(rn, rd))
 
 
@@ -142,11 +146,12 @@ def condition_terms(kind: str, checked: tuple, an: int, ad: int, bn: int,
     ``checked_params``, so nothing is checked here."""
     if kind == "pd":
         b, c = checked
-        return [(an * bn * b.numerator, ad * bd * b.denominator,
-                 c.numerator, c.denominator)]
+        b_n, b_d = b.as_integer_ratio()
+        c_n, c_d = c.as_integer_ratio()
+        return [(an * bn * b_n, ad * bd * b_d, c_n, c_d)]
     if kind == "td":
         l, h, bonus = checked
-        sn, sd = bonus.numerator, bonus.denominator
+        sn, sd = bonus.as_integer_ratio()
         conditions = [((h - l) * bn, bd, sn * (ad * bd - an * bn), sd * ad * bd)]
         if 2 * an < ad:
             conditions.append((ad + an * (h - l - 1), ad, sn * (ad - 2 * an),
@@ -154,7 +159,7 @@ def condition_terms(kind: str, checked: tuple, an: int, ad: int, bn: int,
         return conditions
     if kind == "pgg":
         n, rho, _ = checked
-        rn, rd = rho.numerator, rho.denominator
+        rn, rd = rho.as_integer_ratio()
         return [(an * bn * rn * (n - 1), ad * bd * rd, rd - rn, rd)]
     n, l, h = checked  # bertrand
     # tie term f(gamma, N) * L * N / H with gamma = gn/gd: the N cancels,
@@ -167,21 +172,12 @@ def condition_terms(kind: str, checked: tuple, an: int, ad: int, bn: int,
     return [(bn ** (n - 1), bd ** (n - 1), *tie)]
 
 
-def _margin_below(x: tuple, y: tuple) -> bool:
-    """Whether condition x has a strictly smaller lhs - rhs than y (all
-    denominators are positive)."""
-    xn, xd, xrn, xrd = x
-    yn, yd, yrn, yrd = y
-    return ((xn * xrd - xrn * xd) * (yd * yrd)
-            < (yn * yrd - yrn * yd) * (xd * xrd))
-
-
 def bertrand_lower_bound_check(beta: Numeric, l: int, h: int, n: int) -> bool:
     """True iff beta^(N-1) < L/H, which makes cooperation irrational for
     every alpha (f >= 1/N bounds the tie term from below)."""
     n, l, h = bertrand_params(n, l, h)
-    b_ = to_unit(beta, "beta")
-    return b_.numerator ** (n - 1) * h < l * b_.denominator ** (n - 1)
+    bn, bd = to_unit(beta, "beta").as_integer_ratio()
+    return bn ** (n - 1) * h < l * bd ** (n - 1)
 
 
 def bertrand_undercut_condition(params: dict, alpha: Numeric, beta: Numeric) -> bool:
@@ -193,10 +189,9 @@ def bertrand_undercut_condition(params: dict, alpha: Numeric, beta: Numeric) -> 
     At beta = 0 both sides are 0 and the guard holds.
     """
     n, l, h = bertrand_params(params["n"], params["l"], params["h"])
-    a = to_unit(alpha, "alpha")
-    if to_unit(beta, "beta").numerator == 0:
+    an, ad = to_unit(alpha, "alpha").as_integer_ratio()
+    if not to_unit(beta, "beta"):
         return True
-    an, ad = a.numerator, a.denominator
     return h * ad ** (n - 1) >= n * (h - 1) * (ad - an) ** (n - 1)
 
 

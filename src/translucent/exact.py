@@ -60,7 +60,8 @@ def to_unit(x: Numeric, name: str) -> Fraction:
     """``x`` as a Fraction in [0, 1]; any other value raises ValueError
     naming ``name``."""
     v = to_exact(x)
-    if not 0 <= v.numerator <= v.denominator:
+    n, d = v.as_integer_ratio()
+    if not 0 <= n <= d:
         raise ValueError(f"{name} must lie in [0, 1], got {v}")
     return v
 
@@ -74,11 +75,13 @@ def common_denominator(values) -> tuple:
 
 
 def format_number(x: Numeric) -> str:
-    """Format for CSV/JSON: integers bare, otherwise 12 significant digits."""
+    """Format for CSV/JSON: integers bare, otherwise 12 significant digits,
+    or the exact fraction string of a nonzero value whose float is 0."""
     f = to_exact(x)
     if f.denominator == 1:
         return str(f.numerator)
-    return f"{float(f):.12g}"
+    v = float(f)
+    return f"{v:.12g}" if v else str(f)
 
 
 # ---------------------------------------------------------------------------

@@ -291,9 +291,10 @@ def payoff(game, profile: Profile, i: int) -> Fraction:
 
 def pd_params(b: Numeric, c: Numeric) -> tuple:
     b, c = to_exact(b), to_exact(c)
-    if not c.numerator > 0:
+    (bn, bd), (cn, cd) = b.as_integer_ratio(), c.as_integer_ratio()
+    if not cn > 0:
         raise ValueError(f"cost must be positive, got c={c}")
-    if not b.numerator * c.denominator > c.numerator * b.denominator:
+    if not bn * cd > cn * bd:
         raise ValueError(f"benefit must exceed cost, got b={b} <= c={c}")
     return b, c
 
@@ -306,7 +307,7 @@ def pgg_params(n: int, rho: Numeric, grid: int = 100,
     if n < 2:
         raise ValueError("public goods game needs n >= 2 players")
     rho = to_exact(rho)
-    rn, rd = rho.numerator, rho.denominator
+    rn, rd = rho.as_integer_ratio()
     if allow_rho_one:
         if not rd < n * rn <= n * rd:
             raise ValueError(f"marginal return must lie in (1/{n}, 1], got {rho}")
@@ -505,16 +506,15 @@ class MixedProfile:
         positions = dilemma._positions
         if len(betas) != dilemma.num_players:
             raise ValueError("one beta per player required")
-        exact = []
+        ratios = []
         for i, beta in enumerate(betas):
-            beta = to_exact(beta)
-            if not 0 <= beta.numerator <= beta.denominator:
+            bn, bd = to_exact(beta).as_integer_ratio()
+            if not 0 <= bn <= bd:
                 raise ValueError(f"beta of player {i} must lie in [0, 1]")
-            exact.append(beta)
+            ratios.append((bn, bd))
         entries = []
-        for i, (beta, (pc, pd)) in enumerate(zip(exact, positions)):
+        for i, ((bn, bd), (pc, pd)) in enumerate(zip(ratios, positions)):
             c, d = dilemma.cooperate_strategy(i), dilemma.defect_strategy(i)
-            bn, bd = beta.numerator, beta.denominator
             if pc == pd:  # the masses collapse onto c: 1 - beta
                 if bn:
                     raise ValueError(f"distribution of player {i} does not sum to 1")

@@ -1014,6 +1014,72 @@ class TestQreCommand:
             (F(10) ** 200, "0", "true"), (F(10) ** 308, "0", "true")]
 
 
+class TestMaxIterBudget:
+    """A given ``max_iter`` above ``--budget`` exits 2 naming ``$.max_iter``
+    before the game is built or the solver iterates."""
+
+    PD = {"kind": "pd", "params": {"b": 4, "c": 1}}
+    COMMANDS = [("qre", {"lambda": 0.5}), ("sweep", {"mode": "qre", "lambda": [0.5]})]
+
+    @pytest.mark.parametrize("command,extra", COMMANDS)
+    def test_huge_max_iter_refuses_before_iterating(self, tmp_path, capsys,
+                                                    command, extra):
+        import time
+
+        cfg = write_config(tmp_path, "q.json", {
+            **self.PD, **extra, "tol": 0, "max_iter": 10 ** 9})
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--config", cfg, "--budget", "1000")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (
+            2, "", "error: $.max_iter: 1000000000 iterations exceed budget 1000\n")
+
+    @pytest.mark.parametrize("command,extra", COMMANDS)
+    def test_budget_is_the_exact_count(self, tmp_path, capsys, command, extra):
+        cfg = write_config(tmp_path, "q.json", {**self.PD, **extra, "max_iter": 50})
+        code, _, err = run(capsys, command, "--config", cfg, "--budget", "50")
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, command, "--config", cfg, "--budget", "49")
+        assert (code, out, err) == (
+            2, "", "error: $.max_iter: 50 iterations exceed budget 49\n")
+
+    @pytest.mark.parametrize("command,extra", COMMANDS)
+    def test_default_config_still_runs(self, tmp_path, capsys, command, extra):
+        # the default cap, 20,000, is not an input: it runs under the
+        # default budget and under one below it
+        cfg = write_config(tmp_path, "q.json", {**self.PD, **extra})
+        for budget in ([], ["--budget", "4"]):
+            code, out, err = run(capsys, command, "--config", cfg, *budget)
+            assert (code, err) == (0, "")
+            assert out
+
+
+class TestTinyExactValues:
+    """A nonzero value whose float is 0 prints as its exact fraction string,
+    never as 0."""
+
+    TINY = {"kind": "pd", "params": {"b": 4e-323, "c": 5e-324}, "beta": 0.5}
+    MARGIN = "1/1" + "0" * 646  # alpha * beta * b = 5e-324 * 1/2 * 4e-323
+
+    def test_json_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {**self.TINY, "alpha": 5e-324})
+        code, out, err = run(capsys, "check", "--config", cfg)
+        assert (code, err) == (0, "")
+        closed = json.loads(out)["closed_form"]
+        assert closed == {"binding": self.MARGIN, "rational": False,
+                          "threshold": 5e-324}
+        assert F(closed["binding"]) == F(5, 10 ** 324) * F(1, 2) * F(4, 10 ** 323)
+
+    def test_csv_row(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.json", {**self.TINY, "alpha": [5e-324, 0.5]})
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.split()[1:]]
+        assert [row[4:] for row in rows] == [
+            ["false", self.MARGIN, "4.94065645841e-324"],
+            ["true", "9.88131291682e-324", "4.94065645841e-324"]]
+
+
 class TestDeterminism:
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
         configs = {

@@ -7,6 +7,7 @@ raises, and ``_replace`` gives a changed copy.  The inputs that validate
 stay dataclasses.
 """
 
+import ast
 import dataclasses
 import re
 from fractions import Fraction as F
@@ -133,3 +134,34 @@ def test_readme_quick_tour_repr():
     shown = found.group(1) + " " + found.group(2)
     d = make_prisoners_dilemma(4, 1)
     assert repr(is_cooperation_rational(d, 0, TranslucentType(F(1, 2), F(1, 2)))) == shown
+
+
+def test_readme_quick_tour_runs():
+    """The quick tour runs statement by statement, and each expression
+    equals the literal that opens its trailing comment (a float to within
+    1e-12); the multi-line repr, which is no literal, is the test above's."""
+    block = re.search(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S).group(1)
+    lines = block.splitlines() + [""]
+    namespace, compared, unread = {}, [], []
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        comment = (lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+                   or lines[stmt.end_lineno].strip())
+        assert comment.startswith("# ")
+        opening = comment[2:].split()[0]
+        try:
+            expected = ast.literal_eval(opening)
+        except (SyntaxError, ValueError):
+            unread.append(opening)
+            continue
+        assert type(value) is type(expected)
+        if isinstance(expected, float):
+            assert abs(value - expected) <= 1e-12
+        else:
+            assert value == expected
+        compared.append(opening)
+    assert compared == ["True", "True", "[]", "0.11920292202211755"]
+    assert unread == ["RationalityReport(rational=True,"]

@@ -4,9 +4,9 @@ Subcommands: ``check``, ``sweep``, ``equilibrium``, ``population``,
 ``validate-structure``, ``qre``.  Every command is driven by a single JSON
 config (read by ``exact.load_json``), prints its report to stdout,
 and optionally copies it to ``--out``.  Outputs are byte-deterministic:
-floats carry 12 significant digits with a ``.`` separator, JSON keys are
-sorted, and sweep rows come out in lexicographic grid order no matter how
-the grid is evaluated.
+every number prints by ``exact.report_value``, JSON keys are sorted, and
+sweep rows come out in lexicographic grid order no matter how the grid is
+evaluated.
 
 Exit codes: 0 on success, 1 when the command's domain check fails (structure
 violations, an unconverged fixed point, spot-check mismatches), 2 on input
@@ -31,15 +31,8 @@ from .closed_form import checked_params, cooperation_condition
 from .counterfactual import structure_from_json, validate_structure
 from .equilibrium import MixedProfile, is_coherent, te_condition, te_condition_typed
 from .exact import (InputError, field, format_number, integer, load_json, number,
-                    plain, to_exact, unit)
-from .games import BudgetExceededError, make_dilemma
-
-PARAM_ORDER = {
-    "pd": ("b", "c"),
-    "pgg": ("n", "rho"),
-    "bertrand": ("n", "l", "h"),
-    "td": ("l", "h", "bonus"),
-}
+                    plain, report_value, to_exact, unit)
+from .games import PARAMS, BudgetExceededError, make_dilemma
 
 INTEGER_PARAMS = ("n", "l", "h")
 
@@ -125,31 +118,12 @@ def _check_grid_budget(grids: dict, what: str, budget: int) -> None:
                        f"exceeding budget {budget}")
 
 
-def _jsonable(value):
-    """Normalize report values: exact integers stay ints, every other number
-    is rounded to 12 significant digits, and a nonzero one whose float is 0
-    becomes its exact fraction string."""
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
-        return value
-    if isinstance(value, (Fraction, float)):
-        f = to_exact(value)
-        if f.denominator == 1:
-            return f.numerator
-        x = float(f)
-        return float(f"{x:.12g}") if x else str(f)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
-
-
 def _dump_report(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, default=report_value, sort_keys=True, indent=2) + "\n"
 
 
 def _check_kind(kind) -> None:
-    if not isinstance(kind, str) or kind not in PARAM_ORDER:
+    if not isinstance(kind, str) or kind not in PARAMS:
         raise CliError(f"$.kind: unknown kind {plain(kind)!r}")
 
 
@@ -157,7 +131,7 @@ def _params_from_config(cfg: dict, kind: str) -> dict:
     raw = field(cfg, "params", "$")
     _check_kind(kind)
     params = {}
-    for key in PARAM_ORDER[kind]:
+    for key in PARAMS[kind]:
         read = integer if key in INTEGER_PARAMS else number
         params[key] = read(field(raw, key, "$.params"), f"$.params.{key}")
     if kind == "pgg":
@@ -252,7 +226,7 @@ def _per_player(values, path: str, n: int, name: str) -> list:
 
 
 def _snapshot(kind: str, params: dict) -> str:
-    keys = PARAM_ORDER[kind]
+    keys = PARAMS[kind]
     return ";".join(f"{k}={format_number(params[k])}" for k in keys)
 
 
@@ -275,7 +249,7 @@ def cmd_check(cfg: dict, budget: int) -> tuple:
         raise CliError(str(exc)) from exc
     report = {
         "kind": kind,
-        "params": {k: v for k, v in params.items()},
+        "params": params,
         "alpha": alpha,
         "beta": beta,
         "closed_form": {
@@ -300,7 +274,7 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
     """Yield (param_dict, alpha, beta, rational, binding, threshold) in
     lexicographic grid order, once the row count is within ``budget``."""
     raw_params = field(cfg, "params", "$")
-    keys = PARAM_ORDER[kind]
+    keys = PARAMS[kind]
     grids, sized = [], {}  # sized: JSON path -> grid, for the budget
     for key in keys:
         path = f"$.params.{key}"
@@ -527,7 +501,7 @@ def cmd_population(cfg: dict, budget: int) -> tuple:
 
     total = sum((w for _, _, w in types), Fraction(0))
     if abs(total - 1) > Fraction(1, 10 ** 9):
-        raise CliError(f"$.population: weights sum to {float(total):.12g}, "
+        raise CliError(f"$.population: weights sum to {format_number(total)}, "
                        "expected 1 within 1e-9")
     if any(w < 0 for _, _, w in types):
         raise CliError("$.population: weights must be nonnegative")
@@ -585,7 +559,7 @@ def cmd_qre(cfg: dict, budget: int) -> tuple:
         "params": params,
         "lambda": lam,
         "profile": [
-            {str(s): f"{p:.12g}" for s, p in sorted(dist.items(), key=lambda t: str(t[0]))}
+            {str(s): format_number(p) for s, p in sorted(dist.items(), key=lambda t: str(t[0]))}
             for dist in res.distributions
         ],
         "residual": f"{res.residual:.6e}",
@@ -607,10 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, with_config in (
-        ("check", True), ("sweep", True), ("equilibrium", True),
-        ("population", True), ("qre", True),
-    ):
+    for name in ("check", "sweep", "equilibrium", "population", "qre"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", help="also write the report to this path")

@@ -656,7 +656,8 @@ def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Seq
 
 def build_typed_pd_structure(alpha_1, alpha_2, beta_1, beta_2, b, c) -> CounterfactualStructure:
     """The 16-state detection-bit structure for the prisoner's dilemma with
-    player types (alpha_1, alpha_2) and cooperation beliefs (beta_1, beta_2)."""
+    player types (alpha_1, alpha_2) and cooperation beliefs (beta_1, beta_2).
+    A public name: the README's quick tour and the acceptance tests call it."""
     from .games import make_prisoners_dilemma
 
     d = make_prisoners_dilemma(b, c)

@@ -74,14 +74,24 @@ def common_denominator(values) -> tuple:
     return [n * (den // d) for n, d in pairs], den
 
 
-def format_number(x: Numeric) -> str:
-    """Format for CSV/JSON: integers bare, otherwise 12 significant digits,
-    or the exact fraction string of a nonzero value whose float is 0."""
+def report_value(x: Numeric):
+    """How every report prints ``x``: an exact integer as an int, a value
+    whose float is 0 or past the float range as its exact ``"n/d"`` string,
+    any other as its float rounded to 12 significant digits."""
     f = to_exact(x)
     if f.denominator == 1:
-        return str(f.numerator)
-    v = float(f)
-    return f"{v:.12g}" if v else str(f)
+        return f.numerator
+    try:
+        v = float(f)
+    except OverflowError:  # int true division past the float range
+        return str(f)
+    return float(f"{v:.12g}") if v else str(f)
+
+
+def format_number(x: Numeric) -> str:
+    """The CSV text of ``report_value(x)``."""
+    v = report_value(x)
+    return f"{v:.12g}" if type(v) is float else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +158,9 @@ def _exact(value, what: str, path: str, args: tuple) -> Fraction:
 
 
 def number(value, path: str, *args) -> Fraction:
-    """A number within the float range, since reports print numbers as
-    floats: an int, a decimal, or a string such as ``"1/3"``.  A nonzero
-    number that would print as 0 is refused too."""
+    """A number within the float range, since ``qre`` reads its lambda,
+    damping and tol as floats: an int, a decimal, or a string such as
+    ``"1/3"``.  A nonzero number whose float is 0 is refused too."""
     v = _exact(value, "a number", path, args)
     if abs(v) > sys.float_info.max:
         raise InputError(f"{path.format(*args)}: expected a number of magnitude "

@@ -31,7 +31,10 @@ Profile = tuple  # tuple[Strategy, ...]
 COOPERATE = "C"
 DEFECT = "D"
 
-KINDS = ("pd", "pgg", "bertrand", "td")
+# each kind's parameters in report order (pgg's optional grid aside)
+PARAMS = {"pd": ("b", "c"), "pgg": ("n", "rho"), "bertrand": ("n", "l", "h"),
+          "td": ("l", "h", "bonus")}
+KINDS = tuple(PARAMS)
 
 
 class BudgetExceededError(RuntimeError):
@@ -437,20 +440,18 @@ def make_travelers_dilemma(l: int, h: int, bonus: Numeric) -> SocialDilemma:
                          nash_profile=(l, l), welfare_profile=(h, h))
 
 
-_FACTORIES = {
-    "pd": lambda params: make_prisoners_dilemma(params["b"], params["c"]),
-    "pgg": lambda params: make_public_goods(params["n"], params["rho"],
-                                            params.get("grid", 100)),
-    "bertrand": lambda params: make_bertrand(params["n"], params["l"], params["h"]),
-    "td": lambda params: make_travelers_dilemma(params["l"], params["h"],
-                                                params["bonus"]),
-}
+_FACTORIES = {"pd": make_prisoners_dilemma, "pgg": make_public_goods,
+              "bertrand": make_bertrand, "td": make_travelers_dilemma}
 
 
 def make_dilemma(kind: str, params: dict) -> SocialDilemma:
+    """The game of ``kind`` on ``params[k]`` for ``k`` in ``PARAMS[kind]``."""
     if kind not in _FACTORIES:
         raise ValueError(f"unknown dilemma kind {kind!r}, expected one of {KINDS}")
-    return _FACTORIES[kind](params)
+    args = [params[k] for k in PARAMS[kind]]
+    if kind == "pgg":
+        args.append(params.get("grid", 100))
+    return _FACTORIES[kind](*args)
 
 
 # ---------------------------------------------------------------------------

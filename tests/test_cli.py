@@ -548,6 +548,10 @@ class TestNamedPaths:
         ("check", {**PD, "kind": 0.5, "alpha": 0.5, "beta": 0.5},
          "$.kind: unknown kind 0.5"),
         ("qre", {**PD, "lambda": [0.5]}, "$.lambda: expected a number, got [0.5]"),
+        # each weight is a float, their sum is past the float range
+        ("population", {**PD, "population": {"types": [
+            {"alpha": 0.5, "beta": 0.5, "weight": 1e308}] * 2}},
+         f"$.population: weights sum to {2 * 10 ** 308}, expected 1 within 1e-9"),
     ])
     def test_reader_messages(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, "c.json", payload)

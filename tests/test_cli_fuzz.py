@@ -3,8 +3,9 @@
 Configs are generated for the five config commands, every kind and every
 sweep mode, and some of them are broken at one place: a value of the wrong
 type, out of its domain, one of the JSON constants NaN, Infinity and
--Infinity, a number past the float range, or a missing key.  Budgets stay
-at or below 64 and iteration caps at or below 200, so every run is small.
+-Infinity, a number past the float range or an integer near its edge, or a
+missing key.  Budgets stay at or below 64 and iteration caps at or below
+200, so every run is small.
 Every run must exit 0, 1 or 2 without an uncaught exception, and a second
 run of the same config must print the same stdout.  Every exit-2 message
 names where the input went wrong: a JSON path (``$...``) or the config
@@ -38,6 +39,7 @@ RAW_TOKENS = ["1e400", "-1e400", "1e-400"]
 
 MALFORMED = [
     None, "x", "", [], {}, True, -1, -0.5, 0, 7, 10 ** 30, [1, "y"],
+    10 ** 308, 17 * 10 ** 307,  # within the float range; sums can leave it
     {"start": 0}, float("inf"), float("-inf"), float("nan"),
     *(f"@raw:{token}" for token in RAW_TOKENS),
 ]

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isinf, prod
+from typing import NamedTuple
 
 from .exact import Numeric, to_exact
 from .games import BudgetExceededError, Profile, as_game
@@ -106,8 +107,7 @@ def fs_pgg_full_contribution_condition(b_fs_i: Numeric, rho: Numeric) -> bool:
 # logit quantal response
 
 
-@dataclass(frozen=True)
-class QreResult:
+class QreResult(NamedTuple):
     """A logit fixed point (or the best iterate when not converged)."""
 
     lam: float
@@ -188,24 +188,29 @@ def logit_qre(game, lam: Numeric, *, damping: float = 0.5, tol: float = 1e-10,
     if total > budget:
         raise BudgetExceededError(total, budget, "profile evaluations")
 
+    # A symmetric game's players share one table and start uniform, so every
+    # iterate gives them bitwise-equal vectors: player 0's is iterated alone
+    # and, copied, stands for every player's.
+    live, copies = (1, n) if game.symmetric else (n, 1)
+
     # Dense payoff tensor per player, flattened over the others' profiles.
     payoff_ops = []
-    for i, table in enumerate(_payoff_tables(game)):
+    for i, table in enumerate(_payoff_tables(game)[:live]):
         others = [j for j in range(n) if j != i]
 
         def op(sigmas, others=others, table=table):
             weights = np.ones(1)
-            for j in others:
-                weights = np.kron(weights, sigmas[j])
+            for j in others:  # np.kron's products, without its overhead
+                weights = np.outer(weights, sigmas[j]).ravel()
             return table @ weights
 
         payoff_ops.append(op)
 
-    sigmas = [np.full(s, 1.0 / s) for s in sizes]
+    sigmas = [np.full(s, 1.0 / s) for s in sizes[:live]]
     residual = float("inf")
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        response = _logit_response(payoff_ops, sigmas, lam)
+        response = _logit_response(payoff_ops, sigmas * copies, lam)
         residual = max(float(np.max(np.abs(r - s)))
                        for r, s in zip(response, sigmas))
         if residual <= tol:
@@ -216,7 +221,7 @@ def logit_qre(game, lam: Numeric, *, damping: float = 0.5, tol: float = 1e-10,
 
     converged = residual <= tol
     dists = tuple(
-        {s: float(p) for s, p in zip(game.strategy_sets[i], sigmas[i])}
-        for i in range(n)
+        {s: float(p) for s, p in zip(strategies, sigma)}
+        for strategies, sigma in zip(game.strategy_sets, sigmas * copies)
     )
     return QreResult(lam, dists, residual, iterations, converged)

@@ -19,22 +19,26 @@ import argparse
 import io
 import itertools
 import json
-import random
 import sys
 from fractions import Fraction
 from math import comb, prod
 
 from . import __version__
-from .alt_models import logit_qre
-from .beliefs import TranslucentType, is_cooperation_rational
 from .closed_form import checked_params, cooperation_condition
-from .counterfactual import structure_from_json, validate_structure
-from .equilibrium import MixedProfile, is_coherent, te_condition, te_condition_typed
 from .exact import (InputError, field, format_number, integer, load_json, number,
                     plain, report_value, to_exact, unit)
-from .games import PARAMS, BudgetExceededError, make_dilemma
+from .games import PARAMS, BudgetExceededError, MixedProfile, make_dilemma
 
 INTEGER_PARAMS = ("n", "l", "h")
+
+# The other layers' entry points, each imported by the first command that
+# calls it (``_entry``), so a cold run loads only its own command's modules:
+# name -> the module that defines it
+_LAYERS = {"TranslucentType": "beliefs", "is_cooperation_rational": "beliefs",
+           "is_coherent": "equilibrium", "te_condition": "equilibrium",
+           "te_condition_typed": "equilibrium", "logit_qre": "alt_models",
+           "structure_from_json": "counterfactual",
+           "validate_structure": "counterfactual"}
 
 SWEEP_HEADER = "kind,param_snapshot,alpha,beta,rational,binding,threshold"
 
@@ -43,6 +47,24 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = 2):
         super().__init__(message)
         self.code = code
+
+
+def _entry(name: str):
+    """The entry point ``name`` of ``_LAYERS``: the module global once bound,
+    else imported and bound.  A rebound global is what the commands call,
+    so the benchmark's traced run can wrap each one in a span through the
+    module's attributes (``__getattr__`` resolves a name not yet bound)."""
+    value = globals().get(name)
+    if value is None:  # as ``from .<module> import <name>``, seen by -X importtime
+        module = __import__(_LAYERS[name], globals(), None, (name,), 1)
+        value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __getattr__(name: str):
+    if name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _entry(name)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +264,9 @@ def cmd_check(cfg: dict, budget: int) -> tuple:
     _check_engine_size(cfg, kind, params, budget)
     d = _on_params(make_dilemma, kind, params)
     try:
-        t = TranslucentType(alpha, beta)
+        t = _entry("TranslucentType")(alpha, beta)
         closed = cooperation_condition(kind, params, alpha, beta)
-        engine = is_cooperation_rational(d, 0, t)
+        engine = _entry("is_cooperation_rational")(d, 0, t)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc
     report = {
@@ -313,7 +335,6 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
         if kind == "pgg":
             params["grid"] = pgg_grid
         _on_params(checked_params, kind, params)
-        n_players = params.get("n", 2)
         if mode == "qre":  # one game per combination: every lambda reuses its memo
             _check_profile_count(cfg, kind, params, budget)
             d = _on_params(make_dilemma, kind, params)
@@ -321,7 +342,7 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
             for beta in betas:
                 try:
                     if mode == "qre":
-                        res = logit_qre(d, alpha, max_iter=max_iter, budget=budget)
+                        res = _logit_qre(d, alpha, max_iter=max_iter, budget=budget)
                         if not res.converged:
                             raise CliError(
                                 f"qre did not converge at lambda={alpha} "
@@ -331,20 +352,13 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
                         row = (to_exact(coop) <= Fraction(1, 2),
                                Fraction(1, 2), to_exact(coop))
                     else:
-                        if mode == "te":
-                            ok = te_condition(kind, params, [beta] * n_players)
-                        elif mode == "te_typed":
-                            res = te_condition_typed(kind, params,
-                                                     [alpha] * n_players,
-                                                     [beta] * n_players)
-                            ok = (res.readings.get("n_minus_1")
-                                  if res.holds is None else res.holds)
-                        # te rows report the cooperation condition's margin,
-                        # read at full detection in the untyped mode
+                        # a te row, the two-point equilibrium condition at a
+                        # homogeneous profile, is the cooperation condition
+                        # (read at full detection in the untyped mode), except
+                        # that all-defect, beta = 0, always passes
                         verdict = cooperation_condition(
                             kind, params, 1 if alpha is None else alpha, beta)
-                        if mode == "cooperation":
-                            ok = verdict.rational
+                        ok = verdict.rational or (mode != "cooperation" and beta == 0)
                         row = (ok, verdict.binding_quantity, verdict.threshold)
                 except (ValueError, TypeError) as exc:
                     raise CliError(str(exc)) from exc
@@ -391,6 +405,10 @@ def _spot_check(cfg: dict, kind: str, rows: list, budget: int) -> list:
     """Re-verify a deterministic 1% sample of sweep rows with the generic
     engine, each game sized against ``budget`` first; returns the
     disagreeing rows."""
+    import random
+
+    translucent_type = _entry("TranslucentType")
+    is_cooperation_rational = _entry("is_cooperation_rational")
     rng = random.Random(0)
     sample_size = max(1, len(rows) // 100)
     sample = rng.sample(range(len(rows)), sample_size)
@@ -407,7 +425,7 @@ def _spot_check(cfg: dict, kind: str, rows: list, budget: int) -> list:
                 raise CliError(f"$.spot_check: {_snapshot(kind, params)}: "
                                f"{exc}") from exc
         d = games[key]
-        verdict = is_cooperation_rational(d, 0, TranslucentType(alpha, beta))
+        verdict = is_cooperation_rational(d, 0, translucent_type(alpha, beta))
         if verdict.rational != rational:
             mismatches.append((params, alpha, beta, rational, verdict.rational))
     return mismatches
@@ -440,9 +458,9 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
     d = _on_params(make_dilemma, kind, params)
     try:
         sigma = MixedProfile.two_point(d, betas)
-        untyped = te_condition(kind, params, betas)
-        coherence = is_coherent(d, sigma, budget)
-        typed = (te_condition_typed(kind, params, alphas, betas)
+        untyped = _entry("te_condition")(kind, params, betas)
+        coherence = _entry("is_coherent")(d, sigma, budget)
+        typed = (_entry("te_condition_typed")(kind, params, alphas, betas)
                  if alphas is not None else None)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc
@@ -526,16 +544,26 @@ def cmd_population(cfg: dict, budget: int) -> tuple:
 def cmd_validate_structure(path: str, budget: int) -> tuple:
     doc = _load(path)
     try:
-        m = structure_from_json(doc, budget=budget)
+        m = _entry("structure_from_json")(doc, budget=budget)
     except BudgetExceededError as exc:
         raise CliError(f"{path}: $.states: {exc}") from exc
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise CliError(f"{path}: malformed structure document: {exc}") from exc
-    violations = validate_structure(m)
+    violations = _entry("validate_structure")(m)
     if not violations:
         return f"{path}: no violations ({m.num_states} states)\n", 0
     lines = [str(v) for v in violations]
     return "\n".join(lines) + "\n", 1
+
+
+def _logit_qre(d, lam, **options):
+    """``logit_qre`` on the dilemma ``d``; the solver works in floats, so a
+    payoff past the float range is an error of ``$.params``."""
+    try:
+        return _entry("logit_qre")(d, lam, **options)
+    except OverflowError as exc:
+        raise CliError("$.params: a payoff exceeds the float range, "
+                       "in which qre solves") from exc
 
 
 def cmd_qre(cfg: dict, budget: int) -> tuple:
@@ -550,8 +578,8 @@ def cmd_qre(cfg: dict, budget: int) -> tuple:
     _check_profile_count(cfg, kind, params, budget)
     d = _on_params(make_dilemma, kind, params)
     try:
-        res = logit_qre(d, lam, damping=float(damping), tol=tol, max_iter=max_iter,
-                        budget=budget)
+        res = _logit_qre(d, lam, damping=float(damping), tol=tol, max_iter=max_iter,
+                         budget=budget)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc
     report = {

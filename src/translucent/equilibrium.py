@@ -34,13 +34,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import prod
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .beliefs import OthersBehaviorModel
 from .closed_form import checked_params, condition_terms
 from .exact import common_denominator, to_unit
 from .games import MixedProfile, as_game, minimize_payoff
-from . import counterfactual as cf
+
+if TYPE_CHECKING:  # counterfactual is imported by the calls that use it
+    from .counterfactual import CounterfactualStructure
 
 __all__ = [
     "MixedProfile", "CoherenceReport", "TypedTeResult", "TeStructureReport",
@@ -96,7 +98,7 @@ class TeStructureReport(NamedTuple):
     te4: tuple
 
 
-def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
+def te_in_structure(m: CounterfactualStructure, sigma: MixedProfile,
                     omega_subset: Optional[Sequence] = None) -> TeStructureReport:
     """Check TE1-TE4 for the given states (default: all support-profile
     states); a given state off the game (some strategy is not the game's)
@@ -106,6 +108,8 @@ def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
     strategy, so each belief cell (player, measure object, own strategy) is
     judged once, on game positions, so no strategy is hashed.
     """
+    from . import counterfactual as cf  # once per call, not per cell
+
     positions, others = m._profile_index
     # the others' mixture: the others' offset -> integer weight, over den
     expected = [(dict(zip(offsets, ws)), den) for offsets, ws, den in sigma._kernels]
@@ -131,7 +135,7 @@ def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
             verdict = verdicts.get(key)
             if verdict is None:
                 verdict = verdicts[key] = _judge_cell(
-                    m, i, omega, dist, others[i], expected[i], omega_set, plans)
+                    cf, m, i, omega, dist, others[i], expected[i], omega_set, plans)
             if True in verdict:
                 for found, violations in zip(verdict, (te2, te3, te4)):
                     if found:
@@ -141,11 +145,12 @@ def te_in_structure(m: cf.CounterfactualStructure, sigma: MixedProfile,
     return TeStructureReport(holds, tuple(te1), tuple(te2), tuple(te3), tuple(te4))
 
 
-def _judge_cell(m: cf.CounterfactualStructure, i: int, omega: int, dist: dict,
+def _judge_cell(cf, m: CounterfactualStructure, i: int, omega: int, dist: dict,
                 rest: tuple, expected: tuple, omega_set: set, plans: dict) -> tuple:
     """TE2, TE3 and TE4 violations of player i's cell at ``omega``, whose
     measure is ``dist`` and whose states' others' offsets are ``rest``;
-    ``plans`` keeps each player's switch plan for the call.  TE4: no switch
+    ``cf`` is the counterfactual module, and ``plans`` keeps each player's
+    switch plan for the call.  TE4: no switch
     numerator above the on-path one, over their one denominator."""
     sources, (weights, den) = list(dist), common_denominator(dist.values())
     marginal, outside = {}, False  # the others' offset -> weight over den
@@ -174,8 +179,9 @@ def is_translucent_equilibrium(game, sigma: MixedProfile, *,
     game = as_game(game)
     report = is_coherent(game, sigma, budget)
     if check_structure:
-        m = cf.build_coherent_structure(game, sigma, strict=False,
-                                        budget=budget)
+        from .counterfactual import build_coherent_structure
+
+        m = build_coherent_structure(game, sigma, strict=False, budget=budget)
         structural = te_in_structure(m, sigma).holds
         if structural != report.coherent:
             raise RuntimeError(
@@ -243,13 +249,10 @@ def _two_point(kind: str, params: dict, betas: Sequence,
     defect = not any(x.numerator for x in bs)
     if kind == "bertrand":
         _, l, h = checked
-        # every player is judged (a list, not a generator), as the former
-        # loop did: cheaper sweep rows fit more passes into cli_cold's fixed
-        # run time, and past 100 samples its tail switches from p50 to p90
-        holds = defect or all([
+        holds = defect or all(
             prod(bs[:i] + bs[i + 1:]) >= generalized_f(
                 [(1 - a) * x for x in bs[:i] + bs[i + 1:]], n) * l * n / h
-            for i, a in enumerate(als)])
+            for i, a in enumerate(als))
         return TypedTeResult(kind, holds, {"condition": holds})
     # the others' mean of player i is (total - x_i) / (den * (n - 1)), unreduced
     xs, den = common_denominator(bs)

@@ -341,10 +341,13 @@ def bertrand_params(n: int, l: int, h: int) -> tuple:
 
 
 def td_params(l: int, h: int, bonus: Numeric) -> tuple:
+    """An int bonus stays an int: the closed forms read only its integer
+    ratio, and the game factory makes it a Fraction."""
     l, h = to_integer(l, "l"), to_integer(h, "h")
     if not 0 < l < h:
         raise ValueError(f"claim bounds must satisfy 0 < l < h, got l={l}, h={h}")
-    bonus = to_exact(bonus)
+    if type(bonus) is not int:
+        bonus = to_exact(bonus)
     if not bonus.numerator > 0:
         raise ValueError(f"bonus must be positive, got {bonus}")
     return l, h, bonus
@@ -425,6 +428,7 @@ def make_travelers_dilemma(l: int, h: int, bonus: Numeric) -> SocialDilemma:
     is also a Nash equilibrium, so the social-dilemma axioms need bonus > 1.
     """
     l, h, bonus = td_params(l, h, bonus)
+    bonus = Fraction(bonus)
     claims = tuple(range(l, h + 1))
 
     def rule(profile, i):

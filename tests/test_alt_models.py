@@ -9,8 +9,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import translucent
+from qre_oracle import logit_qre_per_player
 from translucent.alt_models import (
     CharnessRabinParams,
     FehrSchmidtParams,
@@ -24,6 +27,7 @@ from translucent.games import (
     BudgetExceededError,
     NormalFormGame,
     make_bertrand,
+    make_dilemma,
     make_prisoners_dilemma,
     make_public_goods,
     make_travelers_dilemma,
@@ -218,6 +222,47 @@ class TestLogitQre:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError, match="nonnegative"):
             logit_qre(make_prisoners_dilemma(4, 1), -1.0)
+
+
+# small symmetric games of all four kinds
+SYMMETRIC = st.one_of(
+    st.integers(1, 7).flatmap(lambda c: st.builds(
+        lambda b: ("pd", {"b": b, "c": c}), st.integers(c + 1, 9))),
+    st.integers(1, 3).flatmap(lambda l: st.builds(
+        lambda h, bonus: ("td", {"l": l, "h": h, "bonus": bonus}),
+        st.integers(l + 1, l + 5), st.fractions(F(1, 2), 8, max_denominator=4))),
+    st.integers(2, 3).flatmap(lambda n: st.builds(
+        lambda k, grid: ("pgg", {"n": n, "rho": F(n + k, 2 * n), "grid": grid}),
+        st.integers(1, n - 1), st.integers(1, 3))),
+    st.integers(2, 3).flatmap(lambda n: st.builds(
+        lambda l, h: ("bertrand", {"n": n, "l": l, "h": h}),
+        st.integers(2, 3), st.integers(4, 7))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SYMMETRIC, st.sampled_from([0, 0.1, 0.5, 1, 2.5, 8, 50, 1e300]),
+       st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([3, 400]))
+def test_one_vector_equals_the_per_player_loop(case, lam, damping, max_iter):
+    """In a symmetric game the one iterated vector is, bit for bit, what the
+    per-player loop gives every player: distributions, residual, iteration
+    count and verdict (a run cut off by the iteration cap too)."""
+    d = make_dilemma(*case)
+    fast = logit_qre(d, lam, damping=damping, max_iter=max_iter)
+    slow = logit_qre_per_player(d, lam, damping=damping, max_iter=max_iter)
+    assert repr(fast) == repr(slow)
+
+
+def test_asymmetric_game_iterates_every_player():
+    # battle of the sexes: each player leans to their own favourite, so one
+    # shared vector would be wrong
+    table = {("A", "A"): (2, 1), ("A", "B"): (0, 0),
+             ("B", "A"): (0, 0), ("B", "B"): (1, 2)}
+    game = NormalFormGame(2, (("A", "B"), ("A", "B")),
+                          lambda profile, i: table[profile][i])
+    fast, slow = logit_qre(game, 2.0), logit_qre_per_player(game, 2.0)
+    assert repr(fast) == repr(slow)
+    assert fast.prob(0, "A") > 0.5 > fast.prob(1, "A")
 
 
 def test_package_import_does_not_load_numpy():

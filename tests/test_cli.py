@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import translucent
 from translucent.cli import main
 from translucent.counterfactual import build_nash_structure, structure_to_json
 from translucent.games import MixedProfile, make_prisoners_dilemma
@@ -651,6 +656,55 @@ class TestNonFiniteConstants:
                    "every number must be finite\n")
 
 
+class TestColdImports:
+    """A cold run imports only its own command's modules: the closed-form
+    commands load neither counterfactual, equilibrium, alt_models nor numpy,
+    and ``qre`` loads no beliefs, counterfactual or equilibrium."""
+
+    GOLDEN = Path(__file__).with_name("golden")
+    BASE = {"translucent", "translucent.cli", "translucent.closed_form",
+            "translucent.exact", "translucent.games"}
+    RUN = ("import contextlib, io, json, sys\n"
+           "from translucent.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    code = main(sys.argv[1:])\n"
+           "print(json.dumps([code, sorted(m for m in sys.modules\n"
+           "    if m == 'numpy' or m.split('.')[0] == 'translucent')]))")
+
+    def cold(self, *args) -> tuple:
+        src = os.path.dirname(os.path.dirname(translucent.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, *args], capture_output=True,
+                             text=True, env=env, cwd=self.GOLDEN, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("case,loaded", [
+        ("check_td", {"beliefs"}),
+        ("sweep_td_cooperation", {"beliefs"}),  # the spot check's engine
+        ("sweep_bertrand_te", set()),
+        ("sweep_pgg_te_typed", set()),
+        ("population_grid", set()),
+        ("equilibrium_pgg_typed", {"equilibrium", "beliefs"}),
+        ("validate_clean", {"counterfactual"}),
+        ("qre_pgg", {"alt_models", "numpy"}),
+        ("sweep_pd_qre", {"alt_models", "numpy"}),
+    ])
+    def test_command_loads_its_modules(self, case, loaded):
+        command = json.loads((self.GOLDEN / "cases.json").read_text())[case]["command"]
+        args = ([command, f"{case}.json"] if command == "validate-structure"
+                else [command, "--config", f"{case}.json"])
+        code, modules = self.cold("-c", self.RUN, *args)
+        assert code == 0
+        assert set(modules) == self.BASE | {
+            m if m == "numpy" else f"translucent.{m}" for m in loaded}
+
+    def test_package_import_loads_no_submodule(self):
+        assert self.cold("-c", "import json, sys, translucent; print(json.dumps("
+                               "[0, [m for m in sys.modules if 'translucent' in m]]))"
+                         ) == [0, ["translucent"]]
+
+
 class TestFuzzFindings:
     """Inputs the in-process fuzzer (tests/test_cli_fuzz.py) turned up: each
     once escaped as a traceback or ran unbounded on a small config."""
@@ -737,6 +791,19 @@ class TestFuzzFindings:
             '{"kind": "pd", "params": {"b": 4, "c": 1}, "lambda": 1, '
             '"damping": %s}' % token)
         assert (code, out, err) == (2, "", f"error: $.damping: {message}\n")
+
+    @pytest.mark.parametrize("command,extra", [
+        ("qre", {"lambda": 1}), ("sweep", {"mode": "qre", "lambda": [1]})])
+    def test_payoff_past_the_float_range_exits_2(self, tmp_path, capsys, command,
+                                                 extra):
+        # each parameter is in range, but the claim plus the bonus is not;
+        # the solver's float table raised OverflowError
+        l = 17 * 10 ** 307
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "td", "params": {"l": l, "h": l + 1, "bonus": l}, **extra})
+        assert run(capsys, command, "--config", cfg) == (
+            2, "", "error: $.params: a payoff exceeds the float range, "
+                   "in which qre solves\n")
 
     @pytest.mark.parametrize("argv", [["check", "--config"], ["validate-structure"]])
     def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, argv):

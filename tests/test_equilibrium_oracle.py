@@ -154,8 +154,9 @@ class TestConditionsMatchOracle:
 class TestSymmetricRowsAreTheCooperationCondition:
     """At equal alphas and betas the two-point conditions reduce to
     ``cooperation_condition`` (all-defect always passes), the untyped one at
-    alpha = 1; pgg compares its (N-1) reading.  Pinned, not used:
-    ``_sweep_rows`` still calls both conditions."""
+    alpha = 1; pgg compares its (N-1) reading.  This is why a ``te`` or
+    ``te_typed`` sweep row (``cli._sweep_rows``) is computed from the closed
+    form alone."""
 
     @PROPERTY
     @given(st.sampled_from(KINDS).flatmap(lambda kind: st.tuples(

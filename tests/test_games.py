@@ -25,6 +25,7 @@ from translucent.games import (
     make_travelers_dilemma,
     minimize_payoff,
     payoff,
+    td_params,
     verify_social_dilemma,
 )
 
@@ -187,6 +188,15 @@ class TestTravelersDilemma:
         report = verify_social_dilemma(make_travelers_dilemma(2, 6, 1))
         assert (6, 6) in report.nash_equilibria
         assert report.unique_nash is None
+
+    def test_int_bonus_stays_an_int_for_the_closed_forms(self):
+        # the closed forms read only its integer ratio; the game's payoffs
+        # and params keep Fractions
+        assert [type(v) for v in td_params(2, 10, 3)] == [int, int, int]
+        assert type(td_params(2, 10, F(3))[2]) is F
+        d = make_travelers_dilemma(2, 10, 3)
+        assert type(d.params["bonus"]) is F
+        assert {type(d.game.payoff_rule((a, 7), 0)) for a in (6, 7, 8)} == {F}
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="0 < l < h"):

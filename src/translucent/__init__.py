@@ -23,8 +23,8 @@ _EXPORTS = {name: module for module, names in {
         "make_public_goods", "make_travelers_dilemma", "payoff",
         "verify_social_dilemma"),
     "beliefs": (
-        "CooperationScanner", "OthersBehaviorModel", "RationalityReport",
-        "TranslucentType", "is_cooperation_rational"),
+        "CooperationScanner", "RationalityReport", "TranslucentType",
+        "is_cooperation_rational"),
     "closed_form": (
         "CooperationVerdict", "bertrand_lower_bound_check",
         "bertrand_undercut_condition", "cooperation_condition", "f_gamma",

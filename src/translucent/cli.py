@@ -226,13 +226,9 @@ def _max_iter(cfg: dict, budget: int) -> int:
     return max_iter
 
 
-def _check_players(n: int, path: str, budget: int, te: bool = False) -> None:
-    """Refuse a player count above ``budget`` (the bertrand closed form
-    raises numbers to the n-th power), or, for a te row, which judges each
-    player by a count distribution over the others, n^3 above ``budget``."""
-    if te and n ** 3 > budget:
-        raise CliError(f"{path}: {n} players make {n ** 3} te terms per row "
-                       f"(n^3), exceeding budget {budget}")
+def _check_players(n: int, path: str, budget: int) -> None:
+    """Refuse a player count above ``budget``: the bertrand closed form
+    raises numbers to the n-th power, in a cooperation or te row alike."""
     if n > budget:
         raise CliError(f"{path}: {n} players exceed budget {budget}")
 
@@ -328,7 +324,7 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
             alphas = [unit(a, "alpha", "$.alpha") for a in alphas]
     if "n" in keys and mode != "qre":  # qre rows count profiles instead
         for n in grids[keys.index("n")]:
-            _check_players(n, "$.params.n", budget, te=mode != "cooperation")
+            _check_players(n, "$.params.n", budget)
 
     for combo in itertools.product(*grids):
         params = dict(zip(keys, combo))

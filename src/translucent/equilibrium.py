@@ -24,9 +24,9 @@ the (N-1) public-goods reading then call the integer core that
 player, on the others' mean held as integers, total - x_i over den * (N - 1)
 with den the betas' common denominator, and the printed public-goods
 reading cross-multiplies the same integers.  Bertrand reads its tie kernel
-from the Poisson-binomial ``OthersBehaviorModel.count_distribution`` of the
-nonzero gammas: a gamma of 0 never cooperates, so untyped bertrand
-convolves nothing.
+from ``games._multiset_law``, the Poisson-binomial law that coherence reads
+too, over the nonzero gammas: a gamma of 0 never cooperates, so untyped
+bertrand convolves nothing.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ from itertools import compress
 from math import prod
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .beliefs import OthersBehaviorModel
 from .closed_form import checked_params, condition_terms
 from .exact import common_denominator, to_unit
-from .games import MixedProfile, as_game, minimize_payoff
+from .games import MixedProfile, _multiset_law, as_game, minimize_payoff
 
 if TYPE_CHECKING:  # counterfactual is imported by the calls that use it
     from .counterfactual import CounterfactualStructure
@@ -273,12 +272,17 @@ def generalized_f(gammas: Sequence, n: int) -> Fraction:
     """Heterogeneous tie kernel E[1 / (N - C)], where C counts the others who
     still cooperate after a deviation, the j-th with probability gamma_j.
 
-    C's Poisson-binomial law is ``OthersBehaviorModel.count_distribution``;
-    the kernel equals f(gamma, N) when all entries are equal.
+    C's Poisson-binomial law is ``games._multiset_law`` over one two-point
+    entry per gamma, cooperation at position 1 (a gamma of 1 is a pure
+    entry), so a multiset's sum is its cooperator count; the kernel equals
+    f(gamma, N) when all entries are equal.
     """
     if len(gammas) != n - 1:
         raise ValueError(f"expected {n - 1} gamma values, got {len(gammas)}")
     gs = [to_unit(g, "gamma") for g in gammas]
     # a gamma of 0 never cooperates, so leaving it out keeps C's law
-    dist = OthersBehaviorModel([g for g in gs if g]).count_distribution()
-    return sum((p / (n - k) for k, p in enumerate(dist)), Fraction(0))
+    multisets, weights, den = _multiset_law(
+        [([(1, None, 1)], 1) if g == 1 else
+         ([(0, None, g.denominator - g.numerator), (1, None, g.numerator)], g.denominator)
+         for g in gs if g])
+    return sum(map(Fraction, weights, [n - sum(m) for m in multisets])) / den

@@ -573,8 +573,10 @@ class MixedProfile:
 
     @cached_property
     def _laws(self) -> list:
-        """Per player of a symmetric game, ``_multiset_law``."""
-        return [_multiset_law(self._entries, i) for i in range(self.game.num_players)]
+        """Per player i of a symmetric game, ``_multiset_law`` of the others."""
+        entries = self._entries
+        return [_multiset_law(entries[:i] + entries[i + 1:])
+                for i in range(self.game.num_players)]
 
     def _payoff_at(self, i: int, pos: int) -> tuple:
         """``expected_payoff`` of player i's strategy at game position
@@ -598,18 +600,20 @@ class MixedProfile:
         return f"MixedProfile([{', '.join(parts)}])"
 
 
-def _multiset_law(entries: tuple, i: int) -> tuple:
-    """The law of player i's others' multiset of positions under independent
-    play, from a profile's ``_entries``, as ``(multisets, weights, den)``:
-    each multiset a sorted tuple of positions, its probability weight / den.
-    It is a convolution over the others who mix, in player order, and the
-    pure players' positions are added to every multiset after it; for a
-    two-point profile the multiset is the cooperator count and its law the
-    Poisson-binomial, at most N terms and O(N²) term updates."""
+def _multiset_law(entries) -> tuple:
+    """The law of the multiset of positions that the players of ``entries``
+    (``MixedProfile._entries`` rows: (position, strategy, weight) supports
+    over their denominators) play independently, as ``(multisets, weights,
+    den)``: each multiset a sorted tuple of positions, its probability
+    weight / den.  It is a convolution over the players who mix, in order,
+    and the pure players' positions are added to every multiset after it;
+    for two-point entries the multiset is the cooperator count and its law
+    the Poisson-binomial, at most N terms and O(N²) term updates.  It is the
+    library's one cooperator-count law: ``MixedProfile._laws`` reads it for
+    coherence, and ``equilibrium.generalized_f`` for the bertrand tie
+    kernel."""
     pure, law, den = [], {(): 1}, 1
-    for j, (support, d_j) in enumerate(entries):
-        if j == i:
-            continue
+    for support, d_j in entries:
         if len(support) == 1:  # weight d_j over d_j
             pure.append(support[0][0])
             continue

@@ -3,7 +3,9 @@
 ``CooperationScanner`` is the library's one expected-utility engine: it
 aggregates the other players over cooperator counts with the product
 (independent) model of post-deviation beliefs, on integer rows.  This module
-keeps the forms it is checked against.  The count forms: the on-path and
+keeps the forms it is checked against.  The count forms: the oracle's own
+belief model ``OthersBehaviorModel``, whose ``count_distribution`` convolves
+Fractions where the library reads ``games._multiset_law``, the on-path and
 post-deviation belief models, ``payoff_vs_counts`` (one representative
 profile per cooperator count) and expected utilities summed over counts
 (symmetric dilemmas only).  The pattern-by-pattern forms: the full
@@ -14,15 +16,50 @@ exponential in the player count and meant to be obviously right, not fast.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
-from translucent.beliefs import (
-    OthersBehaviorModel,
-    RationalityReport,
-    TranslucentType,
-)
+from translucent.beliefs import RationalityReport, TranslucentType
+from translucent.exact import to_exact
 
 SUBSET_ENUM_BUDGET = 4096  # largest 2^(n-1) we expand when cross-checking
+
+
+@dataclass(frozen=True)
+class OthersBehaviorModel:
+    """Independent cooperate/defect distribution for each other player.
+
+    ``cooperate_probs[j]`` is the cooperation probability of the j-th other
+    player (players other than the focal one, in index order).
+    """
+
+    cooperate_probs: tuple
+
+    def __post_init__(self):
+        probs = tuple(to_exact(p) for p in self.cooperate_probs)
+        object.__setattr__(self, "cooperate_probs", probs)
+        for p in probs:
+            if not 0 <= p <= 1:
+                raise ValueError(f"cooperation probability {p} outside [0, 1]")
+
+    @property
+    def num_others(self) -> int:
+        return len(self.cooperate_probs)
+
+    def count_distribution(self) -> tuple:
+        """P(exactly k others cooperate) for k = 0..n-1, exact.
+
+        Computed by convolving the per-player Bernoulli distributions, so
+        heterogeneous probabilities are handled too.
+        """
+        dist = [Fraction(1)]
+        for q in self.cooperate_probs:
+            nxt = [Fraction(0)] * (len(dist) + 1)
+            for k, p in enumerate(dist):
+                nxt[k] += p * (1 - q)
+                nxt[k + 1] += p * q
+            dist = nxt
+        return tuple(dist)
 
 
 def on_path_beliefs(t: TranslucentType, n: int) -> OthersBehaviorModel:

@@ -328,11 +328,12 @@ class TestSymmetricOnly:
 
 
 class TestExports:
-    """The package's names resolve, and the count-form helpers that moved to
-    beliefs_oracle are gone from the library."""
+    """The package's names resolve, and the count-form helpers and the count
+    model that moved to beliefs_oracle are gone from the library."""
 
     REMOVED = ("on_path_beliefs", "deviation_belief_mixture", "expected_utility",
-               "expected_utility_cooperate", "expected_utility_deviation")
+               "expected_utility_cooperate", "expected_utility_deviation",
+               "OthersBehaviorModel")
 
     def test_every_export_resolves(self):
         names = list(translucent._EXPORTS)  # the name -> module table

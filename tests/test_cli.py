@@ -659,7 +659,8 @@ class TestNonFiniteConstants:
 class TestColdImports:
     """A cold run imports only its own command's modules: the closed-form
     commands load neither counterfactual, equilibrium, alt_models nor numpy,
-    and ``qre`` loads no beliefs, counterfactual or equilibrium."""
+    ``equilibrium`` (the bertrand tie kernel included) loads no beliefs, and
+    ``qre`` loads no beliefs, counterfactual or equilibrium."""
 
     GOLDEN = Path(__file__).with_name("golden")
     BASE = {"translucent", "translucent.cli", "translucent.closed_form",
@@ -685,7 +686,8 @@ class TestColdImports:
         ("sweep_bertrand_te", set()),
         ("sweep_pgg_te_typed", set()),
         ("population_grid", set()),
-        ("equilibrium_pgg_typed", {"equilibrium", "beliefs"}),
+        ("equilibrium_pgg_typed", {"equilibrium"}),
+        ("equilibrium_bertrand_typed", {"equilibrium"}),  # the tie kernel
         ("validate_clean", {"counterfactual"}),
         ("qre_pgg", {"alt_models", "numpy"}),
         ("sweep_pd_qre", {"alt_models", "numpy"}),
@@ -717,14 +719,14 @@ class TestFuzzFindings:
         return run(capsys, command, "--config", str(path))
 
     @pytest.mark.parametrize("mode", ["te", "te_typed"])
-    def test_te_rows_count_n_cubed(self, tmp_path, capsys, mode):
+    def test_te_rows_count_players(self, tmp_path, capsys, mode):
+        # a te row is one cooperation_condition call, bounded by n alone
         cfg = write_config(tmp_path, "c.json", {
             **self.BERTRAND, "mode": mode, "alpha": [0.5], "beta": [0.5]})
-        code, out, _ = run(capsys, "sweep", "--config", cfg, "--budget", "64")
+        code, out, _ = run(capsys, "sweep", "--config", cfg, "--budget", "4")
         assert code == 0 and len(out.split()) == 2
-        assert run(capsys, "sweep", "--config", cfg, "--budget", "63") == (
-            2, "", "error: $.params.n: 4 players make 64 te terms per row "
-                   "(n^3), exceeding budget 63\n")
+        assert run(capsys, "sweep", "--config", cfg, "--budget", "3") == (
+            2, "", "error: $.params.n: 4 players exceed budget 3\n")
 
     @pytest.mark.parametrize("command,extra", [
         ("population", {"population": {"types": [

@@ -11,6 +11,13 @@ run of the same config must print the same stdout.  Every exit-2 message
 names where the input went wrong: a JSON path (``$...``) or the config
 file itself; no message is exempt.
 
+A second fuzzer gives ``check``, ``sweep`` (cooperation with and without
+the spot check, ``te`` and ``te_typed``) and ``population`` whole configs
+whose integer parameters all lie in [10^307, 17·10^307], where sums and
+products of them leave the float range; player counts and the pgg grid are
+also drawn small, so that those games get built.  h - l stays at most 50,
+so the spot check's engine stays small.
+
 ``validate-structure`` is fuzzed the same way on the documents of built
 typed and coherent structures, each with one edit of the kinds the parser's
 oracle tests use (re-spelt, reordered, copied, dropped or overwritten
@@ -25,7 +32,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import test_structure_oracle as structure_tests
@@ -180,6 +187,70 @@ def test_every_run_exits_cleanly_and_deterministically(case, budget):
             assert out == "", out
             assert err.startswith(("error: $", f"error: {path}")), err
         assert run_in_process(argv) == (code, out, err)
+
+
+TOP = 17 * 10 ** 307
+
+
+def near_top(floor: int = 10 ** 307):
+    """Integers in [floor, 17·10^307] that shrink toward the top, where
+    values leave the float range."""
+    return st.integers(0, TOP - floor).map(lambda k: TOP - k)
+
+
+HUGE = near_top()
+
+
+@st.composite
+def huge_configs(draw):
+    command = draw(st.sampled_from(["check", "sweep", "population"]))
+    kind = draw(st.sampled_from(["pd", "pgg", "bertrand", "td"]))
+    small_or_huge = st.one_of(st.integers(2, 4), HUGE)
+    if kind == "pd":
+        params = {"b": draw(HUGE), "c": draw(HUGE)}
+    elif kind == "pgg":
+        params = {"n": draw(small_or_huge), "rho": draw(st.sampled_from([0.6, 0.75, 0.9])),
+                  "grid": draw(st.one_of(st.integers(1, 3), HUGE))}
+    else:
+        high = draw(near_top(10 ** 307 + 50))
+        params = {"l": high - draw(st.integers(1, 50)), "h": high}
+        params.update({"n": draw(small_or_huge)} if kind == "bertrand"
+                      else {"bonus": draw(HUGE)})
+    cfg = {"kind": kind, "params": params}
+    if command == "check":
+        cfg.update(alpha=draw(UNIT), beta=draw(UNIT))
+    elif command == "sweep":
+        cfg["params"] = {k: grid_of(draw, st.just(v)) for k, v in params.items()}
+        cfg.update(mode=draw(st.sampled_from(["cooperation", "te", "te_typed"])),
+                   alpha=grid_of(draw, UNIT, unit=True),
+                   beta=grid_of(draw, UNIT, unit=True), spot_check=draw(st.booleans()))
+    else:
+        cfg["population"] = {"grid": {"alpha": grid_of(draw, UNIT, unit=True),
+                                      "beta": grid_of(draw, UNIT, unit=True)}}
+    return command, cfg
+
+
+SPOT_TD = ("sweep", {"kind": "td", "mode": "cooperation", "spot_check": True,
+                     "params": {"l": TOP - 57, "h": TOP - 7, "bonus": TOP - 3},
+                     "alpha": [0, 0.5, 1], "beta": [0.5, 0.9]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(huge_configs())
+@example(SPOT_TD)
+@example(("sweep", {**SPOT_TD[1], "kind": "bertrand", "mode": "te_typed",
+                    "params": {"n": 3, "l": TOP - 57, "h": TOP - 7}}))
+def test_configs_near_the_float_range_exit_cleanly(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(cfg))
+        code, out, err = run_in_process([command, "--config", path])
+    assert code in (0, 1, 2), (code, err)
+    event(f"{command} {cfg.get('mode', '')} spot {cfg.get('spot_check')} exit {code}")
+    if code == 2:
+        assert out == "" and err.startswith("error: $"), err
 
 
 def parses(text: str) -> bool:

@@ -82,7 +82,8 @@ def test_multiset_law_matches_the_product_kernel(d, data):
             others = [j for j in range(game.num_players) if j != i]
             key = tuple(sorted(game.strategy_index(j, s) for j, s in zip(others, combo)))
             want[key] += F(w, den)
-        multisets, got_weights, got_den = _multiset_law(sigma._entries, i)
+        others = sigma._entries[:i] + sigma._entries[i + 1:]
+        multisets, got_weights, got_den = _multiset_law(others)
         assert len(set(multisets)) == len(multisets)
         assert all(list(m) == sorted(m) for m in multisets)
         assert {m: F(w, got_den) for m, w in zip(multisets, got_weights)} == want
@@ -99,7 +100,7 @@ def test_two_point_law_is_the_poisson_binomial(d, data):
     sigma = MixedProfile.two_point(d, betas)
     c = d.game.strategy_index(0, d.cooperate_strategy(0))
     for i in range(n):
-        multisets, weights, den = _multiset_law(sigma._entries, i)
+        multisets, weights, den = _multiset_law(sigma._entries[:i] + sigma._entries[i + 1:])
         law = {m.count(c): F(w, den) for m, w in zip(multisets, weights)}
         want = [F(1)]  # P(k of the others cooperate), by convolution
         for b in betas[:i] + betas[i + 1:]:

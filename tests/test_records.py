@@ -3,8 +3,7 @@
 Every record the library returns keeps the field names, order, defaults and
 repr it had as a frozen dataclass: fields are read by name, assigning one
 raises, and ``_replace`` gives a changed copy.  The inputs that validate
-(``TranslucentType``, ``OthersBehaviorModel``, ``CounterfactualStructure``)
-stay dataclasses.
+(``TranslucentType``, ``CounterfactualStructure``) stay dataclasses.
 """
 
 import ast
@@ -17,7 +16,7 @@ import pytest
 
 from translucent import (TranslucentType, cooperation_condition, is_cooperation_rational,
                          make_prisoners_dilemma)
-from translucent.beliefs import OthersBehaviorModel, RationalityReport
+from translucent.beliefs import RationalityReport
 from translucent.closed_form import CooperationVerdict
 from translucent.counterfactual import (CounterfactualStructure, StateUtilityReport,
                                         Violation, build_nash_structure, is_rational_at,
@@ -122,7 +121,7 @@ def test_library_returns_the_records():
 
 
 def test_inputs_that_validate_stay_dataclasses():
-    for cls in (TranslucentType, OthersBehaviorModel, CounterfactualStructure):
+    for cls in (TranslucentType, CounterfactualStructure):
         assert dataclasses.is_dataclass(cls)
 
 

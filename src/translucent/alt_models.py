@@ -138,10 +138,11 @@ def _logit_response(payoff_ops, sigmas, lam):
 
 def _payoff_tables(game) -> list:
     """Per player, the dense payoff table as floats: own strategies x the
-    others' profiles in product order, C-contiguous.  A symmetric game's
+    others' profiles in product order, C-contiguous; each entry is the float
+    of the exact payoff, as ``float(game.payoff(...))``.  A symmetric game's
     table is the same for every player and is built once, from one exact
-    payoff per (own strategy, others' multiset) in the game's memo; each
-    entry is the float of that payoff, as ``float(game.payoff(...))``."""
+    payoff per (own strategy, others' multiset) in the game's memo; any
+    other game's come from its integer table, which callers budget first."""
     import numpy as np
 
     n, sizes = game.num_players, [len(s) for s in game.strategy_sets]
@@ -152,17 +153,12 @@ def _payoff_tables(game) -> list:
             [(a, m) for a in range(sizes[0]) for m in multisets])
         distinct = np.array([v / scale for v in values]).reshape(sizes[0], len(multisets))
         return [np.ascontiguousarray(distinct[:, [multisets[m] for m in columns]])] * n
+    # the table's profile index is row-major in the players' positions, so
+    # player i's axis moved first, then flattened, is the others' product order
     tables = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        table = np.empty((sizes[i], prod(sizes) // sizes[i]))
-        for a, s in enumerate(game.strategy_sets[i]):
-            for b, combo in enumerate(itertools.product(
-                    *(game.strategy_sets[j] for j in others))):
-                profile = list(combo)
-                profile.insert(i, s)
-                table[a, b] = float(game.payoff(tuple(profile), i))
-        tables.append(table)
+    for i, row in enumerate(game._rows()):  # filled first, so each scale is final
+        dense = np.array([v / game._scales[i] for v in row]).reshape(sizes)
+        tables.append(np.ascontiguousarray(np.moveaxis(dense, i, 0).reshape(sizes[i], -1)))
     return tables
 
 

@@ -684,7 +684,7 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     if columns is not None:
         positions = list(map(list, zip(*columns)))
     else:
-        index = [{s: j for j, s in enumerate(strats)} for strats in m.strategy_sets]
+        index = m._strategy_maps  # a repeated label's first position
         positions = [[index[i][s] for i, s in enumerate(profile)] for profile in m.states]
     states_doc = [{"profile": profile, "aux": None} for profile in positions]
     if m.aux is not None:

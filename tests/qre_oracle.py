@@ -1,18 +1,39 @@
-"""Reference oracle for the logit QRE solver: the per-player loop.
+"""Reference oracle for the logit QRE solver: the per-player loop, and
+the payoff tables one exact payoff at a time.
 
 ``alt_models.logit_qre`` iterates one vector in a symmetric game, since its
 players share one payoff table and start uniform.  This module keeps the
 loop it replaced, which iterates every player's vector against the others',
 on the library's own payoff tables and logit response, so the two must agree
-bit for bit.
+bit for bit.  ``alt_models._payoff_tables`` reads a non-symmetric game's
+integer table; ``payoff_tables_by_profile`` keeps the loop it replaced, one
+``float(game.payoff(...))`` per player and profile.
 """
 
+import itertools
 from math import prod
 
 import numpy as np
 
 from translucent.alt_models import QreResult, _logit_response, _payoff_tables
 from translucent.games import BudgetExceededError, as_game
+
+
+def payoff_tables_by_profile(game) -> list:
+    """Per player: own strategies x the others' profiles in product order."""
+    n, sizes = game.num_players, [len(s) for s in game.strategy_sets]
+    tables = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        table = np.empty((sizes[i], prod(sizes) // sizes[i]))
+        for a, s in enumerate(game.strategy_sets[i]):
+            for b, combo in enumerate(itertools.product(
+                    *(game.strategy_sets[j] for j in others))):
+                profile = list(combo)
+                profile.insert(i, s)
+                table[a, b] = float(game.payoff(tuple(profile), i))
+        tables.append(table)
+    return tables
 
 
 def logit_qre_per_player(game, lam, *, damping: float = 0.5, tol: float = 1e-10,

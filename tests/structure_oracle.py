@@ -580,9 +580,7 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     if entries > budget:
         raise BudgetExceededError(entries, budget, "closest-state entries")
 
-    strategy_index = [
-        {s: j for j, s in enumerate(strats)} for strats in m.strategy_sets
-    ]
+    strategy_index = m._strategy_maps  # a repeated label's first position
     states_doc = []
     for k in range(m.num_states):
         profile = [strategy_index[i][s] for i, s in enumerate(m.states[k])]

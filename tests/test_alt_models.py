@@ -1,5 +1,6 @@
 """Tests for the social-preference transforms and the logit QRE solver."""
 
+import itertools
 import math
 import os
 import random
@@ -13,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import translucent
-from qre_oracle import logit_qre_per_player
+from qre_oracle import logit_qre_per_player, payoff_tables_by_profile
 from translucent.alt_models import (
     CharnessRabinParams,
     FehrSchmidtParams,
     _logit_response,
+    _payoff_tables,
     charness_rabin_utility,
     fehr_schmidt_utility,
     fs_pgg_full_contribution_condition,
@@ -263,6 +265,34 @@ def test_asymmetric_game_iterates_every_player():
     fast, slow = logit_qre(game, 2.0), logit_qre_per_player(game, 2.0)
     assert repr(fast) == repr(slow)
     assert fast.prob(0, "A") > 0.5 > fast.prob(1, "A")
+
+
+@st.composite
+def asymmetric_games(draw):
+    """2-4 players with 1-4 strategies each, every payoff a random exact
+    fraction drawn per player and profile."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    payoffs = draw(st.lists(
+        st.lists(st.fractions(-50, 50, max_denominator=12),
+                 min_size=len(sizes), max_size=len(sizes)),
+        min_size=math.prod(sizes), max_size=math.prod(sizes)))
+    strategy_sets = [tuple(range(size)) for size in sizes]
+    table = dict(zip(itertools.product(*strategy_sets), payoffs))
+    return NormalFormGame(len(sizes), strategy_sets,
+                          lambda profile, i: table[profile][i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(asymmetric_games())
+def test_asymmetric_tables_equal_the_per_profile_loop(game):
+    """A non-symmetric game's tables, read from its integer table, are bit
+    for bit the per-profile floats of the exact payoffs, C-contiguous."""
+    fast, slow = _payoff_tables(game), payoff_tables_by_profile(game)
+    assert len(fast) == len(slow) == game.num_players
+    for a, b in zip(fast, slow):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.flags["C_CONTIGUOUS"]
+        assert a.tobytes() == b.tobytes()
 
 
 def test_package_import_does_not_load_numpy():

@@ -629,6 +629,27 @@ def test_null_aux_beside_aux_lists_round_trips():
         assert write(m) == doc
 
 
+def test_repeated_label_writes_its_first_position():
+    """A label repeated in a strategy list is read at its first position,
+    and both writers give that position back, not the last."""
+    doc = {"players": 2, "strategies": [["C", "C", "D"], ["C", "D"]],
+           "states": [{"profile": [0, 0], "aux": None},
+                      {"profile": [2, 1], "aux": None}],
+           "closest": [{"state": 0, "player": 0, "strategy": 1, "target": 0},
+                       {"state": 0, "player": 0, "strategy": 2, "target": 1},
+                       {"state": 0, "player": 1, "strategy": 1, "target": 1},
+                       {"state": 1, "player": 0, "strategy": 0, "target": 0},
+                       {"state": 1, "player": 0, "strategy": 1, "target": 0},
+                       {"state": 1, "player": 1, "strategy": 0, "target": 0}],
+           "beliefs": [{"player": i, "state": k, "dist": {str(k): "1"}}
+                       for i in range(2) for k in range(2)]}
+    for parse, write in ((structure_from_json, structure_to_json),
+                         (oracle.structure_from_json, oracle.structure_to_json)):
+        written = write(parse(json.dumps(doc)))
+        assert written["states"] == doc["states"]
+        assert written == doc
+
+
 def test_oracle_reads_text_with_a_reader_of_its_own():
     # the oracle takes the error class from the library, never its reader
     imported = {alias.name for node in ast.walk(ast.parse(inspect.getsource(oracle)))

@@ -10,7 +10,9 @@ evaluated.
 
 Exit codes: 0 on success, 1 when the command's domain check fails (structure
 violations, an unconverged fixed point, spot-check mismatches), 2 on input
-errors (an ``exact.InputError`` among them).
+errors (an ``exact.InputError`` among them).  A command checks every input,
+naming its JSON path, before it calls another layer, so a layer's refusal
+that reaches ``main`` is a bug here and shows as a traceback.
 """
 
 from __future__ import annotations
@@ -23,22 +25,13 @@ import sys
 from fractions import Fraction
 from math import comb, prod
 
-from . import __version__
+from . import _EXPORTS, __version__
 from .closed_form import checked_params, cooperation_condition
 from .exact import (InputError, field, format_number, integer, load_json, number,
                     plain, report_value, to_exact, unit)
 from .games import PARAMS, BudgetExceededError, MixedProfile, make_dilemma
 
 INTEGER_PARAMS = ("n", "l", "h")
-
-# The other layers' entry points, each imported by the first command that
-# calls it (``_entry``), so a cold run loads only its own command's modules:
-# name -> the module that defines it
-_LAYERS = {"TranslucentType": "beliefs", "is_cooperation_rational": "beliefs",
-           "is_coherent": "equilibrium", "te_condition": "equilibrium",
-           "te_condition_typed": "equilibrium", "logit_qre": "alt_models",
-           "structure_from_json": "counterfactual",
-           "validate_structure": "counterfactual"}
 
 SWEEP_HEADER = "kind,param_snapshot,alpha,beta,rational,binding,threshold"
 
@@ -50,19 +43,20 @@ class CliError(Exception):
 
 
 def _entry(name: str):
-    """The entry point ``name`` of ``_LAYERS``: the module global once bound,
-    else imported and bound.  A rebound global is what the commands call,
-    so the benchmark's traced run can wrap each one in a span through the
-    module's attributes (``__getattr__`` resolves a name not yet bound)."""
+    """The package's public name ``name`` (``translucent._EXPORTS``): the
+    module global once bound, else imported and bound, so a cold run loads
+    only its own command's modules.  A rebound global is what the commands
+    call, so the benchmark's traced run can wrap each one in a span through
+    the module's attributes (``__getattr__`` resolves a name not yet bound)."""
     value = globals().get(name)
     if value is None:  # as ``from .<module> import <name>``, seen by -X importtime
-        module = __import__(_LAYERS[name], globals(), None, (name,), 1)
+        module = __import__(_EXPORTS[name], globals(), None, (name,), 1)
         value = globals()[name] = getattr(module, name)
     return value
 
 
 def __getattr__(name: str):
-    if name not in _LAYERS:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return _entry(name)
 
@@ -259,12 +253,9 @@ def cmd_check(cfg: dict, budget: int) -> tuple:
     beta = unit(field(cfg, "beta", "$"), "beta", "$.beta")
     _check_engine_size(cfg, kind, params, budget)
     d = _on_params(make_dilemma, kind, params)
-    try:
-        t = _entry("TranslucentType")(alpha, beta)
-        closed = cooperation_condition(kind, params, alpha, beta)
-        engine = _entry("is_cooperation_rational")(d, 0, t)
-    except (ValueError, TypeError) as exc:
-        raise CliError(str(exc)) from exc
+    t = _entry("TranslucentType")(alpha, beta)
+    closed = cooperation_condition(kind, params, alpha, beta)
+    engine = _entry("is_cooperation_rational")(d, 0, t)
     report = {
         "kind": kind,
         "params": params,
@@ -336,28 +327,22 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
             d = _on_params(make_dilemma, kind, params)
         for alpha in alphas:
             for beta in betas:
-                try:
-                    if mode == "qre":
-                        res = _logit_qre(d, alpha, max_iter=max_iter, budget=budget)
-                        if not res.converged:
-                            raise CliError(
-                                f"qre did not converge at lambda={alpha} "
-                                f"(residual {res.residual:.3e})", code=1)
-                        coop = res.prob(0, d.cooperate_strategy(0))
-                        beta = to_exact(coop)
-                        row = (to_exact(coop) <= Fraction(1, 2),
-                               Fraction(1, 2), to_exact(coop))
-                    else:
-                        # a te row, the two-point equilibrium condition at a
-                        # homogeneous profile, is the cooperation condition
-                        # (read at full detection in the untyped mode), except
-                        # that all-defect, beta = 0, always passes
-                        verdict = cooperation_condition(
-                            kind, params, 1 if alpha is None else alpha, beta)
-                        ok = verdict.rational or (mode != "cooperation" and beta == 0)
-                        row = (ok, verdict.binding_quantity, verdict.threshold)
-                except (ValueError, TypeError) as exc:
-                    raise CliError(str(exc)) from exc
+                if mode == "qre":
+                    res = _logit_qre(d, alpha, max_iter=max_iter, budget=budget)
+                    if not res.converged:
+                        raise CliError(f"qre did not converge at lambda={alpha} "
+                                       f"(residual {res.residual:.3e})", code=1)
+                    beta = to_exact(res.prob(0, d.cooperate_strategy(0)))
+                    row = (beta <= Fraction(1, 2), Fraction(1, 2), beta)
+                else:
+                    # a te row, the two-point equilibrium condition at a
+                    # homogeneous profile, is the cooperation condition (read
+                    # at full detection in the untyped mode), except that
+                    # all-defect, beta = 0, always passes
+                    verdict = cooperation_condition(
+                        kind, params, 1 if alpha is None else alpha, beta)
+                    ok = verdict.rational or (mode != "cooperation" and beta == 0)
+                    row = (ok, verdict.binding_quantity, verdict.threshold)
                 yield params, alpha, beta, row
 
 
@@ -452,14 +437,10 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
         raise CliError(f"$.betas: {mixing} of {n} players mix, making {terms} "
                        f"multiset-law terms over all players, exceeding budget {budget}")
     d = _on_params(make_dilemma, kind, params)
-    try:
-        sigma = MixedProfile.two_point(d, betas)
-        untyped = _entry("te_condition")(kind, params, betas)
-        coherence = _entry("is_coherent")(d, sigma, budget)
-        typed = (_entry("te_condition_typed")(kind, params, alphas, betas)
-                 if alphas is not None else None)
-    except (ValueError, TypeError) as exc:
-        raise CliError(str(exc)) from exc
+    untyped = _entry("te_condition")(kind, params, betas)
+    coherence = _entry("is_coherent")(d, MixedProfile.two_point(d, betas), budget)
+    typed = (_entry("te_condition_typed")(kind, params, alphas, betas)
+             if alphas is not None else None)
     report = {
         "kind": kind,
         "params": params,
@@ -522,11 +503,7 @@ def cmd_population(cfg: dict, budget: int) -> tuple:
 
     rate = Fraction(0)
     for alpha, beta, w in types:
-        try:
-            verdict = cooperation_condition(kind, params, alpha, beta)
-        except (ValueError, TypeError) as exc:
-            raise CliError(str(exc)) from exc
-        if verdict.rational:
+        if cooperation_condition(kind, params, alpha, beta).rational:
             rate += w
     report = {
         "kind": kind,
@@ -573,11 +550,8 @@ def cmd_qre(cfg: dict, budget: int) -> tuple:
     max_iter = _max_iter(cfg, budget)
     _check_profile_count(cfg, kind, params, budget)
     d = _on_params(make_dilemma, kind, params)
-    try:
-        res = _logit_qre(d, lam, damping=float(damping), tol=tol, max_iter=max_iter,
-                         budget=budget)
-    except (ValueError, TypeError) as exc:
-        raise CliError(str(exc)) from exc
+    res = _logit_qre(d, lam, damping=float(damping), tol=tol, max_iter=max_iter,
+                     budget=budget)
     report = {
         "kind": kind,
         "params": params,

@@ -37,9 +37,10 @@ goes first): structures share those tuples, and each gets a
 ``closest_columns`` dict and measures of its own.
 
 Each player's switch plan (every switch's strategy, column and game
-position) is kept on the structure: a builder hands it over, and
-``_switch_plan`` reads it once for any other structure and again whenever a
-``closest_columns`` key no longer holds the column object it was read from.
+position) is kept on the structure: the coherent builder hands its plans
+over, and ``_switch_plan`` reads a plan once for any other structure and
+again whenever a ``closest_columns`` key no longer holds the column object
+it was read from.
 A belief cell is judged in one pass over its measure's sources
 (``_cell_values``): the exact probabilities (floats at their exact value,
 as ``exact.to_exact`` converts them, so no verdict is decided by rounding)
@@ -73,10 +74,10 @@ from math import prod
 from operator import getitem, is_, itemgetter, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import (InputError, common_denominator, field, index, load_json, plain,
-                    probability, to_exact)
+from .exact import (InputError, common_denominator, exact_text, field, index, load_json,
+                    plain, probability, to_exact)
 from .games import (BudgetExceededError, MixedProfile, NormalFormGame, SocialDilemma,
-                    Strategy, _check_budget, as_game)
+                    Strategy, _check_budget, as_game, make_prisoners_dilemma)
 
 NORM_TOL = Fraction(1, 10 ** 12)
 MISSING = -1
@@ -218,16 +219,12 @@ def _built(game: NormalFormGame, states: tuple, columns: dict, beliefs: list,
            profile_index: tuple, aux=None, plans=None) -> CounterfactualStructure:
     """A builder's structure, handed its ``_profile_index`` so no strategy is
     hashed (a copy by ``dataclasses.replace`` or from JSON computes its own),
-    and its switch plans (``plans``, else read from ``columns``), every
-    strategy at its own game position."""
+    and its switch plans, if any (``_switch_plan`` reads the others)."""
     m = CounterfactualStructure(game.strategy_sets, states, columns,
                                 tuple(beliefs), aux=aux, game=game)
     m.__dict__["_profile_index"] = profile_index  # the cached_property's slot
-    m.__dict__["_plans"] = plans or {
-        i: ([(s, columns[(i, j)], j) for j, s in enumerate(strats)],
-            [(i, j) for j in range(len(strats))],
-            [columns[(i, j)] for j in range(len(strats))])
-        for i, strats in enumerate(game.strategy_sets)}
+    if plans:
+        m.__dict__["_plans"] = plans
     return m
 
 
@@ -302,7 +299,7 @@ def validate_structure(m: CounterfactualStructure) -> list:
             weights, den = common_denominator(dist.values())
             mass = sum(weights)
             measures[key] = ([t for t, w in zip(dist, weights) if w > 0],
-                             f"belief mass sums to {Fraction(mass, den)}"
+                             f"belief mass sums to {exact_text(Fraction(mass, den))}"
                              if abs(mass - den) * NORM_TOL.denominator
                              > den * NORM_TOL.numerator else None)
         # PR1 and PR2 depend on a state only through its measure object and
@@ -658,8 +655,6 @@ def build_typed_pd_structure(alpha_1, alpha_2, beta_1, beta_2, b, c) -> Counterf
     """The 16-state detection-bit structure for the prisoner's dilemma with
     player types (alpha_1, alpha_2) and cooperation beliefs (beta_1, beta_2).
     A public name: the README's quick tour and the acceptance tests call it."""
-    from .games import make_prisoners_dilemma
-
     d = make_prisoners_dilemma(b, c)
     return build_typed_dilemma_structure(d, (alpha_1, alpha_2), (beta_1, beta_2))
 

@@ -4,9 +4,12 @@ Verdicts are decided on ``fractions.Fraction``: floats enter at their exact
 binary value and reappear only in output and in the QRE solver.  All JSON
 text goes through ``load_json``, which reads a decimal as its exact
 ``Decimal`` literal (``0.1`` is 1/10) and refuses NaN and +-Infinity by
-name.  Each reader below takes a parsed value and its JSON path, a
-``str.format`` template formatted with ``args`` only on failure, and raises
-``InputError`` naming it.  Labels and annotations keep plain-parse floats.
+name.  A number, literal or string, whose exact value needs more than 4300
+digits (Python's limit on int <-> str conversion) is refused before it is
+built, by one rule (``_too_long``).  Each reader below takes a parsed value
+and its JSON path, a ``str.format`` template formatted with ``args`` only on
+failure, and raises ``InputError`` naming it.  Labels and annotations keep
+plain-parse floats.
 """
 
 from __future__ import annotations
@@ -22,6 +25,31 @@ from typing import Optional, Union
 Numeric = Union[int, float, Fraction, Decimal, str]
 # the largest magnitude a float rounds to 0 (2**-1075, a tie, goes to even)
 _TINY = Decimal(2) ** -1075
+# the least integer past Python's 4300-digit limit on int to str conversion
+_HUGE = 10 ** 4300
+
+
+class _TooLong(ValueError):
+    """A number whose exact value needs more than 4300 digits."""
+
+
+def _too_long(literal: str) -> bool:
+    """Whether ``literal``, a decimal (``"1.5e3"``) or a rational
+    (``"3/20"``), may need more than 4300 digits: in some part, its digits
+    plus |exponent|, counted without building the value.  An exponent that
+    ``int`` cannot read counts its length: past 4300 characters it is past
+    the limit itself, and shorter text is no number (``Fraction`` refuses)."""
+    if len(literal) <= 4300 and "e" not in literal and "E" not in literal:
+        return False
+    for part in literal.split("/"):
+        mantissa, _, exponent = part.lower().partition("e")
+        try:
+            power = abs(int(exponent)) if exponent else 0
+        except ValueError:
+            power = len(exponent)
+        if sum(map(str.isdecimal, mantissa)) + power > 4300:
+            return True
+    return False
 
 
 def to_exact(x: Numeric) -> Fraction:
@@ -29,12 +57,15 @@ def to_exact(x: Numeric) -> Fraction:
 
     Ints and Fractions pass through, floats map to their exact binary value,
     Decimals to their exact decimal value, and strings are parsed as
-    decimal/rational literals ("0.05", "3/20").
+    decimal/rational literals ("0.05", "3/20"); a string that needs more
+    than 4300 digits raises ValueError before its value is built.
     """
     if type(x) is Fraction:
         return x
     if type(x) is int:
         return Fraction(x)
+    if type(x) is str and _too_long(x):
+        raise _TooLong(f"the number {x} needs more than 4300 digits")
     if isinstance(x, bool):
         raise TypeError("expected a number, got bool")
     if isinstance(x, (float, str, Decimal, Rational)):
@@ -74,18 +105,30 @@ def common_denominator(values) -> tuple:
     return [n * (den // d) for n, d in pairs], den
 
 
+def exact_text(f: Fraction) -> str:
+    """``str(f)``, also for a numerator or denominator past Python's
+    4300-digit limit on int to str conversion, which ``decimal`` does not
+    have."""
+    try:
+        return str(f)
+    except ValueError:
+        text = str(Decimal(f.numerator))
+        return text if f.denominator == 1 else f"{text}/{Decimal(f.denominator)}"
+
+
 def report_value(x: Numeric):
-    """How every report prints ``x``: an exact integer as an int, a value
-    whose float is 0 or past the float range as its exact ``"n/d"`` string,
-    any other as its float rounded to 12 significant digits."""
+    """How every report prints ``x``: an exact integer as an int (past 4300
+    digits, as its digit string), a value whose float is 0 or past the float
+    range as its exact ``"n/d"`` string (``exact_text``), any other as its
+    float rounded to 12 significant digits."""
     f = to_exact(x)
     if f.denominator == 1:
-        return f.numerator
+        return f.numerator if abs(f.numerator) < _HUGE else exact_text(f)
     try:
         v = float(f)
     except OverflowError:  # int true division past the float range
-        return str(f)
-    return float(f"{v:.12g}") if v else str(f)
+        return exact_text(f)
+    return float(f"{v:.12g}") if v else exact_text(f)
 
 
 def format_number(x: Numeric) -> str:
@@ -111,12 +154,10 @@ def load_json(text: str, source: str = "$"):
                          "every number must be finite")
 
     def decimal(literal: str) -> Decimal:
-        d = Decimal(literal)
-        _, digits, exponent = d.as_tuple()
-        if len(digits) + abs(exponent) > 4300:  # the exact value's digits, at most
+        if _too_long(literal):
             raise InputError(f"{source}: the number {literal} needs more than "
                              "4300 digits")
-        return d
+        return Decimal(literal)
     try:
         return json.loads(text, parse_float=decimal, parse_constant=refuse)
     except json.JSONDecodeError as exc:
@@ -152,6 +193,8 @@ def field(obj, key: str, path: str, *args):
 def _exact(value, what: str, path: str, args: tuple) -> Fraction:
     try:
         return to_exact(value)
+    except _TooLong as exc:
+        raise InputError(f"{path.format(*args)}: {exc}") from None
     except (ArithmeticError, TypeError, ValueError):
         raise InputError(f"{path.format(*args)}: expected {what}, "
                          f"got {plain(value)!r}") from None

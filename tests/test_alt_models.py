@@ -64,6 +64,13 @@ class TestFehrSchmidt:
         with pytest.raises(ValueError, match="b_fs <= a_fs"):
             FehrSchmidtParams.uniform(2, F(1, 2), F(7, 10))
 
+    def test_lengths_checked(self):
+        with pytest.raises(ValueError, match=r"^need one \(a_fs, b_fs\) pair per player$"):
+            FehrSchmidtParams((1, 1), (0,))
+        with pytest.raises(ValueError, match="^parameter vectors do not match the player count$"):
+            fehr_schmidt_utility(make_prisoners_dilemma(4, 1), ("C", "D"), 0,
+                                 FehrSchmidtParams.uniform(3, 1, 0))
+
 
 class TestFsPggCondition:
     def test_threshold_values(self):
@@ -146,6 +153,13 @@ class TestCharnessRabin:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             CharnessRabinParams.uniform(2, 2, 0)
 
+    def test_lengths_checked(self):
+        with pytest.raises(ValueError, match=r"^need one \(a_cr, d_cr\) pair per player$"):
+            CharnessRabinParams((0, 0), (0,))
+        with pytest.raises(ValueError, match="^parameter vectors do not match the player count$"):
+            charness_rabin_utility(make_prisoners_dilemma(4, 1), ("C", "D"), 0,
+                                   CharnessRabinParams.uniform(3, 0, 0))
+
 
 class TestLogitQre:
     def test_lambda_zero_is_uniform(self):
@@ -224,6 +238,11 @@ class TestLogitQre:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError, match="nonnegative"):
             logit_qre(make_prisoners_dilemma(4, 1), -1.0)
+
+    @pytest.mark.parametrize("damping", [0, -0.5, 1.5])
+    def test_rejects_damping_outside_the_unit_interval(self, damping):
+        with pytest.raises(ValueError, match=r"^damping must lie in \(0, 1\]$"):
+            logit_qre(make_prisoners_dilemma(4, 1), 1.0, damping=damping)
 
 
 # small symmetric games of all four kinds

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,7 +13,9 @@ import pytest
 
 import translucent
 from translucent.cli import main
-from translucent.counterfactual import build_nash_structure, structure_to_json
+from translucent.counterfactual import (build_nash_structure, structure_from_json,
+                                        structure_to_json)
+from translucent.exact import InputError
 from translucent.games import MixedProfile, make_prisoners_dilemma
 
 
@@ -557,6 +561,13 @@ class TestNamedPaths:
         ("population", {**PD, "population": {"types": [
             {"alpha": 0.5, "beta": 0.5, "weight": 1e308}] * 2}},
          f"$.population: weights sum to {2 * 10 ** 308}, expected 1 within 1e-9"),
+        ("population", {**PD, "population": {"alpha": 1}},
+         "$.population: expected either 'types' or 'grid'"),
+        ("population", {**PD, "population": {"types": []}},
+         "$.population.types: expected a nonempty list"),
+        ("population", {**PD, "population": {"types": [
+            {"alpha": 1, "beta": 1, "weight": 2}, {"alpha": 0, "beta": 0, "weight": -1}]}},
+         "$.population: weights must be nonnegative"),
     ])
     def test_reader_messages(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, "c.json", payload)
@@ -779,6 +790,20 @@ class TestFuzzFindings:
             tmp_path, capsys, "qre",
             '{"kind": "pd", "params": {"b": 4, "c": 1}, "lambda": %s}' % token)
         assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("text", [
+        "1e9999999", "-1E-9999999", "1" * 4301, "1/" + "3" * 4301],
+        ids=["exponent", "negative-exponent", "integer", "denominator"])
+    def test_string_past_4300_digits_exits_2(self, tmp_path, capsys, text):
+        # a string went straight to Fraction: "1e9999999" built its ten
+        # million digits (10 s) before $.alpha refused its magnitude
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "pd", "params": {"b": 4, "c": 1}, "alpha": text, "beta": 0.5})
+        start = time.perf_counter()
+        result = run(capsys, "check", "--config", cfg)
+        assert time.perf_counter() - start < 1
+        assert result == (2, "", f"error: $.alpha: the number {text} needs more "
+                                 "than 4300 digits\n")
 
     @pytest.mark.parametrize("token,message", [
         # exactly 10^-4299: nonzero, so not 0, but its float is 0.0
@@ -1035,6 +1060,33 @@ class TestValidateStructure:
             "PR2 violated at state 0, player 0, positive mass on state 1 with "
             "different beliefs\n"), "")
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: [doc], "$: expected an object, got list"),
+        (lambda doc: {**doc, "closest": {}}, "$.closest: expected a list"),
+        (lambda doc: {**doc, "strategies": ["C", ["C", "D"]]},
+         "$.strategies[0]: expected a list of strategy labels"),
+        (lambda doc: {**doc, "strategies": doc["strategies"][:1]},
+         "$.strategies: one strategy list per player required, got 1 for 2 players"),
+        (lambda doc: {**doc, "states": [{"profile": 0}]},
+         "$.states[0].profile: expected a list"),
+        (lambda doc: {**doc, "states": [{"profile": [0, 0], "aux": 5}]},
+         "$.states[0].aux: expected a list or null"),
+        # Fraction("1e999999") built the number, and NORM's detail could
+        # not print the sum: a ValueError traceback, exit 1
+        (lambda doc: {**doc, "beliefs": [
+            {"player": 0, "state": 0, "dist": {"0": "1e999999"}}]},
+         '$.beliefs[0].dist["0"]: the number 1e999999 needs more than 4300 digits'),
+    ])
+    def test_shape_refusals_name_their_path(self, tmp_path, capsys, edit, message):
+        doc = edit(self.make_structure_doc())
+        with pytest.raises(InputError) as exc:
+            structure_from_json(doc)
+        assert str(exc.value) == message
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate-structure", str(path)) == (
+            2, "", f"error: {path}: malformed structure document: {message}\n")
+
     def test_budget_counts_closest_state_entries(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(self.make_structure_doc()))  # 4 x (2 + 2)
@@ -1062,6 +1114,14 @@ class TestQreCommand:
         code, out, _ = run(capsys, "qre", "--config", cfg)
         assert code == 1
         assert json.loads(out)["converged"] is False
+
+    def test_nonconvergence_in_a_sweep(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.json", {
+            "kind": "pd", "mode": "qre", "params": {"b": 4, "c": 1},
+            "lambda": [0, 50], "max_iter": 2})
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: qre did not converge at lambda=50 (residual ")
 
     @pytest.mark.parametrize("lam", [1e200, 1e308])
     def test_huge_lambda_is_the_best_response(self, tmp_path, capsys, lam):
@@ -1129,7 +1189,7 @@ class TestMaxIterBudget:
 
 class TestTinyExactValues:
     """A nonzero value whose float is 0 prints as its exact fraction string,
-    never as 0."""
+    never as 0, also past Python's 4300-digit limit on int to str."""
 
     TINY = {"kind": "pd", "params": {"b": 4e-323, "c": 5e-324}, "beta": 0.5}
     MARGIN = "1/1" + "0" * 646  # alpha * beta * b = 5e-324 * 1/2 * 4e-323
@@ -1151,6 +1211,18 @@ class TestTinyExactValues:
         assert [row[4:] for row in rows] == [
             ["false", self.MARGIN, "4.94065645841e-324"],
             ["true", "9.88131291682e-324", "4.94065645841e-324"]]
+
+    def test_csv_row_past_4300_digits(self, tmp_path, capsys):
+        # the binding (1/2)^19999 has a 6,021-digit denominator: str() of it
+        # raised ValueError, and the sweep stopped with a traceback
+        cfg = write_config(tmp_path, "s.json", {
+            "kind": "bertrand", "params": {"n": 20000, "l": 2, "h": 10},
+            "mode": "cooperation", "alpha": 0.5, "beta": 0.5})
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert (code, err) == (0, "")
+        assert out.split("\n")[1:] == [
+            f"bertrand,n=20000;l=2;h=10,0.5,0.5,false,1/{Decimal(2 ** 19999)},"
+            "0.266666666667", ""]
 
 
 class TestDeterminism:

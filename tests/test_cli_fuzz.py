@@ -3,8 +3,8 @@
 Configs are generated for the five config commands, every kind and every
 sweep mode, and some of them are broken at one place: a value of the wrong
 type, out of its domain, one of the JSON constants NaN, Infinity and
--Infinity, a number past the float range or an integer near its edge, or a
-missing key.  Budgets stay at or below 64 and iteration caps at or below
+-Infinity, a number past the float range, an integer near its edge or a
+string needing more than 4300 digits, or a missing key.  Budgets stay at or below 64 and iteration caps at or below
 200, so every run is small.
 Every run must exit 0, 1 or 2 without an uncaught exception, and a second
 run of the same config must print the same stdout.  Every exit-2 message
@@ -47,6 +47,7 @@ RAW_TOKENS = ["1e400", "-1e400", "1e-400"]
 MALFORMED = [
     None, "x", "", [], {}, True, -1, -0.5, 0, 7, 10 ** 30, [1, "y"],
     10 ** 308, 17 * 10 ** 307,  # within the float range; sums can leave it
+    "1e9999999",  # a string past 4300 digits, refused before it is built
     {"start": 0}, float("inf"), float("-inf"), float("nan"),
     *(f"@raw:{token}" for token in RAW_TOKENS),
 ]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -95,6 +96,23 @@ class TestValidator:
         violations = validate_structure(m)
         assert violations and all(v.axiom == "NORM" for v in violations)
         assert {v.detail for v in violations} == {f"belief mass sums to {F(0.1)}"}
+
+    def test_norm_detail_prints_past_4300_digits(self):
+        # str() of the sum raised ValueError past Python's int to str limit
+        d = make_prisoners_dilemma(4, 1)
+        m = build_nash_structure(d, MixedProfile.pure(d.game, ("D", "D")))
+        k_dd = state_of(m, ("D", "D"))
+        m.beliefs[0][k_dd][k_dd] = F(1, 3 ** 10000)  # 4,772 digits
+        assert {v.detail for v in validate_structure(m)} == {
+            f"belief mass sums to 1/{Decimal(3 ** 10000)}"}
+
+    @pytest.mark.parametrize("strategy", ["X", ["C"]])
+    def test_strategy_index_refuses_a_non_strategy(self, strategy):
+        d = make_prisoners_dilemma(4, 1)
+        m = build_nash_structure(d, MixedProfile.pure(d.game, ("D", "D")))
+        with pytest.raises(ValueError) as exc:
+            m.strategy_index(1, strategy)
+        assert str(exc.value) == f"{strategy!r} is not a strategy of player 1"
 
     def test_planted_pr2_defect(self):
         d = make_prisoners_dilemma(4, 1)
@@ -270,6 +288,20 @@ class TestTypedStructures:
                 m = build_typed_pd_structure(a1, F(1, 3), F(2, 3), b2, 4, 1)
                 assert validate_structure(m) == []
 
+    @pytest.mark.parametrize("alphas,betas,budget,message", [
+        ((0, 0), (1,), 100, "one alpha and one beta per player required"),
+        ((0, 0, 0), (1, 1), 100, "one alpha and one beta per player required"),
+        ((0, F(3, 2)), (1, 1), 100, "type parameters must lie in [0, 1], got 3/2"),
+        ((0, 0), (1, -1), 100, "type parameters must lie in [0, 1], got -1"),
+        ((0, 0), (1, 1), 15, "enumeration requires 16 states, exceeding budget 15"),
+    ])
+    def test_builder_refusals(self, alphas, betas, budget, message):
+        d = make_prisoners_dilemma(4, 1)
+        with pytest.raises((ValueError, BudgetExceededError)) as exc:
+            build_typed_dilemma_structure(d, alphas, betas, budget=budget)
+        assert str(exc.value) == message
+        assert build_typed_dilemma_structure(d, (0, 0), (1, 1), budget=16).num_states == 16
+
     def test_opacity_makes_cooperation_irrational(self):
         m = build_typed_pd_structure(0, 0, F(1, 2), F(1, 2), 4, 1)
         k = state_of(m, ("C", "C"), (0, 0))
@@ -414,6 +446,8 @@ class TestJsonFormat:
          '$.beliefs[6].dist["1"]: expected a finite number, got \'x\''),
         (lambda doc: doc["beliefs"][6]["dist"].update({"1": "1/0"}),
          '$.beliefs[6].dist["1"]: expected a finite number, got \'1/0\''),
+        (lambda doc: doc["beliefs"][6]["dist"].update({"1": "1e999999"}),
+         '$.beliefs[6].dist["1"]: the number 1e999999 needs more than 4300 digits'),
         # Fraction(True) is 1 and Fraction(False) is 0
         (lambda doc: doc["beliefs"][6]["dist"].update({"1": True}),
          '$.beliefs[6].dist["1"]: expected a finite number, got True'),
@@ -569,5 +603,11 @@ class TestGrammar:
         assert structure_from_json(doc, budget=16).num_states == 4
         with pytest.raises(BudgetExceededError) as exc:
             structure_from_json(json.dumps(doc), budget=15)
+        assert str(exc.value) == ("enumeration requires 16 closest-state "
+                                  "entries, exceeding budget 15")
+        m = structure_from_json(doc)
+        assert structure_to_json(m, budget=16) == doc
+        with pytest.raises(BudgetExceededError) as exc:
+            structure_to_json(m, budget=15)
         assert str(exc.value) == ("enumeration requires 16 closest-state "
                                   "entries, exceeding budget 15")

@@ -235,6 +235,19 @@ class TestPayoffPlumbing:
         with pytest.raises(IndexError):
             d.game.strategy_index(2, 2)
 
+    @pytest.mark.parametrize("n,sets,symmetric,message", [
+        (1, (("C", "D"),), False, "a game needs at least 2 players"),
+        (3, (("C", "D"),) * 2, False, "one strategy set per player required"),
+        (2, (("C", "D"), ()), False, "strategy set of player 1 is empty"),
+        (2, (("C", "D"), ("C", "C")), False, "strategy set of player 1 has duplicates"),
+        (2, (("C", "D"), ("C",)), True,
+         "a symmetric game needs one strategy set for every player"),
+    ])
+    def test_construction_refusals(self, n, sets, symmetric, message):
+        with pytest.raises(ValueError) as exc:
+            NormalFormGame(n, sets, lambda profile, i: F(0), symmetric=symmetric)
+        assert str(exc.value) == message
+
     def test_index_map_outside_equality(self):
         a = make_prisoners_dilemma(4, 1).game
         b = make_prisoners_dilemma(4, 1).game
@@ -355,6 +368,20 @@ class TestMixedProfile:
         with pytest.raises(ValueError, match="not a strategy"):
             MixedProfile(d.game, [{"X": 1}, {"D": 1}])
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda d: MixedProfile(d.game, [{"D": 1}]),
+         "one distribution per player required"),
+        (lambda d: MixedProfile(d.game, [{"C": -1, "D": 2}, {"D": 1}]),
+         "negative probability for player 0"),
+        (lambda d: MixedProfile.two_point(d, [F(1, 2)]), "one beta per player required"),
+        (lambda d: MixedProfile.two_point(d, [0, F(3, 2)]),
+         "beta of player 1 must lie in [0, 1]"),
+    ])
+    def test_refusals(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build(make_prisoners_dilemma(4, 1))
+        assert str(exc.value) == message
+
 
 class TestJsonRoundtrip:
     @pytest.mark.parametrize("kind,params", [
@@ -383,6 +410,16 @@ class TestJsonRoundtrip:
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing 'params'"):
             dilemma_from_json('{"kind": "pd"}')
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: dilemma_from_json("[1]"), "game description must be a JSON object"),
+        (lambda: make_dilemma("chicken", {}), "unknown dilemma kind 'chicken', "
+         "expected one of ('pd', 'pgg', 'bertrand', 'td')"),
+    ])
+    def test_unknown_shapes_rejected(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_constants_refused_by_name(self, constant):

@@ -16,12 +16,12 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
+    "exact": ("BudgetExceededError",),
     "games": (
-        "BudgetExceededError", "MixedProfile", "NormalFormGame", "SocialDilemma",
-        "dilemma_from_json", "dilemma_to_json", "enumerate_pure_nash",
-        "make_bertrand", "make_dilemma", "make_prisoners_dilemma",
-        "make_public_goods", "make_travelers_dilemma", "payoff",
-        "verify_social_dilemma"),
+        "MixedProfile", "NormalFormGame", "SocialDilemma", "dilemma_from_json",
+        "dilemma_to_json", "enumerate_pure_nash", "make_bertrand", "make_dilemma",
+        "make_prisoners_dilemma", "make_public_goods", "make_travelers_dilemma",
+        "payoff", "verify_social_dilemma"),
     "beliefs": (
         "CooperationScanner", "RationalityReport", "TranslucentType",
         "is_cooperation_rational"),

@@ -9,27 +9,22 @@ imported by the solver itself, so importing the package does not load it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isinf, prod
 from typing import NamedTuple
 
-from .exact import Numeric, to_exact
-from .games import BudgetExceededError, Profile, as_game
+from .exact import BudgetExceededError, Numeric, to_exact
+from .games import Profile, _Frozen, as_game
 
 
-@dataclass(frozen=True)
-class FehrSchmidtParams:
+class FehrSchmidtParams(_Frozen):
     """Per-player envy (a_fs) and guilt (b_fs) weights, 0 <= b_fs <= a_fs."""
 
-    a_fs: tuple
-    b_fs: tuple
+    _shown = _compared = ("a_fs", "b_fs")
 
-    def __post_init__(self):
-        a = tuple(to_exact(x) for x in self.a_fs)
-        b = tuple(to_exact(x) for x in self.b_fs)
-        object.__setattr__(self, "a_fs", a)
-        object.__setattr__(self, "b_fs", b)
+    def __init__(self, a_fs: tuple, b_fs: tuple):
+        a = tuple(to_exact(x) for x in a_fs)
+        b = tuple(to_exact(x) for x in b_fs)
         if len(a) != len(b):
             raise ValueError("need one (a_fs, b_fs) pair per player")
         for i, (ai, bi) in enumerate(zip(a, b)):
@@ -37,29 +32,27 @@ class FehrSchmidtParams:
                 raise ValueError(
                     f"player {i}: weights must satisfy 0 <= b_fs <= a_fs, "
                     f"got a_fs={ai}, b_fs={bi}")
+        self.__dict__.update(a_fs=a, b_fs=b)
 
     @classmethod
     def uniform(cls, n: int, a_fs: Numeric, b_fs: Numeric) -> "FehrSchmidtParams":
         return cls((a_fs,) * n, (b_fs,) * n)
 
 
-@dataclass(frozen=True)
-class CharnessRabinParams:
+class CharnessRabinParams(_Frozen):
     """Per-player social weight (a_cr) and maximin share (d_cr), both in [0,1]."""
 
-    a_cr: tuple
-    d_cr: tuple
+    _shown = _compared = ("a_cr", "d_cr")
 
-    def __post_init__(self):
-        a = tuple(to_exact(x) for x in self.a_cr)
-        d = tuple(to_exact(x) for x in self.d_cr)
-        object.__setattr__(self, "a_cr", a)
-        object.__setattr__(self, "d_cr", d)
+    def __init__(self, a_cr: tuple, d_cr: tuple):
+        a = tuple(to_exact(x) for x in a_cr)
+        d = tuple(to_exact(x) for x in d_cr)
         if len(a) != len(d):
             raise ValueError("need one (a_cr, d_cr) pair per player")
         for i, (ai, di) in enumerate(zip(a, d)):
             if not (0 <= ai <= 1 and 0 <= di <= 1):
                 raise ValueError(f"player {i}: weights must lie in [0, 1]")
+        self.__dict__.update(a_cr=a, d_cr=d)
 
     @classmethod
     def uniform(cls, n: int, a_cr: Numeric, d_cr: Numeric) -> "CharnessRabinParams":

@@ -27,9 +27,8 @@ from math import comb, prod
 
 from . import _EXPORTS, __version__
 from .closed_form import checked_params, cooperation_condition
-from .exact import (InputError, field, format_number, integer, load_json, number,
-                    plain, report_value, to_exact, unit)
-from .games import PARAMS, BudgetExceededError, MixedProfile, make_dilemma
+from .exact import (PARAMS, BudgetExceededError, InputError, field, format_number, integer,
+                    load_json, number, plain, report_value, to_exact, unit)
 
 INTEGER_PARAMS = ("n", "l", "h")
 
@@ -189,13 +188,15 @@ def _strategy_count(cfg: dict, kind: str, params: dict) -> tuple:
 
 
 def _check_engine_size(cfg: dict, kind: str, params: dict, budget: int) -> None:
-    """Refuse a game whose engine payoff table, own strategies x players,
-    exceeds ``budget`` (``check`` and the sweep's spot check)."""
+    """Refuse a game whose engine payoff table exceeds ``budget`` (``check``
+    and the sweep's spot check): own strategies x players entries, each an
+    n-tuple the engine builds and hashes, so own x n^2 positions."""
     own, _ = _strategy_count(cfg, kind, params)
-    size = own * params.get("n", 2)
+    n = params.get("n", 2)
+    size = own * n * n
     if size > budget:
-        raise CliError(f"$.params: the engine's payoff table needs {size} entries "
-                       f"(own strategies x players), exceeding budget {budget}")
+        raise CliError(f"$.params: the engine's payoff table needs {size} entry positions "
+                       f"(own strategies x players^2), exceeding budget {budget}")
 
 
 def _check_profile_count(cfg: dict, kind: str, params: dict, budget: int) -> None:
@@ -252,7 +253,7 @@ def cmd_check(cfg: dict, budget: int) -> tuple:
     alpha = unit(field(cfg, "alpha", "$"), "alpha", "$.alpha")
     beta = unit(field(cfg, "beta", "$"), "beta", "$.beta")
     _check_engine_size(cfg, kind, params, budget)
-    d = _on_params(make_dilemma, kind, params)
+    d = _on_params(_entry("make_dilemma"), kind, params)
     t = _entry("TranslucentType")(alpha, beta)
     closed = cooperation_condition(kind, params, alpha, beta)
     engine = _entry("is_cooperation_rational")(d, 0, t)
@@ -280,8 +281,10 @@ def cmd_check(cfg: dict, budget: int) -> tuple:
 
 
 def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
-    """Yield (param_dict, alpha, beta, rational, binding, threshold) in
-    lexicographic grid order, once the row count is within ``budget``."""
+    """Yield (param_dict, alpha, beta, (rational, binding, threshold),
+    cells) in lexicographic grid order, once the row count is within
+    ``budget``; ``cells`` is the row's CSV text up to beta, from texts made
+    once per grid value and once per parameter combination."""
     raw_params = field(cfg, "params", "$")
     keys = PARAMS[kind]
     grids, sized = [], {}  # sized: JSON path -> grid, for the budget
@@ -316,6 +319,8 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
     if "n" in keys and mode != "qre":  # qre rows count profiles instead
         for n in grids[keys.index("n")]:
             _check_players(n, "$.params.n", budget)
+    alpha_texts = ["" if a is None else format_number(a) for a in alphas]
+    beta_texts = [None if b is None else format_number(b) for b in betas]
 
     for combo in itertools.product(*grids):
         params = dict(zip(keys, combo))
@@ -324,15 +329,18 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
         _on_params(checked_params, kind, params)
         if mode == "qre":  # one game per combination: every lambda reuses its memo
             _check_profile_count(cfg, kind, params, budget)
-            d = _on_params(make_dilemma, kind, params)
-        for alpha in alphas:
-            for beta in betas:
-                if mode == "qre":
+            d = _on_params(_entry("make_dilemma"), kind, params)
+        snapshot = _snapshot(kind, params)
+        for alpha, alpha_text in zip(alphas, alpha_texts):
+            head = f"{kind},{snapshot},{alpha_text},"
+            for beta, beta_text in zip(betas, beta_texts):
+                if mode == "qre":  # beta is the solution's, a text per row
                     res = _logit_qre(d, alpha, max_iter=max_iter, budget=budget)
                     if not res.converged:
                         raise CliError(f"qre did not converge at lambda={alpha} "
                                        f"(residual {res.residual:.3e})", code=1)
                     beta = to_exact(res.prob(0, d.cooperate_strategy(0)))
+                    beta_text = format_number(beta)
                     row = (beta <= Fraction(1, 2), Fraction(1, 2), beta)
                 else:
                     # a te row, the two-point equilibrium condition at a
@@ -343,7 +351,7 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
                         kind, params, 1 if alpha is None else alpha, beta)
                     ok = verdict.rational or (mode != "cooperation" and beta == 0)
                     row = (ok, verdict.binding_quantity, verdict.threshold)
-                yield params, alpha, beta, row
+                yield params, alpha, beta, row, head + beta_text
 
 
 def cmd_sweep(cfg: dict, budget: int) -> tuple:
@@ -356,17 +364,10 @@ def cmd_sweep(cfg: dict, budget: int) -> tuple:
     rows = []
     out = io.StringIO()
     out.write(SWEEP_HEADER + "\n")
-    for params, alpha, beta, (rational, binding, threshold) in \
+    for params, alpha, beta, (rational, binding, threshold), cells in \
             _sweep_rows(kind, mode, cfg, budget):
-        snapshot = _snapshot(kind, params)
-        out.write(",".join([
-            kind, snapshot,
-            format_number(alpha) if alpha is not None else "",
-            format_number(beta),
-            "true" if rational else "false",
-            format_number(binding),
-            format_number(threshold),
-        ]) + "\n")
+        out.write(f"{cells},{'true' if rational else 'false'},"
+                  f"{format_number(binding)},{format_number(threshold)}\n")
         rows.append((params, alpha, beta, rational))
 
     exit_code = 0
@@ -388,6 +389,7 @@ def _spot_check(cfg: dict, kind: str, rows: list, budget: int) -> list:
     disagreeing rows."""
     import random
 
+    make_dilemma = _entry("make_dilemma")
     translucent_type = _entry("TranslucentType")
     is_cooperation_rational = _entry("is_cooperation_rational")
     rng = random.Random(0)
@@ -436,9 +438,9 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
     if terms > budget:
         raise CliError(f"$.betas: {mixing} of {n} players mix, making {terms} "
                        f"multiset-law terms over all players, exceeding budget {budget}")
-    d = _on_params(make_dilemma, kind, params)
+    d = _on_params(_entry("make_dilemma"), kind, params)
     untyped = _entry("te_condition")(kind, params, betas)
-    coherence = _entry("is_coherent")(d, MixedProfile.two_point(d, betas), budget)
+    coherence = _entry("is_coherent")(d, _entry("MixedProfile").two_point(d, betas), budget)
     typed = (_entry("te_condition_typed")(kind, params, alphas, betas)
              if alphas is not None else None)
     report = {
@@ -549,7 +551,7 @@ def cmd_qre(cfg: dict, budget: int) -> tuple:
     tol = float(number(cfg.get("tol", 1e-10), "$.tol"))
     max_iter = _max_iter(cfg, budget)
     _check_profile_count(cfg, kind, params, budget)
-    d = _on_params(make_dilemma, kind, params)
+    d = _on_params(_entry("make_dilemma"), kind, params)
     res = _logit_qre(d, lam, damping=float(damping), tol=tol, max_iter=max_iter,
                      budget=budget)
     report = {

@@ -48,8 +48,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .exact import Numeric, to_unit
-from .games import KINDS, bertrand_params, pd_params, pgg_params, td_params
+from .exact import KINDS, Numeric, bertrand_params, pd_params, pgg_params, td_params, to_unit
 
 _NEAR_ONE = 1 - 1e-9
 
@@ -102,7 +101,7 @@ def cooperation_condition(kind: str, params: dict, alpha: Numeric,
                           beta: Numeric) -> CooperationVerdict:
     """Evaluate the game's closed-form cooperation condition at (alpha, beta).
 
-    Parameter domains are the game factories' (``games.*_params``), except
+    Parameter domains are the game factories' (``exact.*_params``), except
     that the public-goods marginal return may equal 1 here (cooperation is
     then rational for every type, the limit case of the condition).
     """
@@ -124,7 +123,7 @@ def cooperation_condition(kind: str, params: dict, alpha: Numeric,
 
 
 def checked_params(kind: str, params: dict) -> tuple:
-    """The game's parameters through its ``games.*_params`` check (the
+    """The game's parameters through its ``exact.*_params`` check (the
     public-goods one admitting rho = 1), as ``condition_terms`` reads them."""
     if kind == "pd":
         return pd_params(params["b"], params["c"])

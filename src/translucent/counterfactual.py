@@ -72,12 +72,13 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import getitem, is_, itemgetter, mul
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .exact import (InputError, common_denominator, exact_text, field, index, load_json,
-                    plain, probability, to_exact)
-from .games import (BudgetExceededError, MixedProfile, NormalFormGame, SocialDilemma,
-                    Strategy, _check_budget, as_game, make_prisoners_dilemma)
+from .exact import (BudgetExceededError, InputError, common_denominator, exact_text, field,
+                    index, load_json, plain, probability, to_exact)
+
+if TYPE_CHECKING:  # games is imported by the builders that use it
+    from .games import MixedProfile, NormalFormGame, SocialDilemma, Strategy
 
 NORM_TOL = Fraction(1, 10 ** 12)
 MISSING = -1
@@ -489,6 +490,8 @@ def build_nash_structure(game, sigma: MixedProfile,
     Nash equilibria (every support strategy must attain the player's best
     payoff against the others' mixture).
     """
+    from .games import _check_budget, as_game
+
     game = as_game(game)
     for i in range(game.num_players):
         payoffs = {s: sigma.expected_payoff(i, s) for s in game.strategy_sets[i]}
@@ -526,6 +529,8 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
     structure is built anyway, which then simply fails rationality where
     coherence fails.
     """
+    from .games import _check_budget, as_game
+
     game = as_game(game)
     _check_budget(game, budget, "states")
     states, own, others, punished = game._layout
@@ -655,6 +660,8 @@ def build_typed_pd_structure(alpha_1, alpha_2, beta_1, beta_2, b, c) -> Counterf
     """The 16-state detection-bit structure for the prisoner's dilemma with
     player types (alpha_1, alpha_2) and cooperation beliefs (beta_1, beta_2).
     A public name: the README's quick tour and the acceptance tests call it."""
+    from .games import make_prisoners_dilemma
+
     d = make_prisoners_dilemma(b, c)
     return build_typed_dilemma_structure(d, (alpha_1, alpha_2), (beta_1, beta_2))
 
@@ -667,7 +674,8 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     """Serialize a structure.
 
     Strategy labels become display strings, profiles become index lists, and
-    probabilities are written as exact fraction strings.  Closest-state
+    probabilities are written as exact fraction strings (``exact_text``, so
+    past Python's 4300-digit limit too), once per measure.  Closest-state
     entries forced by CS2 (switching to the current strategy) are omitted.
     """
     entries = m.num_states * sum(len(s) for s in m.strategy_sets)
@@ -702,7 +710,8 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
         for omega, dist in enumerate(m.beliefs[i]):
             text = formatted.get(id(dist))
             if text is None:
-                text = formatted[id(dist)] = {str(t): str(p) for t, p in sorted(dist.items())}
+                text = formatted[id(dist)] = {str(t): exact_text(p)
+                                              for t, p in sorted(dist.items())}
             # a copy: no two entries alias
             beliefs_doc.append({"player": i, "state": omega, "dist": dict(text)})
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic and the input grammar.
+"""Exact arithmetic, the input grammar and the games' parameter domains.
 
 Verdicts are decided on ``fractions.Fraction``: floats enter at their exact
 binary value and reappear only in output and in the QRE solver.  All JSON
@@ -10,6 +10,10 @@ built, by one rule (``_too_long``).  Each reader below takes a parsed value
 and its JSON path, a ``str.format`` template formatted with ``args`` only on
 failure, and raises ``InputError`` naming it.  Labels and annotations keep
 plain-parse floats.
+
+The four dilemmas' parameter domains (``KINDS``, ``PARAMS`` and one check
+per kind) live here too, with ``BudgetExceededError``: the closed forms and
+the CLI read them without loading ``games``, which re-exports them.
 """
 
 from __future__ import annotations
@@ -145,6 +149,17 @@ class InputError(ValueError):
     """An input the grammar refuses; the message starts with its file or path."""
 
 
+class BudgetExceededError(RuntimeError):
+    """An exhaustive enumeration would exceed the configured budget."""
+
+    def __init__(self, required: int, budget: int, what: str = "profiles"):
+        self.required = required
+        self.budget = budget
+        super().__init__(
+            f"enumeration requires {required} {what}, exceeding budget {budget}"
+        )
+
+
 def load_json(text: str, source: str = "$"):
     """Parse JSON ``text``, decimals as exact ``Decimal`` literals; a parse
     error, NaN, +-Infinity or a number needing over 4300 digits (Python's
@@ -244,3 +259,75 @@ def index(value, size: Optional[int], what: str, path: str, *args) -> int:
 def probability(value, path: str, *args) -> Fraction:
     """A finite number of any magnitude (not a bool), as an exact Fraction."""
     return _exact(value, "a finite number", path, args)
+
+
+# ---------------------------------------------------------------------------
+# parameter domains: one check per kind, shared by the factories, the closed
+# forms and the equilibrium conditions.  Integer parameters accept any number
+# whose exact value is an integer; each check returns the exact values.
+
+# each kind's parameters in report order (pgg's optional grid aside)
+PARAMS = {"pd": ("b", "c"), "pgg": ("n", "rho"), "bertrand": ("n", "l", "h"),
+          "td": ("l", "h", "bonus")}
+KINDS = tuple(PARAMS)
+
+
+def pd_params(b: Numeric, c: Numeric) -> tuple:
+    b, c = to_exact(b), to_exact(c)
+    (bn, bd), (cn, cd) = b.as_integer_ratio(), c.as_integer_ratio()
+    if not cn > 0:
+        raise ValueError(f"cost must be positive, got c={c}")
+    if not bn * cd > cn * bd:
+        raise ValueError(f"benefit must exceed cost, got b={b} <= c={c}")
+    return b, c
+
+
+def pgg_params(n: int, rho: Numeric, grid: int = 100,
+               allow_rho_one: bool = False) -> tuple:
+    """``allow_rho_one`` admits rho = 1, where the closed forms hold for
+    every type although the welfare profile is no longer unique."""
+    n = to_integer(n, "n")
+    if n < 2:
+        raise ValueError("public goods game needs n >= 2 players")
+    rho = to_exact(rho)
+    rn, rd = rho.as_integer_ratio()
+    if allow_rho_one:
+        if not rd < n * rn <= n * rd:
+            raise ValueError(f"marginal return must lie in (1/{n}, 1], got {rho}")
+    elif not rd < n * rn < n * rd:
+        raise ValueError(
+            f"marginal return must lie strictly between 1/{n} and 1, got {rho}; "
+            "at the endpoints the Nash/welfare profiles are not unique"
+        )
+    grid = to_integer(grid, "grid")
+    if grid < 1:
+        raise ValueError("grid must have at least one step")
+    return n, rho, grid
+
+
+def bertrand_params(n: int, l: int, h: int) -> tuple:
+    n = to_integer(n, "n")
+    if n < 2:
+        raise ValueError("bertrand competition needs n >= 2 players")
+    l, h = to_integer(l, "l"), to_integer(h, "h")
+    if l < 2:
+        raise ValueError(
+            f"price floor must be at least 2, got {l}: with a floor of 0 or 1 "
+            "the pure Nash equilibrium is not unique"
+        )
+    if not l < h:
+        raise ValueError(f"price floor {l} must be below reservation value {h}")
+    return n, l, h
+
+
+def td_params(l: int, h: int, bonus: Numeric) -> tuple:
+    """An int bonus stays an int: the closed forms read only its integer
+    ratio, and the game factory makes it a Fraction."""
+    l, h = to_integer(l, "l"), to_integer(h, "h")
+    if not 0 < l < h:
+        raise ValueError(f"claim bounds must satisfy 0 < l < h, got l={l}, h={h}")
+    if type(bonus) is not int:
+        bonus = to_exact(bonus)
+    if not bonus.numerator > 0:
+        raise ValueError(f"bonus must be positive, got {bonus}")
+    return l, h, bonus

@@ -11,19 +11,24 @@ profile budget and read the game's integer payoff table, filled by the rule
 where needed.  A symmetric game also keeps one payoff per (own strategy,
 others' multiset), which coherence, the QRE tensor and the cooperation
 scanner read.  All payoffs are exact Fractions.
+
+The parameter domains (``KINDS``, ``PARAMS``, ``pd_params`` and the other
+checks) and ``BudgetExceededError`` live in ``exact``, so that the closed
+forms load without this module; they are re-exported here.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
-from .exact import Numeric, common_denominator, load_json, to_exact, to_integer
+from .exact import (KINDS, PARAMS, BudgetExceededError, Numeric, bertrand_params,
+                    common_denominator, load_json, pd_params, pgg_params, td_params,
+                    to_exact)
 
 Strategy = Hashable
 Profile = tuple  # tuple[Strategy, ...]
@@ -31,25 +36,39 @@ Profile = tuple  # tuple[Strategy, ...]
 COOPERATE = "C"
 DEFECT = "D"
 
-# each kind's parameters in report order (pgg's optional grid aside)
-PARAMS = {"pd": ("b", "c"), "pgg": ("n", "rho"), "bertrand": ("n", "l", "h"),
-          "td": ("l", "h", "bonus")}
-KINDS = tuple(PARAMS)
+
+class _Frozen:
+    """An immutable record, as a frozen dataclass without the ``dataclasses``
+    import: ``__init__`` sets the fields once, through ``__dict__``; equality
+    and hash read the fields named in ``_compared``, repr those in
+    ``_shown``, and assigning or deleting an attribute raises."""
+
+    _shown: tuple = ()
+    _compared: tuple = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-class BudgetExceededError(RuntimeError):
-    """An exhaustive enumeration would exceed the configured budget."""
-
-    def __init__(self, required: int, budget: int, what: str = "profiles"):
-        self.required = required
-        self.budget = budget
-        super().__init__(
-            f"enumeration requires {required} {what}, exceeding budget {budget}"
-        )
-
-
-@dataclass(frozen=True)
-class NormalFormGame:
+class NormalFormGame(_Frozen):
     """Finite N-player game with indexed strategy sets and a payoff rule.
 
     ``payoff_rule(profile, i)`` must be total over the product of the
@@ -59,55 +78,48 @@ class NormalFormGame:
     use it to aggregate over multisets and counts.
     """
 
-    num_players: int
-    strategy_sets: tuple
-    payoff_rule: Callable[[Profile, int], Fraction] = field(compare=False)
-    symmetric: bool = False
-    name: str = "custom"
-    # per player: strategy -> position in its strategy set
-    _index: tuple = field(init=False, repr=False, compare=False, hash=False)
-    # per player: profile index k plays position (k // stride) % size
-    _strides: tuple = field(init=False, repr=False, compare=False, hash=False)
-    # per player: profile index -> its payoff times the player's scale
-    _table: tuple = field(init=False, repr=False, compare=False, hash=False)
-    # per player: the common denominator of its table's entries, then that
-    # of the multiset memo's, a list
-    _scales: list = field(init=False, repr=False, compare=False, hash=False)
-    # symmetric games: (own position, sorted positions of the others) -> the
-    # payoff times the last scale
-    _multisets: dict = field(init=False, repr=False, compare=False, hash=False)
-    # (player, strategy position) -> minimize_payoff's (value, minimiser);
-    # player None in a symmetric game, whose players share their floors
-    _minima: dict = field(init=False, repr=False, compare=False, hash=False)
-    # (player, support positions) -> the punishment structure's switch plan
-    # and its column keys, filled and bounded by
-    # ``counterfactual.build_coherent_structure``
-    _support_columns: dict = field(init=False, repr=False, compare=False, hash=False)
+    _shown = ("num_players", "strategy_sets", "payoff_rule", "symmetric", "name")
+    _compared = ("num_players", "strategy_sets", "symmetric", "name")
 
-    def __post_init__(self):
-        if self.num_players < 2:
+    def __init__(self, num_players: int, strategy_sets: tuple,
+                 payoff_rule: Callable[[Profile, int], Fraction],
+                 symmetric: bool = False, name: str = "custom"):
+        if num_players < 2:
             raise ValueError("a game needs at least 2 players")
-        if len(self.strategy_sets) != self.num_players:
+        if len(strategy_sets) != num_players:
             raise ValueError("one strategy set per player required")
-        object.__setattr__(
-            self, "strategy_sets", tuple(tuple(s) for s in self.strategy_sets)
-        )
-        for i, s in enumerate(self.strategy_sets):
+        strategy_sets = tuple(tuple(s) for s in strategy_sets)
+        for i, s in enumerate(strategy_sets):
             if not s:
                 raise ValueError(f"strategy set of player {i} is empty")
             if len(set(s)) != len(s):
                 raise ValueError(f"strategy set of player {i} has duplicates")
-        if self.symmetric and any(s != self.strategy_sets[0] for s in self.strategy_sets):
+        if symmetric and any(s != strategy_sets[0] for s in strategy_sets):
             raise ValueError("a symmetric game needs one strategy set for every player")
-        object.__setattr__(self, "_index", tuple(
-            {x: k for k, x in enumerate(s)} for s in self.strategy_sets))
-        object.__setattr__(self, "_strides", tuple(
-            prod(map(len, self.strategy_sets[i + 1:])) for i in range(self.num_players)))
-        object.__setattr__(self, "_table", tuple({} for _ in self.strategy_sets))
-        object.__setattr__(self, "_scales", [1] * (self.num_players + 1))
-        object.__setattr__(self, "_multisets", {})
-        object.__setattr__(self, "_minima", {})
-        object.__setattr__(self, "_support_columns", {})
+        self.__dict__.update(
+            num_players=num_players, strategy_sets=strategy_sets,
+            payoff_rule=payoff_rule, symmetric=symmetric, name=name,
+            # per player: strategy -> position in its strategy set
+            _index=tuple({x: k for k, x in enumerate(s)} for s in strategy_sets),
+            # per player: profile index k plays position (k // stride) % size
+            _strides=tuple(prod(map(len, strategy_sets[i + 1:]))
+                           for i in range(num_players)),
+            # per player: profile index -> its payoff times the player's scale
+            _table=tuple({} for _ in strategy_sets),
+            # per player: the common denominator of its table's entries, then
+            # that of the multiset memo's, a list
+            _scales=[1] * (num_players + 1),
+            # symmetric games: (own position, sorted positions of the others)
+            # -> the payoff times the last scale
+            _multisets={},
+            # (player, strategy position) -> minimize_payoff's (value,
+            # minimiser); player None in a symmetric game, whose players share
+            # their floors
+            _minima={},
+            # (player, support positions) -> the punishment structure's switch
+            # plan and its column keys, filled and bounded by
+            # ``counterfactual.build_coherent_structure``
+            _support_columns={})
 
     def payoff(self, profile: Profile, i: int) -> Fraction:
         self._check_profile(profile)
@@ -228,21 +240,20 @@ class NormalFormGame:
                 raise ValueError(f"{s!r} is not a strategy of player {i}")
 
 
-@dataclass(frozen=True)
-class SocialDilemma:
+class SocialDilemma(_Frozen):
     """A game tagged with its unique Nash and welfare-maximizing profiles."""
 
-    game: NormalFormGame
-    kind: str
-    params: dict = field(compare=False)
-    nash_profile: Profile
-    welfare_profile: Profile
+    _shown = ("game", "kind", "params", "nash_profile", "welfare_profile")
+    _compared = ("game", "kind", "nash_profile", "welfare_profile")
 
-    def __post_init__(self):
-        for name, profile in (("Nash", self.nash_profile), ("welfare", self.welfare_profile)):
-            if len(profile) != self.game.num_players:
+    def __init__(self, game: NormalFormGame, kind: str, params: dict,
+                 nash_profile: Profile, welfare_profile: Profile):
+        for name, profile in (("Nash", nash_profile), ("welfare", welfare_profile)):
+            if len(profile) != game.num_players:
                 raise ValueError(f"{name} profile {profile!r} has length {len(profile)} "
-                                 f"for {self.game.num_players} players")
+                                 f"for {game.num_players} players")
+        self.__dict__.update(game=game, kind=kind, params=params,
+                             nash_profile=nash_profile, welfare_profile=welfare_profile)
 
     @property
     def num_players(self) -> int:
@@ -284,73 +295,6 @@ def as_game(game) -> NormalFormGame:
 def payoff(game, profile: Profile, i: int) -> Fraction:
     """Evaluate a payoff; accepts a NormalFormGame or a SocialDilemma."""
     return as_game(game).payoff(profile, i)
-
-
-# ---------------------------------------------------------------------------
-# parameter domains: one check per kind, shared by the factories, the closed
-# forms and the equilibrium conditions.  Integer parameters accept any number
-# whose exact value is an integer; each check returns the exact values.
-
-
-def pd_params(b: Numeric, c: Numeric) -> tuple:
-    b, c = to_exact(b), to_exact(c)
-    (bn, bd), (cn, cd) = b.as_integer_ratio(), c.as_integer_ratio()
-    if not cn > 0:
-        raise ValueError(f"cost must be positive, got c={c}")
-    if not bn * cd > cn * bd:
-        raise ValueError(f"benefit must exceed cost, got b={b} <= c={c}")
-    return b, c
-
-
-def pgg_params(n: int, rho: Numeric, grid: int = 100,
-               allow_rho_one: bool = False) -> tuple:
-    """``allow_rho_one`` admits rho = 1, where the closed forms hold for
-    every type although the welfare profile is no longer unique."""
-    n = to_integer(n, "n")
-    if n < 2:
-        raise ValueError("public goods game needs n >= 2 players")
-    rho = to_exact(rho)
-    rn, rd = rho.as_integer_ratio()
-    if allow_rho_one:
-        if not rd < n * rn <= n * rd:
-            raise ValueError(f"marginal return must lie in (1/{n}, 1], got {rho}")
-    elif not rd < n * rn < n * rd:
-        raise ValueError(
-            f"marginal return must lie strictly between 1/{n} and 1, got {rho}; "
-            "at the endpoints the Nash/welfare profiles are not unique"
-        )
-    grid = to_integer(grid, "grid")
-    if grid < 1:
-        raise ValueError("grid must have at least one step")
-    return n, rho, grid
-
-
-def bertrand_params(n: int, l: int, h: int) -> tuple:
-    n = to_integer(n, "n")
-    if n < 2:
-        raise ValueError("bertrand competition needs n >= 2 players")
-    l, h = to_integer(l, "l"), to_integer(h, "h")
-    if l < 2:
-        raise ValueError(
-            f"price floor must be at least 2, got {l}: with a floor of 0 or 1 "
-            "the pure Nash equilibrium is not unique"
-        )
-    if not l < h:
-        raise ValueError(f"price floor {l} must be below reservation value {h}")
-    return n, l, h
-
-
-def td_params(l: int, h: int, bonus: Numeric) -> tuple:
-    """An int bonus stays an int: the closed forms read only its integer
-    ratio, and the game factory makes it a Fraction."""
-    l, h = to_integer(l, "l"), to_integer(h, "h")
-    if not 0 < l < h:
-        raise ValueError(f"claim bounds must satisfy 0 < l < h, got l={l}, h={h}")
-    if type(bonus) is not int:
-        bonus = to_exact(bonus)
-    if not bonus.numerator > 0:
-        raise ValueError(f"bonus must be positive, got {bonus}")
-    return l, h, bonus
 
 
 # ---------------------------------------------------------------------------

@@ -97,17 +97,18 @@ class TestCheck:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
-        assert err == ("error: $.params: the engine's payoff table needs 255998 "
-                       "entries (own strategies x players), exceeding budget 10\n")
+        assert err == ("error: $.params: the engine's payoff table needs 511996 entry "
+                       "positions (own strategies x players^2), exceeding budget 10\n")
 
     @pytest.mark.parametrize("kind,params,grid,size", [
-        ("pd", {"b": 4, "c": 1}, None, 4),
-        ("pgg", {"n": 4, "rho": 0.5}, 10, 44),
-        ("bertrand", {"n": 3, "l": 2, "h": 9}, None, 24),
-        ("td", {"l": 2, "h": 20, "bonus": 3}, None, 38),
+        ("pd", {"b": 4, "c": 1}, None, 8),
+        ("pgg", {"n": 4, "rho": 0.5}, 10, 176),
+        ("bertrand", {"n": 3, "l": 2, "h": 9}, None, 72),
+        ("td", {"l": 2, "h": 20, "bonus": 3}, None, 76),
     ])
-    def test_budget_counts_own_strategies_times_players(self, tmp_path, capsys,
-                                                        kind, params, grid, size):
+    def test_budget_counts_own_strategies_times_players_squared(
+            self, tmp_path, capsys, kind, params, grid, size):
+        # the engine builds and hashes an n-tuple for each of own x n entries
         doc = {"kind": kind, "params": params, "alpha": 0.5, "beta": 0.5}
         if grid is not None:
             doc["grid"] = grid
@@ -117,7 +118,7 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--config", cfg, "--budget", str(size - 1))
         assert code == 2
         assert err.startswith("error: $.params: ")
-        assert f"needs {size} entries" in err
+        assert f"needs {size} entry positions (own strategies x players^2)" in err
 
 
 class TestSweep:
@@ -669,19 +670,22 @@ class TestNonFiniteConstants:
 
 class TestColdImports:
     """A cold run imports only its own command's modules: the closed-form
-    commands load neither counterfactual, equilibrium, alt_models nor numpy,
-    ``equilibrium`` (the bertrand tie kernel included) loads no beliefs, and
-    ``qre`` loads no beliefs, counterfactual or equilibrium."""
+    commands (a cooperation sweep without spot check, te and te_typed
+    sweeps, ``population``) load only ``exact`` and ``closed_form`` behind
+    the CLI, ``validate-structure`` loads no ``games``, ``equilibrium`` (the
+    bertrand tie kernel included) loads no beliefs, ``qre`` loads no
+    beliefs, counterfactual or equilibrium, and ``dataclasses`` loads only
+    with ``beliefs`` or ``counterfactual``."""
 
     GOLDEN = Path(__file__).with_name("golden")
     BASE = {"translucent", "translucent.cli", "translucent.closed_form",
-            "translucent.exact", "translucent.games"}
+            "translucent.exact"}
     RUN = ("import contextlib, io, json, sys\n"
            "from translucent.cli import main\n"
            "with contextlib.redirect_stdout(io.StringIO()):\n"
            "    code = main(sys.argv[1:])\n"
            "print(json.dumps([code, sorted(m for m in sys.modules\n"
-           "    if m == 'numpy' or m.split('.')[0] == 'translucent')]))")
+           "    if m in ('numpy', 'dataclasses') or m.split('.')[0] == 'translucent')]))")
 
     def cold(self, *args) -> tuple:
         src = os.path.dirname(os.path.dirname(translucent.__file__))
@@ -691,26 +695,32 @@ class TestColdImports:
                              text=True, env=env, cwd=self.GOLDEN, check=True)
         return json.loads(out.stdout.splitlines()[-1])
 
-    @pytest.mark.parametrize("case,loaded", [
-        ("check_td", {"beliefs"}),
-        ("sweep_td_cooperation", {"beliefs"}),  # the spot check's engine
-        ("sweep_bertrand_te", set()),
-        ("sweep_pgg_te_typed", set()),
-        ("population_grid", set()),
-        ("equilibrium_pgg_typed", {"equilibrium"}),
-        ("equilibrium_bertrand_typed", {"equilibrium"}),  # the tie kernel
-        ("validate_clean", {"counterfactual"}),
-        ("qre_pgg", {"alt_models", "numpy"}),
-        ("sweep_pd_qre", {"alt_models", "numpy"}),
+    @pytest.mark.parametrize("case,changes,loaded", [
+        ("check_td", {}, {"beliefs", "games", "dataclasses"}),
+        # the spot check's engine
+        ("sweep_td_cooperation", {}, {"beliefs", "games", "dataclasses"}),
+        ("sweep_td_cooperation", {"spot_check": False}, set()),
+        ("sweep_bertrand_te", {}, set()),
+        ("sweep_pgg_te_typed", {}, set()),
+        ("population_grid", {}, set()),
+        ("equilibrium_pgg_typed", {}, {"equilibrium", "games"}),
+        ("equilibrium_bertrand_typed", {}, {"equilibrium", "games"}),  # the tie kernel
+        ("validate_clean", {}, {"counterfactual", "dataclasses"}),
+        ("qre_pgg", {}, {"alt_models", "games", "numpy"}),
+        ("sweep_pd_qre", {}, {"alt_models", "games", "numpy"}),
     ])
-    def test_command_loads_its_modules(self, case, loaded):
+    def test_command_loads_its_modules(self, tmp_path, case, changes, loaded):
         command = json.loads((self.GOLDEN / "cases.json").read_text())[case]["command"]
-        args = ([command, f"{case}.json"] if command == "validate-structure"
-                else [command, "--config", f"{case}.json"])
+        config = f"{case}.json"
+        if changes:
+            cfg = {**json.loads((self.GOLDEN / config).read_text()), **changes}
+            config = write_config(tmp_path, config, cfg)
+        args = ([command, config] if command == "validate-structure"
+                else [command, "--config", config])
         code, modules = self.cold("-c", self.RUN, *args)
         assert code == 0
         assert set(modules) == self.BASE | {
-            m if m == "numpy" else f"translucent.{m}" for m in loaded}
+            m if m in ("numpy", "dataclasses") else f"translucent.{m}" for m in loaded}
 
     def test_package_import_loads_no_submodule(self):
         assert self.cold("-c", "import json, sys, translucent; print(json.dumps("
@@ -758,8 +768,8 @@ class TestFuzzFindings:
             "kind": "td", "params": {"l": 2, "h": 40, "bonus": 2},
             "alpha": [0.5], "beta": [0.5], "spot_check": True})
         assert run(capsys, "sweep", "--config", cfg, "--budget", "64") == (
-            2, "", "error: $.params: the engine's payoff table needs 78 entries "
-                   "(own strategies x players), exceeding budget 64\n")
+            2, "", "error: $.params: the engine's payoff table needs 156 entry "
+                   "positions (own strategies x players^2), exceeding budget 64\n")
 
     def test_spot_check_of_a_game_the_engine_cannot_build(self, tmp_path, capsys):
         # the closed form admits rho = 1, the game factory does not

@@ -23,7 +23,7 @@ from translucent.counterfactual import (
     structure_to_json,
     validate_structure,
 )
-from translucent.exact import InputError
+from translucent.exact import InputError, exact_text
 from translucent.games import (
     BudgetExceededError,
     MixedProfile,
@@ -370,6 +370,17 @@ class TestJsonFormat:
         assert validate_structure(back) == []
         with pytest.raises(ValueError, match="no attached game"):
             eu_at_state(back, 0, 0)
+
+    def test_probabilities_print_past_4300_digits(self):
+        # str() of a probability raised ValueError past Python's int to str limit
+        m = build_typed_pd_structure(F(1, 3 ** 10000), F(1, 2), F(1, 2), F(1, 2), 4, 1)
+        doc = structure_to_json(m)
+        written = [(e["player"], e["state"], e["dist"]) for e in doc["beliefs"]]
+        assert len(written) == 2 * m.num_states
+        for i, omega, dist in written:
+            assert dist == {str(t): exact_text(p) for t, p in m.beliefs[i][omega].items()}
+        texts = {text for _, _, dist in written for text in dist.values()}
+        assert exact_text(F(1, 2 * 3 ** 10000)) in texts  # 1/2 x alpha_1, 4,772 digits
 
     def test_missing_closest_entry_is_linted(self):
         d = make_prisoners_dilemma(4, 1)

@@ -3,19 +3,24 @@
 Every record the library returns keeps the field names, order, defaults and
 repr it had as a frozen dataclass: fields are read by name, assigning one
 raises, and ``_replace`` gives a changed copy.  The inputs that validate
-(``TranslucentType``, ``CounterfactualStructure``) stay dataclasses.
+(``TranslucentType``, ``CounterfactualStructure``) stay dataclasses.  The
+games and the social-preference parameters are frozen records without the
+``dataclasses`` import, with a frozen dataclass's equality, hash, repr and
+refusal of assignment.
 """
 
 import ast
 import dataclasses
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from translucent import (TranslucentType, cooperation_condition, is_cooperation_rational,
-                         make_prisoners_dilemma)
+from translucent import (CharnessRabinParams, FehrSchmidtParams, NormalFormGame,
+                         SocialDilemma, TranslucentType, cooperation_condition,
+                         is_cooperation_rational, make_prisoners_dilemma)
 from translucent.beliefs import RationalityReport
 from translucent.closed_form import CooperationVerdict
 from translucent.counterfactual import (CounterfactualStructure, StateUtilityReport,
@@ -118,6 +123,55 @@ def test_library_returns_the_records():
     assert [type(r) for r in returned] == expected
     broken = dataclasses.replace(m, beliefs=(({},) + m.beliefs[0][1:], *m.beliefs[1:]))
     assert {type(v) for v in validate_structure(broken)} == {Violation}
+
+
+def _other_rule(profile, i):
+    return F(0)
+
+
+_PD = make_prisoners_dilemma(4, 1)
+_RULE = "<function make_prisoners_dilemma.<locals>.rule at 0x...>"
+_GAME = ("NormalFormGame(num_players=2, strategy_sets=(('C', 'D'), ('C', 'D')), "
+         f"payoff_rule={_RULE}, symmetric=True, name='pd')")
+# the classes that were frozen dataclasses: an instance, an equal one that
+# differs only in uncompared fields, one that differs in a compared field,
+# the compared fields, and the dataclass repr with the rule's address masked
+FROZEN = [
+    (_PD.game,
+     NormalFormGame(2, [("C", "D"), ("C", "D")], _other_rule, symmetric=True, name="pd"),
+     NormalFormGame(2, [("C", "D"), ("C", "D")], _PD.game.payoff_rule, symmetric=True),
+     ("num_players", "strategy_sets", "symmetric", "name"), _GAME),
+    (_PD, SocialDilemma(_PD.game, "pd", {}, ("D", "D"), ("C", "C")),
+     SocialDilemma(_PD.game, "pd", _PD.params, ("C", "C"), ("C", "C")),
+     ("game", "kind", "nash_profile", "welfare_profile"),
+     f"SocialDilemma(game={_GAME}, kind='pd', params={{'b': Fraction(4, 1), "
+     "'c': Fraction(1, 1)}, nash_profile=('D', 'D'), welfare_profile=('C', 'C'))"),
+    (FehrSchmidtParams.uniform(2, F(1, 2), F(1, 4)),
+     FehrSchmidtParams((0.5, "1/2"), (F(1, 4), Decimal("0.25"))),
+     FehrSchmidtParams.uniform(2, F(1, 2), 0), ("a_fs", "b_fs"),
+     "FehrSchmidtParams(a_fs=(Fraction(1, 2), Fraction(1, 2)), "
+     "b_fs=(Fraction(1, 4), Fraction(1, 4)))"),
+    (CharnessRabinParams((F(1, 2), 0), (F(1, 3), 1)),
+     CharnessRabinParams((0.5, F(0)), ("1/3", 1.0)),
+     CharnessRabinParams((F(1, 2), 0), (F(1, 3), 0)), ("a_cr", "d_cr"),
+     "CharnessRabinParams(a_cr=(Fraction(1, 2), Fraction(0, 1)), "
+     "d_cr=(Fraction(1, 3), Fraction(1, 1)))"),
+]
+
+
+@pytest.mark.parametrize("record,twin,other,compared,shown", FROZEN,
+                         ids=[type(record).__name__ for record, *_ in FROZEN])
+def test_former_dataclasses_keep_their_behaviour(record, twin, other, compared, shown):
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin) == hash(tuple(getattr(record, f) for f in compared))
+    assert record != other and other != record
+    assert record.__eq__(tuple(getattr(record, f) for f in compared)) is NotImplemented
+    assert re.sub(r" at 0x[0-9a-f]+>", " at 0x...>", repr(record)) == shown
+    for name in (*compared, "extra"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
 
 
 def test_inputs_that_validate_stay_dataclasses():

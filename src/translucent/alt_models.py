@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import isinf, prod
 from typing import NamedTuple
 
-from .exact import BudgetExceededError, Numeric, to_exact
-from .games import Profile, _Frozen, as_game
+from .exact import BudgetExceededError, Numeric, _Frozen, to_exact
+from .games import Profile, as_game
 
 
 class FehrSchmidtParams(_Frozen):

@@ -15,26 +15,22 @@ deviations that can be the first best one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from operator import ge
 from typing import NamedTuple, Optional
 
-from .exact import to_unit
+from .exact import _Frozen, to_unit
 from .games import SocialDilemma, Strategy
 
 
-@dataclass(frozen=True)
-class TranslucentType:
+class TranslucentType(_Frozen):
     """Detection probability alpha and cooperation belief beta, both in [0,1]."""
 
-    alpha: Fraction
-    beta: Fraction
+    _shown = _compared = ("alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", to_unit(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", to_unit(self.beta, "beta"))
+    def __init__(self, alpha: Fraction, beta: Fraction):
+        self.__dict__.update(alpha=to_unit(alpha, "alpha"), beta=to_unit(beta, "beta"))
 
 
 # ---------------------------------------------------------------------------

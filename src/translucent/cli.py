@@ -211,11 +211,13 @@ def _check_profile_count(cfg: dict, kind: str, params: dict, budget: int) -> Non
 
 def _max_iter(cfg: dict, budget: int) -> int:
     """The QRE solver's iteration cap: a given ``$.max_iter`` is refused
-    above ``budget`` before anything is built; the default, 20,000, is not
-    an input, so a small budget still bounds only the game."""
+    below 1 or above ``budget`` before anything is built; the default,
+    20,000, is not an input, so a small budget still bounds only the game."""
     if "max_iter" not in cfg:
         return 20_000
     max_iter = integer(cfg["max_iter"], "$.max_iter")
+    if max_iter < 1:
+        raise CliError(f"$.max_iter: max_iter must be at least 1, got {max_iter}")
     if max_iter > budget:
         raise CliError(f"$.max_iter: {max_iter} iterations exceed budget {budget}")
     return max_iter
@@ -360,6 +362,9 @@ def cmd_sweep(cfg: dict, budget: int) -> tuple:
     mode = cfg.get("mode", "cooperation")
     if mode not in ("cooperation", "te", "te_typed", "qre"):
         raise CliError(f"$.mode: unknown mode {plain(mode)!r}")
+    spot_check = cfg.get("spot_check", False)
+    if type(spot_check) is not bool:
+        raise CliError(f"$.spot_check: expected true or false, got {plain(spot_check)!r}")
 
     rows = []
     out = io.StringIO()
@@ -371,7 +376,7 @@ def cmd_sweep(cfg: dict, budget: int) -> tuple:
         rows.append((params, alpha, beta, rational))
 
     exit_code = 0
-    if cfg.get("spot_check") and mode == "cooperation":
+    if spot_check and mode == "cooperation":
         mismatches = _spot_check(cfg, kind, rows, budget)
         if mismatches:
             for params, alpha, beta, rational, engine_verdict in mismatches:
@@ -548,11 +553,13 @@ def cmd_qre(cfg: dict, budget: int) -> tuple:
     damping = number(cfg.get("damping", 0.5), "$.damping")
     if not 0 < damping <= 1 or not float(damping):  # nor below every float
         raise CliError(f"$.damping: damping must lie in (0, 1], got {damping}")
-    tol = float(number(cfg.get("tol", 1e-10), "$.tol"))
+    tol = number(cfg.get("tol", 1e-10), "$.tol")
+    if tol < 0:  # a negative tol is never reached
+        raise CliError(f"$.tol: tol must be nonnegative, got {tol}")
     max_iter = _max_iter(cfg, budget)
     _check_profile_count(cfg, kind, params, budget)
     d = _on_params(_entry("make_dilemma"), kind, params)
-    res = _logit_qre(d, lam, damping=float(damping), tol=tol, max_iter=max_iter,
+    res = _logit_qre(d, lam, damping=float(damping), tol=float(tol), max_iter=max_iter,
                      budget=budget)
     report = {
         "kind": kind,

@@ -67,15 +67,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import dataclasses
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import getitem, is_, itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .exact import (BudgetExceededError, InputError, common_denominator, exact_text, field,
-                    index, load_json, plain, probability, to_exact)
+from .exact import (BudgetExceededError, InputError, _Frozen, common_denominator, exact_text,
+                    field, index, load_json, plain, probability, to_exact)
 
 if TYPE_CHECKING:  # games is imported by the builders that use it
     from .games import MixedProfile, NormalFormGame, SocialDilemma, Strategy
@@ -129,8 +128,7 @@ class StateUtilityReport(NamedTuple):
     rational: bool
 
 
-@dataclasses.dataclass(frozen=True)
-class CounterfactualStructure:
+class CounterfactualStructure(_Frozen):
     """Immutable finite counterfactual structure.
 
     ``states`` holds the strategy profile of each state; ``aux`` optionally
@@ -142,12 +140,14 @@ class CounterfactualStructure:
     loaded from files; axiom validation works without it, utilities need it.
     """
 
-    strategy_sets: tuple
-    states: tuple
-    closest_columns: dict = dataclasses.field(compare=False)
-    beliefs: tuple = dataclasses.field(compare=False)
-    aux: Optional[tuple] = None
-    game: Optional[NormalFormGame] = dataclasses.field(default=None, compare=False)
+    _shown = ("strategy_sets", "states", "closest_columns", "beliefs", "aux", "game")
+    _compared = ("strategy_sets", "states", "aux")
+
+    def __init__(self, strategy_sets: tuple, states: tuple, closest_columns: dict,
+                 beliefs: tuple, aux: Optional[tuple] = None,
+                 game: Optional[NormalFormGame] = None):
+        self.__dict__.update(strategy_sets=strategy_sets, states=states, aux=aux, game=game,
+                             closest_columns=closest_columns, beliefs=beliefs)
 
     @property
     def num_states(self) -> int:
@@ -218,8 +218,8 @@ class CounterfactualStructure:
 
 def _built(game: NormalFormGame, states: tuple, columns: dict, beliefs: list,
            profile_index: tuple, aux=None, plans=None) -> CounterfactualStructure:
-    """A builder's structure, handed its ``_profile_index`` so no strategy is
-    hashed (a copy by ``dataclasses.replace`` or from JSON computes its own),
+    """A builder's structure, handed its ``_profile_index`` so the utilities
+    hash no strategy (a copy by ``_replace`` or from JSON computes its own),
     and its switch plans, if any (``_switch_plan`` reads the others)."""
     m = CounterfactualStructure(game.strategy_sets, states, columns,
                                 tuple(beliefs), aux=aux, game=game)
@@ -233,17 +233,6 @@ def _built(game: NormalFormGame, states: tuple, columns: dict, beliefs: list,
 # axiom validation
 
 
-def _game_positions(m: CounterfactualStructure) -> Optional[tuple]:
-    """Per player, each state's strategy position in the game, read from
-    ``_profile_index`` when the structure uses its game's strategy sets and
-    no state is off the game; otherwise None."""
-    game = m.game
-    if (game is not None and m.strategy_sets is game.strategy_sets
-            and not any(None in column for column in m._profile_index[0])):
-        return m._profile_index[0]
-    return None
-
-
 def validate_structure(m: CounterfactualStructure) -> list:
     """Check CS1, CS2, PR1, PR2 and normalization; violations come back as
     data, in deterministic (state, player, strategy) order."""
@@ -251,17 +240,12 @@ def validate_structure(m: CounterfactualStructure) -> list:
     n_states = m.num_states
     states = m.states
     players = range(m.num_players)
-    # equal codes <=> equal strategies, so the checks compare small ints:
-    # the game positions where they are known, else codes by hashing
-    own_codes, set_codes = _game_positions(m), []
-    if own_codes is not None:
-        set_codes = [range(len(strats)) for strats in m.strategy_sets]
-    else:
-        own_codes = []
-        for i in players:
-            ids: dict = {}
-            set_codes.append([ids.setdefault(s, len(ids)) for s in m.strategy_sets[i]])
-            own_codes.append([ids.setdefault(p[i], len(ids)) for p in states])
+    # equal codes <=> equal strategies, so the checks compare small ints
+    own_codes, set_codes = [], []
+    for i in players:
+        ids: dict = {}
+        set_codes.append([ids.setdefault(s, len(ids)) for s in m.strategy_sets[i]])
+        own_codes.append([ids.setdefault(p[i], len(ids)) for p in states])
     columns = [[m.closest_columns[(i, j)] for j in range(len(m.strategy_sets[i]))]
                for i in players]
 
@@ -683,12 +667,8 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
         raise BudgetExceededError(entries, budget, "closest-state entries")
 
     # each state's strategy positions, which its closest entries skip
-    columns = _game_positions(m)
-    if columns is not None:
-        positions = list(map(list, zip(*columns)))
-    else:
-        index = m._strategy_maps  # a repeated label's first position
-        positions = [[index[i][s] for i, s in enumerate(profile)] for profile in m.states]
+    index = m._strategy_maps  # a repeated label's first position
+    positions = [[index[i][s] for i, s in enumerate(profile)] for profile in m.states]
     states_doc = [{"profile": profile, "aux": None} for profile in positions]
     if m.aux is not None:
         for k, entry in enumerate(states_doc):
@@ -757,13 +737,13 @@ def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:
         except (TypeError, ValueError):
             k = t
         if type(k) is not int or not 0 <= k < n_states:  # raises, naming the path
-            index(k, n_states, "state", "{}.dist[{}]", path, json.dumps(t))
+            index(k, n_states, "state", f"{path}.dist[{json.dumps(t)}]")
         if type(p) is str:
             q = parsed.get(p)
             if q is None:
-                q = parsed[p] = probability(p, "{}.dist[{}]", path, json.dumps(t))
+                q = parsed[p] = probability(p, f"{path}.dist[{json.dumps(t)}]")
         else:
-            q = probability(p, "{}.dist[{}]", path, json.dumps(t))
+            q = probability(p, f"{path}.dist[{json.dumps(t)}]")
         dist[k] = q
     return dist
 
@@ -833,7 +813,7 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None,
     # per player, per strategy position: its column of closest states
     columns = [[[MISSING] * n_states for _ in range(sizes[i])] for i in range(n)]
     for k, entry in enumerate(doc["states"]):
-        raw = field(entry, "profile", "$.states[{}]", k)
+        raw = field(entry, "profile", f"$.states[{k}]")
         if not isinstance(raw, (list, tuple)):
             raise InputError(f"$.states[{k}].profile: expected a list")
         if len(raw) != n:
@@ -841,7 +821,7 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None,
                              f"got {len(raw)}")
         for i, j in enumerate(raw):
             if type(j) is not int or not 0 <= j < sizes[i]:  # raises, naming the path
-                index(j, sizes[i], "strategy", "$.states[{}].profile[{}]", k, i)
+                index(j, sizes[i], "strategy", f"$.states[{k}].profile[{i}]")
             columns[i][first[i][j]][k] = k
         states.append(tuple(map(getitem, strategy_sets, raw)))
         extra = entry.get("aux")

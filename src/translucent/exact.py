@@ -7,13 +7,13 @@ text goes through ``load_json``, which reads a decimal as its exact
 name.  A number, literal or string, whose exact value needs more than 4300
 digits (Python's limit on int <-> str conversion) is refused before it is
 built, by one rule (``_too_long``).  Each reader below takes a parsed value
-and its JSON path, a ``str.format`` template formatted with ``args`` only on
-failure, and raises ``InputError`` naming it.  Labels and annotations keep
-plain-parse floats.
+and its JSON path, and raises ``InputError`` naming that path.  Labels and
+annotations keep plain-parse floats.
 
 The four dilemmas' parameter domains (``KINDS``, ``PARAMS`` and one check
-per kind) live here too, with ``BudgetExceededError``: the closed forms and
-the CLI read them without loading ``games``, which re-exports them.
+per kind) live here too, with ``BudgetExceededError`` and ``_Frozen``, the
+input records' base: the closed forms, the CLI and the structures read them
+without loading ``games``, which re-exports the domains.
 """
 
 from __future__ import annotations
@@ -145,6 +145,38 @@ def format_number(x: Numeric) -> str:
 # the input grammar
 
 
+class _Frozen:
+    """An immutable record: ``__init__`` sets the fields once, through
+    ``__dict__``; equality and hash read the fields named in ``_compared``,
+    repr those in ``_shown`` (the ``__init__`` parameters, in order), and
+    ``_replace`` passes them to ``__init__`` for a changed, checked copy
+    without cached properties; assigning or deleting an attribute raises."""
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):  # an unknown field: __init__'s TypeError
+        return type(self)(**{**{f: getattr(self, f) for f in self._shown}, **changes})
+
+
 class InputError(ValueError):
     """An input the grammar refuses; the message starts with its file or path."""
 
@@ -196,69 +228,66 @@ def plain(value):
     return value
 
 
-def field(obj, key: str, path: str, *args):
+def field(obj, key: str, path: str):
     """``obj[key]``, where ``obj`` must be the JSON object at ``path``."""
     if not isinstance(obj, dict):
-        raise InputError(f"{path.format(*args)}: expected an object")
+        raise InputError(f"{path}: expected an object")
     if key not in obj:
-        raise InputError(f"{path.format(*args)}.{key}: required key is missing")
+        raise InputError(f"{path}.{key}: required key is missing")
     return obj[key]
 
 
-def _exact(value, what: str, path: str, args: tuple) -> Fraction:
+def _exact(value, what: str, path: str) -> Fraction:
     try:
         return to_exact(value)
     except _TooLong as exc:
-        raise InputError(f"{path.format(*args)}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     except (ArithmeticError, TypeError, ValueError):
-        raise InputError(f"{path.format(*args)}: expected {what}, "
-                         f"got {plain(value)!r}") from None
+        raise InputError(f"{path}: expected {what}, got {plain(value)!r}") from None
 
 
-def number(value, path: str, *args) -> Fraction:
+def number(value, path: str) -> Fraction:
     """A number within the float range, since ``qre`` reads its lambda,
     damping and tol as floats: an int, a decimal, or a string such as
     ``"1/3"``.  A nonzero number whose float is 0 is refused too."""
-    v = _exact(value, "a number", path, args)
+    v = _exact(value, "a number", path)
     if abs(v) > sys.float_info.max:
-        raise InputError(f"{path.format(*args)}: expected a number of magnitude "
+        raise InputError(f"{path}: expected a number of magnitude "
                          f"at most {sys.float_info.max:.12g}")
     if v and not float(v):
-        raise InputError(f"{path.format(*args)}: expected 0 or a number of magnitude "
+        raise InputError(f"{path}: expected 0 or a number of magnitude "
                          f"above {_TINY:.12g}")
     return v
 
 
-def unit(value, name: str, path: str, *args) -> Fraction:
+def unit(value, name: str, path: str) -> Fraction:
     """A number in [0, 1], the probability ``name`` (``alpha``, ``beta``)."""
-    v = number(value, path, *args)
+    v = number(value, path)
     if not 0 <= v <= 1:
-        raise InputError(f"{path.format(*args)}: {name} must lie in [0, 1], got {v}")
+        raise InputError(f"{path}: {name} must lie in [0, 1], got {v}")
     return v
 
 
-def integer(value, path: str, *args) -> int:
+def integer(value, path: str) -> int:
     """A number whose exact value is an integer: ``3``, ``3.0`` or ``"3"``."""
-    v = number(value, path, *args)
+    v = number(value, path)
     if v.denominator != 1:
-        raise InputError(f"{path.format(*args)}: expected an integer")
+        raise InputError(f"{path}: expected an integer")
     return v.numerator
 
 
-def index(value, size: Optional[int], what: str, path: str, *args) -> int:
+def index(value, size: Optional[int], what: str, path: str) -> int:
     """A JSON integer (no bool, decimal or string) below ``size``, if any."""
     if type(value) is not int:
-        raise InputError(f"{path.format(*args)}: expected an integer index, "
-                         f"got {plain(value)!r}")
+        raise InputError(f"{path}: expected an integer index, got {plain(value)!r}")
     if size is not None and not 0 <= value < size:
-        raise InputError(f"{path.format(*args)}: {what} index {value} is out of "
-                         f"range 0..{size - 1}")
+        raise InputError(f"{path}: {what} index {value} is out of range 0..{size - 1}")
     return value
 
 
-def probability(value, path: str, *args) -> Fraction:
+def probability(value, path: str) -> Fraction:
     """A finite number of any magnitude (not a bool), as an exact Fraction."""
-    return _exact(value, "a finite number", path, args)
+    return _exact(value, "a finite number", path)
 
 
 # ---------------------------------------------------------------------------

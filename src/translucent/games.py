@@ -14,7 +14,9 @@ scanner read.  All payoffs are exact Fractions.
 
 The parameter domains (``KINDS``, ``PARAMS``, ``pd_params`` and the other
 checks) and ``BudgetExceededError`` live in ``exact``, so that the closed
-forms load without this module; they are re-exported here.
+forms load without this module; they are re-exported here.  The games and
+dilemmas are ``exact._Frozen`` records: ``_replace`` gives a changed copy,
+built and checked again, with empty tables.
 """
 
 from __future__ import annotations
@@ -26,46 +28,15 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
-from .exact import (KINDS, PARAMS, BudgetExceededError, Numeric, bertrand_params,
-                    common_denominator, load_json, pd_params, pgg_params, td_params,
-                    to_exact)
+from .exact import (KINDS, PARAMS, BudgetExceededError, Numeric, _Frozen,
+                    bertrand_params, common_denominator, load_json, pd_params,
+                    pgg_params, td_params, to_exact)
 
 Strategy = Hashable
 Profile = tuple  # tuple[Strategy, ...]
 
 COOPERATE = "C"
 DEFECT = "D"
-
-
-class _Frozen:
-    """An immutable record, as a frozen dataclass without the ``dataclasses``
-    import: ``__init__`` sets the fields once, through ``__dict__``; equality
-    and hash read the fields named in ``_compared``, repr those in
-    ``_shown``, and assigning or deleting an attribute raises."""
-
-    _shown: tuple = ()
-    _compared: tuple = ()
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class NormalFormGame(_Frozen):

@@ -15,7 +15,7 @@ import translucent
 from translucent.cli import main
 from translucent.counterfactual import (build_nash_structure, structure_from_json,
                                         structure_to_json)
-from translucent.exact import InputError
+from translucent.exact import InputError, _too_long
 from translucent.games import MixedProfile, make_prisoners_dilemma
 
 
@@ -216,6 +216,25 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", cfg)
         assert code == 1
         assert "mismatch" in err
+
+    @pytest.mark.parametrize("mode", ["cooperation", "te"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_spot_check_must_be_a_json_boolean(self, tmp_path, capsys, mode, value):
+        # "false" once turned the spot check on, as any truthy value did
+        cfg = self.pd_sweep_config(tmp_path, mode=mode, spot_check=value)
+        assert run(capsys, "sweep", "--config", cfg) == (
+            2, "", f"error: $.spot_check: expected true or false, got {value!r}\n")
+
+    def test_empty_grid_list_refused(self, tmp_path, capsys):
+        cfg = self.pd_sweep_config(tmp_path, params={"b": [], "c": 1})
+        assert run(capsys, "sweep", "--config", cfg) == (
+            2, "", "error: $.params.b: grid list is empty\n")
+
+    @pytest.mark.parametrize("step", [0, -0.1])
+    def test_range_step_must_be_positive(self, tmp_path, capsys, step):
+        cfg = self.pd_sweep_config(tmp_path, alpha={"start": 0, "stop": 1, "step": step})
+        assert run(capsys, "sweep", "--config", cfg) == (
+            2, "", "error: $.alpha.step: step must be positive\n")
 
     def test_te_mode(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json", {
@@ -674,8 +693,8 @@ class TestColdImports:
     sweeps, ``population``) load only ``exact`` and ``closed_form`` behind
     the CLI, ``validate-structure`` loads no ``games``, ``equilibrium`` (the
     bertrand tie kernel included) loads no beliefs, ``qre`` loads no
-    beliefs, counterfactual or equilibrium, and ``dataclasses`` loads only
-    with ``beliefs`` or ``counterfactual``."""
+    beliefs, counterfactual or equilibrium, and no command loads
+    ``dataclasses``."""
 
     GOLDEN = Path(__file__).with_name("golden")
     BASE = {"translucent", "translucent.cli", "translucent.closed_form",
@@ -696,16 +715,16 @@ class TestColdImports:
         return json.loads(out.stdout.splitlines()[-1])
 
     @pytest.mark.parametrize("case,changes,loaded", [
-        ("check_td", {}, {"beliefs", "games", "dataclasses"}),
+        ("check_td", {}, {"beliefs", "games"}),
         # the spot check's engine
-        ("sweep_td_cooperation", {}, {"beliefs", "games", "dataclasses"}),
+        ("sweep_td_cooperation", {}, {"beliefs", "games"}),
         ("sweep_td_cooperation", {"spot_check": False}, set()),
         ("sweep_bertrand_te", {}, set()),
         ("sweep_pgg_te_typed", {}, set()),
         ("population_grid", {}, set()),
         ("equilibrium_pgg_typed", {}, {"equilibrium", "games"}),
         ("equilibrium_bertrand_typed", {}, {"equilibrium", "games"}),  # the tie kernel
-        ("validate_clean", {}, {"counterfactual", "dataclasses"}),
+        ("validate_clean", {}, {"counterfactual"}),
         ("qre_pgg", {}, {"alt_models", "games", "numpy"}),
         ("sweep_pd_qre", {}, {"alt_models", "games", "numpy"}),
     ])
@@ -726,6 +745,14 @@ class TestColdImports:
         assert self.cold("-c", "import json, sys, translucent; print(json.dumps("
                                "[0, [m for m in sys.modules if 'translucent' in m]]))"
                          ) == [0, ["translucent"]]
+
+
+def test_cli_module_resolves_public_names():
+    from translucent import cli, games
+    assert cli.__getattr__("dilemma_to_json") is games.dilemma_to_json
+    with pytest.raises(AttributeError,
+                       match="^module 'translucent.cli' has no attribute 'no_such_name'$"):
+        cli.no_such_name
 
 
 class TestFuzzFindings:
@@ -802,8 +829,9 @@ class TestFuzzFindings:
         assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
     @pytest.mark.parametrize("text", [
-        "1e9999999", "-1E-9999999", "1" * 4301, "1/" + "3" * 4301],
-        ids=["exponent", "negative-exponent", "integer", "denominator"])
+        "1e9999999", "-1E-9999999", "1" * 4301, "1/" + "3" * 4301, "1e" + "9" * 4301],
+        ids=["exponent", "negative-exponent", "integer", "denominator",
+             "exponent-past-int"])
     def test_string_past_4300_digits_exits_2(self, tmp_path, capsys, text):
         # a string went straight to Fraction: "1e9999999" built its ten
         # million digits (10 s) before $.alpha refused its magnitude
@@ -814,6 +842,9 @@ class TestFuzzFindings:
         assert time.perf_counter() - start < 1
         assert result == (2, "", f"error: $.alpha: the number {text} needs more "
                                  "than 4300 digits\n")
+
+    def test_short_unreadable_exponent_is_left_to_fraction(self):
+        assert not _too_long("1e" + "x" * 10)
 
     @pytest.mark.parametrize("token,message", [
         # exactly 10^-4299: nonzero, so not 0, but its float is 0.0
@@ -1125,6 +1156,23 @@ class TestQreCommand:
         assert code == 1
         assert json.loads(out)["converged"] is False
 
+    @pytest.mark.parametrize("tol", [-1, "-1/3", -1e-300])
+    def test_negative_tol_refused(self, tmp_path, capsys, tol):
+        # -1 once ran all 20,000 iterations and reported no convergence
+        cfg = write_config(tmp_path, "q.json", {
+            "kind": "pd", "params": {"b": 4, "c": 1}, "lambda": 0, "tol": tol})
+        code, out, err = run(capsys, "qre", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: $.tol: tol must be nonnegative, got -")
+
+    def test_zero_tol_converges_at_lambda_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "q.json", {
+            "kind": "pd", "params": {"b": 4, "c": 1}, "lambda": 0, "tol": 0})
+        code, out, err = run(capsys, "qre", "--config", cfg)
+        report = json.loads(out)
+        assert (code, err) == (0, "")
+        assert report["converged"] is True and report["residual"] == "0.000000e+00"
+
     def test_nonconvergence_in_a_sweep(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json", {
             "kind": "pd", "mode": "qre", "params": {"b": 4, "c": 1},
@@ -1158,8 +1206,8 @@ class TestQreCommand:
 
 
 class TestMaxIterBudget:
-    """A given ``max_iter`` above ``--budget`` exits 2 naming ``$.max_iter``
-    before the game is built or the solver iterates."""
+    """A given ``max_iter`` below 1 or above ``--budget`` exits 2 naming
+    ``$.max_iter`` before the game is built or the solver iterates."""
 
     PD = {"kind": "pd", "params": {"b": 4, "c": 1}}
     COMMANDS = [("qre", {"lambda": 0.5}), ("sweep", {"mode": "qre", "lambda": [0.5]})]
@@ -1185,6 +1233,14 @@ class TestMaxIterBudget:
         code, out, err = run(capsys, command, "--config", cfg, "--budget", "49")
         assert (code, out, err) == (
             2, "", "error: $.max_iter: 50 iterations exceed budget 49\n")
+
+    @pytest.mark.parametrize("command,extra", COMMANDS)
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_refused(self, tmp_path, capsys, command, extra, max_iter):
+        # it once ran and reported 0 iterations, unconverged
+        cfg = write_config(tmp_path, "q.json", {**self.PD, **extra, "max_iter": max_iter})
+        assert run(capsys, command, "--config", cfg) == (
+            2, "", f"error: $.max_iter: max_iter must be at least 1, got {max_iter}\n")
 
     @pytest.mark.parametrize("command,extra", COMMANDS)
     def test_default_config_still_runs(self, tmp_path, capsys, command, extra):

@@ -61,6 +61,11 @@ class TestFGamma:
         with pytest.raises(ValueError, match="player count"):
             f_gamma(F(1, 2), 1)
 
+    @pytest.mark.parametrize("f", [f_gamma, f_gamma_sum])
+    def test_float_path_rejects_gamma_out_of_range(self, f):
+        with pytest.raises(ValueError, match=r"^gamma must lie in \[0, 1\], got 1.5$"):
+            f(1.5, 3)
+
 
 class TestConditionValues:
     def test_pd_boundary(self):

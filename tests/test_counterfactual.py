@@ -1,6 +1,5 @@
 """Tests for counterfactual structures, builders, and the JSON format."""
 
-import dataclasses
 import json
 from decimal import Decimal
 from fractions import Fraction as F
@@ -198,7 +197,7 @@ class TestStateUtilities:
         k_hh, k_ht = state_of(m, ("H", "H")), state_of(m, ("H", "T"))
         per_state = list(m.beliefs[0])
         per_state[k_hh] = {k_hh: 0.1, k_ht: 0.9}
-        m = dataclasses.replace(m, beliefs=(tuple(per_state), m.beliefs[1]))
+        m = m._replace(beliefs=(tuple(per_state), m.beliefs[1]))
         exact = F(0.1) - F(0.9)
         assert 0.1 - 0.9 != exact  # float arithmetic would round
         assert eu_at_state(m, 0, k_hh) == exact

@@ -114,6 +114,10 @@ class TestPublicGoods:
         assert report.unique_nash == (0, 0)
         assert report.unique_welfare == (1, 1)
 
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError, match="^grid must have at least one step$"):
+            make_public_goods(3, "1/2", 0)
+
     def test_rejects_rho_out_of_range(self):
         with pytest.raises(ValueError, match="strictly between"):
             make_public_goods(2, F(1, 2))

@@ -13,7 +13,6 @@ custom game whose players have 2, 3 and 2 strategies; the error paths are
 compared with the oracle's exception type and text.
 """
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -139,9 +138,8 @@ def assert_rationality_matches_oracle(m):
 def test_rationality_after_replace_reads_the_new_fields(game, data):
     m = build_coherent_structure(game, data.draw(mixtures(game)), strict=False)
     assert_rationality_matches_oracle(m)  # fills m's cached index
-    assert_rationality_matches_oracle(dataclasses.replace(m, game=scaled(game)))
-    assert_rationality_matches_oracle(
-        dataclasses.replace(m, states=tuple(reversed(m.states))))
+    assert_rationality_matches_oracle(m._replace(game=scaled(game)))
+    assert_rationality_matches_oracle(m._replace(states=tuple(reversed(m.states))))
     assert_rationality_matches_oracle(m)
 
 
@@ -170,7 +168,7 @@ def every_utility(m, lib=cf):
 
 def test_structure_without_game():
     m, sigma = pd_structure()
-    m = dataclasses.replace(m, game=None)
+    m = m._replace(game=None)
     got = every_utility(m)
     assert got == every_utility(m, oracle)
     assert set(got) == {("raised", ValueError,
@@ -186,7 +184,7 @@ def test_state_off_the_game(bad):
     m, _ = pd_structure()
     states = list(m.states)
     states[1] = bad  # believed in by player 0 at states 0 and 1
-    m = dataclasses.replace(m, states=tuple(states))
+    m = m._replace(states=tuple(states))
     got = every_utility(m)
     assert got == every_utility(m, oracle)
     assert any(r[0] == "raised" for r in got)
@@ -199,7 +197,7 @@ def test_missing_closest_entry():
     column = list(columns[(0, 1)])
     column[0] = MISSING
     columns[(0, 1)] = tuple(column)
-    m = dataclasses.replace(intact, closest_columns=columns)
+    m = intact._replace(closest_columns=columns)
     for _ in range(2):  # with the game's payoff table filling up, then full
         got = every_utility(m)
         assert got == every_utility(m, oracle)
@@ -239,7 +237,7 @@ def test_first_error_of_a_cell(name):
         columns[key] = tuple(column)
     states = list(intact.states)
     states[3] = ("D", "X")
-    m = dataclasses.replace(intact, states=tuple(states), closest_columns=columns)
+    m = intact._replace(states=tuple(states), closest_columns=columns)
     for _ in range(2):  # with the game's payoff table empty, then full
         got = [outcome(is_rational_at, m, 0, 0), outcome(te_in_structure, m, sigma)]
         assert got == [outcome(oracle.is_rational_at, m, 0, 0),

@@ -2,15 +2,15 @@
 
 Every record the library returns keeps the field names, order, defaults and
 repr it had as a frozen dataclass: fields are read by name, assigning one
-raises, and ``_replace`` gives a changed copy.  The inputs that validate
-(``TranslucentType``, ``CounterfactualStructure``) stay dataclasses.  The
-games and the social-preference parameters are frozen records without the
+raises, and ``_replace`` gives a changed copy.  The input records (the
+games, ``TranslucentType``, ``CounterfactualStructure`` and the
+social-preference parameters) are ``exact._Frozen`` records without the
 ``dataclasses`` import, with a frozen dataclass's equality, hash, repr and
-refusal of assignment.
+refusal of assignment, and a ``_replace`` that builds the copy through
+``__init__``, as ``dataclasses.replace`` did.
 """
 
 import ast
-import dataclasses
 import re
 from decimal import Decimal
 from fractions import Fraction as F
@@ -24,7 +24,8 @@ from translucent import (CharnessRabinParams, FehrSchmidtParams, NormalFormGame,
 from translucent.beliefs import RationalityReport
 from translucent.closed_form import CooperationVerdict
 from translucent.counterfactual import (CounterfactualStructure, StateUtilityReport,
-                                        Violation, build_nash_structure, is_rational_at,
+                                        Violation, build_nash_structure,
+                                        build_typed_pd_structure, is_rational_at,
                                         validate_structure)
 from translucent.equilibrium import (CoherenceReport, MixedProfile, TeStructureReport,
                                      TypedTeResult, is_coherent, te_condition_typed,
@@ -121,7 +122,7 @@ def test_library_returns_the_records():
     expected = [CooperationVerdict, RationalityReport, StateUtilityReport,
                 CoherenceReport, TeStructureReport, TypedTeResult, DilemmaReport]
     assert [type(r) for r in returned] == expected
-    broken = dataclasses.replace(m, beliefs=(({},) + m.beliefs[0][1:], *m.beliefs[1:]))
+    broken = m._replace(beliefs=(({},) + m.beliefs[0][1:], *m.beliefs[1:]))
     assert {type(v) for v in validate_structure(broken)} == {Violation}
 
 
@@ -133,6 +134,10 @@ _PD = make_prisoners_dilemma(4, 1)
 _RULE = "<function make_prisoners_dilemma.<locals>.rule at 0x...>"
 _GAME = ("NormalFormGame(num_players=2, strategy_sets=(('C', 'D'), ('C', 'D')), "
          f"payoff_rule={_RULE}, symmetric=True, name='pd')")
+# a one-state structure over the pd's strategies, all D
+_SETS, _STATES = (("C", "D"), ("C", "D")), (("D", "D"),)
+_COLUMNS = {(0, 0): (-1,), (0, 1): (0,), (1, 0): (-1,), (1, 1): (0,)}
+_BELIEFS = (({0: F(1)},), ({0: F(1)},))
 # the classes that were frozen dataclasses: an instance, an equal one that
 # differs only in uncompared fields, one that differs in a compared field,
 # the compared fields, and the dataclass repr with the rule's address masked
@@ -156,6 +161,17 @@ FROZEN = [
      CharnessRabinParams((F(1, 2), 0), (F(1, 3), 0)), ("a_cr", "d_cr"),
      "CharnessRabinParams(a_cr=(Fraction(1, 2), Fraction(0, 1)), "
      "d_cr=(Fraction(1, 3), Fraction(1, 1)))"),
+    (TranslucentType(F(1, 2), F(1, 4)), TranslucentType(0.5, "1/4"),
+     TranslucentType(F(1, 2), Decimal("0.3")), ("alpha", "beta"),
+     "TranslucentType(alpha=Fraction(1, 2), beta=Fraction(1, 4))"),
+    (CounterfactualStructure(_SETS, _STATES, _COLUMNS, _BELIEFS, aux=((0, 1),)),
+     CounterfactualStructure(_SETS, _STATES, {}, (), ((0, 1),), _PD.game),
+     CounterfactualStructure(_SETS, _STATES, _COLUMNS, _BELIEFS),
+     ("strategy_sets", "states", "aux"),
+     "CounterfactualStructure(strategy_sets=(('C', 'D'), ('C', 'D')), "
+     "states=(('D', 'D'),), closest_columns={(0, 0): (-1,), (0, 1): (0,), "
+     "(1, 0): (-1,), (1, 1): (0,)}, beliefs=(({0: Fraction(1, 1)},), "
+     "({0: Fraction(1, 1)},)), aux=((0, 1),), game=None)"),
 ]
 
 
@@ -174,9 +190,32 @@ def test_former_dataclasses_keep_their_behaviour(record, twin, other, compared, 
             delattr(record, name)
 
 
-def test_inputs_that_validate_stay_dataclasses():
-    for cls in (TranslucentType, CounterfactualStructure):
-        assert dataclasses.is_dataclass(cls)
+def test_input_records_replace_through_init():
+    """``_replace`` checks the copy again, starts its cached properties
+    empty, keeps the fields it is not given, and refuses an unknown one."""
+    t = TranslucentType(F(1, 2), F(1, 4))
+    assert t._replace(beta="1/3") == TranslucentType(F(1, 2), F(1, 3))
+    assert t == TranslucentType(F(1, 2), F(1, 4))
+    with pytest.raises(ValueError, match="^beta must lie in"):
+        t._replace(beta=2)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'gamma'"):
+        t._replace(gamma=1)
+    with pytest.raises(ValueError, match="at least 2 players"):
+        _PD.game._replace(num_players=1)
+
+    m = build_typed_pd_structure(F(1, 2), F(1, 2), F(1, 2), F(1, 2), 4, 1)
+    assert is_rational_at(m, 0, 0).rational
+    cached = {"_profile_index", "_plans", "_reports", "_strategy_maps"}
+    assert cached <= set(m.__dict__)
+    copy = m._replace(game=None)
+    assert not cached & set(copy.__dict__)
+    assert copy == m and copy.game is None
+    assert all(getattr(copy, name) is getattr(m, name)
+               for name in ("strategy_sets", "states", "closest_columns", "beliefs", "aux"))
+    dilemma = _PD._replace(params={})
+    assert dilemma == _PD and dilemma.params == {} and "_positions" not in dilemma.__dict__
+    with pytest.raises(TypeError, match="unexpected keyword argument 'players'"):
+        m._replace(players=2)
 
 
 def test_readme_quick_tour_repr():

@@ -13,7 +13,6 @@ different sizes; builds on one game must check the budget on every call
 and share nothing that a test may edit in place.
 """
 
-import dataclasses
 import itertools
 import json
 from fractions import Fraction as F
@@ -437,10 +436,10 @@ def test_payoff_memo_follows_replace_and_in_place_edits():
     rational_everywhere(m)
     # same strategies, other payoffs: a new structure with a memo of its own
     other = make_public_goods(3, F(1, 2), grid=2).game
-    rational_everywhere(dataclasses.replace(m, game=other))
+    rational_everywhere(m._replace(game=other))
     # states reversed: each state now plays another profile, and the copy
     # computes its own positions instead of keeping the builder's
-    reversed_states = dataclasses.replace(m, states=m.states[::-1])
+    reversed_states = m._replace(states=m.states[::-1])
     assert reversed_states._profile_index[0] == tuple(
         column[::-1] for column in m._profile_index[0])
     rational_everywhere(reversed_states)
@@ -449,7 +448,7 @@ def test_payoff_memo_follows_replace_and_in_place_edits():
     first, last = list(dist)[0], list(dist)[-1]
     dist[first], dist[last] = dist[first] + dist[last] / 2, dist[last] / 2
     rational_everywhere(m)
-    rational_everywhere(dataclasses.replace(m, game=other))
+    rational_everywhere(m._replace(game=other))
 
 
 def test_payoff_memo_on_typed_structure_after_replace():
@@ -457,5 +456,4 @@ def test_payoff_memo_on_typed_structure_after_replace():
     m = build_typed_dilemma_structure(d, [F(1, 4), F(1, 2), F(3, 4)],
                                       [F(3, 4), F(1, 2), F(1, 4)])
     rational_everywhere(m)
-    rational_everywhere(dataclasses.replace(
-        m, game=make_public_goods(3, F(9, 10), grid=1).game))
+    rational_everywhere(m._replace(game=make_public_goods(3, F(9, 10), grid=1).game))

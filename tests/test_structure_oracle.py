@@ -20,7 +20,6 @@ measures converted by ``to_exact``.
 """
 
 import ast
-import dataclasses
 import inspect
 import json
 import random
@@ -114,14 +113,14 @@ def with_belief(m, i, k, dist):
     per_state = list(beliefs[i])
     per_state[k] = dist
     beliefs[i] = tuple(per_state)
-    return dataclasses.replace(m, beliefs=tuple(beliefs))
+    return m._replace(beliefs=tuple(beliefs))
 
 
 def exact(m):
     """``m`` with every probability converted by ``to_exact``."""
     beliefs = tuple(tuple({t: to_exact(p) for t, p in dist.items()}
                           for dist in per_state) for per_state in m.beliefs)
-    return dataclasses.replace(m, beliefs=beliefs)
+    return m._replace(beliefs=beliefs)
 
 
 def mutate(draw, m, kind):
@@ -139,7 +138,7 @@ def mutate(draw, m, kind):
         column[k] = draw(st.integers(-2, n_states + 1))
         columns = dict(m.closest_columns)
         columns[(i, j)] = tuple(column)
-        return dataclasses.replace(m, closest_columns=columns)
+        return m._replace(closest_columns=columns)
     if kind == "PR1":
         t = draw(st.integers(0, n_states - 1))  # may or may not play own
         return with_belief(m, i, k, {t: F(1)})
@@ -314,8 +313,8 @@ def test_te_in_structure_on_states_off_the_game():
     sigma = MixedProfile.two_point(d, [F(1, 2), F(1, 4)])
     m = build_coherent_structure(d, sigma, strict=False)
     k = m.states.index(("C", "C"))
-    off = dataclasses.replace(
-        m, states=m.states[:k] + (("X", "C"),) + m.states[k + 1:])
+    off = m._replace(
+        states=m.states[:k] + (("X", "C"),) + m.states[k + 1:])
     # player 1's beliefs at an own C reach ("X", "C") and raise; at an own D
     # they do not, and player 0's expectation there takes the payoff path
     # for states off the game, with their own strategy put back in place
@@ -331,8 +330,8 @@ def test_te_in_structure_on_strategy_lists_out_of_game_order():
     d = make_prisoners_dilemma(4, 1)
     sigma = MixedProfile.two_point(d, [F(1, 2), F(1, 8)])
     m = build_coherent_structure(d, sigma, strict=False)
-    flipped = dataclasses.replace(
-        m, strategy_sets=(("D", "C"), ("D", "C")),
+    flipped = m._replace(
+        strategy_sets=(("D", "C"), ("D", "C")),
         closest_columns={(i, 1 - j): column
                          for (i, j), column in m.closest_columns.items()})
     report = te_in_structure(flipped, sigma)
@@ -344,13 +343,13 @@ def test_te_in_structure_on_strategy_lists_out_of_game_order():
     holed = list(flipped.closest_columns[(0, 1)])
     holed[cooperating[0]] = MISSING
     for bad in (
-            dataclasses.replace(
-                flipped, strategy_sets=(("D", "C", "Z"), ("D", "C")),
+            flipped._replace(
+                strategy_sets=(("D", "C", "Z"), ("D", "C")),
                 closest_columns={**flipped.closest_columns,
                                  (0, 2): flipped.closest_columns[(0, 0)]}),
-            dataclasses.replace(
-                flipped, closest_columns={**flipped.closest_columns,
-                                          (0, 1): tuple(holed)})):
+            flipped._replace(
+                closest_columns={**flipped.closest_columns,
+                                 (0, 1): tuple(holed)})):
         te_and_rationality_agree(bad, sigma, [None, cooperating])
         assert outcome(te_in_structure, bad, sigma)[:2] == ("raised", ValueError)
 
@@ -365,8 +364,8 @@ def test_switch_routed_onto_a_supported_state():
     k = m.states.index(("D", "D"))
     column = list(m.closest_columns[(0, 0)])
     column[k] = k
-    m = dataclasses.replace(m, closest_columns={**m.closest_columns,
-                                                (0, 0): tuple(column)})
+    m = m._replace(closest_columns={**m.closest_columns,
+                                    (0, 0): tuple(column)})
     assert is_rational_at(m, 0, k) == oracle.is_rational_at(m, 0, k)
     assert eu_at_state_switch(m, 0, k, "C") == oracle.eu_at_state_switch(m, 0, k, "C")
 
@@ -395,7 +394,7 @@ def test_te1_on_subsets_mixing_support_off_support_and_off_game_states(make):
     states = list(m.states)
     states[off[0]] = states[support[0]][:2]
     states[off[1]] = states[support[0]] + states[support[0]][:1]
-    short_long = dataclasses.replace(m, states=tuple(states))
+    short_long = m._replace(states=tuple(states))
     assert not any(d.game._table)
     for _ in range(2):  # with the game's payoff table empty, then full
         for subset in subsets:
@@ -408,7 +407,7 @@ def test_te1_on_subsets_mixing_support_off_support_and_off_game_states(make):
     states = list(m.states)
     for j in (0, 1):
         states[off[j]] = tuple("X" if i == j else s for i, s in enumerate(states[off[j]]))
-    off_game = dataclasses.replace(m, states=tuple(states))
+    off_game = m._replace(states=tuple(states))
     report = te_in_structure(m, sigma, mixed)
     assert report.te1 == ((off[2],), (off[0],), (off[1],))
     assert report == oracle.te_in_structure(m, sigma, mixed)

@@ -527,7 +527,7 @@ def cmd_validate_structure(path: str, budget: int) -> tuple:
         m = _entry("structure_from_json")(doc, budget=budget)
     except BudgetExceededError as exc:
         raise CliError(f"{path}: $.states: {exc}") from exc
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except InputError as exc:
         raise CliError(f"{path}: malformed structure document: {exc}") from exc
     violations = _entry("validate_structure")(m)
     if not violations:

@@ -30,17 +30,16 @@ validator decides NORM once per measure object, and PR2 compares two
 measures as dicts only when they are distinct objects.  The Nash and
 punishment builders read one layout per game (profiles, strategy positions,
 punished states), memoised like its payoff table.  The punishment builder
-also keeps the columns that depend on the support on the game, as the
-switch plan (below) of each (player, support positions), filled on first
-use and holding at most ``_SUPPORTS_KEPT`` supports per player (the oldest
-goes first): structures share those tuples, and each gets a
-``closest_columns`` dict and measures of its own.
+also keeps on the game each (player, support positions)'s switch plan
+(below), for at most ``_SUPPORTS_KEPT`` supports per player (the oldest
+goes first), and the point masses off the support, all shared by its builds.
 
-Each player's switch plan (every switch's strategy, column and game
-position) is kept on the structure: the coherent builder hands its plans
-over, and ``_switch_plan`` reads a plan once for any other structure and
-again whenever a ``closest_columns`` key no longer holds the column object
-it was read from.
+The closest-state map and every measure a builder or the parser makes are
+read-only (``_ReadOnly``: an edit raises ``TypeError``), so a structure
+reads each player's switch plan (every switch's strategy, column and game
+position) once, and ``is_rational_at`` judges a belief cell (player,
+measure object, own game position) of a read-only measure once; a measure
+of another type, as a caller may build, is judged on every call.
 A belief cell is judged in one pass over its measure's sources
 (``_cell_values``): the exact probabilities (floats at their exact value,
 as ``exact.to_exact`` converts them, so no verdict is decided by rounding)
@@ -53,14 +52,6 @@ the measure's times that scale, and TE4 and ``is_rational_at`` compare
 numerators.  The first error raised is the on-path value's, then each
 switch's in plan order; within a switch, a missing closest-state entry comes
 before a strategy or target off the game (``game.payoff``'s error).
-
-``is_rational_at`` depends on the state only through its belief cell: the
-player, the measure object and the player's own game position.  The
-structure keeps one report per cell and hands it out again only while the
-measure holds the very ``(target, probability)`` objects it was judged on,
-in the same order (an in-place edit misses), the player's switch plan is
-the same object (a replaced ``closest_columns`` entry misses) and the own
-position is on the game; every call gets an ``eu_switch`` dict of its own.
 """
 
 from __future__ import annotations
@@ -70,7 +61,7 @@ import json
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from operator import getitem, is_, itemgetter, mul
+from operator import getitem, itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .exact import (BudgetExceededError, InputError, _Frozen, common_denominator, exact_text,
@@ -81,11 +72,22 @@ if TYPE_CHECKING:  # games is imported by the builders that use it
 
 NORM_TOL = Fraction(1, 10 ** 12)
 MISSING = -1
-_SURE = Fraction(1)  # the measure of every off-support state, one object
 # supports whose punishment columns a game keeps, per player: a two-point
 # sweep uses three ({C}, {D}, {C, D}); past the bound the oldest is dropped,
 # so the kept columns stay within a few structures' worth
 _SUPPORTS_KEPT = 4
+
+
+class _ReadOnly(dict):
+    """A dict whose edits raise ``TypeError``; it pickles and copies as itself."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a structure's closest-state map and measures are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 class IncoherentProfileError(ValueError):
@@ -134,7 +136,8 @@ class CounterfactualStructure(_Frozen):
     ``states`` holds the strategy profile of each state; ``aux`` optionally
     carries extra per-state annotation (e.g. detection bits) that plays no
     role in the axioms.  ``closest_columns[(i, j)]`` maps every state to the
-    state reached when player ``i`` switches to their j-th strategy.
+    state reached when player ``i`` switches to their j-th strategy; it is
+    kept as a read-only dict of tuples (a read-only one as given).
     ``beliefs[i][k]`` is player i's measure at state k as a sparse mapping
     from state index to probability.  ``game`` may be None for structures
     loaded from files; axiom validation works without it, utilities need it.
@@ -146,6 +149,8 @@ class CounterfactualStructure(_Frozen):
     def __init__(self, strategy_sets: tuple, states: tuple, closest_columns: dict,
                  beliefs: tuple, aux: Optional[tuple] = None,
                  game: Optional[NormalFormGame] = None):
+        if type(closest_columns) is not _ReadOnly:
+            closest_columns = _ReadOnly(zip(closest_columns, map(tuple, closest_columns.values())))
         self.__dict__.update(strategy_sets=strategy_sets, states=states, aux=aux, game=game,
                              closest_columns=closest_columns, beliefs=beliefs)
 
@@ -158,15 +163,17 @@ class CounterfactualStructure(_Frozen):
         return len(self.strategy_sets)
 
     @cached_property
-    def _strategy_maps(self) -> tuple:
-        """Per player: strategy -> index of its first occurrence."""
-        maps = []
-        for strats in self.strategy_sets:
-            index: dict = {}
-            for j, s in enumerate(strats):
-                index.setdefault(s, j)
-            maps.append(index)
-        return tuple(maps)
+    def _labels(self) -> tuple:
+        """``(first, codes)`` per player: each label's first position, and each
+        state's code, its label's position, a fresh code past the list for a
+        label off it, or MISSING for a profile of another length."""
+        n, tables = self.num_players, []
+        for i, strats in enumerate(self.strategy_sets):
+            first = {s: j for j, s in reversed(list(enumerate(strats)))}  # the first j wins
+            ids = dict(first)
+            tables.append((first, tuple([ids.setdefault(p[i], len(strats) + len(ids))
+                                         if len(p) == n else MISSING for p in self.states])))
+        return tuple(tables)
 
     @cached_property
     def _profile_index(self) -> tuple:
@@ -187,19 +194,18 @@ class CounterfactualStructure(_Frozen):
 
     @cached_property
     def _plans(self) -> dict:
-        """Player -> ``_switch_plan``'s entry, filled on first use."""
+        """Player -> ``_switch_plan``'s plan, filled on first use."""
         return {}
 
     @cached_property
     def _reports(self) -> dict:
-        """``is_rational_at``'s memo: (player, id(measure), own position) ->
-        (measure, its targets, its probabilities, switch plan, eu,
-        eu_switch, verdict), filled on first use."""
+        """``is_rational_at``'s memo of read-only measures: (player,
+        id(measure), own position) -> (eu, eu_switch, verdict, measure)."""
         return {}
 
     def strategy_index(self, i: int, strategy: Strategy) -> int:
         try:
-            return self._strategy_maps[i][strategy]
+            return self._labels[i][0][strategy]
         except (KeyError, TypeError):  # TypeError: unhashable, never a strategy
             raise ValueError(f"{strategy!r} is not a strategy of player {i}") from None
 
@@ -223,9 +229,7 @@ def _built(game: NormalFormGame, states: tuple, columns: dict, beliefs: list,
     and its switch plans, if any (``_switch_plan`` reads the others)."""
     m = CounterfactualStructure(game.strategy_sets, states, columns,
                                 tuple(beliefs), aux=aux, game=game)
-    m.__dict__["_profile_index"] = profile_index  # the cached_property's slot
-    if plans:
-        m.__dict__["_plans"] = plans
+    m.__dict__.update(_profile_index=profile_index, _plans=plans or {})  # cached properties
     return m
 
 
@@ -241,11 +245,9 @@ def validate_structure(m: CounterfactualStructure) -> list:
     states = m.states
     players = range(m.num_players)
     # equal codes <=> equal strategies, so the checks compare small ints
-    own_codes, set_codes = [], []
-    for i in players:
-        ids: dict = {}
-        set_codes.append([ids.setdefault(s, len(ids)) for s in m.strategy_sets[i]])
-        own_codes.append([ids.setdefault(p[i], len(ids)) for p in states])
+    own_codes = [codes for _, codes in m._labels]
+    set_codes = [list(map(first.__getitem__, strats))
+                 for (first, _), strats in zip(m._labels, m.strategy_sets)]
     columns = [[m.closest_columns[(i, j)] for j in range(len(m.strategy_sets[i]))]
                for i in players]
 
@@ -341,17 +343,14 @@ def _require_game(m: CounterfactualStructure) -> NormalFormGame:
 
 def _switch_plan(m: CounterfactualStructure, i: int) -> list:
     """Player i's switches in list order, each strategy hashed once, as
-    ``(strategy, closest-state column, game position or None)``.  The plan
-    is kept on the structure, with the ``closest_columns`` keys and columns
-    it was read from, while every key still holds the same column object."""
-    entry = m._plans.get(i)
-    if entry is None or not all(map(is_, map(m.closest_columns.get, entry[1]), entry[2])):
-        strats, index = m.strategy_sets[i], m.game._index[i]
-        keys = [(i, m.strategy_index(i, s)) for s in strats]
-        columns = [m.closest_columns[key] for key in keys]
-        entry = m._plans[i] = ([(s, column, index.get(s))
-                                for s, column in zip(strats, columns)], keys, columns)
-    return entry[0]
+    ``(strategy, closest-state column, game position or None)``, read once
+    per structure."""
+    plan = m._plans.get(i)
+    if plan is None:
+        index = m.game._index[i]
+        plan = m._plans[i] = [(s, m.closest_columns[(i, m.strategy_index(i, s))], index.get(s))
+                              for s in m.strategy_sets[i]]
+    return plan
 
 
 def _cell_values(m: CounterfactualStructure, i: int, omega: int, sources: list,
@@ -429,39 +428,33 @@ def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtili
     or beat every switch (weak inequality).
 
     Judged once per belief cell (player, measure object, own position on the
-    game): a later state of the cell reuses the report while the measure's
-    items and the switch plan are the very objects judged, and gets a fresh
-    report with an ``eu_switch`` dict of its own."""
+    game) when the measure is read-only; every call gets an ``eu_switch``
+    dict of its own."""
     pos = m._profile_index[0][i][omega]  # without a game, the first to raise
     dist = m.beliefs[i][omega]
     key = (i, id(dist), pos)  # the cell keeps ``dist`` alive, so its id
     cell = m._reports.get(key)
-    if cell is not None:
-        _, targets, probabilities, plan, eu, switches, rational = cell
-        if (len(dist) == len(targets) and all(map(is_, dist, targets))
-                and all(map(is_, dist.values(), probabilities))
-                and _switch_plan(m, i) is plan):
-            return StateUtilityReport(eu, switches.copy(), rational)
-    sources, plan = list(dist), _switch_plan(m, i)
-    eu, values, den = _cell_values(m, i, omega, sources, *common_denominator(dist.values()),
-                                   plan)
-    rational = max(values, default=eu) <= eu
-    eu = Fraction(eu, den)
-    switches = {s: Fraction(v, den) for (s, _, _), v in zip(plan, values)}
-    if pos is not None:  # a state off the game belongs to no cell
-        m._reports[key] = (dist, tuple(sources), tuple(dist.values()), plan,
-                           eu, switches.copy(), rational)
-    return StateUtilityReport(eu, switches, rational)
+    if cell is None:
+        plan = _switch_plan(m, i)
+        eu, values, den = _cell_values(m, i, omega, list(dist),
+                                       *common_denominator(dist.values()), plan)
+        cell = (Fraction(eu, den), {s: Fraction(v, den) for (s, _, _), v in zip(plan, values)},
+                max(values, default=eu) <= eu, dist)
+        if pos is not None and type(dist) is _ReadOnly:  # off the game: no cell
+            m._reports[key] = cell
+    return StateUtilityReport(cell[0], cell[1].copy(), cell[2])
 
 
 # ---------------------------------------------------------------------------
 # constructions
 
 
-def _others_pairs(sigma: MixedProfile, i: int) -> list:
-    """(profile-index offset, probability) of each of the others' combos."""
+def _measures(game: NormalFormGame, sigma: MixedProfile, i: int, positions) -> list:
+    """Player i's measure at each own position in ``positions``, else None."""
     offsets, weights, den = sigma._kernels[i]
-    return [(o, Fraction(w, den)) for o, w in zip(offsets, weights)]
+    probabilities, stride = [Fraction(w, den) for w in weights], game._strides[i]
+    return [_ReadOnly(zip([o * stride + off for off in offsets], probabilities))
+            if o in positions else None for o in range(len(game.strategy_sets[i]))]
 
 
 def build_nash_structure(game, sigma: MixedProfile,
@@ -494,9 +487,7 @@ def build_nash_structure(game, sigma: MixedProfile,
         size = len(game.strategy_sets[i])
         for j in range(size):
             columns[(i, j)] = tuple([x + j * stride for x in others[i]])
-        pairs = _others_pairs(sigma, i)
-        measures = [{o * stride + off: p for off, p in pairs} for o in range(size)]
-        beliefs.append(tuple([measures[o] for o in own[i]]))
+        beliefs.append(tuple(map(_measures(game, sigma, i, range(size)).__getitem__, own[i])))
 
     return _built(game, states, columns, beliefs, (own, others))
 
@@ -527,30 +518,28 @@ def build_coherent_structure(game, sigma: MixedProfile, *, strict: bool = True,
                     if u < floor:
                         raise IncoherentProfileError(i, s, s_dev)
 
-    # only the columns and measures depend on the support; the layout's
-    # tuples and each (player, support)'s switch plan (its columns) are
-    # shared, and every structure gets dicts of its own
+    # only the columns and the support's measures depend on the support; the
+    # layout's tuples, each (player, support)'s switch plan (its columns) and
+    # the point masses off the support are shared
+    if not game._point_masses:
+        game._point_masses.extend([_ReadOnly(((k, Fraction(1)),)) for k in range(len(states))])
     columns, beliefs, plans = {}, [], {}
     for i, stride in enumerate(game._strides):
         support = {pos for pos, _, _ in sigma._entries[i][0]}
         key = (i, tuple(sorted(support)))
         kept = game._support_columns
-        shared = kept.get(key)
-        if shared is None:
+        plan = kept.get(key)
+        if plan is None:
             if len(kept) >= _SUPPORTS_KEPT * game.num_players:
                 del kept[next(iter(kept))]
-            plan = tuple((s, tuple([target if o != j and o in support else x + j * stride
-                                    for o, x in zip(own[i], others[i])]), j)
-                         for j, (s, (_, target)) in enumerate(zip(game.strategy_sets[i],
-                                                                  punished[i])))
-            shared = kept[key] = (plan, tuple((i, j) for j in range(len(plan))),
-                                  tuple(column for _, column, _ in plan))
-        plans[i] = shared  # the switch plan, its closest_columns keys and columns
-        columns.update(zip(shared[1], shared[2]))
-        pairs = _others_pairs(sigma, i)
-        measures = [{o * stride + off: p for off, p in pairs} if o in support else None
-                    for o in range(len(game.strategy_sets[i]))]
-        beliefs.append(tuple([measures[o] or {k: _SURE} for k, o in enumerate(own[i])]))
+            plan = kept[key] = tuple(
+                (s, tuple([target if o != j and o in support else x + j * stride
+                           for o, x in zip(own[i], others[i])]), j)
+                for j, (s, (_, target)) in enumerate(zip(game.strategy_sets[i], punished[i])))
+        plans[i] = plan
+        columns.update(((i, j), column) for _, column, j in plan)
+        measures = _measures(game, sigma, i, support)
+        beliefs.append(tuple([measures[o] or game._point_masses[k] for k, o in enumerate(own[i])]))
 
     return _built(game, states, columns, beliefs, (own, others), plans=plans)
 
@@ -632,7 +621,8 @@ def build_typed_dilemma_structure(d: SocialDilemma, alphas: Sequence, betas: Seq
                     entries[target] = entries[target] + p if target in entries else p
         # one measure per (own strategy, own bit), keyed by its state offset
         keys = [o * stride * nb + bits[i] * places[i] for o, bits in zip(own[i], aux)]
-        measures = {key: {key + t: p for t, p in entries.items()} for key in set(keys)}
+        measures = {key: _ReadOnly(zip([key + t for t in entries], entries.values()))
+                    for key in set(keys)}
         beliefs.append(tuple([measures[key] for key in keys]))
 
     rest = tuple(tuple([k // nb - o * stride for k, o in enumerate(column)])
@@ -666,10 +656,14 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     if entries > budget:
         raise BudgetExceededError(entries, budget, "closest-state entries")
 
-    # each state's strategy positions, which its closest entries skip
-    index = m._strategy_maps  # a repeated label's first position
-    positions = [[index[i][s] for i, s in enumerate(profile)] for profile in m.states]
-    states_doc = [{"profile": profile, "aux": None} for profile in positions]
+    # each state's strategy positions (a repeated label's first), which its
+    # closest entries skip
+    for i, ((_, codes), strats) in enumerate(zip(m._labels, m.strategy_sets)):
+        if not all(map(range(len(strats)).__contains__, codes)):
+            k = next(k for k, code in enumerate(codes) if code not in range(len(strats)))
+            raise ValueError(f"state {k}: {m.states[k]!r} gives player {i} no strategy of theirs")
+    positions = list(zip(*[codes for _, codes in m._labels]))
+    states_doc = [{"profile": list(profile), "aux": None} for profile in positions]
     if m.aux is not None:
         for k, entry in enumerate(states_doc):
             if m.aux[k] is not None:
@@ -730,7 +724,7 @@ def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:
     """One belief measure of a document; each probability string is parsed
     once per document (``parsed`` maps text to its ``Fraction``).  Targets
     are strings read by ``int()``."""
-    dist = {}
+    pairs = []
     for t, p in raw.items():
         try:
             k = int(t)
@@ -744,8 +738,8 @@ def _parse_dist(raw: dict, n_states: int, path: str, parsed: dict) -> dict:
                 q = parsed[p] = probability(p, f"{path}.dist[{json.dumps(t)}]")
         else:
             q = probability(p, f"{path}.dist[{json.dumps(t)}]")
-        dist[k] = q
-    return dist
+        pairs.append((k, q))
+    return _ReadOnly(pairs)
 
 
 def structure_from_json(doc, game: Optional[NormalFormGame] = None,
@@ -755,6 +749,7 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None,
     Missing closest-state entries other than the CS2-forced ones are kept as
     holes that ``validate_structure`` reports, and so are closest-state
     targets out of range (CS1); the validator is the linter for this format.
+    A document needs a player, a strategy for each player and a state.
     Every player, state, strategy and closest-state target index must be a
     JSON integer (not a bool, a decimal or a string), and every player, state,
     strategy or belief-target index must lie in range; a missing key, a
@@ -766,8 +761,7 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None,
     same order) share one parsed measure object, as a built structure shares
     one per belief cell; so the validator, ``structure_to_json`` and
     ``te_in_structure`` do their per-measure work once per distinct
-    ``dist``.  An in-place edit of a parsed measure therefore changes it at
-    every state that shares it.
+    ``dist``.
     """
     if isinstance(doc, str):
         doc = load_json(doc)
@@ -781,10 +775,14 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None,
     n = doc["players"]
     if type(n) is not int:
         raise InputError(f"$.players: expected an integer, got {plain(n)!r}")
+    if n < 1:
+        raise InputError(f"$.players: a structure needs at least 1 player, got {n}")
     strategy_sets = []
     for i, strats in enumerate(doc["strategies"]):
         if not isinstance(strats, (list, tuple)):
             raise InputError(f"$.strategies[{i}]: expected a list of strategy labels")
+        if not strats:
+            raise InputError(f"$.strategies[{i}]: player {i} has no strategies")
         strategy_sets.append(tuple(map(plain, strats)))
     strategy_sets = tuple(strategy_sets)
     if len(strategy_sets) != n:
@@ -794,6 +792,8 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None,
         strategy_sets = game.strategy_sets
     sizes = [len(strats) for strats in strategy_sets]
     n_states = len(doc["states"])
+    if not n_states:
+        raise InputError("$.states: a structure needs at least one state")
     if n_states * sum(sizes) > budget:
         raise BudgetExceededError(n_states * sum(sizes), budget, "closest-state entries")
     # per player: position -> position of the label's first occurrence
@@ -848,7 +848,7 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None,
     columns = {(i, j): tuple(column) for i, per_player in enumerate(columns)
                for j, column in enumerate(per_player)}
 
-    beliefs = [[{} for _ in states] for _ in range(n)]
+    beliefs = [[_ReadOnly() for _ in states] for _ in range(n)]
     parsed: dict = {}
     measures: dict = {}  # a raw dist's targets and values, in order -> its measure
     for e, entry in enumerate(doc["beliefs"]):

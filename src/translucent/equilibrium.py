@@ -120,7 +120,7 @@ def te_in_structure(m: CounterfactualStructure, sigma: MixedProfile,
         omega_subset = list(compress(range(len(inside)), inside))
     omega_set = set(omega_subset)
     te1, te2, te3, te4 = [], [], [], []
-    verdicts, plans = {}, {}
+    verdicts = {}
     players = list(enumerate(zip(positions, m.beliefs)))
 
     for omega in omega_subset:
@@ -134,7 +134,7 @@ def te_in_structure(m: CounterfactualStructure, sigma: MixedProfile,
             verdict = verdicts.get(key)
             if verdict is None:
                 verdict = verdicts[key] = _judge_cell(
-                    cf, m, i, omega, dist, others[i], expected[i], omega_set, plans)
+                    cf, m, i, omega, dist, others[i], expected[i], omega_set)
             if True in verdict:
                 for found, violations in zip(verdict, (te2, te3, te4)):
                     if found:
@@ -145,12 +145,11 @@ def te_in_structure(m: CounterfactualStructure, sigma: MixedProfile,
 
 
 def _judge_cell(cf, m: CounterfactualStructure, i: int, omega: int, dist: dict,
-                rest: tuple, expected: tuple, omega_set: set, plans: dict) -> tuple:
+                rest: tuple, expected: tuple, omega_set: set) -> tuple:
     """TE2, TE3 and TE4 violations of player i's cell at ``omega``, whose
     measure is ``dist`` and whose states' others' offsets are ``rest``;
-    ``cf`` is the counterfactual module, and ``plans`` keeps each player's
-    switch plan for the call.  TE4: no switch
-    numerator above the on-path one, over their one denominator."""
+    ``cf`` is the counterfactual module.  TE4: no switch numerator above the
+    on-path one, over their one denominator."""
     sources, (weights, den) = list(dist), common_denominator(dist.values())
     marginal, outside = {}, False  # the others' offset -> weight over den
     for t, w in zip(sources, weights):
@@ -158,9 +157,7 @@ def _judge_cell(cf, m: CounterfactualStructure, i: int, omega: int, dist: dict,
         if w > 0 and t not in omega_set:
             outside = True
     mixture, mixture_den = expected
-    if i not in plans:
-        plans[i] = cf._switch_plan(m, i)
-    eu, values, _ = cf._cell_values(m, i, omega, sources, weights, den, plans[i])
+    eu, values, _ = cf._cell_values(m, i, omega, sources, weights, den, cf._switch_plan(m, i))
     return (outside,
             {o: w * mixture_den for o, w in marginal.items() if w > 0}
             != {o: w * den for o, w in mixture.items()},

@@ -149,8 +149,8 @@ class _Frozen:
     """An immutable record: ``__init__`` sets the fields once, through
     ``__dict__``; equality and hash read the fields named in ``_compared``,
     repr those in ``_shown`` (the ``__init__`` parameters, in order), and
-    ``_replace`` passes them to ``__init__`` for a changed, checked copy
-    without cached properties; assigning or deleting an attribute raises."""
+    ``_replace``, ``copy`` and ``pickle`` pass them to ``__init__`` for a
+    checked copy without cached properties; an attribute cannot be set."""
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])
@@ -172,6 +172,9 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._shown])
 
     def _replace(self, **changes):  # an unknown field: __init__'s TypeError
         return type(self)(**{**{f: getattr(self, f) for f in self._shown}, **changes})

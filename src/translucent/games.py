@@ -88,9 +88,9 @@ class NormalFormGame(_Frozen):
             # their floors
             _minima={},
             # (player, support positions) -> the punishment structure's switch
-            # plan and its column keys, filled and bounded by
-            # ``counterfactual.build_coherent_structure``
-            _support_columns={})
+            # plan, and per profile index k its belief {k: 1} off the support,
+            # filled (the plans bounded) by ``counterfactual.build_coherent_structure``
+            _support_columns={}, _point_masses=[])
 
     def payoff(self, profile: Profile, i: int) -> Fraction:
         self._check_profile(profile)

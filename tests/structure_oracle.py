@@ -580,7 +580,9 @@ def structure_to_json(m: CounterfactualStructure, budget: int = 200_000) -> dict
     if entries > budget:
         raise BudgetExceededError(entries, budget, "closest-state entries")
 
-    strategy_index = m._strategy_maps  # a repeated label's first position
+    # a repeated label's first position
+    strategy_index = [{s: j for j, s in reversed(list(enumerate(strats)))}
+                      for strats in m.strategy_sets]
     states_doc = []
     for k in range(m.num_states):
         profile = [strategy_index[i][s] for i, s in enumerate(m.states[k])]
@@ -691,6 +693,7 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
     Missing closest-state entries other than the CS2-forced ones are kept as
     holes that ``validate_structure`` reports, and so are closest-state
     targets out of range (CS1); the validator is the linter for this format.
+    A document needs a player, a strategy for each player and a state.
     Every index must be a JSON integer, every other player, state, strategy
     or belief-target index must lie in range, and every key must be there,
     or an InputError names its JSON path.
@@ -707,10 +710,14 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
     n = doc["players"]
     if type(n) is not int:
         raise InputError(f"$.players: expected an integer, got {_as_read(n)!r}")
+    if n < 1:
+        raise InputError(f"$.players: a structure needs at least 1 player, got {n}")
     strategy_sets = []
     for i, strats in enumerate(doc["strategies"]):
         if not isinstance(strats, (list, tuple)):
             raise InputError(f"$.strategies[{i}]: expected a list of strategy labels")
+        if not strats:
+            raise InputError(f"$.strategies[{i}]: player {i} has no strategies")
         strategy_sets.append(tuple(_as_read(s) for s in strats))
     strategy_sets = tuple(strategy_sets)
     if len(strategy_sets) != n:
@@ -732,6 +739,8 @@ def structure_from_json(doc, game: Optional[NormalFormGame] = None) -> Counterfa
         first.append([index[s] for s in strats])
 
     n_states = len(doc["states"])
+    if not n_states:
+        raise InputError("$.states: a structure needs at least one state")
     states = []
     aux = []
     columns = {(i, j): [MISSING] * n_states

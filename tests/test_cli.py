@@ -1117,6 +1117,15 @@ class TestValidateStructure:
         (lambda doc: {**doc, "beliefs": [
             {"player": 0, "state": 0, "dist": {"0": "1e999999"}}]},
          '$.beliefs[0].dist["0"]: the number 1e999999 needs more than 4300 digits'),
+        # each linted clean or failed on an index range of 0..-1
+        (lambda doc: {"players": 2, "strategies": [[], []], "states": [], "closest": [],
+                      "beliefs": []},
+         "$.strategies[0]: player 0 has no strategies"),
+        (lambda doc: {**doc, "players": 0, "strategies": [], "states": [{"profile": []}]},
+         "$.players: a structure needs at least 1 player, got 0"),
+        (lambda doc: {**doc, "strategies": [[], ["C"]]},
+         "$.strategies[0]: player 0 has no strategies"),
+        (lambda doc: {**doc, "states": []}, "$.states: a structure needs at least one state"),
     ])
     def test_shape_refusals_name_their_path(self, tmp_path, capsys, edit, message):
         doc = edit(self.make_structure_doc())

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from beliefs_oracle import expected_utility_cooperate, expected_utility_deviation
+from test_structure_oracle import with_measure
 from translucent.beliefs import TranslucentType
 from translucent.counterfactual import (
     IncoherentProfileError,
@@ -65,7 +66,7 @@ class TestValidator:
         column = list(m.closest_columns[(0, j)])
         # route a switch to C onto a state where player 0 plays D
         column[0] = state_of(m, ("D", "D"))
-        m.closest_columns[(0, j)] = tuple(column)
+        m = m._replace(closest_columns={**m.closest_columns, (0, j): tuple(column)})
         violations = validate_structure(m)
         assert any(v.axiom == "CS1" and v.player == 0 for v in violations)
 
@@ -74,8 +75,8 @@ class TestValidator:
         m = build_nash_structure(d, MixedProfile.pure(d.game, ("D", "D")))
         k_dd = state_of(m, ("D", "D"))
         k_cd = state_of(m, ("C", "D"))
-        m.beliefs[0][k_dd].clear()
-        m.beliefs[0][k_dd][k_cd] = F(1)  # mass on a state with own strategy C
+        # mass on a state with own strategy C
+        m = with_measure(m, 0, m.beliefs[0][k_dd], {k_cd: F(1)})
         violations = validate_structure(m)
         assert any(v.axiom == "PR1" and v.state == k_dd for v in violations)
 
@@ -83,7 +84,7 @@ class TestValidator:
         d = make_prisoners_dilemma(4, 1)
         m = build_nash_structure(d, MixedProfile.pure(d.game, ("D", "D")))
         k_dd = state_of(m, ("D", "D"))
-        m.beliefs[0][k_dd][k_dd] = F(1, 2)
+        m = with_measure(m, 0, m.beliefs[0][k_dd], {k_dd: F(1, 2)})
         violations = validate_structure(m)
         assert any(v.axiom == "NORM" for v in violations)
 
@@ -91,7 +92,8 @@ class TestValidator:
         d = make_prisoners_dilemma(4, 1)
         m = build_nash_structure(d, MixedProfile.pure(d.game, ("D", "D")))
         k_dd = state_of(m, ("D", "D"))
-        m.beliefs[0][k_dd][k_dd] = 0.1  # the measure of every state playing D
+        # the measure of every state playing D
+        m = with_measure(m, 0, m.beliefs[0][k_dd], {k_dd: 0.1})
         violations = validate_structure(m)
         assert violations and all(v.axiom == "NORM" for v in violations)
         assert {v.detail for v in violations} == {f"belief mass sums to {F(0.1)}"}
@@ -101,7 +103,7 @@ class TestValidator:
         d = make_prisoners_dilemma(4, 1)
         m = build_nash_structure(d, MixedProfile.pure(d.game, ("D", "D")))
         k_dd = state_of(m, ("D", "D"))
-        m.beliefs[0][k_dd][k_dd] = F(1, 3 ** 10000)  # 4,772 digits
+        m = with_measure(m, 0, m.beliefs[0][k_dd], {k_dd: F(1, 3 ** 10000)})  # 4,772 digits
         assert {v.detail for v in validate_structure(m)} == {
             f"belief mass sums to 1/{Decimal(3 ** 10000)}"}
 
@@ -380,6 +382,20 @@ class TestJsonFormat:
             assert dist == {str(t): exact_text(p) for t, p in m.beliefs[i][omega].items()}
         texts = {text for _, _, dist in written for text in dist.values()}
         assert exact_text(F(1, 2 * 3 ** 10000)) in texts  # 1/2 x alpha_1, 4,772 digits
+
+    def test_writer_names_a_state_off_the_strategy_lists(self):
+        # the writer raised a bare KeyError('X')
+        d = make_prisoners_dilemma(4, 1)
+        m = build_nash_structure(d, MixedProfile.pure(d.game, ("D", "D")))
+        k = state_of(m, ("C", "D"))
+        # a profile of another length gives no player a strategy
+        for profile, i in ((("C", "X"), 1), (("C",), 0), (("C", "D", "D"), 0)):
+            states = list(m.states)
+            states[k] = profile
+            with pytest.raises(ValueError) as exc:
+                structure_to_json(m._replace(states=tuple(states)))
+            assert str(exc.value) == (
+                f"state {k}: {profile!r} gives player {i} no strategy of theirs")
 
     def test_missing_closest_entry_is_linted(self):
         d = make_prisoners_dilemma(4, 1)

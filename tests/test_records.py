@@ -205,7 +205,7 @@ def test_input_records_replace_through_init():
 
     m = build_typed_pd_structure(F(1, 2), F(1, 2), F(1, 2), F(1, 2), 4, 1)
     assert is_rational_at(m, 0, 0).rational
-    cached = {"_profile_index", "_plans", "_reports", "_strategy_maps"}
+    cached = {"_profile_index", "_plans", "_reports", "_labels"}
     assert cached <= set(m.__dict__)
     copy = m._replace(game=None)
     assert not cached & set(copy.__dict__)

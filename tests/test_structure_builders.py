@@ -9,23 +9,25 @@ on the game, ``is_rational_at`` reads payoffs from the game's table and
 keeps the forms that hash every profile, rerun every search and format
 every entry.  The comparisons cover the criterion-3 pool, the typed games
 and a non-symmetric custom game whose players have strategy sets of
-different sizes; builds on one game must check the budget on every call
-and share nothing that a test may edit in place.
+different sizes; builds on one game must check the budget on every call,
+and every structure's closest-state map and measures refuse edits.
 """
 
+import copy
 import itertools
 import json
+import pickle
 from fractions import Fraction as F
+from operator import delitem, setitem
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structure_oracle as oracle
-from test_structure_oracle import POOL, TYPED, exact, levels, outcome
+from test_structure_oracle import POOL, TYPED, exact, levels, outcome, with_measure
 from translucent import counterfactual
 from translucent.counterfactual import (
-    MISSING,
     build_coherent_structure,
     build_nash_structure,
     build_typed_dilemma_structure,
@@ -278,32 +280,79 @@ def test_budget_is_checked_on_a_layout_hit(game):
             game, nash, budget=budget))
 
 
+def assert_read_only(m):
+    """Assignment, deletion, ``clear`` and ``update`` on the closest-state
+    map and on every measure raise TypeError and change nothing."""
+    maps = [m.closest_columns, *(dist for per_state in m.beliefs for dist in per_state)]
+    kept = [dict(x) for x in maps]
+    for x in maps:
+        key = next(iter(x), 0)
+        for edit, args in ((setitem, (x, key, ())), (delitem, (x, key)),
+                           (type(x).clear, (x,)), (type(x).update, (x, {key: ()}))):
+            with pytest.raises(TypeError, match="read-only"):
+                edit(*args)
+    assert [dict(x) for x in maps] == kept
+
+
 @pytest.mark.parametrize("game", fresh_games(), ids=lambda g: g.name)
-def test_in_place_edits_stay_in_their_structure(game):
-    """Builds on one game share the layout's tuples and nothing mutable."""
+def test_builds_refuse_in_place_edits(game):
+    """Builds on one game, their JSON round trips and copies with a plain
+    closest-state dict all refuse edits, and the builds equal the oracle's."""
     nash = MixedProfile.pure(game, enumerate_pure_nash(game)[0])
     mixed = MixedProfile(game, [{strats[0]: F(1, 2), strats[-1]: F(1, 2)}
                                 for strats in game.strategy_sets])
     for build, sigma in ((build_nash_structure, nash),
                          (build_coherent_structure, mixed)):
         kwargs = {} if build is build_nash_structure else {"strict": False}
-        edited = build(game, sigma, **kwargs)
-        kept = build(game, sigma, **kwargs)
-        for per_state in edited.beliefs:
-            for dist in per_state:
-                dist[0] = F(7)
-        for key in edited.closest_columns:
-            edited.closest_columns[key] = ()
+        m = build(game, sigma, **kwargs)
+        assert_read_only(m)
+        assert_read_only(structure_from_json(structure_to_json(m), game=game))
+        assert_read_only(m._replace(closest_columns=dict(m.closest_columns)))
         oracle_build = getattr(oracle, build.__name__)
-        assert_same_structure(kept, oracle_build(game, sigma, **kwargs))
-        assert_same_structure(build(game, sigma, **kwargs), kept)
+        assert_same_structure(m, oracle_build(game, sigma, **kwargs))
+        assert_same_structure(build(game, sigma, **kwargs), m)
+
+
+@pytest.mark.parametrize("d", TYPED_GAMES[:5], ids=lambda d: d.kind)
+def test_typed_builds_refuse_in_place_edits(d):
+    m = build_typed_dilemma_structure(d, [F(1, 2)] * d.num_players,
+                                      [F(1, 4)] * d.num_players)
+    assert_read_only(m)
+    assert_read_only(structure_from_json(structure_to_json(m)))
+
+
+@pytest.mark.parametrize("build", ["coherent", "typed", "parsed"])
+def test_copies_keep_the_type_the_sharing_and_the_verdicts(build):
+    """``deepcopy`` and a ``pickle`` round trip (without the game, whose
+    payoff rule is a closure) rebuild the structure through its constructor:
+    read-only maps and measures, each measure shared by the same states, an
+    empty memo, and every verdict of the original."""
+    d = POOL[4]  # bertrand (2, 2, 6)
+    sigma = MixedProfile.two_point(d, [F(1, 2), F(3, 4)])
+    if build == "typed":
+        m = build_typed_dilemma_structure(d, [F(1, 2)] * 2, [F(1, 2), F(3, 4)])
+    else:
+        m = build_coherent_structure(d, sigma, strict=False)
+        if build == "parsed":
+            m = structure_from_json(structure_to_json(m), game=d.game)
+    states = range(m.num_states)
+    verdicts = [[is_rational_at(m, i, k) for k in states] for i in range(2)]
+    pickled = pickle.loads(pickle.dumps(m._replace(game=None)))._replace(game=d.game)
+    for twin in (copy.deepcopy(m), pickled):
+        assert twin == m and "_reports" not in vars(twin)
+        assert_read_only(twin)
+        assert [list(map(partition, x.beliefs)) for x in (twin, m)] == [
+            list(map(partition, m.beliefs))] * 2
+        assert [[is_rational_at(twin, i, k) for k in states] for i in range(2)] == verdicts
+        assert te_in_structure(twin, sigma) == te_in_structure(m, sigma)
+        assert structure_to_json(twin) == structure_to_json(m)
 
 
 def test_column_cache_across_alternating_supports():
     """Coherent builds on one game share each (player, support)'s columns,
-    filled on first use; every build equals the oracle's, keeps a
-    ``closest_columns`` dict and measures of its own, and an in-place edit
-    of one build's columns leaves the next build unchanged."""
+    filled on first use, and the point masses off the support; every build
+    equals the oracle's and keeps a ``closest_columns`` map and the
+    support's measures of its own."""
     game = custom_game()
     sigmas = [
         MixedProfile(game, [{"a": F(1, 2), "b": F(1, 2)}, {F(0): F(1)},
@@ -325,12 +374,11 @@ def test_column_cache_across_alternating_supports():
             earlier, earlier_columns = first[k]
             assert m.closest_columns is not earlier.closest_columns
             assert all(columns[key] is earlier_columns[key] for key in columns)
-            assert all(x is not y for mine, theirs in zip(m.beliefs, earlier.beliefs)
-                       for x, y in zip(mine, theirs))
+            assert all(x is not y or x is game._point_masses[k]
+                       for mine, theirs in zip(m.beliefs, earlier.beliefs)
+                       for k, (x, y) in enumerate(zip(mine, theirs)))
         else:
             first[k] = m, columns
-        for key in m.closest_columns:
-            m.closest_columns[key] = ()
     # distinct supports: two of player 0's ({a, b} twice), three of 1's and 2's
     assert len(game._support_columns) == 8
 
@@ -352,56 +400,6 @@ def test_column_cache_keeps_a_bounded_number_of_supports():
             build_coherent_structure(game, sigma, strict=False),
             oracle.build_coherent_structure(game, sigma, strict=False))
         assert len(game._support_columns) <= bound
-
-
-def test_switch_plans_follow_in_place_column_edits():
-    """A judged structure keeps its switch plans, but a column replaced in
-    ``closest_columns`` afterwards is read anew."""
-    d = POOL[4]  # bertrand (2, 2, 6)
-    sigma = MixedProfile.two_point(d, [F(1, 2), F(3, 4)])
-    m = build_coherent_structure(d, sigma, strict=False)
-    assert te_in_structure(m, sigma) == oracle.te_in_structure(m, sigma)
-    state = next(k for k, p in enumerate(m.states) if p == (6, 6))
-    column = list(m.closest_columns[(0, 0)])
-    column[state] = MISSING
-    m.closest_columns[(0, 0)] = tuple(column)
-    got = outcome(te_in_structure, m, sigma)
-    assert got[0] == "raised"
-    assert got == outcome(oracle.te_in_structure, m, sigma)
-    for k in range(m.num_states):
-        assert (outcome(is_rational_at, m, 0, k)
-                == outcome(oracle.is_rational_at, m, 0, k))
-
-
-@pytest.mark.parametrize("build", ["coherent", "typed", "parsed"])
-def test_switch_plan_rereads_an_equal_replaced_column(build):
-    """A cached report is handed out again only while each closest_columns
-    key holds the very column object its plan was read from: an equal but
-    distinct tuple misses and is read anew, and a deleted key raises."""
-    d = POOL[4]  # bertrand (2, 2, 6)
-    sigma = MixedProfile.two_point(d, [F(1, 2), F(3, 4)])
-    if build == "typed":
-        m = build_typed_dilemma_structure(d, [F(1, 2)] * 2, [F(1, 2), F(3, 4)])
-    else:
-        m = build_coherent_structure(d, sigma, strict=False)
-        if build == "parsed":
-            m = structure_from_json(structure_to_json(m), game=d.game)
-    first = is_rational_at(m, 0, 0)
-    plan = counterfactual._switch_plan(m, 0)
-    assert is_rational_at(m, 0, 0) == first
-    assert counterfactual._switch_plan(m, 0) is plan  # a hit keeps the plan
-    key = (0, 0)
-    column = tuple(list(m.closest_columns[key]))
-    assert column == m.closest_columns[key] and column is not m.closest_columns[key]
-    m.closest_columns[key] = column
-    assert is_rational_at(m, 0, 0) == first
-    reread = counterfactual._switch_plan(m, 0)
-    assert reread is not plan and reread[0][1] is column
-    cell = next(cell for (i, _, _), cell in m._reports.items() if i == 0)
-    assert cell[3] is reread  # the memo holds the re-read plan
-    del m.closest_columns[key]
-    with pytest.raises(KeyError):
-        is_rational_at(m, 0, 0)
 
 
 def test_coherent_builds_share_one_search():
@@ -429,7 +427,7 @@ def rational_everywhere(m):
                 == outcome(oracle.is_rational_at, m_exact, i, k))
 
 
-def test_payoff_memo_follows_replace_and_in_place_edits():
+def test_payoff_memo_follows_replace_and_edited_measures():
     d = POOL[2]
     m = build_coherent_structure(d, MixedProfile.two_point(d, [F(3, 4)] * 3),
                                  strict=False)
@@ -443,12 +441,32 @@ def test_payoff_memo_follows_replace_and_in_place_edits():
     assert reversed_states._profile_index[0] == tuple(
         column[::-1] for column in m._profile_index[0])
     rational_everywhere(reversed_states)
-    # shift mass inside one shared measure object, so its whole cell changes
+    # shift mass inside one shared measure, in a copy with one edited plain
+    # dict wherever it is used, so its whole cell changes
     dist = m.beliefs[0][0]
     first, last = list(dist)[0], list(dist)[-1]
-    dist[first], dist[last] = dist[first] + dist[last] / 2, dist[last] / 2
-    rational_everywhere(m)
-    rational_everywhere(m._replace(game=other))
+    edited = with_measure(m, 0, dist, {**dist, first: dist[first] + dist[last] / 2,
+                                       last: dist[last] / 2})
+    rational_everywhere(edited)
+    rational_everywhere(edited._replace(game=other))
+
+
+def test_plain_dict_measures_are_judged_on_every_call():
+    """A caller's structure with a plain dict per state, edited in place
+    after a judgement, is judged again and matches the oracle: only
+    read-only measures are memoised."""
+    d = POOL[0]  # pd (4, 1)
+    m = exact(build_coherent_structure(d, MixedProfile.two_point(d, [F(1, 2)] * 2),
+                                       strict=False))
+    k = next(k for k, p in enumerate(m.states) if p == ("C", "C"))
+    dist = m.beliefs[0][k]
+    before = is_rational_at(m, 0, k)
+    assert before == oracle.is_rational_at(m, 0, k) and before.rational
+    for t in list(dist):  # all the mass on the state where the other defects
+        dist[t] = F(m.states[t][1] == "D")
+    after = is_rational_at(m, 0, k)
+    assert after == oracle.is_rational_at(m, 0, k) and after != before
+    assert not m._reports
 
 
 def test_payoff_memo_on_typed_structure_after_replace():

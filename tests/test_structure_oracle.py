@@ -107,6 +107,13 @@ def structures(draw):
     return m, MixedProfile.two_point(d, betas)
 
 
+def with_measure(m, i, dist, new):
+    """``m`` with ``new`` wherever player i's measure is the object ``dist``."""
+    beliefs = list(m.beliefs)
+    beliefs[i] = tuple(new if x is dist else x for x in beliefs[i])
+    return m._replace(beliefs=tuple(beliefs))
+
+
 def with_belief(m, i, k, dist):
     """``m`` with player i's measure at state k replaced by ``dist``."""
     beliefs = list(m.beliefs)
@@ -163,11 +170,10 @@ def mutate(draw, m, kind):
     if kind == "float":
         t = draw(st.sampled_from(sorted(dist)))
         return with_belief(m, i, k, {**dist, t: float(dist[t])})
-    # in_place: change the measure object itself, so with shared measures
-    # the whole cell changes
+    # in_place: one edited plain-dict copy wherever the measure object is
+    # used, so with shared measures the whole cell changes
     t = draw(st.sampled_from(sorted(dist)))
-    dist[t] = dist[t] + F(1, 3)
-    return m
+    return with_measure(m, i, dist, {**dist, t: dist[t] + F(1, 3)})
 
 
 @st.composite
@@ -231,21 +237,20 @@ def rationality_agrees(m, states):
                         == outcome(oracle.eu_at_state_switch, m_exact, i, k, s))
                 assert (outcome(derived_beliefs, m, i, k, s)
                         == outcome(oracle.derived_beliefs, m, i, k, s))
-    # after the cells are memoised: an in-place edit of a judged measure,
-    # then a replaced closest-state column, each undone afterwards
+    # after the cells are memoised: a copy whose judged measure is edited,
+    # and one whose first closest-state column is replaced, by the mirror
+    # state (every player's strategy and bit position reversed); the
+    # original keeps its verdicts
     dist = m.beliefs[0][states[0]]
     if dist:
         t = next(iter(dist))
-        p = dist[t]
-        dist[t] = p + F(1, 3)
-        judged_as_the_oracle(m, exact(m), 0,
+        edited = with_measure(m, 0, dist, {**dist, t: dist[t] + F(1, 3)})
+        judged_as_the_oracle(edited, exact(edited), 0,
                              [k for k in states if m.beliefs[0][k] is dist])
-        dist[t] = p
-    column = m.closest_columns[(0, 0)]
-    # the mirror state: every player's strategy (and bit) position reversed
-    m.closest_columns[(0, 0)] = tuple(range(m.num_states - 1, -1, -1))
+    mirrored = m._replace(closest_columns={
+        **m.closest_columns, (0, 0): tuple(range(m.num_states - 1, -1, -1))})
+    judged_as_the_oracle(mirrored, exact(mirrored), 0, states)
     judged_as_the_oracle(m, exact(m), 0, states)
-    m.closest_columns[(0, 0)] = column
 
 
 @settings(max_examples=30, deadline=None)
@@ -590,6 +595,21 @@ def test_parser_raises_as_the_oracle(case):
     assert got[0] == want[0]
     if got[0] == "raised":
         assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"players": 0, "strategies": [], "states": [{"profile": []}], "closest": [],
+      "beliefs": []}, "$.players: a structure needs at least 1 player, got 0"),
+    ({"players": 2, "strategies": [["C"], []], "states": [{"profile": [0, 0]}],
+      "closest": [], "beliefs": []}, "$.strategies[1]: player 1 has no strategies"),
+    ({"players": 1, "strategies": [["C"]], "states": [], "closest": [], "beliefs": []},
+     "$.states: a structure needs at least one state"),
+])
+def test_degenerate_documents_are_refused_as_by_the_oracle(doc, message):
+    for parse in (structure_from_json, oracle.structure_from_json):
+        with pytest.raises(InputError) as exc:
+            parse(doc)
+        assert str(exc.value) == message
 
 
 def test_bad_target_in_a_shared_dist_names_the_first_entry():

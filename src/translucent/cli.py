@@ -443,6 +443,13 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
     if terms > budget:
         raise CliError(f"$.betas: {mixing} of {n} players mix, making {terms} "
                        f"multiset-law terms over all players, exceeding budget {budget}")
+    # bertrand's tie kernel (equilibrium._bertrand_holds): about one product
+    # per player for te_condition, and with alphas about n per player more
+    # for te_condition_typed, so n + n^2 in all
+    products = n + n * n * (alphas is not None)
+    if kind == "bertrand" and products > budget:
+        raise CliError(f"$.params.n: the tie kernel over {n} players takes {products} "
+                       f"products, exceeding budget {budget}")
     d = _on_params(_entry("make_dilemma"), kind, params)
     untyped = _entry("te_condition")(kind, params, betas)
     coherence = _entry("is_coherent")(d, _entry("MixedProfile").two_point(d, betas), budget)

@@ -41,11 +41,16 @@ position) once, and ``is_rational_at`` judges a belief cell (player,
 measure object, own game position) of a read-only measure once; a measure
 of another type, as a caller may build, is judged on every call.
 A belief cell is judged in one pass over its measure's sources
-(``_cell_values``): the exact probabilities (floats at their exact value,
-as ``exact.to_exact`` converts them, so no verdict is decided by rounding)
-become integer weights over one denominator, and the on-path value and each
-switch's are the weights times the player's integer payoff row at each
-target, the sources themselves or their entries in the switch's column.
+(``_cell_values``), on the measure's integer form (``_integer_form``): the
+exact probabilities (floats at their exact value, as ``exact.to_exact``
+converts them, so no verdict is decided by rounding) as integer weights over
+one denominator.  A read-only measure keeps its form: the Nash and
+punishment builders give it the kernel weights they build it from, and a
+typed or parsed measure makes it on first read; a copy or a pickle makes it
+again, and a measure of another type is converted on every call.  The
+validator's NORM, TE2-TE4 and the utilities all read it.  The on-path value
+and each switch's are the weights times the player's integer payoff row at
+each target, the sources themselves or their entries in the switch's column.
 Every payoff is an integer over the player's scale, filled by the rule on
 first use, so all the values come back as numerators over one denominator,
 the measure's times that scale, and TE4 and ``is_rational_at`` compare
@@ -79,7 +84,10 @@ _SUPPORTS_KEPT = 4
 
 
 class _ReadOnly(dict):
-    """A dict whose edits raise ``TypeError``; it pickles and copies as itself."""
+    """A dict whose edits raise ``TypeError``; it pickles and copies as itself,
+    without the integer form ``_integer_form`` keeps on a measure."""
+
+    __slots__ = ("_form",)
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("a structure's closest-state map and measures are read-only")
@@ -283,9 +291,9 @@ def validate_structure(m: CounterfactualStructure) -> list:
         # (None when it sums to 1), decided on integers over one denominator
         measures: dict = {}
         for key, dist in dict(zip(measure_ids, per_state)).items():
-            weights, den = common_denominator(dist.values())
+            sources, weights, den = _integer_form(dist)
             mass = sum(weights)
-            measures[key] = ([t for t, w in zip(dist, weights) if w > 0],
+            measures[key] = ([t for t, w in zip(sources, weights) if w > 0],
                              f"belief mass sums to {exact_text(Fraction(mass, den))}"
                              if abs(mass - den) * NORM_TOL.denominator
                              > den * NORM_TOL.numerator else None)
@@ -333,6 +341,21 @@ def derived_beliefs(m: CounterfactualStructure, i: int, omega: int,
             m.closest(source, i, s_dev)  # raises, naming the entry
         out[target] = out.get(target, Fraction(0)) + p
     return out
+
+
+def _integer_form(dist) -> tuple:
+    """``(sources, weights, den)`` of a measure: its targets in order, and its
+    probabilities as integer weights over one denominator (a builder's are
+    its kernel's).  A read-only measure keeps the form its builder gave it,
+    or makes it on first read; any other mapping is converted on every call.
+    The lists are shared: callers only read them."""
+    if type(dist) is _ReadOnly:
+        try:
+            return dist._form
+        except AttributeError:
+            form = dist._form = (list(dist), *common_denominator(dist.values()))
+            return form
+    return (list(dist), *common_denominator(dist.values()))
 
 
 def _require_game(m: CounterfactualStructure) -> NormalFormGame:
@@ -406,8 +429,7 @@ def _cell_values(m: CounterfactualStructure, i: int, omega: int, sources: list,
 
 def eu_at_state(m: CounterfactualStructure, i: int, omega: int) -> Fraction:
     """Expected utility of player i's current strategy at ``omega``."""
-    dist = m.belief(i, omega)
-    eu, _, den = _cell_values(m, i, omega, list(dist), *common_denominator(dist.values()), ())
+    eu, _, den = _cell_values(m, i, omega, *_integer_form(m.belief(i, omega)), ())
     return Fraction(eu, den)
 
 
@@ -418,8 +440,8 @@ def eu_at_state_switch(m: CounterfactualStructure, i: int, omega: int,
     _require_game(m)
     dist = m.belief(i, omega)
     _, column, pos = _switch_plan(m, i)[m.strategy_index(i, s_dev)]
-    _, (value,), den = _cell_values(m, i, omega, list(dist), *common_denominator(dist.values()),
-                                    [(s_dev, column, pos)], on_path=False)
+    _, (value,), den = _cell_values(m, i, omega, *_integer_form(dist), [(s_dev, column, pos)],
+                                    on_path=False)
     return Fraction(value, den)
 
 
@@ -436,8 +458,7 @@ def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtili
     cell = m._reports.get(key)
     if cell is None:
         plan = _switch_plan(m, i)
-        eu, values, den = _cell_values(m, i, omega, list(dist),
-                                       *common_denominator(dist.values()), plan)
+        eu, values, den = _cell_values(m, i, omega, *_integer_form(dist), plan)
         cell = (Fraction(eu, den), {s: Fraction(v, den) for (s, _, _), v in zip(plan, values)},
                 max(values, default=eu) <= eu, dist)
         if pos is not None and type(dist) is _ReadOnly:  # off the game: no cell
@@ -450,11 +471,16 @@ def is_rational_at(m: CounterfactualStructure, i: int, omega: int) -> StateUtili
 
 
 def _measures(game: NormalFormGame, sigma: MixedProfile, i: int, positions) -> list:
-    """Player i's measure at each own position in ``positions``, else None."""
+    """Player i's measure at each own position in ``positions``, else None,
+    given its integer form: the kernel's weights."""
     offsets, weights, den = sigma._kernels[i]
     probabilities, stride = [Fraction(w, den) for w in weights], game._strides[i]
-    return [_ReadOnly(zip([o * stride + off for off in offsets], probabilities))
-            if o in positions else None for o in range(len(game.strategy_sets[i]))]
+    measures = [None] * len(game.strategy_sets[i])
+    for o in positions:
+        targets = [o * stride + off for off in offsets]
+        measure = measures[o] = _ReadOnly(zip(targets, probabilities))
+        measure._form = (targets, weights, den)
+    return measures
 
 
 def build_nash_structure(game, sigma: MixedProfile,

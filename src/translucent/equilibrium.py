@@ -23,22 +23,25 @@ the (N-1) public-goods reading then call the integer core that
 ``closed_form.cooperation_condition`` wraps, ``condition_terms``, once per
 player, on the others' mean held as integers, total - x_i over den * (N - 1)
 with den the betas' common denominator, and the printed public-goods
-reading cross-multiplies the same integers.  Bertrand reads its tie kernel
-from ``games._multiset_law``, the Poisson-binomial law that coherence reads
-too, over the nonzero gammas: a gamma of 0 never cooperates, so untyped
-bertrand convolves nothing.
+reading cross-multiplies the same integers.  Bertrand's tie kernel
+E[1 / (N - C)] is the sum over k of e_k(gamma) k! (N-1-k)! / N!
+(``_tie_sum``), for e_k the elementary symmetric polynomials, in exact
+integers: those of all the betas are built once, O(N^2), and each player's
+others' follow in O(N) by dividing out its own factor.  At full detection
+every gamma is 0, so untyped bertrand compares the product of the others'
+betas with l / h.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import prod
+from math import factorial, prod
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .closed_form import checked_params, condition_terms
 from .exact import common_denominator, to_unit
-from .games import MixedProfile, _multiset_law, as_game, minimize_payoff
+from .games import MixedProfile, as_game, minimize_payoff
 
 if TYPE_CHECKING:  # counterfactual is imported by the calls that use it
     from .counterfactual import CounterfactualStructure
@@ -150,7 +153,7 @@ def _judge_cell(cf, m: CounterfactualStructure, i: int, omega: int, dist: dict,
     measure is ``dist`` and whose states' others' offsets are ``rest``;
     ``cf`` is the counterfactual module.  TE4: no switch numerator above the
     on-path one, over their one denominator."""
-    sources, (weights, den) = list(dist), common_denominator(dist.values())
+    sources, weights, den = cf._integer_form(dist)
     marginal, outside = {}, False  # the others' offset -> weight over den
     for t, w in zip(sources, weights):
         marginal[rest[t]] = marginal.get(rest[t], 0) + w
@@ -233,10 +236,11 @@ def _two_point(kind: str, params: dict, betas: Sequence,
                alphas_for) -> TypedTeResult:
     """Both conditions' one body; ``alphas_for(n)`` gives the alpha vector
     once the player count is known.  Player i is judged against the others'
-    mean cooperation: by the integer core ``condition_terms`` of
-    ``cooperation_condition`` for pd, td and the (N-1) public-goods reading,
-    with the parameters checked once per call, and by the product of the
-    others' betas against the heterogeneous tie kernel for bertrand."""
+    betas held as integers: their mean over the betas' common denominator,
+    by the integer core ``condition_terms`` of ``cooperation_condition`` for
+    pd, td and the (N-1) public-goods reading, with the parameters checked
+    once per call, and their product against the tie kernel for bertrand
+    (``_bertrand_holds``)."""
     # parameters are checked before the vectors, so a bad one is reported first
     checked = checked_params(kind, params)
     n = checked[0] if kind in ("pgg", "bertrand") else 2
@@ -244,11 +248,7 @@ def _two_point(kind: str, params: dict, betas: Sequence,
     bs = _unit_vector(betas, n, "beta")
     defect = not any(x.numerator for x in bs)
     if kind == "bertrand":
-        _, l, h = checked
-        holds = defect or all(
-            prod(bs[:i] + bs[i + 1:]) >= generalized_f(
-                [(1 - a) * x for x in bs[:i] + bs[i + 1:]], n) * l * n / h
-            for i, a in enumerate(als))
+        holds = defect or _bertrand_holds(checked, als, bs)
         return TypedTeResult(kind, holds, {"condition": holds})
     # the others' mean of player i is (total - x_i) / (den * (n - 1)), unreduced
     xs, den = common_denominator(bs)
@@ -265,21 +265,84 @@ def _two_point(kind: str, params: dict, betas: Sequence,
     return TypedTeResult(kind, holds, {"condition": holds})
 
 
+def _bertrand_holds(checked: tuple, als: list, bs: list) -> bool:
+    """Every player's prod_{j != i} beta_j >= f(gamma, N) * l * N / h, gamma_j
+    = (1 - alpha_i) * beta_j, on integers: with beta_j = p_j / q_j and
+    alpha_i = an / ad, so gamma_j = (g / ad) * beta_j for g = ad - an, it is
+    h * ad^(n-1) * (n-1)! * prod_{j != i} p_j >= l * _tie_sum(c, g, ad, n)
+    for c the coefficients of prod_{j != i} (q_j + p_j t).  The kernel is
+    positive, so with a beta of 0 beside a positive one, the positive
+    player's product of the others, 0, fails.  Each distinct (alpha_i,
+    beta_i) is judged once, and the whole product's coefficients are
+    expanded, O(n^2), only when some alpha is below 1."""
+    if not all(bs):
+        return False
+    n, l, h = checked
+    p_all, q_all = prod(b.numerator for b in bs), prod(b.denominator for b in bs)
+    whole = _expand(bs) if any(a.numerator != a.denominator for a in als) else None
+    scale = factorial(n - 1)
+    for an, ad, p, q in {(*a.as_integer_ratio(), *b.as_integer_ratio())
+                         for a, b in zip(als, bs)}:
+        others = p_all // p  # prod_{j != i} p_j
+        g = ad - an  # 0 at full detection: only c_0, the others' q_j product, counts
+        coefficients = _leave_one_out(whole, p, q) if g else (q_all // q,)
+        if h * ad ** (n - 1) * scale * others < l * _tie_sum(coefficients, g, ad, n):
+            return False
+    return True
+
+
+def _expand(values: Sequence) -> list:
+    """The integer coefficients of prod_j (q_j + p_j t) over ``values`` p_j /
+    q_j: c_k is e_k(values), the k-th elementary symmetric polynomial, times
+    the product of the q_j.  One factor at a time, O(len(values)^2)."""
+    cs = [1]
+    for v in values:
+        p, q = v.as_integer_ratio()
+        cs = [q * c + p * d for c, d in zip(cs + [0], [0, *cs])]
+    return cs
+
+
+def _leave_one_out(cs: list, p: int, q: int) -> list:
+    """``cs`` divided by its factor (q + p t): the coefficients r with c_k = q
+    * r_k + p * r_{k-1}, so r_k = (c_k - p * r_{k-1}) / q, exact."""
+    rest, r = [], 0
+    for c in cs[:-1]:
+        r = (c - p * r) // q
+        rest.append(r)
+    return rest
+
+
+def _tie_sum(cs: Sequence, gn: int, gd: int, n: int) -> int:
+    """The tie kernel E[1 / (N - C)] at gammas (gn / gd) * y_j, times n! *
+    gd^(n-1) * Q, for ``cs`` the coefficients of prod_j (q_j + p_j t) over
+    the n - 1 others' y_j = p_j / q_j and Q the product of their q_j.
+
+    With D = (n - 1) - C the others who defect, 1 / (D + 1) is the integral
+    of t^D over [0, 1], so by independence the kernel is the integral of
+    prod_j (gamma_j + (1 - gamma_j) t): the sum over k of e_k(gamma) times
+    the Beta integral k! (n-1-k)! / n!, here cs[k] * gn^k * gd^(n-1-k) *
+    k! (n-1-k)!.  A gn of 0 keeps only k = 0.  Otherwise Horner's rule
+    sums the n terms, G_k = G_(k-1) * gd * (n - k) + cs[k] * gn^k * k!,
+    so each term costs one product of two large integers, not three."""
+    if not gn:
+        return cs[0] * factorial(n - 1) * gd ** (n - 1)
+    total, f = 0, 1  # f = gn^k * k!
+    for k, c in enumerate(cs):
+        if k:
+            total, f = total * gd * (n - k), f * gn * k
+        total += c * f
+    return total
+
+
 def generalized_f(gammas: Sequence, n: int) -> Fraction:
     """Heterogeneous tie kernel E[1 / (N - C)], where C counts the others who
     still cooperate after a deviation, the j-th with probability gamma_j.
 
-    C's Poisson-binomial law is ``games._multiset_law`` over one two-point
-    entry per gamma, cooperation at position 1 (a gamma of 1 is a pure
-    entry), so a multiset's sum is its cooperator count; the kernel equals
-    f(gamma, N) when all entries are equal.
+    ``_tie_sum`` over the coefficients of prod_j (q_j + p_j t), gamma_j =
+    p_j / q_j; it equals f(gamma, N) when all entries are equal.
     """
     if len(gammas) != n - 1:
         raise ValueError(f"expected {n - 1} gamma values, got {len(gammas)}")
     gs = [to_unit(g, "gamma") for g in gammas]
-    # a gamma of 0 never cooperates, so leaving it out keeps C's law
-    multisets, weights, den = _multiset_law(
-        [([(1, None, 1)], 1) if g == 1 else
-         ([(0, None, g.denominator - g.numerator), (1, None, g.numerator)], g.denominator)
-         for g in gs if g])
-    return sum(map(Fraction, weights, [n - sum(m) for m in multisets])) / den
+    return Fraction(_tie_sum(_expand(gs), 1, 1, n),
+                    factorial(n) * prod(g.denominator for g in gs))

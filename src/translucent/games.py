@@ -523,10 +523,10 @@ def _multiset_law(entries) -> tuple:
     weight / den.  It is a convolution over the players who mix, in order,
     and the pure players' positions are added to every multiset after it;
     for two-point entries the multiset is the cooperator count and its law
-    the Poisson-binomial, at most N terms and O(N²) term updates.  It is the
-    library's one cooperator-count law: ``MixedProfile._laws`` reads it for
-    coherence, and ``equilibrium.generalized_f`` for the bertrand tie
-    kernel."""
+    the Poisson-binomial, at most N terms and O(N²) term updates.
+    ``MixedProfile._laws`` reads it for coherence; the bertrand tie kernel
+    of the closed forms reads the elementary symmetric polynomials of the
+    gammas instead (``equilibrium._tie_sum``)."""
     pure, law, den = [], {(): 1}, 1
     for support, d_j in entries:
         if len(support) == 1:  # weight d_j over d_j

@@ -470,6 +470,44 @@ class TestStrategyBudget:
                    f"multiset-law terms over all players, exceeding budget "
                    f"{terms - 1}\n")
 
+    @pytest.mark.parametrize("n,betas,products", [
+        (5, [1] * 5, 30),                     # 5 + 5^2; 4 * 5 law terms
+        (3, ["1/2", 1, 1], 12),               # 3 + 3^2; 2 * (3 + 2) law terms
+        (4, [0, 1, 1, 1], 20),                # 4 + 4^2; 3 * 4 law terms
+    ])
+    def test_budget_is_the_tie_kernel_count(self, tmp_path, capsys, n, betas,
+                                            products):
+        # bertrand (n, 2, 3): 2 x n floor payoffs and the multiset laws stay
+        # below the typed tie kernel's n + n^2 products, so the kernel binds
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "bertrand", "params": {"n": n, "l": 2, "h": 3},
+            "betas": betas, "alphas": ["1/2"] * n})
+        code, _, _ = run(capsys, "equilibrium", "--config", cfg,
+                         "--budget", str(products))
+        assert code == 0
+        code, out, err = run(capsys, "equilibrium", "--config", cfg,
+                             "--budget", str(products - 1))
+        assert (code, out, err) == (
+            2, "", f"error: $.params.n: the tie kernel over {n} players takes "
+                   f"{products} products, exceeding budget {products - 1}\n")
+
+    def test_large_bertrand_typed_runs_fast(self, tmp_path, capsys):
+        # 1,001,000 kernel products, within the default budget: the e_k are
+        # built once, and the players, all alike, are judged once
+        import time
+
+        n = 1000
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "bertrand", "params": {"n": n, "l": 2, "h": 3},
+            "betas": [1] * n, "alphas": [0.5] * n})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "equilibrium", "--config", cfg)
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["te_condition"], report["coherent"],
+                report["te_condition_typed"]["holds"]) == (True, True, False)
+
     def test_large_grid_refuses_the_floor_search(self, tmp_path, capsys):
         # 101 own strategies, each against C(103, 3) = 176,851 opponent
         # multisets: 17.9M floor payoffs, refused before the game is built

@@ -9,12 +9,15 @@ out and the kernel as its sum over the 2^(N-1) subsets of the others.
 Property tests compare verdicts, whole ``TypedTeResult``s, and the exception
 type and text on malformed input; the kernel also on gammas of 0 and 1 among
 interior ones, and both public-goods readings on betas with coprime
-denominators.
+denominators.  The bertrand conditions, whose kernel the library reads from
+elementary symmetric polynomials, are also compared on repeated players and
+betas near 1, and past the oracle's reach against ``f_gamma`` and a
+``Fraction`` Poisson-binomial law.
 """
 
 import time
 from fractions import Fraction as F
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -288,3 +291,104 @@ class TestGeneralizedFMatchesSubsetSum:
         assert best < 0.05
         for g in (F(0), F(1, 3), F(5, 7), F(1)):
             assert generalized_f([g] * 29, 30) == f_gamma(g, 30)
+
+
+# alphas, betas and gammas for the kernel: 0 and 1 as ints and Fractions,
+# interior fractions, and denominators coprime to each other
+KERNEL_UNITS = st.one_of(st.sampled_from([0, 1, F(0), F(1), F(1, 3), F(2, 7), F(5, 8),
+                                          F(9, 11), F(1, 2)]), units)
+
+
+@st.composite
+def bertrand_vectors(draw):
+    """(params, alphas, betas) for bertrand with n <= 6; one time in three
+    the players are drawn from two (alpha, beta) pairs, so equal players
+    are common, and one time in three every beta is near 1, so the
+    condition often holds and each player's alpha decides."""
+    n = draw(st.integers(2, 6))
+    params = {"n": n, "l": draw(st.integers(2, 5)), "h": draw(st.integers(6, 40))}
+    mode = draw(st.integers(0, 2))
+    if mode == 0:
+        pairs = draw(st.lists(st.tuples(KERNEL_UNITS, KERNEL_UNITS), min_size=2, max_size=2))
+        alphas, betas = zip(*[draw(st.sampled_from(pairs)) for _ in range(n)])
+        return params, list(alphas), list(betas)
+    vector = st.lists(KERNEL_UNITS, min_size=n, max_size=n)
+    high = st.lists(st.sampled_from([1, F(1), F(9, 11), F(19, 20)]), min_size=n, max_size=n)
+    return params, draw(vector), draw(high if mode == 1 else vector)
+
+
+def law_kernel(gammas, n):
+    """E[1 / (N - C)] by C's Poisson-binomial law, convolved in ``Fraction``s."""
+    law = [F(1)]
+    for g in gammas:
+        g = F(g)
+        law = [a * (1 - g) + b * g for a, b in zip(law + [0], [0, *law])]
+    return sum(p / (n - c) for c, p in enumerate(law))
+
+
+class TestBertrandKernelMatchesSubsetOracle:
+    """The bertrand conditions and ``generalized_f`` read the tie kernel from
+    the elementary symmetric polynomials of the gammas (``_tie_sum``); the
+    oracle sums over the 2^(N-1) subsets of the others."""
+
+    @KERNEL
+    @given(bertrand_vectors())
+    def test_typed(self, case):
+        params, alphas, betas = case
+        assert (te_condition_typed("bertrand", params, alphas, betas)
+                == oracle.te_condition_typed("bertrand", params, alphas, betas))
+
+    @KERNEL
+    @given(bertrand_vectors())
+    def test_untyped(self, case):
+        params, _, betas = case
+        assert (te_condition("bertrand", params, betas)
+                == oracle.te_condition("bertrand", params, betas))
+
+    @KERNEL
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(KERNEL_UNITS, min_size=n - 1, max_size=n - 1))))
+    def test_generalized_f(self, case):
+        n, gammas = case
+        assert generalized_f(gammas, n) == oracle.generalized_f(gammas, n)
+
+    @pytest.mark.parametrize("h,alphas,betas,holds", [
+        (7, [F(1, 2), 1, 0], [1, 1, 1], True),          # full detection beside none
+        (5, [F(1, 2), 1, 0], [1, 1, 1], False),         # the alpha of 0 fails
+        (5, [F(1, 2), F(1, 2), 1], [1, 1, 1], True),
+        (7, [1, 1, 1], [0, 1, 1], False),               # one sure defector
+        (7, [F(1, 3)] * 3, [0, 0, F(2, 7)], False),     # two: every product is 0
+        (7, [0, F(1, 2), F(1, 2)], [F(5, 8), F(9, 11), F(9, 11)], False),
+    ])
+    def test_pure_and_repeated_players(self, h, alphas, betas, holds):
+        params = {"n": 3, "l": 2, "h": h}
+        result = te_condition_typed("bertrand", params, alphas, betas)
+        assert result == oracle.te_condition_typed("bertrand", params, alphas, betas)
+        assert result.holds is holds
+
+    def test_equal_players_at_large_n_are_f_gamma(self):
+        # all alike, the condition is beta^(n-1) >= f((1 - alpha) beta, n) l n / h
+        alpha, beta, l, h = F(999, 1000), F(1), 2, 3
+        for n in (60, 200):
+            start = time.perf_counter()
+            result = te_condition_typed("bertrand", {"n": n, "l": l, "h": h},
+                                        [alpha] * n, [beta] * n)
+            assert time.perf_counter() - start < 0.5
+            assert result.holds == (beta ** (n - 1) >= f_gamma((1 - alpha) * beta, n) * l * n / h)
+
+    def test_distinct_denominators_match_the_law(self):
+        # 40 players with pairwise distinct denominators near 10^6: each
+        # player's kernel against the others' Poisson-binomial law
+        n, l, h = 40, 2, 3
+        betas = [1 - F(1, 10 ** 6 + k) for k in range(n)]
+        alphas = [1 - F(1, 10 ** 6 + 2 * k) for k in range(n)]
+        expected = all(
+            prod(betas[:i] + betas[i + 1:]) >= law_kernel(
+                [(1 - a) * b for b in betas[:i] + betas[i + 1:]], n) * l * n / h
+            for i, a in enumerate(alphas))
+        start = time.perf_counter()
+        result = te_condition_typed("bertrand", {"n": n, "l": l, "h": h}, alphas, betas)
+        assert time.perf_counter() - start < 0.5
+        assert result.holds is expected is True
+        gammas = [(1 - alphas[0]) * b for b in betas[1:]]
+        assert generalized_f(gammas, n) == law_kernel(gammas, n)

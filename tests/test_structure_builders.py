@@ -10,7 +10,10 @@ keeps the forms that hash every profile, rerun every search and format
 every entry.  The comparisons cover the criterion-3 pool, the typed games
 and a non-symmetric custom game whose players have strategy sets of
 different sizes; builds on one game must check the budget on every call,
-and every structure's closest-state map and measures refuse edits.
+and every structure's closest-state map and measures refuse edits.  A
+read-only measure's integer form equals ``common_denominator`` of its
+values up to a factor, gives the verdicts of a plain-dict copy, and is made
+again in a copy or a pickle.
 """
 
 import copy
@@ -25,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structure_oracle as oracle
+from test_counterfactual import matching_pennies
 from test_structure_oracle import POOL, TYPED, exact, levels, outcome, with_measure
 from translucent import counterfactual
 from translucent.counterfactual import (
@@ -36,6 +40,7 @@ from translucent.counterfactual import (
     structure_to_json,
 )
 from translucent.equilibrium import te_in_structure
+from translucent.exact import common_denominator
 from translucent.games import (
     BudgetExceededError,
     MixedProfile,
@@ -346,6 +351,86 @@ def test_copies_keep_the_type_the_sharing_and_the_verdicts(build):
         assert [[is_rational_at(twin, i, k) for k in states] for i in range(2)] == verdicts
         assert te_in_structure(twin, sigma) == te_in_structure(m, sigma)
         assert structure_to_json(twin) == structure_to_json(m)
+
+
+def plain_measures(m):
+    """``m`` with each measure object copied once into a plain dict, so the
+    states keep sharing it."""
+    copies: dict = {}
+    for dist in {id(dist): dist for per_state in m.beliefs for dist in per_state}.values():
+        copies[id(dist)] = dict(dist)
+    return m._replace(beliefs=tuple(tuple(copies[id(dist)] for dist in per_state)
+                                    for per_state in m.beliefs))
+
+
+def integer_form_cases():
+    """(name, structure, its game, a profile for TE1-TE4) from each builder
+    and the parser."""
+    game = matching_pennies()
+    half = MixedProfile(game, [{"H": F(1, 2), "T": F(1, 2)}] * 2)
+    pgg = POOL[2]  # public goods (3, 3/5, grid 2)
+    betas = [F(1, 3), F(3, 4), 1]
+    sigma = MixedProfile.two_point(pgg, betas)
+    coherent = build_coherent_structure(pgg, sigma, strict=False)
+    d = TYPED[3]  # bertrand (2, 2, 5)
+    typed_sigma = MixedProfile.two_point(d, [F(1, 2), F(2, 3)])
+    return [
+        ("nash", build_nash_structure(game, half), game, half),
+        ("coherent", coherent, pgg.game, sigma),
+        ("typed", build_typed_dilemma_structure(d, [F(1, 4), F(3, 5)], [F(1, 2), F(2, 3)]),
+         d.game, typed_sigma),
+        ("parsed", structure_from_json(json.dumps(structure_to_json(coherent)), game=pgg.game),
+         pgg.game, sigma),
+    ]
+
+
+@pytest.mark.parametrize("name,m,game,sigma", integer_form_cases(),
+                         ids=lambda case: case if isinstance(case, str) else "")
+def test_integer_form_is_the_common_denominator(name, m, game, sigma):
+    """Every measure's integer form is ``common_denominator`` of its values
+    up to one positive factor; a read-only measure keeps one form, and a
+    structure whose measures are plain-dict copies gives the same reports."""
+    measures = {id(dist): dist for per_state in m.beliefs for dist in per_state}
+    for dist in measures.values():
+        form = counterfactual._integer_form(dist)
+        sources, weights, den = form
+        least, least_den = common_denominator(dist.values())
+        assert sources == list(dist) and den % least_den == 0
+        assert list(weights) == [w * (den // least_den) for w in least]
+        assert counterfactual._integer_form(dist) is form
+    twin = plain_measures(m)
+    assert counterfactual.validate_structure(twin) == counterfactual.validate_structure(m)
+    for i in range(m.num_players):
+        for k in range(m.num_states):
+            assert is_rational_at(twin, i, k) == is_rational_at(m, i, k)
+            assert counterfactual.eu_at_state(twin, i, k) == counterfactual.eu_at_state(m, i, k)
+            for s in m.strategy_sets[i]:
+                assert (counterfactual.eu_at_state_switch(twin, i, k, s)
+                        == counterfactual.eu_at_state_switch(m, i, k, s))
+    assert te_in_structure(twin, sigma) == te_in_structure(m, sigma)
+
+
+@pytest.mark.parametrize("name,m,game,sigma", integer_form_cases(),
+                         ids=lambda case: case if isinstance(case, str) else "")
+def test_copies_rebuild_the_integer_form(name, m, game, sigma):
+    """A measure copied or pickled, alone or with its structure, comes back
+    without the form; it is made again on first read, from its values."""
+    reports = [[is_rational_at(m, i, k) for k in range(m.num_states)]
+               for i in range(m.num_players)]
+    for dist in {id(dist): dist for per_state in m.beliefs for dist in per_state}.values():
+        counterfactual._integer_form(dist)
+        for twin in (copy.copy(dist), copy.deepcopy(dist), pickle.loads(pickle.dumps(dist))):
+            assert type(twin) is type(dist) and twin == dist
+            assert not hasattr(twin, "_form")
+            assert counterfactual._integer_form(twin) == (
+                list(dist), *common_denominator(dist.values()))
+    pickled = pickle.loads(pickle.dumps(m._replace(game=None)))._replace(game=game)
+    for twin in (copy.deepcopy(m), pickled):
+        assert not any(hasattr(dist, "_form") for per_state in twin.beliefs
+                       for dist in per_state)
+        assert [[is_rational_at(twin, i, k) for k in range(m.num_states)]
+                for i in range(m.num_players)] == reports
+        assert te_in_structure(twin, sigma) == te_in_structure(m, sigma)
 
 
 def test_column_cache_across_alternating_supports():

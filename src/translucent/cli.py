@@ -4,7 +4,8 @@ Subcommands: ``check``, ``sweep``, ``equilibrium``, ``population``,
 ``validate-structure``, ``qre``.  Every command is driven by a single JSON
 config (read by ``exact.load_json``), prints its report to stdout,
 and optionally copies it to ``--out``.  Outputs are byte-deterministic:
-every number prints by ``exact.report_value``, JSON keys are sorted, and
+every number prints by one rule, ``exact.format_ratio`` (as a JSON value,
+``exact.report_value``), JSON keys are sorted, and
 sweep rows come out in lexicographic grid order no matter how the grid is
 evaluated.
 
@@ -18,7 +19,6 @@ that reaches ``main`` is a bug here and shows as a traceback.
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import json
 import sys
@@ -26,9 +26,10 @@ from fractions import Fraction
 from math import comb, prod
 
 from . import _EXPORTS, __version__
-from .closed_form import checked_params, cooperation_condition
-from .exact import (PARAMS, BudgetExceededError, InputError, field, format_number, integer,
-                    load_json, number, plain, report_value, to_exact, unit)
+from .closed_form import checked_params, cooperation_condition, decide
+from .exact import (PARAMS, BudgetExceededError, InputError, common_denominator, field,
+                    format_number, format_ratio, integer, load_json, number, plain,
+                    report_value, to_exact, unit)
 
 INTEGER_PARAMS = ("n", "l", "h")
 
@@ -282,11 +283,15 @@ def cmd_check(cfg: dict, budget: int) -> tuple:
     return _dump_report(report), 0
 
 
-def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
-    """Yield (param_dict, alpha, beta, (rational, binding, threshold),
-    cells) in lexicographic grid order, once the row count is within
-    ``budget``; ``cells`` is the row's CSV text up to beta, from texts made
-    once per grid value and once per parameter combination."""
+def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int, rows=None) -> list:
+    """The sweep's CSV lines in lexicographic grid order, once the row count
+    is within ``budget``; with a list ``rows``, each row's (param_dict,
+    alpha, beta, rational) is appended to it too.  The texts of the grid
+    values are made once per value and of the parameters once per
+    combination.  Outside ``qre`` mode each grid value is split into its
+    integer ratio once, the parameters are checked once per combination,
+    and a row is ``closed_form.decide`` on integers, its binding quantity
+    and threshold printed by ``exact.format_ratio``."""
     raw_params = field(cfg, "params", "$")
     keys = PARAMS[kind]
     grids, sized = [], {}  # sized: JSON path -> grid, for the budget
@@ -321,39 +326,49 @@ def _sweep_rows(kind: str, mode: str, cfg: dict, budget: int):
     if "n" in keys and mode != "qre":  # qre rows count profiles instead
         for n in grids[keys.index("n")]:
             _check_players(n, "$.params.n", budget)
-    alpha_texts = ["" if a is None else format_number(a) for a in alphas]
-    beta_texts = [None if b is None else format_number(b) for b in betas]
+    # (value, text, integer ratio) per grid value: a te row reads its
+    # condition at full detection, alpha = 1, and a qre row has no beta
+    alphas = [(a, "", 1, 1) if a is None else (a, format_number(a), *a.as_integer_ratio())
+              for a in alphas]
+    betas = [(b, format_number(b), *b.as_integer_ratio()) for b in betas if b is not None]
+    # a te row, the two-point equilibrium condition at a homogeneous profile,
+    # is the cooperation condition, except that all-defect, beta = 0, passes
+    te = mode in ("te", "te_typed")
+    texts = {}  # (n, d) -> format_ratio(n, d): a side repeats across rows
+    lines = []
 
     for combo in itertools.product(*grids):
         params = dict(zip(keys, combo))
         if kind == "pgg":
             params["grid"] = pgg_grid
-        _on_params(checked_params, kind, params)
+        checked = _on_params(checked_params, kind, params)
+        snapshot = _snapshot(kind, params)
         if mode == "qre":  # one game per combination: every lambda reuses its memo
             _check_profile_count(cfg, kind, params, budget)
             d = _on_params(_entry("make_dilemma"), kind, params)
-        snapshot = _snapshot(kind, params)
-        for alpha, alpha_text in zip(alphas, alpha_texts):
+            for lam, lam_text, _, _ in alphas:  # beta is the solution's
+                res = _logit_qre(d, lam, max_iter=max_iter, budget=budget)
+                if not res.converged:
+                    raise CliError(f"qre did not converge at lambda={lam} "
+                                   f"(residual {res.residual:.3e})", code=1)
+                beta = to_exact(res.prob(0, d.cooperate_strategy(0)))
+                beta_text, ok = format_number(beta), beta <= Fraction(1, 2)
+                lines.append(f"{kind},{snapshot},{lam_text},{beta_text},"
+                             f"{'true' if ok else 'false'},0.5,{beta_text}\n")
+            continue
+        for alpha, alpha_text, an, ad in alphas:
             head = f"{kind},{snapshot},{alpha_text},"
-            for beta, beta_text in zip(betas, beta_texts):
-                if mode == "qre":  # beta is the solution's, a text per row
-                    res = _logit_qre(d, alpha, max_iter=max_iter, budget=budget)
-                    if not res.converged:
-                        raise CliError(f"qre did not converge at lambda={alpha} "
-                                       f"(residual {res.residual:.3e})", code=1)
-                    beta = to_exact(res.prob(0, d.cooperate_strategy(0)))
-                    beta_text = format_number(beta)
-                    row = (beta <= Fraction(1, 2), Fraction(1, 2), beta)
-                else:
-                    # a te row, the two-point equilibrium condition at a
-                    # homogeneous profile, is the cooperation condition (read
-                    # at full detection in the untyped mode), except that
-                    # all-defect, beta = 0, always passes
-                    verdict = cooperation_condition(
-                        kind, params, 1 if alpha is None else alpha, beta)
-                    ok = verdict.rational or (mode != "cooperation" and beta == 0)
-                    row = (ok, verdict.binding_quantity, verdict.threshold)
-                yield params, alpha, beta, row, head + beta_text
+            for beta, beta_text, bn, bd in betas:
+                ok, ln, ld, rn, rd = decide(kind, checked, an, ad, bn, bd)
+                if te and not bn:
+                    ok = True
+                binding = texts.get((ln, ld)) or texts.setdefault((ln, ld), format_ratio(ln, ld))
+                threshold = texts.get((rn, rd)) or texts.setdefault((rn, rd), format_ratio(rn, rd))
+                lines.append(f"{head}{beta_text},{'true' if ok else 'false'},"
+                             f"{binding},{threshold}\n")
+                if rows is not None:
+                    rows.append((params, alpha, beta, ok))
+    return lines
 
 
 def cmd_sweep(cfg: dict, budget: int) -> tuple:
@@ -365,18 +380,13 @@ def cmd_sweep(cfg: dict, budget: int) -> tuple:
     spot_check = cfg.get("spot_check", False)
     if type(spot_check) is not bool:
         raise CliError(f"$.spot_check: expected true or false, got {plain(spot_check)!r}")
+    spot_check = spot_check and mode == "cooperation"
 
-    rows = []
-    out = io.StringIO()
-    out.write(SWEEP_HEADER + "\n")
-    for params, alpha, beta, (rational, binding, threshold), cells in \
-            _sweep_rows(kind, mode, cfg, budget):
-        out.write(f"{cells},{'true' if rational else 'false'},"
-                  f"{format_number(binding)},{format_number(threshold)}\n")
-        rows.append((params, alpha, beta, rational))
+    rows = [] if spot_check else None
+    lines = _sweep_rows(kind, mode, cfg, budget, rows)
 
     exit_code = 0
-    if spot_check and mode == "cooperation":
+    if spot_check:
         mismatches = _spot_check(cfg, kind, rows, budget)
         if mismatches:
             for params, alpha, beta, rational, engine_verdict in mismatches:
@@ -385,35 +395,35 @@ def cmd_sweep(cfg: dict, budget: int) -> tuple:
                       f"closed-form={str(rational).lower()} "
                       f"engine={str(engine_verdict).lower()}", file=sys.stderr)
             exit_code = 1
-    return out.getvalue(), exit_code
+    return SWEEP_HEADER + "\n" + "".join(lines), exit_code
 
 
 def _spot_check(cfg: dict, kind: str, rows: list, budget: int) -> list:
     """Re-verify a deterministic 1% sample of sweep rows with the generic
-    engine, each game sized against ``budget`` first; returns the
-    disagreeing rows."""
+    engine, one ``CooperationScanner`` per sampled game, each game sized
+    against ``budget`` first; returns the disagreeing rows."""
     import random
 
     make_dilemma = _entry("make_dilemma")
     translucent_type = _entry("TranslucentType")
-    is_cooperation_rational = _entry("is_cooperation_rational")
+    cooperation_scanner = _entry("CooperationScanner")
     rng = random.Random(0)
     sample_size = max(1, len(rows) // 100)
     sample = rng.sample(range(len(rows)), sample_size)
     mismatches = []
-    games = {}
+    scanners = {}
     for idx in sorted(sample):
         params, alpha, beta, rational = rows[idx]
         key = tuple(sorted(params.items()))
-        if key not in games:
+        if key not in scanners:
             _check_engine_size(cfg, kind, params, budget)
             try:  # the closed form admits pgg's rho = 1, the game does not
-                games[key] = make_dilemma(kind, params)
+                d = make_dilemma(kind, params)
             except (ValueError, TypeError) as exc:
                 raise CliError(f"$.spot_check: {_snapshot(kind, params)}: "
                                f"{exc}") from exc
-        d = games[key]
-        verdict = is_cooperation_rational(d, 0, translucent_type(alpha, beta))
+            scanners[key] = cooperation_scanner(d)
+        verdict = scanners[key].verdict(translucent_type(alpha, beta))
         if verdict.rational != rational:
             mismatches.append((params, alpha, beta, rational, verdict.rational))
     return mismatches
@@ -443,13 +453,13 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
     if terms > budget:
         raise CliError(f"$.betas: {mixing} of {n} players mix, making {terms} "
                        f"multiset-law terms over all players, exceeding budget {budget}")
-    # bertrand's tie kernel (equilibrium._bertrand_holds): about one product
-    # per player for te_condition, and with alphas about n per player more
-    # for te_condition_typed, so n + n^2 in all
-    products = n + n * n * (alphas is not None)
-    if kind == "bertrand" and products > budget:
-        raise CliError(f"$.params.n: the tie kernel over {n} players takes {products} "
-                       f"products, exceeding budget {budget}")
+    if kind == "bertrand":
+        from .equilibrium import _tie_kernel_words
+
+        words = _tie_kernel_words(n, alphas, betas)
+        if words > budget:
+            raise CliError(f"$.params.n: the tie kernel over {n} players takes {words} "
+                           f"word products, exceeding budget {budget}")
     d = _on_params(_entry("make_dilemma"), kind, params)
     untyped = _entry("te_condition")(kind, params, betas)
     coherence = _entry("is_coherent")(d, _entry("MixedProfile").two_point(d, betas), budget)
@@ -474,6 +484,9 @@ def cmd_equilibrium(cfg: dict, budget: int) -> tuple:
 
 
 def cmd_population(cfg: dict, budget: int) -> tuple:
+    """The weight of the types for which cooperation is rational: each
+    type's integer ratios and integer weight over one common denominator,
+    ``closed_form.decide`` per type on the parameters checked once."""
     kind = field(cfg, "kind", "$")
     params = _params_from_config(cfg, kind)
     if "n" in params:
@@ -490,40 +503,43 @@ def cmd_population(cfg: dict, budget: int) -> tuple:
                       "$.population.grid.beta")
         _check_grid_budget({"$.population.grid.alpha": alphas,
                             "$.population.grid.beta": betas}, "types", budget)
-        alphas = [unit(a, "alpha", "$.population.grid.alpha") for a in alphas]
-        betas = [unit(b, "beta", "$.population.grid.beta") for b in betas]
-        w = Fraction(1, len(alphas) * len(betas))
-        types = [(a, b, w) for a in alphas for b in betas]
+        alphas = [unit(a, "alpha", "$.population.grid.alpha").as_integer_ratio()
+                  for a in alphas]
+        betas = [unit(b, "beta", "$.population.grid.beta").as_integer_ratio()
+                 for b in betas]
+        types = [(*a, *b) for a in alphas for b in betas]
+        weights, den = [1] * len(types), len(types)
     else:
         raw = field(spec, "types", "$.population")
         if not isinstance(raw, list) or not raw:
             raise CliError("$.population.types: expected a nonempty list")
         _check_grid_budget({"$.population.types": raw}, "types", budget)
-        types = []
+        types, weights = [], []
         for k, entry in enumerate(raw):
             path = f"$.population.types[{k}]"
             types.append((
-                unit(field(entry, "alpha", path), "alpha", path + ".alpha"),
-                unit(field(entry, "beta", path), "beta", path + ".beta"),
-                number(field(entry, "weight", path), path + ".weight"),
-            ))
+                *unit(field(entry, "alpha", path), "alpha", path + ".alpha").as_integer_ratio(),
+                *unit(field(entry, "beta", path), "beta", path + ".beta").as_integer_ratio()))
+            weights.append(number(field(entry, "weight", path), path + ".weight"))
+        weights, den = common_denominator(weights)
 
-    total = sum((w for _, _, w in types), Fraction(0))
-    if abs(total - 1) > Fraction(1, 10 ** 9):
-        raise CliError(f"$.population: weights sum to {format_number(total)}, "
+    total = sum(weights)
+    if abs(total - den) * 10 ** 9 > den:
+        raise CliError(f"$.population: weights sum to {format_ratio(total, den)}, "
                        "expected 1 within 1e-9")
-    if any(w < 0 for _, _, w in types):
+    if any(w < 0 for w in weights):
         raise CliError("$.population: weights must be nonnegative")
 
-    rate = Fraction(0)
-    for alpha, beta, w in types:
-        if cooperation_condition(kind, params, alpha, beta).rational:
+    checked = checked_params(kind, params)
+    rate = 0
+    for (an, ad, bn, bd), w in zip(types, weights):
+        if decide(kind, checked, an, ad, bn, bd)[0]:
             rate += w
     report = {
         "kind": kind,
         "params": params,
         "num_types": len(types),
-        "cooperation_rate": rate,
+        "cooperation_rate": Fraction(rate, den),
     }
     return _dump_report(report), 0
 

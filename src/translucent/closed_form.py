@@ -24,9 +24,12 @@ picked inline from the same products; for bertrand, with gamma = gn/gd,
 f(gamma, N) = (gd^N - gn^N) / (N * gd^(N-1) * (gd - gn)).  ``Fraction``s are
 built only for the two sides a ``CooperationVerdict`` returns.  Each game's
 conditions are stated once, in the unchecked integer core
-``condition_terms``; ``cooperation_condition`` checks alpha, beta and the
-parameters (``checked_params``) and wraps it, and the two-point equilibrium
-conditions check once per call and read the core once per player.
+``condition_terms``, and ``decide`` picks the binding one of a cell;
+``cooperation_condition`` checks alpha, beta and the parameters
+(``checked_params``) and wraps ``decide``, the CLI's grid commands check
+each parameter combination once and call ``decide`` per cell, and the
+two-point equilibrium conditions check once per call and read the core
+once per player.
 
 Note on the traveler's dilemma branch: equating the cooperation payoff with
 the payoff of undercutting to H-1 gives b*(1-2a) <= 1 + a*(H-L-1); the often
@@ -107,19 +110,27 @@ def cooperation_condition(kind: str, params: dict, alpha: Numeric,
     """
     an, ad = to_unit(alpha, "alpha").as_integer_ratio()
     bn, bd = to_unit(beta, "beta").as_integer_ratio()
-    terms = condition_terms(kind, checked_params(kind, params), an, ad, bn, bd)
-    ln, ld, rn, rd = terms[0]
-    margin = ln * rd - rn * ld  # lhs - rhs over ld * rd
-    rational = margin >= 0
-    if len(terms) > 1:
-        # td's undercut-by-one condition; it binds when its margin is
-        # strictly smaller (all denominators are positive)
-        xn, xd, xrn, xrd = terms[1]
-        x_margin = xn * xrd - xrn * xd
-        rational = rational and x_margin >= 0
-        if x_margin * (ld * rd) < margin * (xd * xrd):
-            ln, ld, rn, rd = xn, xd, xrn, xrd
+    rational, ln, ld, rn, rd = decide(kind, checked_params(kind, params), an, ad, bn, bd)
     return CooperationVerdict(rational, Fraction(ln, ld), Fraction(rn, rd))
+
+
+def decide(kind: str, checked: tuple, an: int, ad: int, bn: int, bd: int) -> tuple:
+    """The unchecked integer verdict at alpha = an/ad and beta = bn/bd
+    (denominators positive; ``checked`` from ``checked_params``):
+    ``(rational, ln, ld, rn, rd)``, the binding condition's sides ln/ld and
+    rn/rd, unreduced.  The grid commands call it once per cell."""
+    terms = condition_terms(kind, checked, an, ad, bn, bd)
+    ln, ld, rn, rd = terms[0]
+    if len(terms) == 1:
+        return ln * rd >= rn * ld, ln, ld, rn, rd
+    # td's undercut-by-one condition; it binds when its margin is strictly
+    # smaller (margins over ld * rd and xd * xrd, all positive)
+    xn, xd, xrn, xrd = terms[1]
+    margin, x_margin = ln * rd - rn * ld, xn * xrd - xrn * xd
+    rational = margin >= 0 and x_margin >= 0
+    if x_margin * (ld * rd) < margin * (xd * xrd):
+        return rational, xn, xd, xrn, xrd
+    return rational, ln, ld, rn, rd
 
 
 def checked_params(kind: str, params: dict) -> tuple:
@@ -165,10 +176,9 @@ def condition_terms(kind: str, checked: tuple, an: int, ad: int, bn: int,
     # and f = 1 at gamma = 1
     gn, gd = (ad - an) * bn, ad * bd
     if gn == gd:
-        tie = (l * n, h)
-    else:
-        tie = (l * (gd ** n - gn ** n), h * gd ** (n - 1) * (gd - gn))
-    return [(bn ** (n - 1), bd ** (n - 1), *tie)]
+        return [(bn ** (n - 1), bd ** (n - 1), l * n, h)]
+    tail = gd ** (n - 1)
+    return [(bn ** (n - 1), bd ** (n - 1), l * (tail * gd - gn ** n), h * tail * (gd - gn))]
 
 
 def bertrand_lower_bound_check(beta: Numeric, l: int, h: int, n: int) -> bool:

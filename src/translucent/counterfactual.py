@@ -415,6 +415,7 @@ def _cell_values(m: CounterfactualStructure, i: int, omega: int, sources: list,
                 return eu, values, den * scale
         except (TypeError, LookupError):  # a position off the game, a table miss
             pass
+        missing = []
         for s, column, pos in ([(m.states[omega][i], None, own)] if on_path else []) + [*plan]:
             for t in sources if column is None else derived_beliefs(m, i, omega, s):
                 k = None if pos is None else others[t]
@@ -424,7 +425,8 @@ def _cell_values(m: CounterfactualStructure, i: int, omega: int, sources: list,
                     game.payoff(tuple(profile), i)
                 k += pos * stride
                 if k not in row:
-                    game._fill(i, k)
+                    missing.append(k)
+        game._fill(i, missing)
 
 
 def eu_at_state(m: CounterfactualStructure, i: int, omega: int) -> Fraction:

@@ -294,11 +294,15 @@ def _bertrand_holds(checked: tuple, als: list, bs: list) -> bool:
 def _expand(values: Sequence) -> list:
     """The integer coefficients of prod_j (q_j + p_j t) over ``values`` p_j /
     q_j: c_k is e_k(values), the k-th elementary symmetric polynomial, times
-    the product of the q_j.  One factor at a time, O(len(values)^2)."""
+    the product of the q_j.  One factor at a time, O(len(values)^2); a value
+    of 1, the factor 1 + t, takes sums alone."""
     cs = [1]
     for v in values:
         p, q = v.as_integer_ratio()
-        cs = [q * c + p * d for c, d in zip(cs + [0], [0, *cs])]
+        if p == q:
+            cs = [c + d for c, d in zip(cs + [0], [0, *cs])]
+        else:
+            cs = [q * c + p * d for c, d in zip(cs + [0], [0, *cs])]
     return cs
 
 
@@ -332,6 +336,60 @@ def _tie_sum(cs: Sequence, gn: int, gd: int, n: int) -> int:
             total, f = total * gd * (n - k), f * gn * k
         total += c * f
     return total
+
+
+def _tie_kernel_words(n: int, alphas, betas: list) -> int:
+    """An upper bound on the word-sized products of bertrand's tie kernel
+    (``_bertrand_holds``) for ``te_condition`` and, with ``alphas``,
+    ``te_condition_typed``, from the alphas' and betas' bit lengths alone,
+    before anything is built; the CLI's ``equilibrium`` budgets it.  A
+    product of x and y counts w(x) * w(y) for w(bits) = bits // 64 + 1.  A
+    beta of 0 leaves no kernel, and a beta of 1 is no product in the
+    expansion of prod_j (q_j + p_j t), O(n^2) coefficients; each distinct
+    (alpha, beta) pair then takes O(n) products, bounded through the bit
+    lengths of the betas' products (``p_bits``), the coefficients
+    (``s_bits``), (n - 1)! (``fact``) and the Horner sums of ``_tie_sum``
+    as they grow."""
+    if not all(betas):
+        return 0
+
+    def w(bits: int) -> int:
+        return bits // 64 + 1
+
+    def ramp(start: int, step: int) -> int:  # >= sum of w(start + k * step), k < n
+        return n * (w(start) + 1) + step * n * (n - 1) // 128
+
+    sizes = [max(b.as_integer_ratio()).bit_length() for b in betas]
+    length, fact = n.bit_length(), n * n.bit_length()  # (n - 1)! < 2^fact
+    p_bits = sum(sizes)
+    s_bits = p_bits + n  # c_k <= C(n, k) * prod_j max(p_j, q_j)
+
+    def pair(an: int, ad: int, p: int, q: int) -> int:
+        b, a, g = max(p, q).bit_length(), ad.bit_length(), (ad - an).bit_length()
+        powers = n * a  # ad^(n - 1)
+        words = w(p_bits) * w(b) + w(powers) ** 2  # the others' p_j, ad^(n - 1)
+        if g:  # leave one out, then Horner over n terms
+            words += (n * w(s_bits) * w(b) + ramp(s_bits, a + g + 2 * length) * (w(a) + 1)
+                      + ramp(0, g + length) * (w(g) + 1 + w(s_bits)))
+        else:  # c_0 alone: the others' q_j, times (n - 1)! and ad^(n - 1)
+            words += (w(p_bits) * w(b) + w(fact) ** 2 + w(p_bits) * w(fact)
+                      + w(p_bits + fact) * w(powers))
+        tie = s_bits + n * (a + g + 2 * length)  # bits of the kernel's sum
+        return words + w(powers) * w(fact) + w(powers + fact) * w(p_bits) + w(tie)
+
+    # both conditions: the products of all p_j and all q_j, and (n - 1)!
+    whole = 2 * n * w(p_bits) + w(fact) ** 2
+    words = whole + sum(pair(1, 1, *b.as_integer_ratio()) for b in set(betas))
+    if alphas is not None:
+        words += whole + sum(pair(*a.as_integer_ratio(), *b.as_integer_ratio())
+                             for a, b in set(zip(alphas, betas)))
+        if any(a != 1 for a in alphas):
+            grown = 0  # the expansion: j + 1 coefficients of grown bits, times p_j and q_j
+            for j, (beta, size) in enumerate(zip(betas, sizes)):
+                grown += size + 1
+                if beta != 1:
+                    words += 2 * (j + 1) * w(grown) * w(size)
+    return words
 
 
 def generalized_f(gammas: Sequence, n: int) -> Fraction:

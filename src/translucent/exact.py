@@ -29,6 +29,8 @@ from typing import Optional, Union
 Numeric = Union[int, float, Fraction, Decimal, str]
 # the largest magnitude a float rounds to 0 (2**-1075, a tie, goes to even)
 _TINY = Decimal(2) ** -1075
+# the largest float, an integer
+_FLOAT_MAX = int(sys.float_info.max)
 # the least integer past Python's 4300-digit limit on int to str conversion
 _HUGE = 10 ** 4300
 
@@ -120,25 +122,37 @@ def exact_text(f: Fraction) -> str:
         return text if f.denominator == 1 else f"{text}/{Decimal(f.denominator)}"
 
 
-def report_value(x: Numeric):
-    """How every report prints ``x``: an exact integer as an int (past 4300
-    digits, as its digit string), a value whose float is 0 or past the float
-    range as its exact ``"n/d"`` string (``exact_text``), any other as its
-    float rounded to 12 significant digits."""
-    f = to_exact(x)
-    if f.denominator == 1:
-        return f.numerator if abs(f.numerator) < _HUGE else exact_text(f)
+def format_ratio(n: int, d: int) -> str:
+    """How every report prints n / d, for integers n and d > 0, without
+    building the ``Fraction``: an exact integer as its digits (past 4300
+    digits through ``exact_text``), a value whose float is 0 or past the
+    float range as its exact ``"n/d"`` string in lowest terms
+    (``exact_text``), any other as its float to 12 significant digits.
+    ``n / d`` is the correctly rounded float of the reduced fraction too."""
+    if not n % d:
+        q = n // d
+        return str(q) if -_HUGE < q < _HUGE else exact_text(Fraction(q))
     try:
-        v = float(f)
+        v = n / d
     except OverflowError:  # int true division past the float range
-        return exact_text(f)
-    return float(f"{v:.12g}") if v else exact_text(f)
+        return exact_text(Fraction(n, d))
+    return "%.12g" % v if v else exact_text(Fraction(n, d))  # %: twice f"{v:.12g}"'s speed
 
 
 def format_number(x: Numeric) -> str:
-    """The CSV text of ``report_value(x)``."""
-    v = report_value(x)
-    return f"{v:.12g}" if type(v) is float else str(v)
+    """The CSV text of ``x``: ``format_ratio`` of its exact value."""
+    return format_ratio(*to_exact(x).as_integer_ratio())
+
+
+def report_value(x: Numeric):
+    """How every JSON report prints ``x``, by ``format_ratio``'s rule: an
+    exact integer as an int (past 4300 digits, as its digit string), an
+    exact ``"n/d"`` string as itself, a float's text as that float."""
+    n, d = to_exact(x).as_integer_ratio()
+    if d == 1 and -_HUGE < n < _HUGE:
+        return n
+    text = format_ratio(n, d)
+    return float(text) if d != 1 and "/" not in text else text
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +268,11 @@ def number(value, path: str) -> Fraction:
     damping and tol as floats: an int, a decimal, or a string such as
     ``"1/3"``.  A nonzero number whose float is 0 is refused too."""
     v = _exact(value, "a number", path)
-    if abs(v) > sys.float_info.max:
+    n, d = v.as_integer_ratio()  # compared as integers: no Fraction of a float
+    if abs(n) > _FLOAT_MAX * d:
         raise InputError(f"{path}: expected a number of magnitude "
                          f"at most {sys.float_info.max:.12g}")
-    if v and not float(v):
+    if n and not n / d:
         raise InputError(f"{path}: expected 0 or a number of magnitude "
                          f"above {_TINY:.12g}")
     return v
@@ -266,7 +281,7 @@ def number(value, path: str) -> Fraction:
 def unit(value, name: str, path: str) -> Fraction:
     """A number in [0, 1], the probability ``name`` (``alpha``, ``beta``)."""
     v = number(value, path)
-    if not 0 <= v <= 1:
+    if not 0 <= v.numerator <= v.denominator:
         raise InputError(f"{path}: {name} must lie in [0, 1], got {v}")
     return v
 

@@ -10,7 +10,10 @@ ranges and contribution grids can be large; exhaustive checks take an explicit
 profile budget and read the game's integer payoff table, filled by the rule
 where needed.  A symmetric game also keeps one payoff per (own strategy,
 others' multiset), which coherence, the QRE tensor and the cooperation
-scanner read.  All payoffs are exact Fractions.
+scanner read.  Payoffs are exact: the rules return ints where they can
+(bertrand, and td with an integral bonus) and Fractions otherwise, the tables
+hold integers over one scale per player (and one for the memo), filled in
+batches, and ``payoff`` returns a Fraction.
 
 The parameter domains (``KINDS``, ``PARAMS``, ``pd_params`` and the other
 checks) and ``BudgetExceededError`` live in ``exact``, so that the closed
@@ -24,7 +27,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 from operator import mul
 from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
@@ -123,44 +126,47 @@ class NormalFormGame(_Frozen):
         try:
             return sum(map(mul, weights, map(row.__getitem__, keys))), self._scales[i]
         except KeyError:
-            for k in keys:
-                if k not in row:
-                    self._fill(i, k)
+            self._fill(i, keys)
             return sum(map(mul, weights, map(row.__getitem__, keys))), self._scales[i]
 
-    def _fill(self, i: int, k: int) -> None:
-        """Compute player i's payoff at profile index k by the rule and store
-        it in the table (``_put``)."""
-        self._put(self._table[i], i, k, self.payoff_rule(self._profile_at(k), i))
+    def _fill(self, i: int, keys) -> None:
+        """Compute player i's payoffs at the profile indices ``keys`` missing
+        from the table by the rule, and store them in one batch (``_store``)."""
+        row, rule = self._table[i], self.payoff_rule
+        self._store(row, i, [(k, rule(self._profile_at(k), i)) for k in keys if k not in row])
 
-    def _put(self, row: dict, slot: int, key, value) -> None:
-        """Store ``value`` in ``row`` at ``key`` as an integer over
-        ``_scales[slot]``, raising that scale (and every stored entry with
-        it) to a multiple of the value's denominator if needed."""
-        v = to_exact(value)
+    def _store(self, row: dict, slot: int, items: list) -> None:
+        """Store each (key, exact value) of ``items`` in ``row`` as an integer
+        over ``_scales[slot]``: the scale is raised once, with every stored
+        entry, to the lcm of it and the values' denominators, and an int
+        value is stored without building a ``Fraction``.  A key listed twice
+        is stored twice, with the same value."""
+        ratios = [(v, 1) if type(v) is int else to_exact(v).as_integer_ratio()
+                  for _, v in items]
         scale = self._scales[slot]
-        if scale % v.denominator:
-            factor = v.denominator // gcd(scale, v.denominator)
+        common = lcm(scale, *{d for _, d in ratios})
+        if common != scale:
+            factor = common // scale
             for stored in row:
                 row[stored] *= factor
-            scale = self._scales[slot] = scale * factor
-        row[key] = v.numerator * (scale // v.denominator)
+            self._scales[slot] = common
+        for (key, _), (n, d) in zip(items, ratios):
+            row[key] = n * (common // d)
 
     def _multiset_payoffs(self, keys: Sequence) -> tuple:
         """A symmetric game's payoffs at ``keys``, each (own position, sorted
         positions of the others), as (integers over one scale, the scale).
-        They come from one memo per game; a missing entry costs one rule
-        call, for player 0 with the others in sorted order."""
+        They come from one memo per game; the missing entries cost one rule
+        call each, for player 0 with the others in sorted order, and are
+        stored in one batch (``_store``)."""
         memo = self._multisets
         try:
             return list(map(memo.__getitem__, keys)), self._scales[-1]
         except KeyError:
-            strats = self.strategy_sets[0]
-            for key in keys:
-                if key not in memo:
-                    own, rest = key
-                    self._put(memo, -1, key, self.payoff_rule(
-                        (strats[own], *map(strats.__getitem__, rest)), 0))
+            strats, rule = self.strategy_sets[0], self.payoff_rule
+            self._store(memo, -1, [
+                (key, rule((strats[key[0]], *map(strats.__getitem__, key[1])), 0))
+                for key in keys if key not in memo])
             return list(map(memo.__getitem__, keys)), self._scales[-1]
 
     def _profile_at(self, k: int) -> Profile:
@@ -172,10 +178,8 @@ class NormalFormGame(_Frozen):
         the player's scale: the table, its missing entries filled by the
         rule (one call per player and profile).  Callers budget first."""
         count = self.profile_count()
-        for i, row in enumerate(self._table):
-            for k in range(count):
-                if k not in row:
-                    self._fill(i, k)
+        for i in range(self.num_players):
+            self._fill(i, range(count))
         return [list(map(row.__getitem__, range(count))) for row in self._table]
 
     @cached_property
@@ -326,8 +330,9 @@ def make_bertrand(n: int, l: int, h: int) -> SocialDilemma:
     def rule(profile, i):
         low = min(profile)
         if profile[i] != low:
-            return Fraction(0)
-        return Fraction(low, profile.count(low))
+            return 0
+        ties = profile.count(low)
+        return low if ties == 1 else Fraction(low, ties)
 
     game = NormalFormGame(n, (prices,) * n, rule, symmetric=True, name="bertrand")
     return SocialDilemma(game, "bertrand", {"n": n, "l": l, "h": h},
@@ -344,15 +349,16 @@ def make_travelers_dilemma(l: int, h: int, bonus: Numeric) -> SocialDilemma:
     """
     l, h, bonus = td_params(l, h, bonus)
     bonus = Fraction(bonus)
+    step = bonus.numerator if bonus.denominator == 1 else bonus  # an int when integral
     claims = tuple(range(l, h + 1))
 
     def rule(profile, i):
         mine, other = profile[i], profile[1 - i]
         if mine == other:
-            return Fraction(mine)
+            return mine
         if mine < other:
-            return mine + bonus
-        return other - bonus
+            return mine + step
+        return other - step
 
     game = NormalFormGame(2, (claims, claims), rule, symmetric=True, name="td")
     return SocialDilemma(game, "td", {"l": l, "h": h, "bonus": bonus},

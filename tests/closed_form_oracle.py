@@ -242,3 +242,90 @@ def generalized_f(gammas: Sequence, n: int, budget: int = 2 ** 20) -> Fraction:
                 term *= g
         total += term / (size + 1)
     return total
+
+
+# ---------------------------------------------------------------------------
+# grid commands
+#
+# The CLI's ``sweep`` rows and ``population`` rates as they were computed
+# before they were read from ``closed_form.decide`` on integer ratios: one
+# ``cooperation_condition`` call per cell, its two sides printed through the
+# ``Fraction``-valued report rule.  Configs here give every grid as a list
+# (or one value) of exact numbers.
+
+_HUGE = 10 ** 4300
+
+
+def report_value(x):
+    """``exact.report_value`` as it was: the float's 12-digit text parsed
+    back, or the exact text past the float range, at 0 and past 4300 digits."""
+    from decimal import Decimal
+
+    def exact_text(f):
+        try:
+            return str(f)
+        except ValueError:
+            text = str(Decimal(f.numerator))
+            return text if f.denominator == 1 else f"{text}/{Decimal(f.denominator)}"
+    f = to_exact(x)
+    if f.denominator == 1:
+        return f.numerator if abs(f.numerator) < _HUGE else exact_text(f)
+    try:
+        v = float(f)
+    except OverflowError:
+        return exact_text(f)
+    return float(f"{v:.12g}") if v else exact_text(f)
+
+
+def format_number(x) -> str:
+    v = report_value(x)
+    return f"{v:.12g}" if type(v) is float else str(v)
+
+
+def _values(value) -> list:
+    return [to_exact(v) for v in (value if isinstance(value, list) else [value])]
+
+
+def sweep_text(cfg: dict) -> str:
+    """A non-qre ``sweep`` report, one ``cooperation_condition`` per row."""
+    from translucent.exact import PARAMS
+
+    kind, mode = cfg["kind"], cfg.get("mode", "cooperation")
+    keys = PARAMS[kind]
+    grids = [[int(v) if k in ("n", "l", "h") else v for v in _values(cfg["params"][k])]
+             for k in keys]
+    betas = _values(cfg["beta"])
+    alphas = _values(cfg["alpha"]) if mode in ("cooperation", "te_typed") else [None]
+    lines = ["kind,param_snapshot,alpha,beta,rational,binding,threshold"]
+    for combo in itertools.product(*grids):
+        params = dict(zip(keys, combo))
+        if kind == "pgg":
+            params["grid"] = cfg.get("grid", 100)
+        snapshot = ";".join(f"{k}={format_number(params[k])}" for k in keys)
+        for alpha in alphas:
+            for beta in betas:
+                verdict = library_condition(kind, params, 1 if alpha is None else alpha, beta)
+                ok = verdict.rational or (mode != "cooperation" and beta == 0)
+                lines.append(f"{kind},{snapshot},"
+                             f"{'' if alpha is None else format_number(alpha)},"
+                             f"{format_number(beta)},{'true' if ok else 'false'},"
+                             f"{format_number(verdict.binding_quantity)},"
+                             f"{format_number(verdict.threshold)}")
+    return "\n".join(lines) + "\n"
+
+
+def population_rate(cfg: dict) -> Fraction:
+    """A ``population`` report's rate: the weights of the types whose
+    ``cooperation_condition`` holds, summed in ``Fraction``s."""
+    kind, params, spec = cfg["kind"], dict(cfg["params"]), cfg["population"]
+    if kind == "pgg":
+        params["grid"] = cfg.get("grid", 100)
+    if "grid" in spec:
+        alphas, betas = _values(spec["grid"]["alpha"]), _values(spec["grid"]["beta"])
+        w = Fraction(1, len(alphas) * len(betas))
+        types = [(a, b, w) for a in alphas for b in betas]
+    else:
+        types = [(to_exact(t["alpha"]), to_exact(t["beta"]), to_exact(t["weight"]))
+                 for t in spec["types"]]
+    return sum((w for a, b, w in types
+                if library_condition(kind, params, a, b).rational), Fraction(0))

@@ -56,3 +56,57 @@ def verify_social_dilemma(game, budget: int = 10_000_000) -> DilemmaReport:
         dominance_ok = all(game.payoff(unique_welfare, i) > game.payoff(unique_nash, i)
                            for i in range(game.num_players))
     return DilemmaReport(nash, maximizers, unique_nash, unique_welfare, dominance_ok)
+
+
+# ---------------------------------------------------------------------------
+# payoff memo fills
+#
+# The library stores a batch of rule values over one common scale, raised
+# once per batch, and keeps a rule's int as it is.  The former route stored
+# each value as it came, through ``Fraction``, raising the scale and every
+# stored entry at each new denominator; and the bertrand and td rules
+# returned ``Fraction``s.
+
+
+def fill_per_entry(entries, memo=None, scale: int = 1) -> tuple:
+    """``(memo, scale)`` after storing each (key, value) of ``entries`` in
+    turn, a key already stored skipped, as the former per-entry fill did."""
+    from math import gcd
+
+    from translucent.exact import to_exact
+
+    memo = {} if memo is None else memo
+    for key, value in entries:
+        if key in memo:
+            continue
+        v = to_exact(value)
+        if scale % v.denominator:
+            factor = v.denominator // gcd(scale, v.denominator)
+            for stored in memo:
+                memo[stored] *= factor
+            scale *= factor
+        memo[key] = v.numerator * (scale // v.denominator)
+    return memo, scale
+
+
+def fraction_rule(kind: str, params: dict):
+    """The former bertrand and td payoff rules, ``Fraction`` throughout."""
+    from fractions import Fraction
+
+    if kind == "bertrand":
+        def rule(profile, i):
+            low = min(profile)
+            if profile[i] != low:
+                return Fraction(0)
+            return Fraction(low, profile.count(low))
+        return rule
+    bonus = Fraction(params["bonus"])
+
+    def rule(profile, i):  # td
+        mine, other = profile[i], profile[1 - i]
+        if mine == other:
+            return Fraction(mine)
+        if mine < other:
+            return mine + bonus
+        return other - bonus
+    return rule

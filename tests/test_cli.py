@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import translucent
+from translucent import equilibrium as eq
 from translucent.cli import main
 from translucent.counterfactual import (build_nash_structure, structure_from_json,
                                         structure_to_json)
@@ -470,26 +471,133 @@ class TestStrategyBudget:
                    f"multiset-law terms over all players, exceeding budget "
                    f"{terms - 1}\n")
 
-    @pytest.mark.parametrize("n,betas,products", [
-        (5, [1] * 5, 30),                     # 5 + 5^2; 4 * 5 law terms
-        (3, ["1/2", 1, 1], 12),               # 3 + 3^2; 2 * (3 + 2) law terms
-        (4, [0, 1, 1, 1], 20),                # 4 + 4^2; 3 * 4 law terms
+    @pytest.mark.parametrize("n,betas", [
+        (5, [1] * 5),                         # 4 * 5 law terms
+        (3, ["1/2", 1, 1]),                   # 2 * (3 + 2) law terms
+        (4, ["1/3", 1, 1, "2/3"]),            # 3 * (4 + 2 * 3) law terms
     ])
-    def test_budget_is_the_tie_kernel_count(self, tmp_path, capsys, n, betas,
-                                            products):
+    def test_budget_is_the_tie_kernel_count(self, tmp_path, capsys, n, betas):
         # bertrand (n, 2, 3): 2 x n floor payoffs and the multiset laws stay
-        # below the typed tie kernel's n + n^2 products, so the kernel binds
+        # below the tie kernel's word products, so the kernel binds
+        betas_exact = [F(b) for b in betas]
+        words = eq._tie_kernel_words(n, [F(1, 2)] * n, betas_exact)
+        mixing = sum(0 < b < 1 for b in betas_exact)
+        assert words > max(2 * n, (n - 1) * (n + mixing * (n - 1)))
         cfg = write_config(tmp_path, "c.json", {
             "kind": "bertrand", "params": {"n": n, "l": 2, "h": 3},
             "betas": betas, "alphas": ["1/2"] * n})
         code, _, _ = run(capsys, "equilibrium", "--config", cfg,
-                         "--budget", str(products))
+                         "--budget", str(words))
         assert code == 0
         code, out, err = run(capsys, "equilibrium", "--config", cfg,
-                             "--budget", str(products - 1))
+                             "--budget", str(words - 1))
         assert (code, out, err) == (
             2, "", f"error: $.params.n: the tie kernel over {n} players takes "
-                   f"{products} products, exceeding budget {products - 1}\n")
+                   f"{words} word products, exceeding budget {words - 1}\n")
+
+    def test_a_zero_beta_leaves_no_tie_kernel(self):
+        # both conditions fail at once beside a positive beta, and all-defect
+        # passes, before any kernel product
+        assert eq._tie_kernel_words(4, [F(1, 2)] * 4, [F(0), F(1), F(1), F(1)]) == 0
+        assert eq._tie_kernel_words(4, None, [F(0)] * 4) == 0
+
+    @pytest.mark.parametrize("n,refusal", [
+        (200, "$.params.n: the tie kernel over 200 players takes "),
+        (3000, "$.betas: 3000 of 3000 players mix, making "),
+    ])
+    def test_coprime_tie_kernel_is_refused(self, tmp_path, capsys, n, refusal):
+        # every alpha and beta 1 - 1/(10^6 + k): the kernel's integers grow
+        # with n, so at n = 200 (0.3 s of products; 7,960,000 law terms and
+        # the old count's n + n^2 products are within the default budget)
+        # the kernel exits 2 before anything is built; at n = 3000 the law
+        # terms refuse first
+        values = [f"{10 ** 6 + k - 1}/{10 ** 6 + k}" for k in range(n)]
+        cfg = write_config(tmp_path, "c.json", {
+            "kind": "bertrand", "params": {"n": n, "l": 2, "h": 3},
+            "betas": values, "alphas": values})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "equilibrium", "--config", cfg)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + refusal)
+        assert err.endswith(" exceeding budget 10000000\n")
+        assert n + n * n < 10_000_000
+
+    KERNEL_SHAPES = {
+        "coprime": lambda n: ([1 - F(1, 10 ** 6 + k) for k in range(n)],) * 2,
+        "pure": lambda n: ([F(1, 2)] * n, [F(1)] * n),
+        "halves": lambda n: ([F(1, 3)] * n, [F(1, 2)] * n),
+        "untyped-coprime": lambda n: (None, [1 - F(1, 10 ** 6 + k) for k in range(n)]),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+    @pytest.mark.parametrize("budget", [10 ** 3, 10 ** 4, 10 ** 5])
+    def test_tie_kernel_work_is_within_the_budget(self, monkeypatch, shape, budget):
+        # counters, not clocks: the kernel's helpers, products and
+        # factorials are replaced by counting copies that add W(x) * W(y)
+        # word products for each product x * y (W(bits) = bits // 64 + 1),
+        # at the largest n whose count the budget admits
+        words = [0]
+
+        def w(x):
+            return abs(x).bit_length() // 64 + 1
+
+        def mul(x, y):
+            words[0] += w(x) * w(y)
+            return x * y
+
+        def expand(values):
+            cs = [1]
+            for v in values:
+                p, q = v.as_integer_ratio()
+                cs = [c + d if p == q else mul(q, c) + mul(p, d)
+                      for c, d in zip(cs + [0], [0, *cs])]
+            return cs
+
+        def leave_one_out(cs, p, q):
+            rest, r = [], 0
+            for c in cs[:-1]:
+                words[0] += w(c) * w(q)  # the division
+                r = (c - mul(p, r)) // q
+                rest.append(r)
+            return rest
+
+        def tie_sum(cs, gn, gd, n):
+            if not gn:
+                return mul(mul(cs[0], factorial(n - 1)), gd ** (n - 1))
+            total, f = 0, 1
+            for k, c in enumerate(cs):
+                if k:
+                    total, f = mul(mul(total, gd), n - k), mul(mul(f, gn), k)
+                total += mul(c, f)
+            return total
+
+        def product(values):
+            acc = 1
+            for v in values:
+                acc = mul(acc, v)
+            return acc
+
+        def factorial(m):
+            return product(range(2, m + 1))
+
+        for name, fn in (("_expand", expand), ("_leave_one_out", leave_one_out),
+                         ("_tie_sum", tie_sum), ("prod", product), ("factorial", factorial)):
+            monkeypatch.setattr(eq, name, fn)
+        make = self.KERNEL_SHAPES[shape]
+        n = 2
+        while eq._tie_kernel_words(n + 1, *make(n + 1)) <= budget:
+            n += 1
+        alphas, betas = make(n)
+        assert eq._tie_kernel_words(n, alphas, betas) <= budget
+        params = {"n": n, "l": 2, "h": 3}
+        expected = (eq.te_condition("bertrand", params, betas), alphas is not None
+                    and eq.te_condition_typed("bertrand", params, alphas, betas).holds)
+        monkeypatch.undo()
+        assert expected == (eq.te_condition("bertrand", params, betas), alphas is not None
+                            and eq.te_condition_typed("bertrand", params, alphas, betas).holds)
+        # the count bounds the work, and tracks it within a factor of 10
+        assert budget // 10 <= words[0] <= budget
 
     def test_large_bertrand_typed_runs_fast(self, tmp_path, capsys):
         # 1,001,000 kernel products, within the default budget: the e_k are

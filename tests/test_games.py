@@ -194,13 +194,20 @@ class TestTravelersDilemma:
         assert report.unique_nash is None
 
     def test_int_bonus_stays_an_int_for_the_closed_forms(self):
-        # the closed forms read only its integer ratio; the game's payoffs
-        # and params keep Fractions
+        # the closed forms read only its integer ratio; the game's params
+        # keep Fractions, and its payoffs too, while the rule computes on
+        # integers when the bonus is integral
         assert [type(v) for v in td_params(2, 10, 3)] == [int, int, int]
         assert type(td_params(2, 10, F(3))[2]) is F
-        d = make_travelers_dilemma(2, 10, 3)
-        assert type(d.params["bonus"]) is F
-        assert {type(d.game.payoff_rule((a, 7), 0)) for a in (6, 7, 8)} == {F}
+        for bonus in (3, F(3), "3.0"):
+            d = make_travelers_dilemma(2, 10, bonus)
+            assert type(d.params["bonus"]) is F
+            assert [d.game.payoff_rule((a, 7), 0) for a in (6, 7, 8)] == [9, 7, 4]
+            assert {type(d.game.payoff_rule((a, 7), 0)) for a in (6, 7, 8)} == {int}
+            assert {type(d.payoff((a, 7), 0)) for a in (6, 7, 8)} == {F}
+        d = make_travelers_dilemma(2, 10, F(5, 2))
+        assert [d.game.payoff_rule((a, 7), 0) for a in (6, 7, 8)] == [F(17, 2), 7, F(9, 2)]
+        assert {type(d.payoff((a, 7), 0)) for a in (6, 7, 8)} == {F}
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="0 < l < h"):
